@@ -166,16 +166,20 @@ class ResultCache:
         self._flights: Dict[str, _Flight] = {}
 
     # -- lookup --------------------------------------------------------
-    def get(self, key: str
+    def get(self, key: str, count: bool = True
             ) -> Optional[Tuple[ResultSet, Optional[EvaluationStats]]]:
-        """LRU-touching lookup; counts a hit or a miss."""
+        """LRU-touching lookup; counts a hit or a miss.  ``count=False``
+        is for a caller that probes once more for the same request and
+        accounts for the outcome itself."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.bump("misses")
+                if count:
+                    self.stats.bump("misses")
                 return None
             self._entries.move_to_end(key)
-            self.stats.bump("hits")
+            if count:
+                self.stats.bump("hits")
             return entry.result, entry.stats
 
     def __contains__(self, key: str) -> bool:

@@ -20,13 +20,13 @@ deterministic ones.  The original exception is chained as ``__cause__``.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 from .engine import Engine
 from .errors import EndpointError, classify_error
+from . import json_results
 from .results import ResultSet, ResultStream
 
 __all__ = ["Endpoint", "EndpointError", "EndpointResponse"]
@@ -68,9 +68,11 @@ class Endpoint:
         underlying :class:`QueryTimeout`.
     cursor_cache_size:
         How many per-query lazy cursors are kept (LRU).  Cursors are keyed
-        on ``(query hash, dataset fingerprint)``, so a graph mutation
-        makes every pre-mutation cursor unreachable instead of serving
-        stale pages (mirroring the plan cache's invalidation).
+        on :meth:`Engine.result_key` (query structure + dataset
+        fingerprint) — the key plans and cached results use — so two
+        spellings of a query share a cursor, and a graph mutation makes
+        every pre-mutation cursor unreachable instead of serving stale
+        pages.
     result_cache:
         An optional shared :class:`~repro.sparql.cache.ResultCache` —
         typically the same instance a :class:`~repro.sparql.server
@@ -97,23 +99,17 @@ class Endpoint:
         self.result_cache = result_cache
         self.cache_tenant = cache_tenant
         self.requests_served = 0
-        # A lazy cursor is kept per (query text, dataset state) so
+        # A lazy cursor is kept per (query, dataset state) so
         # pagination neither re-executes the query nor materializes rows
         # no client asked for: serving the page at ``offset`` pulls at
         # most ``offset + page`` rows from the engine's streaming
         # executor, and rows already pulled for earlier pages are served
         # from the cursor's buffer (mirrors endpoint-side cursors/result
-        # caches).  Bounded LRU: unlike the unbounded per-query-text dict
-        # it replaces, it cannot grow without limit under one-off query
-        # texts, and the fingerprint in the key invalidates cursors that
-        # pre-date a graph mutation.
-        self._cache: "OrderedDict[Tuple[str, Tuple], ResultStream]" \
-            = OrderedDict()
+        # caches).  Bounded LRU: it cannot grow without limit under
+        # one-off query texts, and the fingerprint in the key invalidates
+        # cursors that pre-date a graph mutation.
+        self._cache: "OrderedDict[str, ResultStream]" = OrderedDict()
         self._lock = threading.Lock()
-
-    def _cursor_key(self, query_text: str) -> Tuple[str, Tuple]:
-        digest = hashlib.sha256(query_text.encode()).hexdigest()
-        return (digest, self.engine._fingerprint())
 
     def request(self, query_text: str, offset: int = 0,
                 limit: Optional[int] = None) -> EndpointResponse:
@@ -127,29 +123,18 @@ class Endpoint:
         page_size = self.max_rows if limit is None \
             else min(limit, self.max_rows)
         result_cache = self.result_cache
-        plan_key = None
-        if result_cache is not None:
-            # One coherent store with the in-process serving tier: the
-            # key is the engine's normalized plan key (structure +
-            # default graph + dataset fingerprint), so a hit here serves
+        try:
+            # One key for plans, cached results and cursors (structure +
+            # default graph + dataset fingerprint): a hit here serves
             # pages the QueryServer populated, and vice versa.
-            try:
-                plan_key = self.engine.plan(query_text).key
-            except Exception as exc:
-                classified = classify_error(exc)
-                if classified is exc:
-                    raise
-                raise classified from exc
-            cached = result_cache.get(plan_key)
+            key = self.engine.result_key(query_text)
+            cached = None if result_cache is None else result_cache.get(key)
             if cached is not None:
                 full = cached[0]
                 page = full.slice(offset, page_size)
-                from .json_results import encode_results
                 return EndpointResponse(
                     page, offset, offset + len(page) < len(full),
-                    payload=encode_results(page))
-        key = self._cursor_key(query_text)
-        try:
+                    payload=json_results.encode_results(page))
             with self._lock:
                 cursor = self._cache.get(key)
                 if cursor is not None:
@@ -187,11 +172,10 @@ class Endpoint:
             # complete result, safe to share.  Partial cursors are never
             # inserted, and failed pulls dropped the cursor above.
             result_cache.put(
-                plan_key, ResultSet(cursor.variables, list(cursor.rows)),
+                key, ResultSet(cursor.variables, list(cursor.rows)),
                 tenant=self.cache_tenant)
-        from .json_results import encode_results
-        payload = encode_results(page)
-        return EndpointResponse(page, offset, has_more, payload=payload)
+        return EndpointResponse(page, offset, has_more,
+                                payload=json_results.encode_results(page))
 
     def clear_cache(self):
         with self._lock:

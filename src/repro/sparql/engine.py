@@ -15,6 +15,7 @@ parsing/compilation *and* the optimizer pipeline entirely.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from typing import List, Optional, Tuple, Union
@@ -25,7 +26,8 @@ from . import algebra as alg
 from .evaluator import (EvaluationStats, Evaluator, QueryTimeout,
                         _synopses_built)
 from .parser import parse
-from .plan import Plan, optimize_plan, output_variables, plan_key
+from .plan import (Plan, key_from_skeleton, optimize_plan, output_variables,
+                   plan_skeleton)
 from .results import ResultSet, ResultStream
 
 __all__ = ["Engine", "QueryTimeout"]
@@ -118,6 +120,10 @@ class Engine:
         not even ``LIMIT`` windows.
     plan_cache_size:
         Maximum number of optimized plans kept (LRU).  0 disables caching.
+        The text memo in front of it (query text -> parsed query + key
+        skeleton, see :meth:`plan`) holds twice as many entries — enough
+        for the default 256-entry result cache at under 1 MB — and is
+        switched off by 0 as well.
     """
 
     def __init__(self, source: Union[Dataset, Graph, List[Graph]],
@@ -163,6 +169,11 @@ class Engine:
         self.vectorize = vectorize
         self.plan_cache_size = plan_cache_size
         self._plan_cache: "OrderedDict[str, Plan]" = OrderedDict()
+        # text -> (parsed query, plan_skeleton).  Parsing does not depend
+        # on graph state, so entries are never invalidated; the lock lets
+        # result_key() run on any thread without the server's plan lock.
+        self._text_memo: "OrderedDict[str, tuple]" = OrderedDict()
+        self._text_memo_lock = threading.Lock()
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.last_plan: Optional[Plan] = None
@@ -173,6 +184,34 @@ class Engine:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
+    def _resolve(self, source) -> Tuple[alg.Query, str, Tuple[str, str]]:
+        """``(parsed query, front-end kind, key skeleton)`` for anything
+        :meth:`plan` accepts; SPARQL text goes through the text memo."""
+        if isinstance(source, alg.Query):
+            return source, "algebra", plan_skeleton(source)
+        if not isinstance(source, str):
+            from ..core.compiler import compile_model
+            query = compile_model(source)
+            return query, "model", plan_skeleton(query)
+        limit = 2 * self.plan_cache_size
+        memo = self._text_memo
+        if limit > 0:
+            with self._text_memo_lock:
+                entry = memo.get(source)
+                if entry is not None:
+                    memo.move_to_end(source)
+                    return entry
+        # Outside the lock: parsing is pure, and a syntax error propagates
+        # from here so it is never stored.
+        query = parse(source)
+        entry = (query, "text", plan_skeleton(query))
+        if limit > 0:
+            with self._text_memo_lock:
+                memo[source] = entry
+                while len(memo) > limit:
+                    memo.popitem(last=False)
+        return entry
+
     def plan(self, source, default_graph_uri: Optional[str] = None) -> Plan:
         """Build (or fetch from cache) the optimized plan for ``source``.
 
@@ -180,16 +219,31 @@ class Engine:
         :class:`~.algebra.Query`, or an RDFFrames
         :class:`~repro.core.query_model.QueryModel` (compiled directly,
         skipping the text round trip).
-        """
-        if isinstance(source, str):
-            query, kind = parse(source), "text"
-        elif isinstance(source, alg.Query):
-            query, kind = source, "algebra"
-        else:
-            from ..core.compiler import compile_model
-            query, kind = compile_model(source), "model"
 
-        key = plan_key(query, default_graph_uri, self._fingerprint())
+        Text is parsed once: a bounded LRU memo keeps ``text -> (parsed
+        query, key skeleton)``, so a repeated text costs one dictionary
+        probe before the plan-cache lookup, and re-planning after a graph
+        mutation starts from the memoised parse (the optimizer never
+        mutates its input).  The plan cache itself is not thread-safe;
+        concurrent callers serialize ``plan()`` (the server does).
+
+        >>> from repro.rdf import Graph, URIRef
+        >>> g = Graph("http://example.org")
+        >>> _ = g.add(URIRef("http://ex/s"), URIRef("http://ex/p"),
+        ...           URIRef("http://ex/o"))
+        >>> engine = Engine(g)
+        >>> first = engine.plan("SELECT ?s WHERE { ?s <http://ex/p> ?o }")
+        >>> engine.plan("SELECT ?s WHERE { ?s <http://ex/p> ?o }") is first
+        True
+        >>> _ = g.add(URIRef("http://ex/s2"), URIRef("http://ex/p"),
+        ...           URIRef("http://ex/o"))
+        >>> again = engine.plan("SELECT ?s WHERE { ?s <http://ex/p> ?o }")
+        >>> again is first, again.key == first.key  # re-planned, no re-parse
+        (False, False)
+        """
+        query, kind, skeleton = self._resolve(source)
+        key = key_from_skeleton(skeleton, default_graph_uri,
+                                self._fingerprint())
         cached = self._plan_cache.get(key)
         if cached is not None:
             self._plan_cache.move_to_end(key)
@@ -251,10 +305,31 @@ class Engine:
     def result_key(self, source, default_graph_uri: Optional[str] = None
                    ) -> str:
         """The normalized cache key for ``source``'s *results* under the
-        dataset's current state: the plan key, which already folds in the
-        query structure, the default graph, and :meth:`_fingerprint`.
-        Cheap before execution — repeated calls hit the plan cache."""
-        return self.plan(source, default_graph_uri).key
+        dataset's current state — the string :meth:`plan` would key its
+        plan on (query structure + default graph + :meth:`_fingerprint`),
+        derived without planning: a memoised text costs one dictionary
+        probe, and neither the plan cache nor its counters are touched.
+        Safe to call from any thread.
+
+        >>> from repro.rdf import Graph, URIRef
+        >>> g = Graph("http://example.org")
+        >>> _ = g.add(URIRef("http://ex/s"), URIRef("http://ex/p"),
+        ...           URIRef("http://ex/o"))
+        >>> engine = Engine(g)
+        >>> text = "SELECT ?s WHERE { ?s <http://ex/p> ?o }"
+        >>> key = engine.result_key(text)
+        >>> engine.plan_cache_misses  # no plan was built
+        0
+        >>> key == engine.plan(text).key == engine.result_key(
+        ...     "SELECT ?s WHERE {?s <http://ex/p> ?o.}")  # spelling-blind
+        True
+        >>> _ = g.add(URIRef("http://ex/s2"), URIRef("http://ex/p"),
+        ...           URIRef("http://ex/o"))
+        >>> engine.result_key(text) == key  # a write changes the key
+        False
+        """
+        return key_from_skeleton(self._resolve(source)[2], default_graph_uri,
+                                 self._fingerprint())
 
     def clear_plan_cache(self) -> None:
         self._plan_cache.clear()

@@ -310,6 +310,12 @@ def _rebuild(node: alg.AlgebraNode,
     raise TypeError("cannot rebuild algebra node %r" % node)
 
 
+def _copy_tree(node: alg.AlgebraNode) -> alg.AlgebraNode:
+    """Fresh node objects all the way down (terms and expressions are
+    immutable and stay shared)."""
+    return _rebuild(node, [_copy_tree(child) for child in node.children()])
+
+
 def expression_variables(expression: Expression) -> Set[str]:
     """All variable names an expression refers to."""
     return set(expression.variables())
@@ -749,9 +755,12 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
     """Build the CostBasedJoinStrategy annotation pass for a resolved
     default graph.
 
-    Unlike the rewrite passes, this one *annotates* nodes in place and
-    must therefore run after the rewrite pipeline reaches fixpoint
-    (rebuilding passes would drop the attributes).  Per BGP it estimates
+    Unlike the rewrite passes, this one *annotates* nodes and must
+    therefore run after the rewrite pipeline reaches fixpoint (rebuilding
+    passes would drop the attributes).  It annotates a copy of its input:
+    the rewrite passes share every subtree they leave alone with the
+    parsed query, which the engine memoises and plans from again after a
+    graph mutation.  Per BGP it estimates
     the output cardinality (``est_rows``, from the synopsis-backed
     :class:`~.optimizer.GraphStatistics`) and chooses a join strategy:
 
@@ -856,6 +865,7 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
             for child in n.children():
                 visit(child, g)
 
+        node = _copy_tree(node)
         visit(node, graph)
         return node, changes
 
@@ -946,6 +956,23 @@ def optimize_plan(query: alg.Query, key: str = "", graph=None, dataset=None,
 # Structural plan keys
 # ----------------------------------------------------------------------
 
+def plan_skeleton(query: alg.Query) -> Tuple[str, str]:
+    """The state-free part of :func:`plan_key`: the ``FROM`` list and the
+    normalized algebra tree.  A pure function of the query, so it can be
+    memoised next to the parsed query and survives graph mutations."""
+    return repr(tuple(query.from_graphs)), _node_key(query.pattern)
+
+
+def key_from_skeleton(skeleton: Tuple[str, str],
+                      default_graph_uri: Optional[str] = None,
+                      fingerprint: Tuple = ()) -> str:
+    """Join a :func:`plan_skeleton` with the state prefix (default graph
+    + dataset fingerprint) into the full :func:`plan_key` string."""
+    from_graphs, pattern = skeleton
+    return "|".join([from_graphs, repr(default_graph_uri),
+                     repr(fingerprint), pattern])
+
+
 def plan_key(query: alg.Query, default_graph_uri: Optional[str] = None,
              fingerprint: Tuple = ()) -> str:
     """A normalized structural serialization of a query, for plan caching.
@@ -955,12 +982,8 @@ def plan_key(query: alg.Query, default_graph_uri: Optional[str] = None,
     ``fingerprint`` ties the key to the dataset state so mutations re-plan
     (join ordering depends on graph statistics).
     """
-    return "|".join([
-        repr(tuple(query.from_graphs)),
-        repr(default_graph_uri),
-        repr(fingerprint),
-        _node_key(query.pattern),
-    ])
+    return key_from_skeleton(plan_skeleton(query), default_graph_uri,
+                             fingerprint)
 
 
 def _term_key(term) -> str:

@@ -9,7 +9,8 @@ wedging.  :class:`QueryServer` is that tier for this repo's engine:
   queue.  Planning is serialized (the engine's plan cache is shared
   state); execution runs concurrently, one thread-confined
   :class:`~repro.sparql.evaluator.Evaluator` per request via
-  :meth:`Engine.evaluate_plan`.
+  :meth:`Engine.evaluate_plan`.  Result-cache hits never reach the
+  pool: :meth:`QueryServer.submit` answers them itself.
 * **Admission control.**  A full queue or a tenant over its in-flight cap
   sheds the request *at submit time* with
   :class:`~repro.sparql.errors.ServerOverloaded` — fail fast, no queue
@@ -146,9 +147,11 @@ class ServerStats:
         self.errors_by_class: Dict[str, int] = {}
         self.peak_in_flight = 0
 
-    def bump(self, field: str, by: int = 1) -> None:
+    def bump(self, *fields: str, by: int = 1) -> None:
+        """Add ``by`` to every named counter under one lock acquisition."""
         with self._lock:
-            setattr(self, field, getattr(self, field) + by)
+            for field in fields:
+                setattr(self, field, getattr(self, field) + by)
 
     def record_error(self, exc: BaseException) -> None:
         with self._lock:
@@ -250,6 +253,27 @@ class QueryServer:
         when the request queue is full or the tenant is at its in-flight
         cap; a shed request consumes no evaluator time at all.
 
+        A request the result cache can answer is answered here, on the
+        caller's thread, after those admission checks: the returned
+        ticket is already resolved (``cache_state == 'hit'``, ``waited``
+        and ``elapsed`` ``0.0``) and it took no queue slot, no tenant
+        in-flight slot and no worker — for a text seen before, not even
+        a parse.  Everything else is queued for a worker, which probes
+        the cache once more before it plans (the result may have landed
+        meanwhile) and coalesces with concurrent identical requests.
+
+        >>> from repro.rdf import Graph, Literal, URIRef
+        >>> g = Graph("http://g")
+        >>> _ = g.add(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1))
+        >>> text = "SELECT ?s WHERE { ?s <http://x/p> ?v }"
+        >>> with QueryServer(Engine(g), workers=1,
+        ...                  result_cache=ResultCache()) as server:
+        ...     cold = server.submit(text)
+        ...     _ = cold.result()
+        ...     warm = server.submit(text)
+        ...     warm.done(), warm.cache_state, warm.waited, server.in_flight
+        (True, 'hit', 0.0, 0)
+
         ``cache`` controls the result cache for *this* request (a no-op
         when the server has none): ``'auto'`` consults it and inserts
         results subject to the cache's size policy; ``True`` additionally
@@ -266,32 +290,58 @@ class QueryServer:
                              % (cache,))
         if self._closed:
             raise ServerOverloaded("server is shut down")
-        self.stats.bump("submitted")
-        with self._admission_lock:
-            inflight = self._inflight_by_tenant.get(tenant, 0)
-            cap = self.max_inflight_per_tenant
-            if cap is not None and inflight >= cap:
-                self.stats.bump("shed")
-                raise ServerOverloaded(
-                    "tenant %r already has %d requests in flight (cap %d)"
-                    % (tenant, inflight, cap))
-            self._inflight_by_tenant[tenant] = inflight + 1
-            self.stats.record_in_flight(
-                sum(self._inflight_by_tenant.values()))
-        ticket = QueryTicket(next(self._ids), tenant, query)
         budget_timeout = self.default_timeout if timeout is None else timeout
         budget_rows = self.default_max_rows if max_rows is None else max_rows
+        front_door = self.result_cache is not None and cache is not False
+        # A front-door hit takes no in-flight slot, but a tenant at its
+        # cap is shed before the probe all the same.
+        self._admit(tenant, hold=not front_door)
+        ticket = QueryTicket(next(self._ids), tenant, query)
+        if front_door:
+            if self._front_door_hit(ticket, budget_rows):
+                return ticket
+            self._admit(tenant, hold=True)
         try:
             self._queue.put_nowait(
                 (ticket, budget_timeout, budget_rows, cache))
         except queue.Full:
             self._release_tenant(tenant)
-            self.stats.bump("shed")
+            self.stats.bump("submitted", "shed")
             raise ServerOverloaded(
                 "request queue full (%d queued)" % self._queue.maxsize) \
                 from None
-        self.stats.bump("admitted")
+        self.stats.bump("submitted", "admitted")
         return ticket
+
+    def _admit(self, tenant: str, hold: bool) -> None:
+        """Shed the request if ``tenant`` is at its in-flight cap; with
+        ``hold``, take one of the tenant's in-flight slots."""
+        with self._admission_lock:
+            inflight = self._inflight_by_tenant.get(tenant, 0)
+            cap = self.max_inflight_per_tenant
+            if cap is not None and inflight >= cap:
+                self.stats.bump("submitted", "shed")
+                raise ServerOverloaded(
+                    "tenant %r already has %d requests in flight (cap %d)"
+                    % (tenant, inflight, cap))
+            if hold:
+                self._inflight_by_tenant[tenant] = inflight + 1
+                self.stats.record_in_flight(
+                    sum(self._inflight_by_tenant.values()))
+
+    def _front_door_hit(self, ticket: QueryTicket,
+                        budget_rows: Optional[int]) -> bool:
+        """Resolve ``ticket`` from the result cache on the caller's
+        thread: no parse or plan for a memoised text, no queue slot, no
+        hand-off to a worker."""
+        try:
+            key = self.engine.result_key(ticket.query, self.default_graph_uri)
+        except Exception:  # noqa: BLE001
+            # Not lost: the worker hits the same error and classifies it
+            # onto the ticket, as for any other request.
+            return False
+        return self._serve_cached(ticket, key, budget_rows,
+                                  front_door=True) == "hit"
 
     def execute(self, query: str, tenant: str = "anonymous",
                 timeout: Optional[float] = None,
@@ -355,42 +405,33 @@ class QueryServer:
             return
         ticket.state = RUNNING
         ticket._running.set()
-        try:
-            with self._plan_lock:
-                plan = self.engine.plan(ticket.query,
-                                        self.default_graph_uri)
-        except Exception as exc:  # noqa: BLE001 — classified below
-            self._fail(ticket, exc)
-            return
         cache = self.result_cache
         if cache is None or cache_mode is False:
             ticket.cache_state = "bypass"
-            self._execute_plain(ticket, plan, budget_timeout, budget_rows)
+            self._execute_plain(ticket, budget_timeout, budget_rows)
             return
-        key = plan.key
+        try:
+            key = self.engine.result_key(ticket.query, self.default_graph_uri)
+        except Exception as exc:  # noqa: BLE001 — classified below
+            self._fail(ticket, exc)
+            return
         while True:
-            cached = cache.get(key)
-            if cached is not None:
-                result, stats = cached
-                if budget_rows is not None and len(result) > budget_rows:
-                    # The cached result would never have fit this
-                    # request's row budget: execute so the valve trips
-                    # exactly as it would uncached.
-                    ticket.cache_state = "bypass"
-                    self._execute_plain(ticket, plan, budget_timeout,
-                                        budget_rows)
-                    return
-                ticket.cache_state = "hit"
-                ticket.stats = stats
-                ticket.elapsed = 0.0
-                self.stats.bump("cache_hits")
-                self.stats.bump("completed")
-                ticket._resolve(DONE, result=result)
+            # Probed again here although submit() already did: a result
+            # can land between submit and run.
+            outcome = self._serve_cached(ticket, key, budget_rows)
+            if outcome == "hit":
+                return
+            if outcome == "oversize":
+                # The cached result would never have fit this request's
+                # row budget: execute so the valve trips exactly as it
+                # would uncached.
+                ticket.cache_state = "bypass"
+                self._execute_plain(ticket, budget_timeout, budget_rows)
                 return
             is_leader, flight = cache.join_flight(key)
             if is_leader:
-                self._lead_flight(ticket, plan, key, flight,
-                                  budget_timeout, budget_rows, cache_mode)
+                self._lead_flight(ticket, key, flight, budget_timeout,
+                                  budget_rows, cache_mode)
                 return
             # Follower: park until the leader resolves or aborts.  The
             # flight only exists while a leader worker is executing, so
@@ -415,7 +456,49 @@ class QueryServer:
             # busts this follower's row budget: loop — serve from cache,
             # coalesce behind a new leader, or become one ourselves.
 
-    def _lead_flight(self, ticket: QueryTicket, plan, key: str, flight,
+    def _serve_cached(self, ticket: QueryTicket, key: str,
+                      budget_rows: Optional[int],
+                      front_door: bool = False) -> str:
+        """Probe the result cache for ``key`` and resolve ``ticket`` from
+        it.  Returns ``'hit'`` (resolved), ``'miss'``, or ``'oversize'``
+        (cached, but larger than this request's row budget).
+
+        Every request is counted once: the front-door probe counts only
+        the hits it serves and leaves everything else to the worker-side
+        probe that follows."""
+        cache = self.result_cache
+        cached = cache.get(key, count=not front_door)
+        if cached is None:
+            return "miss"
+        result, stats = cached
+        if budget_rows is not None and len(result) > budget_rows:
+            return "oversize"
+        ticket.cache_state = "hit"
+        ticket.stats = stats
+        ticket.elapsed = 0.0
+        if front_door:
+            ticket.waited = 0.0
+            cache.stats.bump("hits")
+            self.stats.bump("submitted", "admitted", "cache_hits",
+                            "completed")
+        else:
+            self.stats.bump("cache_hits", "completed")
+        ticket._resolve(DONE, result=result)
+        return "hit"
+
+    def _evaluate(self, ticket: QueryTicket,
+                  budget_timeout: Optional[float],
+                  budget_rows: Optional[int]):
+        """Plan (serialized: the engine's plan cache is shared state) and
+        execute (concurrent) — only requests the cache could not answer
+        get here."""
+        with self._plan_lock:
+            plan = self.engine.plan(ticket.query, self.default_graph_uri)
+        return self.engine.evaluate_plan(
+            plan, self.default_graph_uri, timeout=budget_timeout,
+            cancel=ticket.cancel_token, max_rows=budget_rows)
+
+    def _lead_flight(self, ticket: QueryTicket, key: str, flight,
                      budget_timeout: Optional[float],
                      budget_rows: Optional[int],
                      cache_mode: object) -> None:
@@ -425,9 +508,8 @@ class QueryServer:
         resolved = False
         try:
             try:
-                result, stats, elapsed = self.engine.evaluate_plan(
-                    plan, self.default_graph_uri, timeout=budget_timeout,
-                    cancel=ticket.cancel_token, max_rows=budget_rows)
+                result, stats, elapsed = self._evaluate(
+                    ticket, budget_timeout, budget_rows)
             except Exception as exc:  # noqa: BLE001 — classified below
                 # A failed execution is never inserted into the cache.
                 self._fail(ticket, exc)
@@ -436,7 +518,7 @@ class QueryServer:
             evicted = cache.put(key, result, stats, tenant=ticket.tenant,
                                 force=(cache_mode is True))
             if evicted:
-                self.stats.bump("cache_evictions", evicted)
+                self.stats.bump("cache_evictions", by=evicted)
             cache.resolve_flight(key, flight, result, stats)
             resolved = True
             ticket.stats = stats
@@ -447,13 +529,12 @@ class QueryServer:
             if not resolved:
                 cache.abort_flight(key, flight)
 
-    def _execute_plain(self, ticket: QueryTicket, plan,
+    def _execute_plain(self, ticket: QueryTicket,
                        budget_timeout: Optional[float],
                        budget_rows: Optional[int]) -> None:
         try:
-            result, stats, elapsed = self.engine.evaluate_plan(
-                plan, self.default_graph_uri, timeout=budget_timeout,
-                cancel=ticket.cancel_token, max_rows=budget_rows)
+            result, stats, elapsed = self._evaluate(
+                ticket, budget_timeout, budget_rows)
         except Exception as exc:  # noqa: BLE001 — classified below
             self._fail(ticket, exc)
             return

@@ -2,7 +2,7 @@
 
 The docs/*.md snippets are collected by pytest's ``--doctest-glob``
 directly; the examples embedded in docstrings of the public API surface
-(engine, clients, RDFFrame, KnowledgeGraph) are exercised here so they
+(engine, server, clients, RDFFrame, KnowledgeGraph) are exercised here so they
 cannot rot either.
 """
 
@@ -15,6 +15,7 @@ import repro.core.knowledge_graph
 import repro.core.rdfframe
 import repro.sparql.engine
 import repro.sparql.plan
+import repro.sparql.server
 
 MODULES = [
     repro.client.clients,
@@ -22,6 +23,7 @@ MODULES = [
     repro.core.rdfframe,
     repro.sparql.engine,
     repro.sparql.plan,
+    repro.sparql.server,
 ]
 
 

@@ -1,14 +1,24 @@
 """Unit tests for the logical-plan layer: optimizer passes, pass stats,
-plan keys, and the engine's plan cache."""
+plan keys, the engine's plan cache, and the text memo in front of it."""
+
+import random
 
 import pytest
 
+import repro.sparql.engine as engine_module
+from queryfuzz import generate, mutate
+from repro.data import DBPEDIA_URI
+from repro.data.loader import build_dataset
 from repro.rdf import Dataset, Graph, Literal, TermDictionary, URIRef, Variable
-from repro.sparql import Engine, parse, plan_key
+from repro.sparql import Endpoint, Engine, ResultCache, parse, plan_key
 from repro.sparql import algebra as alg
 from repro.sparql.expressions import AndExpr, CompareExpr, ConstExpr, VarExpr
-from repro.sparql.plan import (bgp_merge, filter_pushdown, make_join_ordering,
-                               optimize_plan, projection_pruning)
+from repro.sparql.parser import ParseError
+from repro.sparql.plan import (_node_key, bgp_merge, filter_pushdown,
+                               key_from_skeleton, make_join_ordering,
+                               optimize_plan, plan_skeleton,
+                               projection_pruning)
+from repro.sparql.server import QueryServer
 
 PFX = "PREFIX x: <http://x/>\n"
 
@@ -318,3 +328,179 @@ class TestPlanCache:
             PFX + "SELECT ?m WHERE { ?m x:starring ?a . ?m x:rare ?t }",
             optimized=True)
         assert "JoinOrdering" in text
+
+
+# ----------------------------------------------------------------------
+# The text memo (text -> parsed query + key skeleton)
+# ----------------------------------------------------------------------
+N_FUZZ_SEEDS = 220
+
+
+def named_bag(result):
+    return sorted(
+        tuple(sorted((v, repr(t)) for v, t in zip(result.variables, row)))
+        for row in result.rows)
+
+
+def tree_shape(query):
+    """Every node's repr and attribute names: an annotation left on the
+    tree by a planner pass shows up as an extra attribute."""
+    shape = []
+
+    def walk(node):
+        shape.append((repr(node), sorted(vars(node))))
+        for child in node.children():
+            walk(child)
+
+    walk(query.pattern)
+    return shape
+
+
+def explained_tree(plan):
+    """``explain()`` minus the pass timings."""
+    return ([line for line in plan.explain().splitlines()
+             if not line.startswith("--")],
+            [(s.name, s.changes) for s in plan.pass_stats])
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(engine_module, "parse", counting_parse)
+    return calls
+
+
+class TestPlanKeySplit:
+    def test_key_is_byte_identical_to_the_unsplit_formula(self):
+        fingerprints = [(), (("http://g", 12, 40),),
+                        (("http://a", 1, 1), ("http://b", 2, 9))]
+        for seed in range(N_FUZZ_SEEDS):
+            query = parse(generate(seed).render())
+            for default_graph in (None, DBPEDIA_URI):
+                for fingerprint in fingerprints:
+                    unsplit = "|".join([
+                        repr(tuple(query.from_graphs)), repr(default_graph),
+                        repr(fingerprint), _node_key(query.pattern)])
+                    assert plan_key(query, default_graph,
+                                    fingerprint) == unsplit
+                    assert key_from_skeleton(
+                        plan_skeleton(query), default_graph,
+                        fingerprint) == unsplit
+
+    def test_skeleton_ignores_graph_state(self, graph):
+        engine = Engine(graph)
+        q = PFX + "SELECT ?m WHERE { ?m x:year ?y }"
+        engine.plan(q)
+        skeleton = engine._text_memo[q][2]
+        graph.add(uri("m99"), uri("year"), Literal(2020))
+        assert plan_skeleton(parse(q)) == skeleton
+
+
+class TestTextMemo:
+    def test_memoised_parse_plans_like_a_fresh_parse(self):
+        """Plan, execute, mutate the graph, then plan again from the
+        memoised AST: same key, same tree, same rows as an engine that
+        parses from scratch — and the AST itself never changes."""
+        dataset = build_dataset(scale=0.03, include_yago=False,
+                                use_cache=False)
+        memoised = Engine(dataset, plan_cache_size=N_FUZZ_SEEDS)
+        fresh = Engine(dataset, plan_cache_size=0)
+        texts = [generate(seed).render() for seed in range(N_FUZZ_SEEDS)]
+        for text in texts:
+            memoised.query(text)
+        rng = random.Random(7)
+        for tag in range(6):
+            mutate(dataset.graph(DBPEDIA_URI), rng, tag)
+        for seed, text in enumerate(texts):
+            ast = memoised._text_memo[text][0]
+            plan = memoised.plan(text)
+            assert plan.query is not ast
+            reference = fresh.plan(text)
+            assert plan.key == reference.key, "seed %d" % seed
+            assert explained_tree(plan) == explained_tree(reference), \
+                "seed %d" % seed
+            assert named_bag(memoised.query(text)) \
+                == named_bag(fresh.query(text)), "seed %d" % seed
+            pristine = parse(text)
+            assert tree_shape(ast) == tree_shape(pristine), "seed %d" % seed
+            assert _node_key(ast.pattern) == _node_key(pristine.pattern)
+
+    def test_repeat_text_is_parsed_once(self, graph, count_parses):
+        engine = Engine(graph)
+        q = PFX + "SELECT ?m WHERE { ?m x:year ?y }"
+        for _ in range(3):
+            engine.query(q)
+            engine.result_key(q)
+        graph.add(uri("m99"), uri("year"), Literal(2020))
+        engine.query(q)  # re-planned from the memoised parse
+        assert count_parses == [q]
+        assert engine.plan_cache_misses == 2
+
+    def test_result_key_is_plan_free(self, graph):
+        engine = Engine(graph)
+        q = PFX + "SELECT ?m WHERE { ?m x:year ?y }"
+        key = engine.result_key(q)
+        assert (engine.plan_cache_hits, engine.plan_cache_misses) == (0, 0)
+        assert not engine._plan_cache
+        assert engine.plan(q).key == key
+        assert engine.result_key(parse(q)) == key
+
+    def test_syntax_error_raised_every_time_and_never_stored(self, graph):
+        engine = Engine(graph)
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                engine.plan("SELECT nope")
+            with pytest.raises(ParseError):
+                engine.result_key("SELECT nope")
+        assert len(engine._text_memo) == 0
+
+    def test_memo_is_bounded(self, graph):
+        engine = Engine(graph, plan_cache_size=8)
+        for i in range(2000):
+            engine.result_key(PFX + "SELECT ?m WHERE { ?m x:year %d }" % i)
+            assert len(engine._text_memo) <= 16
+        assert len(engine._text_memo) == 16
+        # LRU: the most recent texts are the ones kept.
+        assert PFX + "SELECT ?m WHERE { ?m x:year 1999 }" \
+            in engine._text_memo
+
+    def test_plan_cache_size_zero_disables_the_memo(self, graph,
+                                                    count_parses):
+        engine = Engine(graph, plan_cache_size=0)
+        q = PFX + "SELECT ?m WHERE { ?m x:year ?y }"
+        engine.query(q)
+        engine.query(q)
+        engine.result_key(q)
+        assert len(engine._text_memo) == 0
+        assert count_parses == [q, q, q]
+
+    @pytest.mark.parametrize("shared_cache", [False, True])
+    def test_write_gives_new_key_and_fresh_answer_everywhere(
+            self, graph, shared_cache):
+        engine = Engine(graph)
+        cache = ResultCache() if shared_cache else None
+        q = PFX + "SELECT ?m ?y WHERE { ?m x:year ?y }"
+        with QueryServer(engine, workers=1, result_cache=cache) as server:
+            endpoint = Endpoint(engine, result_cache=cache)
+
+            def row_counts():
+                return (len(engine.query(q)), len(server.execute(q)),
+                        len(endpoint.request(q).result))
+
+            key = engine.result_key(q)
+            assert row_counts() == (20, 20, 20)
+            assert row_counts() == (20, 20, 20)  # warm everywhere
+            graph.add(uri("m99"), uri("year"), Literal(2020))
+            assert engine.result_key(q) != key
+            assert row_counts() == (21, 21, 21)
+            graph.remove(uri("m0"), uri("year"), Literal(1990))
+            graph.add(uri("m0"), uri("year"), Literal(1890))
+            assert row_counts() == (21, 21, 21)
+            assert Literal(1890) in [
+                y for _, y in server.execute(q).rows]
+        assert list(engine._text_memo) == [q]  # survived every write

@@ -7,8 +7,10 @@ single-flight coalescing (N concurrent identical submits share one
 evaluator run; a cancelled leader does not poison followers), and the
 never-cache-a-failure rule."""
 
+import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -234,6 +236,169 @@ class TestServerCache:
             ticket = server.submit(QUERY, max_rows=3)
             assert isinstance(ticket.error(), ResourceExhausted)
             assert ticket.cache_state == "bypass"
+
+
+    def test_every_request_is_counted_exactly_once(self):
+        """A miss is probed at the front door and again by the worker; a
+        hit is served by either.  Both count once, in both stat sets."""
+        cache = ResultCache()
+        with QueryServer(Engine(small_graph(12)), workers=1,
+                         result_cache=cache) as server:
+            def counts():
+                c, s = cache.stats.as_dict(), server.stats.as_dict()
+                assert s["submitted"] == s["admitted"] + s["shed"]
+                return (c["hits"], c["misses"], s["cache_hits"],
+                        s["cache_misses"], s["completed"] + s["failed"])
+
+            server.execute(QUERY)                      # miss
+            assert counts() == (0, 1, 0, 1, 1)
+            server.execute(QUERY)                      # front-door hit
+            server.execute(QUERY)
+            assert counts() == (2, 1, 2, 1, 3)
+            server.execute(QUERY, cache=False)         # never consults it
+            assert counts() == (2, 1, 2, 1, 4)
+            # Cached but over this request's row budget: the front door
+            # passes, the worker's probe counts the hit and executes.
+            assert server.submit(QUERY, max_rows=3).error() is not None
+            assert counts() == (3, 1, 2, 1, 5)
+            # A worker-side hit (the result landed after submit's probe).
+            key = server.engine.result_key(CROSS)
+            with server._plan_lock:
+                blocker = server.submit(QUERY, cache=False)
+                assert blocker.wait_running(5.0)
+                late = server.submit(CROSS)            # front door: miss
+                cache.put(key, result_of(2))
+            assert len(late.result(5.0)) == 2 and late.cache_state == "hit"
+            blocker.result(5.0)
+            assert counts() == (4, 1, 3, 1, 7)
+
+    def test_cache_true_forces_insertion_then_hits_at_the_front_door(self):
+        cache = ResultCache(max_entry_bytes=1)  # rejects everything
+        with QueryServer(Engine(small_graph()), workers=1,
+                         result_cache=cache) as server:
+            assert server.submit(QUERY).result() is not None
+            assert len(cache) == 0 and cache.stats.rejected == 1
+            forced = server.submit(QUERY, cache=True)
+            forced.result()
+            assert forced.cache_state == "miss" and len(cache) == 1
+            for mode in ("auto", True):
+                ticket = server.submit(QUERY, cache=mode)
+                assert ticket.done() and ticket.cache_state == "hit"
+            bypass = server.submit(QUERY, cache=False)
+            bypass.result()
+            assert bypass.cache_state == "bypass" and bypass.elapsed > 0.0
+
+
+class _ReadWriteGate:
+    """Readers share, a waiting writer goes first and excludes: ``Graph``
+    is not safe to mutate while a query reads it."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._readers = 0
+        self._writing = False
+
+    @contextmanager
+    def read(self):
+        with self._cond:
+            while self._writing:
+                self._cond.wait()
+            self._readers += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._readers -= 1
+                self._cond.notify_all()
+
+    @contextmanager
+    def write(self):
+        with self._cond:
+            while self._writing:
+                self._cond.wait()
+            self._writing = True
+            while self._readers:
+                self._cond.wait()
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._writing = False
+                self._cond.notify_all()
+
+
+class TestSubmitStorm:
+    TEXTS = (QUERY,
+             "SELECT (COUNT(?s) AS ?n) WHERE { ?s <http://x/p> ?v }",
+             "SELECT ?s WHERE { ?s <http://x/p> ?v FILTER(?v >= 100) }")
+
+    def test_concurrent_submits_and_writes_never_serve_a_stale_bag(self):
+        """8 submitters over 3 texts race front-door hits, worker-side
+        hits, coalescing and the text memo against a writer; every reply
+        must equal a from-scratch evaluation of the graph as it stood."""
+        graph = small_graph()
+        engine = Engine(graph, plan_cache_size=1)  # memo holds 2 of 3
+        cache = ResultCache(max_entries=2)
+        gate = _ReadWriteGate()
+        errors, states = [], []
+        stop = threading.Event()
+
+        def submitter(k):
+            truth = Engine(graph, plan_cache_size=0)
+            try:
+                for i in range(120):
+                    text = self.TEXTS[(i + k) % 3]
+                    with gate.read():
+                        ticket = server.submit(text, tenant="t%d" % k)
+                        got = named_bag(ticket.result(timeout=30.0))
+                        assert got == named_bag(truth.query(text)), text
+                    states.append(ticket.cache_state)
+            except BaseException as exc:  # re-raised by the test body
+                errors.append(exc)
+
+        def writer():
+            try:
+                for i in range(100, 100000):
+                    if stop.is_set():
+                        return
+                    with gate.write():
+                        graph.add(URIRef("http://x/w%d" % i),
+                                  URIRef("http://x/p"), Literal(i))
+                        if i % 3 == 0:
+                            graph.remove(URIRef("http://x/w%d" % (i - 1)),
+                                         URIRef("http://x/p"),
+                                         Literal(i - 1))
+                    time.sleep(0.002)
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryServer(engine, workers=3, queue_size=16,
+                             result_cache=cache) as server:
+                threads = [threading.Thread(target=submitter, args=(k,))
+                           for k in range(8)]
+                writing = threading.Thread(target=writer)
+                writing.start()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                stop.set()
+                writing.join(timeout=10.0)
+                alive = [t for t in threads + [writing] if t.is_alive()]
+                stats = server.stats.as_dict()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not alive
+        if errors:
+            raise errors[0]
+        assert len(states) == 8 * 120
+        assert "hit" in states and "miss" in states
+        assert stats["submitted"] == stats["admitted"] == 8 * 120
+        assert stats["completed"] == 8 * 120
+        assert len(engine._text_memo) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import threading
 
 import pytest
 
+import repro.sparql.engine as engine_module
 from repro.rdf import Graph, Literal, URIRef
 from repro.sparql import (Engine, MalformedQuery, QueryCancelled,
-                          QueryServer, ResourceExhausted, ServerOverloaded,
-                          TransientError)
+                          QueryServer, ResourceExhausted, ResultCache,
+                          ServerOverloaded, TransientError, parse)
 
 
 def uri(name):
@@ -160,6 +161,107 @@ class TestAdmissionControl:
         server.shutdown()
         with pytest.raises(ServerOverloaded, match="shut down"):
             server.submit(QUERY)
+
+
+class TestFrontDoorHits:
+    """A result-cache hit is answered inside ``submit()``: no parse, no
+    plan, no queue slot, no worker."""
+
+    OTHER = "SELECT ?s WHERE { ?s <http://x/p> 3 }"
+
+    def test_warm_hit_neither_parses_nor_plans_after_plan_eviction(
+            self, monkeypatch):
+        # Plan cache 1, result cache 8: the hit's plan is long evicted.
+        engine = Engine(small_graph(), plan_cache_size=1)
+        with QueryServer(engine, workers=1,
+                         result_cache=ResultCache(max_entries=8)) as server:
+            server.execute(QUERY)
+            server.execute(self.OTHER)  # evicts QUERY's plan
+            assert list(engine._plan_cache) \
+                == [engine.result_key(self.OTHER)]
+            parses = []
+            monkeypatch.setattr(
+                engine_module, "parse",
+                lambda text: parses.append(text) or parse(text))
+            planned = (engine.plan_cache_hits, engine.plan_cache_misses)
+            ticket = server.submit(QUERY)
+            assert ticket.cache_state == "hit"
+            assert len(ticket.result(timeout=0)) == 20
+            assert parses == []
+            assert (engine.plan_cache_hits,
+                    engine.plan_cache_misses) == planned
+
+    def test_hit_resolves_inside_submit_without_queue_or_tenant_slot(self):
+        engine = Engine(small_graph())
+        with QueryServer(engine, workers=1, queue_size=1,
+                         result_cache=ResultCache()) as server:
+            server.execute(QUERY)  # warm
+            assert server.wait_idle(timeout=5.0)
+            with server._plan_lock:  # pin the worker mid-ticket
+                running = server.submit(CROSS)
+                assert running.wait_running(timeout=5.0)
+                queued = server.submit(self.OTHER)  # fills the queue
+                with pytest.raises(ServerOverloaded, match="queue full"):
+                    server.submit(CROSS)
+                hit = server.submit(QUERY)  # admitted all the same
+                assert hit.done() and hit.state == "done"
+                assert hit.cache_state == "hit"
+                assert hit.waited == 0.0 and hit.elapsed == 0.0
+                assert hit.wait_running(timeout=0)
+                assert len(hit.result(timeout=0)) == 20
+                assert server.in_flight == 2  # running + queued only
+            running.result(timeout=30.0)
+            queued.result(timeout=10.0)
+            stats = server.stats.as_dict()
+        assert stats["submitted"] == stats["admitted"] + stats["shed"] == 5
+        assert stats["shed"] == 1
+        assert stats["completed"] == 4
+
+    def test_idle_server_stays_idle_across_a_hit(self):
+        with QueryServer(Engine(small_graph()), workers=1,
+                         result_cache=ResultCache()) as server:
+            server.execute(QUERY)
+            assert server.wait_idle(timeout=5.0)
+            ticket = server.submit(QUERY)
+            assert ticket.done()
+            assert server.in_flight == 0 and server.wait_idle(timeout=0)
+
+    def test_capped_tenant_is_shed_before_the_probe(self):
+        cache = ResultCache()
+        with QueryServer(Engine(small_graph()), workers=1,
+                         max_inflight_per_tenant=1,
+                         result_cache=cache) as server:
+            server.execute(QUERY, tenant="t")  # warm
+            assert server.wait_idle(timeout=5.0)
+            with server._plan_lock:
+                blocked = server.submit(CROSS, tenant="t")
+                assert blocked.wait_running(timeout=5.0)
+                before = cache.stats.as_dict()
+                with pytest.raises(ServerOverloaded, match="cap 1"):
+                    server.submit(QUERY, tenant="t")
+                assert cache.stats.as_dict() == before
+                # The cap is per tenant: another tenant's hit is served.
+                assert server.submit(QUERY, tenant="u").done()
+            blocked.result(timeout=30.0)
+            assert server.stats.shed == 1
+
+    def test_shut_down_server_sheds_before_the_probe(self):
+        cache = ResultCache()
+        server = QueryServer(Engine(small_graph()), workers=1,
+                             result_cache=cache)
+        server.execute(QUERY)
+        server.shutdown()
+        before = cache.stats.as_dict()
+        with pytest.raises(ServerOverloaded, match="shut down"):
+            server.submit(QUERY)
+        assert cache.stats.as_dict() == before
+
+    def test_malformed_query_still_fails_on_the_ticket(self):
+        with QueryServer(Engine(small_graph()), workers=1,
+                         result_cache=ResultCache()) as server:
+            ticket = server.submit("SELECT nope")  # must not raise here
+            assert isinstance(ticket.error(timeout=10.0), MalformedQuery)
+            assert server.stats.failed == 1
 
 
 class TestBudgets:
