@@ -18,24 +18,14 @@ both front-end paths of the planner layer — the SPARQL-text round trip
 model path (generate -> compile -> plan-cache hit -> execute) — verifying
 identical results and recording the repeated-execution speedup.
 
-A third section, ``limit_topk``, measures the streaming executor:
-``LIMIT 10`` and ``ORDER BY ... LIMIT 10`` windows over the big BGPs, run
-on the pipelined plan (LimitPushdown + TopK + early exit) versus the
-materialize-everything plan (``Engine(streaming=False,
-limit_pushdown=False)``).  It records the speedup and the ``rows_pulled``
-vs ``intermediate_rows`` delta, and asserts the two plans return
-literally identical rows.
+A third section, ``limit_topk``, measures bounded sorts:
+``ORDER BY ... LIMIT 10`` windows over the big BGPs, run on the pushed
+plan (LimitPushdown + TopK) versus the unpushed plan
+(``Engine(limit_pushdown=False)``).  It records the speedup and
+``rows_pulled``, and asserts the two plans return literally identical
+rows.
 
-A fourth section, ``aggregation``, measures the streaming hash ``Group``:
-the paper's bread-and-butter ``group_by().count()/avg()`` shapes run on
-``Engine(streaming='auto')`` (index-backed counting, per-group
-accumulators, top-k groups) versus ``Engine(streaming=False)`` (full
-materialization of the pre-aggregation table).  It records the speedup,
-``rows_pulled``/``groups_built``/``accumulator_rows`` against the
-materialized plane's ``intermediate_rows``, and asserts both planes
-return literally identical rows.
-
-A fifth section, ``joins``, measures the join subsystem on the dedicated
+A fourth section, ``joins``, measures the join subsystem on the dedicated
 join corpus (:mod:`repro.workload.joins`: star, cyclic, chain, self-join,
 and semi-join shapes): ``Engine()`` with sideways information passing and
 multiway intersection in their default ``'auto'`` routing versus
@@ -47,13 +37,13 @@ both configurations *and* the reference plane, and the
 ``sip_filtered_rows``/``intersect_steps``/``sorted_runs_built`` counters
 are asserted wherever the planner chose the corresponding strategy.
 
-A sixth section, ``wcoj``, measures the generic-join (worst-case-optimal)
+A fifth section, ``wcoj``, measures the generic-join (worst-case-optimal)
 executor on the cyclic corpus shapes (triangle, 4-cycle, diamond,
 5-clique): ``Engine()`` with the cost-based planner routing cyclic BGPs
 through per-variable sorted-run intersection versus the joins-section
 baseline ``Engine(sip=False, multiway=False)`` (nested loops) — with the
 intersect-plane ``Engine(wcoj=False)`` recorded as a secondary column.
-Row bags are verified identical across the wcoj, streaming, materialized,
+Row bags are verified identical across the wcoj, intersect, baseline,
 and reference planes, ``wcoj_steps > 0`` is asserted on every cyclic
 plan, and an aggregate-pushdown cell proves a grouped COUNT over the
 triangle folds inside the join (``accumulator_rows == 0``).
@@ -151,174 +141,55 @@ QUERIES = {
 
 MODES = ("reference", "columnar")
 
-#: Bounded windows over the big BGPs: the streaming executor's workload.
-#: ``topk10_*`` exercise the fused bounded sort (threshold-pruned when the
-#: sort variable binds before the join fan-out), ``limit10_*`` the pure
-#: early-exit path.
+#: Bounded sorts over the big BGPs: the fused ``TopK`` (threshold-pruned
+#: when the sort variable binds before the join fan-out).
 LIMIT_TOPK_QUERIES = {
-    "topk10_costar_actor": ("topk", """
+    "topk10_costar_actor": """
         SELECT ?a ?b WHERE {
             ?film dbpp:starring ?a .
             ?film dbpp:starring ?b .
-        } ORDER BY ?a LIMIT 10"""),
-    "topk10_costar_actor_desc": ("topk", """
+        } ORDER BY ?a LIMIT 10""",
+    "topk10_costar_actor_desc": """
         SELECT ?a ?b WHERE {
             ?film dbpp:starring ?a .
             ?film dbpp:starring ?b .
-        } ORDER BY DESC(?a) LIMIT 10"""),
-    "topk10_costar_country": ("topk", """
+        } ORDER BY DESC(?a) LIMIT 10""",
+    "topk10_costar_country": """
         SELECT ?a ?b ?c WHERE {
             ?film dbpp:starring ?a .
             ?film dbpp:starring ?b .
             ?film dbpp:country ?c .
-        } ORDER BY ?a LIMIT 10"""),
-    "limit10_costar": ("limit", """
-        SELECT ?a ?b WHERE {
-            ?film dbpp:starring ?a .
-            ?film dbpp:starring ?b .
-        } LIMIT 10"""),
-    "limit10_bgp4_film_star": ("limit", """
-        SELECT ?film ?actor ?studio ?country WHERE {
-            ?film rdf:type dbpo:Film .
-            ?film dbpp:starring ?actor .
-            ?film dbpp:studio ?studio .
-            ?film dbpp:country ?country .
-        } LIMIT 10"""),
-    "limit10_distinct_actors": ("limit", """
-        SELECT DISTINCT ?actor WHERE {
-            ?film dbpp:starring ?actor .
-        } LIMIT 10"""),
+        } ORDER BY ?a LIMIT 10""",
 }
-
-
-#: Grouped workloads: the aggregation shapes the paper's case studies and
-#: exploration operators end in.  ``count_*`` and ``class_distribution``
-#: (the paper's ``classes_and_freq``) hit the index-backed single-pattern
-#: fast path, ``avg_*`` the general streaming hash aggregation (expected
-#: near parity — its win is the unmaterialized input, not CPU), and
-#: ``top10_*`` the bounded-group heap (TopK over Group).
-AGGREGATION_QUERIES = {
-    "count_films_by_actor": """
-        SELECT ?actor (COUNT(?film) AS ?n) WHERE {
-            ?film dbpp:starring ?actor .
-        } GROUP BY ?actor""",
-    "count_distinct_actors_by_film": """
-        SELECT ?film (COUNT(DISTINCT ?actor) AS ?n) WHERE {
-            ?film dbpp:starring ?actor .
-        } GROUP BY ?film""",
-    "count_prolific_actors_having": """
-        SELECT ?actor (COUNT(?film) AS ?n) WHERE {
-            ?film dbpp:starring ?actor .
-        } GROUP BY ?actor HAVING (COUNT(?film) >= 5)""",
-    "class_distribution": """
-        SELECT ?class (COUNT(?instance) AS ?n) WHERE {
-            ?instance rdf:type ?class .
-        } GROUP BY ?class""",
-    "avg_runtime_by_actor": """
-        SELECT ?actor (AVG(?rt) AS ?mean) WHERE {
-            ?film dbpp:starring ?actor .
-            ?film dbpo:runtime ?rt .
-        } GROUP BY ?actor""",
-    "top10_actors_by_film_count": """
-        SELECT ?actor (COUNT(?film) AS ?n) WHERE {
-            ?film dbpp:starring ?actor .
-        } GROUP BY ?actor ORDER BY DESC(?n) ?actor LIMIT 10""",
-}
-
-
-def run_aggregation(scale: float, rounds: int) -> dict:
-    """Time grouped queries: streaming hash aggregation vs materialized.
-
-    The baseline engine pins streaming off — ``Group`` consumes a fully
-    materialized input table — while the streaming engine is the default
-    ``streaming='auto'`` configuration, which routes every aggregate plan
-    through the pipelined executor (index-backed counting for the
-    single-pattern COUNT shape, per-group accumulators otherwise).  Both
-    must return literally identical rows: the two columnar planes share
-    one deterministic row order on these BGP-spine queries, including
-    first-seen group order.
-    """
-    dataset = build_dataset(scale=scale)
-    streaming = Engine(dataset)
-    baseline = Engine(dataset, streaming=False)
-    section = {"scale": scale, "rounds": rounds, "queries": []}
-    print("== aggregation (scale %.3g) ==" % scale)
-    speedups = []
-    for name in sorted(AGGREGATION_QUERIES):
-        query = _PREFIXES + AGGREGATION_QUERIES[name]
-        stream_s, stream_result, stream_stats = time_query(
-            streaming, query, rounds)
-        base_s, base_result, base_stats = time_query(
-            baseline, query, rounds)
-        if stream_result.rows != base_result.rows:
-            raise AssertionError(
-                "streaming and materialized aggregation disagree on %r "
-                "at scale %s" % (name, scale))
-        cell = {
-            "query": name,
-            "groups": len(stream_result),
-            "identical_results": True,
-            "streaming_seconds": stream_s,
-            "materialized_seconds": base_s,
-            "speedup": base_s / stream_s if stream_s > 0 else float("inf"),
-            "rows_pulled": stream_stats.rows_pulled,
-            "groups_built": stream_stats.groups_built,
-            "accumulator_rows": stream_stats.accumulator_rows,
-            "materialized_intermediate_rows": base_stats.intermediate_rows,
-        }
-        # The streaming plane's row traffic is bounded by what the
-        # materialized plane builds: the hash path pulls each input row
-        # once, the index-backed path pulls only the finished groups.
-        if cell["rows_pulled"] > cell["materialized_intermediate_rows"]:
-            raise AssertionError(
-                "streaming aggregation pulled %d rows on %r, above the "
-                "materialized plane's %d intermediate rows"
-                % (cell["rows_pulled"], name,
-                   cell["materialized_intermediate_rows"]))
-        speedups.append(cell["speedup"])
-        section["queries"].append(cell)
-        print("  %-30s mat %8.4fs  stream %8.4fs  speedup %5.2fx  "
-              "pulled %6d vs %8d rows  (%d groups)" % (
-                  name, base_s, stream_s, cell["speedup"],
-                  cell["rows_pulled"],
-                  cell["materialized_intermediate_rows"], cell["groups"]))
-    section["geomean_speedup"] = _geomean(speedups)
-    section["min_speedup"] = min(speedups)
-    section["all_results_identical"] = True
-    print("aggregation geomean speedup %.2fx (min %.2fx)"
-          % (section["geomean_speedup"], section["min_speedup"]))
-    return section
 
 
 def run_limit_topk(scale: float, rounds: int) -> dict:
-    """Time bounded windows: streaming executor vs materialized baseline.
+    """Time ``ORDER BY ... LIMIT`` windows: the pushed plan vs the
+    unpushed baseline.
 
-    The baseline engine disables LimitPushdown *and* streaming — the
-    materialize-everything behaviour the ISSUE's motivation describes —
-    while the streaming engine is the default configuration.  Both must
-    return literally identical rows (same order: the two columnar planes
-    share one deterministic row order).
+    The baseline engine disables LimitPushdown — a full sort under the
+    slice — while the pushed engine is the default configuration.  Both
+    must return literally identical rows (same order: both drive the
+    same compiled BGP steps).
     """
     dataset = build_dataset(scale=scale)
     streaming = Engine(dataset)
-    baseline = Engine(dataset, streaming=False, limit_pushdown=False)
+    baseline = Engine(dataset, limit_pushdown=False)
     section = {"scale": scale, "rounds": rounds, "queries": []}
-    print("== limit/top-k windows (scale %.3g) ==" % scale)
-    kind_speedups = {"topk": [], "limit": []}
+    print("== top-k windows (scale %.3g) ==" % scale)
+    speedups = []
     for name in sorted(LIMIT_TOPK_QUERIES):
-        kind, body = LIMIT_TOPK_QUERIES[name]
-        query = _PREFIXES + body
+        query = _PREFIXES + LIMIT_TOPK_QUERIES[name]
         stream_s, stream_result, stream_stats = time_query(
             streaming, query, rounds)
-        base_s, base_result, base_stats = time_query(
-            baseline, query, rounds)
+        base_s, base_result, _ = time_query(baseline, query, rounds)
         if stream_result.rows != base_result.rows:
             raise AssertionError(
-                "streaming and materialized plans disagree on %r "
+                "pushed and unpushed plans disagree on %r "
                 "at scale %s" % (name, scale))
         cell = {
             "query": name,
-            "kind": kind,
+            "kind": "topk",
             "rows": len(stream_result),
             "identical_results": True,
             "streaming_seconds": stream_s,
@@ -326,28 +197,23 @@ def run_limit_topk(scale: float, rounds: int) -> dict:
             "speedup": base_s / stream_s if stream_s > 0 else float("inf"),
             "rows_pulled": stream_stats.rows_pulled,
             "early_exits": stream_stats.early_exits,
-            "materialized_intermediate_rows": base_stats.intermediate_rows,
         }
-        kind_speedups[kind].append(cell["speedup"])
+        speedups.append(cell["speedup"])
         section["queries"].append(cell)
-        print("  %-26s mat %8.4fs  stream %8.4fs  speedup %5.2fx  "
-              "pulled %6d vs %8d rows" % (
+        print("  %-26s sorted %8.4fs  topk %8.4fs  speedup %5.2fx  "
+              "pulled %6d rows" % (
                   name, base_s, stream_s, cell["speedup"],
-                  cell["rows_pulled"],
-                  cell["materialized_intermediate_rows"]))
-    section["topk_geomean_speedup"] = _geomean(kind_speedups["topk"])
-    section["limit_geomean_speedup"] = _geomean(kind_speedups["limit"])
+                  cell["rows_pulled"]))
+    section["topk_geomean_speedup"] = _geomean(speedups)
     section["all_results_identical"] = True
-    print("limit/top-k geomeans: topk %.2fx, limit %.2fx"
-          % (section["topk_geomean_speedup"],
-             section["limit_geomean_speedup"]))
+    print("top-k geomean speedup %.2fx" % section["topk_geomean_speedup"])
     return section
 
 
 def run_joins(scale: float, rounds: int) -> dict:
     """Time the join corpus: SIP + multiway intersection vs the PR-4 engine.
 
-    Both engines are the streaming-auto columnar engine; they differ only
+    Both engines are the default columnar engine; they differ only
     in the join-subsystem knobs.  Plans are built once per engine (their
     annotations are identical — the knobs act at execution time) and
     ``execute_plan`` is what the clock covers.  Every query must return
@@ -454,17 +320,15 @@ def run_wcoj(scale: float, rounds: int) -> dict:
       speedup is measured against.
 
     Plans are built once per engine and ``execute_plan`` is timed.  Row
-    bags must be identical across the wcoj engine (both executors), the
-    intersect plane, the baseline, and the dict-based reference; every
-    cyclic plan must prove ``wcoj_steps > 0``.  A final
-    ``aggregate_pushdown`` cell runs a grouped COUNT over the triangle
-    on the streaming plane and asserts the fold happened inside the join
+    bags must be identical across the wcoj engine, the intersect plane,
+    the baseline, and the dict-based reference; every cyclic plan must
+    prove ``wcoj_steps > 0``.  A final ``aggregate_pushdown`` cell runs a
+    grouped COUNT over the triangle and asserts the fold happened inside
+    the join
     (``accumulator_rows == 0``) while still matching the baseline's rows.
     """
     dataset = build_dataset(scale=scale)
     wcoj_on = Engine(dataset)
-    wcoj_stream = Engine(dataset, streaming=True)
-    wcoj_mat = Engine(dataset, streaming=False)
     intersect = Engine(dataset, wcoj=False)
     baseline = Engine(dataset, sip=False, multiway=False)
     reference = Engine(dataset, columnar=False)
@@ -492,10 +356,6 @@ def run_wcoj(scale: float, rounds: int) -> dict:
         base_s, base_result, _ = best_of(baseline)
         on_key = _result_key(on_result)
         planes = {
-            "streaming": wcoj_stream.execute_plan(
-                wcoj_stream.plan(query.sparql, DBPEDIA_URI), DBPEDIA_URI),
-            "materialized": wcoj_mat.execute_plan(
-                wcoj_mat.plan(query.sparql, DBPEDIA_URI), DBPEDIA_URI),
             "intersect": int_result,
             "baseline": base_result,
             "reference": reference.query(query.sparql,
@@ -537,8 +397,8 @@ def run_wcoj(scale: float, rounds: int) -> dict:
             ?b dbpp:collaborator ?c .
             ?a dbpp:collaborator ?c .
         } GROUP BY ?a"""
-    push_engine = Engine(dataset, streaming=True)
-    fold_engine = Engine(dataset, streaming=True, wcoj=False)
+    push_engine = Engine(dataset)
+    fold_engine = Engine(dataset, wcoj=False)
     push_s, push_result, push_stats = time_query(push_engine, count_query,
                                                  rounds)
     fold_s, fold_result, fold_stats = time_query(fold_engine, count_query,
@@ -633,16 +493,16 @@ def _drain(dataset, plan, vectorize: bool, rounds: int):
 
 
 def run_vectorized(scale: float, rounds: int) -> dict:
-    """Time the columnar batch plane against the row-tuple streaming plane.
+    """Time columnar batches against row-tuple batches.
 
     Both configurations drive the *same* compiled steps in the same order
-    through the same streaming operators; they differ only in the batch
+    through the same operators; they differ only in the batch
     representation (``ColumnBatch`` vs lists of row tuples).  The clock
     covers the data-plane drain (see :func:`_drain`).  Every timing query
     is a pure-id plan and must report ``row_fallbacks == 0`` and a
     non-zero ``vector_batches`` on the columnar plane; the full decoded
-    result bag is verified identical across the vectorized, row-streaming,
-    materialized, and reference planes — on this query set, the paper's
+    result bag is verified identical across the vectorized, row-batch,
+    and reference planes — on this query set, the paper's
     case studies, and the join corpus.
     """
     dataset = build_dataset(scale=scale)
@@ -685,12 +545,11 @@ def run_vectorized(scale: float, rounds: int) -> dict:
                   name, row_s, vec_s, cell["speedup"],
                   cell["vector_batches"], cell["selection_vector_hits"],
                   vec_rows))
-    # Bag-identity sweep: decoded results across all four planes, over
+    # Bag-identity sweep: decoded results across all three planes, over
     # this section's queries plus the case studies and the join corpus.
     engines = {
         "vectorized": Engine(dataset, vectorize=True),
-        "streaming": Engine(dataset, vectorize=False),
-        "materialized": Engine(dataset, streaming=False, vectorize=False),
+        "rows": Engine(dataset, vectorize=False),
         "reference": Engine(dataset, columnar=False),
     }
     sweep = [(name, _PREFIXES + body)
@@ -718,7 +577,7 @@ def run_vectorized(scale: float, rounds: int) -> dict:
     section["min_speedup"] = min(speedups)
     section["all_results_identical"] = True
     print("vectorized geomean speedup %.2fx (min %.2fx; %d identity "
-          "queries across 4 planes)"
+          "queries across 3 planes)"
           % (section["geomean_speedup"], section["min_speedup"],
              len(sweep)))
     return section
@@ -943,8 +802,8 @@ def run_durability(triple_count: int) -> dict:
 
 
 #: Every section the report can produce, in run order.
-SECTIONS = ("engine", "plan_path", "limit_topk", "aggregation", "joins",
-            "wcoj", "vectorized", "serving", "serving_cache", "durability")
+SECTIONS = ("engine", "plan_path", "limit_topk", "joins", "wcoj",
+            "vectorized", "serving", "serving_cache", "durability")
 
 
 def write_summary(report, out_path: str) -> str:
@@ -967,7 +826,7 @@ def write_summary(report, out_path: str) -> str:
     if report.get("summary"):
         sections["engine"] = {
             "geomean_speedup": report["summary"]["geomean_speedup"]}
-    for name in ("plan_path", "aggregation", "joins", "wcoj", "vectorized"):
+    for name in ("plan_path", "joins", "wcoj", "vectorized"):
         if name in report:
             sections[name] = {
                 "geomean_speedup": report[name]["geomean_speedup"]}
@@ -978,8 +837,6 @@ def write_summary(report, out_path: str) -> str:
         sections["limit_topk"] = {
             "topk_geomean_speedup":
                 report["limit_topk"]["topk_geomean_speedup"],
-            "limit_geomean_speedup":
-                report["limit_topk"]["limit_geomean_speedup"],
         }
     if "serving" in report:
         server = report["serving"]["server"]
@@ -1081,8 +938,6 @@ def run(scales, rounds: int, out_path: str,
         report["plan_path"] = run_plan_path(scales[-1], plan_iterations)
     if "limit_topk" in chosen:
         report["limit_topk"] = run_limit_topk(scales[-1], max(rounds, 3))
-    if "aggregation" in chosen:
-        report["aggregation"] = run_aggregation(scales[-1], max(rounds, 3))
     if "joins" in chosen:
         report["joins"] = run_joins(scales[-1], max(rounds, 5))
     if "wcoj" in chosen:

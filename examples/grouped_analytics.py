@@ -1,13 +1,13 @@
-"""Grouped analytics: aggregations pushed down onto the streaming plane.
+"""Grouped analytics: aggregations pushed down into the engine.
 
 The paper's case studies all end the same way: a navigational pipeline
 collapsed by ``group_by().count()/avg()``.  This example runs those
 shapes against the synthetic DBpedia graph and shows what the engine
-does with them — aggregate plans route through the streaming executor,
-where single-pattern counts are answered straight from the graph indexes
-(no solution rows at all) and ``sort().head()`` over a grouped frame
-becomes a bounded heap over the group stream (top-k groups, no full
-sort).
+does with them — ``Group`` folds its input stream into per-group
+accumulators, single-pattern counts are answered straight from the graph
+indexes (no solution rows at all) and ``sort().head()`` over a grouped
+frame becomes a bounded heap over the group stream (top-k groups, no
+full sort).
 
 Run:  PYTHONPATH=src python examples/grouped_analytics.py
 """
@@ -41,7 +41,8 @@ df = prolific.execute(client)
 stats = engine.last_stats
 print("\nTop 10 actors by movie count:")
 print(df.to_string())
-print("\nplan streaming: %s" % engine.last_plan.streaming)
+print("\nplan carries a row bound or a Group: %s"
+      % engine.last_plan.bounded_or_grouped)
 print("groups built: %d, accumulator rows folded: %d, rows pulled: %d"
       % (stats.groups_built, stats.accumulator_rows, stats.rows_pulled))
 print("(accumulator_rows == 0 means the single-pattern COUNT was "

@@ -227,7 +227,7 @@ class RDFFrame:
         """The first ``limit`` rows starting at ``offset``.
 
         ``limit=None`` keeps everything from ``offset`` on (OFFSET-only).
-        On the local engine a bounded head rides the streaming executor:
+        On the local engine a bounded head stops the pipelined operators:
         row production stops as soon as ``offset + limit`` rows exist.
 
         Example
@@ -311,9 +311,8 @@ class RDFFrame:
 
         ``limit``/``offset`` request one page of the result: they append
         a :meth:`head` window, which the engine's ``LimitPushdown`` pass
-        turns into a streaming plan — the page is produced with
-        O(offset + limit) local row pulls instead of a full
-        materialization.
+        moves toward the data — the page is produced with
+        O(offset + limit) local row pulls instead of the full result.
 
         Example
         -------

@@ -270,8 +270,8 @@ class TopK(AlgebraNode):
     ``Slice(OrderBy(p))`` when a limit is present; never built by the
     parser.  The evaluator answers it with a single heap pass
     (``heapq.nsmallest`` under a composite, direction-aware key) instead
-    of a full sort followed by a slice, and the streaming executor keeps
-    only ``offset + limit`` rows in memory while consuming its child.
+    of a full sort followed by a slice, keeping only ``offset + limit``
+    rows in memory while consuming its child.
     """
 
     def __init__(self, pattern: AlgebraNode, keys: Sequence[Tuple[str, str]],

@@ -57,19 +57,15 @@ class Engine:
         When False, the plan-time ``JoinOrdering`` pass (and the reference
         plane's eval-time BGP ordering) is disabled — used by the ablation
         benchmarks to isolate the optimizer's contribution.
-    streaming:
-        How plans are executed.  ``"auto"`` (the default) routes plans
-        the planner marked streaming — a row bound (``TopK`` or a limited
-        ``Slice``) or an aggregation (``Group``) in the tree — through
-        the pipelined batch-iterator executor, everything else through
-        the materialized one.  ``True`` forces the streaming executor for
-        every plan, ``False`` never uses it — both used by the
-        differential test suite and the benchmarks.
+    columnar:
+        ``False`` selects the dict-based
+        :class:`~.reference.ReferenceEvaluator` — the oracle the
+        differential suites and the ledger's output check compare the
+        production operators against.
     limit_pushdown:
         When False, the planner's ``LimitPushdown`` pass is skipped (no
-        ``TopK`` fusion, no slice motion, no streaming annotation) — the
-        materialize-everything baseline the ``limit_topk`` benchmark
-        section measures against.
+        ``TopK`` fusion, no slice motion) — the baseline the
+        ``limit_topk`` benchmark section measures against.
     sip:
         Sideways information passing: hash-join build sides export their
         join-key id-sets into the probe side's BGP leaves as semi-join
@@ -102,19 +98,18 @@ class Engine:
         different (still deterministic) order, so toggling a knob may
         reorder results, and a ``LIMIT`` window without a total ``ORDER
         BY`` (or with ties on its keys) may select a different — equally
-        valid — k-subset.  With the knobs *fixed*, the streaming and
-        materialized executors drive identical compiled steps and agree
-        on BGP-spine row order exactly as before.
+        valid — k-subset.
     vectorize:
-        Columnar batch execution: eligible streaming plans exchange
-        :class:`~.solution.ColumnBatch` objects (one typed id array per
-        variable) between operators, with filters compiled to
+        Columnar batch execution: operators exchange
+        :class:`~.solution.ColumnBatch` objects (one id column per
+        variable) instead of row-tuple batches, with filters compiled to
         selection-vector scans and BGP fan-out done by column
-        replication.  ``'auto'`` (default) routes plans the planner
+        replication.  ``'auto'`` (default) does so for plans the planner
         annotated ``vectorized`` (pure-id operator trees over non-general
-        BGPs) when they would stream anyway; ``True`` forces the columnar
-        plane for every plan (cold operators transparently detour through
-        row view); ``False`` keeps the row-tuple plane — the baseline the
+        BGPs) that carry a row bound or an aggregation
+        (``Plan.bounded_or_grouped``); ``True`` forces columnar batches
+        for every plan (cold operators transparently detour through
+        row view); ``False`` keeps row-tuple batches — the baseline the
         ``vectorized`` benchmark section measures against.  Row order is
         preserved exactly, so toggling this knob never changes results —
         not even ``LIMIT`` windows.
@@ -130,7 +125,6 @@ class Engine:
                  optimize: bool = True, cache_bgps: bool = True,
                  max_intermediate_rows: Optional[int] = None,
                  columnar: bool = True, plan_cache_size: int = 128,
-                 streaming: Union[bool, str] = "auto",
                  limit_pushdown: bool = True,
                  sip: Union[bool, str] = "auto",
                  multiway: Union[bool, str] = "auto",
@@ -148,11 +142,7 @@ class Engine:
         # Safety valve: abort queries whose intermediate results explode
         # (the role of a server-side memory budget in a real engine).
         self.max_intermediate_rows = max_intermediate_rows
-        # columnar=False selects the dict-based reference evaluator (the
-        # seed data plane), kept for differential testing and perf reports.
         self.columnar = columnar
-        if streaming not in (True, False, "auto"):
-            raise ValueError("streaming must be True, False, or 'auto'")
         if sip not in (True, False, "auto"):
             raise ValueError("sip must be True, False, or 'auto'")
         if multiway not in (True, False, "auto"):
@@ -161,7 +151,6 @@ class Engine:
             raise ValueError("wcoj must be True, False, or 'auto'")
         if vectorize not in (True, False, "auto"):
             raise ValueError("vectorize must be True, False, or 'auto'")
-        self.streaming = streaming
         self.limit_pushdown = limit_pushdown
         self.sip = sip
         self.multiway = multiway
@@ -337,29 +326,51 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _use_streaming(self, plan: Plan) -> bool:
-        if self.streaming == "auto":
-            return plan.streaming
-        return bool(self.streaming)
-
     def _use_vectorize(self, plan: Plan) -> bool:
-        """Route a plan onto the columnar batch plane?
+        """Should this plan's operators exchange columnar batches?
 
-        ``'auto'`` requires both the planner's structural eligibility
-        annotation (``plan.vectorized``) and a plan the streaming
-        executor would run anyway (row order is preserved exactly, so
-        vectorizing never changes which rows a window selects) — and
-        stands down when ``multiway=True`` forces intersection steps,
-        which have no columnar form.  ``True`` forces the columnar plane
-        (ineligible operators transparently detour through row view);
-        ``False`` keeps every batch in row form.
+        ``'auto'`` requires the planner's structural eligibility
+        annotation (``plan.vectorized``) on a plan with a row bound or an
+        aggregation (``plan.bounded_or_grouped`` — where batches are
+        folded or cut short rather than decoded row by row), and stands
+        down when ``multiway=True`` / ``wcoj=True`` force intersection
+        steps, which have no columnar form.  Row order is the same either
+        way, so the choice never changes which rows a window selects.
         """
         if self.vectorize == "auto":
-            return (getattr(plan, "vectorized", False) and plan.streaming
-                    and self._use_streaming(plan)
+            return (plan.vectorized and plan.bounded_or_grouped
                     and self.multiway is not True
                     and self.wcoj is not True)
         return bool(self.vectorize)
+
+    def _evaluator(self, plan: Plan, deadline: Optional[float], cancel,
+                   max_rows: Optional[int] = None) -> Evaluator:
+        """A fresh per-execution :class:`Evaluator` carrying this
+        engine's knobs.  Join ordering already happened at plan time; the
+        evaluator must not re-derive it per execution."""
+        evaluator = Evaluator(self.dataset, optimize=False,
+                              cache_bgps=self.cache_bgps,
+                              max_rows=self.max_intermediate_rows
+                              if max_rows is None else max_rows,
+                              deadline=deadline, cancel=cancel,
+                              sip=self.sip, multiway=self.multiway,
+                              wcoj=self.wcoj,
+                              vectorize=self._use_vectorize(plan))
+        evaluator.stats.materialized_subqueries = plan.subqueries
+        return evaluator
+
+    def _record(self, plan: Plan, stats: EvaluationStats,
+                elapsed: float) -> None:
+        """The engine's shared ``last_*`` bookkeeping for one execution."""
+        if plan.executions == 0:
+            # Planning-time synopsis builds belong to the query that
+            # triggered them; repeat executions report only their own.
+            stats.synopsis_builds += plan.synopsis_builds
+        plan.executions += 1
+        self.last_plan = plan
+        self.last_stats = stats
+        self.last_elapsed = elapsed
+        self.queries_executed += 1
 
     def evaluate_plan(self, plan: Plan,
                       default_graph_uri: Optional[str] = None,
@@ -383,25 +394,10 @@ class Engine:
         """
         start = time.perf_counter()
         deadline = None if timeout is None else start + timeout
-        # Join ordering already happened at plan time; the evaluator must
-        # not re-derive it per execution.
-        use_vector = self._use_vectorize(plan)
-        evaluator = Evaluator(self.dataset, optimize=False,
-                              cache_bgps=self.cache_bgps,
-                              max_rows=self.max_intermediate_rows
-                              if max_rows is None else max_rows,
-                              deadline=deadline, cancel=cancel,
-                              sip=self.sip, multiway=self.multiway,
-                              wcoj=self.wcoj, vectorize=use_vector)
+        evaluator = self._evaluator(plan, deadline, cancel, max_rows)
         try:
-            # vectorize=True rides on the streaming executor — forcing
-            # the columnar plane forces streaming too.
-            if use_vector or self._use_streaming(plan):
-                solutions = evaluator.evaluate_query_stream(
-                    plan.query, default_graph_uri).to_table()
-            else:
-                solutions = evaluator.evaluate_query(plan.query,
-                                                     default_graph_uri)
+            solutions = evaluator.evaluate_query_stream(
+                plan.query, default_graph_uri).to_table()
             elapsed = time.perf_counter() - start
             if timeout is not None and elapsed > timeout:
                 raise QueryTimeout("query took %.3fs (budget %.3fs)"
@@ -419,33 +415,20 @@ class Engine:
                      default_graph_uri: Optional[str] = None,
                      timeout: Optional[float] = None,
                      cancel=None) -> ResultSet:
-        """Evaluate an optimized plan on the columnar data plane.
+        """Evaluate an optimized plan on the production operators.
 
-        Plans the planner marked streaming (a row bound or a ``Group`` in
-        the tree) run on the pipelined batch-iterator executor, so
+        Every plan runs on the one pipelined batch-stream operator set:
         ``LIMIT``-topped queries stop pulling as soon as the bound is
-        satisfied and aggregations fold their input into per-group
-        accumulators instead of materializing it; everything else runs
-        fully materialized.  For *unbounded* queries the two
-        planes return identical result bags (the differential suite holds
-        them to that).  Row order for unordered join results is
-        plane-specific — the materialized join picks its build side by
-        cardinality, the streaming join always probes with the right
-        child — so a ``LIMIT`` window over such a join is a valid but
-        possibly different k-subset per plane, exactly as it already is
-        between the columnar and reference planes.
+        satisfied, aggregations fold their input into per-group
+        accumulators instead of materializing it, and rows are held whole
+        only at pipeline breakers (join build sides, ``OrderBy``,
+        ``Minus``).  Row order for unordered join results differs from
+        the reference plane's, so a ``LIMIT`` window over such a join is
+        a valid but possibly different k-subset on each.
         """
         result, stats, elapsed = self.evaluate_plan(
             plan, default_graph_uri, timeout, cancel=cancel)
-        if plan.executions == 0:
-            # Planning-time synopsis builds belong to the query that
-            # triggered them; repeat executions report only their own.
-            stats.synopsis_builds += getattr(plan, "synopsis_builds", 0)
-        plan.executions += 1
-        self.last_plan = plan
-        self.last_stats = stats
-        self.last_elapsed = elapsed
-        self.queries_executed += 1
+        self._record(plan, stats, elapsed)
         return result
 
     def query(self, text: str, default_graph_uri: Optional[str] = None,
@@ -461,7 +444,7 @@ class Engine:
         ...     "SELECT ?actor (COUNT(?film) AS ?n) "
         ...     "WHERE { ?film dbpp:starring ?actor } GROUP BY ?actor",
         ...     default_graph_uri=DBPEDIA_URI)
-        >>> engine.last_plan.streaming  # aggregate plans stream
+        >>> engine.last_stats.groups_built > 0
         True
         """
         if self.columnar:
@@ -476,7 +459,7 @@ class Engine:
         """Execute a query as a lazy cursor over decoded result rows.
 
         ``source`` is anything :meth:`plan` accepts.  The returned
-        :class:`~.results.ResultStream` pulls from the pipelined executor
+        :class:`~.results.ResultStream` pulls from the pipelined operators
         on demand: fetching a page of ``n`` rows at ``offset`` costs
         O(offset + n) local row production — regardless of whether the
         query itself carries a LIMIT — which is what the simulated
@@ -513,23 +496,10 @@ class Engine:
                 result = self.query(translate(source), default_graph_uri,
                                     timeout)
             return ResultStream(result.variables, iter(result.rows))
-        if self.streaming is False:
-            # Streaming explicitly pinned off: materialize through the
-            # standard path and page over the finished result, so this
-            # engine's row order is the materialized plane's everywhere.
-            plan = self.plan(source, default_graph_uri)
-            result = self.execute_plan(plan, default_graph_uri, timeout)
-            return ResultStream(result.variables, iter(result.rows))
         plan = self.plan(source, default_graph_uri)
-        deadline = None if timeout is None \
-            else time.perf_counter() + timeout
-        evaluator = Evaluator(self.dataset, optimize=False,
-                              cache_bgps=self.cache_bgps,
-                              max_rows=self.max_intermediate_rows,
-                              deadline=deadline, cancel=cancel,
-                              sip=self.sip, multiway=self.multiway,
-                              wcoj=self.wcoj,
-                              vectorize=self._use_vectorize(plan))
+        start = time.perf_counter()
+        evaluator = self._evaluator(
+            plan, None if timeout is None else start + timeout, cancel)
         table_stream = evaluator.evaluate_query_stream(
             plan.query, default_graph_uri, hint=batch_rows)
         variables = plan.output_variables
@@ -545,10 +515,9 @@ class Engine:
                     yield tuple(None if p is None or row[p] is None
                                 else decode(row[p]) for p in positions)
 
-        plan.executions += 1
-        self.last_plan = plan
-        self.last_stats = evaluator.stats
-        self.queries_executed += 1
+        # ``last_elapsed`` covers what ran before the first pull: stream
+        # construction, which is where the pipeline breakers build.
+        self._record(plan, evaluator.stats, time.perf_counter() - start)
 
         def arm(seconds):
             evaluator.deadline = None if seconds is None \

@@ -7,7 +7,7 @@ evaluator is deliberately structured the way the paper's cost model assumes:
   the graph's SPO/POS/OSP indexes, with join order chosen by the optimizer
   and bindings propagated pattern-to-pattern.  Flat queries are cheap.
 * A nested SELECT (:class:`~.algebra.Project` below the root) is always
-  *materialized independently* — no bindings flow into it — and then
+  *evaluated independently* — no bindings flow into it — and then
   hash-joined with its siblings.  This is exactly why the paper's naive
   one-subquery-per-operator queries are slow, and it makes the engine
   reproduce the naive-vs-optimized gap of Figures 3 and 5.
@@ -21,25 +21,23 @@ The original dict-based evaluator survives as
 :class:`~.reference.ReferenceEvaluator` for differential tests and the
 perf-report baseline.
 
-The data plane has two execution modes over the same operators:
-
-* the *materialized* mode (``evaluate``/``evaluate_query``): every operator
-  returns a fully-built :class:`SolutionTable` — the differential oracle
-  and the default for unbounded queries;
-* the *streaming* mode (``stream``/``evaluate_query_stream``): operators
-  produce/consume :class:`~.solution.TableStream` iterators of row
-  batches, materializing only at pipeline breakers (hash-join build sides,
-  ``Minus``, full ``OrderBy``).  A bounded consumer — ``Slice`` with a
-  limit, or the fused bounded-sort ``TopK`` — stops upstream row
-  production by not pulling, so ``LIMIT``-topped queries exit early
-  instead of materializing the full intermediate result.  ``Group`` is a
-  *streaming hash aggregation*: it consumes its child stream batch by
-  batch into per-group accumulator states (no input table exists) and the
-  single-pattern COUNT shape is answered straight from the graph indexes
-  without producing rows at all (:meth:`Evaluator._fast_group_count`).
-  The ``rows_pulled``/``early_exits``/``peak_batch_rows``/``groups_built``
-  counters on :class:`EvaluationStats` make the short-circuiting
-  observable.
+There is one production operator set: every operator is a ``_stream_*``
+method that produces (and consumes) a :class:`~.solution.TableStream` of
+row batches, and ``evaluate`` is nothing but "drain ``stream(node)`` into a
+:class:`SolutionTable`".  Rows are materialized only at *pipeline
+breakers*: a join's build side (``Join`` builds its left child,
+``LeftJoin`` / ``FilterExists`` their auxiliary side, ``Minus`` both),
+a full ``OrderBy``, and ``Group``'s final batch.  Every breaker that joins
+probes the one join kernel, :class:`~.solution.JoinIndex`.  A bounded
+consumer — ``Slice`` with a limit, or the fused bounded-sort ``TopK`` —
+stops upstream row production by not pulling, so ``LIMIT``-topped queries
+exit early.  ``Group`` is a hash aggregation that folds its child stream
+batch by batch into per-group accumulator states (no input table exists),
+and the single-pattern COUNT shape is answered straight from the graph
+indexes without producing rows at all
+(:meth:`Evaluator._fast_group_count`).  The ``rows_pulled`` /
+``early_exits`` / ``peak_batch_rows`` / ``groups_built`` counters on
+:class:`EvaluationStats` make the short-circuiting observable.
 """
 
 from __future__ import annotations
@@ -50,21 +48,18 @@ import time
 from collections import Counter
 from itertools import chain, repeat
 from decimal import Decimal
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..rdf.dataset import Dataset
 from ..rdf.terms import (XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Literal,
                          Variable)
 from . import algebra as alg
-from .expressions import ExpressionError, VarExpr, ebv
+from .expressions import ConstExpr, ExpressionError, VarExpr, ebv
 from .optimizer import (GraphStatistics, generic_join_order,
                         intersection_worthwhile, order_patterns,
                         run_signature, run_width)
-from .solution import (ColumnBatch, RowView, SolutionTable, TableStream,
-                       _merge_plan, _merge_rows, _rows_compatible, batched,
-                       stream_distinct, table_distinct, table_join,
-                       table_left_join, table_minus, table_project,
-                       table_union)
+from .solution import (ColumnBatch, JoinIndex, RowView, SolutionTable,
+                       TableStream, batched, stream_distinct, table_minus)
 from .vector import compile_predicate, expand_columns, replicate
 
 #: Target rows per streamed batch.  Bounded consumers shrink it (a
@@ -101,6 +96,17 @@ def _synopses_built(graph) -> int:
     for member in getattr(graph, "graphs", ()):
         total += member.synopses_built
     return total
+
+
+def _repeated_bgps(root: alg.AlgebraNode) -> FrozenSet[int]:
+    """The ``id`` of every BGP node whose pattern set occurs more than
+    once under ``root`` — the common subexpressions worth caching."""
+    bgps = [bgp for bgp in alg.collect_bgps(root) if bgp.triples]
+    if len(bgps) < 2:
+        return frozenset()
+    seen = Counter(frozenset(bgp.triples) for bgp in bgps)
+    return frozenset(id(bgp) for bgp in bgps
+                     if seen[frozenset(bgp.triples)] > 1)
 
 
 class EvaluationStats:
@@ -239,8 +245,8 @@ class Evaluator:
         # generic join on any structurally eligible BGP; False falls back
         # to the annotated intersect/nested-loop plan.
         self.wcoj = wcoj
-        # Columnar data plane: when True the streaming executor exchanges
-        # ColumnBatch objects between the operators that have a
+        # Columnar batches: when True the operators exchange
+        # ColumnBatch objects wherever they have a
         # column-at-a-time form, transposing back to row tuples only where
         # a cold operator (complex expression, OrderBy, Minus, joins'
         # probe) needs row view.  Routing is the engine's job
@@ -256,22 +262,16 @@ class Evaluator:
         self._stats_cache: Dict[int, GraphStatistics] = {}
         # Common-subexpression cache: identical BGPs (e.g. the repeated
         # pattern inside a full-outer-join's UNION branches) are evaluated
-        # once per query.  Cached tables are never mutated downstream
-        # (every operator builds fresh row lists), so sharing is safe.
-        self._bgp_cache: Dict[Tuple, SolutionTable] = {}
+        # once per query.  ``_repeated`` holds the ids of the BGP nodes
+        # whose pattern set occurs more than once in the query — only
+        # those are worth holding on to; the cache maps their key to the
+        # schema and batches the first occurrence produced, published
+        # once its stream ran to the end.  Consumers never mutate
+        # batches, so sharing is safe.
+        self._repeated: FrozenSet[int] = frozenset()
+        self._bgp_cache: Dict[Tuple, List] = {}
 
     # ------------------------------------------------------------------
-    def evaluate_query(self, query: alg.Query,
-                       default_graph_uri: Optional[str] = None
-                       ) -> SolutionTable:
-        graph = self._resolve_graphs(query.from_graphs, default_graph_uri)
-        self.dictionary = graph.dictionary
-        before = _synopses_built(graph)
-        try:
-            return self.evaluate(query.pattern, graph, top=True)
-        finally:
-            self.stats.synopsis_builds += _synopses_built(graph) - before
-
     def _resolve_graphs(self, from_graphs: List[str],
                         default_graph_uri: Optional[str]):
         if from_graphs:
@@ -289,24 +289,66 @@ class Evaluator:
         return self.dataset.union_view()
 
     # ------------------------------------------------------------------
-    def evaluate(self, node: alg.AlgebraNode, graph,
-                 top: bool = False) -> SolutionTable:
+    # Entry points.  Operators with a ``_stream_`` form pipeline their
+    # input; schemas are computed statically, so constructing a stream
+    # never pulls a row.  Breakers embedded in a subtree do their work
+    # when the subtree's stream is *constructed* (the build side of a
+    # join must exist before the first probe).
+    # ------------------------------------------------------------------
+    def evaluate_query_stream(self, query: alg.Query,
+                              default_graph_uri: Optional[str] = None,
+                              hint: Optional[int] = None) -> TableStream:
+        """Evaluate a query to a stream of row batches.
+
+        ``hint`` caps the root batch size — cursors pulling small pages
+        pass a small one so each pull stays proportional to the page.
+        """
+        graph = self._resolve_graphs(query.from_graphs, default_graph_uri)
+        self.dictionary = graph.dictionary
+        if self.cache_bgps:
+            self._repeated = _repeated_bgps(query.pattern)
+        # Stream operators compile eagerly (only row production defers),
+        # so synopsis builds they trigger are visible once the stream is
+        # constructed.
+        before = _synopses_built(graph)
+        try:
+            return self.stream(query.pattern, graph, hint)
+        finally:
+            self.stats.synopsis_builds += _synopses_built(graph) - before
+
+    def stream(self, node: alg.AlgebraNode, graph,
+               hint: Optional[int] = None) -> TableStream:
+        """Evaluate ``node`` to a stream of row batches.
+
+        ``hint`` is a *batch-size* hint from a bounded consumer (``Slice``
+        passes ``offset + limit`` down): producers emit batches no larger
+        than it so early exit is row-accurate.  It never changes results —
+        only how much is in flight per pull.
+        """
         if self.cancel is not None:
             self.cancel.raise_if_cancelled()
         if self.deadline is not None \
                 and time.perf_counter() > self.deadline:
             raise QueryTimeout("query exceeded its time budget at %r" % node)
-        method = getattr(self, "_eval_%s" % type(node).__name__.lower(), None)
+        method = getattr(self, "_stream_%s" % type(node).__name__.lower(),
+                         None)
         if method is None:
             raise EvaluationError("cannot evaluate %r" % node)
-        if isinstance(node, alg.Project) and not top:
-            self.stats.materialized_subqueries += 1
-        result = method(node, graph)
-        self.stats.intermediate_rows += len(result.rows)
-        if self.max_rows is not None and len(result.rows) > self.max_rows:
+        return method(node, graph, hint)
+
+    def evaluate(self, node: alg.AlgebraNode, graph) -> SolutionTable:
+        """Drain ``stream(node)`` into a table — what a pipeline breaker
+        calls for the side it must hold whole.  This is the checkpoint
+        that counts ``intermediate_rows`` (rows held at breakers, not
+        rows that merely flowed through a pipeline) and enforces
+        ``max_rows``.
+        """
+        table = self.stream(node, graph).to_table()
+        self.stats.intermediate_rows += len(table.rows)
+        if self.max_rows is not None and len(table.rows) > self.max_rows:
             raise RowBudgetExceeded("intermediate result exceeds max_rows=%d"
-                                  % self.max_rows)
-        return result
+                                    % self.max_rows)
+        return table
 
     # ------------------------------------------------------------------
     # Pattern evaluation
@@ -374,8 +416,7 @@ class Evaluator:
 
     def _sip_touches(self, patterns) -> bool:
         """True when an active sideways filter names a pattern variable
-        (such BGPs bypass the BGP cache: their result depends on the
-        filter, not just the pattern set)."""
+        (the BGP is then re-ordered so the filtered leaves lead)."""
         sip = self._sip
         if not sip:
             return False
@@ -442,43 +483,6 @@ class Evaluator:
 
     # -- BGP evaluation ------------------------------------------------
 
-    def _eval_bgp(self, node: alg.BGP, graph) -> SolutionTable:
-        self.stats.bgp_count += 1
-        patterns = node.triples
-        if not patterns:
-            return SolutionTable.unit()
-        intersect = self._bgp_intersect(node)
-        eliminate = self._wcoj_order(node, graph)
-        sip_active = self._sip_touches(patterns)
-        cache_key = None
-        if self.cache_bgps and not sip_active:
-            cache_key = (id(graph), intersect, eliminate,
-                         tuple(sorted(patterns, key=lambda t: repr(t))))
-            cached = self._bgp_cache.get(cache_key)
-            if cached is not None:
-                self.stats.bgp_cache_hits += 1
-                return cached
-        if len(patterns) > 1 and not eliminate:
-            if sip_active:
-                patterns = self._order_for_sip(patterns, graph)
-            elif self.optimize:
-                patterns = order_patterns(patterns, self._graph_stats(graph))
-        schema, _schemas, steps = self._bgp_steps(patterns, graph, intersect,
-                                                  eliminate)
-        rows: List[tuple] = []
-        if steps is not None:
-            rows = [()]
-            for step in steps:
-                out: List[tuple] = []
-                step(rows, self._guarded_append(out))
-                rows = out
-                if not rows:
-                    break
-        table = SolutionTable(schema, rows)
-        if cache_key is not None:
-            self._bgp_cache[cache_key] = table
-        return table
-
     def _pattern_plan(self, pattern, schema: List[str], graph):
         """Compile one triple pattern into ``(new_schema, step)``.
 
@@ -486,8 +490,8 @@ class Evaluator:
         with the *old* schema) with the pattern's id-level matches, calling
         ``append`` per output row.  The bound/free shape is analyzed here,
         once per pattern, so the specialized index probe it returns is
-        reusable for any number of row batches — this is what lets the
-        streaming executor drive the same matcher one input row at a time.
+        reusable for any number of row batches — this is what lets a
+        bounded consumer drive the matcher one input row at a time.
         ``step`` is ``None`` when a constant term is unknown to the
         dictionary (no triple can match); the returned schema still
         includes the pattern's fresh variables.
@@ -953,125 +957,10 @@ class Evaluator:
                 "query exceeded its time budget after %d rows "
                 "of a vectorized pattern match" % produced)
 
-    # ------------------------------------------------------------------
-    # Joins.  The build side (evaluated first) exports its join-key
-    # id-sets sideways into the probe side's BGP leaves (semi-join
-    # filters).  The probe of an inner Join inherits the enclosing scope
-    # too; the auxiliary side of LeftJoin/Minus/FilterExists sees *only*
-    # the operator's own exports — an enclosing join's filter is sound
-    # for rows that must ultimately join it, but pruning inside an
-    # OPTIONAL/MINUS/EXISTS auxiliary would flip match decisions (a
-    # pruned optional row turns into a null-padded one) rather than
-    # remove dead rows.
-    def _eval_join(self, node: alg.Join, graph) -> SolutionTable:
-        left = self.evaluate(node.left, graph)
-        if not left.rows:
-            return SolutionTable(left.variables)
-        exports = self._sip_exports(left, node.right) \
-            if self._use_sip(node) else None
-        if exports:
-            outer = self._sip
-            self._sip = self._sip_merge(exports)
-            try:
-                right = self.evaluate(node.right, graph)
-            finally:
-                self._sip = outer
-        else:
-            right = self.evaluate(node.right, graph)
-        if not right.rows:
-            return SolutionTable(left.variables + tuple(
-                v for v in right.variables if v not in left.index))
-        self.stats.joins += 1
-        return table_join(left, right)
-
-    def _eval_leftjoin(self, node: alg.LeftJoin, graph) -> SolutionTable:
-        left = self.evaluate(node.left, graph)
-        if not left.rows:
-            return SolutionTable(left.variables)
-        exports = self._sip_exports(left, node.right) \
-            if self._use_sip(node) else None
-        outer = self._sip
-        self._sip = exports or {}
-        try:
-            right = self.evaluate(node.right, graph)
-        finally:
-            self._sip = outer
-        self.stats.joins += 1
-        if node.condition is None:
-            return table_left_join(left, right)
-        # LeftJoin with a condition: candidates are found by the same
-        # hash-partitioning as the unconditional join; the condition is
-        # evaluated lazily (terms decoded on access) within buckets only.
-        out_vars = left.variables + tuple(
-            v for v in right.variables if v not in left.index)
-        out_index = {v: i for i, v in enumerate(out_vars)}
-        decode = self.dictionary.decode
-        condition = node.condition
-
-        def accept(merged_row) -> bool:
-            try:
-                return ebv(condition.evaluate(
-                    RowView(out_index, merged_row, decode)))
-            except ExpressionError:
-                return False
-
-        return table_left_join(left, right, accept=accept)
-
-    def _eval_union(self, node: alg.Union, graph) -> SolutionTable:
-        return table_union(self.evaluate(node.left, graph),
-                           self.evaluate(node.right, graph))
-
-    def _eval_filter(self, node: alg.Filter, graph) -> SolutionTable:
-        table = self.evaluate(node.pattern, graph)
-        condition = node.condition
-        index = table.index
-        decode = self.dictionary.decode
-        rows = []
-        for row in table.rows:
-            try:
-                if ebv(condition.evaluate(RowView(index, row, decode))):
-                    rows.append(row)
-            except ExpressionError:
-                continue  # errors eliminate the solution
-        return SolutionTable(table.variables, rows)
-
     def _sip_without(self, var: str) -> Dict:
         """The active scope minus one variable (Extend overwrites it, so a
         leaf filter below would act on the wrong value)."""
         return {v: s for v, s in self._sip.items() if v != var}
-
-    def _eval_extend(self, node: alg.Extend, graph) -> SolutionTable:
-        if self._sip and node.var in self._sip:
-            outer = self._sip
-            self._sip = self._sip_without(node.var)
-            try:
-                return self._eval_extend(node, graph)
-            finally:
-                self._sip = outer
-        table = self.evaluate(node.pattern, graph)
-        index = table.index
-        decode = self.dictionary.decode
-        encode = self.dictionary.encode
-        target = index.get(node.var)
-        rows = []
-        for row in table.rows:
-            try:
-                value = node.expression.evaluate(RowView(index, row, decode))
-                tid = encode(value)
-            except ExpressionError:
-                # SPARQL Extend error semantics: leave the variable as it
-                # was — unbound if fresh, the existing binding otherwise.
-                rows.append(row + (None,) if target is None else row)
-                continue
-            if target is None:
-                rows.append(row + (tid,))
-            else:
-                patched = list(row)
-                patched[target] = tid
-                rows.append(tuple(patched))
-        variables = table.variables if target is not None \
-            else table.variables + (node.var,)
-        return SolutionTable(variables, rows)
 
     def _fast_group_count(self, node: alg.Group,
                           graph) -> Optional[SolutionTable]:
@@ -1088,12 +977,6 @@ class Evaluator:
         term decoding.  Group order matches the row-producing path (the
         first-seen order of the ``so_pairs`` scan), so the result is
         identical — not merely bag-equal — to the general path's.
-
-        This is a *streaming-plane* rewrite (used by :meth:`_stream_group`
-        only): the materialized ``Group`` deliberately keeps producing the
-        full input table so it remains the differential oracle and the
-        perf baseline the ``aggregation`` benchmark section measures
-        against.
 
         Returns ``None`` when the shape does not apply.
         """
@@ -1211,7 +1094,7 @@ class Evaluator:
 
         ``Group`` over a wcoj-planned cyclic BGP folds aggregate states
         *inside* the join's last elimination level: the compiled wcoj
-        steps run depth-first exactly as in :meth:`_eval_bgp`, but the
+        steps run breadth-first exactly as in :meth:`_stream_bgp`, but the
         final step's ``append`` routes each completed binding straight
         into its group's accumulator (the same compiled folds the
         streaming hash aggregation uses, so every finished cell is
@@ -1316,77 +1199,6 @@ class Evaluator:
         aggregates, so other filters are suspended below a Group."""
         return {v: s for v, s in self._sip.items() if v in node.group_vars}
 
-    def _eval_group(self, node: alg.Group, graph) -> SolutionTable:
-        if self._sip:
-            allowed = self._sip_for_group(node)
-            if len(allowed) != len(self._sip):
-                outer = self._sip
-                self._sip = allowed
-                try:
-                    return self._eval_group(node, graph)
-                finally:
-                    self._sip = outer
-        table = self.evaluate(node.pattern, graph)
-        group_vars = node.group_vars
-        index = table.index
-        decode = self.dictionary.decode
-        encode = self.dictionary.encode
-        groups: Dict[Tuple, list] = {}
-        if group_vars:
-            positions = [index.get(v) for v in group_vars]
-            if len(positions) == 1 and positions[0] is not None:
-                # Scalar keys: no per-row tuple construction.
-                p0 = positions[0]
-                scalar_groups: Dict = {}
-                for row in table.rows:
-                    scalar_groups.setdefault(row[p0], []).append(row)
-                groups = {(k,): v for k, v in scalar_groups.items()}
-            else:
-                for row in table.rows:
-                    key = tuple(None if p is None else row[p]
-                                for p in positions)
-                    groups.setdefault(key, []).append(row)
-        else:
-            # Implicit single group; COUNT over an empty pattern is 0.
-            groups[()] = table.rows
-        self.stats.groups_built += len(groups)
-
-        out_vars = tuple(group_vars) + tuple(a.alias
-                                             for a in node.aggregates)
-        out_index = {v: i for i, v in enumerate(out_vars)}
-        out_rows = []
-        for key, members in groups.items():
-            views = None  # RowViews built lazily: only complex expressions
-            cells: List[Optional[int]] = list(key)
-            for aggregate in node.aggregates:
-                value = _aggregate_columnar(aggregate, members, index, decode)
-                if value is _SLOW:
-                    if views is None:
-                        views = [RowView(index, row, decode)
-                                 for row in members]
-                    value = _apply_aggregate(aggregate, views)
-                cells.append(None if value is None else encode(value))
-            out_row = tuple(cells)
-            if node.having is not None \
-                    and not _passes_having(node.having, out_index,
-                                           out_row, decode):
-                continue
-            out_rows.append(out_row)
-        return SolutionTable(out_vars, out_rows)
-
-    def _eval_project(self, node: alg.Project, graph) -> SolutionTable:
-        table = self.evaluate(node.pattern, graph)
-        if node.variables is None:
-            # SELECT *: drop synthetic aggregate helper variables.
-            keep = [v for v in table.variables if not v.startswith("__agg_")]
-            if len(keep) == len(table.variables):
-                return table
-            return table_project(table, keep)
-        return table_project(table, node.variables)
-
-    def _eval_distinct(self, node: alg.Distinct, graph) -> SolutionTable:
-        return table_distinct(self.evaluate(node.pattern, graph))
-
     def _order_key(self, index: Dict[str, int], keys):
         """One composite, direction-aware sort key for ``ORDER BY``.
 
@@ -1420,157 +1232,9 @@ class Evaluator:
 
         return key
 
-    def _eval_orderby(self, node: alg.OrderBy, graph) -> SolutionTable:
-        table = self.evaluate(node.pattern, graph)
-        rows = sorted(table.rows, key=self._order_key(table.index, node.keys))
-        return SolutionTable(table.variables, rows)
-
-    def _eval_topk(self, node: alg.TopK, graph) -> SolutionTable:
-        """Bounded sort, materialized mode: one heap pass instead of a
-        full sort + slice.  ``heapq.nsmallest`` is documented equivalent to
-        ``sorted(rows, key=key)[:n]``, so stability (ties keep input
-        order) matches :meth:`_eval_orderby` exactly.
-
-        Sideways filters are suspended below any row-bound operator: a
-        window selects *which* rows survive, so pruning its input would
-        change the selection, not just skip dead rows."""
-        outer = self._sip
-        self._sip = {}
-        try:
-            table = self.evaluate(node.pattern, graph)
-        finally:
-            self._sip = outer
-        keep = node.offset + node.limit
-        rows = heapq.nsmallest(keep, table.rows,
-                               key=self._order_key(table.index, node.keys))
-        return SolutionTable(table.variables, rows[node.offset:])
-
-    def _eval_slice(self, node: alg.Slice, graph) -> SolutionTable:
-        outer = self._sip
-        self._sip = {}  # same suspension rationale as _eval_topk
-        try:
-            table = self.evaluate(node.pattern, graph)
-        finally:
-            self._sip = outer
-        start = node.offset
-        end = None if node.limit is None else start + node.limit
-        return SolutionTable(table.variables, table.rows[start:end])
-
-    def _eval_graphpattern(self, node: alg.GraphPattern, graph
-                           ) -> SolutionTable:
-        target = self.dataset.graph(node.graph_uri)
-        return self.evaluate(node.pattern, target)
-
-    def _eval_inlinedata(self, node: alg.InlineData, graph) -> SolutionTable:
-        encode = self.dictionary.encode
-        rows = [tuple(None if value is None else encode(value)
-                      for value in row)
-                for row in node.rows]
-        return SolutionTable(node.variables, rows)
-
-    def _eval_minus(self, node: alg.Minus, graph) -> SolutionTable:
-        left = self.evaluate(node.left, graph)
-        if not left.rows:
-            return SolutionTable(left.variables)
-        # SIP into the right side: a right row whose key misses every left
-        # row's value for an everywhere-bound shared variable is
-        # incompatible with all of them, so it can exclude nothing.
-        exports = self._sip_exports(left, node.right) \
-            if self._use_sip(node) else None
-        outer = self._sip
-        self._sip = exports or {}
-        try:
-            right = self.evaluate(node.right, graph)
-        finally:
-            self._sip = outer
-        return table_minus(left, right)
-
-    def _eval_filterexists(self, node: alg.FilterExists, graph
-                           ) -> SolutionTable:
-        table = self.evaluate(node.pattern, graph)
-        if not table.rows:
-            return table
-        # SIP into the existence group: a group row incompatible with
-        # every pattern row flips no exists-flag (sound for EXISTS and
-        # NOT EXISTS alike, because the exports reflect the actual
-        # pattern rows).
-        exports = self._sip_exports(table, node.group) \
-            if self._use_sip(node) else None
-        outer = self._sip
-        self._sip = exports or {}
-        try:
-            inner = self.evaluate(node.group, graph)
-        finally:
-            self._sip = outer
-        shared = [(table.index[v], inner.index[v])
-                  for v in inner.variables if v in table.index]
-        rows = []
-        inner_rows = inner.rows
-        negated = node.negated
-        for row in table.rows:
-            exists = any(_rows_compatible(row, other, shared)
-                         for other in inner_rows)
-            if exists != negated:
-                rows.append(row)
-        return SolutionTable(table.variables, rows)
-
-    # ==================================================================
-    # Streaming execution — the pipelined batch-iterator plane
-    # ==================================================================
-    #
-    # ``stream`` mirrors ``evaluate`` but returns a lazily-pulled
-    # :class:`TableStream`.  Operators with a ``_stream_`` form pipeline
-    # their input; anything else (Minus, full OrderBy) is a pipeline
-    # breaker: its subtree is materialized via ``evaluate`` and emitted
-    # as a single batch.  ``Group`` streams too — a hash aggregation that
-    # folds its child's batches into per-group accumulators and emits one
-    # final batch.  Schemas are computed statically, so constructing a
-    # stream never pulls a row; breakers embedded in a subtree do their
-    # work when the subtree's stream is *constructed* (the build side of
-    # a join must exist before the first probe).
-
-    def evaluate_query_stream(self, query: alg.Query,
-                              default_graph_uri: Optional[str] = None,
-                              hint: Optional[int] = None) -> TableStream:
-        """Streaming counterpart of :meth:`evaluate_query`.
-
-        ``hint`` caps the root batch size — cursors pulling small pages
-        pass a small one so each pull stays proportional to the page.
-        """
-        graph = self._resolve_graphs(query.from_graphs, default_graph_uri)
-        self.dictionary = graph.dictionary
-        # Stream operators compile eagerly (only row production defers),
-        # so synopsis builds they trigger are visible once the stream is
-        # constructed.
-        before = _synopses_built(graph)
-        try:
-            return self.stream(query.pattern, graph, hint)
-        finally:
-            self.stats.synopsis_builds += _synopses_built(graph) - before
-
-    def stream(self, node: alg.AlgebraNode, graph,
-               hint: Optional[int] = None) -> TableStream:
-        """Evaluate ``node`` to a stream of row batches.
-
-        ``hint`` is a *batch-size* hint from a bounded consumer (``Slice``
-        passes ``offset + limit`` down): producers emit batches no larger
-        than it so early exit is row-accurate.  It never changes results —
-        only how much is in flight per pull.
-        """
-        if self.cancel is not None:
-            self.cancel.raise_if_cancelled()
-        if self.deadline is not None \
-                and time.perf_counter() > self.deadline:
-            raise QueryTimeout("query exceeded its time budget at %r" % node)
-        method = getattr(self, "_stream_%s" % type(node).__name__.lower(),
-                         None)
-        if method is not None:
-            return method(node, graph, hint)
-        # Pipeline breaker: materialize the subtree, emit one batch.
-        table = self.evaluate(node, graph)
-        batches = iter((table.rows,)) if table.rows else iter(())
-        return TableStream(table.variables, self._meter(batches))
-
+    # ------------------------------------------------------------------
+    # Stream plumbing
+    # ------------------------------------------------------------------
     def _cap(self, hint: Optional[int]) -> int:
         if hint is None or hint <= 0:
             return STREAM_BATCH_ROWS
@@ -1633,8 +1297,7 @@ class Evaluator:
 
         Returns ``(final_schema, per_level_schemas, steps)``; ``steps`` is
         ``None`` when some constant term is unknown (the BGP is empty, but
-        the schema still names every variable, exactly like the
-        materialized path's schema completion).
+        the schema still names every variable).
 
         With ``intersect=True`` (the planner's ``'intersect'`` strategy,
         or ``multiway=True``), the compiler binds a variable that occurs
@@ -1642,8 +1305,7 @@ class Evaluator:
         intersection of the graph's sorted runs instead of
         expand-then-filter: patterns whose only free position is that
         variable are satisfied by the intersection itself and drop out of
-        the plan.  Both executors drive the same steps, so the two
-        columnar planes keep one row order per strategy.
+        the plan.
 
         With ``eliminate`` (a variable elimination order from the
         cost-based planner or a forced ``wcoj=True`` engine), the
@@ -1792,8 +1454,7 @@ class Evaluator:
         nested-loop compiler.
 
         Candidates emerge from each level in ascending id order (see
-        :meth:`_intersection_step`), so row order is deterministic and
-        both executors produce identical batches from one compile.
+        :meth:`_intersection_step`), so row order is deterministic.
         """
         stats = self.stats
         schema: List[str] = []
@@ -2112,21 +1773,55 @@ class Evaluator:
         patterns = node.triples
         if not patterns:
             return TableStream((), self._meter(iter(([()],))))
+        if id(node) not in self._repeated:
+            return self._match_bgp(node, graph, hint)
+        # A repeated BGP is matched once for the whole query and
+        # replayed, so it is matched without the sideways filters of
+        # whichever occurrence happens to come first (sound: they only
+        # drop rows the join above discards anyway).  Whether an earlier
+        # occurrence has finished is only known when this one is pulled
+        # (both branches of a UNION exist before either produces a row),
+        # so the choice between replaying and matching waits until then.
+        key = (id(graph), self._bgp_intersect(node),
+               self._wcoj_order(node, graph),
+               tuple(sorted(patterns, key=repr)))
+        cached = self._bgp_cache.get(key)
+        if cached is None:
+            scope, self._sip = self._sip, {}
+            try:
+                matched = self._match_bgp(node, graph, hint)
+            finally:
+                self._sip = scope
+            schema = matched.variables
+        else:
+            matched, schema = None, cached[0]
+        return TableStream(schema, self._shared_batches(
+            key, schema, matched, self._cap(hint)))
+
+    def _shared_batches(self, key: Tuple, schema, matched, cap: int):
+        """Batches of a repeated BGP: a replay of what an earlier
+        occurrence produced, or ``matched``'s own — filed in the cache
+        once that producer is exhausted, never from a partial pull (whose
+        rows are only a prefix of the result)."""
+        cached = self._bgp_cache.get(key)
+        if cached is not None and cached[0] == schema:
+            self.stats.bgp_cache_hits += 1
+            yield from self._meter(chain.from_iterable(
+                batched(batch, cap) for batch in cached[1]))
+            return
+        kept: List = []
+        for batch in matched.batches:
+            kept.append(batch)
+            yield batch
+        self._bgp_cache.setdefault(key, (schema, kept))
+
+    def _match_bgp(self, node: alg.BGP, graph,
+                   hint: Optional[int]) -> TableStream:
+        patterns = node.triples
         cap = self._cap(hint)
         intersect = self._bgp_intersect(node)
         eliminate = self._wcoj_order(node, graph)
         sip_active = self._sip_touches(patterns)
-        if self.cache_bgps and not sip_active:
-            cache_key = (id(graph), intersect, eliminate,
-                         tuple(sorted(patterns, key=lambda t: repr(t))))
-            cached = self._bgp_cache.get(cache_key)
-            if cached is not None:
-                # A fully-materialized table from an earlier (materialized)
-                # evaluation of the same BGP: re-chunk it.  Streamed
-                # results are never cached — they may be pulled partially.
-                self.stats.bgp_cache_hits += 1
-                return TableStream(cached.variables,
-                                   self._meter(batched(cached.rows, cap)))
         if len(patterns) > 1 and not eliminate:
             if sip_active:
                 patterns = self._order_for_sip(patterns, graph)
@@ -2190,10 +1885,9 @@ class Evaluator:
             # depth-first granularity buys nothing and costs a generator
             # resume per row.  Expand breadth-first instead — the first
             # pattern materializes once, then each chunk of its rows runs
-            # through the remaining patterns with the same tight
-            # per-level loops as the materialized matcher.  The output
-            # row order is identical either way (both enumerate leaves in
-            # lexicographic probe order).
+            # through the remaining patterns in tight per-level loops.
+            # The output row order is identical either way (both
+            # enumerate leaves in lexicographic probe order).
             cap = STREAM_BATCH_ROWS
             first, rest = steps[0], steps[1:]
             n_rest = len(rest)
@@ -2552,9 +2246,8 @@ class Evaluator:
         :meth:`_fast_group_count` and touches no rows at all.
 
         Group keys hash dense int-id tuples (scalar ids for the common
-        one-variable GROUP BY), exactly like the materialized operator, so
-        group order is the first-seen order of the input stream and every
-        finished cell is bit-identical to :meth:`_eval_group`'s.
+        one-variable GROUP BY), so group order is the first-seen order of
+        the input stream.
         """
         if self._sip:
             allowed = self._sip_for_group(node)
@@ -2585,9 +2278,9 @@ class Evaluator:
                 for a in node.aggregates):
             # Several column aggregates over one group: appending one
             # member tuple — only the columns the aggregates read — and
-            # batch-aggregating each column at emit (the materialized
-            # operator's own :func:`_aggregate_columnar`) beats driving
-            # N accumulators per row.  COUNT(DISTINCT *) is excluded: it
+            # batch-aggregating each column at emit
+            # (:func:`_aggregate_columnar`) beats driving N accumulators
+            # per row.  COUNT(DISTINCT *) is excluded: it
             # needs full solutions, so it stays on the accumulator path.
             return self._stream_group_members(node, inner, out_vars)
         specs = [_compile_aggregate(a, index, decode)
@@ -2600,8 +2293,7 @@ class Evaluator:
 
         # Scalar keys (the common one-variable GROUP BY) skip per-row
         # tuple construction; the single-aggregate shape skips the
-        # state-list indirection.  Both mirror the materialized operator's
-        # own fast paths, so the same queries stay fast on both planes.
+        # state-list indirection.
         scalar = positions[0] if (len(positions) == 1
                                   and positions[0] is not None) else None
         if group_vars and scalar is None:
@@ -2770,8 +2462,7 @@ class Evaluator:
         of a *projected* member tuple holding only the columns the
         aggregates read, so wide input rows are never retained.  Each
         group's columns are then aggregated in one batch pass per
-        aggregate — the same :func:`_aggregate_columnar` math the
-        materialized operator runs, so cells are bit-identical.
+        aggregate (:func:`_aggregate_columnar`).
         """
         index = inner.index
         decode = self.dictionary.decode
@@ -2858,30 +2549,29 @@ class Evaluator:
         return TableStream(out_vars, self._meter(batches()))
 
     # -- joins: build side materialized, probe side streamed -----------
-
-    def _build_side(self, node: alg.AlgebraNode, graph) -> SolutionTable:
-        """Materialize a join build side.
-
-        Aggregate-bearing builds (the RDFFrames group-then-join shape)
-        run through the *streaming* operators and drain into a table, so
-        the build benefits from streaming hash aggregation and the
-        index-backed COUNT fast path — the grouped subquery no longer
-        materializes its pre-aggregation input just because it sits under
-        a join.  Anything else stays on the materialized evaluator, whose
-        row order for non-aggregate operators is the established oracle.
-        """
-        if _has_aggregate(node):
-            return self.stream(node, graph, None).to_table()
-        return self.evaluate(node, graph)
+    #
+    # Every operator here drains one child into a table (``evaluate``),
+    # indexes it once with the join kernel (:class:`JoinIndex`), and
+    # probes it batch by batch; what is left to the operator is its SIP
+    # scope, the batch loop and the row view of columnar batches.
+    #
+    # SIP: a build side exports its join-key id-sets sideways into the
+    # BGP leaves of the side evaluated after it (semi-join filters).  The
+    # probe of an inner Join inherits the enclosing scope too; an
+    # auxiliary side (LeftJoin's optional, the MINUS right side, the
+    # EXISTS group) never sees an enclosing join's filter — it is sound
+    # for rows that must ultimately join, but pruning inside an
+    # OPTIONAL/MINUS/EXISTS auxiliary would flip match decisions (a
+    # pruned optional row turns into a null-padded one) rather than
+    # remove dead rows.
 
     def _stream_join(self, node: alg.Join, graph,
                      hint: Optional[int]) -> TableStream:
-        left = self._build_side(node.left, graph)  # build side: breaker
+        left = self.evaluate(node.left, graph)  # build side: breaker
         if not left.rows:
             return TableStream(left.variables, self._meter(iter(())))
-        # SIP: the materialized build side exports its key sets into the
-        # probe pipeline.  Stream *construction* compiles the BGP steps,
-        # so the scope only needs to cover this call.
+        # Stream *construction* compiles the BGP steps, so the export
+        # scope only needs to cover this call.
         exports = self._sip_exports(left, node.right) \
             if self._use_sip(node) else None
         if exports:
@@ -2894,71 +2584,44 @@ class Evaluator:
         else:
             right = self.stream(node.right, graph, None)
         self.stats.joins += 1
-        out_vars, shared, right_only = _merge_plan(left, right)
-        lkey = [lp for lp, _ in shared]
-        rkey = [rp for _, rp in shared]
-        index: Dict[Tuple, List[tuple]] = {}
-        loose: List[tuple] = []
-        for lrow in left.rows:
-            key = tuple(lrow[p] for p in lkey)
-            if None in key:
-                loose.append(lrow)
-            else:
-                index.setdefault(key, []).append(lrow)
-        left_rows = left.rows
-
-        to_rows_fb = self._rows
+        index = JoinIndex(left, right, build_is_left=True)
+        to_rows = self._rows
 
         def batches():
             for batch in right.batches:
-                if type(batch) is ColumnBatch:
-                    batch = to_rows_fb(batch)
-                out: List[tuple] = []
-                append = out.append
-                for rrow in batch:
-                    if not shared:
-                        extra = tuple(rrow[rp] for rp in right_only)
-                        for lrow in left_rows:
-                            append(lrow + extra)
-                        continue
-                    key = tuple(rrow[p] for p in rkey)
-                    if None in key:
-                        for lrow in left_rows:
-                            if _rows_compatible(lrow, rrow, shared):
-                                append(_merge_rows(lrow, rrow, shared,
-                                                   right_only))
-                        continue
-                    for lrow in index.get(key, ()):
-                        append(_merge_rows(lrow, rrow, shared, right_only))
-                    for lrow in loose:
-                        if _rows_compatible(lrow, rrow, shared):
-                            append(_merge_rows(lrow, rrow, shared,
-                                               right_only))
+                out = index.join(to_rows(batch))
                 if out:
                     yield out
 
-        return TableStream(out_vars, self._meter(batches()))
+        return TableStream(index.variables, self._meter(batches()))
 
     def _stream_leftjoin(self, node: alg.LeftJoin, graph,
                          hint: Optional[int]) -> TableStream:
-        left = self.stream(node.left, graph, hint)
-        # The optional side is built before any preserved-side row exists,
-        # so this plane has no exports to thread into it; the enclosing
-        # scope is suspended (an outer join's filter inside an OPTIONAL
-        # would turn pruned extensions into null padding — wrong rows,
-        # not fewer rows).
+        exports = None
+        if hint is None and self._use_sip(node):
+            # No bounded consumer above, so every preserved row will be
+            # pulled anyway: hold them, and prune the optional side to
+            # the keys they carry.
+            held = self.evaluate(node.left, graph)
+            if not held.rows:
+                return TableStream(held.variables, self._meter(iter(())))
+            exports = self._sip_exports(held, node.right)
+            left = TableStream(held.variables,
+                               batched(held.rows, STREAM_BATCH_ROWS))
+        else:
+            left = self.stream(node.left, graph, hint)
         outer = self._sip
-        self._sip = {}
+        self._sip = exports or {}
         try:
-            right = self._build_side(node.right, graph)  # build: breaker
+            right = self.evaluate(node.right, graph)  # build: breaker
         finally:
             self._sip = outer
         self.stats.joins += 1
-        out_vars, shared, right_only = _merge_plan(left, right)
+        index = JoinIndex(right, left)
         condition = node.condition
         accept = None
         if condition is not None:
-            out_index = {v: i for i, v in enumerate(out_vars)}
+            out_index = {v: i for i, v in enumerate(index.variables)}
             decode = self.dictionary.decode
 
             def accept(merged_row) -> bool:
@@ -2968,67 +2631,46 @@ class Evaluator:
                 except ExpressionError:
                     return False
 
-        pad = (None,) * len(right_only)
-        lkey = [lp for lp, _ in shared]
-        rkey = [rp for _, rp in shared]
-        index: Dict[Tuple, List[tuple]] = {}
-        loose: List[tuple] = []
-        for rrow in right.rows:
-            key = tuple(rrow[p] for p in rkey)
-            if None in key:
-                loose.append(rrow)
-            else:
-                index.setdefault(key, []).append(rrow)
-        right_rows = right.rows
-
-        to_rows_fb = self._rows
+        to_rows = self._rows
 
         def batches():
             for batch in left.batches:
-                if type(batch) is ColumnBatch:
-                    batch = to_rows_fb(batch)
-                out: List[tuple] = []
-                append = out.append
-                for lrow in batch:
-                    matched = False
-                    if not shared:
-                        candidates = right_rows
-                    else:
-                        key = tuple(lrow[p] for p in lkey)
-                        if None in key:
-                            candidates = right_rows
-                        else:
-                            bucket = index.get(key)
-                            candidates = bucket + loose if bucket else loose
-                    for rrow in candidates:
-                        if shared and not _rows_compatible(lrow, rrow,
-                                                           shared):
-                            continue
-                        merged = _merge_rows(lrow, rrow, shared, right_only)
-                        if accept is None or accept(merged):
-                            append(merged)
-                            matched = True
-                    if not matched:
-                        append(lrow + pad)
-                if out:
-                    yield out
+                yield index.left_join(to_rows(batch), accept)
 
-        return TableStream(out_vars, self._meter(batches()))
+        return TableStream(index.variables, self._meter(batches()))
+
+    def _stream_minus(self, node: alg.Minus, graph,
+                      hint: Optional[int]) -> TableStream:
+        left = self.evaluate(node.left, graph)  # breaker: exports need it
+        if not left.rows:
+            return TableStream(left.variables, self._meter(iter(())))
+        # SIP into the right side: a right row whose key misses every left
+        # row's value for an everywhere-bound shared variable is
+        # incompatible with all of them, so it can exclude nothing.
+        exports = self._sip_exports(left, node.right) \
+            if self._use_sip(node) else None
+        outer = self._sip
+        self._sip = exports or {}
+        try:
+            right = self.evaluate(node.right, graph)
+        finally:
+            self._sip = outer
+        rows = table_minus(left, right).rows
+        return TableStream(left.variables,
+                           self._meter(iter((rows,)) if rows else iter(())))
 
     def _stream_filterexists(self, node: alg.FilterExists, graph,
                              hint: Optional[int]) -> TableStream:
-        # The existence group is a breaker either way; building it first
-        # lets EXISTS export its key sets into the streamed pattern side:
-        # a pattern row whose everywhere-bound shared variable misses the
-        # group's value set has no compatible witness, so for EXISTS
-        # (negated=False) it is sound to prune at the leaves.  NOT EXISTS
-        # keeps exactly those rows, so it exports nothing.  The group
-        # itself is evaluated under its own suspended scope, mirroring
-        # the materialized plane's auxiliary-side rule.
+        # The existence group is built first, under its own suspended
+        # scope, so EXISTS can export its key sets into the streamed
+        # pattern side: a pattern row whose everywhere-bound shared
+        # variable misses the group's value set has no compatible
+        # witness.  NOT EXISTS keeps exactly those rows, so it exports
+        # nothing.
         scope = self._sip
         self._sip = {}
         try:
-            inner = self._build_side(node.group, graph)  # breaker
+            inner = self.evaluate(node.group, graph)  # breaker
         finally:
             self._sip = scope
         exports = None
@@ -3042,26 +2684,36 @@ class Evaluator:
                 self._sip = scope
         else:
             outer = self.stream(node.pattern, graph, hint)
-        shared = [(outer.index[v], inner.index[v])
-                  for v in inner.variables if v in outer.index]
-        inner_rows = inner.rows
+        index = JoinIndex(inner, outer)
         negated = node.negated
-
-        to_rows_fb = self._rows
+        to_rows = self._rows
 
         def batches():
             for batch in outer.batches:
-                if type(batch) is ColumnBatch:
-                    batch = to_rows_fb(batch)
-                keep = [row for row in batch
-                        if any(_rows_compatible(row, other, shared)
-                               for other in inner_rows) != negated]
+                keep = index.semi_join(to_rows(batch), negated)
                 if keep:
                     yield keep
 
         return TableStream(outer.variables, self._meter(batches()))
 
-    # -- bounded sort --------------------------------------------------
+    # -- sorts ---------------------------------------------------------
+
+    def _stream_orderby(self, node: alg.OrderBy, graph,
+                        hint: Optional[int]) -> TableStream:
+        inner = self.stream(node.pattern, graph, None)
+        key = self._order_key(inner.index, node.keys)
+
+        to_rows = self._rows
+
+        def batches():
+            rows: List[tuple] = []  # breaker
+            for batch in inner.batches:
+                rows.extend(to_rows(batch))
+            rows.sort(key=key)
+            if rows:
+                yield rows
+
+        return TableStream(inner.variables, self._meter(batches()))
 
     def _stream_topk(self, node: alg.TopK, graph,
                      hint: Optional[int]) -> TableStream:
@@ -3130,9 +2782,10 @@ class Evaluator:
         eliminate = self._wcoj_order(node.pattern, graph)
         if self.optimize and len(patterns) > 1 and not eliminate:
             patterns = order_patterns(patterns, self._graph_stats(graph))
-        # Compile with the same strategy the materialized plane would use:
+        # Compile with the same strategy :meth:`_stream_bgp` would use:
         # on a tie-heavy ORDER BY the window's k-subset depends on BGP
-        # production order, so the planes must drive identical steps.
+        # production order, so the fused and unfused plans must drive
+        # identical steps.
         schema, schemas, steps = self._bgp_steps(
             patterns, graph, self._bgp_intersect(node.pattern), eliminate)
         if steps is None:
@@ -3165,7 +2818,7 @@ class Evaluator:
         def batches():
             # The breadth-first head scan materializes the prune-level
             # partials, so it runs under the same mid-pattern safety
-            # valves (max_rows, deadline) as the materialized BGP path.
+            # valves (max_rows, deadline) as :meth:`_stream_bgp`.
             partials = [()]
             for step in head:
                 out: List[tuple] = []
@@ -3289,14 +2942,6 @@ def _common_vars(left: alg.AlgebraNode, right: alg.AlgebraNode) -> List[str]:
     return [v for v in right.in_scope() if v in left_vars]
 
 
-def _has_aggregate(node: alg.AlgebraNode) -> bool:
-    """True when the subtree contains a ``Group`` (mirrors the planner's
-    ``plan_has_aggregate`` without importing the plan layer)."""
-    if isinstance(node, alg.Group):
-        return True
-    return any(_has_aggregate(child) for child in node.children())
-
-
 #: Sentinel: the columnar aggregate fast path does not apply.
 _SLOW = object()
 
@@ -3304,7 +2949,7 @@ _SLOW = object()
 def _passes_having(having, out_index, out_row, decode) -> bool:
     """SPARQL HAVING over one finished group row (grouping variables +
     aggregate aliases): errors eliminate the group, exactly like FILTER.
-    The single definition keeps the materialized, streaming, and
+    The single definition keeps the hash, member-list, generic-join and
     index-backed Group paths from diverging on error semantics."""
     try:
         return ebv(having.evaluate(RowView(out_index, out_row, decode)))
@@ -3497,7 +3142,7 @@ def _compile_aggregate(aggregate: alg.Aggregate, index: Dict[str, int],
 
     * COUNT folds without decoding anything — plain integer bumps, or an
       id seen-set for ``COUNT(DISTINCT ?x)`` (id equality is term
-      equality, the same dedup the materialized fast path uses);
+      equality);
     * bare-variable value aggregates read the id column, dedupe on ids
       when DISTINCT, and decode one term per folded value;
     * complex expressions evaluate through a lazy :class:`RowView` per
@@ -3505,8 +3150,9 @@ def _compile_aggregate(aggregate: alg.Aggregate, index: Dict[str, int],
       value), and dedupe on term values when DISTINCT.
 
     ``finish`` returns a term (or ``None`` for unbound); results are
-    bit-identical to the materialized operator's
-    :func:`_aggregate_columnar` / :func:`_apply_aggregate` path.
+    bit-identical to the batch forms :func:`_aggregate_columnar` (the
+    member-list Group) and :func:`_apply_aggregate` (the reference
+    evaluator) compute.
     """
     function = aggregate.function
     expr = aggregate.expression
@@ -3568,9 +3214,10 @@ def _compile_aggregate(aggregate: alg.Aggregate, index: Dict[str, int],
         # Value aggregates over an id column fold each decoded value into
         # the incremental :func:`_value_accumulator` state — O(1) per
         # group for the numerics (running totals, same left-to-right
-        # addition order and poison/promotion flags as the materialized
-        # path, so results match bit for bit).  SAMPLE keeps only the
-        # first id; DISTINCT dedupes on ids before folding.
+        # addition order and poison/promotion flags as
+        # :func:`_finish_aggregate`, so results match bit for bit).
+        # SAMPLE keeps only the first id; DISTINCT dedupes on ids before
+        # folding.
         if function == "sample":
             def new_state():
                 return [None]

@@ -10,15 +10,11 @@ explicit pipeline of rewrite passes:
 * ``BGPMerge``         — fuse adjacent basic graph patterns into one scope,
 * ``AggregatePushdown`` — narrow pre-``Group`` projections to the grouping
   and aggregated variables only, so aggregations consume (and the
-  streaming hash ``Group`` keys on) exactly the columns they read; plans
-  containing a ``Group`` are annotated streaming so the engine routes
-  them through the pipelined executor's hash-aggregation path,
+  hash ``Group`` keys on) exactly the columns they read,
 * ``LimitPushdown``    — fuse nested slices, push ``Slice`` bounds through
   cardinality-and-order-preserving spines (``Project``), and fuse
   ``Slice`` over ``OrderBy`` into a single bounded-sort :class:`~.algebra.TopK`
-  node; plans whose tree carries a row bound are annotated
-  (:attr:`Plan.streaming`) so the engine routes them to the pipelined
-  streaming executor,
+  node,
 * ``JoinOrdering``     — the selectivity-greedy triple ordering of
   :mod:`~repro.sparql.optimizer`, applied once at plan time instead of on
   every evaluation.
@@ -99,18 +95,20 @@ class Plan:
         # (set by the engine; folded into the first execution's stats).
         self.synopsis_builds = 0
         # True when the tree carries a row bound (TopK, or Slice with a
-        # limit) or an aggregation (Group): the engine then evaluates the
-        # plan on the pipelined streaming executor, where a bound
-        # short-circuits row production and Group runs as a streaming
-        # hash aggregation over its child pipeline.
-        self.streaming = (plan_is_bounded(query.pattern)
-                          or plan_has_aggregate(query.pattern))
-        # Columnar-plane eligibility: True when every operator in the
+        # limit) or an aggregation (Group): batches are then cut short or
+        # folded into accumulators rather than decoded row by row, which
+        # is where columnar batches pay.  Selects no executor — every
+        # plan runs on the same operators.
+        self.bounded_or_grouped = (plan_is_bounded(query.pattern)
+                                   or plan_has_aggregate(query.pattern))
+        # Columnar-batch eligibility: True when every operator in the
         # tree either has a column-at-a-time form or a cheap row detour,
         # and at least one BGP exists to produce columnar batches.  The
-        # engine's ``vectorize='auto'`` routes streaming-eligible plans
-        # with this annotation onto the vectorized executor.
+        # engine's ``vectorize='auto'`` requires both annotations.
         self.vectorized = plan_vectorizable(query.pattern)
+        # Nested SELECTs, each evaluated as its own scope; reported as
+        # ``EvaluationStats.materialized_subqueries``.
+        self.subqueries = count_subqueries(query.pattern)
 
     @property
     def total_changes(self) -> int:
@@ -203,8 +201,8 @@ def output_variables(query: alg.Query) -> Optional[List[str]]:
 
 
 def plan_is_bounded(node: alg.AlgebraNode) -> bool:
-    """True when the tree contains a row bound a streaming executor can
-    exploit (a ``TopK``, or a ``Slice`` with a limit).  Offset-only slices
+    """True when the tree contains a row bound that stops upstream row
+    production (a ``TopK``, or a ``Slice`` with a limit).  Offset-only slices
     do not count: they still require every trailing row."""
     if isinstance(node, alg.TopK):
         return True
@@ -213,12 +211,17 @@ def plan_is_bounded(node: alg.AlgebraNode) -> bool:
     return any(plan_is_bounded(child) for child in node.children())
 
 
+def count_subqueries(node: alg.AlgebraNode, top: bool = True) -> int:
+    """Nested SELECTs in the tree: every ``Project`` below the root."""
+    return ((isinstance(node, alg.Project) and not top)
+            + sum(count_subqueries(child, False)
+                  for child in node.children()))
+
+
 def plan_has_aggregate(node: alg.AlgebraNode) -> bool:
-    """True when the tree contains a ``Group``.  Such plans benefit from
-    the streaming executor even without a row bound: the streaming hash
-    ``Group`` folds its input into per-group accumulators instead of
-    materializing the pre-aggregation table, and the single-pattern COUNT
-    shape collapses into index-backed counting."""
+    """True when the tree contains a ``Group``: the hash ``Group`` folds
+    its input into per-group accumulators instead of materializing the
+    pre-aggregation table."""
     if isinstance(node, alg.Group):
         return True
     return any(plan_has_aggregate(child) for child in node.children())
@@ -516,7 +519,7 @@ def aggregate_pushdown(node: alg.AlgebraNode) -> PassResult:
     ``HAVING`` needs no extra columns: it is evaluated over the *output*
     row (grouping variables + aggregate aliases), never over the input.
 
-    This narrowing is what lets the streaming hash ``Group`` key on thin
+    This narrowing is what lets the hash ``Group`` key on thin
     id tuples, and it frequently exposes the single-pattern COUNT shape
     that the evaluator answers straight from the graph indexes.
     """
@@ -563,21 +566,21 @@ def limit_pushdown(node: alg.AlgebraNode) -> PassResult:
       projection is a per-row map (cardinality- and order-preserving), so
       slicing before or after it selects the same rows; moving the bound
       down lets it meet an ``OrderBy`` (next rewrite) or sit directly on a
-      streaming producer.  This deliberately crosses subquery boundaries:
-      a nested SELECT is materialized independently, but its row order and
+      pipelined producer.  This deliberately crosses subquery boundaries:
+      a nested SELECT is evaluated independently, but its row order and
       multiplicity are exactly what the outer slice would have seen.
     * ``Slice(OrderBy(p), limit=k)`` — fuse into :class:`~.algebra.TopK`:
       a single bounded-sort operator that keeps only ``offset + k`` rows.
     * ``TopK(Project(p))`` — swap to ``Project(TopK(p))`` when every sort
       variable bound below survives the projection (ordering before or
       after the column cut then ranks identically).  This lands the
-      bounded sort directly on a BGP, where the streaming executor can
+      bounded sort directly on a BGP, where the ``TopK`` operator can
       threshold-prune join fan-out.
 
     ``Distinct`` is *not* reordered with a slice (``LIMIT k`` over
-    ``DISTINCT`` must dedupe first); the streaming executor instead stops
+    ``DISTINCT`` must dedupe first); the ``Slice`` operator instead stops
     pulling from the dedupe as soon as ``k`` distinct rows exist.  A
-    ``LIMIT 0`` slice is left alone — the streaming ``Slice`` answers it
+    ``LIMIT 0`` slice is left alone — the ``Slice`` operator answers it
     without pulling a single row, so there is nothing to fuse.
     """
     changes = 0
@@ -851,17 +854,13 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
             if isinstance(n, alg.Project):
                 visit(n.pattern, g, prefer)
                 return
-            if isinstance(n, alg.Join):
+            # Exports flow from the side an operator holds first into
+            # the side it evaluates next (LeftJoin holds its preserved
+            # side only when no bounded consumer sits above it).
+            if isinstance(n, (alg.Join, alg.LeftJoin, alg.Minus)):
                 mark_sip(n, n.left, n.right, g)
-            elif isinstance(n, (alg.LeftJoin, alg.Minus)):
-                mark_sip(n, n.left, n.right, g)
-            elif isinstance(n, alg.FilterExists):
-                # Exports flow pattern->group on the materialized plane
-                # and group->pattern (EXISTS only) on the streaming one;
-                # eligible when either direction has a prunable leaf.
-                mark_sip(n, n.pattern, n.group, g)
-                if not getattr(n, "sip_eligible", False) and not n.negated:
-                    mark_sip(n, n.group, n.pattern, g)
+            elif isinstance(n, alg.FilterExists) and not n.negated:
+                mark_sip(n, n.group, n.pattern, g)
             for child in n.children():
                 visit(child, g)
 
@@ -902,8 +901,8 @@ def optimize_plan(query: alg.Query, key: str = "", graph=None, dataset=None,
     ``graph`` is the query's resolved default graph (used only for
     join-ordering statistics; pass ``None`` to skip ordering), ``dataset``
     resolves ``GRAPH <uri>`` scopes.  ``push_limits=False`` drops the
-    ``LimitPushdown`` pass (the benchmarks use it to measure the
-    materialize-everything baseline).  Passes rerun until a full sweep
+    ``LimitPushdown`` pass (the ``limit_topk`` benchmark baseline).
+    Passes rerun until a full sweep
     changes nothing (earlier passes expose opportunities to later ones),
     capped at :data:`MAX_PIPELINE_ROUNDS` sweeps.
     """
@@ -941,15 +940,9 @@ def optimize_plan(query: alg.Query, key: str = "", graph=None, dataset=None,
         totals[name].changes += changes
     optimized = alg.Query(node, from_graphs=list(query.from_graphs),
                           prefixes=dict(query.prefixes))
-    plan = Plan(optimized, key,
+    return Plan(optimized, key,
                 [totals[name] for name, _ in list(pipeline) + post],
                 source=source)
-    if not push_limits:
-        # The materialize-everything baseline: no streaming annotation
-        # (and therefore no vectorized plane, which rides on streaming).
-        plan.streaming = False
-        plan.vectorized = False
-    return plan
 
 
 # ----------------------------------------------------------------------

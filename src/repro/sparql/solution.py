@@ -23,8 +23,7 @@ mappings.  This module implements those definitions twice:
 from __future__ import annotations
 
 from itertools import compress
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Node
 
@@ -698,304 +697,227 @@ def _rows_compatible(lrow: Row, rrow: Row, shared) -> bool:
     return True
 
 
-def _always_bound_pairs(left_rows: List[Row], right_rows: List[Row],
-                        shared) -> Tuple[list, list]:
-    """Split shared column pairs into (always bound on both sides,
-    residual).  Mirrors the dict implementation's ``_always_bound``."""
-    keys = []
-    residual = []
+def _rows_overlap(lrow: Row, rrow: Row, shared) -> bool:
+    """Compatible *and* sharing at least one variable bound on both
+    sides — the MINUS exclusion test."""
+    overlap = False
     for lp, rp in shared:
-        if all(row[lp] is not None for row in left_rows) and \
-                all(row[rp] is not None for row in right_rows):
-            keys.append((lp, rp))
-        else:
-            residual.append((lp, rp))
-    return keys, residual
+        a = lrow[lp]
+        b = rrow[rp]
+        if a is None or b is None:
+            continue
+        if a != b:
+            return False
+        overlap = True
+    return overlap
+
+
+# -- the join kernel ---------------------------------------------------
+
+class JoinIndex:
+    """The one join kernel: a build-once hash index over a materialized
+    table, probed by Join, LeftJoin, Minus and FILTER (NOT) EXISTS.
+
+    The rule, stated once: the index is keyed on the shared columns that
+    are bound in *every* build row; the remaining (residual) shared
+    columns are verified inside the bucket.  A probe row that leaves some
+    key columns unbound is looked up in a narrower index over the key
+    columns it does bind (built on first use); one that binds none of
+    them — and every probe when no shared column is always bound —
+    scans the build rows.
+
+    ``build`` is the materialized side; ``probe`` only lends its schema
+    (a :class:`SolutionTable` or a :class:`TableStream`), its rows arrive
+    batch by batch through :meth:`join` / :meth:`left_join` /
+    :meth:`semi_join`.  ``build_is_left`` says which side of the merged
+    schema (left columns, then the right-only ones) the build rows are.
+    """
+
+    __slots__ = ("variables", "rows", "build_is_left", "shared",
+                 "right_only", "pairs", "keys", "residual", "_indexes")
+
+    def __init__(self, build: SolutionTable, probe,
+                 build_is_left: bool = False):
+        left, right = (build, probe) if build_is_left else (probe, build)
+        self.variables, self.shared, self.right_only = _merge_plan(left,
+                                                                   right)
+        self.rows = rows = build.rows
+        self.build_is_left = build_is_left
+        # (probe position, build position) per shared variable.
+        self.pairs = [(rp, lp) for lp, rp in self.shared] \
+            if build_is_left else self.shared
+        self.keys = tuple([(pp, bp) for pp, bp in self.pairs
+                           if all(row[bp] is not None for row in rows)])
+        self.residual = [pair for pair in self.pairs
+                         if pair not in self.keys]
+        self._indexes: Dict[Tuple, Dict] = {}
+
+    def _index(self, keys: Tuple) -> Dict:
+        """The build rows hashed on ``keys`` (a sub-tuple of
+        :attr:`keys`) — the only place a build table is partitioned."""
+        index = self._indexes.get(keys)
+        if index is None:
+            self._indexes[keys] = index = {}
+            if len(keys) == 1:
+                # Scalar keys: no per-row tuple construction.
+                bp = keys[0][1]
+                for row in self.rows:
+                    index.setdefault(row[bp], []).append(row)
+            else:
+                build_key = [bp for _, bp in keys]
+                for row in self.rows:
+                    index.setdefault(tuple([row[p] for p in build_key]),
+                                     []).append(row)
+        return index
+
+    def _probe(self, rows, overlap: bool = False):
+        """Yield ``(row, matches, exact)`` per probe row: ``matches`` are
+        the build rows compatible with it (``overlap`` additionally
+        demands a shared variable bound on both sides — MINUS), ``exact``
+        is True when every shared column is bound on both sides, so the
+        merged row is plain concatenation."""
+        build = self.rows
+        pairs = self.pairs
+        keys = self.keys
+        check = _rows_overlap if overlap else _rows_compatible
+        if not keys:
+            if pairs:
+                for row in rows:
+                    yield row, [b for b in build if check(row, b, pairs)], \
+                        False
+            else:
+                # No shared variable: everything is compatible, nothing
+                # overlaps.
+                matches = () if overlap else build
+                for row in rows:
+                    yield row, matches, True
+            return
+        get = self._index(keys).get
+        residual = self.residual
+        exact = not residual
+        probe_key = [pp for pp, _ in keys]
+        scalar = probe_key[0] if len(probe_key) == 1 else None
+        for row in rows:
+            if scalar is not None:
+                key = row[scalar]
+                partial = key is None
+            else:
+                key = tuple([row[p] for p in probe_key])
+                partial = None in key
+            if not partial:
+                bucket = get(key)
+            else:
+                bound = tuple([pair for pair in keys
+                               if row[pair[0]] is not None])
+                if not bound:
+                    yield row, [b for b in build
+                                if check(row, b, pairs)], False
+                    continue
+                bucket = self._index(bound).get(
+                    row[bound[0][0]] if len(bound) == 1
+                    else tuple([row[pp] for pp, _ in bound]))
+            if bucket and residual:
+                bucket = [b for b in bucket
+                          if _rows_compatible(row, b, residual)]
+            yield row, bucket, exact and not partial
+
+    def join(self, probe_rows) -> List[Row]:
+        """Inner-join one batch of probe rows against the build side."""
+        out: List[Row] = []
+        append = out.append
+        shared, right_only = self.shared, self.right_only
+        if self.build_is_left:
+            for rrow, matches, exact in self._probe(probe_rows):
+                if not matches:
+                    continue
+                if exact:
+                    extra = tuple([rrow[rp] for rp in right_only])
+                    for lrow in matches:
+                        append(lrow + extra)
+                else:
+                    for lrow in matches:
+                        append(_merge_rows(lrow, rrow, shared, right_only))
+            return out
+        for lrow, matches, exact in self._probe(probe_rows):
+            if not matches:
+                continue
+            if exact:
+                for rrow in matches:
+                    append(lrow + tuple([rrow[rp] for rp in right_only]))
+            else:
+                for rrow in matches:
+                    append(_merge_rows(lrow, rrow, shared, right_only))
+        return out
+
+    def left_join(self, left_rows,
+                  accept: Optional[Callable[[Row], bool]] = None
+                  ) -> List[Row]:
+        """SPARQL LeftJoin of one batch of left rows against the build
+        (right) side: compatible right rows extend a left row, otherwise
+        it passes through padded with ``None``.  ``accept``, when given,
+        is the LeftJoin *condition* on a merged candidate row — evaluated
+        only on the kernel's candidates, never over the cross product."""
+        pad = (None,) * len(self.right_only)
+        if not self.rows:
+            return [lrow + pad for lrow in left_rows]
+        out: List[Row] = []
+        append = out.append
+        shared, right_only = self.shared, self.right_only
+        for lrow, matches, exact in self._probe(left_rows):
+            if matches:
+                if exact and accept is None:
+                    for rrow in matches:
+                        append(lrow + tuple([rrow[rp] for rp in right_only]))
+                    continue
+                matched = False
+                for rrow in matches:
+                    merged = _merge_rows(lrow, rrow, shared, right_only)
+                    if accept is None or accept(merged):
+                        append(merged)
+                        matched = True
+                if matched:
+                    continue
+            append(lrow + pad)
+        return out
+
+    def semi_join(self, probe_rows, negated: bool = False,
+                  overlap: bool = False) -> List[Row]:
+        """The probe rows that have (``negated``: have no) compatible
+        build row — FILTER (NOT) EXISTS; with ``overlap`` the match must
+        also share a bound variable — MINUS."""
+        return [row for row, matches, _ in self._probe(probe_rows, overlap)
+                if (not matches) == negated]
 
 
 # -- operators ---------------------------------------------------------
 
 def table_join(left: SolutionTable, right: SolutionTable) -> SolutionTable:
-    """Join two solution tables on their shared schema variables.
-
-    Same strategy as :func:`hash_join`: hash on the shared columns bound in
-    every row of both sides, verify residual shared columns within each
-    bucket, and fall back to a fully-bound/loose partition when no shared
-    column is universally bound.
-    """
-    out_vars, shared, right_only = _merge_plan(left, right)
-    out = SolutionTable(out_vars)
-    if not left.rows or not right.rows:
-        return out
-    if not shared:
-        rows = out.rows
-        for lrow in left.rows:
-            for rrow in right.rows:
-                rows.append(lrow + tuple(rrow[rp] for rp in right_only))
-        return out
-
-    keys, residual = _always_bound_pairs(left.rows, right.rows, shared)
-    if not keys:
-        _loose_table_join(left, right, shared, right_only, out)
-        return out
-
-    # Build the hash table on the smaller side, probe with the larger.
-    build_left = len(left.rows) <= len(right.rows)
-    if build_left:
-        build_rows, probe_rows = left.rows, right.rows
-        build_key = [lp for lp, _ in keys]
-        probe_key = [rp for _, rp in keys]
+    """Join two solution tables on their shared schema variables, building
+    the :class:`JoinIndex` on the smaller side."""
+    if len(left.rows) <= len(right.rows):
+        index = JoinIndex(left, right, build_is_left=True)
+        probe = right
     else:
-        build_rows, probe_rows = right.rows, left.rows
-        build_key = [rp for _, rp in keys]
-        probe_key = [lp for lp, _ in keys]
-
-    index: Dict = {}
-    if len(build_key) == 1:
-        # Scalar keys: no per-row tuple construction.
-        bk, pk = build_key[0], probe_key[0]
-        for row in build_rows:
-            index.setdefault(row[bk], []).append(row)
-        probe_keys = ((probe, probe[pk]) for probe in probe_rows)
-    else:
-        for row in build_rows:
-            index.setdefault(tuple(row[p] for p in build_key), []).append(row)
-        probe_keys = ((probe, tuple(probe[p] for p in probe_key))
-                      for probe in probe_rows)
-
-    rows = out.rows
-    fast_merge = not residual  # keys + residual partition shared
-    for probe, key in probe_keys:
-        bucket = index.get(key)
-        if not bucket:
-            continue
-        if fast_merge:
-            # Every shared column is an always-bound key: the merged row is
-            # the left row plus the right-only columns, no None filling.
-            if build_left:
-                extra = tuple([probe[rp] for rp in right_only])
-                for other in bucket:
-                    rows.append(other + extra)
-            else:
-                for other in bucket:
-                    rows.append(probe + tuple([other[rp]
-                                               for rp in right_only]))
-            continue
-        for other in bucket:
-            if build_left:
-                lrow, rrow = other, probe
-            else:
-                lrow, rrow = probe, other
-            if not residual or _rows_compatible(lrow, rrow, residual):
-                rows.append(_merge_rows(lrow, rrow, shared, right_only))
-    return out
-
-
-def _loose_table_join(left: SolutionTable, right: SolutionTable,
-                      shared, right_only, out: SolutionTable) -> None:
-    """Fallback when no shared column is universally bound: partition the
-    left side on fully-bound keys and nested-loop the rest."""
-    lkey = [lp for lp, _ in shared]
-    rkey = [rp for _, rp in shared]
-    index: Dict[Tuple, List[Row]] = {}
-    loose: List[Row] = []
-    for lrow in left.rows:
-        key = tuple(lrow[p] for p in lkey)
-        if None in key:
-            loose.append(lrow)
-        else:
-            index.setdefault(key, []).append(lrow)
-    rows = out.rows
-    for rrow in right.rows:
-        key = tuple(rrow[p] for p in rkey)
-        if None in key:
-            for lrow in left.rows:
-                if _rows_compatible(lrow, rrow, shared):
-                    rows.append(_merge_rows(lrow, rrow, shared, right_only))
-            continue
-        for lrow in index.get(key, ()):
-            rows.append(_merge_rows(lrow, rrow, shared, right_only))
-        for lrow in loose:
-            if _rows_compatible(lrow, rrow, shared):
-                rows.append(_merge_rows(lrow, rrow, shared, right_only))
+        index = JoinIndex(right, left)
+        probe = left
+    return SolutionTable(index.variables, index.join(probe.rows))
 
 
 def table_left_join(left: SolutionTable, right: SolutionTable,
                     accept: Optional[Callable[[Row], bool]] = None
                     ) -> SolutionTable:
-    """SPARQL LeftJoin on solution tables: every left row survives;
-    compatible right rows extend it, otherwise the left row passes through
-    padded with ``None``.
-
-    ``accept``, when given, is the LeftJoin *condition* evaluated on each
-    merged candidate row (in the output schema): the extension only counts
-    as a match when ``accept`` returns True.  Candidates are still found by
-    hash-partitioning on the always-bound shared columns — the condition is
-    evaluated only within buckets, never over the full cross product.
-    """
-    out_vars, shared, right_only = _merge_plan(left, right)
-    out = SolutionTable(out_vars)
-    rows = out.rows
-    pad = (None,) * len(right_only)
-    if not right.rows:
-        for lrow in left.rows:
-            rows.append(lrow + pad)
-        return out
-    if not shared:
-        for lrow in left.rows:
-            matched = False
-            for rrow in right.rows:
-                merged = lrow + tuple(rrow[rp] for rp in right_only)
-                if accept is None or accept(merged):
-                    rows.append(merged)
-                    matched = True
-            if not matched:
-                rows.append(lrow + pad)
-        return out
-
-    keys, residual = _always_bound_pairs(left.rows, right.rows, shared)
-    if not keys:
-        _loose_table_left_join(left, right, shared, right_only, pad,
-                               accept, out)
-        return out
-
-    lkey = [lp for lp, _ in keys]
-    rkey = [rp for _, rp in keys]
-    index: Dict = {}
-    if len(keys) == 1:
-        rk, lk = rkey[0], lkey[0]
-        for rrow in right.rows:
-            index.setdefault(rrow[rk], []).append(rrow)
-        left_keys = ((lrow, lrow[lk]) for lrow in left.rows)
-    else:
-        for rrow in right.rows:
-            index.setdefault(tuple(rrow[p] for p in rkey), []).append(rrow)
-        left_keys = ((lrow, tuple(lrow[p] for p in lkey))
-                     for lrow in left.rows)
-
-    fast_merge = not residual and accept is None
-    for lrow, key in left_keys:
-        bucket = index.get(key)
-        if bucket:
-            if fast_merge:
-                for rrow in bucket:
-                    rows.append(lrow + tuple([rrow[rp]
-                                              for rp in right_only]))
-                continue
-            matched = False
-            for rrow in bucket:
-                if residual and not _rows_compatible(lrow, rrow, residual):
-                    continue
-                merged = _merge_rows(lrow, rrow, shared, right_only)
-                if accept is None or accept(merged):
-                    rows.append(merged)
-                    matched = True
-            if matched:
-                continue
-        rows.append(lrow + pad)
-    return out
-
-
-def _loose_table_left_join(left: SolutionTable, right: SolutionTable,
-                           shared, right_only, pad,
-                           accept, out: SolutionTable) -> None:
-    lkey = [lp for lp, _ in shared]
-    rkey = [rp for _, rp in shared]
-    index: Dict[Tuple, List[Row]] = {}
-    loose: List[Row] = []
-    for rrow in right.rows:
-        key = tuple(rrow[p] for p in rkey)
-        if None in key:
-            loose.append(rrow)
-        else:
-            index.setdefault(key, []).append(rrow)
-    rows = out.rows
-    for lrow in left.rows:
-        key = tuple(lrow[p] for p in lkey)
-        matched = False
-        if None in key:
-            candidates: Iterable[Row] = right.rows
-        else:
-            candidates = list(index.get(key, ())) + loose
-        for rrow in candidates:
-            if not _rows_compatible(lrow, rrow, shared):
-                continue
-            merged = _merge_rows(lrow, rrow, shared, right_only)
-            if accept is None or accept(merged):
-                rows.append(merged)
-                matched = True
-        if not matched:
-            rows.append(lrow + pad)
+    """SPARQL LeftJoin on solution tables (see :meth:`JoinIndex.left_join`)."""
+    index = JoinIndex(right, left)
+    return SolutionTable(index.variables,
+                         index.left_join(left.rows, accept))
 
 
 def table_minus(left: SolutionTable, right: SolutionTable) -> SolutionTable:
     """Rows of ``left`` with no compatible row in ``right`` sharing at
     least one *bound* variable — SPARQL MINUS semantics."""
-    _, shared, _ = _merge_plan(left, right)
-    if not shared or not right.rows:
-        return SolutionTable(left.variables, list(left.rows))
-    out = SolutionTable(left.variables)
-    rows = out.rows
-    for lrow in left.rows:
-        excluded = False
-        for rrow in right.rows:
-            overlap = False
-            compatible = True
-            for lp, rp in shared:
-                a = lrow[lp]
-                b = rrow[rp]
-                if a is None or b is None:
-                    continue
-                if a != b:
-                    compatible = False
-                    break
-                overlap = True
-            if compatible and overlap:
-                excluded = True
-                break
-        if not excluded:
-            rows.append(lrow)
-    return out
-
-
-def table_project(table: SolutionTable,
-                  variables: Sequence[str]) -> SolutionTable:
-    """Restrict the table to the given schema (bag semantics kept).
-    Variables absent from the input schema become all-``None`` columns."""
-    positions = [table.index.get(v) for v in variables]
-    if None in positions:
-        rows = [tuple([None if p is None else row[p] for p in positions])
-                for row in table.rows]
-    elif len(positions) == 1:
-        p0 = positions[0]
-        rows = [(row[p0],) for row in table.rows]
-    else:
-        rows = [tuple([row[p] for p in positions]) for row in table.rows]
-    return SolutionTable(variables, rows)
-
-
-def table_distinct(table: SolutionTable) -> SolutionTable:
-    """Collapse duplicate rows to multiplicity one (the materialized face
-    of :func:`stream_distinct`)."""
-    rows: List[Row] = []
-    for batch in stream_distinct(iter((table.rows,))):
-        rows.extend(batch)
-    return SolutionTable(table.variables, rows)
-
-
-def table_union(left: SolutionTable, right: SolutionTable) -> SolutionTable:
-    """Bag concatenation with schema alignment (SPARQL UNION)."""
-    out_vars, _, right_only = _merge_plan(left, right)
-    out = SolutionTable(out_vars)
-    rows = out.rows
-    pad = (None,) * len(right_only)
-    for lrow in left.rows:
-        rows.append(lrow + pad)
-    rindex = right.index
-    rmap = [rindex.get(v) for v in out_vars]
-    for rrow in right.rows:
-        rows.append(tuple(None if p is None else rrow[p] for p in rmap))
-    return out
+    rows = JoinIndex(right, left).semi_join(left.rows, negated=True,
+                                            overlap=True)
+    return SolutionTable(left.variables, rows)
 
 
 # -- conversion (tests / decode boundary) ------------------------------

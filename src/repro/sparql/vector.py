@@ -1,6 +1,6 @@
 """Column-at-a-time kernels for the vectorized data plane.
 
-The streaming executor's hot operators exchange :class:`~.solution.
+The evaluator's hot operators exchange :class:`~.solution.
 ColumnBatch` objects — one flat list of term ids per variable — and
 this module supplies the pieces that make whole-column evaluation pay:
 

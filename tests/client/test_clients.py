@@ -452,11 +452,13 @@ class TestStreamingPagination:
         assert len(response.result) == 10
         assert response.has_more
 
-    def test_engine_stream_honors_streaming_false(self, big_engine):
-        # streaming=False pins the materialized plane everywhere,
-        # including the cursor path used by endpoints.
-        pinned = Engine(big_engine.dataset, streaming=False)
-        cursor = pinned.stream(self.BIG_QUERY)
-        want = pinned.query(self.BIG_QUERY)
-        assert cursor.result().rows == want.rows
-        assert pinned.last_stats.rows_pulled == 0
+    def test_engine_stream_matches_query_and_reference(self, big_engine):
+        # The cursor path used by endpoints runs the same operators as
+        # query(): same rows, same order; the reference plane agrees as
+        # a bag.
+        engine = Engine(big_engine.dataset)
+        cursor = engine.stream(self.BIG_QUERY)
+        assert cursor.result().rows == engine.query(self.BIG_QUERY).rows
+        reference = Engine(big_engine.dataset, columnar=False)
+        assert sorted(map(repr, cursor.rows)) == sorted(
+            map(repr, reference.query(self.BIG_QUERY).rows))

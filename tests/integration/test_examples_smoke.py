@@ -21,8 +21,8 @@ def run_example(name: str) -> str:
 
 def test_grouped_analytics_runs():
     out = run_example("grouped_analytics.py")
-    # The pushed-down aggregation ran on the streaming plane ...
-    assert "plan streaming: True" in out
+    # The pushed-down aggregation is planned as a bounded Group ...
+    assert "plan carries a row bound or a Group: True" in out
     # ... and the single-pattern COUNT took the index-backed path:
     # groups came straight off the graph indexes, nothing was folded.
     assert "accumulator rows folded: 0" in out

@@ -1,18 +1,18 @@
 """Differential + behavioral suite for streaming hash aggregation.
 
-Three execution planes answer every grouped query here:
+Three planes answer every grouped query here:
 
-* ``streaming``    — ``Engine(streaming=True)``: ``Group`` runs as a
-  streaming hash aggregation (or the index-backed COUNT fast path),
-* ``materialized`` — ``Engine(streaming=False)``: the table-at-a-time
-  ``Group`` operator, the differential oracle,
-* ``reference``    — ``Engine(columnar=False)``: the seed dict-based
-  evaluator.
+* ``rows``       — ``Engine(vectorize=False)``: ``Group`` folds row-tuple
+  batches (or takes the index-backed COUNT fast path),
+* ``vectorized`` — ``Engine(vectorize=True)``: the same operator fed
+  columnar batches (the column-at-a-time COUNT folds),
+* ``reference``  — ``Engine(columnar=False)``: the seed dict-based
+  evaluator, the oracle.
 
 They must agree on the case studies and on a synthetic grouped workload
 covering every aggregate function, DISTINCT variants, HAVING, implicit
-groups, and unbound inputs.  The streaming plane must additionally
-*prove* its behavior through the ``groups_built`` / ``accumulator_rows``
+groups, and unbound inputs.  The production operators must additionally
+*prove* their behavior through the ``groups_built`` / ``accumulator_rows``
 / ``rows_pulled`` counters — in particular that the single-pattern COUNT
 shape touches no rows at all.
 
@@ -59,8 +59,8 @@ def dataset():
 @pytest.fixture(scope="module")
 def engines(dataset):
     return {
-        "streaming": Engine(dataset, streaming=True),
-        "materialized": Engine(dataset, streaming=False),
+        "rows": Engine(dataset, vectorize=False),
+        "vectorized": Engine(dataset, vectorize=True),
         "reference": Engine(dataset, columnar=False),
     }
 
@@ -97,8 +97,8 @@ def small_dataset():
 
 def small_engines(small_dataset):
     return {
-        "streaming": Engine(small_dataset, streaming=True),
-        "materialized": Engine(small_dataset, streaming=False),
+        "rows": Engine(small_dataset, vectorize=False),
+        "vectorized": Engine(small_dataset, vectorize=True),
         "reference": Engine(small_dataset, columnar=False),
     }
 
@@ -169,21 +169,20 @@ def test_grouped_corpus_identical_across_planes(small_dataset, query):
                                    default_graph_uri="http://g")
                for plane, engine in engines.items()}
     want = row_bag(results["reference"])
-    assert row_bag(results["materialized"]) == want
-    assert row_bag(results["streaming"]) == want
+    assert row_bag(results["rows"]) == want
+    assert row_bag(results["vectorized"]) == want
 
 
 class TestCaseStudyPlanes:
-    """The paper's case-study pipelines (which all aggregate) under
-    streaming='auto': aggregate plans route through the new path and
-    still match the other planes."""
+    """The paper's case-study pipelines (which all aggregate) on the
+    default engine match the reference plane."""
 
     @pytest.fixture(params=[cs.key for cs in CASE_STUDIES])
     def case_study(self, request):
         return get_case_study(request.param)
 
     def test_auto_routing_matches_reference(self, dataset, case_study):
-        auto = Engine(dataset)  # streaming='auto'
+        auto = Engine(dataset)
         reference = Engine(dataset, columnar=False)
         frame = case_study.frame()
         got = auto.query_model(frame.query_model())
@@ -191,25 +190,19 @@ class TestCaseStudyPlanes:
         assert row_bag(got) == row_bag(want)
 
 
-class TestStreamingRouting:
-    def test_aggregate_plan_is_annotated_streaming(self, engines):
-        plan = engines["streaming"].plan(COUNT_FILMS,
-                                         default_graph_uri=DBPEDIA_URI)
-        assert plan.streaming
+class TestGroupAnnotation:
+    def test_aggregate_plan_is_annotated_grouped(self, engines):
+        plan = engines["rows"].plan(COUNT_FILMS,
+                                    default_graph_uri=DBPEDIA_URI)
+        assert plan.bounded_or_grouped
 
-    def test_auto_engine_routes_group_through_streaming(self, dataset):
-        engine = Engine(dataset)  # streaming='auto'
+    def test_default_engine_folds_groups_from_batches(self, dataset):
+        engine = Engine(dataset)
         engine.query(COUNT_FILMS, default_graph_uri=DBPEDIA_URI)
         stats = engine.last_stats
-        assert engine.last_plan.streaming
+        assert engine.last_plan.bounded_or_grouped
         assert stats.groups_built > 0
-        assert stats.rows_pulled > 0  # went through the batch executor
-
-    def test_materialized_engine_stays_materialized(self, dataset):
-        engine = Engine(dataset, streaming=False)
-        engine.query(COUNT_FILMS, default_graph_uri=DBPEDIA_URI)
-        assert engine.last_stats.rows_pulled == 0
-        assert engine.last_stats.groups_built > 0
+        assert stats.rows_pulled > 0
 
 
 class TestIndexBackedCount:
@@ -245,7 +238,7 @@ class TestIndexBackedCount:
         assert union.count_subjects_for(pid, d.lookup(uri("o2"))) == 1
 
     def test_fast_path_touches_no_rows(self, dataset):
-        engine = Engine(dataset, streaming=True)
+        engine = Engine(dataset)
         result = engine.query(COUNT_FILMS, default_graph_uri=DBPEDIA_URI)
         stats = engine.last_stats
         groups = len(result)
@@ -261,7 +254,7 @@ class TestIndexBackedCount:
         # The same query routed through the fast path (single pattern) and
         # the general hash path (forced by an extra pattern that matches
         # everything the first one does) must name identical counts.
-        fast_engine = Engine(dataset, streaming=True)
+        fast_engine = Engine(dataset)
         fast = fast_engine.query(COUNT_FILMS, default_graph_uri=DBPEDIA_URI)
         assert fast_engine.last_stats.accumulator_rows == 0
         general_q = PFX + """
@@ -269,7 +262,7 @@ class TestIndexBackedCount:
             ?film dbpp:starring ?actor .
             ?film rdf:type ?t .
         } GROUP BY ?actor"""
-        general_engine = Engine(dataset, streaming=True)
+        general_engine = Engine(dataset)
         general = general_engine.query(general_q,
                                        default_graph_uri=DBPEDIA_URI)
         assert general_engine.last_stats.accumulator_rows > 0
@@ -284,8 +277,8 @@ class TestIndexBackedCount:
             WHERE { ?x x:starring ?x } GROUP BY ?x"""
         bags = {plane: row_bag(e.query(query, default_graph_uri="http://g"))
                 for plane, e in engines.items()}
-        assert bags["streaming"] == bags["reference"]
-        assert bags["materialized"] == bags["reference"]
+        assert bags["rows"] == bags["reference"]
+        assert bags["vectorized"] == bags["reference"]
 
 
 class TestBoundedBatches:
@@ -303,7 +296,7 @@ class TestBoundedBatches:
             g.add(s, uri("kind"), uri("Hub"))
             for j in range(1500):  # ... each fanning out 1500x
                 g.add(s, uri("link"), uri("t%d_%d" % (i, j)))
-        engine = Engine(g, streaming=True)
+        engine = Engine(g, vectorize=False)
         result = engine.query(PFX + """
             SELECT ?h (COUNT(?t) AS ?n) WHERE {
                 ?h x:kind x:Hub . ?h x:link ?t .
@@ -327,8 +320,8 @@ class TestCountDistinctStar:
             { SELECT ?o WHERE { ?s x:p ?o } } }"""
         plain = PFX + """SELECT (COUNT(*) AS ?n) WHERE {
             { SELECT ?o WHERE { ?s x:p ?o } } }"""
-        for engine in (Engine(g, streaming=True),
-                       Engine(g, streaming=False),
+        for engine in (Engine(g, vectorize=False),
+                       Engine(g, vectorize=True),
                        Engine(g, columnar=False)):
             assert engine.query(query).rows[0][0].value == 2
             assert engine.query(plain).rows[0][0].value == 3
@@ -342,7 +335,7 @@ class TestFastPathSafetyValves:
             g.add(uri("s%d" % i), uri("p"), uri("o%d" % i))
         from repro.sparql.evaluator import EvaluationError
 
-        engine = Engine(g, streaming=True, max_intermediate_rows=50)
+        engine = Engine(g, max_intermediate_rows=50)
         with pytest.raises(EvaluationError, match="max_rows"):
             engine.query(PFX + """SELECT ?s (COUNT(?o) AS ?n)
                 WHERE { ?s x:p ?o } GROUP BY ?s""")
@@ -352,11 +345,14 @@ class TestTopKGroups:
     QUERY = COUNT_FILMS + " ORDER BY DESC(?n) ?actor LIMIT 10"
 
     def test_bounded_grouped_query_identical(self, engines):
-        streamed = engines["streaming"].query(
+        # The order is total (count, then actor), so every plane returns
+        # the same rows in the same order.
+        streamed = engines["rows"].query(
             self.QUERY, default_graph_uri=DBPEDIA_URI)
-        materialized = engines["materialized"].query(
-            self.QUERY, default_graph_uri=DBPEDIA_URI)
-        assert streamed.rows == materialized.rows
+        for plane in ("vectorized", "reference"):
+            assert engines[plane].query(
+                self.QUERY, default_graph_uri=DBPEDIA_URI).rows \
+                == streamed.rows, plane
         assert len(streamed) == 10
         # The heap keeps the true top groups: counts are non-increasing.
         counts = [row[1].value for row in streamed.rows]
@@ -365,9 +361,9 @@ class TestTopKGroups:
     def test_plan_fuses_into_topk_over_group(self, engines):
         from repro.sparql import algebra as alg
 
-        plan = engines["streaming"].plan(self.QUERY,
-                                         default_graph_uri=DBPEDIA_URI)
-        assert plan.streaming
+        plan = engines["rows"].plan(self.QUERY,
+                                    default_graph_uri=DBPEDIA_URI)
+        assert plan.bounded_or_grouped
         node = plan.query.pattern
         while not isinstance(node, alg.TopK):
             node = node.pattern
@@ -412,8 +408,8 @@ class TestAggregatePushdownPass:
         } GROUP BY ?a"""
         bags = {plane: row_bag(e.query(query, default_graph_uri="http://g"))
                 for plane, e in engines.items()}
-        assert bags["streaming"] == bags["reference"]
-        assert bags["materialized"] == bags["reference"]
+        assert bags["rows"] == bags["reference"]
+        assert bags["vectorized"] == bags["reference"]
 
 
 class TestGroupConcatSeparator:
@@ -429,8 +425,8 @@ class TestGroupConcatSeparator:
             g.add(s, uri("tag"), Literal(name))
         g.add(uri("s2"), uri("tag"), Literal("solo"))
         return {
-            "streaming": Engine(g, streaming=True),
-            "materialized": Engine(g, streaming=False),
+            "rows": Engine(g, vectorize=False),
+            "vectorized": Engine(g, vectorize=True),
             "reference": Engine(g, columnar=False),
         }
 
@@ -439,8 +435,8 @@ class TestGroupConcatSeparator:
         for plane, engine in label_engines.items():
             result = engine.query(PFX + query)
             out[plane] = {str(row[0]): row[1] for row in result.rows}
-        assert out["streaming"] == out["materialized"] == out["reference"]
-        return out["streaming"]
+        assert out["rows"] == out["vectorized"] == out["reference"]
+        return out["rows"]
 
     def test_default_separator_is_single_space(self, label_engines):
         rows = self.planes(label_engines, """
@@ -529,8 +525,8 @@ class TestNumericAggregateTyping:
         g.add(uri("double"), uri("v"), Literal(1))
         g.add(uri("double"), uri("v"), Literal(3.0))
         return {
-            "streaming": Engine(g, streaming=True),
-            "materialized": Engine(g, streaming=False),
+            "rows": Engine(g, vectorize=False),
+            "vectorized": Engine(g, vectorize=True),
             "reference": Engine(g, columnar=False),
         }
 
@@ -542,8 +538,8 @@ class TestNumericAggregateTyping:
             result = engine.query(query)
             out[plane] = {str(row[0]).rsplit("/", 1)[1]: row[1]
                           for row in result.rows}
-        assert out["streaming"] == out["materialized"] == out["reference"]
-        return out["streaming"]
+        assert out["rows"] == out["vectorized"] == out["reference"]
+        return out["rows"]
 
     def test_avg_int_and_mixed_are_decimal(self, score_engines):
         means = self.agg(score_engines, "AVG(?n)")
@@ -572,15 +568,15 @@ class TestNumericAggregateTyping:
         g.add(uri("s"), uri("v"), Literal("0.00001", XSD_DECIMAL))
         g.add(uri("s"), uri("v"), Literal("0.00003", XSD_DECIMAL))
         results = {}
-        for plane, engine in (("streaming", Engine(g, streaming=True)),
-                              ("materialized", Engine(g, streaming=False)),
+        for plane, engine in (("rows", Engine(g, vectorize=False)),
+                              ("vectorized", Engine(g, vectorize=True)),
                               ("reference", Engine(g, columnar=False))):
             row = engine.query(
                 PFX + "SELECT (AVG(?n) AS ?m) WHERE { ?s x:v ?n }").rows[0]
             results[plane] = row[0]
-        assert results["streaming"] == results["materialized"] \
+        assert results["rows"] == results["vectorized"] \
             == results["reference"]
-        mean = results["streaming"]
+        mean = results["rows"]
         assert mean.datatype == XSD_DECIMAL
         assert mean.value == 2e-05
         assert "e" not in mean.lexical.lower()
@@ -590,7 +586,7 @@ class TestNumericAggregateTyping:
                                        default_graph_uri=DBPEDIA_URI)
                    for plane, engine in engines.items()}
         want = row_bag(results["reference"])
-        assert row_bag(results["materialized"]) == want
-        assert row_bag(results["streaming"]) == want
-        for row in results["streaming"].rows:
+        assert row_bag(results["rows"]) == want
+        assert row_bag(results["vectorized"]) == want
+        for row in results["rows"].rows:
             assert row[1].datatype == XSD_DECIMAL  # ints averaged

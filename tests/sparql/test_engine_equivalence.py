@@ -144,4 +144,7 @@ def test_stats_counters_agree_on_bgp(dataset):
     ref.query(query, default_graph_uri="http://g")
     assert cols.last_stats.pattern_matches == ref.last_stats.pattern_matches
     assert cols.last_stats.bgp_count == ref.last_stats.bgp_count
-    assert cols.last_stats.intermediate_rows == ref.last_stats.intermediate_rows
+    # The reference holds every operator's output; the production
+    # operators count only what a pipeline breaker held.
+    assert cols.last_stats.intermediate_rows \
+        <= ref.last_stats.intermediate_rows

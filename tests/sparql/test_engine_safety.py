@@ -53,7 +53,7 @@ class TestMaxIntermediateRows:
         engine = Engine(cross_graph(200), max_intermediate_rows=1000)
         evaluator = Evaluator(engine.dataset, max_rows=1000)
         with pytest.raises(EvaluationError):
-            evaluator.evaluate_query(parse(CROSS_PRODUCT))
+            evaluator.evaluate_query_stream(parse(CROSS_PRODUCT)).to_table()
         assert evaluator.stats.pattern_matches < 5000
 
     def test_small_queries_unaffected(self):
@@ -91,7 +91,7 @@ class TestQueryTimeout:
         evaluator = Evaluator(engine.dataset,
                               deadline=time.perf_counter() - 1.0)
         with pytest.raises(QueryTimeout):
-            evaluator.evaluate_query(parse(CROSS_PRODUCT))
+            evaluator.evaluate_query_stream(parse(CROSS_PRODUCT)).to_table()
 
     def test_timeout_importable_from_engine_module(self):
         # QueryTimeout moved to the evaluator (where the deadline trips);

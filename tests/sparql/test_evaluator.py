@@ -305,6 +305,72 @@ class TestEngineBehaviour:
             }""")
         assert engine.last_stats.bgp_cache_hits >= 1
 
+    @pytest.mark.parametrize("vectorize", ["auto", True, False])
+    @pytest.mark.parametrize("branch, hits", [
+        ("{ ?m x:starring ?a }", 1),
+        ("{ SELECT ?m WHERE { ?m x:starring ?a } }", 1),
+        ("{ ?m x:starring ?a { SELECT ?a WHERE { ?a x:born ?c } } }", 2),
+    ], ids=["bare", "subselect", "join"])
+    def test_bgp_cache_hit_across_union_branches(self, engine, branch, hits,
+                                                 vectorize):
+        # The first branch's stream runs to the end before the second is
+        # pulled, so the second replays what the first produced — the
+        # hit counts of the engine that materialized every operator.
+        engine = Engine(engine.dataset, vectorize=vectorize)
+        result = engine.query(PFX + "SELECT * WHERE { %s UNION %s }"
+                              % (branch, branch))
+        assert engine.last_stats.bgp_cache_hits == hits
+        reference = Engine(engine.dataset, columnar=False).query(
+            PFX + "SELECT * WHERE { %s UNION %s }" % (branch, branch))
+        def bag(r):
+            return sorted(repr(sorted(zip(r.variables, row)))
+                          for row in r.rows)
+
+        assert bag(result) == bag(reference)
+
+    def test_repeated_bgp_is_shared_even_under_a_sideways_filter(self,
+                                                                 engine):
+        # The join exports its build keys into both UNION branches; the
+        # repeated BGP is still matched once (unfiltered) and replayed.
+        query = PFX + """
+            SELECT ?m ?a ?c WHERE {
+                ?a x:born ?c
+                { { ?m x:starring ?a } UNION { ?m x:starring ?a } }
+            }"""
+        forced = Engine(engine.dataset, sip=True)
+        result = forced.query(query)
+        assert forced.last_stats.bgp_cache_hits == 1
+        assert forced.last_stats.sip_filtered_rows == 0
+        reference = Engine(engine.dataset, columnar=False).query(query)
+        assert sorted(result.rows, key=repr) \
+            == sorted(reference.rows, key=repr)
+        assert len(result) == 6
+        # With sharing off, the filter reaches both copies.
+        unshared = Engine(engine.dataset, sip=True, cache_bgps=False)
+        assert sorted(unshared.query(query).rows, key=repr) \
+            == sorted(reference.rows, key=repr)
+        assert unshared.last_stats.sip_filtered_rows > 0
+
+    def test_once_only_bgps_are_not_held(self, engine):
+        from repro.sparql import Evaluator, parse
+        evaluator = Evaluator(engine.dataset)
+        evaluator.evaluate_query_stream(parse(PFX + """
+            SELECT * WHERE { ?m x:starring ?a . ?a x:born ?c }
+            """)).to_table()
+        assert evaluator._bgp_cache == {}
+
+    def test_partially_pulled_bgp_is_never_cached(self, engine):
+        from repro.sparql import Evaluator, parse
+        evaluator = Evaluator(engine.dataset)
+        stream = evaluator.evaluate_query_stream(parse(PFX + """
+            SELECT * WHERE {
+                { ?m x:starring ?a } UNION { ?m x:starring ?a }
+            } LIMIT 1"""))
+        assert len(next(stream.batches)) == 1
+        stream.batches.close()
+        assert evaluator._bgp_cache == {}
+        assert evaluator.stats.bgp_cache_hits == 0
+
     def test_cache_disabled(self):
         g = Graph("http://g")
         g.add(uri("a"), uri("p"), uri("b"))
@@ -331,3 +397,21 @@ class TestEngineBehaviour:
                 ?m x:year ?y BIND( ?y + 1 AS ?next )
             }""")
         assert ("http://x/m3", 2011) in result
+
+
+class TestOnePlane:
+    """Ratchet: one production operator set, no executor switch."""
+
+    def test_evaluator_has_no_materialized_operators(self):
+        from repro.sparql import Evaluator
+        assert not [name for name in dir(Evaluator)
+                    if name.startswith("_eval_")]
+
+    def test_engine_has_no_streaming_switch(self):
+        import inspect
+        parameters = list(inspect.signature(Engine.__init__).parameters)
+        parameters.remove("self")
+        assert "streaming" not in parameters
+        assert len(parameters) <= 11
+        with pytest.raises(TypeError):
+            Engine(Graph("http://g"), streaming=False)

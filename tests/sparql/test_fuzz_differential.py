@@ -1,9 +1,9 @@
 """Differential fuzzing: every plane, plus the cache, returns one bag.
 
-≥200 seeded generated queries (see :mod:`queryfuzz`) run across the four
-execution planes — reference (seed dict evaluator), materialized
-columnar, streaming, vectorized — and must return bag-identical results.
-The serving tier's result cache is then treated as a fifth plane:
+≥200 seeded generated queries (see :mod:`queryfuzz`) run across the three
+planes — reference (seed dict evaluator), the production operators on
+row batches, and on columnar batches — and must return bag-identical
+results.  The serving tier's result cache is then treated as a fourth plane:
 cache-cold and cache-warm submissions must agree with the engine truth,
 including across interleaved graph mutations (the stale-read hunt).
 
@@ -42,9 +42,8 @@ def dataset():
 def planes(dataset):
     return {
         "reference": Engine(dataset, columnar=False),
-        "materialized": Engine(dataset, streaming=False, vectorize=False),
-        "streaming": Engine(dataset, streaming=True, vectorize=False),
-        "vectorized": Engine(dataset, streaming=True, vectorize=True),
+        "rows": Engine(dataset, vectorize=False),
+        "vectorized": Engine(dataset, vectorize=True),
     }
 
 

@@ -3,8 +3,8 @@
 The join corpus (:mod:`repro.workload.joins` — star, cyclic, chain,
 self-join, and semi-join shapes) runs on every combination of
 
-* executor plane: ``streaming`` (forced), ``materialized`` (forced), and
-  the dict-based ``reference`` evaluator,
+* plane: the production operators and the dict-based ``reference``
+  evaluator,
 * ``sip`` on/off (sideways information passing: join build sides export
   key id-sets into probe-side BGP leaves),
 * ``multiway`` on/off (sorted-run intersection BGP steps),
@@ -41,14 +41,11 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def engines(dataset):
-    """Every knob combination on both columnar planes + the reference."""
+    """Every knob combination on the production plane + the reference."""
     out = {"reference": Engine(dataset, columnar=False)}
-    for streaming, sip, multiway in itertools.product(
-            (True, False), (True, False), (True, False)):
-        key = "%s/sip=%s/multiway=%s" % (
-            "streaming" if streaming else "materialized", sip, multiway)
-        out[key] = Engine(dataset, streaming=streaming, sip=sip,
-                          multiway=multiway)
+    for sip, multiway in itertools.product((True, False), (True, False)):
+        out["sip=%s/multiway=%s" % (sip, multiway)] = Engine(
+            dataset, sip=sip, multiway=multiway)
     return out
 
 
@@ -76,25 +73,17 @@ class TestJoinCorpusDifferential:
                                        default_graph_uri=DBPEDIA_URI))
             assert got == want, "%s disagrees on %s" % (key, join_query.key)
 
-    def test_same_flags_same_rows_across_executors(self, engines,
-                                                   join_query):
-        """With identical knobs the two columnar executors must return
-        literally identical rows for BGP-spine queries (the compiled
-        steps are shared); join-bearing plans are compared as bags (the
-        executors pick build sides differently, as documented)."""
+    def test_same_flags_same_rows_across_batch_kinds(self, dataset,
+                                                     join_query):
+        """With identical knobs, row-tuple and columnar batches must
+        return literally identical rows (the compiled steps are shared
+        and a ColumnBatch keeps its rows' order)."""
         for sip, multiway in itertools.product((True, False), repeat=2):
-            streamed = engines["streaming/sip=%s/multiway=%s"
-                               % (sip, multiway)]
-            materialized = engines["materialized/sip=%s/multiway=%s"
-                                   % (sip, multiway)]
-            a = streamed.query(join_query.sparql,
-                               default_graph_uri=DBPEDIA_URI)
-            b = materialized.query(join_query.sparql,
-                                   default_graph_uri=DBPEDIA_URI)
-            if join_query.expect == "sip":
-                assert row_bag(a) == row_bag(b)
-            else:
-                assert a.rows == b.rows
+            a, b = (Engine(dataset, sip=sip, multiway=multiway,
+                           vectorize=vectorize).query(
+                        join_query.sparql, default_graph_uri=DBPEDIA_URI)
+                    for vectorize in (False, True))
+            assert a.rows == b.rows
 
 
 class TestCounterProofs:
@@ -117,30 +106,54 @@ class TestCounterProofs:
         assert stats.sorted_runs_built > 0
 
     def test_sip_counters(self, engines):
-        engine = engines["streaming/sip=True/multiway=True"]
+        engine = engines["sip=True/multiway=True"]
         query = get_join_query("sip_egypt_costar")
         engine.query(query.sparql, default_graph_uri=DBPEDIA_URI)
         assert engine.last_stats.sip_filtered_rows > 0
 
     def test_knobs_off_means_counters_zero(self, engines, join_query):
-        engine = engines["materialized/sip=False/multiway=False"]
+        engine = engines["sip=False/multiway=False"]
         engine.query(join_query.sparql, default_graph_uri=DBPEDIA_URI)
         stats = engine.last_stats
         assert stats.sip_filtered_rows == 0
         assert stats.intersect_steps == 0
         assert stats.sorted_runs_built == 0
 
-    def test_sip_reduces_intermediate_rows(self, dataset):
+    def test_sip_reduces_rows_pulled(self, dataset):
         """The semi-join filter prunes rows before they exist: the
-        optimized engine materializes strictly fewer intermediate rows
-        than the baseline on the selective-probe corpus queries."""
-        on = Engine(dataset, streaming=False, sip=True)
-        off = Engine(dataset, streaming=False, sip=False)
+        optimized engine streams strictly fewer rows through the probe
+        pipeline than the baseline on the selective-probe corpus
+        queries."""
+        on = Engine(dataset, sip=True)
+        off = Engine(dataset, sip=False)
         query = get_join_query("sip_egypt_costar")
         on.query(query.sparql, default_graph_uri=DBPEDIA_URI)
         off.query(query.sparql, default_graph_uri=DBPEDIA_URI)
-        assert on.last_stats.intermediate_rows \
-            < off.last_stats.intermediate_rows
+        assert on.last_stats.rows_pulled < off.last_stats.rows_pulled
+
+    def test_optional_prunes_with_the_preserved_sides_keys(self, dataset,
+                                                           engines):
+        """An unbounded OPTIONAL holds its selective preserved side and
+        exports its keys into the optional side's leaves; under a LIMIT
+        the preserved side stays pipelined instead (nothing is held, so
+        nothing is exported)."""
+        query = PFX + """
+            SELECT ?a ?film ?studio WHERE {
+                ?a dbpp:birthPlace dbpr:Egypt
+                OPTIONAL { ?film dbpp:starring ?a . ?film dbpp:studio ?studio }
+            }"""
+        engine = Engine(dataset)
+        result = engine.query(query, default_graph_uri=DBPEDIA_URI)
+        pruned = engine.last_stats
+        assert pruned.sip_filtered_rows > 0
+        assert row_bag(result) == row_bag(engines["reference"].query(
+            query, default_graph_uri=DBPEDIA_URI))
+        unpruned = engines["sip=False/multiway=False"]
+        unpruned.query(query, default_graph_uri=DBPEDIA_URI)
+        assert pruned.pattern_matches < unpruned.last_stats.pattern_matches
+        engine.query(query + " LIMIT 1", default_graph_uri=DBPEDIA_URI)
+        assert engine.last_stats.sip_filtered_rows == 0
+        assert engine.last_stats.early_exits == 1
 
     def test_planner_annotates_the_corpus(self, dataset):
         """CostBasedJoinStrategy marks what the corpus expects: sip queries
@@ -199,7 +212,7 @@ class TestSipSoundnessEdges:
                 ?film dbpp:starring ?a .
                 MINUS { ?film dbpp:country dbpr:India }
             }""",
-        # NOT EXISTS: the streaming plane must not export inner->outer.
+        # NOT EXISTS must not export inner->outer.
         "not_exists": """
             SELECT ?a ?film WHERE {
                 { SELECT DISTINCT ?a WHERE {
@@ -290,11 +303,12 @@ class TestSortedRunLifecycle:
         second = engine.query(query, default_graph_uri="urn:runs")
         assert len(second) == 13
 
-    def test_topk_window_agrees_across_planes_on_intersect_bgp(self):
-        """Regression: the streaming TopK-over-BGP fusion must compile
-        with the BGP's planner-chosen strategy — a tie-heavy ORDER BY
-        window selects its k-subset from the BGP's production order, so
-        a strategy mismatch between planes surfaces as different bags."""
+    def test_topk_window_agrees_with_unfused_plan_on_intersect_bgp(self):
+        """Regression: the TopK-over-BGP fusion must compile with the
+        BGP's planner-chosen strategy — a tie-heavy ORDER BY window
+        selects its k-subset from the BGP's production order, so a
+        strategy mismatch with the unfused Slice(OrderBy(BGP)) plan
+        surfaces as a different window."""
         dataset = build_dataset(scale=0.05)
         query = PFX + """
             SELECT ?film ?actor ?country WHERE {
@@ -302,11 +316,11 @@ class TestSortedRunLifecycle:
                 ?film dbpp:starring ?actor .
                 ?actor dbpp:birthPlace ?country .
             } ORDER BY ?country LIMIT 4"""
-        streamed = Engine(dataset, streaming=True).query(
+        fused = Engine(dataset).query(
             query, default_graph_uri=DBPEDIA_URI)
-        materialized = Engine(dataset, streaming=False).query(
+        unfused = Engine(dataset, limit_pushdown=False).query(
             query, default_graph_uri=DBPEDIA_URI)
-        assert streamed.rows == materialized.rows
+        assert fused.rows == unfused.rows
 
     def test_forced_multiway_matches_reference_on_micro_graph(self):
         """multiway=True forces intersection even where the planner would

@@ -1,25 +1,30 @@
-"""Differential tests: columnar SolutionTable operators match the seed
-dict-based multiset semantics on the same fixtures.
+"""Differential tests: the columnar operators match the seed dict-based
+multiset semantics on the same fixtures.
 
 The dict-based functions in ``repro.sparql.solution`` are the executable
 reference (they are what the seed engine shipped with); every columnar
 operator must produce the same *bag* of mappings after decoding.  Covered
 edge cases per the issue: unbound shared variables, repeated variables in a
-triple pattern, and duplicate-preserving (bag) multiplicities.
+triple pattern, and duplicate-preserving (bag) multiplicities.  The join
+kernel (:class:`~repro.sparql.solution.JoinIndex`) is reached both through
+the ``table_*`` functions and through the stream operators over ``VALUES``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import Graph, Literal, TermDictionary, URIRef
+from repro.rdf import Dataset, Graph, Literal, TermDictionary, URIRef
 from repro.sparql import Engine, ReferenceEvaluator
+from repro.sparql import algebra as alg
+from repro.sparql import evaluator as evaluator_module
+from repro.sparql import solution as solution_module
 from repro.sparql.evaluator import Evaluator
+from repro.sparql.expressions import CompareExpr, ConstExpr, VarExpr
 from repro.sparql.solution import (distinct, hash_join,
                                    left_join, minus, project,
-                                   table_distinct, table_from_mappings,
+                                   table_from_mappings,
                                    table_join, table_left_join, table_minus,
-                                   table_project, table_to_mappings,
-                                   table_union)
+                                   table_to_mappings)
 
 VARS = ["a", "b", "c"]
 _values = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
@@ -38,12 +43,31 @@ def as_bag(multiset):
                   for mu in multiset)
 
 
-def tables_for(left, right):
+def tables_for(left, right, left_vars=VARS, right_vars=VARS):
     """Encode both multisets over one dictionary with full 3-var schemas,
     so shared-but-sometimes-unbound variables become None cells."""
     d = TermDictionary()
-    return (table_from_mappings(left, d, VARS),
-            table_from_mappings(right, d, VARS), d)
+    return (table_from_mappings(left, d, left_vars),
+            table_from_mappings(right, d, right_vars), d)
+
+
+def values(multiset, variables=VARS):
+    """The multiset as a ``VALUES`` node (``UNDEF`` for unbound)."""
+    return alg.InlineData(variables, [tuple(mu.get(v) for v in variables)
+                                      for mu in multiset])
+
+
+def empty_dataset():
+    ds = Dataset()
+    ds.add_graph(Graph("http://g", dictionary=TermDictionary()))
+    return ds
+
+
+def run_operators(node):
+    """Decoded output of the production stream operators for ``node``."""
+    evaluator = Evaluator(empty_dataset())
+    table = evaluator.evaluate_query_stream(alg.Query(node)).to_table()
+    return table_to_mappings(table, evaluator.dictionary)
 
 
 @settings(max_examples=120, deadline=None)
@@ -56,6 +80,8 @@ def test_table_join_matches_dict_join(left, right):
     # see the same shared variables.
     want = hash_join(left, right, VARS)
     assert as_bag(got) == as_bag(want)
+    streamed = run_operators(alg.Join(values(left), values(right)))
+    assert as_bag(streamed) == as_bag(want)
 
 
 @settings(max_examples=120, deadline=None)
@@ -65,6 +91,8 @@ def test_table_left_join_matches_dict_left_join(left, right):
     got = table_to_mappings(table_left_join(lt, rt), d)
     want = left_join(left, right, VARS)
     assert as_bag(got) == as_bag(want)
+    streamed = run_operators(alg.LeftJoin(values(left), values(right)))
+    assert as_bag(streamed) == as_bag(want)
 
 
 @settings(max_examples=120, deadline=None)
@@ -74,23 +102,70 @@ def test_table_minus_matches_dict_minus(left, right):
     got = table_to_mappings(table_minus(lt, rt), d)
     want = minus(left, right, VARS)
     assert as_bag(got) == as_bag(want)
+    streamed = run_operators(alg.Minus(values(left), values(right)))
+    assert as_bag(streamed) == as_bag(want)
+
+
+def _lit(**cells):
+    return {v: Literal(x) for v, x in cells.items()}
+
+
+#: name -> (left, right, left schema, right schema): the shapes the join
+#: kernel branches on.
+KERNEL_CASES = {
+    "empty-build": ([_lit(a=1), _lit(a=2, b=1)], [], VARS, VARS),
+    "empty-probe": ([], [_lit(a=1)], VARS, VARS),
+    "no-shared-column": ([_lit(a=1), _lit(a=2)], [_lit(b=1), _lit(b=2)],
+                         ["a"], ["b"]),
+    # ?b is the only shared column and is unbound somewhere on both
+    # sides: nothing to hash on, every probe scans.
+    "all-unbound-key": ([_lit(a=1), _lit(a=2, b=1), _lit(b=2)],
+                        [_lit(b=1, c=1), _lit(c=2), _lit(b=3)],
+                        ["a", "b"], ["b", "c"]),
+    # ?a keys the index; ?b is residual (checked inside the bucket) and
+    # one probe row has no ?a at all.
+    "key-plus-residual": ([_lit(a=1, b=1), _lit(a=1), _lit(b=2),
+                           _lit(a=2, b=2)],
+                          [_lit(a=1, b=1, c=1), _lit(a=1, c=2),
+                           _lit(a=2, b=3, c=3)],
+                          ["a", "b"], ["a", "b", "c"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_join_kernel_cases_match_dict_semantics(case):
+    left, right, lvars, rvars = KERNEL_CASES[case]
+    common = [v for v in lvars if v in rvars]
+    lt, rt, d = tables_for(left, right, lvars, rvars)
+    lnode, rnode = values(left, lvars), values(right, rvars)
+    for table_op, node, want in (
+            (table_join, alg.Join(lnode, rnode),
+             hash_join(left, right, common)),
+            (table_left_join, alg.LeftJoin(lnode, rnode),
+             left_join(left, right, common)),
+            (table_minus, alg.Minus(lnode, rnode),
+             minus(left, right, common))):
+        assert as_bag(table_to_mappings(table_op(lt, rt), d)) \
+            == as_bag(want), table_op.__name__
+        assert as_bag(run_operators(node)) == as_bag(want), node
+    reference = ReferenceEvaluator(empty_dataset())
+    for negated in (False, True):
+        node = alg.FilterExists(lnode, rnode, negated=negated)
+        assert as_bag(run_operators(node)) \
+            == as_bag(reference.evaluate_query(alg.Query(node))), node
 
 
 @settings(max_examples=60, deadline=None)
 @given(_multisets)
 def test_table_distinct_matches_dict_distinct(ms):
-    d = TermDictionary()
-    t = table_from_mappings(ms, d, VARS)
-    got = table_to_mappings(table_distinct(t), d)
+    got = run_operators(alg.Distinct(values(ms)))
     assert as_bag(got) == as_bag(distinct(ms))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_multisets)
 def test_table_project_keeps_multiplicity(ms):
-    d = TermDictionary()
-    t = table_from_mappings(ms, d, VARS)
-    got = table_to_mappings(table_project(t, ["a"]), d)
+    got = run_operators(alg.Project(values(ms), ["a"]))
     assert as_bag(got) == as_bag(project(ms, ["a"]))
     assert len(got) == len(ms)  # bag semantics: one output row per input
 
@@ -98,8 +173,7 @@ def test_table_project_keeps_multiplicity(ms):
 @settings(max_examples=60, deadline=None)
 @given(_multisets, _multisets)
 def test_table_union_is_aligned_bag_concat(left, right):
-    lt, rt, d = tables_for(left, right)
-    got = table_to_mappings(table_union(lt, rt), d)
+    got = run_operators(alg.Union(values(left), values(right)))
     assert as_bag(got) == as_bag(list(left) + list(right))
 
 
@@ -175,9 +249,7 @@ class TestConditionalLeftJoin:
 
     @pytest.fixture
     def dataset_query(self):
-        from repro.rdf import Dataset, Variable
-        from repro.sparql import algebra as alg
-        from repro.sparql.expressions import CompareExpr, ConstExpr, VarExpr
+        from repro.rdf import Variable
 
         d = TermDictionary()
         g = Graph("http://g", dictionary=d)
@@ -199,10 +271,98 @@ class TestConditionalLeftJoin:
     def test_matches_reference_semantics(self, dataset_query):
         ds, query = dataset_query
         cols = Evaluator(ds)
-        table = cols.evaluate_query(query)
+        table = cols.evaluate_query_stream(query).to_table()
         got = table_to_mappings(table, cols.dictionary)
         want = ReferenceEvaluator(ds).evaluate_query(query)
         assert as_bag(got) == as_bag(want)
         # Sanity: rows whose actor is too young survive unextended.
         assert any("age" not in mu for mu in got)
         assert any("age" in mu for mu in got)
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_accept_on_every_kernel_path(self, case):
+        """The condition sees exactly the kernel's candidates, whichever
+        way they were found (bucket, residual check, scan)."""
+        left, right, lvars, rvars = KERNEL_CASES[case]
+        probe = "c" if "c" in rvars else rvars[0]
+        condition = CompareExpr(">", VarExpr(probe), ConstExpr(Literal(1)))
+        node = alg.LeftJoin(values(left, lvars), values(right, rvars),
+                            condition=condition)
+        want = ReferenceEvaluator(empty_dataset()).evaluate_query(
+            alg.Query(node))
+        assert as_bag(run_operators(node)) == as_bag(want)
+
+
+class TestSparseSharedColumnPathology:
+    """Two 2 000-row inputs sharing ``(a, g)`` with ``g`` unbound in half
+    the rows on both sides.  Hashing on every shared column sends each
+    half-bound row to a nested loop (4 M compatibility checks); the
+    kernel hashes on the always-bound ``a`` and checks ``g`` only inside
+    the bucket."""
+
+    N = 2000
+
+    @pytest.fixture
+    def count_compat(self, monkeypatch):
+        calls = [0]
+        raw = solution_module._rows_compatible
+
+        def counted(lrow, rrow, shared):
+            calls[0] += 1
+            return raw(lrow, rrow, shared)
+
+        monkeypatch.setattr(solution_module, "_rows_compatible", counted)
+        # A module that imported the function by name keeps its own
+        # reference; count through that one too.
+        monkeypatch.setattr(evaluator_module, "_rows_compatible", counted,
+                            raising=False)
+        return calls
+
+    def sides(self):
+        left = [_lit(a=i, g=i % 5) if i % 2 else _lit(a=i)
+                for i in range(self.N)]
+        right = [_lit(a=i, g=i % 5 if i % 3 else 7, c=i) if i % 4 < 2
+                 else _lit(a=i, c=i) for i in range(self.N)]
+        return left, right
+
+    @pytest.mark.parametrize("operator", ["join", "left_join"])
+    def test_kernel_is_linear(self, operator, count_compat):
+        left, right = self.sides()
+        lt, rt, d = tables_for(left, right, ["a", "g"], ["a", "g", "c"])
+        if operator == "join":
+            got, want = table_join(lt, rt), hash_join(left, right, ["a", "g"])
+        else:
+            got = table_left_join(lt, rt)
+            want = left_join(left, right, ["a", "g"])
+        assert as_bag(table_to_mappings(got, d)) == as_bag(want)
+        assert count_compat[0] <= len(want) + 2 * self.N
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        g = Graph("http://g", dictionary=TermDictionary())
+        u = lambda n: URIRef("http://x/" + n)
+        for i in range(self.N):
+            s = u("s%d" % i)
+            g.add(s, u("p"), Literal(i))
+            g.add(s, u("q"), Literal(-i))
+            if i % 2:
+                g.add(s, u("g"), Literal(i % 5))
+            if i % 4 < 2:
+                g.add(s, u("h"), Literal(i % 5 if i % 3 else 7))
+        return g
+
+    @pytest.mark.parametrize("keyword", ["", "OPTIONAL"])
+    @pytest.mark.parametrize("vectorize", ["auto", True])
+    def test_engine_planes_are_linear(self, graph, keyword, vectorize,
+                                      count_compat):
+        query = """PREFIX x: <http://x/>
+        SELECT ?a ?g ?x ?y WHERE {
+            { SELECT ?a ?g ?x WHERE { ?a x:p ?x OPTIONAL { ?a x:g ?g } } }
+            %s
+            { SELECT ?a ?g ?y WHERE { ?a x:q ?y OPTIONAL { ?a x:h ?g } } }
+        }""" % keyword
+        want = Engine(graph, columnar=False).query(query)
+        count_compat[0] = 0
+        got = Engine(graph, vectorize=vectorize).query(query)
+        assert sorted(map(repr, got.rows)) == sorted(map(repr, want.rows))
+        assert count_compat[0] <= len(want) + 2 * self.N

@@ -1,16 +1,14 @@
-"""Differential + behavioral suite for the pipelined streaming executor.
+"""Differential + behavioral suite for the pipelined batch-stream operators.
 
-Three execution planes answer every query here:
+Two planes answer every query here:
 
-* ``streaming``    — ``Engine(streaming=True)``: the batch-iterator
-  executor forced for every plan,
-* ``materialized`` — ``Engine(streaming=False)``: the classic
-  table-at-a-time columnar evaluator,
-* ``reference``    — ``Engine(columnar=False)``: the seed dict-based
-  evaluator.
+* ``default``   — ``Engine(dataset)``: the production operators,
+* ``reference`` — ``Engine(columnar=False)``: the seed dict-based
+  evaluator, the oracle.
 
 They must agree on every workload case study and on the LIMIT/OFFSET
-edges; the streaming plane must additionally *prove* its short-circuiting
+edges (as bags; row for row only under a total ``ORDER BY``); the
+production operators must additionally *prove* their short-circuiting
 through the ``rows_pulled`` / ``early_exits`` / ``peak_batch_rows``
 counters.
 """
@@ -50,8 +48,7 @@ def dataset():
 @pytest.fixture(scope="module")
 def engines(dataset):
     return {
-        "streaming": Engine(dataset, streaming=True),
-        "materialized": Engine(dataset, streaming=False),
+        "default": Engine(dataset),
         "reference": Engine(dataset, columnar=False),
     }
 
@@ -70,7 +67,7 @@ def row_bag(result):
 
 
 def run_frame(engines, frame):
-    """Execute one RDFFrame on all three planes -> {plane: ResultSet}."""
+    """Execute one RDFFrame on both planes -> {plane: ResultSet}."""
     out = {}
     for plane, engine in engines.items():
         if engine.columnar:
@@ -83,9 +80,7 @@ def run_frame(engines, frame):
 class TestCaseStudyPlanes:
     def test_full_results_identical(self, engines, case_study):
         results = run_frame(engines, case_study.frame())
-        want = row_bag(results["reference"])
-        assert row_bag(results["materialized"]) == want
-        assert row_bag(results["streaming"]) == want
+        assert row_bag(results["default"]) == row_bag(results["reference"])
 
     def test_limited_results_agree(self, engines, case_study):
         frame = case_study.frame().head(7, 3)
@@ -112,9 +107,7 @@ class TestCaseStudyPlanes:
 
 
 class TestLimitEdgesOnText:
-    """LIMIT/OFFSET edge cases on deterministic BGP-spine queries, where
-    all three planes produce rows in the same order and results can be
-    compared exactly."""
+    """LIMIT/OFFSET edge cases on a BGP-spine query."""
 
     @pytest.mark.parametrize("suffix", [
         " LIMIT 10", " LIMIT 0", " OFFSET 7", " LIMIT 5 OFFSET 3",
@@ -123,22 +116,22 @@ class TestLimitEdgesOnText:
     ])
     def test_costar_windows_identical(self, engines, suffix):
         query = COSTAR + suffix
-        # The two columnar planes share one deterministic row order, so
-        # the window contents must match exactly.
-        streamed = engines["streaming"].query(
+        got = engines["default"].query(
             query, default_graph_uri=DBPEDIA_URI).rows
-        materialized = engines["materialized"].query(
-            query, default_graph_uri=DBPEDIA_URI).rows
-        assert streamed == materialized
-        # The reference plane may produce rows in a different base order
-        # (a LIMIT window is then a different-but-valid answer): hold it
-        # to the window size and to drawing from the same result bag.
         reference = engines["reference"].query(
             query, default_graph_uri=DBPEDIA_URI).rows
-        assert len(reference) == len(streamed)
+        if "DESC(?b)" in suffix:
+            # (?a, ?b) is the whole row: the order is total, so the
+            # window is the same rows in the same order.
+            assert got == reference
+        # Otherwise the reference plane may produce rows in a different
+        # base order (a LIMIT window is then a different-but-valid
+        # answer): hold it to the window size and to drawing from the
+        # same result bag.
+        assert len(reference) == len(got)
         full_bag = row_bag(engines["reference"].query(
             COSTAR, default_graph_uri=DBPEDIA_URI))
-        for row in streamed + reference:
+        for row in got + reference:
             assert tuple(map(repr, row)) in full_bag
 
     def test_offset_past_end(self, engines):
@@ -165,8 +158,7 @@ class TestOrderByComposite:
     def test_three_key_mixed_directions(self):
         graph = Graph("http://t")
         engines = {
-            "streaming": Engine(graph, streaming=True),
-            "materialized": Engine(graph, streaming=False),
+            "default": Engine(graph),
             "reference": Engine(graph, columnar=False),
         }
         want = None
@@ -193,9 +185,7 @@ class TestOrderByComposite:
             VALUES (?x ?tag) { (1 "first") (1 "second") (1 "third") }
         } ORDER BY ?x
         """
-        for engine in (Engine(graph, streaming=True),
-                       Engine(graph, streaming=False),
-                       Engine(graph, columnar=False)):
+        for engine in (Engine(graph), Engine(graph, columnar=False)):
             tags = [row[1].value for row in engine.query(query).rows]
             assert tags == ["first", "second", "third"]
 
@@ -204,20 +194,20 @@ class TestTopK:
     def test_plan_fuses_slice_orderby_through_project(self, engines):
         from repro.sparql import algebra as alg
 
-        engine = engines["streaming"]
+        engine = engines["default"]
         plan = engine.plan(COSTAR + " ORDER BY ?a LIMIT 10",
                            default_graph_uri=DBPEDIA_URI)
-        assert plan.streaming
+        assert plan.bounded_or_grouped
         assert isinstance(plan.query.pattern, alg.Project)
         topk = plan.query.pattern.pattern
         assert isinstance(topk, alg.TopK)
         assert isinstance(topk.pattern, alg.BGP)
         assert topk.limit == 10
 
-    def test_offset_only_plan_is_not_streaming(self, engines):
-        plan = engines["streaming"].plan(COSTAR + " OFFSET 5",
-                                         default_graph_uri=DBPEDIA_URI)
-        assert not plan.streaming
+    def test_offset_only_plan_is_not_bounded(self, engines):
+        plan = engines["default"].plan(COSTAR + " OFFSET 5",
+                                       default_graph_uri=DBPEDIA_URI)
+        assert not plan.bounded_or_grouped
 
     def test_limit_pushdown_disabled_keeps_slice(self, dataset):
         from repro.sparql import algebra as alg
@@ -225,8 +215,8 @@ class TestTopK:
         engine = Engine(dataset, limit_pushdown=False)
         plan = engine.plan(COSTAR + " ORDER BY ?a LIMIT 10",
                            default_graph_uri=DBPEDIA_URI)
-        assert not plan.streaming
         assert isinstance(plan.query.pattern, alg.Slice)
+        assert isinstance(plan.query.pattern.pattern, alg.OrderBy)
 
     def test_slice_fusion_arithmetic(self):
         from repro.sparql import algebra as alg
@@ -251,30 +241,31 @@ class TestTopK:
         from repro.sparql import algebra as alg
 
         query = COSTAR.replace("?a ?b", "?a") + " ORDER BY ?b LIMIT 5"
-        engine = engines["streaming"]
+        engine = engines["default"]
         plan = engine.plan(query, default_graph_uri=DBPEDIA_URI)
         topk = plan.query.pattern
         assert isinstance(topk, alg.TopK)          # stayed above Project
         assert isinstance(topk.pattern, alg.Project)
-        streamed = engines["streaming"].query(
-            query, default_graph_uri=DBPEDIA_URI).rows
-        materialized = engines["materialized"].query(
-            query, default_graph_uri=DBPEDIA_URI).rows
-        assert streamed == materialized
+        # The no-op key leaves the input order alone: the window is the
+        # first five rows of the unordered query.
+        got = engine.query(query, default_graph_uri=DBPEDIA_URI).rows
+        assert got == engine.query(
+            COSTAR.replace("?a ?b", "?a"),
+            default_graph_uri=DBPEDIA_URI).rows[:5]
         assert len(engines["reference"].query(
-            query, default_graph_uri=DBPEDIA_URI)) == len(streamed)
+            query, default_graph_uri=DBPEDIA_URI)) == len(got)
 
     def test_threshold_pruning_skips_fanout(self, dataset):
         query = COSTAR + " ORDER BY ?a LIMIT 10"
-        streaming = Engine(dataset, streaming=True)
-        baseline = Engine(dataset, streaming=False, limit_pushdown=False)
-        got = streaming.query(query, default_graph_uri=DBPEDIA_URI)
+        fused = Engine(dataset)
+        baseline = Engine(dataset, limit_pushdown=False)
+        got = fused.query(query, default_graph_uri=DBPEDIA_URI)
         want = baseline.query(query, default_graph_uri=DBPEDIA_URI)
         assert got.rows == want.rows
         # The bounded sort pruned join fan-out: far fewer index matches.
-        assert streaming.last_stats.pattern_matches \
+        assert fused.last_stats.pattern_matches \
             < baseline.last_stats.pattern_matches / 2
-        assert streaming.last_stats.early_exits >= 1
+        assert fused.last_stats.early_exits >= 1
 
 
 class TestEarlyExit:
@@ -322,12 +313,6 @@ class TestEarlyExit:
         # Dedup + slice stream: production stops once 3 distinct rows
         # exist, instead of deduplicating the whole input.
         assert stats.rows_pulled < dedup_input / 2
-
-    def test_materialized_plane_untouched_by_counters(self, dataset):
-        engine = Engine(dataset, streaming=False)
-        engine.query(COSTAR + " LIMIT 10", default_graph_uri=DBPEDIA_URI)
-        assert engine.last_stats.rows_pulled == 0
-        assert engine.last_stats.early_exits == 0
 
 
 class TestBatchedHelper:
@@ -390,11 +375,11 @@ class TestCursorPagination:
         want = engine.query(COSTAR, default_graph_uri=DBPEDIA_URI)
         assert cursor.page(3, 5).rows == want.rows[3:8]
 
-    def test_rdfframe_execute_page_rides_streaming_plan(self, dataset):
+    def test_rdfframe_execute_page_plans_a_row_bound(self, dataset):
         kg_frame = get_case_study("movie_genre").frame()
         engine = Engine(dataset)
         client = EngineClient(engine)
         df_full = kg_frame.execute(client)
         df_page = kg_frame.execute(client, limit=5, offset=2)
-        assert engine.last_plan.streaming
+        assert engine.last_plan.bounded_or_grouped
         assert len(df_page) == max(0, min(5, len(df_full) - 2))

@@ -1,15 +1,14 @@
 """Behavioral + property suite for the vectorized columnar data plane.
 
-Four execution planes answer the differential queries here:
+Three planes answer the differential queries here:
 
-* ``vectorized``   — ``Engine(vectorize=True)``: the streaming executor
-  with column-at-a-time operators forced on,
-* ``streaming``    — ``Engine(vectorize=False)``: the same pipelined
-  executor on row-tuple batches,
-* ``materialized`` — ``Engine(streaming=False)``: table-at-a-time,
-* ``reference``    — ``Engine(columnar=False)``: the seed evaluator.
+* ``vectorized`` — ``Engine(vectorize=True)``: the production operators
+  with column-at-a-time batches forced on,
+* ``rows``       — ``Engine(vectorize=False)``: the same operators on
+  row-tuple batches,
+* ``reference``  — ``Engine(columnar=False)``: the seed evaluator.
 
-All four must agree as bags of named bindings.  The vectorized plane
+All three must agree as bags of named bindings.  The vectorized plane
 must additionally *prove* its execution shape through the
 ``vector_batches`` / ``selection_vector_hits`` / ``row_fallbacks``
 counters, keep ``TableStream.total_rows`` in lockstep with
@@ -67,7 +66,16 @@ SELECT ?actor (COUNT(?film) AS ?n) WHERE {
     ?film dbpp:starring ?actor .
 } GROUP BY ?actor"""
 
-DIFFERENTIAL = [COSTAR, BGP3, FILTER_EQ, DISTINCT_ACTORS, GROUP_COUNT]
+# Extend's three shapes on columnar batches: a variable copy, a constant
+# (both column-at-a-time), and a computed value (row detour).
+BIND_SHAPES = PFX + """
+SELECT ?film ?copy ?one ?label WHERE {
+    ?film dbpp:starring ?actor .
+    BIND(?actor AS ?copy) BIND(1 AS ?one) BIND(STR(?actor) AS ?label)
+}"""
+
+DIFFERENTIAL = [COSTAR, BGP3, FILTER_EQ, DISTINCT_ACTORS, GROUP_COUNT,
+                BIND_SHAPES]
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +87,7 @@ def dataset():
 def planes(dataset):
     return {
         "vectorized": Engine(dataset, vectorize=True),
-        "streaming": Engine(dataset, vectorize=False),
-        "materialized": Engine(dataset, streaming=False, vectorize=False),
+        "rows": Engine(dataset, vectorize=False),
         "reference": Engine(dataset, columnar=False),
     }
 
@@ -210,7 +217,7 @@ class TestPlaneIdentity:
         bags = {name: named_bag(engine.query(
             query, default_graph_uri=DBPEDIA_URI))
             for name, engine in planes.items()}
-        for name in ("vectorized", "streaming", "materialized"):
+        for name in ("vectorized", "rows"):
             assert bags[name] == bags["reference"], name
 
     def test_pure_id_plans_never_fall_back(self, dataset):

@@ -4,8 +4,8 @@ join over cyclic BGPs.
 Covers, on top of the corpus differential in ``test_joins_sip.py``:
 
 * bag-identical rows for the cyclic corpus queries across the wcoj
-  engine (both executors), the ``wcoj=False`` intersect plane, and the
-  dict-based reference evaluator, with ``wcoj_steps > 0`` proving the
+  engine, the ``wcoj=False`` intersect plane, and the dict-based
+  reference evaluator, with ``wcoj_steps > 0`` proving the
   generic-join operator actually ran;
 * ``synopsis_builds`` accounting: lazily built once, memoized across
   queries, rebuilt after a mutation;
@@ -58,8 +58,7 @@ def engines(dataset):
     return {
         "reference": Engine(dataset, columnar=False),
         "intersect": Engine(dataset, wcoj=False),
-        "wcoj/streaming": Engine(dataset, streaming=True),
-        "wcoj/materialized": Engine(dataset, streaming=False),
+        "wcoj": Engine(dataset),
     }
 
 
@@ -104,15 +103,15 @@ class TestCyclicCorpusDifferential:
         want = row_bag(engines["reference"].query(
             cyclic_query.sparql, default_graph_uri=DBPEDIA_URI))
         assert want, "cyclic query %s empty at test scale" % cyclic_query.key
-        for key in ("intersect", "wcoj/streaming", "wcoj/materialized"):
+        for key in ("intersect", "wcoj"):
             got = row_bag(engines[key].query(
                 cyclic_query.sparql, default_graph_uri=DBPEDIA_URI))
             assert got == want, "%s disagrees on %s" % (key, cyclic_query.key)
 
     def test_wcoj_steps_prove_the_operator_ran(self, engines, cyclic_query):
-        engines["wcoj/streaming"].query(cyclic_query.sparql,
-                                        default_graph_uri=DBPEDIA_URI)
-        assert engines["wcoj/streaming"].last_stats.wcoj_steps > 0
+        engines["wcoj"].query(cyclic_query.sparql,
+                              default_graph_uri=DBPEDIA_URI)
+        assert engines["wcoj"].last_stats.wcoj_steps > 0
         engines["intersect"].query(cyclic_query.sparql,
                                    default_graph_uri=DBPEDIA_URI)
         assert engines["intersect"].last_stats.wcoj_steps == 0
@@ -125,6 +124,21 @@ class TestSynopsisAccounting:
         assert engine.last_stats.wcoj_steps > 0
         assert engine.last_stats.synopsis_builds > 0
         engine.query(TRIANGLE.replace("?c }", "?c . ?b <urn:collab#with> ?a }"))
+        assert engine.last_stats.synopsis_builds == 0
+
+    def test_cursor_reports_planning_builds_exactly_once(self):
+        # A plan first executed through Engine.stream() gets the same
+        # bookkeeping as execute_plan(): planning-time synopsis builds
+        # land on that first execution's stats, and only there.
+        engine = Engine(collaborator_graph())
+        cursor = engine.stream(TRIANGLE)
+        assert engine.last_plan.synopsis_builds > 0
+        assert engine.last_stats.synopsis_builds \
+            >= engine.last_plan.synopsis_builds
+        assert engine.last_elapsed > 0
+        cursor.result()
+        engine.query(TRIANGLE)
+        assert engine.last_plan.executions == 2
         assert engine.last_stats.synopsis_builds == 0
 
     def test_mutation_rebuilds_synopses(self):
@@ -176,10 +190,10 @@ class TestAggregatePushdown:
         want = row_bag(engines["reference"].query(
             self.COUNT, default_graph_uri=DBPEDIA_URI))
         assert want
-        got = row_bag(engines["wcoj/streaming"].query(
+        got = row_bag(engines["wcoj"].query(
             self.COUNT, default_graph_uri=DBPEDIA_URI))
         assert got == want
-        stats = engines["wcoj/streaming"].last_stats
+        stats = engines["wcoj"].last_stats
         assert stats.wcoj_steps > 0
         # The join's rows were never materialized into the hash
         # aggregation: counting rode the generic-join levels.

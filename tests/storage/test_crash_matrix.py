@@ -13,8 +13,8 @@ Two tiers, both deterministic and ``PYTHONHASHSEED``-independent:
   store-backed dataset.  The workload (attach, checkpoint, a mutation
   sequence that changes query answers) is crashed at every mutating op
   (sampled write partials), recovered with the production IO, and the
-  recovered graphs are queried across all four execution planes
-  (reference, materialized, streaming, vectorized).  All planes must be
+  recovered graphs are queried across all three planes (reference,
+  rows, vectorized).  All planes must be
   bag-identical, and the common bag must equal one of the pre-/post-
   mutation states of the sequence — bag-identity to a state that
   *existed*, which is the ISSUE's recovery contract.
@@ -171,9 +171,8 @@ def revert_all(dataset, mutations):
 def case_study_bags(dataset):
     planes = {
         "reference": Engine(dataset, columnar=False),
-        "materialized": Engine(dataset, streaming=False, vectorize=False),
-        "streaming": Engine(dataset, streaming=True, vectorize=False),
-        "vectorized": Engine(dataset, streaming=True, vectorize=True),
+        "rows": Engine(dataset, vectorize=False),
+        "vectorized": Engine(dataset, vectorize=True),
     }
     bags = {}
     for cs in CASE_STUDIES:
