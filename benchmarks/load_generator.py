@@ -27,9 +27,12 @@ Run from the repo root::
 
     PYTHONPATH=src python benchmarks/load_generator.py [--smoke] [--out F]
 
-``--smoke`` shrinks everything for CI.  The ``serving`` section of
-``BENCH_engine.json`` is produced by :func:`run_serving` (invoked from
-``perf_report.py --section serving``).
+``--smoke`` shrinks everything for CI; ``--cache`` runs the result-cache
+scenario instead.  The ``serving`` and ``serving_cache`` sections of
+``BENCH_engine.json`` are produced by :func:`run_serving` and
+:func:`run_serving_cache` (invoked from ``perf_report.py --section
+serving`` / ``--section serving_cache``).  Every engine here is a default
+``Engine(dataset)``: the server executes the planner's plans as they are.
 """
 
 from __future__ import annotations

@@ -18,35 +18,8 @@ both front-end paths of the planner layer — the SPARQL-text round trip
 model path (generate -> compile -> plan-cache hit -> execute) — verifying
 identical results and recording the repeated-execution speedup.
 
-A third section, ``limit_topk``, measures bounded sorts:
-``ORDER BY ... LIMIT 10`` windows over the big BGPs, run on the pushed
-plan (LimitPushdown + TopK) versus the unpushed plan
-(``Engine(limit_pushdown=False)``).  It records the speedup and
-``rows_pulled``, and asserts the two plans return literally identical
-rows.
-
-A fourth section, ``joins``, measures the join subsystem on the dedicated
-join corpus (:mod:`repro.workload.joins`: star, cyclic, chain, self-join,
-and semi-join shapes): ``Engine()`` with sideways information passing and
-multiway intersection in their default ``'auto'`` routing versus
-``Engine(sip=False, multiway=False)`` — the engine exactly as it stood
-before the join subsystem landed.  Plans are built once per engine and
-the *execution* is timed (the planner annotations are amortized by the
-plan cache in both configurations), results are verified identical across
-both configurations *and* the reference plane, and the
-``sip_filtered_rows``/``intersect_steps``/``sorted_runs_built`` counters
-are asserted wherever the planner chose the corresponding strategy.
-
-A fifth section, ``wcoj``, measures the generic-join (worst-case-optimal)
-executor on the cyclic corpus shapes (triangle, 4-cycle, diamond,
-5-clique): ``Engine()`` with the cost-based planner routing cyclic BGPs
-through per-variable sorted-run intersection versus the joins-section
-baseline ``Engine(sip=False, multiway=False)`` (nested loops) — with the
-intersect-plane ``Engine(wcoj=False)`` recorded as a secondary column.
-Row bags are verified identical across the wcoj, intersect, baseline,
-and reference planes, ``wcoj_steps > 0`` is asserted on every cyclic
-plan, and an aggregate-pushdown cell proves a grouped COUNT over the
-triangle folds inside the join (``accumulator_rows == 0``).
+The ``serving`` and ``serving_cache`` sections drive the concurrent
+serving tier and its result cache (see ``load_generator.py``).
 
 The ``durability`` section benchmarks the restart story of the storage
 tier: it writes a synthetic N-Triples dump (1M triples; 100k under
@@ -64,7 +37,9 @@ Run it from the repo root::
 Scales default to (0.05, REPRO_BENCH_SCALE); rounds to 3.  ``--smoke``
 shrinks everything for CI (one tiny scale, one round); ``--section``
 (repeatable) restricts the run to named sections — e.g. ``--section
-engine --section joins`` — so CI jobs can stay inside their time budget.
+engine --section plan_path`` — so CI jobs can stay inside their time
+budget.  No section flips an engine switch: there is none; every engine
+here runs the planner's plans as they are.
 """
 
 from __future__ import annotations
@@ -78,8 +53,8 @@ import time
 
 from repro.client import EngineClient
 from repro.data import DBPEDIA_URI, build_dataset
-from repro.sparql import Engine, Evaluator
-from repro.workload import CASE_STUDIES, JOIN_QUERIES
+from repro.sparql import Engine
+from repro.workload import CASE_STUDIES
 
 _PREFIXES = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -140,448 +115,6 @@ QUERIES = {
 }
 
 MODES = ("reference", "columnar")
-
-#: Bounded sorts over the big BGPs: the fused ``TopK`` (threshold-pruned
-#: when the sort variable binds before the join fan-out).
-LIMIT_TOPK_QUERIES = {
-    "topk10_costar_actor": """
-        SELECT ?a ?b WHERE {
-            ?film dbpp:starring ?a .
-            ?film dbpp:starring ?b .
-        } ORDER BY ?a LIMIT 10""",
-    "topk10_costar_actor_desc": """
-        SELECT ?a ?b WHERE {
-            ?film dbpp:starring ?a .
-            ?film dbpp:starring ?b .
-        } ORDER BY DESC(?a) LIMIT 10""",
-    "topk10_costar_country": """
-        SELECT ?a ?b ?c WHERE {
-            ?film dbpp:starring ?a .
-            ?film dbpp:starring ?b .
-            ?film dbpp:country ?c .
-        } ORDER BY ?a LIMIT 10""",
-}
-
-
-def run_limit_topk(scale: float, rounds: int) -> dict:
-    """Time ``ORDER BY ... LIMIT`` windows: the pushed plan vs the
-    unpushed baseline.
-
-    The baseline engine disables LimitPushdown — a full sort under the
-    slice — while the pushed engine is the default configuration.  Both
-    must return literally identical rows (same order: both drive the
-    same compiled BGP steps).
-    """
-    dataset = build_dataset(scale=scale)
-    streaming = Engine(dataset)
-    baseline = Engine(dataset, limit_pushdown=False)
-    section = {"scale": scale, "rounds": rounds, "queries": []}
-    print("== top-k windows (scale %.3g) ==" % scale)
-    speedups = []
-    for name in sorted(LIMIT_TOPK_QUERIES):
-        query = _PREFIXES + LIMIT_TOPK_QUERIES[name]
-        stream_s, stream_result, stream_stats = time_query(
-            streaming, query, rounds)
-        base_s, base_result, _ = time_query(baseline, query, rounds)
-        if stream_result.rows != base_result.rows:
-            raise AssertionError(
-                "pushed and unpushed plans disagree on %r "
-                "at scale %s" % (name, scale))
-        cell = {
-            "query": name,
-            "kind": "topk",
-            "rows": len(stream_result),
-            "identical_results": True,
-            "streaming_seconds": stream_s,
-            "materialized_seconds": base_s,
-            "speedup": base_s / stream_s if stream_s > 0 else float("inf"),
-            "rows_pulled": stream_stats.rows_pulled,
-            "early_exits": stream_stats.early_exits,
-        }
-        speedups.append(cell["speedup"])
-        section["queries"].append(cell)
-        print("  %-26s sorted %8.4fs  topk %8.4fs  speedup %5.2fx  "
-              "pulled %6d rows" % (
-                  name, base_s, stream_s, cell["speedup"],
-                  cell["rows_pulled"]))
-    section["topk_geomean_speedup"] = _geomean(speedups)
-    section["all_results_identical"] = True
-    print("top-k geomean speedup %.2fx" % section["topk_geomean_speedup"])
-    return section
-
-
-def run_joins(scale: float, rounds: int) -> dict:
-    """Time the join corpus: SIP + multiway intersection vs the PR-4 engine.
-
-    Both engines are the default columnar engine; they differ only
-    in the join-subsystem knobs.  Plans are built once per engine (their
-    annotations are identical — the knobs act at execution time) and
-    ``execute_plan`` is what the clock covers.  Every query must return
-    the identical row bag on the optimized engine, the baseline engine,
-    and the dict-based reference plane; queries whose planner-chosen
-    strategy is SIP must prove ``sip_filtered_rows > 0`` and multiway
-    ones ``intersect_steps > 0``.
-    """
-    dataset = build_dataset(scale=scale)
-    optimized = Engine(dataset)
-    baseline = Engine(dataset, sip=False, multiway=False)
-    reference = Engine(dataset, columnar=False)
-    graph = dataset.graph(DBPEDIA_URI)
-    runs_before = graph.sorted_runs_built
-    section = {"scale": scale, "rounds": rounds, "queries": []}
-    print("== joins (scale %.3g) ==" % scale)
-    speedups = []
-    for query in JOIN_QUERIES:
-        opt_plan = optimized.plan(query.sparql, DBPEDIA_URI)
-        base_plan = baseline.plan(query.sparql, DBPEDIA_URI)
-
-        def best_of(engine, plan):
-            best = None
-            result = None
-            for _ in range(rounds):
-                start = time.perf_counter()
-                result = engine.execute_plan(plan, DBPEDIA_URI)
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-            return best, result, engine.last_stats
-
-        opt_s, opt_result, opt_stats = best_of(optimized, opt_plan)
-        base_s, base_result, base_stats = best_of(baseline, base_plan)
-        ref_result = reference.query(query.sparql,
-                                     default_graph_uri=DBPEDIA_URI)
-        opt_key = _result_key(opt_result)
-        if opt_key != _result_key(base_result) \
-                or opt_key != _result_key(ref_result):
-            raise AssertionError(
-                "join corpus query %r disagrees across engines at scale %s"
-                % (query.key, scale))
-        cell = {
-            "query": query.key,
-            "shape": query.shape,
-            "expect": query.expect,
-            "rows": len(opt_result),
-            "identical_results": True,
-            "optimized_seconds": opt_s,
-            "baseline_seconds": base_s,
-            "speedup": base_s / opt_s if opt_s > 0 else float("inf"),
-            "sip_filtered_rows": opt_stats.sip_filtered_rows,
-            "intersect_steps": opt_stats.intersect_steps,
-            "wcoj_steps": opt_stats.wcoj_steps,
-            "baseline_intermediate_rows": base_stats.intermediate_rows,
-            "optimized_intermediate_rows": opt_stats.intermediate_rows,
-        }
-        if query.expect == "sip" and cell["sip_filtered_rows"] == 0:
-            raise AssertionError(
-                "planner chose SIP for %r but no rows were filtered"
-                % query.key)
-        if query.expect == "multiway" and cell["intersect_steps"] == 0:
-            raise AssertionError(
-                "planner chose multiway for %r but no intersections ran"
-                % query.key)
-        if query.expect == "wcoj" and cell["wcoj_steps"] == 0:
-            raise AssertionError(
-                "planner chose generic join for %r but no wcoj steps ran"
-                % query.key)
-        speedups.append(cell["speedup"])
-        section["queries"].append(cell)
-        print("  %-30s base %8.4fs  opt %8.4fs  speedup %5.2fx  "
-              "sip %6d  isect %6d  (%s, %d rows)" % (
-                  query.key, base_s, opt_s, cell["speedup"],
-                  cell["sip_filtered_rows"], cell["intersect_steps"],
-                  query.expect, cell["rows"]))
-    section["sorted_runs_built"] = graph.sorted_runs_built - runs_before
-    if section["sorted_runs_built"] <= 0:
-        raise AssertionError("join corpus built no sorted runs")
-    section["geomean_speedup"] = _geomean(speedups)
-    section["min_speedup"] = min(speedups)
-    section["all_results_identical"] = True
-    print("joins geomean speedup %.2fx (min %.2fx, %d sorted runs built)"
-          % (section["geomean_speedup"], section["min_speedup"],
-             section["sorted_runs_built"]))
-    return section
-
-
-def run_wcoj(scale: float, rounds: int) -> dict:
-    """Time the generic-join executor on the cyclic corpus shapes.
-
-    Three configurations over the four canonical cyclic shapes —
-    triangle, 4-cycle, diamond, and 5-clique over the heavy-tailed
-    collaborator graph (the costar cyclic queries stay in the ``joins``
-    section; their tiny fan-outs make them parity pins, not win cases):
-
-    * ``wcoj``      — ``Engine()``: the cost-based planner routes cyclic
-      BGPs through the generic-join executor,
-    * ``intersect`` — ``Engine(wcoj=False)``: the PR-5 plans (per-step
-      multiway intersection where worthwhile), recorded as a secondary
-      column,
-    * ``baseline``  — ``Engine(sip=False, multiway=False)``: the
-      joins-section baseline (pure nested loops), which the headline
-      speedup is measured against.
-
-    Plans are built once per engine and ``execute_plan`` is timed.  Row
-    bags must be identical across the wcoj engine, the intersect plane,
-    the baseline, and the dict-based reference; every cyclic plan must
-    prove ``wcoj_steps > 0``.  A final ``aggregate_pushdown`` cell runs a
-    grouped COUNT over the triangle and asserts the fold happened inside
-    the join
-    (``accumulator_rows == 0``) while still matching the baseline's rows.
-    """
-    dataset = build_dataset(scale=scale)
-    wcoj_on = Engine(dataset)
-    intersect = Engine(dataset, wcoj=False)
-    baseline = Engine(dataset, sip=False, multiway=False)
-    reference = Engine(dataset, columnar=False)
-    section = {"scale": scale, "rounds": rounds, "queries": []}
-    print("== wcoj (scale %.3g) ==" % scale)
-    speedups = []
-    shapes = ("triangle_collaborators", "cycle4_collaborators",
-              "diamond_collaborators", "clique5_collaborators")
-    for query in [q for q in JOIN_QUERIES if q.key in shapes]:
-
-        def best_of(engine):
-            plan = engine.plan(query.sparql, DBPEDIA_URI)
-            best = None
-            result = None
-            for _ in range(rounds):
-                start = time.perf_counter()
-                result = engine.execute_plan(plan, DBPEDIA_URI)
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-            return best, result, engine.last_stats
-
-        on_s, on_result, on_stats = best_of(wcoj_on)
-        int_s, int_result, _ = best_of(intersect)
-        base_s, base_result, _ = best_of(baseline)
-        on_key = _result_key(on_result)
-        planes = {
-            "intersect": int_result,
-            "baseline": base_result,
-            "reference": reference.query(query.sparql,
-                                         default_graph_uri=DBPEDIA_URI),
-        }
-        for plane, result in planes.items():
-            if _result_key(result) != on_key:
-                raise AssertionError(
-                    "wcoj corpus query %r disagrees with the %s plane "
-                    "at scale %s" % (query.key, plane, scale))
-        if on_stats.wcoj_steps == 0:
-            raise AssertionError(
-                "cyclic corpus query %r ran no generic-join steps"
-                % query.key)
-        cell = {
-            "query": query.key,
-            "shape": query.shape,
-            "rows": len(on_result),
-            "identical_results": True,
-            "wcoj_seconds": on_s,
-            "intersect_seconds": int_s,
-            "baseline_seconds": base_s,
-            "speedup": base_s / on_s if on_s > 0 else float("inf"),
-            "speedup_vs_intersect": int_s / on_s if on_s > 0
-            else float("inf"),
-            "wcoj_steps": on_stats.wcoj_steps,
-            "intersect_steps": on_stats.intersect_steps,
-        }
-        speedups.append(cell["speedup"])
-        section["queries"].append(cell)
-        print("  %-30s base %8.4fs  isect %8.4fs  wcoj %8.4fs  "
-              "speedup %6.2fx  steps %6d  (%d rows)" % (
-                  query.key, base_s, int_s, on_s, cell["speedup"],
-                  cell["wcoj_steps"], cell["rows"]))
-
-    count_query = _PREFIXES + """
-        SELECT ?a (COUNT(*) AS ?n) WHERE {
-            ?a dbpp:collaborator ?b .
-            ?b dbpp:collaborator ?c .
-            ?a dbpp:collaborator ?c .
-        } GROUP BY ?a"""
-    push_engine = Engine(dataset)
-    fold_engine = Engine(dataset, wcoj=False)
-    push_s, push_result, push_stats = time_query(push_engine, count_query,
-                                                 rounds)
-    fold_s, fold_result, fold_stats = time_query(fold_engine, count_query,
-                                                 rounds)
-    if _result_key(push_result) != _result_key(fold_result):
-        raise AssertionError(
-            "aggregate pushdown changed the grouped COUNT result")
-    if push_stats.accumulator_rows != 0:
-        raise AssertionError(
-            "aggregate pushdown materialized %d join rows into "
-            "accumulators" % push_stats.accumulator_rows)
-    if push_stats.wcoj_steps == 0:
-        raise AssertionError("aggregate pushdown ran no generic-join steps")
-    section["aggregate_pushdown"] = {
-        "query": "triangle_count_by_collaborator",
-        "groups": len(push_result),
-        "identical_results": True,
-        "pushdown_seconds": push_s,
-        "general_seconds": fold_s,
-        "pushdown_accumulator_rows": push_stats.accumulator_rows,
-        "general_accumulator_rows": fold_stats.accumulator_rows,
-        "wcoj_steps": push_stats.wcoj_steps,
-    }
-    print("  aggregate pushdown: general %.4fs -> pushdown %.4fs "
-          "(%d accumulator rows -> %d)"
-          % (fold_s, push_s, fold_stats.accumulator_rows,
-             push_stats.accumulator_rows))
-    section["geomean_speedup"] = _geomean(speedups)
-    section["min_speedup"] = min(speedups)
-    section["all_results_identical"] = True
-    print("wcoj geomean speedup %.2fx over nested-loop baseline "
-          "(min %.2fx)" % (section["geomean_speedup"],
-                           section["min_speedup"]))
-    return section
-
-
-#: The vectorized section's timing set: pure-id plans (every operator has
-#: a columnar form, so ``row_fallbacks`` must be 0) over BGP-heavy shapes.
-#: ``group_count_by_typed_actor`` uses a two-pattern BGP on purpose — the
-#: single-pattern COUNT collapses into index-backed counting on *both*
-#: planes and would measure nothing.
-VECTORIZED_QUERIES = {
-    "bgp2_film_actor": QUERIES["bgp2_film_actor"],
-    "bgp3_actor_place": QUERIES["bgp3_actor_place"],
-    "bgp4_film_star": QUERIES["bgp4_film_star"],
-    "bgp4_player_team": QUERIES["bgp4_player_team"],
-    "bgp_self_join_costar": QUERIES["bgp_self_join_costar"],
-    "distinct_actors": QUERIES["distinct_actors"],
-    "filter_country_us": """
-        SELECT ?film ?actor WHERE {
-            ?film dbpp:starring ?actor .
-            ?film dbpp:country ?country .
-            FILTER(?country = <http://dbpedia.org/resource/United_States>)
-        }""",
-    "group_count_by_typed_actor": """
-        SELECT ?actor (COUNT(?film) AS ?n) WHERE {
-            ?film rdf:type dbpo:Film .
-            ?film dbpp:starring ?actor .
-        } GROUP BY ?actor""",
-}
-
-
-def _drain(dataset, plan, vectorize: bool, rounds: int):
-    """Best-of-``rounds`` wall time to pull the plan's data plane dry.
-
-    Times batch production only — no term decode, no result-set build —
-    because decode cost is identical across planes and would dilute the
-    operator-level difference the section measures.  Multiway
-    intersection and generic join are pinned off so both planes execute
-    the *same* pipelined join steps (those strategies have no columnar
-    form; the engine's ``vectorize='auto'`` routing excludes such plans,
-    and the joins/wcoj sections already measure them on their own).
-    Returns ``(seconds, rows, stats)`` from the fastest round.
-    """
-    best = None
-    best_stats = None
-    total = 0
-    for _ in range(rounds):
-        evaluator = Evaluator(dataset, optimize=False, multiway=False,
-                              wcoj=False, vectorize=vectorize)
-        start = time.perf_counter()
-        stream = evaluator.evaluate_query_stream(plan.query, DBPEDIA_URI)
-        rows = 0
-        for batch in stream.batches:
-            rows += len(batch)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-            best_stats = evaluator.stats
-            total = rows
-    return best, total, best_stats
-
-
-def run_vectorized(scale: float, rounds: int) -> dict:
-    """Time columnar batches against row-tuple batches.
-
-    Both configurations drive the *same* compiled steps in the same order
-    through the same operators; they differ only in the batch
-    representation (``ColumnBatch`` vs lists of row tuples).  The clock
-    covers the data-plane drain (see :func:`_drain`).  Every timing query
-    is a pure-id plan and must report ``row_fallbacks == 0`` and a
-    non-zero ``vector_batches`` on the columnar plane; the full decoded
-    result bag is verified identical across the vectorized, row-batch,
-    and reference planes — on this query set, the paper's
-    case studies, and the join corpus.
-    """
-    dataset = build_dataset(scale=scale)
-    planner = Engine(dataset)
-    section = {"scale": scale, "rounds": rounds, "queries": []}
-    print("== vectorized (scale %.3g) ==" % scale)
-    speedups = []
-    for name in sorted(VECTORIZED_QUERIES):
-        query = _PREFIXES + VECTORIZED_QUERIES[name]
-        plan = planner.plan(query, DBPEDIA_URI)
-        vec_s, vec_rows, vec_stats = _drain(dataset, plan, True, rounds)
-        row_s, row_rows, _ = _drain(dataset, plan, False, rounds)
-        if vec_rows != row_rows:
-            raise AssertionError(
-                "vectorized plane produced %d rows on %r, row plane %d"
-                % (vec_rows, name, row_rows))
-        if vec_stats.row_fallbacks:
-            raise AssertionError(
-                "pure-id plan %r fell back to row view %d time(s)"
-                % (name, vec_stats.row_fallbacks))
-        if not vec_stats.vector_batches:
-            raise AssertionError(
-                "vectorized plane produced no ColumnBatch on %r" % name)
-        cell = {
-            "query": name,
-            "rows": vec_rows,
-            "identical_results": True,
-            "vectorized_seconds": vec_s,
-            "row_seconds": row_s,
-            "speedup": row_s / vec_s if vec_s > 0 else float("inf"),
-            "vector_batches": vec_stats.vector_batches,
-            "selection_vector_hits": vec_stats.selection_vector_hits,
-            "row_fallbacks": vec_stats.row_fallbacks,
-            "rows_pulled": vec_stats.rows_pulled,
-        }
-        speedups.append(cell["speedup"])
-        section["queries"].append(cell)
-        print("  %-28s row %8.4fs  vec %8.4fs  speedup %5.2fx  "
-              "vbatches %5d  selhits %3d  (%d rows)" % (
-                  name, row_s, vec_s, cell["speedup"],
-                  cell["vector_batches"], cell["selection_vector_hits"],
-                  vec_rows))
-    # Bag-identity sweep: decoded results across all three planes, over
-    # this section's queries plus the case studies and the join corpus.
-    engines = {
-        "vectorized": Engine(dataset, vectorize=True),
-        "rows": Engine(dataset, vectorize=False),
-        "reference": Engine(dataset, columnar=False),
-    }
-    sweep = [(name, _PREFIXES + body)
-             for name, body in sorted(VECTORIZED_QUERIES.items())]
-    sweep += [(case.key, case.frame().to_sparql()) for case in CASE_STUDIES]
-    sweep += [(q.key, q.sparql) for q in JOIN_QUERIES]
-    def named_key(result):
-        # ``SELECT *`` column order is plane-dependent; compare bags of
-        # name->value bindings rather than positional tuples.
-        return sorted(tuple(sorted((v, repr(val)) for v, val
-                                   in zip(result.variables, row)))
-                      for row in result.rows)
-
-    for name, query in sweep:
-        keys = {plane: named_key(engine.query(
-                    query, default_graph_uri=DBPEDIA_URI))
-                for plane, engine in engines.items()}
-        mismatched = [p for p in keys if keys[p] != keys["reference"]]
-        if mismatched:
-            raise AssertionError(
-                "planes %s disagree with reference on %r at scale %s"
-                % (mismatched, name, scale))
-    section["identity_sweep_queries"] = len(sweep)
-    section["geomean_speedup"] = _geomean(speedups)
-    section["min_speedup"] = min(speedups)
-    section["all_results_identical"] = True
-    print("vectorized geomean speedup %.2fx (min %.2fx; %d identity "
-          "queries across 3 planes)"
-          % (section["geomean_speedup"], section["min_speedup"],
-             len(sweep)))
-    return section
-
 
 def _geomean(values):
     product = 1.0
@@ -802,8 +335,7 @@ def run_durability(triple_count: int) -> dict:
 
 
 #: Every section the report can produce, in run order.
-SECTIONS = ("engine", "plan_path", "limit_topk", "joins", "wcoj",
-            "vectorized", "serving", "serving_cache", "durability")
+SECTIONS = ("engine", "plan_path", "serving", "serving_cache", "durability")
 
 
 def write_summary(report, out_path: str) -> str:
@@ -826,18 +358,9 @@ def write_summary(report, out_path: str) -> str:
     if report.get("summary"):
         sections["engine"] = {
             "geomean_speedup": report["summary"]["geomean_speedup"]}
-    for name in ("plan_path", "joins", "wcoj", "vectorized"):
-        if name in report:
-            sections[name] = {
-                "geomean_speedup": report[name]["geomean_speedup"]}
-    if "vectorized" in report:
-        sections["vectorized"]["min_speedup"] = (
-            report["vectorized"]["min_speedup"])
-    if "limit_topk" in report:
-        sections["limit_topk"] = {
-            "topk_geomean_speedup":
-                report["limit_topk"]["topk_geomean_speedup"],
-        }
+    if "plan_path" in report:
+        sections["plan_path"] = {
+            "geomean_speedup": report["plan_path"]["geomean_speedup"]}
     if "serving" in report:
         server = report["serving"]["server"]
         sections["serving"] = {
@@ -936,14 +459,6 @@ def run(scales, rounds: int, out_path: str,
               % (geomean, min(speedups), max(speedups)))
     if "plan_path" in chosen:
         report["plan_path"] = run_plan_path(scales[-1], plan_iterations)
-    if "limit_topk" in chosen:
-        report["limit_topk"] = run_limit_topk(scales[-1], max(rounds, 3))
-    if "joins" in chosen:
-        report["joins"] = run_joins(scales[-1], max(rounds, 5))
-    if "wcoj" in chosen:
-        report["wcoj"] = run_wcoj(scales[-1], max(rounds, 3))
-    if "vectorized" in chosen:
-        report["vectorized"] = run_vectorized(scales[-1], max(rounds, 3))
     if "serving" in chosen:
         # The load generator lives next to this script; make it importable
         # however the script was invoked.

@@ -3,16 +3,18 @@
 1. Optimized vs. naive generation as the operator chain grows.
 2. Push-down vs. client-side filtering across selectivities.
 3. Endpoint page-size sweep (pagination cost).
-4. Engine internals: BGP join-order optimization and common-subexpression
-   caching on/off.
+
+The engine's internal decisions (join order, join strategy, sideways
+filters, batch kind, common-subexpression sharing) have no switch to
+ablate: the planner makes them and ``Plan.explain()`` shows them.
 """
 
 import pytest
 
-from repro.client import EngineClient, HttpClient
+from repro.client import HttpClient
 from repro.core import KnowledgeGraph
 from repro.data import DBPEDIA_URI
-from repro.sparql import Endpoint, Engine
+from repro.sparql import Endpoint
 
 ROUNDS = 3
 
@@ -89,43 +91,3 @@ def test_pagination_page_size(benchmark, engine, page_size):
         return client.execute(query)
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-
-
-@pytest.mark.benchmark(group="ablation-engine-optimizer")
-@pytest.mark.parametrize("optimize", [True, False],
-                         ids=["join-order-on", "join-order-off"])
-def test_engine_join_order_optimization(benchmark, dataset, optimize):
-    """Selectivity-based BGP ordering vs. textual order."""
-    engine = Engine(dataset, optimize=optimize)
-    client = EngineClient(engine)
-    # Written selective-last: textual order scans every label and subject
-    # first; the optimizer starts from the concrete studio pattern.
-    query = """
-    PREFIX dbpp: <http://dbpedia.org/property/>
-    PREFIX dbpr: <http://dbpedia.org/resource/>
-    PREFIX dcterms: <http://purl.org/dc/terms/>
-    PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-    SELECT ?film ?title ?subject
-    FROM <http://dbpedia.org>
-    WHERE {
-        ?film rdfs:label ?title .
-        ?film dcterms:subject ?subject .
-        ?film dbpp:studio dbpr:Gaumont .
-    }
-    """
-    benchmark.pedantic(client.execute, args=(query,),
-                       rounds=ROUNDS, iterations=1)
-
-
-@pytest.mark.benchmark(group="ablation-engine-bgp-cache")
-@pytest.mark.parametrize("cache", [True, False],
-                         ids=["bgp-cache-on", "bgp-cache-off"])
-def test_engine_bgp_cache(benchmark, dataset, cache):
-    """Common-subexpression caching pays off on UNION queries that repeat
-    the same pattern (e.g. full outer joins)."""
-    from repro.workload import get_case_study
-    engine = Engine(dataset, cache_bgps=cache)
-    client = EngineClient(engine)
-    query = get_case_study("movie_genre").frame().to_sparql()
-    benchmark.pedantic(client.execute, args=(query,),
-                       rounds=ROUNDS, iterations=1)

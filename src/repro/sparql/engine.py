@@ -53,83 +53,31 @@ class Engine:
     ----------
     source:
         A :class:`Dataset`, a single :class:`Graph`, or a list of graphs.
-    optimize:
-        When False, the plan-time ``JoinOrdering`` pass (and the reference
-        plane's eval-time BGP ordering) is disabled — used by the ablation
-        benchmarks to isolate the optimizer's contribution.
+    max_intermediate_rows:
+        Safety valve: abort a query whose intermediate result exceeds
+        this many rows (``None`` disables it).
     columnar:
         ``False`` selects the dict-based
         :class:`~.reference.ReferenceEvaluator` — the oracle the
         differential suites and the ledger's output check compare the
-        production operators against.
-    limit_pushdown:
-        When False, the planner's ``LimitPushdown`` pass is skipped (no
-        ``TopK`` fusion, no slice motion) — the baseline the
-        ``limit_topk`` benchmark section measures against.
-    sip:
-        Sideways information passing: hash-join build sides export their
-        join-key id-sets into the probe side's BGP leaves as semi-join
-        filters, pruning fan-out before rows exist.  ``'auto'`` (default)
-        follows the planner's per-join ``JoinStrategy`` eligibility
-        annotations; ``True`` forces it wherever structurally sound;
-        ``False`` disables it — the baseline the ``joins`` benchmark
-        section measures against.
-    multiway:
-        Multiway intersection BGP evaluation: when the next variable to
-        bind occurs in two or more remaining triple patterns, its
-        candidates come from a k-way intersection of the graph's sorted
-        runs instead of expand-then-filter.  Same
-        ``'auto'``/``True``/``False`` contract as ``sip``.
-    wcoj:
-        Generic-join (worst-case-optimal) BGP evaluation: cyclic BGPs
-        the cost-based planner annotated ``strategy='wcoj'`` bind one
-        variable at a time along the plan's elimination order, each
-        level a k-way sorted-run intersection over every pattern that
-        constrains the variable.  ``'auto'`` (default) follows the
-        planner; ``True`` forces generic join for every multi-pattern
-        BGP it can cover (computing an order on the spot when the plan
-        carries none); ``False`` disables it — the baseline the ``wcoj``
-        benchmark section measures against.  ``multiway=False`` also
-        suppresses planner-driven generic join, so a fully knobs-off
-        engine runs pure nested loops.
-
-        These knobs preserve result *bags* for un-windowed queries, but
-        not row order: a filtered or intersected BGP produces rows in a
-        different (still deterministic) order, so toggling a knob may
-        reorder results, and a ``LIMIT`` window without a total ``ORDER
-        BY`` (or with ties on its keys) may select a different — equally
-        valid — k-subset.
-    vectorize:
-        Columnar batch execution: operators exchange
-        :class:`~.solution.ColumnBatch` objects (one id column per
-        variable) instead of row-tuple batches, with filters compiled to
-        selection-vector scans and BGP fan-out done by column
-        replication.  ``'auto'`` (default) does so for plans the planner
-        annotated ``vectorized`` (pure-id operator trees over non-general
-        BGPs) that carry a row bound or an aggregation
-        (``Plan.bounded_or_grouped``); ``True`` forces columnar batches
-        for every plan (cold operators transparently detour through
-        row view); ``False`` keeps row-tuple batches — the baseline the
-        ``vectorized`` benchmark section measures against.  Row order is
-        preserved exactly, so toggling this knob never changes results —
-        not even ``LIMIT`` windows.
+        production operators against.  A reference engine answers
+        :meth:`query`, :meth:`query_model` and :meth:`stream`; it has no
+        plans to execute, so :meth:`evaluate_plan` refuses it.
     plan_cache_size:
         Maximum number of optimized plans kept (LRU).  0 disables caching.
         The text memo in front of it (query text -> parsed query + key
         skeleton, see :meth:`plan`) holds twice as many entries — enough
         for the default 256-entry result cache at under 1 MB — and is
         switched off by 0 as well.
+
+    There is no physical knob: join order, join strategy (nested-loop,
+    multiway intersection, generic join), sideways filters and the batch
+    kind are the planner's decisions, and ``Plan.explain()`` prints them.
     """
 
     def __init__(self, source: Union[Dataset, Graph, List[Graph]],
-                 optimize: bool = True, cache_bgps: bool = True,
                  max_intermediate_rows: Optional[int] = None,
-                 columnar: bool = True, plan_cache_size: int = 128,
-                 limit_pushdown: bool = True,
-                 sip: Union[bool, str] = "auto",
-                 multiway: Union[bool, str] = "auto",
-                 wcoj: Union[bool, str] = "auto",
-                 vectorize: Union[bool, str] = "auto"):
+                 columnar: bool = True, plan_cache_size: int = 128):
         if isinstance(source, Dataset):
             self.dataset = source
         else:
@@ -137,25 +85,10 @@ class Engine:
             graphs = [source] if isinstance(source, Graph) else list(source)
             for graph in graphs:
                 self.dataset.add_graph(graph)
-        self.optimize = optimize
-        self.cache_bgps = cache_bgps
         # Safety valve: abort queries whose intermediate results explode
         # (the role of a server-side memory budget in a real engine).
         self.max_intermediate_rows = max_intermediate_rows
         self.columnar = columnar
-        if sip not in (True, False, "auto"):
-            raise ValueError("sip must be True, False, or 'auto'")
-        if multiway not in (True, False, "auto"):
-            raise ValueError("multiway must be True, False, or 'auto'")
-        if wcoj not in (True, False, "auto"):
-            raise ValueError("wcoj must be True, False, or 'auto'")
-        if vectorize not in (True, False, "auto"):
-            raise ValueError("vectorize must be True, False, or 'auto'")
-        self.limit_pushdown = limit_pushdown
-        self.sip = sip
-        self.multiway = multiway
-        self.wcoj = wcoj
-        self.vectorize = vectorize
         self.plan_cache_size = plan_cache_size
         self._plan_cache: "OrderedDict[str, Plan]" = OrderedDict()
         # text -> (parsed query, plan_skeleton).  Parsing does not depend
@@ -246,8 +179,7 @@ class Engine:
         # attribute them (cache hits attribute zero, correctly).
         before = _synopses_built(graph)
         plan = optimize_plan(query, key=key, graph=graph,
-                             dataset=self.dataset, join_order=self.optimize,
-                             source=kind, push_limits=self.limit_pushdown)
+                             dataset=self.dataset, source=kind)
         plan.synopsis_builds = _synopses_built(graph) - before
         self.plan_cache_misses += 1
         if self.plan_cache_size > 0:
@@ -326,38 +258,15 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _use_vectorize(self, plan: Plan) -> bool:
-        """Should this plan's operators exchange columnar batches?
-
-        ``'auto'`` requires the planner's structural eligibility
-        annotation (``plan.vectorized``) on a plan with a row bound or an
-        aggregation (``plan.bounded_or_grouped`` — where batches are
-        folded or cut short rather than decoded row by row), and stands
-        down when ``multiway=True`` / ``wcoj=True`` force intersection
-        steps, which have no columnar form.  Row order is the same either
-        way, so the choice never changes which rows a window selects.
-        """
-        if self.vectorize == "auto":
-            return (plan.vectorized and plan.bounded_or_grouped
-                    and self.multiway is not True
-                    and self.wcoj is not True)
-        return bool(self.vectorize)
-
-    def _evaluator(self, plan: Plan, deadline: Optional[float], cancel,
+    def _evaluator(self, deadline: Optional[float], cancel,
                    max_rows: Optional[int] = None) -> Evaluator:
-        """A fresh per-execution :class:`Evaluator` carrying this
-        engine's knobs.  Join ordering already happened at plan time; the
-        evaluator must not re-derive it per execution."""
-        evaluator = Evaluator(self.dataset, optimize=False,
-                              cache_bgps=self.cache_bgps,
-                              max_rows=self.max_intermediate_rows
-                              if max_rows is None else max_rows,
-                              deadline=deadline, cancel=cancel,
-                              sip=self.sip, multiway=self.multiway,
-                              wcoj=self.wcoj,
-                              vectorize=self._use_vectorize(plan))
-        evaluator.stats.materialized_subqueries = plan.subqueries
-        return evaluator
+        """A fresh per-execution :class:`Evaluator` with this engine's
+        row budget (or ``max_rows``) and the given deadline / cancel
+        token.  Every physical decision is already on the plan."""
+        return Evaluator(self.dataset,
+                         max_rows=self.max_intermediate_rows
+                         if max_rows is None else max_rows,
+                         deadline=deadline, cancel=cancel)
 
     def _record(self, plan: Plan, stats: EvaluationStats,
                 elapsed: float) -> None:
@@ -390,14 +299,22 @@ class Engine:
         at the evaluator's deadline checkpoints.  On failure the raised
         exception carries the partial counters as ``evaluation_stats``.
 
+        Raises :class:`ValueError` on a reference engine
+        (``columnar=False``): plans only ever run on the production
+        operators, so executing one there would silently answer from the
+        wrong plane.
+
         Returns ``(result, stats, elapsed_seconds)``.
         """
+        if not self.columnar:
+            raise ValueError("a reference engine (columnar=False) does not "
+                             "execute plans; use query() or query_model()")
         start = time.perf_counter()
         deadline = None if timeout is None else start + timeout
-        evaluator = self._evaluator(plan, deadline, cancel, max_rows)
+        evaluator = self._evaluator(deadline, cancel, max_rows)
         try:
-            solutions = evaluator.evaluate_query_stream(
-                plan.query, default_graph_uri).to_table()
+            solutions = evaluator.evaluate_plan_stream(
+                plan, default_graph_uri).to_table()
             elapsed = time.perf_counter() - start
             if timeout is not None and elapsed > timeout:
                 raise QueryTimeout("query took %.3fs (budget %.3fs)"
@@ -499,9 +416,9 @@ class Engine:
         plan = self.plan(source, default_graph_uri)
         start = time.perf_counter()
         evaluator = self._evaluator(
-            plan, None if timeout is None else start + timeout, cancel)
-        table_stream = evaluator.evaluate_query_stream(
-            plan.query, default_graph_uri, hint=batch_rows)
+            None if timeout is None else start + timeout, cancel)
+        table_stream = evaluator.evaluate_plan_stream(
+            plan, default_graph_uri, hint=batch_rows)
         variables = plan.output_variables
         if variables is None:
             variables = [v for v in table_stream.variables
@@ -543,10 +460,8 @@ class Engine:
                          timeout: Optional[float]) -> ResultSet:
         """The seed dict-based path, kept verbatim for differential tests."""
         from .reference import ReferenceEvaluator
-        evaluator = ReferenceEvaluator(
-            self.dataset, optimize=self.optimize,
-            cache_bgps=self.cache_bgps,
-            max_rows=self.max_intermediate_rows)
+        evaluator = ReferenceEvaluator(self.dataset,
+                                       max_rows=self.max_intermediate_rows)
         start = time.perf_counter()
         solutions = evaluator.evaluate_query(parsed, default_graph_uri)
         elapsed = time.perf_counter() - start
@@ -556,14 +471,7 @@ class Engine:
         self.last_stats = evaluator.stats
         self.last_elapsed = elapsed
         self.queries_executed += 1
-        variables = self._output_variables(parsed)
-        return ResultSet.from_mappings(solutions, variables)
-
-    @staticmethod
-    def _output_variables(parsed: alg.Query) -> Optional[List[str]]:
-        """The projection's column order, or None for SELECT * (in which
-        case column order is derived from the solutions)."""
-        return output_variables(parsed)
+        return ResultSet.from_mappings(solutions, output_variables(parsed))
 
     def explain(self, text: str, optimized: bool = False) -> str:
         """A textual rendering of the algebra tree (for debugging/tests).

@@ -48,16 +48,15 @@ import time
 from collections import Counter
 from itertools import chain, repeat
 from decimal import Decimal
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..rdf.dataset import Dataset
 from ..rdf.terms import (XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Literal,
                          Variable)
 from . import algebra as alg
 from .expressions import ConstExpr, ExpressionError, VarExpr, ebv
-from .optimizer import (GraphStatistics, generic_join_order,
-                        intersection_worthwhile, order_patterns,
-                        run_signature, run_width)
+from .optimizer import (GraphStatistics, intersection_worthwhile,
+                        order_patterns, run_signature, run_width)
 from .solution import (ColumnBatch, JoinIndex, RowView, SolutionTable,
                        TableStream, batched, stream_distinct, table_minus)
 from .vector import compile_predicate, expand_columns, replicate
@@ -212,15 +211,9 @@ class EvaluationStats:
 class Evaluator:
     """Evaluates an algebra tree against a dataset on the columnar plane."""
 
-    def __init__(self, dataset: Dataset, optimize: bool = True,
-                 max_rows: Optional[int] = None, cache_bgps: bool = True,
-                 deadline: Optional[float] = None,
-                 sip: Union[bool, str] = "auto",
-                 multiway: Union[bool, str] = "auto",
-                 wcoj: Union[bool, str] = "auto",
-                 cancel=None, vectorize: bool = False):
+    def __init__(self, dataset: Dataset, max_rows: Optional[int] = None,
+                 deadline: Optional[float] = None, cancel=None):
         self.dataset = dataset
-        self.optimize = optimize
         self.max_rows = max_rows  # safety valve for runaway queries
         # Absolute time.perf_counter() deadline; checked between operators
         # and inside the pattern matcher's row production.
@@ -229,30 +222,13 @@ class Evaluator:
         # checkpoints as the deadline, so a disconnecting client kills its
         # query mid-operator instead of running it to completion.
         self.cancel = cancel
-        self.cache_bgps = cache_bgps
-        # Sideways information passing and multiway intersection knobs.
-        # ``'auto'`` follows the planner's JoinStrategy annotations
-        # (``sip_eligible`` on join nodes, ``strategy`` on BGPs); True
-        # forces the technique wherever structurally possible; False
-        # disables it — the PR-4 behaviour the joins benchmark measures
-        # against.
-        self.sip = sip
-        self.multiway = multiway
-        # Generic-join (WCOJ) knob, same contract: ``'auto'`` runs a BGP
-        # the planner annotated ``strategy='wcoj'`` as a generic join
-        # (unless ``multiway=False`` — the all-intersections-off baseline
-        # keeps every run-intersection counter at zero); True forces
-        # generic join on any structurally eligible BGP; False falls back
-        # to the annotated intersect/nested-loop plan.
-        self.wcoj = wcoj
         # Columnar batches: when True the operators exchange
         # ColumnBatch objects wherever they have a
         # column-at-a-time form, transposing back to row tuples only where
         # a cold operator (complex expression, OrderBy, Minus, joins'
-        # probe) needs row view.  Routing is the engine's job
-        # (``vectorize='auto'`` consults the plan annotation); the
-        # evaluator just obeys the flag.
-        self.vectorize = vectorize
+        # probe) needs row view.  Set from the plan's ``batch_kind`` by
+        # :meth:`evaluate_plan_stream`; a bare algebra query runs on rows.
+        self.column_batches = False
         # Active sideways filters: variable name -> set of admissible term
         # ids, installed by join operators around their probe side and
         # consulted by the BGP pattern steps.  Always {} at quiescence.
@@ -295,6 +271,21 @@ class Evaluator:
     # when the subtree's stream is *constructed* (the build side of a
     # join must exist before the first probe).
     # ------------------------------------------------------------------
+    def evaluate_plan_stream(self, plan,
+                             default_graph_uri: Optional[str] = None,
+                             hint: Optional[int] = None) -> TableStream:
+        """Evaluate an optimized :class:`~.plan.Plan` to a stream.
+
+        The evaluator makes no physical decision of its own: batches are
+        the plan's ``batch_kind``, and each operator follows the
+        annotations the planner left on its node (``strategy`` /
+        ``eliminate`` on BGPs, ``sip_eligible`` on joins).
+        """
+        self.column_batches = plan.batch_kind == "columns"
+        self.stats.materialized_subqueries = plan.subqueries
+        return self.evaluate_query_stream(plan.query, default_graph_uri,
+                                          hint)
+
     def evaluate_query_stream(self, query: alg.Query,
                               default_graph_uri: Optional[str] = None,
                               hint: Optional[int] = None) -> TableStream:
@@ -305,8 +296,7 @@ class Evaluator:
         """
         graph = self._resolve_graphs(query.from_graphs, default_graph_uri)
         self.dictionary = graph.dictionary
-        if self.cache_bgps:
-            self._repeated = _repeated_bgps(query.pattern)
+        self._repeated = _repeated_bgps(query.pattern)
         # Stream operators compile eagerly (only row production defers),
         # so synopsis builds they trigger are visible once the stream is
         # constructed.
@@ -361,58 +351,22 @@ class Evaluator:
             self._stats_cache[key] = stats
         return stats
 
-    # -- strategy / SIP routing ----------------------------------------
+    # -- plan annotations ----------------------------------------------
 
-    def _bgp_intersect(self, node: alg.BGP) -> bool:
-        """Should this BGP compile with multiway intersection steps?
+    @staticmethod
+    def _bgp_intersect(node: alg.BGP) -> bool:
+        """Did the planner route this BGP to multiway intersection steps?"""
+        return getattr(node, "strategy", None) == "intersect"
 
-        A BGP the planner routed to generic join (``strategy='wcoj'``)
-        falls back to intersection when the ``wcoj`` knob is off *and*
-        the planner recorded that the multiway gate would also have
-        fired (``intersect_ok``) — so a ``wcoj=False`` engine keeps the
-        pre-WCOJ intersection plan rather than dropping to nested-loop.
-        """
-        mode = self.multiway
-        if mode is True:
-            return True
-        if mode != "auto":
-            return False
-        strategy = getattr(node, "strategy", None)
-        if strategy == "intersect":
-            return True
-        return strategy == "wcoj" and getattr(node, "intersect_ok", False)
-
-    def _wcoj_order(self, node: alg.BGP, graph):
-        """The elimination order generic join should use for this BGP,
-        or ``None`` when the BGP runs on another strategy.
-
-        ``wcoj='auto'`` follows the planner's annotation (suppressed
-        under ``multiway=False``, the run-intersections-off baseline);
-        ``wcoj=True`` forces generic join on any structurally eligible
-        BGP, computing an order on the spot when the plan carries none.
-        """
-        if self.wcoj is False:
-            return None
-        if not hasattr(graph, "objects_run"):
-            return None
-        order = getattr(node, "eliminate", None)
-        if self.wcoj is True:
-            if order is None and len(node.triples) > 1:
-                order = generic_join_order(node.triples,
-                                           self._graph_stats(graph))
-            return tuple(order) if order else None
-        if self.multiway is False:
-            return None
-        if getattr(node, "strategy", None) == "wcoj" and order:
-            return tuple(order)
+    @staticmethod
+    def _wcoj_order(node: alg.BGP, graph):
+        """The planner's generic-join elimination order for this BGP, or
+        ``None`` when it runs on another strategy (or the graph keeps no
+        sorted runs to intersect)."""
+        if getattr(node, "strategy", None) == "wcoj" \
+                and hasattr(graph, "objects_run"):
+            return node.eliminate
         return None
-
-    def _use_sip(self, node) -> bool:
-        """Should this join export sideways filters to its probe side?"""
-        mode = self.sip
-        if mode is True:
-            return True
-        return mode == "auto" and getattr(node, "sip_eligible", False)
 
     def _sip_touches(self, patterns) -> bool:
         """True when an active sideways filter names a pattern variable
@@ -831,7 +785,7 @@ class Evaluator:
             # columns are built only when this evaluator actually runs
             # the columnar plane; the row plane uses ``hits`` as-is.
             k_hits = len(hits)
-            if self.vectorize:
+            if self.column_batches:
                 so_cols_fn = getattr(graph, "so_pair_columns", None)
                 cached = (so_cols_fn(p_val)
                           if so_cols_fn is not None and hits is pairs
@@ -1105,8 +1059,8 @@ class Evaluator:
         emitted rows match the general path exactly.
 
         Applies when no sideways-information-passing scope is active and
-        the (possibly ``Project``-wrapped) input is a BGP the engine's
-        wcoj gate accepts; returns ``None`` otherwise.
+        the (possibly ``Project``-wrapped) input is a BGP the planner
+        routed to generic join; returns ``None`` otherwise.
         """
         if self._sip:
             return None
@@ -1299,19 +1253,18 @@ class Evaluator:
         ``None`` when some constant term is unknown (the BGP is empty, but
         the schema still names every variable).
 
-        With ``intersect=True`` (the planner's ``'intersect'`` strategy,
-        or ``multiway=True``), the compiler binds a variable that occurs
-        in two or more remaining patterns through a k-way galloping
-        intersection of the graph's sorted runs instead of
-        expand-then-filter: patterns whose only free position is that
-        variable are satisfied by the intersection itself and drop out of
-        the plan.
+        With ``intersect=True`` (the planner's ``'intersect'`` strategy),
+        the compiler binds a variable that occurs in two or more
+        remaining patterns through a k-way galloping intersection of the
+        graph's sorted runs instead of expand-then-filter: patterns whose
+        only free position is that variable are satisfied by the
+        intersection itself and drop out of the plan.
 
-        With ``eliminate`` (a variable elimination order from the
-        cost-based planner or a forced ``wcoj=True`` engine), the
-        generic-join compiler takes over entirely — one intersection
-        level per variable (:meth:`_wcoj_steps`); if it cannot cover the
-        BGP the normal compilers below apply.
+        With ``eliminate`` (the cost-based planner's variable elimination
+        order), the generic-join compiler takes over entirely — one
+        intersection level per variable (:meth:`_wcoj_steps`); if it
+        cannot cover the BGP (an unknown constant) the normal compilers
+        below apply.
         """
         if eliminate:
             planned = self._wcoj_steps(patterns, graph, eliminate)
@@ -1365,12 +1318,10 @@ class Evaluator:
         if not candidates:
             return None
         index = {v: i for i, v in enumerate(schema)}
-        # Under 'auto', each step must also pass the planner's statistics
-        # gate — a BGP annotated for one worthwhile step should not pay
-        # for covering intersections elsewhere.  ``multiway=True`` forces
-        # every structural opportunity (the differential suites use it).
-        gate_stats = self._graph_stats(graph) if self.multiway == "auto" \
-            else None
+        # Each step must also pass the planner's statistics gate — a BGP
+        # annotated for one worthwhile step should not pay for covering
+        # intersections elsewhere.
+        gate_stats = self._graph_stats(graph)
         for var in candidates:
             signatures = []
             seen = set()
@@ -1388,7 +1339,7 @@ class Evaluator:
                     any_consumed = True
             if len(signatures) < 2:
                 continue
-            if gate_stats is not None and not intersection_worthwhile(
+            if not intersection_worthwhile(
                     {sig: run_width(sig, gate_stats) for sig in signatures},
                     any_consumed):
                 continue
@@ -1822,16 +1773,13 @@ class Evaluator:
         intersect = self._bgp_intersect(node)
         eliminate = self._wcoj_order(node, graph)
         sip_active = self._sip_touches(patterns)
-        if len(patterns) > 1 and not eliminate:
-            if sip_active:
-                patterns = self._order_for_sip(patterns, graph)
-            elif self.optimize:
-                patterns = order_patterns(patterns, self._graph_stats(graph))
+        if len(patterns) > 1 and not eliminate and sip_active:
+            patterns = self._order_for_sip(patterns, graph)
         schema, _schemas, steps = self._bgp_steps(patterns, graph, intersect,
                                                   eliminate)
         if steps is None:
             return TableStream(schema, self._meter(iter(())))
-        if self.vectorize and hint is None:
+        if self.column_batches and hint is None:
             # Columnar breadth-first expansion: same chunking discipline
             # and lexicographic row order as the row-mode branch below,
             # but each level's fan-out happens column-at-a-time (index
@@ -1985,7 +1933,7 @@ class Evaluator:
         # see :mod:`.vector`); conditions outside that subset keep
         # ``compiled is None`` and columnar input falls back to row view.
         compiled = compile_predicate(condition, index, self.dictionary) \
-            if self.vectorize else None
+            if self.column_batches else None
         stats = self.stats
         to_rows = self._rows
 
@@ -2060,7 +2008,7 @@ class Evaluator:
         # other expression transposes to row view per batch.
         columnar = None
         expr_t = type(expression)
-        if self.vectorize and expr_t is VarExpr:
+        if self.column_batches and expr_t is VarExpr:
             src = index.get(expression.name)
 
             def columnar(cb):
@@ -2078,7 +2026,7 @@ class Evaluator:
                     # row plane — a per-row merge; use row view for it.
                     return None
                 return patch_column(cb, col, None)
-        elif self.vectorize and expr_t is ConstExpr:
+        elif self.column_batches and expr_t is ConstExpr:
             const_tid = encode(expression.term)
 
             def columnar(cb):
@@ -2310,7 +2258,7 @@ class Evaluator:
         # are identical to the row folds', so mixed columnar/row input
         # streams share one ``groups`` dict.
         cfold = None
-        if self.vectorize and scalar is not None and len(specs) == 1 \
+        if self.column_batches and scalar is not None and len(specs) == 1 \
                 and node.aggregates[0].function == "count":
             agg0 = node.aggregates[0]
             expr0 = agg0.expression
@@ -2573,7 +2521,7 @@ class Evaluator:
         # Stream *construction* compiles the BGP steps, so the export
         # scope only needs to cover this call.
         exports = self._sip_exports(left, node.right) \
-            if self._use_sip(node) else None
+            if getattr(node, "sip_eligible", False) else None
         if exports:
             outer = self._sip
             self._sip = self._sip_merge(exports)
@@ -2598,7 +2546,7 @@ class Evaluator:
     def _stream_leftjoin(self, node: alg.LeftJoin, graph,
                          hint: Optional[int]) -> TableStream:
         exports = None
-        if hint is None and self._use_sip(node):
+        if hint is None and getattr(node, "sip_eligible", False):
             # No bounded consumer above, so every preserved row will be
             # pulled anyway: hold them, and prune the optional side to
             # the keys they carry.
@@ -2648,7 +2596,7 @@ class Evaluator:
         # row's value for an everywhere-bound shared variable is
         # incompatible with all of them, so it can exclude nothing.
         exports = self._sip_exports(left, node.right) \
-            if self._use_sip(node) else None
+            if getattr(node, "sip_eligible", False) else None
         outer = self._sip
         self._sip = exports or {}
         try:
@@ -2674,7 +2622,7 @@ class Evaluator:
         finally:
             self._sip = scope
         exports = None
-        if not node.negated and self._use_sip(node):
+        if not node.negated and getattr(node, "sip_eligible", False):
             exports = self._sip_exports(inner, node.pattern)
         if exports:
             self._sip = self._sip_merge(exports)
@@ -2780,8 +2728,6 @@ class Evaluator:
         self.stats.bgp_count += 1
         patterns = node.pattern.triples
         eliminate = self._wcoj_order(node.pattern, graph)
-        if self.optimize and len(patterns) > 1 and not eliminate:
-            patterns = order_patterns(patterns, self._graph_stats(graph))
         # Compile with the same strategy :meth:`_stream_bgp` would use:
         # on a tie-heavy ORDER BY the window's k-subset depends on BGP
         # production order, so the fused and unfused plans must drive

@@ -381,8 +381,7 @@ def intersection_worthwhile(widths: Dict, any_consumed: bool) -> bool:
     (wider means it merely covers the seed's population).  The widest
     operand must also clear :data:`INTERSECT_MIN_WIDE_RUN` (something to
     prune).  Shared by the planner's ``JoinStrategy`` pass (to annotate)
-    and the evaluator's multiway compiler (to skip non-worthwhile steps
-    under ``multiway='auto'``).
+    and the evaluator's multiway compiler (to skip non-worthwhile steps).
     """
     if len(widths) < 2 or not any_consumed:
         return False

@@ -23,8 +23,9 @@ After the rewrite fixpoint, the ``CostBasedJoinStrategy`` pass annotates
 the tree in place: per-BGP estimated cardinalities and the chosen join
 strategy (nested-loop / ``intersect`` / ``wcoj``, the last with a variable
 elimination order for cyclic BGPs detected via the join hypergraph), and
-per-join SIP eligibility.  The engine's execution knobs consult these
-annotations under their ``'auto'`` settings.
+per-join SIP eligibility.  The evaluator obeys these annotations, plus
+the plan-level batch kind :class:`Plan` derives from the annotated tree;
+:meth:`Plan.explain` prints every one of them.
 
 Each pass is a pure ``node -> (node, changes)`` function (input trees are
 never mutated) and records per-pass statistics on the plan, so ablations
@@ -94,18 +95,10 @@ class Plan:
         # Statistics synopses lazily built while planning this query
         # (set by the engine; folded into the first execution's stats).
         self.synopsis_builds = 0
-        # True when the tree carries a row bound (TopK, or Slice with a
-        # limit) or an aggregation (Group): batches are then cut short or
-        # folded into accumulators rather than decoded row by row, which
-        # is where columnar batches pay.  Selects no executor — every
-        # plan runs on the same operators.
-        self.bounded_or_grouped = (plan_is_bounded(query.pattern)
-                                   or plan_has_aggregate(query.pattern))
-        # Columnar-batch eligibility: True when every operator in the
-        # tree either has a column-at-a-time form or a cheap row detour,
-        # and at least one BGP exists to produce columnar batches.  The
-        # engine's ``vectorize='auto'`` requires both annotations.
-        self.vectorized = plan_vectorizable(query.pattern)
+        # What the operators exchange: 'columns' (ColumnBatch objects)
+        # or 'rows' (lists of id tuples); see :func:`plan_batch_kind`.
+        # Row order is the same either way.
+        self.batch_kind = plan_batch_kind(query.pattern)
         # Nested SELECTs, each evaluated as its own scope; reported as
         # ``EvaluationStats.materialized_subqueries``.
         self.subqueries = count_subqueries(query.pattern)
@@ -117,10 +110,11 @@ class Plan:
     def explain(self) -> str:
         """Textual rendering of the optimized tree plus pass statistics.
 
-        Nodes annotated by the ``CostBasedJoinStrategy`` pass render
-        their chosen join strategy, estimated cardinality, and (for
-        ``wcoj``) the variable elimination order in a trailing
-        ``[...]`` block; SIP-eligible joins render ``[sip]``.
+        The header line carries the plan-level batch kind.  Nodes
+        annotated by the ``CostBasedJoinStrategy`` pass render their
+        chosen join strategy, estimated cardinality, and (for ``wcoj``)
+        the variable elimination order in a trailing ``[...]`` block;
+        SIP-eligible joins render ``[sip]``.
 
         A triangle over a collaboration edge with a few high-degree hubs:
         the nested-loop estimate blows up on the hubs' squared fan-out,
@@ -147,11 +141,12 @@ class Plan:
         >>> for line in plan.explain().splitlines():
         ...     if not line.startswith("--"):
         ...         print(line)
-        FROM []
+        FROM [] [batch_kind=rows]
         Project(['a'])
           BGP(3 triples) [strategy=wcoj, est_rows=2881, eliminate=?a->?b->?c]
         """
-        lines: List[str] = ["FROM %s" % self.query.from_graphs]
+        lines: List[str] = ["FROM %s [batch_kind=%s]"
+                            % (self.query.from_graphs, self.batch_kind)]
 
         def walk(node, depth):
             lines.append("  " * depth + repr(node) + _explain_notes(node))
@@ -200,17 +195,6 @@ def output_variables(query: alg.Query) -> Optional[List[str]]:
     return None
 
 
-def plan_is_bounded(node: alg.AlgebraNode) -> bool:
-    """True when the tree contains a row bound that stops upstream row
-    production (a ``TopK``, or a ``Slice`` with a limit).  Offset-only slices
-    do not count: they still require every trailing row."""
-    if isinstance(node, alg.TopK):
-        return True
-    if isinstance(node, alg.Slice) and node.limit is not None:
-        return True
-    return any(plan_is_bounded(child) for child in node.children())
-
-
 def count_subqueries(node: alg.AlgebraNode, top: bool = True) -> int:
     """Nested SELECTs in the tree: every ``Project`` below the root."""
     return ((isinstance(node, alg.Project) and not top)
@@ -218,13 +202,28 @@ def count_subqueries(node: alg.AlgebraNode, top: bool = True) -> int:
                   for child in node.children()))
 
 
-def plan_has_aggregate(node: alg.AlgebraNode) -> bool:
-    """True when the tree contains a ``Group``: the hash ``Group`` folds
-    its input into per-group accumulators instead of materializing the
-    pre-aggregation table."""
-    if isinstance(node, alg.Group):
+def plan_batch_kind(node: alg.AlgebraNode) -> str:
+    """The batch kind the operators of this tree exchange.
+
+    ``'columns'`` when the tree is eligible for columnar batches
+    (:func:`plan_vectorizable`) *and* carries a row bound or a ``Group``
+    (:func:`_cuts_or_folds`) — where batches are cut short or folded into
+    accumulators rather than decoded row by row, which is where columnar
+    batches pay; ``'rows'`` otherwise.
+    """
+    if plan_vectorizable(node) and _cuts_or_folds(node):
+        return "columns"
+    return "rows"
+
+
+def _cuts_or_folds(node: alg.AlgebraNode) -> bool:
+    """True when the tree contains a row bound that stops upstream row
+    production (a ``TopK``, or a ``Slice`` with a limit — offset-only
+    slices still require every trailing row) or a ``Group``."""
+    if isinstance(node, (alg.TopK, alg.Group)) \
+            or (isinstance(node, alg.Slice) and node.limit is not None):
         return True
-    return any(plan_has_aggregate(child) for child in node.children())
+    return any(_cuts_or_folds(child) for child in node.children())
 
 
 #: Operators with a column-at-a-time form or a bounded row detour on the
@@ -243,8 +242,8 @@ def plan_vectorizable(node: alg.AlgebraNode) -> bool:
     slot-interpreting matcher (no variable in predicate position) and the
     multiway-intersection strategy (its steps have no columnar form), and
     every operator above must be vector-friendly.  At least one non-empty
-    BGP must exist — otherwise there is no columnar producer and the
-    annotation would route a plan that gains nothing.
+    BGP must exist — otherwise there is no columnar producer and columnar
+    batches would gain nothing.
     """
     ok, has_bgp = _vector_walk(node)
     return ok and has_bgp
@@ -698,9 +697,8 @@ def _bgp_wants_intersection(triples, stats: GraphStatistics) -> bool:
     shared :func:`~.optimizer.run_signature`) and applies the shared
     statistics gate (:func:`~.optimizer.intersection_worthwhile`).  One
     winning step is enough: the annotation is per-BGP, and the evaluator
-    re-applies the same gate per step under ``multiway='auto'``, so a
-    BGP with one good and one useless opportunity intersects only where
-    it pays.
+    re-applies the same gate per step, so a BGP with one good and one
+    useless opportunity intersects only where it pays.
     """
     bound: Set[str] = set()
     remaining = list(triples)
@@ -773,17 +771,13 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
       annotated as ``eliminate`` (GROUP BY keys above the BGP are
       preferred to the front so aggregates can be pushed through the
       decomposition) along with the estimated generic-join cost
-      (``est_cost``).  ``intersect_ok`` records whether the multiway
-      gate would also fire, so engines with ``wcoj=False`` keep the
-      intersection plan instead of falling all the way to nested-loop.
+      (``est_cost``).
     * ``intersect`` — some step passes the shared multiway gate
       (:func:`~.optimizer.intersection_worthwhile`).
     * nested-loop otherwise (no ``strategy`` annotation).
 
-    Joins additionally get ``sip_eligible`` marks, as before.  The
-    engine's ``sip``/``multiway``/``wcoj`` knobs consult the annotations
-    at execution time (``'auto'``), so one cached plan serves every knob
-    setting.
+    Joins additionally get ``sip_eligible`` marks.  The evaluator follows
+    the annotations as they stand; there is no execution-time override.
     """
     stats_cache: Dict[int, GraphStatistics] = {}
 
@@ -818,8 +812,6 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
                 if len(n.triples) < 2:
                     return
                 wants_intersect = _bgp_wants_intersection(n.triples, stats)
-                if wants_intersect:
-                    n.intersect_ok = True
                 if len(n.triples) >= 3 \
                         and generic_join_eligible(n.triples) \
                         and bgp_is_cyclic(n.triples) \
@@ -871,17 +863,12 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
     return join_strategy
 
 
-#: Backwards-compatible alias for the pre-cost-model pass constructor.
-make_join_strategy = make_cost_based_join_strategy
-
-
 # ----------------------------------------------------------------------
 # The pipeline
 # ----------------------------------------------------------------------
 
 #: The rewrite passes every plan goes through, in order (JoinOrdering is
-#: appended by :func:`optimize_plan` when a graph is resolved and the
-#: engine's optimizer is enabled).
+#: appended by :func:`optimize_plan` when a graph is resolved).
 DEFAULT_PASSES: Tuple[Tuple[str, PassFn], ...] = (
     ("FilterPushdown", filter_pushdown),
     ("ProjectionPruning", projection_pruning),
@@ -892,25 +879,22 @@ DEFAULT_PASSES: Tuple[Tuple[str, PassFn], ...] = (
 
 
 def optimize_plan(query: alg.Query, key: str = "", graph=None, dataset=None,
-                  join_order: bool = True, source: str = "text",
-                  passes: Optional[Sequence[Tuple[str, PassFn]]] = None,
-                  push_limits: bool = True) -> Plan:
+                  source: str = "text",
+                  passes: Optional[Sequence[Tuple[str, PassFn]]] = None
+                  ) -> Plan:
     """Run the pass pipeline over a parsed/compiled query and return a
     :class:`Plan`.
 
-    ``graph`` is the query's resolved default graph (used only for
-    join-ordering statistics; pass ``None`` to skip ordering), ``dataset``
-    resolves ``GRAPH <uri>`` scopes.  ``push_limits=False`` drops the
-    ``LimitPushdown`` pass (the ``limit_topk`` benchmark baseline).
-    Passes rerun until a full sweep
+    ``graph`` is the query's resolved default graph (its statistics drive
+    ``JoinOrdering`` and ``CostBasedJoinStrategy``; with ``None`` neither
+    runs), ``dataset`` resolves ``GRAPH <uri>`` scopes, and ``passes``
+    replaces :data:`DEFAULT_PASSES`.  Passes rerun until a full sweep
     changes nothing (earlier passes expose opportunities to later ones),
     capped at :data:`MAX_PIPELINE_ROUNDS` sweeps.
     """
     pipeline = list(DEFAULT_PASSES if passes is None else passes)
-    if not push_limits and passes is None:
-        pipeline = [entry for entry in pipeline if entry[0] != "LimitPushdown"]
     post: List[Tuple[str, PassFn]] = []
-    if join_order and graph is not None:
+    if graph is not None:
         pipeline.append(("JoinOrdering", make_join_ordering(graph, dataset)))
         # CostBasedJoinStrategy only *annotates* (BGP strategy + estimates
         # + elimination orders, per-join SIP eligibility); it runs once

@@ -7,11 +7,16 @@ plus term-object hashing per row.  The production evaluator
 columnar tables; this copy is retained for two jobs:
 
 * **Differential testing** — the columnar operators are asserted equal to
-  these semantics on the same fixtures (``tests/sparql/test_solution_table``
-  and the engine-level equivalence corpus).
-* **Perf trajectory** — ``benchmarks/perf_report.py`` times both engines so
-  every future PR can show its speedup over the seed representation
-  (``Engine(..., columnar=False)`` selects this evaluator).
+  these semantics on the same fixtures (``tests/sparql/test_solution_table``,
+  the engine-level equivalence corpus, the fuzz suite and crash matrix),
+  and the performance ledger checks every op's digest against it.
+* **Perf trajectory** — the ``engine`` section of
+  ``benchmarks/perf_report.py`` times both data planes.
+
+``Engine(..., columnar=False)`` selects this evaluator.  It always orders
+BGP patterns by selectivity and shares repeated BGPs; it runs no plan, so
+such an engine answers ``query``/``query_model``/``stream`` and refuses
+``evaluate_plan``.
 
 Behavior must not drift: change the columnar evaluator, not this file,
 unless a *semantic* bug is found (then fix both and add a fixture).
@@ -34,12 +39,9 @@ from .solution import (Mapping, Multiset, distinct, hash_join, left_join,
 class ReferenceEvaluator:
     """Evaluates an algebra tree against a dataset (dict-based multisets)."""
 
-    def __init__(self, dataset, optimize: bool = True,
-                 max_rows: Optional[int] = None, cache_bgps: bool = True):
+    def __init__(self, dataset, max_rows: Optional[int] = None):
         self.dataset = dataset
-        self.optimize = optimize
         self.max_rows = max_rows  # safety valve for runaway queries
-        self.cache_bgps = cache_bgps
         self.stats = EvaluationStats()
         self._stats_cache: Dict[int, GraphStatistics] = {}
         # Common-subexpression cache: identical BGPs (e.g. the repeated
@@ -100,23 +102,19 @@ class ReferenceEvaluator:
         patterns = node.triples
         if not patterns:
             return [{}]
-        cache_key = None
-        if self.cache_bgps:
-            cache_key = (id(graph),
-                         tuple(sorted(patterns, key=lambda t: repr(t))))
-            cached = self._bgp_cache.get(cache_key)
-            if cached is not None:
-                self.stats.bgp_cache_hits += 1
-                return cached
-        if self.optimize and len(patterns) > 1:
+        cache_key = (id(graph), tuple(sorted(patterns, key=lambda t: repr(t))))
+        cached = self._bgp_cache.get(cache_key)
+        if cached is not None:
+            self.stats.bgp_cache_hits += 1
+            return cached
+        if len(patterns) > 1:
             patterns = order_patterns(patterns, self._graph_stats(graph))
         solutions: Multiset = [{}]
         for pattern in patterns:
             solutions = self._match_pattern(pattern, solutions, graph)
             if not solutions:
                 break
-        if cache_key is not None:
-            self._bgp_cache[cache_key] = solutions
+        self._bgp_cache[cache_key] = solutions
         return solutions
 
     def _match_pattern(self, pattern, solutions: Multiset, graph) -> Multiset:

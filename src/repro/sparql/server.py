@@ -183,7 +183,8 @@ class QueryServer:
         The shared engine.  Its graphs are treated as read-only for the
         server's lifetime; the term dictionary and lazy index structures
         are safe under concurrent readers (build-then-publish + interning
-        lock).
+        lock).  Workers execute plans, so a reference engine
+        (``columnar=False``) is refused with :class:`ValueError`.
     workers:
         Executor threads.
     queue_size:
@@ -217,6 +218,9 @@ class QueryServer:
             raise ValueError("workers must be >= 1")
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
+        if not engine.columnar:
+            raise ValueError("QueryServer executes plans; a reference "
+                             "engine (columnar=False) has none")
         self.engine = engine
         self.default_timeout = default_timeout
         self.default_max_rows = default_max_rows

@@ -2,10 +2,11 @@
 
 Three planes answer every grouped query here:
 
-* ``rows``       — ``Engine(vectorize=False)``: ``Group`` folds row-tuple
-  batches (or takes the index-backed COUNT fast path),
-* ``vectorized`` — ``Engine(vectorize=True)``: the same operator fed
-  columnar batches (the column-at-a-time COUNT folds),
+* ``rows``       — every plan forced to row-tuple batches (a private plan
+  copy, :mod:`plan_variants`): ``Group`` folds row-tuple batches (or
+  takes the index-backed COUNT fast path),
+* ``vectorized`` — every plan forced to columnar batches: the same
+  operator fed columnar batches (the column-at-a-time COUNT folds),
 * ``reference``  — ``Engine(columnar=False)``: the seed dict-based
   evaluator, the oracle.
 
@@ -27,6 +28,8 @@ from repro.rdf import (Dataset, Graph, Literal, TermDictionary, URIRef)
 from repro.rdf.terms import XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 from repro.sparql import Engine
 from repro.workload import CASE_STUDIES, get_case_study
+
+from plan_variants import Variant
 
 PFX = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -51,6 +54,16 @@ def uri(name):
     return URIRef("http://x/" + name)
 
 
+def planes(source):
+    """The three planes over one graph or dataset."""
+    engine = Engine(source)
+    return {
+        "rows": Variant(engine, batch_kind="rows"),
+        "vectorized": Variant(engine, batch_kind="columns"),
+        "reference": Engine(source, columnar=False),
+    }
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return build_dataset(scale=0.05)
@@ -58,11 +71,7 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def engines(dataset):
-    return {
-        "rows": Engine(dataset, vectorize=False),
-        "vectorized": Engine(dataset, vectorize=True),
-        "reference": Engine(dataset, columnar=False),
-    }
+    return planes(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +105,7 @@ def small_dataset():
 
 
 def small_engines(small_dataset):
-    return {
-        "rows": Engine(small_dataset, vectorize=False),
-        "vectorized": Engine(small_dataset, vectorize=True),
-        "reference": Engine(small_dataset, columnar=False),
-    }
+    return planes(small_dataset)
 
 
 def row_bag(result):
@@ -191,16 +196,16 @@ class TestCaseStudyPlanes:
 
 
 class TestGroupAnnotation:
-    def test_aggregate_plan_is_annotated_grouped(self, engines):
-        plan = engines["rows"].plan(COUNT_FILMS,
+    def test_aggregate_plan_runs_on_columns(self, dataset):
+        plan = Engine(dataset).plan(COUNT_FILMS,
                                     default_graph_uri=DBPEDIA_URI)
-        assert plan.bounded_or_grouped
+        assert plan.batch_kind == "columns"
 
     def test_default_engine_folds_groups_from_batches(self, dataset):
         engine = Engine(dataset)
         engine.query(COUNT_FILMS, default_graph_uri=DBPEDIA_URI)
         stats = engine.last_stats
-        assert engine.last_plan.bounded_or_grouped
+        assert engine.last_plan.batch_kind == "columns"
         assert stats.groups_built > 0
         assert stats.rows_pulled > 0
 
@@ -296,7 +301,7 @@ class TestBoundedBatches:
             g.add(s, uri("kind"), uri("Hub"))
             for j in range(1500):  # ... each fanning out 1500x
                 g.add(s, uri("link"), uri("t%d_%d" % (i, j)))
-        engine = Engine(g, vectorize=False)
+        engine = Variant(Engine(g), batch_kind="rows")
         result = engine.query(PFX + """
             SELECT ?h (COUNT(?t) AS ?n) WHERE {
                 ?h x:kind x:Hub . ?h x:link ?t .
@@ -320,9 +325,7 @@ class TestCountDistinctStar:
             { SELECT ?o WHERE { ?s x:p ?o } } }"""
         plain = PFX + """SELECT (COUNT(*) AS ?n) WHERE {
             { SELECT ?o WHERE { ?s x:p ?o } } }"""
-        for engine in (Engine(g, vectorize=False),
-                       Engine(g, vectorize=True),
-                       Engine(g, columnar=False)):
+        for engine in planes(g).values():
             assert engine.query(query).rows[0][0].value == 2
             assert engine.query(plain).rows[0][0].value == 3
 
@@ -358,12 +361,12 @@ class TestTopKGroups:
         counts = [row[1].value for row in streamed.rows]
         assert counts == sorted(counts, reverse=True)
 
-    def test_plan_fuses_into_topk_over_group(self, engines):
+    def test_plan_fuses_into_topk_over_group(self, dataset):
         from repro.sparql import algebra as alg
 
-        plan = engines["rows"].plan(self.QUERY,
+        plan = Engine(dataset).plan(self.QUERY,
                                     default_graph_uri=DBPEDIA_URI)
-        assert plan.bounded_or_grouped
+        assert plan.batch_kind == "rows"  # TopK has no columnar form
         node = plan.query.pattern
         while not isinstance(node, alg.TopK):
             node = node.pattern
@@ -424,11 +427,7 @@ class TestGroupConcatSeparator:
         for name in ("alpha", "beta", "gamma"):
             g.add(s, uri("tag"), Literal(name))
         g.add(uri("s2"), uri("tag"), Literal("solo"))
-        return {
-            "rows": Engine(g, vectorize=False),
-            "vectorized": Engine(g, vectorize=True),
-            "reference": Engine(g, columnar=False),
-        }
+        return planes(g)
 
     def planes(self, label_engines, query):
         out = {}
@@ -524,11 +523,7 @@ class TestNumericAggregateTyping:
         g.add(uri("mixed"), uri("v"), Literal("2.5", XSD_DECIMAL))
         g.add(uri("double"), uri("v"), Literal(1))
         g.add(uri("double"), uri("v"), Literal(3.0))
-        return {
-            "rows": Engine(g, vectorize=False),
-            "vectorized": Engine(g, vectorize=True),
-            "reference": Engine(g, columnar=False),
-        }
+        return planes(g)
 
     def agg(self, score_engines, call):
         query = PFX + """SELECT ?s (%s AS ?r)
@@ -568,9 +563,7 @@ class TestNumericAggregateTyping:
         g.add(uri("s"), uri("v"), Literal("0.00001", XSD_DECIMAL))
         g.add(uri("s"), uri("v"), Literal("0.00003", XSD_DECIMAL))
         results = {}
-        for plane, engine in (("rows", Engine(g, vectorize=False)),
-                              ("vectorized", Engine(g, vectorize=True)),
-                              ("reference", Engine(g, columnar=False))):
+        for plane, engine in planes(g).items():
             row = engine.query(
                 PFX + "SELECT (AVG(?n) AS ?m) WHERE { ?s x:v ?n }").rows[0]
             results[plane] = row[0]

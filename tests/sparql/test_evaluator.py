@@ -5,6 +5,8 @@ import pytest
 from repro.rdf import Dataset, Graph, Literal, URIRef
 from repro.sparql import Engine
 
+from plan_variants import Variant
+
 
 def uri(name):
     return URIRef("http://x/" + name)
@@ -305,21 +307,21 @@ class TestEngineBehaviour:
             }""")
         assert engine.last_stats.bgp_cache_hits >= 1
 
-    @pytest.mark.parametrize("vectorize", ["auto", True, False])
+    @pytest.mark.parametrize("batch_kind", [None, "columns", "rows"])
     @pytest.mark.parametrize("branch, hits", [
         ("{ ?m x:starring ?a }", 1),
         ("{ SELECT ?m WHERE { ?m x:starring ?a } }", 1),
         ("{ ?m x:starring ?a { SELECT ?a WHERE { ?a x:born ?c } } }", 2),
     ], ids=["bare", "subselect", "join"])
     def test_bgp_cache_hit_across_union_branches(self, engine, branch, hits,
-                                                 vectorize):
+                                                 batch_kind):
         # The first branch's stream runs to the end before the second is
         # pulled, so the second replays what the first produced — the
         # hit counts of the engine that materialized every operator.
-        engine = Engine(engine.dataset, vectorize=vectorize)
-        result = engine.query(PFX + "SELECT * WHERE { %s UNION %s }"
-                              % (branch, branch))
-        assert engine.last_stats.bgp_cache_hits == hits
+        planned = Variant(engine, batch_kind=batch_kind)
+        result = planned.query(PFX + "SELECT * WHERE { %s UNION %s }"
+                               % (branch, branch))
+        assert planned.last_stats.bgp_cache_hits == hits
         reference = Engine(engine.dataset, columnar=False).query(
             PFX + "SELECT * WHERE { %s UNION %s }" % (branch, branch))
         def bag(r):
@@ -330,14 +332,16 @@ class TestEngineBehaviour:
 
     def test_repeated_bgp_is_shared_even_under_a_sideways_filter(self,
                                                                  engine):
-        # The join exports its build keys into both UNION branches; the
-        # repeated BGP is still matched once (unfiltered) and replayed.
+        # The join exports its build keys into both UNION branches (its
+        # probe side is too small for the planner to mark it, so the mark
+        # is forced); the repeated BGP is still matched once (unfiltered)
+        # and replayed.
         query = PFX + """
             SELECT ?m ?a ?c WHERE {
                 ?a x:born ?c
                 { { ?m x:starring ?a } UNION { ?m x:starring ?a } }
             }"""
-        forced = Engine(engine.dataset, sip=True)
+        forced = Variant(engine, sip=True)
         result = forced.query(query)
         assert forced.last_stats.bgp_cache_hits == 1
         assert forced.last_stats.sip_filtered_rows == 0
@@ -345,11 +349,6 @@ class TestEngineBehaviour:
         assert sorted(result.rows, key=repr) \
             == sorted(reference.rows, key=repr)
         assert len(result) == 6
-        # With sharing off, the filter reaches both copies.
-        unshared = Engine(engine.dataset, sip=True, cache_bgps=False)
-        assert sorted(unshared.query(query).rows, key=repr) \
-            == sorted(reference.rows, key=repr)
-        assert unshared.last_stats.sip_filtered_rows > 0
 
     def test_once_only_bgps_are_not_held(self, engine):
         from repro.sparql import Evaluator, parse
@@ -371,17 +370,6 @@ class TestEngineBehaviour:
         assert evaluator._bgp_cache == {}
         assert evaluator.stats.bgp_cache_hits == 0
 
-    def test_cache_disabled(self):
-        g = Graph("http://g")
-        g.add(uri("a"), uri("p"), uri("b"))
-        e = Engine(g, cache_bgps=False)
-        e.query(PFX + """
-            SELECT * WHERE {
-                { SELECT ?s WHERE { ?s x:p ?o } }
-                { SELECT ?s WHERE { ?s x:p ?o } }
-            }""")
-        assert e.last_stats.bgp_cache_hits == 0
-
     def test_explain_renders_tree(self, engine):
         text = engine.explain(PFX + "SELECT ?m WHERE { ?m x:starring ?a }")
         assert "Project" in text and "BGP" in text
@@ -399,19 +387,46 @@ class TestEngineBehaviour:
         assert ("http://x/m3", 2011) in result
 
 
+#: Physical switches ``Engine`` / ``Evaluator`` no longer take: the
+#: planner decides, and ``Plan.explain()`` shows what it decided.
+REMOVED_SWITCHES = ("streaming", "optimize", "cache_bgps", "limit_pushdown",
+                    "sip", "multiway", "wcoj", "vectorize")
+
+
 class TestOnePlane:
-    """Ratchet: one production operator set, no executor switch."""
+    """Ratchet: one production operator set, no physical switch."""
 
     def test_evaluator_has_no_materialized_operators(self):
         from repro.sparql import Evaluator
         assert not [name for name in dir(Evaluator)
                     if name.startswith("_eval_")]
 
-    def test_engine_has_no_streaming_switch(self):
+    def test_engine_signature(self):
         import inspect
         parameters = list(inspect.signature(Engine.__init__).parameters)
-        parameters.remove("self")
-        assert "streaming" not in parameters
-        assert len(parameters) <= 11
+        assert parameters == ["self", "source", "max_intermediate_rows",
+                              "columnar", "plan_cache_size"]
+
+    @pytest.mark.parametrize("name", REMOVED_SWITCHES)
+    def test_removed_switch_is_rejected(self, name):
         with pytest.raises(TypeError):
-            Engine(Graph("http://g"), streaming=False)
+            Engine(Graph("http://g"), **{name: False})
+
+    def test_evaluator_takes_no_switch(self):
+        import inspect
+        from repro.sparql import Evaluator
+        parameters = set(inspect.signature(Evaluator.__init__).parameters)
+        assert not parameters & set(REMOVED_SWITCHES)
+
+    def test_reference_engine_refuses_plans(self, engine):
+        # A reference engine answers from the dict evaluator; executing a
+        # plan would silently run the production operators instead.
+        text = PFX + "SELECT ?m WHERE { ?m x:starring ?a } LIMIT 2"
+        reference = Engine(engine.dataset, columnar=False)
+        assert len(reference.query(text)) == 2
+        assert reference.last_stats.rows_pulled == 0
+        plan = reference.plan(text)
+        with pytest.raises(ValueError, match="reference engine"):
+            reference.execute_plan(plan)
+        with pytest.raises(ValueError, match="reference engine"):
+            reference.evaluate_plan(plan)

@@ -1,8 +1,9 @@
 """Differential fuzzing: every plane, plus the cache, returns one bag.
 
 ≥200 seeded generated queries (see :mod:`queryfuzz`) run across the three
-planes — reference (seed dict evaluator), the production operators on
-row batches, and on columnar batches — and must return bag-identical
+planes — reference (seed dict evaluator), the production operators with
+every plan forced to row batches, and forced to columnar batches (private
+plan copies, :mod:`plan_variants`) — and must return bag-identical
 results.  The serving tier's result cache is then treated as a fourth plane:
 cache-cold and cache-warm submissions must agree with the engine truth,
 including across interleaved graph mutations (the stale-read hunt).
@@ -26,6 +27,8 @@ from repro.data.loader import build_dataset
 from repro.sparql import Engine, ResultCache
 from repro.sparql.server import QueryServer
 
+from plan_variants import Variant
+
 SCALE = 0.03
 N_SEEDS = 220
 CHUNK = 10
@@ -40,10 +43,11 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def planes(dataset):
+    engine = Engine(dataset)
     return {
         "reference": Engine(dataset, columnar=False),
-        "rows": Engine(dataset, vectorize=False),
-        "vectorized": Engine(dataset, vectorize=True),
+        "rows": Variant(engine, batch_kind="rows"),
+        "vectorized": Variant(engine, batch_kind="columns"),
     }
 
 

@@ -1,20 +1,21 @@
 """Differential + behavioral suite for the join subsystem.
 
 The join corpus (:mod:`repro.workload.joins` — star, cyclic, chain,
-self-join, and semi-join shapes) runs on every combination of
+self-join, and semi-join shapes) runs on the dict-based ``reference``
+evaluator and on the production operators under every combination of
 
-* plane: the production operators and the dict-based ``reference``
-  evaluator,
-* ``sip`` on/off (sideways information passing: join build sides export
-  key id-sets into probe-side BGP leaves),
-* ``multiway`` on/off (sorted-run intersection BGP steps),
+* the planner's ``sip_eligible`` marks as planned, forced onto every
+  join, or stripped (sideways information passing: join build sides
+  export key id-sets into probe-side BGP leaves),
+* the planner's BGP ``strategy`` as planned or stripped (sorted-run
+  intersection and generic join vs. nested loops),
 
-and every combination must return the identical row bag.  The optimized
-engine must additionally *prove* its mechanisms through the
-``sip_filtered_rows`` / ``intersect_steps`` / ``sorted_runs_built``
-counters, and the soundness edges — OPTIONAL padding, MINUS, NOT EXISTS,
-subquery LIMIT windows, Extend overwrites, aggregate probes — are pinned
-with targeted queries.
+each a private copy of the plan (:mod:`plan_variants`), and every
+combination must return the identical row bag.  The planned engine must
+additionally *prove* its mechanisms through the ``sip_filtered_rows`` /
+``intersect_steps`` / ``sorted_runs_built`` counters, and the soundness
+edges — OPTIONAL padding, MINUS, NOT EXISTS, subquery LIMIT windows,
+Extend overwrites, aggregate probes — are pinned with targeted queries.
 """
 
 import itertools
@@ -22,9 +23,11 @@ import itertools
 import pytest
 
 from repro.data import DBPEDIA_URI, build_dataset
-from repro.rdf import DBPP, DBPR, Graph, URIRef
+from repro.rdf import DBPP, DBPR, Graph
 from repro.sparql import Engine
 from repro.workload import JOIN_QUERIES, get_join_query
+
+from plan_variants import UNPUSHED, Variant, nodes, run_variant
 
 PFX = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -41,11 +44,15 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def engines(dataset):
-    """Every knob combination on the production plane + the reference."""
-    out = {"reference": Engine(dataset, columnar=False)}
-    for sip, multiway in itertools.product((True, False), (True, False)):
-        out["sip=%s/multiway=%s" % (sip, multiway)] = Engine(
-            dataset, sip=sip, multiway=multiway)
+    """The reference, the planned engine, and every annotation variant of
+    its plans (``None`` = as planned)."""
+    planned = Engine(dataset)
+    out = {"reference": Engine(dataset, columnar=False), "planned": planned}
+    for sip, strategy in itertools.product((None, True, False),
+                                           (None, False)):
+        if (sip, strategy) != (None, None):
+            out["sip=%s/strategy=%s" % (sip, strategy)] = Variant(
+                planned, sip=sip, strategy=strategy)
     return out
 
 
@@ -61,7 +68,7 @@ def join_query(request):
 
 
 class TestJoinCorpusDifferential:
-    def test_all_planes_and_knobs_agree(self, engines, join_query):
+    def test_all_planes_and_variants_agree(self, engines, join_query):
         want = row_bag(engines["reference"].query(
             join_query.sparql, default_graph_uri=DBPEDIA_URI))
         assert want, "corpus query %s returns no rows at test scale" \
@@ -73,16 +80,16 @@ class TestJoinCorpusDifferential:
                                        default_graph_uri=DBPEDIA_URI))
             assert got == want, "%s disagrees on %s" % (key, join_query.key)
 
-    def test_same_flags_same_rows_across_batch_kinds(self, dataset,
-                                                     join_query):
-        """With identical knobs, row-tuple and columnar batches must
+    def test_same_flags_same_rows_across_batch_kinds(
+            self, engines, join_query):
+        """With identical annotations, row-tuple and columnar batches must
         return literally identical rows (the compiled steps are shared
         and a ColumnBatch keeps its rows' order)."""
-        for sip, multiway in itertools.product((True, False), repeat=2):
-            a, b = (Engine(dataset, sip=sip, multiway=multiway,
-                           vectorize=vectorize).query(
-                        join_query.sparql, default_graph_uri=DBPEDIA_URI)
-                    for vectorize in (False, True))
+        for sip, strategy in itertools.product((None, False), repeat=2):
+            a, b = (run_variant(engines["planned"], join_query.sparql,
+                                DBPEDIA_URI, sip=sip, strategy=strategy,
+                                batch_kind=kind)[0]
+                    for kind in ("rows", "columns"))
             assert a.rows == b.rows
 
 
@@ -106,30 +113,42 @@ class TestCounterProofs:
         assert stats.sorted_runs_built > 0
 
     def test_sip_counters(self, engines):
-        engine = engines["sip=True/multiway=True"]
+        engine = engines["planned"]
         query = get_join_query("sip_egypt_costar")
         engine.query(query.sparql, default_graph_uri=DBPEDIA_URI)
         assert engine.last_stats.sip_filtered_rows > 0
 
-    def test_knobs_off_means_counters_zero(self, engines, join_query):
-        engine = engines["sip=False/multiway=False"]
+    def test_stripped_annotations_mean_counters_zero(self, engines,
+                                                     join_query):
+        engine = engines["sip=False/strategy=False"]
         engine.query(join_query.sparql, default_graph_uri=DBPEDIA_URI)
         stats = engine.last_stats
         assert stats.sip_filtered_rows == 0
         assert stats.intersect_steps == 0
         assert stats.sorted_runs_built == 0
 
+    def test_wcoj_steps_follow_the_plan(self, engines, join_query):
+        """Generic-join levels run exactly where the planner routed a BGP
+        to ``strategy='wcoj'``."""
+        from repro.sparql import algebra as alg
+        engine = engines["planned"]
+        plan = engine.plan(join_query.sparql, DBPEDIA_URI)
+        routed = any(getattr(node, "strategy", None) == "wcoj"
+                     for node in nodes(plan.query.pattern)
+                     if isinstance(node, alg.BGP))
+        engine.execute_plan(plan, DBPEDIA_URI)
+        assert (engine.last_stats.wcoj_steps > 0) == routed
+
     def test_sip_reduces_rows_pulled(self, dataset):
         """The semi-join filter prunes rows before they exist: the
-        optimized engine streams strictly fewer rows through the probe
-        pipeline than the baseline on the selective-probe corpus
-        queries."""
-        on = Engine(dataset, sip=True)
-        off = Engine(dataset, sip=False)
+        planned engine streams strictly fewer rows through the probe
+        pipeline than its plan without ``sip_eligible`` marks on the
+        selective-probe corpus queries."""
+        on = Engine(dataset)
         query = get_join_query("sip_egypt_costar")
         on.query(query.sparql, default_graph_uri=DBPEDIA_URI)
-        off.query(query.sparql, default_graph_uri=DBPEDIA_URI)
-        assert on.last_stats.rows_pulled < off.last_stats.rows_pulled
+        _, off = run_variant(on, query.sparql, DBPEDIA_URI, sip=False)
+        assert on.last_stats.rows_pulled < off.rows_pulled
 
     def test_optional_prunes_with_the_preserved_sides_keys(self, dataset,
                                                            engines):
@@ -148,7 +167,7 @@ class TestCounterProofs:
         assert pruned.sip_filtered_rows > 0
         assert row_bag(result) == row_bag(engines["reference"].query(
             query, default_graph_uri=DBPEDIA_URI))
-        unpruned = engines["sip=False/multiway=False"]
+        unpruned = engines["sip=False/strategy=False"]
         unpruned.query(query, default_graph_uri=DBPEDIA_URI)
         assert pruned.pattern_matches < unpruned.last_stats.pattern_matches
         engine.query(query + " LIMIT 1", default_graph_uri=DBPEDIA_URI)
@@ -287,7 +306,7 @@ class TestSortedRunLifecycle:
         for i in range(12):
             graph.add(DBPR["RunFilm_%d" % i], DBPP.starring, actor)
             graph.add(DBPR["RunFilm_%d" % i], DBPP.country, DBPR.Narnia)
-        engine = Engine(graph, multiway=True, plan_cache_size=0)
+        engine = Engine(graph, plan_cache_size=0)
         query = """
             PREFIX dbpp: <http://dbpedia.org/property/>
             PREFIX dbpr: <http://dbpedia.org/resource/>
@@ -316,28 +335,8 @@ class TestSortedRunLifecycle:
                 ?film dbpp:starring ?actor .
                 ?actor dbpp:birthPlace ?country .
             } ORDER BY ?country LIMIT 4"""
-        fused = Engine(dataset).query(
-            query, default_graph_uri=DBPEDIA_URI)
-        unfused = Engine(dataset, limit_pushdown=False).query(
-            query, default_graph_uri=DBPEDIA_URI)
+        engine = Engine(dataset)
+        fused = engine.query(query, default_graph_uri=DBPEDIA_URI)
+        unfused, _ = run_variant(engine, query, DBPEDIA_URI,
+                                 passes=UNPUSHED)
         assert fused.rows == unfused.rows
-
-    def test_forced_multiway_matches_reference_on_micro_graph(self):
-        """multiway=True forces intersection even where the planner would
-        decline; results must still match the reference plane."""
-        graph = Graph("urn:micro")
-        for i in range(6):
-            graph.add(URIRef("urn:f%d" % i), DBPP.starring,
-                      URIRef("urn:a%d" % (i % 3)))
-            graph.add(URIRef("urn:f%d" % i), DBPP.country,
-                      URIRef("urn:c%d" % (i % 2)))
-        query = """
-            PREFIX dbpp: <http://dbpedia.org/property/>
-            SELECT ?f ?a ?c WHERE {
-                ?f dbpp:starring ?a .
-                ?f dbpp:country ?c .
-            }"""
-        forced = Engine(graph, multiway=True)
-        reference = Engine(graph, columnar=False)
-        assert row_bag(forced.query(query, default_graph_uri="urn:micro")) \
-            == row_bag(reference.query(query, default_graph_uri="urn:micro"))

@@ -14,11 +14,14 @@ from repro.sparql import Endpoint, Engine, ResultCache, parse, plan_key
 from repro.sparql import algebra as alg
 from repro.sparql.expressions import AndExpr, CompareExpr, ConstExpr, VarExpr
 from repro.sparql.parser import ParseError
-from repro.sparql.plan import (_node_key, bgp_merge, filter_pushdown,
-                               key_from_skeleton, make_join_ordering,
-                               optimize_plan, plan_skeleton,
-                               projection_pruning)
+from repro.sparql.plan import (DEFAULT_PASSES, _node_key, bgp_merge,
+                               filter_pushdown, key_from_skeleton,
+                               make_join_ordering, optimize_plan,
+                               plan_skeleton, projection_pruning)
 from repro.sparql.server import QueryServer
+from repro.workload import get_join_query
+
+from plan_variants import UNPUSHED, plan_variant, run_variant
 
 PFX = "PREFIX x: <http://x/>\n"
 
@@ -265,6 +268,25 @@ class TestOptimizePlan:
         text = plan.explain()
         assert "FilterPushdown" in text and "JoinOrdering" in text
 
+    def test_explain_header_carries_batch_kind(self, graph):
+        text = PFX + "SELECT ?m WHERE { ?m x:year ?y }"
+        for suffix, kind in (("", "rows"), (" LIMIT 3", "columns")):
+            plan = optimize_plan(parse(text + suffix), graph=graph)
+            assert plan.batch_kind == kind
+            assert plan.explain().splitlines()[0] \
+                == "FROM [] [batch_kind=%s]" % kind
+
+    def test_unordered_plan_skips_join_ordering(self, graph):
+        # Without graph statistics neither JoinOrdering nor the
+        # CostBasedJoinStrategy annotation pass runs.
+        plan = optimize_plan(parse(
+            PFX + "SELECT ?m WHERE { ?m x:starring ?a . ?m x:rare ?t }"))
+        assert [s.name for s in plan.pass_stats] == [
+            name for name, _ in DEFAULT_PASSES]
+        # The un-reordered pattern keeps its textual order.
+        node = plan.query.pattern.pattern
+        assert node.triples[0][1] == uri("starring")
+
 
 # ----------------------------------------------------------------------
 # Plan keys + the engine's plan cache
@@ -312,15 +334,6 @@ class TestPlanCache:
         engine.query(q)
         engine.query(q)
         assert engine.plan_cache_hits == 0
-
-    def test_optimize_false_skips_join_ordering(self, graph):
-        engine = Engine(graph, optimize=False)
-        q = PFX + "SELECT ?m WHERE { ?m x:starring ?a . ?m x:rare ?t }"
-        plan = engine.plan(q)
-        assert "JoinOrdering" not in [s.name for s in plan.pass_stats]
-        # The un-reordered pattern keeps its textual order.
-        node = plan.query.pattern.pattern
-        assert node.triples[0][1] == uri("starring")
 
     def test_engine_explain_optimized(self, graph):
         engine = Engine(graph)
@@ -504,3 +517,29 @@ class TestTextMemo:
             assert Literal(1890) in [
                 y for _, y in server.execute(q).rows]
         assert list(engine._text_memo) == [q]  # survived every write
+
+
+class TestPlanVariants:
+    """The test-side helper (:mod:`plan_variants`) runs a private copy of
+    a cached plan; the cached plan itself must come out untouched."""
+
+    def test_variants_leave_the_cached_plan_alone(self):
+        engine = Engine(build_dataset(scale=0.05))
+        variants = [dict(sip=False), dict(sip=True), dict(strategy=False),
+                    dict(batch_kind="rows"), dict(batch_kind="columns"),
+                    dict(passes=UNPUSHED), dict(ordered=False)]
+        for key in ("sip_egypt_costar", "triangle_collaborators"):
+            text = get_join_query(key).sparql
+            plan = engine.plan(text, DBPEDIA_URI)
+            before = explained_tree(plan)  # annotations + batch kind
+            notes = "\n".join(before[0])
+            assert "[sip]" in notes or "strategy=wcoj" in notes
+            want = named_bag(engine.execute_plan(plan, DBPEDIA_URI))
+            for changes in variants:
+                copy = plan_variant(engine, text, DBPEDIA_URI, **changes)
+                assert copy is not plan
+                assert copy.query.pattern is not plan.query.pattern
+                got, _ = run_variant(engine, text, DBPEDIA_URI, **changes)
+                assert named_bag(got) == want, changes
+                assert engine.plan(text, DBPEDIA_URI) is plan
+                assert explained_tree(plan) == before, changes

@@ -362,3 +362,9 @@ class TestLifecycle:
             QueryServer(engine, workers=0)
         with pytest.raises(ValueError):
             QueryServer(engine, queue_size=0)
+
+    def test_reference_engine_refused(self):
+        # Workers execute plans; on a reference engine they would answer
+        # from the production operators instead of the oracle.
+        with pytest.raises(ValueError, match="reference engine"):
+            QueryServer(Engine(small_graph(), columnar=False), workers=1)

@@ -19,9 +19,12 @@ from repro.client import EngineClient
 from repro.data import DBPEDIA_URI, build_dataset
 from repro.rdf import Graph, Literal, URIRef
 from repro.sparql import Engine, ResultSet
+from repro.sparql import algebra as alg
 from repro.sparql.evaluator import STREAM_BATCH_ROWS
 from repro.sparql.solution import batched, stream_distinct
 from repro.workload import CASE_STUDIES, get_case_study
+
+from plan_variants import UNPUSHED, nodes, plan_variant, run_variant
 
 PFX = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -192,12 +195,10 @@ class TestOrderByComposite:
 
 class TestTopK:
     def test_plan_fuses_slice_orderby_through_project(self, engines):
-        from repro.sparql import algebra as alg
-
         engine = engines["default"]
         plan = engine.plan(COSTAR + " ORDER BY ?a LIMIT 10",
                            default_graph_uri=DBPEDIA_URI)
-        assert plan.bounded_or_grouped
+        assert plan.batch_kind == "rows"  # TopK has no columnar form
         assert isinstance(plan.query.pattern, alg.Project)
         topk = plan.query.pattern.pattern
         assert isinstance(topk, alg.TopK)
@@ -205,21 +206,23 @@ class TestTopK:
         assert topk.limit == 10
 
     def test_offset_only_plan_is_not_bounded(self, engines):
-        plan = engines["default"].plan(COSTAR + " OFFSET 5",
-                                       default_graph_uri=DBPEDIA_URI)
-        assert not plan.bounded_or_grouped
+        # Only a bound that cuts production short earns columnar batches.
+        engine = engines["default"]
+        assert engine.plan(COSTAR + " LIMIT 5",
+                           default_graph_uri=DBPEDIA_URI).batch_kind \
+            == "columns"
+        assert engine.plan(COSTAR + " OFFSET 5",
+                           default_graph_uri=DBPEDIA_URI).batch_kind \
+            == "rows"
 
-    def test_limit_pushdown_disabled_keeps_slice(self, dataset):
-        from repro.sparql import algebra as alg
-
-        engine = Engine(dataset, limit_pushdown=False)
-        plan = engine.plan(COSTAR + " ORDER BY ?a LIMIT 10",
-                           default_graph_uri=DBPEDIA_URI)
+    def test_limit_pushdown_disabled_keeps_slice(self, engines):
+        plan = plan_variant(engines["default"],
+                            COSTAR + " ORDER BY ?a LIMIT 10", DBPEDIA_URI,
+                            passes=UNPUSHED)
         assert isinstance(plan.query.pattern, alg.Slice)
         assert isinstance(plan.query.pattern.pattern, alg.OrderBy)
 
     def test_slice_fusion_arithmetic(self):
-        from repro.sparql import algebra as alg
         from repro.sparql.plan import limit_pushdown
 
         inner = alg.Slice(alg.BGP([]), limit=10, offset=3)
@@ -238,8 +241,6 @@ class TestTopK:
         # algebra sorts *above* the projection, so the key is a no-op —
         # and LimitPushdown must not swap TopK below the Project (where
         # the key would suddenly bind and change the result).
-        from repro.sparql import algebra as alg
-
         query = COSTAR.replace("?a ?b", "?a") + " ORDER BY ?b LIMIT 5"
         engine = engines["default"]
         plan = engine.plan(query, default_graph_uri=DBPEDIA_URI)
@@ -258,13 +259,13 @@ class TestTopK:
     def test_threshold_pruning_skips_fanout(self, dataset):
         query = COSTAR + " ORDER BY ?a LIMIT 10"
         fused = Engine(dataset)
-        baseline = Engine(dataset, limit_pushdown=False)
         got = fused.query(query, default_graph_uri=DBPEDIA_URI)
-        want = baseline.query(query, default_graph_uri=DBPEDIA_URI)
+        want, baseline = run_variant(fused, query, DBPEDIA_URI,
+                                     passes=UNPUSHED)
         assert got.rows == want.rows
         # The bounded sort pruned join fan-out: far fewer index matches.
         assert fused.last_stats.pattern_matches \
-            < baseline.last_stats.pattern_matches / 2
+            < baseline.pattern_matches / 2
         assert fused.last_stats.early_exits >= 1
 
 
@@ -381,5 +382,7 @@ class TestCursorPagination:
         client = EngineClient(engine)
         df_full = kg_frame.execute(client)
         df_page = kg_frame.execute(client, limit=5, offset=2)
-        assert engine.last_plan.bounded_or_grouped
+        assert any(isinstance(node, alg.TopK)
+                   or (isinstance(node, alg.Slice) and node.limit == 5)
+                   for node in nodes(engine.last_plan.query.pattern))
         assert len(df_page) == max(0, min(5, len(df_full) - 2))

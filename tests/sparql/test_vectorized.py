@@ -2,10 +2,10 @@
 
 Three planes answer the differential queries here:
 
-* ``vectorized`` — ``Engine(vectorize=True)``: the production operators
-  with column-at-a-time batches forced on,
-* ``rows``       — ``Engine(vectorize=False)``: the same operators on
-  row-tuple batches,
+* ``vectorized`` — the production operators on every plan with its batch
+  kind forced to ``'columns'`` (a private plan copy, :mod:`plan_variants`),
+* ``rows``       — the same operators with the batch kind forced to
+  ``'rows'``,
 * ``reference``  — ``Engine(columnar=False)``: the seed evaluator.
 
 All three must agree as bags of named bindings.  The vectorized plane
@@ -31,9 +31,12 @@ from repro.sparql import Engine, Evaluator
 from repro.sparql import algebra as alg
 from repro.sparql.evaluator import QueryTimeout, RowBudgetExceeded
 from repro.sparql.parser import parse
+from repro.sparql.plan import plan_vectorizable
 from repro.sparql.solution import (ColumnBatch, SolutionTable, batched,
                                    stream_distinct)
 from repro.sparql.vector import predicate_compilable
+
+from plan_variants import Variant, plan_variant
 
 PFX = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -57,6 +60,22 @@ SELECT ?film ?actor WHERE {
     ?film dbpp:country ?country .
     FILTER(?country = <http://dbpedia.org/resource/United_States>)
 }"""
+
+BGP4 = PFX + """
+SELECT ?film ?actor ?studio ?country WHERE {
+    ?film rdf:type dbpo:Film .
+    ?film dbpp:starring ?actor .
+    ?film dbpp:studio ?studio .
+    ?film dbpp:country ?country .
+}"""
+
+# Two patterns on purpose: a single-pattern COUNT is answered from the
+# graph indexes and produces no batch at all.
+GROUP_COUNT_TYPED = PFX + """
+SELECT ?actor (COUNT(?film) AS ?n) WHERE {
+    ?film rdf:type dbpo:Film .
+    ?film dbpp:starring ?actor .
+} GROUP BY ?actor"""
 
 DISTINCT_ACTORS = PFX + """
 SELECT DISTINCT ?actor WHERE { ?film dbpp:starring ?actor }"""
@@ -85,9 +104,10 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def planes(dataset):
+    engine = Engine(dataset)
     return {
-        "vectorized": Engine(dataset, vectorize=True),
-        "rows": Engine(dataset, vectorize=False),
+        "vectorized": Variant(engine, batch_kind="columns"),
+        "rows": Variant(engine, batch_kind="rows"),
         "reference": Engine(dataset, columnar=False),
     }
 
@@ -98,12 +118,18 @@ def named_bag(result):
         for row in result.rows)
 
 
+def columnar_stream(dataset, query, **kwargs):
+    """A fresh evaluator (``kwargs``: its valves) and the stream of the
+    query's plan forced to columnar batches over nested-loop BGPs."""
+    plan = plan_variant(Engine(dataset), query, DBPEDIA_URI,
+                        batch_kind="columns", strategy=False)
+    evaluator = Evaluator(dataset, **kwargs)
+    return evaluator, evaluator.evaluate_plan_stream(plan, DBPEDIA_URI)
+
+
 def drain_vectorized(dataset, query, **kwargs):
-    """A forced-vectorized evaluator plus its fully drained stream."""
-    plan = Engine(dataset).plan(query)
-    evaluator = Evaluator(dataset, optimize=False, multiway=False,
-                          vectorize=True, **kwargs)
-    stream = evaluator.evaluate_query_stream(plan.query, DBPEDIA_URI)
+    """:func:`columnar_stream` plus its fully drained rows."""
+    evaluator, stream = columnar_stream(dataset, query, **kwargs)
     rows = []
     for batch in stream.batches:
         rows.extend(batch)
@@ -221,7 +247,8 @@ class TestPlaneIdentity:
             assert bags[name] == bags["reference"], name
 
     def test_pure_id_plans_never_fall_back(self, dataset):
-        for query in (COSTAR, BGP3, FILTER_EQ, DISTINCT_ACTORS):
+        for query in (COSTAR, BGP3, BGP4, FILTER_EQ, DISTINCT_ACTORS,
+                      GROUP_COUNT_TYPED):
             evaluator, _, _ = drain_vectorized(dataset, query)
             assert evaluator.stats.row_fallbacks == 0, query
             assert evaluator.stats.vector_batches > 0, query
@@ -238,25 +265,22 @@ class TestPlaneIdentity:
         # Every produced row crossed at least this stream's boundary.
         assert evaluator.stats.rows_pulled >= stream.total_rows
 
-    def test_auto_routing_is_equivalent(self, dataset):
-        auto = Engine(dataset, vectorize="auto")
-        off = Engine(dataset, vectorize=False)
+    def test_planned_batch_kind_is_equivalent(self, dataset, planes):
+        planned = Engine(dataset)
         for query in DIFFERENTIAL:
-            assert named_bag(auto.query(query,
-                                        default_graph_uri=DBPEDIA_URI)) == \
-                named_bag(off.query(query, default_graph_uri=DBPEDIA_URI))
+            assert named_bag(planned.query(
+                query, default_graph_uri=DBPEDIA_URI)) == \
+                named_bag(planes["rows"].query(
+                    query, default_graph_uri=DBPEDIA_URI))
 
 
 # ----------------------------------------------------------------------
-# Batch-granular safety valves under vectorize=True
+# Batch-granular safety valves on columnar batches
 # ----------------------------------------------------------------------
 
 class TestVectorizedValves:
     def test_max_rows_trips_mid_query(self, dataset):
-        plan = Engine(dataset).plan(COSTAR)
-        evaluator = Evaluator(dataset, optimize=False, multiway=False,
-                              vectorize=True, max_rows=600)
-        stream = evaluator.evaluate_query_stream(plan.query, DBPEDIA_URI)
+        evaluator, stream = columnar_stream(dataset, COSTAR, max_rows=600)
         pulled = 0
         with pytest.raises(RowBudgetExceeded):
             for batch in stream.batches:
@@ -269,10 +293,7 @@ class TestVectorizedValves:
         assert evaluator.stats.pattern_matches > 0
 
     def test_rearmed_deadline_trips_at_next_batch(self, dataset):
-        plan = Engine(dataset).plan(COSTAR)
-        evaluator = Evaluator(dataset, optimize=False, multiway=False,
-                              vectorize=True)
-        stream = evaluator.evaluate_query_stream(plan.query, DBPEDIA_URI)
+        evaluator, stream = columnar_stream(dataset, COSTAR)
         batches = stream.batches
         first = next(batches)
         assert len(first) > 0
@@ -291,32 +312,42 @@ class TestVectorizedValves:
 # Planner annotation / predicate compilability
 # ----------------------------------------------------------------------
 
+def eligible(engine, query):
+    return plan_vectorizable(engine.plan(query).query.pattern)
+
+
 class TestVectorizedAnnotation:
-    def test_bgp_heavy_plans_are_annotated(self, dataset):
+    def test_bgp_heavy_plans_are_eligible(self, dataset):
+        # Eligible, but columnar batches only pay where they are cut
+        # short or folded: the batch kind turns 'columns' with a LIMIT.
         engine = Engine(dataset)
         for query in (COSTAR, FILTER_EQ, DISTINCT_ACTORS):
-            assert engine.plan(query).vectorized, query
+            assert eligible(engine, query), query
+            assert engine.plan(query).batch_kind == "rows", query
+            assert engine.plan(query + " LIMIT 5").batch_kind \
+                == "columns", query
 
-    def test_intersect_strategy_is_not_annotated(self, dataset):
+    def test_intersect_strategy_is_not_eligible(self, dataset):
         # The optimizer marks BGP3's join as multiway-intersection;
-        # intersect steps have no columnar form, so the annotation (and
-        # with it 'auto' routing) excludes the plan — forcing
-        # vectorize=True past the gate still answers it correctly via
-        # the row detour (see TestPlaneIdentity).
-        assert not Engine(dataset).plan(BGP3).vectorized
+        # intersect steps have no columnar form, so the plan stays on
+        # rows even under a LIMIT — forcing columns past the gate still
+        # answers it correctly via the row detour (see TestPlaneIdentity).
+        engine = Engine(dataset)
+        assert not eligible(engine, BGP3)
+        assert engine.plan(BGP3 + " LIMIT 5").batch_kind == "rows"
 
-    def test_general_matcher_shapes_are_not_annotated(self, dataset):
+    def test_general_matcher_shapes_are_not_eligible(self, dataset):
         engine = Engine(dataset)
         # A variable in predicate position needs the slot-interpreting
         # matcher, which has no columnar form.
         var_pred = PFX + "SELECT ?p WHERE { ?film ?p ?actor }"
-        assert not engine.plan(var_pred).vectorized
+        assert not eligible(engine, var_pred)
         # OrderBy is row-comparison heavy: the columnar plane would
         # transpose everything it produced and win nothing.
         ordered = COSTAR + " ORDER BY ?a"
-        assert not engine.plan(ordered).vectorized
+        assert not eligible(engine, ordered)
 
-    def test_uncompilable_filter_stays_annotated(self, dataset):
+    def test_uncompilable_filter_stays_eligible(self, dataset):
         # Non-id filters take the bounded row detour, so the plan as a
         # whole remains columnar-eligible.
         query = PFX + """
@@ -324,7 +355,7 @@ class TestVectorizedAnnotation:
             ?film dbpp:starring ?actor .
             FILTER(REGEX(STR(?actor), "a"))
         }"""
-        assert Engine(dataset).plan(query).vectorized
+        assert eligible(Engine(dataset), query)
 
     @staticmethod
     def _find_filter(node):

@@ -4,9 +4,9 @@ join over cyclic BGPs.
 Covers, on top of the corpus differential in ``test_joins_sip.py``:
 
 * bag-identical rows for the cyclic corpus queries across the wcoj
-  engine, the ``wcoj=False`` intersect plane, and the dict-based
-  reference evaluator, with ``wcoj_steps > 0`` proving the
-  generic-join operator actually ran;
+  engine, its plans with the BGP strategy stripped (nested loops, see
+  :mod:`plan_variants`), and the dict-based reference evaluator, with
+  ``wcoj_steps > 0`` proving the generic-join operator actually ran;
 * ``synopsis_builds`` accounting: lazily built once, memoized across
   queries, rebuilt after a mutation;
 * :class:`~repro.sparql.optimizer.GraphStatistics` freshness — a
@@ -40,6 +40,8 @@ from repro.sparql.optimizer import (GraphStatistics, estimate_join,
 from repro.sparql.plan import optimize_plan
 from repro.workload import JOIN_QUERIES, get_join_query
 
+from plan_variants import Variant
+
 PFX = """
 PREFIX dbpp: <http://dbpedia.org/property/>
 PREFIX dbpo: <http://dbpedia.org/ontology/>
@@ -55,10 +57,11 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def engines(dataset):
+    wcoj = Engine(dataset)
     return {
         "reference": Engine(dataset, columnar=False),
-        "intersect": Engine(dataset, wcoj=False),
-        "wcoj": Engine(dataset),
+        "nested_loop": Variant(wcoj, strategy=False),
+        "wcoj": wcoj,
     }
 
 
@@ -103,7 +106,7 @@ class TestCyclicCorpusDifferential:
         want = row_bag(engines["reference"].query(
             cyclic_query.sparql, default_graph_uri=DBPEDIA_URI))
         assert want, "cyclic query %s empty at test scale" % cyclic_query.key
-        for key in ("intersect", "wcoj"):
+        for key in ("nested_loop", "wcoj"):
             got = row_bag(engines[key].query(
                 cyclic_query.sparql, default_graph_uri=DBPEDIA_URI))
             assert got == want, "%s disagrees on %s" % (key, cyclic_query.key)
@@ -112,9 +115,9 @@ class TestCyclicCorpusDifferential:
         engines["wcoj"].query(cyclic_query.sparql,
                               default_graph_uri=DBPEDIA_URI)
         assert engines["wcoj"].last_stats.wcoj_steps > 0
-        engines["intersect"].query(cyclic_query.sparql,
-                                   default_graph_uri=DBPEDIA_URI)
-        assert engines["intersect"].last_stats.wcoj_steps == 0
+        engines["nested_loop"].query(cyclic_query.sparql,
+                                     default_graph_uri=DBPEDIA_URI)
+        assert engines["nested_loop"].last_stats.wcoj_steps == 0
 
 
 class TestSynopsisAccounting:

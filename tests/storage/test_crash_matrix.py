@@ -13,8 +13,9 @@ Two tiers, both deterministic and ``PYTHONHASHSEED``-independent:
   store-backed dataset.  The workload (attach, checkpoint, a mutation
   sequence that changes query answers) is crashed at every mutating op
   (sampled write partials), recovered with the production IO, and the
-  recovered graphs are queried across all three planes (reference,
-  rows, vectorized).  All planes must be
+  recovered graphs are queried across all three planes (reference, and
+  the production operators with every plan forced to row or to columnar
+  batches, see :mod:`plan_variants`).  All planes must be
   bag-identical, and the common bag must equal one of the pre-/post-
   mutation states of the sequence — bag-identity to a state that
   *existed*, which is the ISSUE's recovery contract.
@@ -34,6 +35,8 @@ from repro.storage import GraphStore
 from repro.storage.fileio import CrashingIO, CrashPoint, SimulatedCrash, \
     StorageIO
 from repro.workload.case_studies import CASE_STUDIES
+
+from plan_variants import Variant
 
 URI = "http://example.org/g"
 
@@ -169,10 +172,11 @@ def revert_all(dataset, mutations):
 
 
 def case_study_bags(dataset):
+    engine = Engine(dataset)
     planes = {
         "reference": Engine(dataset, columnar=False),
-        "rows": Engine(dataset, vectorize=False),
-        "vectorized": Engine(dataset, vectorize=True),
+        "rows": Variant(engine, batch_kind="rows"),
+        "vectorized": Variant(engine, batch_kind="columns"),
     }
     bags = {}
     for cs in CASE_STUDIES:
