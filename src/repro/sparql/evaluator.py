@@ -44,10 +44,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import time
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from decimal import Decimal
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..rdf.dataset import Dataset
@@ -895,6 +897,7 @@ class Evaluator:
         behind a 1024-row counter), a vectorized step produces a whole
         ColumnBatch in C-level bulk operations with no per-row hook — so
         the valves are checked once per batch instead, between steps.
+        ``Group``'s emit checks them every 1024 groups the same way.
         ``self.deadline`` is read here (not captured at compile time) so
         an armed/re-armed deadline takes effect at the next batch
         boundary.
@@ -908,16 +911,15 @@ class Evaluator:
         if self.deadline is not None \
                 and time.perf_counter() > self.deadline:
             raise QueryTimeout(
-                "query exceeded its time budget after %d rows "
-                "of a vectorized pattern match" % produced)
+                "query exceeded its time budget after %d rows"
+                % produced)
 
     def _sip_without(self, var: str) -> Dict:
         """The active scope minus one variable (Extend overwrites it, so a
         leaf filter below would act on the wrong value)."""
         return {v: s for v, s in self._sip.items() if v != var}
 
-    def _fast_group_count(self, node: alg.Group,
-                          graph) -> Optional[SolutionTable]:
+    def _fast_group_count(self, node: alg.Group, graph):
         """Index-backed ``GROUP BY`` counting — no rows are produced.
 
         Applies to ``Group(BGP)`` over a *single* triple pattern with a
@@ -932,7 +934,8 @@ class Evaluator:
         first-seen order of the ``so_pairs`` scan), so the result is
         identical — not merely bag-equal — to the general path's.
 
-        Returns ``None`` when the shape does not apply.
+        Returns the ``(group id, count)`` pairs for
+        :meth:`_emit_groups`, or ``None`` when the shape does not apply.
         """
         pattern = node.pattern
         if not isinstance(pattern, alg.BGP) or len(pattern.triples) != 1:
@@ -967,183 +970,35 @@ class Evaluator:
             return None
 
         self.stats.bgp_count += 1
-        out_vars = tuple(node.group_vars) + tuple(a.alias
-                                                  for a in node.aggregates)
         pid = self.dictionary.lookup(p_term)
-        out_rows: List[tuple] = []
-        if pid is not None:
-            encode = self.dictionary.encode
-            decode = self.dictionary.decode
-            n_aggs = len(node.aggregates)
-            having = node.having
-            out_index = {v: i for i, v in enumerate(out_vars)}
-            group_on_subject = gvar == s_name
-            if group_on_subject and hasattr(graph, "subject_group_counts"):
-                # Subject-keyed groups: one allocation-free index sweep
-                # (a set-membership test per triple, an O(1) SPO count
-                # per group).
-                group_counts = graph.subject_group_counts(pid)
-            elif not group_on_subject \
-                    and hasattr(graph, "object_group_counts"):
-                # Object-keyed groups read straight off the POS index:
-                # O(groups), no per-triple work at all.
-                group_counts = graph.object_group_counts(pid)
-            else:
-                # Union views: one sweep over the deduplicated (s, o)
-                # pairs, counting per first-seen group — still no
-                # solution rows, hashing, or decoding.
-                count_objects = graph.count_objects_for
-                count_subjects = graph.count_subjects_for
+        if pid is None:
+            return iter(())
+        group_on_subject = gvar == s_name
+        if group_on_subject and hasattr(graph, "subject_group_counts"):
+            # Subject-keyed groups: one allocation-free index sweep (a
+            # set-membership test per triple, an O(1) SPO count per group).
+            return graph.subject_group_counts(pid)
+        if not group_on_subject and hasattr(graph, "object_group_counts"):
+            # Object-keyed groups read straight off the POS index:
+            # O(groups), no per-triple work at all.
+            return graph.object_group_counts(pid)
+        # Union views: one sweep over the deduplicated (s, o) pairs,
+        # counting per first-seen group — still no solution rows, hashing,
+        # or decoding.
+        count_objects = graph.count_objects_for
+        count_subjects = graph.count_subjects_for
 
-                def sweep():
-                    seen = set()
-                    for s, o in graph.so_pairs(pid):
-                        gid = s if group_on_subject else o
-                        if gid in seen:
-                            continue
-                        seen.add(gid)
-                        yield gid, (count_objects(gid, pid)
-                                    if group_on_subject
-                                    else count_subjects(pid, gid))
-
-                group_counts = sweep()
-            built = 0
-            count_ids: Dict[int, int] = {}  # count value -> term id
-            max_rows = self.max_rows
-            deadline = self.deadline
-            cancel = self.cancel
-            for gid, count in group_counts:
-                built += 1
-                # Same safety valves as row production elsewhere: a graph
-                # with an enormous group count is abandoned mid-sweep, not
-                # after the result is built.
-                if not (built & 1023):
-                    if cancel is not None:
-                        cancel.raise_if_cancelled()
-                    if deadline is not None \
-                            and time.perf_counter() > deadline:
-                        raise QueryTimeout(
-                            "query exceeded its time budget after %d "
-                            "groups of an index-backed aggregation" % built)
-                tid = count_ids.get(count)
-                if tid is None:
-                    tid = encode(Literal(count))
-                    count_ids[count] = tid
-                out_row = (gid,) + (tid,) * n_aggs
-                if having is not None \
-                        and not _passes_having(having, out_index,
-                                               out_row, decode):
+        def sweep():
+            seen = set()
+            for s, o in graph.so_pairs(pid):
+                gid = s if group_on_subject else o
+                if gid in seen:
                     continue
-                out_rows.append(out_row)
-                if max_rows is not None and len(out_rows) > max_rows:
-                    raise RowBudgetExceeded(
-                        "intermediate result exceeds max_rows=%d "
-                        "(tripped mid-aggregation)" % max_rows)
-            self.stats.groups_built += built
-        return SolutionTable(out_vars, out_rows)
+                seen.add(gid)
+                yield gid, (count_objects(gid, pid) if group_on_subject
+                            else count_subjects(pid, gid))
 
-    def _wcoj_group_aggregate(self, node: alg.Group,
-                              graph) -> Optional[SolutionTable]:
-        """Aggregate pushdown through the generic-join decomposition.
-
-        ``Group`` over a wcoj-planned cyclic BGP folds aggregate states
-        *inside* the join's last elimination level: the compiled wcoj
-        steps run breadth-first exactly as in :meth:`_stream_bgp`, but the
-        final step's ``append`` routes each completed binding straight
-        into its group's accumulator (the same compiled folds the
-        streaming hash aggregation uses, so every finished cell is
-        bit-identical) — no batch of join rows is ever built, and
-        ``accumulator_rows`` stays at zero.  Group order is the
-        first-seen order of the depth-first enumeration, which is the
-        row order every executor produces from the same steps, so the
-        emitted rows match the general path exactly.
-
-        Applies when no sideways-information-passing scope is active and
-        the (possibly ``Project``-wrapped) input is a BGP the planner
-        routed to generic join; returns ``None`` otherwise.
-        """
-        if self._sip:
-            return None
-        pattern = node.pattern
-        while isinstance(pattern, alg.Project):
-            pattern = pattern.pattern
-        if not isinstance(pattern, alg.BGP) or not pattern.triples:
-            return None
-        order = self._wcoj_order(pattern, graph)
-        if not order:
-            return None
-        schema, _schemas, steps = self._bgp_steps(
-            pattern.triples, graph, self._bgp_intersect(pattern), order)
-        index = {v: i for i, v in enumerate(schema)}
-        positions = []
-        for v in node.group_vars:
-            p = index.get(v)
-            if p is None:
-                return None  # key unbound by the BGP: general path
-            positions.append(p)
-        self.stats.bgp_count += 1
-        decode = self.dictionary.decode
-        encode = self.dictionary.encode
-        specs = [_compile_aggregate(a, index, decode)
-                 for a in node.aggregates]
-        groups: Dict = {}
-        if steps is not None:
-            get = groups.get
-            scalar = positions[0] if len(positions) == 1 else None
-            cancel = self.cancel
-            deadline = self.deadline
-            folded = [0]
-
-            def fold_leaf(row):
-                if scalar is not None:
-                    key = row[scalar]
-                else:
-                    key = tuple(row[p] for p in positions)
-                states = get(key)
-                if states is None:
-                    groups[key] = states = [new() for new, _, _ in specs]
-                for (_, fold, _), state in zip(specs, states):
-                    fold(state, row)
-                n = folded[0] = folded[0] + 1
-                if not (n & 1023):
-                    if cancel is not None:
-                        cancel.raise_if_cancelled()
-                    if deadline is not None \
-                            and time.perf_counter() > deadline:
-                        raise QueryTimeout(
-                            "query exceeded its time budget after %d "
-                            "bindings of an aggregated generic join" % n)
-
-            rows: List[tuple] = [()]
-            for step in steps[:-1]:
-                out: List[tuple] = []
-                step(rows, self._guarded_append(out))
-                rows = out
-                if not rows:
-                    break
-            if rows:
-                steps[-1](rows, fold_leaf)
-        if not node.group_vars and not groups:
-            # Implicit single group over empty input: COUNT is 0.
-            groups[()] = [new() for new, _, _ in specs]
-        self.stats.groups_built += len(groups)
-        out_vars = tuple(node.group_vars) + tuple(a.alias
-                                                  for a in node.aggregates)
-        out_index = {v: i for i, v in enumerate(out_vars)}
-        having = node.having
-        out_rows: List[tuple] = []
-        for key, states in groups.items():
-            cells = [key] if len(positions) == 1 else list(key)
-            for (_, _, finish), state in zip(specs, states):
-                value = finish(state)
-                cells.append(None if value is None else encode(value))
-            out_row = tuple(cells)
-            if having is not None \
-                    and not _passes_having(having, out_index,
-                                           out_row, decode):
-                continue
-            out_rows.append(out_row)
-        return SolutionTable(out_vars, out_rows)
+        return sweep()
 
     def _sip_for_group(self, node: alg.Group) -> Dict:
         """Restrict the active scope to the Group's grouping variables.
@@ -2186,12 +2041,12 @@ class Evaluator:
         ``Group`` is no longer a pipeline breaker: its input is *consumed*
         incrementally (the child BGP/join pipeline runs batch by batch and
         no input table is ever materialized); only the per-group states —
-        one small accumulator per aggregate per group — are held.  For
-        COUNT that state is an integer (or an id seen-set for DISTINCT);
-        SUM/MIN/MAX/AVG fold decoded numeric values as they stream by;
-        SAMPLE keeps the first value; GROUP_CONCAT appends lexical parts.
+        one small accumulator per aggregate per group
+        (:func:`_compile_aggregate`) — are held.  A scalar-key COUNT folds
+        columnar batches a column at a time (:func:`_count_column_fold`).
         The single-pattern COUNT shape short-circuits to the index-backed
-        :meth:`_fast_group_count` and touches no rows at all.
+        :meth:`_fast_group_count` and touches no rows at all.  Both
+        executors finish through :meth:`_emit_groups`.
 
         Group keys hash dense int-id tuples (scalar ids for the common
         one-variable GROUP BY), so group order is the first-seen order of
@@ -2206,291 +2061,152 @@ class Evaluator:
                     return self._stream_group(node, graph, hint)
                 finally:
                     self._sip = scope
-        pushed = self._wcoj_group_aggregate(node, graph)
-        if pushed is not None:
-            batches = iter((pushed.rows,)) if pushed.rows else iter(())
-            return TableStream(pushed.variables, self._meter(batches))
-        fast = self._fast_group_count(node, graph)
-        if fast is not None:
-            batches = iter((fast.rows,)) if fast.rows else iter(())
-            return TableStream(fast.variables, self._meter(batches))
-        inner = self.stream(node.pattern, graph, None)
-        out_vars = tuple(node.group_vars) + tuple(a.alias
-                                                  for a in node.aggregates)
-        index = inner.index
-        decode = self.dictionary.decode
-        encode = self.dictionary.encode
-        if len(node.aggregates) >= 2 and all(
-                (a.expression is None and not a.distinct)
-                or type(a.expression) is VarExpr
-                for a in node.aggregates):
-            # Several column aggregates over one group: appending one
-            # member tuple — only the columns the aggregates read — and
-            # batch-aggregating each column at emit
-            # (:func:`_aggregate_columnar`) beats driving N accumulators
-            # per row.  COUNT(DISTINCT *) is excluded: it
-            # needs full solutions, so it stays on the accumulator path.
-            return self._stream_group_members(node, inner, out_vars)
-        specs = [_compile_aggregate(a, index, decode)
-                 for a in node.aggregates]
-        group_vars = node.group_vars
-        positions = [index.get(v) for v in group_vars]
-        having = node.having
-        out_index = {v: i for i, v in enumerate(out_vars)}
-        stats = self.stats
+        counts = self._fast_group_count(node, graph)
+        if counts is not None:
+            n_aggs = len(node.aggregates)
+            finished: Dict[int, tuple] = {}  # count -> its aggregate terms
 
+            def finish_count(count):
+                terms = finished.get(count)
+                if terms is None:
+                    finished[count] = terms = (_count_literal(count),) * n_aggs
+                return terms
+
+            return self._emit_groups(node, counts, True, None, finish_count)
+        inner = self.stream(node.pattern, graph, None)
+        index = inner.index
+        specs = [_compile_aggregate(a, index, self.dictionary.decode)
+                 for a in node.aggregates]
+        positions = [index.get(v) for v in node.group_vars]
         # Scalar keys (the common one-variable GROUP BY) skip per-row
-        # tuple construction; the single-aggregate shape skips the
-        # state-list indirection.
+        # tuple construction; a single aggregate's state is the group's
+        # state, with no list indirection per row.
         scalar = positions[0] if (len(positions) == 1
                                   and positions[0] is not None) else None
-        if group_vars and scalar is None:
+        if positions:
             def key_of(row):
                 return tuple(None if p is None else row[p]
                              for p in positions)
         else:
             def key_of(row):  # implicit single group
                 return ()
+        if len(specs) == 1:
+            new_state, fold, finish_one = specs[0]
 
-        # Columnar fold for the scalar-key single-COUNT shapes: the
-        # accumulator loop walks the key column (and the counted column's
-        # null mask) directly — no row tuple is ever built.  State shapes
-        # are identical to the row folds', so mixed columnar/row input
-        # streams share one ``groups`` dict.
-        cfold = None
-        if self.column_batches and scalar is not None and len(specs) == 1 \
-                and node.aggregates[0].function == "count":
-            agg0 = node.aggregates[0]
-            expr0 = agg0.expression
-            new0_c = specs[0][0]
-            if expr0 is None and not agg0.distinct:
-                # Counting needs no per-row state transition: Counter
-                # tallies the key column in C and the Python loop runs
-                # once per *distinct* key.
-                def cfold(groups, get, cb):
-                    for key, k in Counter(cb.columns[scalar]).items():
-                        state = get(key)
-                        if state is None:
-                            groups[key] = state = new0_c()
-                        state[0] += k
-            elif type(expr0) is VarExpr and not agg0.distinct:
-                vpos = index.get(expr0.name)
-
-                def cfold(groups, get, cb):
-                    vmask = None if vpos is None else cb.mask(vpos)
-                    if vpos is not None and vmask is None:
-                        for key, k in Counter(cb.columns[scalar]).items():
-                            state = get(key)
-                            if state is None:
-                                groups[key] = state = new0_c()
-                            state[0] += k
-                        return
-                    for key, null in zip(cb.columns[scalar],
-                                         vmask if vmask is not None
-                                         else repeat(1, len(cb))):
-                        state = get(key)
-                        if state is None:
-                            groups[key] = state = new0_c()
-                        if not null:
-                            state[0] += 1
-            elif type(expr0) is VarExpr and agg0.distinct:
-                vpos = index.get(expr0.name)
-                if vpos is not None:
-                    def cfold(groups, get, cb):
-                        vmask = cb.mask(vpos)
-                        if vmask is None:
-                            for key, tid in zip(cb.columns[scalar],
-                                                cb.columns[vpos]):
-                                state = get(key)
-                                if state is None:
-                                    groups[key] = state = set()
-                                state.add(tid)
-                            return
-                        for key, tid, null in zip(cb.columns[scalar],
-                                                  cb.columns[vpos], vmask):
-                            state = get(key)
-                            if state is None:
-                                groups[key] = state = set()
-                            if not null:
-                                state.add(tid)
-        to_rows_fb = self._rows
-
-        def batches():
-            groups: Dict = {}  # key -> aggregate state(s)
-            get = groups.get
-            folded = 0
-            if len(specs) == 1:
-                new0, fold0, _ = specs[0]
-                for batch in inner.batches:
-                    folded += len(batch)
-                    if type(batch) is ColumnBatch:
-                        if cfold is not None \
-                                and batch.mask(scalar) is None:
-                            cfold(groups, get, batch)
-                            continue
-                        batch = to_rows_fb(batch)
-                    if scalar is not None:
-                        for row in batch:
-                            key = row[scalar]
-                            state = get(key)
-                            if state is None:
-                                groups[key] = state = new0()
-                            fold0(state, row)
-                    else:
-                        for row in batch:
-                            key = key_of(row)
-                            state = get(key)
-                            if state is None:
-                                groups[key] = state = new0()
-                            fold0(state, row)
-                finished = ((key, (state,))
-                            for key, state in groups.items())
-            else:
-                folds = [fold for _, fold, _ in specs]
-                if len(folds) == 2:
-                    f0, f1 = folds
-
-                    def fold_all(states, row):
-                        f0(states[0], row)
-                        f1(states[1], row)
-                elif len(folds) == 3:
-                    f0, f1, f2 = folds
-
-                    def fold_all(states, row):
-                        f0(states[0], row)
-                        f1(states[1], row)
-                        f2(states[2], row)
-                else:
-                    def fold_all(states, row):
-                        i = 0
-                        for fold in folds:
-                            fold(states[i], row)
-                            i += 1
-                for batch in inner.batches:
-                    folded += len(batch)
-                    if type(batch) is ColumnBatch:
-                        batch = to_rows_fb(batch)
-                    for row in batch:
-                        key = row[scalar] if scalar is not None \
-                            else key_of(row)
-                        states = get(key)
-                        if states is None:
-                            states = [new() for new, _, _ in specs]
-                            groups[key] = states
-                        fold_all(states, row)
-                finished = groups.items()
-            if not group_vars and not groups:
-                # Implicit single group over empty input: COUNT is 0.
-                groups[()] = [new() for new, _, _ in specs]
-                finished = groups.items()
-            stats.accumulator_rows += folded
-            stats.groups_built += len(groups)
-            out_rows: List[tuple] = []
-            for key, states in finished:
-                cells = [key] if scalar is not None else list(key)
-                for (_, _, finish), state in zip(specs, states):
-                    value = finish(state)
-                    cells.append(None if value is None else encode(value))
-                out_row = tuple(cells)
-                if having is not None \
-                        and not _passes_having(having, out_index,
-                                               out_row, decode):
-                    continue
-                out_rows.append(out_row)
-            if out_rows:
-                yield out_rows
-
-        return TableStream(out_vars, self._meter(batches()))
-
-    def _stream_group_members(self, node: alg.Group, inner: TableStream,
-                              out_vars) -> TableStream:
-        """Member grouping for multi-aggregate column-only Groups.
-
-        One ``list.append`` per input row while the child stream drains —
-        of a *projected* member tuple holding only the columns the
-        aggregates read, so wide input rows are never retained.  Each
-        group's columns are then aggregated in one batch pass per
-        aggregate (:func:`_aggregate_columnar`).
-        """
-        index = inner.index
-        decode = self.dictionary.decode
-        encode = self.dictionary.encode
-        group_vars = node.group_vars
-        positions = [index.get(v) for v in group_vars]
-        having = node.having
-        out_index = {v: i for i, v in enumerate(out_vars)}
-        stats = self.stats
-        scalar = positions[0] if (len(positions) == 1
-                                  and positions[0] is not None) else None
-        # Project members down to the aggregated columns.  COUNT(*)
-        # needs only multiplicity, so an all-COUNT(*) Group keeps empty
-        # tuples; _aggregate_columnar reads the members through the
-        # narrowed schema below.
-        needed: List[str] = []
-        for aggregate in node.aggregates:
-            expr = aggregate.expression
-            if expr is not None and expr.name in index \
-                    and expr.name not in needed:
-                needed.append(expr.name)
-        member_pos = [index[v] for v in needed]
-        member_index = {v: i for i, v in enumerate(needed)}
-        if len(member_pos) == 1:
-            mp0 = member_pos[0]
-
-            def member_of(row):
-                return (row[mp0],)
+            def finish(state):
+                return (finish_one(state),)
         else:
-            def member_of(row):
-                return tuple(row[p] for p in member_pos)
+            news, folds, finishes = zip(*specs)
 
-        to_rows_fb = self._rows
+            def new_state():
+                return [new() for new in news]
 
-        def batches():
-            groups: Dict = {}  # key -> projected member tuples
+            def fold(states, row):
+                for fold_one, state in zip(folds, states):
+                    fold_one(state, row)
+
+            def finish(states):
+                return [finish_one(state)
+                        for finish_one, state in zip(finishes, states)]
+        cfold = None
+        if self.column_batches and scalar is not None and len(specs) == 1:
+            cfold = _count_column_fold(node.aggregates[0], index, scalar,
+                                       new_state)
+        stats = self.stats
+        to_rows = self._rows
+
+        def groups():
+            groups: Dict = {}  # key -> aggregate state(s)
             get = groups.get
             folded = 0
             for batch in inner.batches:
                 folded += len(batch)
                 if type(batch) is ColumnBatch:
-                    batch = to_rows_fb(batch)
+                    if cfold is not None and batch.mask(scalar) is None:
+                        cfold(groups, get, batch)
+                        continue
+                    batch = to_rows(batch)
                 if scalar is not None:
                     for row in batch:
                         key = row[scalar]
-                        members = get(key)
-                        if members is None:
-                            groups[key] = members = []
-                        members.append(member_of(row))
-                elif group_vars:
-                    for row in batch:
-                        key = tuple(None if p is None else row[p]
-                                    for p in positions)
-                        members = get(key)
-                        if members is None:
-                            groups[key] = members = []
-                        members.append(member_of(row))
+                        state = get(key)
+                        if state is None:
+                            groups[key] = state = new_state()
+                        fold(state, row)
                 else:
                     for row in batch:
-                        members = get(())
-                        if members is None:
-                            groups[()] = members = []
-                        members.append(member_of(row))
-            if not group_vars and not groups:
-                groups[()] = []  # implicit single group: COUNT is 0
+                        key = key_of(row)
+                        state = get(key)
+                        if state is None:
+                            groups[key] = state = new_state()
+                        fold(state, row)
             stats.accumulator_rows += folded
-            stats.groups_built += len(groups)
+            yield from groups.items()
+
+        return self._emit_groups(node, groups(), scalar is not None,
+                                 new_state, finish)
+
+    def _emit_groups(self, node: alg.Group, groups, scalar: bool,
+                     new_state, finish) -> TableStream:
+        """Finish a ``Group``: the one emit both executors share.
+
+        ``groups`` yields ``(key, state)`` — a key id when ``scalar``, else
+        a tuple of key ids — and ``finish(state)`` gives the aggregate
+        terms (``None`` for unbound).  An implicit group (no GROUP BY) over
+        empty input still emits one row, from ``new_state()`` (COUNT is 0).
+        Each finished term is encoded; ``HAVING`` is evaluated over the
+        finished row (grouping variables + aggregate aliases), where an
+        error eliminates the group exactly like FILTER.  The safety valves
+        are checked every 1024 groups, so an enormous sweep is abandoned
+        mid-way.
+        """
+        out_vars = tuple(node.group_vars) + tuple(a.alias
+                                                  for a in node.aggregates)
+        out_index = {v: i for i, v in enumerate(out_vars)}
+        having = node.having
+        decode = self.dictionary.decode
+        encode = self.dictionary.encode
+
+        def implicit(groups):
+            """An implicit group exists even over empty input."""
+            empty = True
+            for item in groups:
+                empty = False
+                yield item
+            if empty:
+                yield (), new_state()
+
+        def batches():
             out_rows: List[tuple] = []
-            for key, members in groups.items():
-                cells = [key] if scalar is not None else list(key)
-                for aggregate in node.aggregates:
-                    value = _aggregate_columnar(aggregate, members,
-                                                member_index, decode)
-                    cells.append(None if value is None else encode(value))
-                out_row = tuple(cells)
-                if having is not None \
-                        and not _passes_having(having, out_index,
-                                               out_row, decode):
-                    continue
-                out_rows.append(out_row)
+            # Finished terms repeat (counts are memoized literals): encode
+            # each object once.  The memo holds the term, so its id() is
+            # not reused while the memo lives.
+            tids: Dict[int, tuple] = {}
+            built = 0
+            for key, state in (groups if node.group_vars
+                               else implicit(groups)):
+                built += 1
+                if not (built & 1023):
+                    self._check_valves(len(out_rows))
+                cells = [key] if scalar else list(key)
+                for value in finish(state):
+                    if value is None:
+                        cells.append(None)
+                        continue
+                    hit = tids.get(id(value))
+                    if hit is None:
+                        tids[id(value)] = hit = (value, encode(value))
+                    cells.append(hit[1])
+                row = tuple(cells)
+                if having is not None:
+                    try:
+                        if not ebv(having.evaluate(
+                                RowView(out_index, row, decode))):
+                            continue
+                    except ExpressionError:
+                        continue
+                out_rows.append(row)
+            self.stats.groups_built += built
             if out_rows:
                 yield out_rows
 
@@ -2888,87 +2604,6 @@ def _common_vars(left: alg.AlgebraNode, right: alg.AlgebraNode) -> List[str]:
     return [v for v in right.in_scope() if v in left_vars]
 
 
-#: Sentinel: the columnar aggregate fast path does not apply.
-_SLOW = object()
-
-
-def _passes_having(having, out_index, out_row, decode) -> bool:
-    """SPARQL HAVING over one finished group row (grouping variables +
-    aggregate aliases): errors eliminate the group, exactly like FILTER.
-    The single definition keeps the hash, member-list, generic-join and
-    index-backed Group paths from diverging on error semantics."""
-    try:
-        return ebv(having.evaluate(RowView(out_index, out_row, decode)))
-    except ExpressionError:
-        return False
-
-
-def _aggregate_columnar(aggregate: alg.Aggregate, rows, index, decode):
-    """Aggregate directly over id columns when the aggregate expression is
-    a bare variable (the dominant case: COUNT(?m), SUM(?y), ...).
-
-    COUNT needs no decoding at all — id equality is term equality, so
-    DISTINCT deduplicates on ids; the numeric aggregates decode only the
-    (possibly deduplicated) column.  Returns ``_SLOW`` when the expression
-    is complex and the caller must fall back to per-row views."""
-    expr = aggregate.expression
-    if expr is None:  # COUNT(*)
-        if aggregate.function != "count":
-            raise EvaluationError("only COUNT supports *")
-        if aggregate.distinct:  # COUNT(DISTINCT *): distinct solutions
-            return Literal(len(set(rows)))
-        return Literal(len(rows))
-    if type(expr) is not VarExpr:
-        return _SLOW
-    pos = index.get(expr.name)
-    if pos is None:
-        ids = []
-    else:
-        ids = [row[pos] for row in rows if row[pos] is not None]
-    if aggregate.distinct:
-        seen = set()
-        unique = []
-        for tid in ids:
-            if tid not in seen:
-                seen.add(tid)
-                unique.append(tid)
-        ids = unique
-    if aggregate.function == "count":
-        return Literal(len(ids))
-    return _finish_aggregate(aggregate.function,
-                             [decode(tid) for tid in ids],
-                             aggregate.separator)
-
-
-def _apply_aggregate(aggregate: alg.Aggregate, members):
-    """Apply one aggregate over a group's members (dicts or RowViews)."""
-    values = []
-    if aggregate.expression is None:  # COUNT(*)
-        if aggregate.function != "count":
-            raise EvaluationError("only COUNT supports *")
-        if aggregate.distinct:
-            # COUNT(DISTINCT *): count distinct solutions.  Mappings are
-            # keyed by their sorted (variable, term) items; sorting never
-            # compares terms because dict keys are unique.
-            return Literal(len({tuple(sorted(mu.items()))
-                                for mu in members}))
-        return Literal(len(members))
-    for mu in members:
-        try:
-            values.append(aggregate.expression.evaluate(mu))
-        except ExpressionError:
-            continue
-    if aggregate.distinct:
-        seen = set()
-        unique = []
-        for value in values:
-            if value not in seen:
-                seen.add(value)
-                unique.append(value)
-        values = unique
-    return _finish_aggregate(aggregate.function, values, aggregate.separator)
-
-
 _COUNT_LITERALS: Dict[int, Literal] = {}
 
 
@@ -2988,24 +2623,35 @@ def _count_literal(n: int) -> Literal:
     return lit
 
 
-def _value_accumulator(function: str, separator: Optional[str]):
-    """``(new_state, fold(state, term), finish(state))`` over term values.
+def _accumulator(function: str, separator: Optional[str] = None):
+    """``(new_state, fold(state, value), finish(state))`` for one
+    aggregate function — the single production definition of each.
 
-    The per-group accumulator core of the streaming ``Group``: states are
-    tiny mutable lists folded one value at a time.  Numeric folds replicate
-    :func:`_finish_aggregate` exactly — same left-to-right addition order
-    (so float sums are bit-identical), same poison rule (one non-numeric
-    value makes the whole aggregate an error -> unbound), same datatype
-    promotion flags.
+    States are small mutable lists folded one value at a time; ``finish``
+    returns a term, or ``None`` for unbound.  COUNT never looks at the
+    value, so callers may fold ids or rows into it undecoded.  SUM/AVG add
+    left to right (float totals are bit-identical to the reference's batch
+    sum); one non-numeric value makes them an error, i.e. unbound.
+    MIN/MAX keep the winning input term in ``ORDER BY`` order
+    (:func:`_sort_key`), ties broken by ``n3()``, so the winner does not
+    depend on the input order.
     """
-    if function == "sample":
+    if function == "count":
         def new_state():
-            return [None, False]
+            return [0]
 
         def fold(state, value):
-            if not state[1]:
+            state[0] += 1
+
+        def finish(state):
+            return _count_literal(state[0])
+    elif function == "sample":
+        def new_state():
+            return [None]
+
+        def fold(state, value):
+            if state[0] is None:
                 state[0] = value
-                state[1] = True
 
         def finish(state):
             return state[0]
@@ -3020,30 +2666,21 @@ def _value_accumulator(function: str, separator: Optional[str]):
         def finish(state):
             return Literal(sep.join(state))
     elif function in ("min", "max"):
-        smaller = function == "min"
+        wins = operator.lt if function == "min" else operator.gt
 
         def new_state():
-            # [best, any_value_seen, poisoned]
-            return [None, False, False]
+            return [None, None]  # [sort key of the best term, the term]
 
         def fold(state, value):
-            state[1] = True
-            if state[2]:
-                return
-            if not (isinstance(value, Literal) and value.is_numeric):
-                state[2] = True
-                return
-            number = value.value
+            key = _sort_key(value)
             best = state[0]
-            if best is None:
-                state[0] = number
-            elif (number < best) if smaller else (best < number):
-                state[0] = number
+            if best is None or wins(key, best) or (
+                    key == best and wins(value.n3(), state[1].n3())):
+                state[0] = key
+                state[1] = value
 
         def finish(state):
-            if state[2] or not state[1]:
-                return None
-            return Literal(state[0])
+            return state[1]
     elif function in ("sum", "avg"):
         def new_state():
             # [total, n, poisoned, saw_double, saw_non_integer]
@@ -3081,197 +2718,140 @@ def _value_accumulator(function: str, separator: Optional[str]):
 
 def _compile_aggregate(aggregate: alg.Aggregate, index: Dict[str, int],
                        decode):
-    """Compile one aggregate into ``(new_state, fold(state, row), finish)``.
+    """Compile one aggregate over rows of schema ``index`` into
+    ``(new_state, fold(state, row), finish(state))``.
 
-    The row-level face of :func:`_value_accumulator`, specialized once per
-    Group per aggregate on the input schema:
-
-    * COUNT folds without decoding anything — plain integer bumps, or an
-      id seen-set for ``COUNT(DISTINCT ?x)`` (id equality is term
-      equality);
-    * bare-variable value aggregates read the id column, dedupe on ids
-      when DISTINCT, and decode one term per folded value;
-    * complex expressions evaluate through a lazy :class:`RowView` per
-      row, with SPARQL error semantics (an erroring row contributes no
-      value), and dedupe on term values when DISTINCT.
-
-    ``finish`` returns a term (or ``None`` for unbound); results are
-    bit-identical to the batch forms :func:`_aggregate_columnar` (the
-    member-list Group) and :func:`_apply_aggregate` (the reference
-    evaluator) compute.
+    Input adapter, then optional dedupe, then the function's one
+    :func:`_accumulator`.  The adapter reads what a row contributes: the
+    row itself for ``COUNT(*)``, the id in a bare variable's column, or
+    the term an expression evaluates to through a lazy :class:`RowView`;
+    ``None`` (an unbound cell, an evaluation error) contributes nothing.
+    DISTINCT (and MIN/MAX, which ignore duplicates) collects those values
+    in first-seen order and folds them at finish.  Ids are compared
+    undecoded (id equality is term equality) and decoded only on the way
+    into a non-COUNT accumulator.
     """
-    function = aggregate.function
-    expr = aggregate.expression
-    if expr is None:  # COUNT(*)
+    function, expr = aggregate.function, aggregate.expression
+    new_state, step, finish = _accumulator(function, aggregate.separator)
+    to_term = None  # what turns an adapted value into the folded term
+    if expr is None:
         if function != "count":
             raise EvaluationError("only COUNT supports *")
-        if aggregate.distinct:  # COUNT(DISTINCT *): distinct solutions
-            new_state = set
 
-            def fold(state, row):
-                state.add(row)
-
-            def finish(state):
-                return _count_literal(len(state))
-        else:
-            def new_state():
-                return [0]
-
-            def fold(state, row):
-                state[0] += 1
-
-            def finish(state):
-                return _count_literal(state[0])
-
-        return new_state, fold, finish
-
-    if type(expr) is VarExpr:
+        def read(row):
+            return row
+    elif type(expr) is VarExpr:
         pos = index.get(expr.name)
-        if function == "count":
-            if not aggregate.distinct:
-                def new_state():
-                    return [0]
-
-                if pos is None:
-                    def fold(state, row):
-                        pass
-                else:
-                    def fold(state, row):
-                        if row[pos] is not None:
-                            state[0] += 1
-
-                def finish(state):
-                    return _count_literal(state[0])
-            else:
-                new_state = set
-                if pos is None:
-                    def fold(state, row):
-                        pass
-                else:
-                    def fold(state, row):
-                        tid = row[pos]
-                        if tid is not None:
-                            state.add(tid)
-
-                def finish(state):
-                    return _count_literal(len(state))
-            return new_state, fold, finish
-
-        # Value aggregates over an id column fold each decoded value into
-        # the incremental :func:`_value_accumulator` state — O(1) per
-        # group for the numerics (running totals, same left-to-right
-        # addition order and poison/promotion flags as
-        # :func:`_finish_aggregate`, so results match bit for bit).
-        # SAMPLE keeps only the first id; DISTINCT dedupes on ids before
-        # folding.
-        if function == "sample":
-            def new_state():
-                return [None]
-
-            if pos is None:
-                def fold(state, row):
-                    pass
-            else:
-                # First id, DISTINCT or not: dedup cannot change values[0].
-                def fold(state, row):
-                    if state[0] is None:
-                        state[0] = row[pos]
-
-            def finish(state):
-                return None if state[0] is None else decode(state[0])
+        if pos is None:
+            def read(row):
+                return None
+        elif function == "count" and not aggregate.distinct:
+            # COUNT(?x): a bound test on the id column folded in place
+            # (COUNT's state is ``[n]``).
+            def fold(state, row):
+                if row[pos] is not None:
+                    state[0] += 1
 
             return new_state, fold, finish
-        value_new, value_fold, value_finish = _value_accumulator(
-            function, aggregate.separator)
-        if aggregate.distinct:
-            def new_state():
-                return (set(), value_new())
-
-            if pos is None:
-                def fold(state, row):
-                    pass
-            else:
-                def fold(state, row):
-                    tid = row[pos]
-                    if tid is not None and tid not in state[0]:
-                        state[0].add(tid)
-                        value_fold(state[1], decode(tid))
-
-            def finish(state):
-                return value_finish(state[1])
         else:
-            new_state = value_new
-            if pos is None:
-                def fold(state, row):
-                    pass
-            else:
-                def fold(state, row):
-                    tid = row[pos]
-                    if tid is not None:
-                        value_fold(state, decode(tid))
-
-            finish = value_finish
-        return new_state, fold, finish
-
-    # Complex expression: per-row lazy evaluation, error rows skipped.
-    expression = expr
-    if function == "count":
-        if aggregate.distinct:
-            new_state = set
-
-            def fold(state, row):
-                try:
-                    state.add(expression.evaluate(RowView(index, row,
-                                                          decode)))
-                except ExpressionError:
-                    pass
-
-            def finish(state):
-                return _count_literal(len(state))
-        else:
-            def new_state():
-                return [0]
-
-            def fold(state, row):
-                try:
-                    expression.evaluate(RowView(index, row, decode))
-                except ExpressionError:
-                    return
-                state[0] += 1
-
-            def finish(state):
-                return _count_literal(state[0])
-        return new_state, fold, finish
-
-    value_new, value_fold, value_finish = _value_accumulator(
-        function, aggregate.separator)
-    if aggregate.distinct:
-        def new_state():
-            return (set(), value_new())
-
-        def fold(state, row):
-            try:
-                value = expression.evaluate(RowView(index, row, decode))
-            except ExpressionError:
-                return
-            if value not in state[0]:
-                state[0].add(value)
-                value_fold(state[1], value)
-
-        def finish(state):
-            return value_finish(state[1])
+            read = itemgetter(pos)
+            if function != "count":
+                to_term = decode
     else:
-        new_state = value_new
-
-        def fold(state, row):
+        def read(row):
             try:
-                value = expression.evaluate(RowView(index, row, decode))
+                return expr.evaluate(RowView(index, row, decode))
             except ExpressionError:
-                return
-            value_fold(state, value)
+                return None
 
-        finish = value_finish
+    # MIN/MAX ignore duplicates, so they fold each distinct value once:
+    # a dict store per row, an ORDER BY key per distinct value at finish.
+    if aggregate.distinct or function in ("min", "max"):
+        def fold(seen, row):
+            value = read(row)
+            if value is not None:
+                seen[value] = None  # a dict keeps first-seen order
+
+        if function == "count":
+            def finish_distinct(seen):
+                return _count_literal(len(seen))
+        else:
+            def finish_distinct(seen):
+                state = new_state()
+                for value in seen:
+                    step(state, value if to_term is None else to_term(value))
+                return finish(state)
+
+        return dict, fold, finish_distinct
+    if expr is None:  # COUNT(*): every row counts
+        return new_state, step, finish
+    if to_term is None:
+        def fold(state, row):
+            value = read(row)
+            if value is not None:
+                step(state, value)
+    else:
+        def fold(state, row):
+            value = read(row)
+            if value is not None:
+                step(state, to_term(value))
     return new_state, fold, finish
+
+
+def _count_column_fold(aggregate: alg.Aggregate, index: Dict[str, int],
+                       key_pos: int, new_state):
+    """The column-at-a-time face of a scalar-key COUNT, or ``None``.
+
+    Folds a whole :class:`ColumnBatch` (null-free key column) into the
+    same states :func:`_compile_aggregate` builds, so row and column
+    batches share one ``groups`` dict: ``COUNT(*)`` / ``COUNT(?x)`` tally
+    the key column with ``Counter`` in C and loop once per *distinct* key;
+    ``COUNT(DISTINCT ?x)`` adds ids to each group's seen-dict.
+    """
+    expr = aggregate.expression
+    if aggregate.function != "count" \
+            or (expr is not None and type(expr) is not VarExpr):
+        return None
+    vpos = None if expr is None else index.get(expr.name)
+    if aggregate.distinct:
+        if vpos is None:  # COUNT(DISTINCT *) needs whole solutions
+            return None
+
+        def cfold(groups, get, cb):
+            keys, tids = cb.columns[key_pos], cb.columns[vpos]
+            nulls = cb.mask(vpos)
+            if nulls is None:
+                for key, tid in zip(keys, tids):
+                    seen = get(key)
+                    if seen is None:
+                        groups[key] = seen = new_state()
+                    seen[tid] = None
+                return
+            for key, tid, null in zip(keys, tids, nulls):
+                seen = get(key)
+                if seen is None:
+                    groups[key] = seen = new_state()
+                if not null:
+                    seen[tid] = None
+
+        return cfold
+
+    def cfold(groups, get, cb):
+        keys = cb.columns[key_pos]
+        tally = Counter(keys)
+        if expr is not None:
+            # Rows whose counted cell is unbound still open their group.
+            if vpos is None:
+                tally.subtract(keys)
+            elif cb.mask(vpos) is not None:
+                tally.subtract(compress(keys, cb.mask(vpos)))
+        for key, k in tally.items():
+            state = get(key)
+            if state is None:
+                groups[key] = state = new_state()
+            state[0] += k
+
+    return cfold
 
 
 def _numeric_literal(number, saw_double: bool,
@@ -3297,41 +2877,6 @@ def _numeric_literal(number, saw_double: bool,
             lexical = lexical[:-2]
         return Literal(lexical, datatype=XSD_DECIMAL)
     return Literal(number)
-
-
-def _finish_aggregate(function: str, values, separator: Optional[str] = None):
-    if function == "count":
-        return Literal(len(values))
-    if function == "sample":
-        return values[0] if values else None
-    if function == "group_concat":
-        parts = [v.lexical if isinstance(v, Literal) else str(v) for v in values]
-        return Literal((" " if separator is None else separator).join(parts))
-    numbers = []
-    saw_double = saw_non_integer = False
-    for value in values:
-        if isinstance(value, Literal) and value.is_numeric:
-            numbers.append(value.value)
-            if value.datatype == XSD_DOUBLE:
-                saw_double = True
-            elif value.datatype != XSD_INTEGER:
-                saw_non_integer = True
-        else:
-            return None  # type error -> aggregate is an error -> unbound
-    if function == "sum":
-        if not numbers:
-            return Literal(0)
-        return _numeric_literal(sum(numbers), saw_double, saw_non_integer)
-    if not numbers:
-        return None
-    if function == "min":
-        return Literal(min(numbers))
-    if function == "max":
-        return Literal(max(numbers))
-    if function == "avg":
-        return _numeric_literal(sum(numbers) / len(numbers), saw_double,
-                                True)
-    raise EvaluationError("unknown aggregate %r" % function)
 
 
 def _sort_key(value):

@@ -488,8 +488,7 @@ def generic_join_eligible(patterns: Sequence[TriplePattern]) -> bool:
 
 
 def generic_join_order(patterns: Sequence[TriplePattern],
-                       stats: GraphStatistics,
-                       prefer: Sequence[str] = ()) -> Optional[List[str]]:
+                       stats: GraphStatistics) -> Optional[List[str]]:
     """A variable elimination order for generic join over ``patterns``.
 
     Greedy: at each level pick the unbound variable with the narrowest
@@ -497,11 +496,9 @@ def generic_join_order(patterns: Sequence[TriplePattern],
     :func:`run_signature` operands).  After the first level only
     variables with a *keyed* run (constant- or bound-variable-keyed) are
     considered while any exist, which keeps the enumeration connected.
-    Variables named in ``prefer`` (e.g. GROUP BY keys, so aggregates can
-    be pushed down the decomposition) win within a level whenever
-    eligible.  Ties break on the variable name, so the order is a pure
-    function of the pattern *set* and the statistics — independent of
-    pattern input order and of ``PYTHONHASHSEED``.
+    Ties break on the variable name, so the order is a pure function of
+    the pattern *set* and the statistics — independent of pattern input
+    order and of ``PYTHONHASHSEED``.
 
     Returns ``None`` when the BGP is structurally ineligible
     (:func:`generic_join_eligible`) or some variable never acquires a
@@ -511,7 +508,6 @@ def generic_join_order(patterns: Sequence[TriplePattern],
         return None
     names = sorted({t.name for q in patterns for t in (q[0], q[2])
                     if isinstance(t, Variable)})
-    prefer_left = set(prefer) & set(names)
     order: List[str] = []
     bound: Set[str] = set()
     while len(order) < len(names):
@@ -536,15 +532,10 @@ def generic_join_order(patterns: Sequence[TriplePattern],
             keyed_pool = [r for r in pool if r[1]]
             if keyed_pool:
                 pool = keyed_pool
-        if prefer_left:
-            preferred = [r for r in pool if r[0] in prefer_left]
-            if preferred:
-                pool = preferred
         pool.sort(key=lambda r: (r[2], r[0]))
         chosen = pool[0][0]
         order.append(chosen)
         bound.add(chosen)
-        prefer_left.discard(chosen)
     return order
 
 

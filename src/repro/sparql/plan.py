@@ -768,10 +768,8 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
     * ``wcoj`` — the BGP's join hypergraph is cyclic
       (:func:`~.optimizer.bgp_is_cyclic`), structurally eligible for
       generic join, and large enough; a variable elimination order is
-      annotated as ``eliminate`` (GROUP BY keys above the BGP are
-      preferred to the front so aggregates can be pushed through the
-      decomposition) along with the estimated generic-join cost
-      (``est_cost``).
+      annotated as ``eliminate`` along with the estimated generic-join
+      cost (``est_cost``).
     * ``intersect`` — some step passes the shared multiway gate
       (:func:`~.optimizer.intersection_worthwhile`).
     * nested-loop otherwise (no ``strategy`` annotation).
@@ -801,7 +799,7 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
                 n.sip_eligible = True
                 changes += 1
 
-        def visit(n: alg.AlgebraNode, g, prefer=()) -> None:
+        def visit(n: alg.AlgebraNode, g) -> None:
             nonlocal changes
             if isinstance(n, alg.BGP):
                 if g is None or not n.triples:
@@ -816,8 +814,7 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
                         and generic_join_eligible(n.triples) \
                         and bgp_is_cyclic(n.triples) \
                         and _wcoj_sized(n.triples, stats):
-                    order = generic_join_order(n.triples, stats,
-                                               prefer=prefer)
+                    order = generic_join_order(n.triples, stats)
                     if order is not None:
                         cost_wcoj = estimate_wcoj(n.triples, order, stats)
                         if cost_wcoj * WCOJ_COST_FACTOR <= cost_nl:
@@ -835,16 +832,7 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
                 target = g
                 if dataset is not None and n.graph_uri in dataset:
                     target = dataset.graph(n.graph_uri)
-                visit(n.pattern, target, prefer)
-                return
-            if isinstance(n, alg.Group):
-                # Grouping keys prefixed in the elimination order are
-                # what lets COUNT/SUM ride the decomposition without
-                # materializing the join.
-                visit(n.pattern, g, tuple(n.group_vars))
-                return
-            if isinstance(n, alg.Project):
-                visit(n.pattern, g, prefer)
+                visit(n.pattern, target)
                 return
             # Exports flow from the side an operator holds first into
             # the side it evaluates next (LeftJoin holds its preserved

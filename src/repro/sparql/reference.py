@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..rdf.terms import Node, Variable
+from ..rdf.terms import XSD_DOUBLE, XSD_INTEGER, Literal, Node, Variable
 from . import algebra as alg
-from .evaluator import (EvaluationError, EvaluationStats, _apply_aggregate,
-                        _common_vars, _sort_key)
+from .evaluator import (EvaluationError, EvaluationStats, _common_vars,
+                        _numeric_literal, _sort_key)
 from .expressions import ExpressionError, ebv
 from .optimizer import GraphStatistics, order_patterns
 from .solution import (Mapping, Multiset, distinct, hash_join, left_join,
@@ -307,6 +307,74 @@ class ReferenceEvaluator:
             if exists != node.negated:
                 out.append(mu)
         return out
+
+
+def _apply_aggregate(aggregate: alg.Aggregate, members):
+    """Apply one aggregate over a group's members (dict mappings) — the
+    reference plane's own batch aggregate, independent of the production
+    accumulators it is checked against."""
+    values = []
+    if aggregate.expression is None:  # COUNT(*)
+        if aggregate.function != "count":
+            raise EvaluationError("only COUNT supports *")
+        if aggregate.distinct:
+            # COUNT(DISTINCT *): count distinct solutions.  Mappings are
+            # keyed by their sorted (variable, term) items; sorting never
+            # compares terms because dict keys are unique.
+            return Literal(len({tuple(sorted(mu.items()))
+                                for mu in members}))
+        return Literal(len(members))
+    for mu in members:
+        try:
+            values.append(aggregate.expression.evaluate(mu))
+        except ExpressionError:
+            continue
+    if aggregate.distinct:
+        seen = set()
+        unique = []
+        for value in values:
+            if value not in seen:
+                seen.add(value)
+                unique.append(value)
+        values = unique
+    return _finish_aggregate(aggregate.function, values, aggregate.separator)
+
+
+def _finish_aggregate(function: str, values, separator: Optional[str] = None):
+    if function == "count":
+        return Literal(len(values))
+    if function == "sample":
+        return values[0] if values else None
+    if function == "group_concat":
+        parts = [v.lexical if isinstance(v, Literal) else str(v) for v in values]
+        return Literal((" " if separator is None else separator).join(parts))
+    if function in ("min", "max"):
+        # The winning input term in ORDER BY order, ties broken by n3().
+        if not values:
+            return None
+        pick = min if function == "min" else max
+        return pick(values, key=lambda v: (_sort_key(v), v.n3()))
+    numbers = []
+    saw_double = saw_non_integer = False
+    for value in values:
+        if isinstance(value, Literal) and value.is_numeric:
+            numbers.append(value.value)
+            if value.datatype == XSD_DOUBLE:
+                saw_double = True
+            elif value.datatype != XSD_INTEGER:
+                saw_non_integer = True
+        else:
+            return None  # type error -> aggregate is an error -> unbound
+    if function == "sum":
+        if not numbers:
+            return Literal(0)
+        return _numeric_literal(sum(numbers), saw_double, saw_non_integer)
+    if not numbers:
+        return None
+    if function == "avg":
+        return _numeric_literal(sum(numbers) / len(numbers), saw_double,
+                                True)
+    raise EvaluationError("unknown aggregate %r" % function)
 
 
 def _compatible_on(mu1: Mapping, mu2: Mapping, variables) -> bool:

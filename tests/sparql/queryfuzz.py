@@ -18,9 +18,15 @@ Design constraints:
   together with ``ORDER BY`` over *every* projected variable (ties are
   then identical rows, making any window bag-identical) and never
   combines ``LIMIT`` with ``OPTIONAL`` (unbound sort keys).
+* **Plane-safe aggregates.**  The group clause draws COUNT / SUM / AVG /
+  MIN / MAX, with and without DISTINCT, ``COUNT(*)`` and ``?v + 1``
+  arguments, 1-3 aggregates over 0-2 keys, and a HAVING over a
+  non-COUNT aggregate.  Only integer-kind variables go under SUM / AVG
+  (float addition order must not differ between planes); SAMPLE and
+  GROUP_CONCAT depend on input order and stay out.
 * **Shrinkable.**  A failing :class:`QuerySpec` shrinks structurally —
-  dropping optionals, filters, modifiers, then patterns — to a minimal
-  spec that still fails, via :func:`shrink`.
+  dropping optionals, filters, modifiers, aggregates, then patterns — to
+  a minimal spec that still fails, via :func:`shrink`.
 """
 
 from __future__ import annotations
@@ -108,8 +114,12 @@ class QuerySpec:
         #: OPTIONAL blocks, one triple each.
         self.optionals: List[Tuple[str, str, str]] = []
         self.distinct = False
-        #: ``(group_var, "COUNT(?x)", alias, having-text-or-None)``.
-        self.group: Optional[Tuple[str, str, str, Optional[str]]] = None
+        #: ``(keys, aggregates, having)``: 0-2 grouping variables,
+        #: ``(variable read or None, "AGG(...)")`` pairs rendered as
+        #: ``?a0, ?a1, ...``, and a HAVING ``(variable, text)`` or None.
+        self.group: Optional[Tuple[Tuple[str, ...],
+                                   Tuple[Tuple[Optional[str], str], ...],
+                                   Optional[Tuple[str, str]]]] = None
         #: LIMIT n — rendered with ORDER BY over all projected vars.
         self.limit: Optional[int] = None
 
@@ -135,15 +145,24 @@ class QuerySpec:
 
     def projection(self) -> List[str]:
         if self.group is not None:
-            return [self.group[0], "?" + self.group[2]]
+            keys, aggregates, _having = self.group
+            return list(keys) + ["?a%d" % i for i in range(len(aggregates))]
         return self.bound_vars() + self.optional_vars()
+
+    def group_vars(self) -> List[str]:
+        """Variables the group clause reads."""
+        keys, aggregates, having = self.group
+        used = list(keys) + [var for var, _text in aggregates if var]
+        return used + [having[0]] if having else used
 
     # -- rendering -----------------------------------------------------
     def render(self) -> str:
         lines = []
         if self.group is not None:
-            group_var, agg, alias, _having = self.group
-            lines.append("SELECT %s (%s AS ?%s)" % (group_var, agg, alias))
+            keys, aggregates, _having = self.group
+            lines.append("SELECT %s" % " ".join(
+                list(keys) + ["(%s AS ?a%d)" % (text, i)
+                              for i, (_var, text) in enumerate(aggregates)]))
         else:
             head = " ".join(self.projection())
             lines.append("SELECT %s%s"
@@ -157,9 +176,11 @@ class QuerySpec:
             lines.append("  OPTIONAL { %s %s %s }" % (s, p, o))
         lines.append("}")
         if self.group is not None:
-            lines.append("GROUP BY %s" % self.group[0])
-            if self.group[3]:
-                lines.append("HAVING (%s)" % self.group[3])
+            keys, _aggregates, having = self.group
+            if keys:
+                lines.append("GROUP BY %s" % " ".join(keys))
+            if having:
+                lines.append("HAVING (%s)" % having[1])
         if self.limit is not None:
             # Total order over the projection: ties are identical rows,
             # so every plane's LIMIT window holds the same bag.
@@ -187,6 +208,51 @@ def _make_filter(rng: random.Random, var: str, kind: str) -> Optional[str]:
         return "%s IN (%s)" % (var, rng.choice(pool))
     picks = rng.sample(pool, 2)
     return "%s IN (%s, %s)" % (var, picks[0], picks[1])
+
+
+def _make_aggregate(rng: random.Random, variables: List[str],
+                    ints: List[str]) -> Tuple[Optional[str], str]:
+    """One ``(variable read, "AGG(...)")`` pair."""
+    function = ["COUNT", "COUNT", "SUM", "AVG", "MIN", "MAX"][
+        rng.randrange(6)]
+    if function in ("SUM", "AVG") and not ints:
+        function = "MIN" if function == "SUM" else "MAX"
+    if function == "COUNT" and rng.random() < 0.25:
+        return None, "COUNT(*)"
+    numeric = function in ("SUM", "AVG") or (ints and rng.random() < 0.5)
+    pool = ints if numeric else variables
+    var = pool[rng.randrange(len(pool))]
+    distinct = "DISTINCT " if rng.random() < 0.3 else ""
+    arg = var + " + 1" if var in ints and rng.random() < 0.4 else var
+    return var, "%s(%s%s)" % (function, distinct, arg)
+
+
+def _make_having(rng: random.Random, variables: List[str],
+                 ints: List[str]) -> Tuple[str, str]:
+    """A HAVING over a non-COUNT aggregate."""
+    if ints and rng.random() < 0.7:
+        var = ints[rng.randrange(len(ints))]
+        function = ["SUM", "AVG", "MIN", "MAX"][rng.randrange(4)]
+        return var, "%s(%s) %s %d" % (function, var,
+                                      rng.choice([">=", "<"]),
+                                      90 + 20 * rng.randrange(4))
+    var = variables[rng.randrange(len(variables))]
+    return var, "MIN(%s) != MAX(%s)" % (var, var)
+
+
+def _make_group(rng: random.Random, subject: str,
+                vars_by_kind: List[Tuple[str, str]]):
+    """A group clause: 0-2 keys, 1-3 aggregates, maybe a HAVING."""
+    value_vars = [v for v, _k in vars_by_kind]
+    ints = [v for v, k in vars_by_kind if k == "int"]
+    keys = tuple(rng.sample(value_vars,
+                            rng.randint(0, min(2, len(value_vars)))))
+    variables = [subject] + value_vars
+    aggregates = tuple(_make_aggregate(rng, variables, ints)
+                       for _ in range(rng.randint(1, 3)))
+    having = _make_having(rng, value_vars, ints) \
+        if rng.random() < (0.5 if ints else 0.3) else None
+    return keys, aggregates, having
 
 
 def generate(seed: int) -> QuerySpec:
@@ -241,11 +307,15 @@ def generate(seed: int) -> QuerySpec:
     # Shape modifiers: grouped aggregate, DISTINCT, or ORDER BY+LIMIT.
     value_vars = [v for v, _k in vars_by_kind]
     roll = rng.random()
-    if roll < 0.2 and value_vars:
-        group_var = value_vars[rng.randrange(len(value_vars))]
-        having = ("COUNT(%s) >= 2" % subject
-                  if rng.random() < 0.3 else None)
-        spec.group = (group_var, "COUNT(%s)" % subject, "n", having)
+    if roll < 0.3 and value_vars:
+        # Give SUM / AVG an integer column to read where the entity has one.
+        used = {p for _s, p, _o in spec.patterns}
+        ints = [a for a in attrs if a[1] == "int" and a[0] not in used]
+        if ints and rng.random() < 0.7:
+            var = "?v%d" % counter
+            spec.patterns.append((subject, ints[0][0], var))
+            vars_by_kind.append((var, "int"))
+        spec.group = _make_group(rng, subject, vars_by_kind)
         spec.optionals = []  # keep grouped shapes simple and total
     elif roll < 0.5:
         spec.distinct = True
@@ -265,7 +335,8 @@ def _prune(spec: QuerySpec) -> QuerySpec:
     spec.filters = [f for f in spec.filters
                     if all(v in bound for v in f[0])]
     spec.optionals = [o for o in spec.optionals if o[0] in bound]
-    if spec.group is not None and spec.group[0] not in bound:
+    if spec.group is not None \
+            and not all(v in bound for v in spec.group_vars()):
         spec.group = None
     if spec.optionals:
         spec.limit = None
@@ -293,6 +364,23 @@ def _shrink_candidates(spec: QuerySpec):
         dup = _copy(spec)
         dup.group = None
         yield dup
+        keys, aggregates, having = spec.group
+        if having:
+            dup = _copy(spec)
+            dup.group = (keys, aggregates, None)
+            yield dup
+        for index in range(len(keys)):
+            dup = _copy(spec)
+            dup.group = (keys[:index] + keys[index + 1:], aggregates, having)
+            yield dup
+        # One aggregate at a time; a group keeps at least one.
+        for index in range(len(aggregates)):
+            if len(aggregates) > 1:
+                dup = _copy(spec)
+                dup.group = (keys,
+                             aggregates[:index] + aggregates[index + 1:],
+                             having)
+                yield dup
     if spec.distinct:
         dup = _copy(spec)
         dup.distinct = False

@@ -17,15 +17,19 @@ groups, and unbound inputs.  The production operators must additionally
 / ``rows_pulled`` counters — in particular that the single-pattern COUNT
 shape touches no rows at all.
 
-The ``TestAggregateBugfixes`` classes pin the GROUP_CONCAT separator and
-AVG/SUM numeric-promotion behavior (previously untested) on all planes.
+The regression classes pin the GROUP_CONCAT separator, AVG/SUM numeric
+promotion and MIN/MAX over any term (the winning input term, in ORDER BY
+order) on all planes.
 """
 
 import pytest
 
-from repro.data import DBPEDIA_URI, build_dataset
+from repro.client import EngineClient
+from repro.core import KnowledgeGraph
+from repro.data import DBLP_URI, DBPEDIA_URI, build_dataset
 from repro.rdf import (Dataset, Graph, Literal, TermDictionary, URIRef)
-from repro.rdf.terms import XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
+from repro.rdf.namespaces import DC, DCTERMS, RDF, SWRC
+from repro.rdf.terms import XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 from repro.sparql import Engine
 from repro.workload import CASE_STUDIES, get_case_study
 
@@ -100,6 +104,10 @@ def small_dataset():
         if i != 3:  # a3 has no birthplace: OPTIONAL leaves it unbound
             g.add(uri("a%d" % i), uri("born"), uri("c%d" % (i % 2)))
         g.add(uri("a%d" % i), uri("label"), Literal("Actor %d" % i))
+    # A cyclic relation: a transitive tournament, so every three of
+    # a0..a3 form a triangle.
+    for a, b in ((0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)):
+        g.add(uri("a%d" % a), uri("knows"), uri("a%d" % b))
     ds.add_graph(g)
     return ds
 
@@ -160,6 +168,16 @@ GROUPED_CORPUS = [
     """SELECT ?a (COUNT(?m) AS ?n) WHERE {
         { SELECT ?m ?a ?y WHERE { ?m x:starring ?a . ?m x:year ?y } }
     } GROUP BY ?a""",
+    # Grouped cyclic BGP (the generic-join shape): keyed and implicit
+    """SELECT ?a (COUNT(*) AS ?n) WHERE {
+        ?a x:knows ?b . ?b x:knows ?c . ?a x:knows ?c } GROUP BY ?a""",
+    """SELECT (COUNT(*) AS ?n) WHERE {
+        ?a x:knows ?b . ?b x:knows ?c . ?a x:knows ?c }""",
+    # MIN / MAX over IRIs and strings, not only numbers
+    """SELECT ?m (MIN(?a) AS ?lo) (MAX(?a) AS ?hi)
+        WHERE { ?m x:starring ?a } GROUP BY ?m""",
+    """SELECT (MIN(?l) AS ?lo) (MAX(DISTINCT ?l) AS ?hi)
+        WHERE { ?a x:label ?l }""",
     # Bounded grouped query: TopK over Group
     """SELECT ?a (COUNT(?m) AS ?n) WHERE { ?m x:starring ?a }
         GROUP BY ?a ORDER BY DESC(?n) ?a LIMIT 3""",
@@ -583,3 +601,85 @@ class TestNumericAggregateTyping:
         assert row_bag(results["vectorized"]) == want
         for row in results["rows"].rows:
             assert row[1].datatype == XSD_DECIMAL  # ints averaged
+
+
+class TestMinMaxReturnInputTerms:
+    """Regression: MIN/MAX returned unbound as soon as one value was not
+    numeric (dates, strings, IRIs), and re-typed the numbers they did
+    return (``"1.5"^^xsd:decimal`` came back as an ``xsd:double``).  They
+    now return the winning *input term*, ordered like ``ORDER BY``, with
+    ties broken by ``n3()`` so every plane picks the same term."""
+
+    @pytest.fixture()
+    def value_engines(self):
+        g = Graph("http://mm", dictionary=TermDictionary())
+        for name, values in (
+                ("dec", [Literal("1.5", XSD_DECIMAL),
+                         Literal("2.5", XSD_DECIMAL), Literal(3)]),
+                ("dates", [Literal("2001-05-01", XSD_DATE),
+                           Literal("1999-12-31", XSD_DATE)]),
+                ("iris", [uri("b"), uri("a")]),
+                ("mixed", [Literal(7), Literal("seven")]),
+                ("tie", [Literal(1), Literal("1.0", XSD_DECIMAL)])):
+            for value in values:
+                g.add(uri(name), uri("v"), value)
+        return planes(g)
+
+    def extremes(self, value_engines, function):
+        query = PFX + """SELECT ?s (%s(?v) AS ?r)
+            WHERE { ?s x:v ?v } GROUP BY ?s""" % function
+        out = {}
+        for plane, engine in value_engines.items():
+            out[plane] = {str(row[0]).rsplit("/", 1)[1]: row[1]
+                          for row in engine.query(query).rows}
+        assert out["rows"] == out["vectorized"] == out["reference"]
+        return out["rows"]
+
+    def test_min(self, value_engines):
+        low = self.extremes(value_engines, "MIN")
+        assert low["dec"] == Literal("1.5", XSD_DECIMAL)
+        assert low["dec"].datatype == XSD_DECIMAL
+        assert low["dates"] == Literal("1999-12-31", XSD_DATE)
+        assert low["iris"] == uri("a")
+        assert low["mixed"] == Literal(7)  # numbers order before strings
+        assert low["tie"] == Literal(1)  # equal values: the smaller n3()
+
+    def test_max(self, value_engines):
+        high = self.extremes(value_engines, "MAX")
+        assert high["dec"] == Literal(3)
+        assert high["dates"] == Literal("2001-05-01", XSD_DATE)
+        assert high["iris"] == uri("b")
+        assert high["mixed"] == Literal("seven")
+        assert high["tie"] == Literal("1.0", XSD_DECIMAL)
+
+    def test_implicit_group_keeps_the_decimal(self, value_engines):
+        query = PFX + """SELECT (MIN(?v) AS ?m)
+            WHERE { x:dec x:v ?v }"""
+        for plane, engine in value_engines.items():
+            (cell,), = engine.query(query).rows
+            assert cell == Literal("1.5", XSD_DECIMAL), plane
+
+    def test_latest_paper_per_author_through_rdfframe(self, dataset):
+        graph = dataset.graph(DBLP_URI)
+        latest = {}
+        for paper, _, _ in graph.triples(None, RDF.type, SWRC.InProceedings):
+            for _, _, date in graph.triples(paper, DCTERMS.issued, None):
+                for _, _, author in graph.triples(paper, DC.creator, None):
+                    if str(author) not in latest \
+                            or date.lexical > latest[str(author)]:
+                        latest[str(author)] = date.lexical
+        assert len(latest) > 50
+        frame = (KnowledgeGraph(graph_uri=DBLP_URI)
+                 .entities("swrc:InProceedings", "paper")
+                 .expand("paper", [("dc:creator", "author"),
+                                   ("dcterm:issued", "date")])
+                 .group_by(["author"]).max("date", "latest"))
+        engine = Engine(dataset)
+        for client in (EngineClient(engine),
+                       EngineClient(Engine(dataset, columnar=False))):
+            assert dict(frame.execute(client).to_records()) == latest
+        for kind in ("rows", "columns"):
+            result = Variant(engine, batch_kind=kind).query(
+                frame.to_sparql())
+            assert {str(author): date.lexical
+                    for author, date in result.rows} == latest, kind

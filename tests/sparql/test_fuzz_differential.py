@@ -8,11 +8,16 @@ results.  The serving tier's result cache is then treated as a fourth plane:
 cache-cold and cache-warm submissions must agree with the engine truth,
 including across interleaved graph mutations (the stale-read hunt).
 
+Grouped specs are the least-covered shape per seed, so a second range of
+seeds runs only its grouped specs (COUNT / SUM / AVG / MIN / MAX, DISTINCT,
+``COUNT(*)``, expression arguments, 0-2 keys, HAVING).
+
 A failing seed shrinks structurally (dropping optionals, filters,
-modifiers, patterns while the disagreement persists) and the test dumps
-the minimal reproducing SPARQL text, so CI failures replay locally from
-the message alone.  Generation is PYTHONHASHSEED-independent — asserted
-here by re-rendering under two different hash seeds in subprocesses.
+modifiers, aggregates, patterns while the disagreement persists) and the
+test dumps the minimal reproducing SPARQL text, so CI failures replay
+locally from the message alone.  Generation is PYTHONHASHSEED-independent
+— asserted here by re-rendering under two different hash seeds in
+subprocesses.
 """
 
 import os
@@ -22,7 +27,7 @@ import sys
 
 import pytest
 
-from queryfuzz import generate, mutate, shrink
+from queryfuzz import QuerySpec, generate, mutate, shrink
 from repro.data.loader import build_dataset
 from repro.sparql import Engine, ResultCache
 from repro.sparql.server import QueryServer
@@ -32,6 +37,9 @@ from plan_variants import Variant
 SCALE = 0.03
 N_SEEDS = 220
 CHUNK = 10
+#: Seeds after N_SEEDS whose grouped specs run too (~340 of them).
+GROUPED_SPAN = 1200
+GROUPED_CHUNK = 200
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +83,11 @@ def _planes_disagree(spec, planes):
     return None
 
 
-@pytest.mark.parametrize("start", range(0, N_SEEDS, CHUNK))
-def test_planes_agree_on_fuzzed_queries(planes, start):
-    for seed in range(start, start + CHUNK):
+def _check_seeds(planes, seeds, grouped_only=False):
+    for seed in seeds:
         spec = generate(seed)
+        if grouped_only and spec.group is None:
+            continue
         failure = _planes_disagree(spec, planes)
         if failure is None:
             continue
@@ -87,6 +96,20 @@ def test_planes_agree_on_fuzzed_queries(planes, start):
         pytest.fail(
             "fuzz seed %d: %s\n--- minimal reproducing query ---\n%s"
             % (seed, failure, minimal.render()))
+
+
+@pytest.mark.parametrize("start", range(0, N_SEEDS, CHUNK))
+def test_planes_agree_on_fuzzed_queries(planes, start):
+    _check_seeds(planes, range(start, start + CHUNK))
+
+
+@pytest.mark.parametrize("start", range(N_SEEDS, N_SEEDS + GROUPED_SPAN,
+                                        GROUPED_CHUNK))
+def test_planes_agree_on_fuzzed_aggregates(planes, start):
+    """More grouped specs: under a third of all seeds group, and only
+    film specs carry the integer column SUM / AVG read."""
+    _check_seeds(planes, range(start, start + GROUPED_CHUNK),
+                 grouped_only=True)
 
 
 def test_generation_is_hash_seed_independent():
@@ -106,6 +129,24 @@ def test_generation_is_hash_seed_independent():
             text=True, env=env, check=True)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_shrink_drops_aggregates_one_at_a_time():
+    spec = QuerySpec(0)
+    spec.patterns = [("?film", "rdf:type", "dbpo:Film"),
+                     ("?film", "dbpo:runtime", "?v0")]
+    spec.group = (("?v0",),
+                  ((None, "COUNT(*)"), ("?v0", "MAX(?v0)"),
+                   ("?film", "COUNT(DISTINCT ?film)")),
+                  ("?v0", "SUM(?v0) >= 90"))
+
+    def still_fails(candidate):
+        return candidate.group is not None and any(
+            text.startswith("MAX(") for _var, text in candidate.group[1])
+
+    minimal = shrink(spec, still_fails)
+    assert minimal.group == ((), (("?v0", "MAX(?v0)"),), None)
+    assert "(MAX(?v0) AS ?a0)" in minimal.render()
 
 
 def test_cache_cold_vs_warm_matches_engine_truth(dataset, planes):

@@ -13,9 +13,8 @@ Covers, on top of the corpus differential in ``test_joins_sip.py``:
   member mutation inside a :class:`~repro.rdf.dataset.GraphUnion` that
   keeps the total size unchanged must still flip ``fresh()`` (the
   version-counter regression this PR fixes);
-* aggregate pushdown through the wcoj decomposition: COUNT over a
-  cyclic BGP folds inside the generic join (``accumulator_rows == 0``)
-  and still matches the reference evaluator;
+* grouped COUNT over a cyclic BGP: the generic join feeds the hash
+  aggregation and the result matches the reference evaluator;
 * planner determinism: cost estimates and chosen plans identical across
   ``PYTHONHASHSEED`` values (subprocess) and across pattern input-order
   permutations (in-process);
@@ -196,11 +195,17 @@ class TestAggregatePushdown:
         got = row_bag(engines["wcoj"].query(
             self.COUNT, default_graph_uri=DBPEDIA_URI))
         assert got == want
-        stats = engines["wcoj"].last_stats
-        assert stats.wcoj_steps > 0
-        # The join's rows were never materialized into the hash
-        # aggregation: counting rode the generic-join levels.
-        assert stats.accumulator_rows == 0
+        assert engines["wcoj"].last_stats.wcoj_steps > 0
+
+    def test_implicit_count_over_the_decomposition(self, engines):
+        query = self.COUNT.replace("SELECT ?a", "SELECT").replace(
+            "GROUP BY ?a", "")
+        want = engines["reference"].query(
+            query, default_graph_uri=DBPEDIA_URI).rows
+        assert want[0][0].value > 0
+        assert engines["wcoj"].query(
+            query, default_graph_uri=DBPEDIA_URI).rows == want
+        assert engines["wcoj"].last_stats.wcoj_steps > 0
 
 
 class TestPlannerDeterminism:
