@@ -41,8 +41,10 @@ df = prolific.execute(client)
 stats = engine.last_stats
 print("\nTop 10 actors by movie count:")
 print(df.to_string())
-print("\nplan batch kind (the planner's choice): %s"
-      % engine.last_plan.batch_kind)
+print("\nThe plan (a bounded heap over the group stream):")
+for line in engine.last_plan.explain().splitlines():
+    if not line.startswith("--"):  # skip the per-pass timings
+        print(line)
 print("groups built: %d, accumulator rows folded: %d, rows pulled: %d"
       % (stats.groups_built, stats.accumulator_rows, stats.rows_pulled))
 print("(accumulator_rows == 0 means the single-pattern COUNT was "

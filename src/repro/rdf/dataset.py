@@ -169,14 +169,6 @@ class GraphUnion:
         graphs = self.graphs
         return graphs[0].spo_index() if len(graphs) == 1 else None
 
-    def pos_index(self):
-        graphs = self.graphs
-        return graphs[0].pos_index() if len(graphs) == 1 else None
-
-    def forward_map(self, p):
-        graphs = self.graphs
-        return graphs[0].forward_map(p) if len(graphs) == 1 else None
-
     def objects_for(self, s, p):
         graphs = self.graphs
         if len(graphs) == 1:
@@ -235,12 +227,6 @@ class GraphUnion:
                 return ()
             self._runs[key] = pairs
         return pairs
-
-    def so_pair_columns(self, p):
-        graphs = self.graphs
-        if len(graphs) == 1:
-            return graphs[0].so_pair_columns(p)
-        return None  # multi-member unions build columns at compile time
 
     def so_pairs(self, p):
         graphs = self.graphs

@@ -134,8 +134,6 @@ class Graph:
         self._predicate_subject_runs: Dict[int, SortedRun] = {}
         self._predicate_subject_sets: Dict[int, frozenset] = {}
         self._so_pair_lists: Dict[int, list] = {}
-        self._so_pair_cols: Dict[int, tuple] = {}
-        self._forward_maps: Dict[int, dict] = {}
         self.sorted_runs_built = 0
         # Statistics synopses for the cost-based planner: the
         # characteristic-sets partition (subjects classed by their exact
@@ -267,10 +265,6 @@ class Graph:
             self._predicate_subject_sets.pop(p, None)
         if self._so_pair_lists:
             self._so_pair_lists.pop(p, None)
-        if self._so_pair_cols:
-            self._so_pair_cols.pop(p, None)
-        if self._forward_maps:
-            self._forward_maps.pop(p, None)
         if self._pred_synopses:
             self._pred_synopses.pop(p, None)
         # The characteristic-set partition keys on whole predicate sets, so
@@ -355,35 +349,8 @@ class Graph:
         """The raw ``s -> {p -> objects}`` index (read-only contract).
 
         The dict object is stable for the graph's lifetime (mutations
-        edit it in place); :meth:`forward_map` is the per-predicate view
-        the vectorized BGP steps compile against."""
+        edit it in place)."""
         return self._spo
-
-    def pos_index(self):
-        """The raw ``p -> {o -> subjects}`` index (read-only contract)."""
-        return self._pos
-
-    def forward_map(self, p: int) -> dict:
-        """Memoized ``s -> objects`` map for one predicate (read-only
-        contract, invalidated on mutation like the sorted runs).
-
-        A forward probe through :meth:`spo_index` costs two dict lookups
-        per row (subject, then predicate); hoisting the predicate level
-        into a dedicated map halves that on the vectorized BGP steps'
-        hottest line.  Values are the *live* object sets of the SPO
-        index, so the map costs one dict entry per distinct subject and
-        no set copies."""
-        m = self._forward_maps.get(p)
-        if m is None:
-            spo = self._spo
-            m = {}
-            for o, subjects in self._pos.get(p, {}).items():
-                for s in subjects:
-                    if s not in m:
-                        m[s] = spo[s][p]
-            if m:
-                self._forward_maps[p] = m
-        return m
 
     def objects_for(self, s: int, p: int):
         """The set of object ids for (subject id, predicate id), or ()."""
@@ -552,19 +519,6 @@ class Graph:
             if pairs:
                 self._so_pair_lists[p] = pairs
         return pairs
-
-    def so_pair_columns(self, p: int) -> tuple:
-        """The predicate's pairs as two parallel id-list columns
-        (subjects, objects), memoized like :meth:`so_pairs_list` and in
-        the same order (read-only contract).  This is the compile-time
-        input of a vectorized constant-predicate scan step."""
-        cols = self._so_pair_cols.get(p)
-        if cols is None:
-            pairs = self.so_pairs_list(p)
-            cols = ([s for s, _ in pairs], [o for _, o in pairs])
-            if pairs:
-                self._so_pair_cols[p] = cols
-        return cols
 
     def so_pairs(self, p: int) -> Iterator[Tuple[int, int]]:
         """Iterate (subject id, object id) pairs for a predicate id."""

@@ -30,18 +30,15 @@ from .plan import Plan, PassStats, optimize_plan, plan_key
 from .reference import ReferenceEvaluator
 from .results import ResultSet, ResultStream, term_to_python
 from .server import QueryServer, QueryTicket, ServerStats
-from .solution import (ColumnBatch, RowView, SolutionTable, TableStream,
-                       stream_distinct)
+from .solution import RowView, SolutionTable, TableStream, stream_distinct
 from .tokenizer import TokenizeError, tokenize
-from .vector import compile_predicate, predicate_compilable
 
 __all__ = [
     "parse", "ParseError", "tokenize", "TokenizeError",
     "Engine", "QueryTimeout", "Evaluator", "EvaluationError",
     "EvaluationStats", "ReferenceEvaluator", "RowBudgetExceeded",
     "Plan", "PassStats", "optimize_plan", "plan_key",
-    "SolutionTable", "TableStream", "RowView", "ColumnBatch",
-    "stream_distinct", "compile_predicate", "predicate_compilable",
+    "SolutionTable", "TableStream", "RowView", "stream_distinct",
     "ExpressionError", "ResultSet", "ResultStream", "term_to_python",
     "Endpoint", "EndpointError", "EndpointResponse",
     "TransientError", "QueryRejected", "ServerOverloaded",

@@ -71,8 +71,8 @@ class Engine:
         switched off by 0 as well.
 
     There is no physical knob: join order, join strategy (nested-loop,
-    multiway intersection, generic join), sideways filters and the batch
-    kind are the planner's decisions, and ``Plan.explain()`` prints them.
+    multiway intersection, generic join) and sideways filters are the
+    planner's decisions, and ``Plan.explain()`` prints them.
     """
 
     def __init__(self, source: Union[Dataset, Graph, List[Graph]],

@@ -1,4 +1,4 @@
-"""Bottom-up evaluation of SPARQL algebra with bag semantics — columnar.
+"""Bottom-up evaluation of SPARQL algebra with bag semantics.
 
 Implements the semantics summarized in Section 5.2 of the paper.  The
 evaluator is deliberately structured the way the paper's cost model assumes:
@@ -12,7 +12,7 @@ evaluator is deliberately structured the way the paper's cost model assumes:
   one-subquery-per-operator queries are slow, and it makes the engine
   reproduce the naive-vs-optimized gap of Figures 3 and 5.
 
-The data plane is *dictionary-encoded and columnar*: solutions are
+The data plane is *dictionary-encoded*: solutions are
 :class:`~.solution.SolutionTable` objects (schema header + rows of dense
 integer term ids), pattern matching runs on :meth:`Graph.triples_ids`,
 joins hash ints, and RDF term objects are materialized only at the result
@@ -23,7 +23,8 @@ perf-report baseline.
 
 There is one production operator set: every operator is a ``_stream_*``
 method that produces (and consumes) a :class:`~.solution.TableStream` of
-row batches, and ``evaluate`` is nothing but "drain ``stream(node)`` into a
+row batches (lists of id tuples, the only batch layout), and ``evaluate``
+is nothing but "drain ``stream(node)`` into a
 :class:`SolutionTable`".  Rows are materialized only at *pipeline
 breakers*: a join's build side (``Join`` builds its left child,
 ``LeftJoin`` / ``FilterExists`` their auxiliary side, ``Minus`` both),
@@ -47,7 +48,7 @@ import itertools
 import operator
 import time
 from collections import Counter
-from itertools import chain, compress, repeat
+from itertools import chain
 from decimal import Decimal
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -56,12 +57,11 @@ from ..rdf.dataset import Dataset
 from ..rdf.terms import (XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Literal,
                          Variable)
 from . import algebra as alg
-from .expressions import ConstExpr, ExpressionError, VarExpr, ebv
+from .expressions import ExpressionError, VarExpr, ebv
 from .optimizer import (GraphStatistics, intersection_worthwhile,
                         order_patterns, run_signature, run_width)
-from .solution import (ColumnBatch, JoinIndex, RowView, SolutionTable,
-                       TableStream, batched, stream_distinct, table_minus)
-from .vector import compile_predicate, expand_columns, replicate
+from .solution import (JoinIndex, RowView, SolutionTable, TableStream,
+                       batched, stream_distinct, table_minus)
 
 #: Target rows per streamed batch.  Bounded consumers shrink it (a
 #: ``LIMIT 10`` pulls batches of ~10), so early exit is row-accurate.
@@ -159,15 +159,10 @@ class EvaluationStats:
         # count zero, like the sorted runs.
         self.wcoj_steps = 0
         self.synopsis_builds = 0
-        # Vectorized-plane counters.  ``vector_batches`` counts
-        # ColumnBatch objects crossing the root stream boundary;
-        # ``selection_vector_hits`` counts batches filtered by a compiled
-        # id-predicate (no row view, no term decode);  ``row_fallbacks``
-        # counts transpositions back to row form forced by a cold
-        # operator — zero on a pure-id plan, where every batch stays
-        # columnar from the BGP to the stream boundary.
-        self.vector_batches = 0
-        self.selection_vector_hits = 0
+        # Always 0: the operators exchange only row-tuple lists, so no
+        # batch is ever transposed back to rows.  Kept because the frozen
+        # ledger's ``STAT_FIELDS`` reads it; it goes in the ledger
+        # re-baseline PR.
         self.row_fallbacks = 0
 
     def __repr__(self):
@@ -175,8 +170,7 @@ class EvaluationStats:
                 "rows=%d, subqueries=%d, joins=%d, pulled=%d, "
                 "early_exits=%d, peak_batch=%d, groups=%d, acc_rows=%d, "
                 "sip_filtered=%d, intersects=%d, runs_built=%d, "
-                "wcoj=%d, synopses=%d, "
-                "vector_batches=%d, sel_hits=%d, fallbacks=%d)" % (
+                "wcoj=%d, synopses=%d, fallbacks=%d)" % (
                     self.bgp_count, self.bgp_cache_hits,
                     self.pattern_matches, self.intermediate_rows,
                     self.materialized_subqueries, self.joins,
@@ -185,7 +179,6 @@ class EvaluationStats:
                     self.accumulator_rows, self.sip_filtered_rows,
                     self.intersect_steps, self.sorted_runs_built,
                     self.wcoj_steps, self.synopsis_builds,
-                    self.vector_batches, self.selection_vector_hits,
                     self.row_fallbacks))
 
     def as_dict(self) -> Dict[str, int]:
@@ -205,13 +198,11 @@ class EvaluationStats:
                 "sorted_runs_built": self.sorted_runs_built,
                 "wcoj_steps": self.wcoj_steps,
                 "synopsis_builds": self.synopsis_builds,
-                "vector_batches": self.vector_batches,
-                "selection_vector_hits": self.selection_vector_hits,
                 "row_fallbacks": self.row_fallbacks}
 
 
 class Evaluator:
-    """Evaluates an algebra tree against a dataset on the columnar plane."""
+    """Evaluates an algebra tree against a dataset on the production plane."""
 
     def __init__(self, dataset: Dataset, max_rows: Optional[int] = None,
                  deadline: Optional[float] = None, cancel=None):
@@ -224,13 +215,6 @@ class Evaluator:
         # checkpoints as the deadline, so a disconnecting client kills its
         # query mid-operator instead of running it to completion.
         self.cancel = cancel
-        # Columnar batches: when True the operators exchange
-        # ColumnBatch objects wherever they have a
-        # column-at-a-time form, transposing back to row tuples only where
-        # a cold operator (complex expression, OrderBy, Minus, joins'
-        # probe) needs row view.  Set from the plan's ``batch_kind`` by
-        # :meth:`evaluate_plan_stream`; a bare algebra query runs on rows.
-        self.column_batches = False
         # Active sideways filters: variable name -> set of admissible term
         # ids, installed by join operators around their probe side and
         # consulted by the BGP pattern steps.  Always {} at quiescence.
@@ -278,12 +262,10 @@ class Evaluator:
                              hint: Optional[int] = None) -> TableStream:
         """Evaluate an optimized :class:`~.plan.Plan` to a stream.
 
-        The evaluator makes no physical decision of its own: batches are
-        the plan's ``batch_kind``, and each operator follows the
-        annotations the planner left on its node (``strategy`` /
-        ``eliminate`` on BGPs, ``sip_eligible`` on joins).
+        The evaluator makes no physical decision of its own: each
+        operator follows the annotations the planner left on its node
+        (``strategy`` / ``eliminate`` on BGPs, ``sip_eligible`` on joins).
         """
-        self.column_batches = plan.batch_kind == "columns"
         self.stats.materialized_subqueries = plan.subqueries
         return self.evaluate_query_stream(plan.query, default_graph_uri,
                                           hint)
@@ -506,28 +488,6 @@ class Evaluator:
                 return lambda row, v=val: v
             return lambda row, c=val: row[c]
 
-        def col_of(kind, val, cb, n):
-            # Columnar face of ``val_of``: an n-element iterable of the
-            # slot's per-row values (a shared column or a repeated const).
-            if kind == "c":
-                return repeat(val, n)
-            return cb.columns[val]
-
-        # Raw per-predicate maps for the hot columnar shapes (constant
-        # predicate, bound var in the probe slot): the per-row probe then
-        # runs inside a list comprehension with nothing but a single
-        # dict get — no method dispatch, no per-row extend.  ``None``
-        # (multi-graph union) keeps those shapes on the generic per-row
-        # csteps.  The maps are memoized on the graph, so compiling the
-        # same predicate twice is free.
-        pos_fn = getattr(graph, "pos_index", None)
-        pos = pos_fn() if pos_fn is not None else None
-        fwd = None
-        if p_kind == "c" and s_kind == "b":
-            fwd_fn = getattr(graph, "forward_map", None)
-            if fwd_fn is not None:
-                fwd = fwd_fn(p_val)
-
         if not p_free and not s_free and not o_free:
             # Fully bound: a containment probe per row.
             s_of, p_of, o_of = (val_of(s_kind, s_val), val_of(p_kind, p_val),
@@ -541,43 +501,6 @@ class Evaluator:
                         matches += 1
                         append(row)
                 stats.pattern_matches += matches
-
-            if fwd is not None and o_kind == "b":
-                def cstep(cb, _get=fwd.get, _e=()):
-                    flags = bytearray(
-                        o in _get(s, _e)
-                        for s, o in zip(cb.columns[s_val],
-                                        cb.columns[o_val]))
-                    kept = sum(flags)
-                    stats.pattern_matches += kept
-                    return cb.take_flags(flags, kept)
-            elif fwd is not None and o_kind == "c":
-                # Constant object (``?s rdf:type :Class`` shape): a
-                # membership scan of the subject column.
-                def cstep(cb, _get=fwd.get, _o=o_val, _e=()):
-                    flags = bytearray(
-                        _o in _get(s, _e)
-                        for s in cb.columns[s_val])
-                    kept = sum(flags)
-                    stats.pattern_matches += kept
-                    return cb.take_flags(flags, kept)
-            else:
-                def cstep(cb):
-                    n = len(cb)
-                    flags = bytearray(n)
-                    kept = 0
-                    i = 0
-                    for s, p, o in zip(col_of(s_kind, s_val, cb, n),
-                                       col_of(p_kind, p_val, cb, n),
-                                       col_of(o_kind, o_val, cb, n)):
-                        if contains(s, p, o):
-                            flags[i] = 1
-                            kept += 1
-                        i += 1
-                    stats.pattern_matches += kept
-                    return cb.take_flags(flags, kept)
-
-            step.columnar = cstep
         elif not p_free and not s_free and o_free:
             # Forward expansion: (s, p) -> objects.  The classic
             # index-nested-loop step of the paper's flat queries.
@@ -595,35 +518,6 @@ class Evaluator:
                             for o in objs:
                                 append(row + (o,))
                     stats.pattern_matches += matches
-
-                if fwd is not None:
-                    # Hot shape: probe is one dict get per row inside a
-                    # list comprehension; flatten and count in C.
-                    def cstep(cb, _get=fwd.get, _e=()):
-                        sets_ = [_get(s, _e)
-                                 for s in cb.columns[s_val]]
-                        new = []
-                        new.extend(chain.from_iterable(sets_))
-                        stats.pattern_matches += len(new)
-                        return expand_columns(cb, list(map(len, sets_)),
-                                              new)
-                else:
-                    def cstep(cb):
-                        n = len(cb)
-                        new = []
-                        counts = []
-                        add = counts.append
-                        matches = 0
-                        for s, p in zip(col_of(s_kind, s_val, cb, n),
-                                        col_of(p_kind, p_val, cb, n)):
-                            objs = objects_for(s, p)
-                            k = len(objs)
-                            add(k)
-                            if k:
-                                matches += k
-                                new.extend(objs)
-                        stats.pattern_matches += matches
-                        return expand_columns(cb, counts, new)
             else:
                 def step(rows, append):
                     matches = 0
@@ -639,28 +533,6 @@ class Evaluator:
                                     dropped += 1
                     stats.pattern_matches += matches
                     stats.sip_filtered_rows += dropped
-
-                def cstep(cb):
-                    n = len(cb)
-                    new = []
-                    counts = []
-                    add = counts.append
-                    matches = 0
-                    for s, p in zip(col_of(s_kind, s_val, cb, n),
-                                    col_of(p_kind, p_val, cb, n)):
-                        objs = objects_for(s, p)
-                        if objs:
-                            matches += len(objs)
-                            before = len(new)
-                            new.extend(o for o in objs if o in o_filter)
-                            add(len(new) - before)
-                        else:
-                            add(0)
-                    stats.pattern_matches += matches
-                    stats.sip_filtered_rows += matches - len(new)
-                    return expand_columns(cb, counts, new)
-
-            step.columnar = cstep
         elif not p_free and s_free and not o_free:
             # Backward expansion: (p, o) -> subjects.
             p_of, o_of = val_of(p_kind, p_val), val_of(o_kind, o_val)
@@ -677,35 +549,6 @@ class Evaluator:
                             for s in subs:
                                 append(row + (s,))
                     stats.pattern_matches += matches
-
-                if pos is not None and p_kind == "c" and o_kind == "b":
-                    # The predicate is fixed, so its whole {o: subjects}
-                    # map hoists out: one dict get per row.
-                    def cstep(cb, _by_obj_get=(pos.get(p_val) or {}).get):
-                        sets_ = [_by_obj_get(o, ())
-                                 for o in cb.columns[o_val]]
-                        new = []
-                        new.extend(chain.from_iterable(sets_))
-                        stats.pattern_matches += len(new)
-                        return expand_columns(cb, list(map(len, sets_)),
-                                              new)
-                else:
-                    def cstep(cb):
-                        n = len(cb)
-                        new = []
-                        counts = []
-                        add = counts.append
-                        matches = 0
-                        for p, o in zip(col_of(p_kind, p_val, cb, n),
-                                        col_of(o_kind, o_val, cb, n)):
-                            subs = subjects_for(p, o)
-                            k = len(subs)
-                            add(k)
-                            if k:
-                                matches += k
-                                new.extend(subs)
-                        stats.pattern_matches += matches
-                        return expand_columns(cb, counts, new)
             else:
                 def step(rows, append):
                     matches = 0
@@ -721,28 +564,6 @@ class Evaluator:
                                     dropped += 1
                     stats.pattern_matches += matches
                     stats.sip_filtered_rows += dropped
-
-                def cstep(cb):
-                    n = len(cb)
-                    new = []
-                    counts = []
-                    add = counts.append
-                    matches = 0
-                    for p, o in zip(col_of(p_kind, p_val, cb, n),
-                                    col_of(o_kind, o_val, cb, n)):
-                        subs = subjects_for(p, o)
-                        if subs:
-                            matches += len(subs)
-                            before = len(new)
-                            new.extend(s for s in subs if s in s_filter)
-                            add(len(new) - before)
-                        else:
-                            add(0)
-                    stats.pattern_matches += matches
-                    stats.sip_filtered_rows += matches - len(new)
-                    return expand_columns(cb, counts, new)
-
-            step.columnar = cstep
         elif not p_free and s_free and o_free and p_kind == "c":
             # Predicate scan with a constant predicate: materialize the
             # (s, o) pairs once and reuse them for every input row (the
@@ -780,36 +601,6 @@ class Evaluator:
                 stats.pattern_matches += matches
                 if dropped_per_row:
                     stats.sip_filtered_rows += dropped_per_row * n_rows
-
-            # Constant fan-out: every input row gains the same ``hits``
-            # block, so the columnar step is pure replication — parents
-            # repeated k times each, hit columns tiled n times.  The hit
-            # columns are built only when this evaluator actually runs
-            # the columnar plane; the row plane uses ``hits`` as-is.
-            k_hits = len(hits)
-            if self.column_batches:
-                so_cols_fn = getattr(graph, "so_pair_columns", None)
-                cached = (so_cols_fn(p_val)
-                          if so_cols_fn is not None and hits is pairs
-                          else None)
-                if cached is not None:
-                    hit_cols = list(cached)
-                else:
-                    hit_cols = [[h[j] for h in hits]
-                                for j in range(len(hits[0]) if hits
-                                               else n_new)]
-
-                def cstep(cb):
-                    n = len(cb)
-                    stats.pattern_matches += len(pairs) * n
-                    if dropped_per_row:
-                        stats.sip_filtered_rows += dropped_per_row * n
-                    out = [replicate(col, repeat(k_hits, n))
-                           for col in cb.columns]
-                    out.extend(col * n for col in hit_cols)
-                    return ColumnBatch(out, None, k_hits * n)
-
-                step.columnar = cstep
         else:
             # General shape (variable predicate, or repeated fresh
             # variables across positions): slot-interpreting loop.
@@ -891,16 +682,14 @@ class Evaluator:
         return append
 
     def _check_valves(self, produced: int):
-        """Batch-granular safety valves for the columnar plane.
+        """Batch-granular safety valves for work no ``append`` guards.
 
-        Where the row plane guards every ``append`` (amortizing the clock
-        behind a 1024-row counter), a vectorized step produces a whole
-        ColumnBatch in C-level bulk operations with no per-row hook — so
-        the valves are checked once per batch instead, between steps.
-        ``Group``'s emit checks them every 1024 groups the same way.
+        ``Group``'s emit finishes groups in a loop that produces no
+        pattern rows, so it checks the valves here every 1024 groups
+        (``produced`` is the rows emitted so far) — an enormous sweep is
+        abandoned mid-way instead of finished and then rejected.
         ``self.deadline`` is read here (not captured at compile time) so
-        an armed/re-armed deadline takes effect at the next batch
-        boundary.
+        an armed/re-armed deadline takes effect at the next check.
         """
         if self.max_rows is not None and produced > self.max_rows:
             raise RowBudgetExceeded(
@@ -1067,8 +856,6 @@ class Evaluator:
                 continue
             produced += n
             stats.rows_pulled += n
-            if type(batch) is ColumnBatch:
-                stats.vector_batches += 1
             if n > stats.peak_batch_rows:
                 stats.peak_batch_rows = n
             if max_rows is not None and produced > max_rows:
@@ -1083,20 +870,6 @@ class Evaluator:
                     "query exceeded its time budget after %d streamed rows"
                     % produced)
             yield batch
-
-    def _rows(self, batch):
-        """Row view of a batch — the columnar plane's escape hatch.
-
-        A cold operator (complex expression, OrderBy, a join probe) calls
-        this on whatever its child produced: row batches pass through
-        untouched; a ColumnBatch is transposed back to row tuples, counted
-        as a ``row_fallback`` so the pure-id acceptance gate
-        (``row_fallbacks == 0``) can prove no hidden transpositions.
-        """
-        if type(batch) is ColumnBatch:
-            self.stats.row_fallbacks += 1
-            return batch.to_rows()
-        return batch
 
     # -- producers -----------------------------------------------------
 
@@ -1634,54 +1407,6 @@ class Evaluator:
                                                   eliminate)
         if steps is None:
             return TableStream(schema, self._meter(iter(())))
-        if self.column_batches and hint is None:
-            # Columnar breadth-first expansion: same chunking discipline
-            # and lexicographic row order as the row-mode branch below,
-            # but each level's fan-out happens column-at-a-time (index
-            # probes feeding ``list.extend`` plus parent-column
-            # compression or replication) instead of building a tuple
-            # per row.  A step
-            # without a columnar form (an intersection step) detours
-            # through row view for that level and transposes back.
-            cap = STREAM_BATCH_ROWS
-            first, rest = steps[0], steps[1:]
-            n_rest = len(rest)
-            check = self._check_valves
-            widths = [len(s) for s in _schemas]
-            stats = self.stats
-
-            def run_step(index, step, cb):
-                cstep = getattr(step, "columnar", None)
-                if cstep is not None:
-                    return cstep(cb)
-                out: List[tuple] = []
-                step(cb.to_rows(), out.append)
-                stats.row_fallbacks += 1
-                return ColumnBatch.from_rows(out, widths[index])
-
-            def cexpand(cb, level):
-                if level == n_rest:
-                    n = len(cb)
-                    if n <= cap:
-                        yield cb
-                    else:
-                        for start in range(0, n, cap):
-                            yield cb[start:start + cap]
-                    return
-                step = rest[level]
-                for start in range(0, len(cb), cap):
-                    out = run_step(level + 1, step, cb[start:start + cap])
-                    check(len(out))
-                    if len(out):
-                        yield from cexpand(out, level + 1)
-
-            def cbatches():
-                seed = run_step(0, first, ColumnBatch([], None, 1))
-                check(len(seed))
-                if len(seed):
-                    yield from cexpand(seed, 0)
-
-            return TableStream(schema, self._meter(cbatches()))
         if hint is None:
             # No bound above: the consumer (a streaming Group, a join
             # build, a full drain) will pull everything, so per-row
@@ -1783,25 +1508,9 @@ class Evaluator:
         condition = node.condition
         index = inner.index
         decode = self.dictionary.decode
-        # On the vectorized plane, try compiling the condition into a
-        # selection-vector scan (id comparisons, IN over IRIs, BOUND —
-        # see :mod:`.vector`); conditions outside that subset keep
-        # ``compiled is None`` and columnar input falls back to row view.
-        compiled = compile_predicate(condition, index, self.dictionary) \
-            if self.column_batches else None
-        stats = self.stats
-        to_rows = self._rows
 
         def batches():
             for batch in inner.batches:
-                if type(batch) is ColumnBatch:
-                    if compiled is not None:
-                        flags, kept = compiled(batch)
-                        stats.selection_vector_hits += 1
-                        if kept:
-                            yield batch.take_flags(flags, kept)
-                        continue
-                    batch = to_rows(batch)
                 keep = []
                 append = keep.append
                 for row in batch:
@@ -1846,61 +1555,8 @@ class Evaluator:
             patched[target] = tid
             return tuple(patched)
 
-        def patch_column(cb, col, mask):
-            cols = list(cb.columns)
-            cols[target] = col
-            masks = cb.masks
-            if masks is not None or mask is not None:
-                masks = [None] * len(cols) if masks is None else list(masks)
-                masks[target] = mask
-                if not any(m is not None for m in masks):
-                    masks = None
-            return ColumnBatch(cols, masks, len(cb))
-
-        # Columnar forms for the two trivial expression shapes — a
-        # variable copy (ids are stable under decode/encode, so the column
-        # is shared outright) and a constant (one encode, tiled).  Any
-        # other expression transposes to row view per batch.
-        columnar = None
-        expr_t = type(expression)
-        if self.column_batches and expr_t is VarExpr:
-            src = index.get(expression.name)
-
-            def columnar(cb):
-                n = len(cb)
-                if src is None:
-                    if target is not None:
-                        return cb  # every row errors; rows keep old value
-                    return cb.append_column([-1] * n,
-                                            bytearray(b"\x01" * n))
-                col, mask = cb.columns[src], cb.mask(src)
-                if target is None:
-                    return cb.append_column(col, mask)
-                if mask is not None:
-                    # Null source rows keep the *old* target value on the
-                    # row plane — a per-row merge; use row view for it.
-                    return None
-                return patch_column(cb, col, None)
-        elif self.column_batches and expr_t is ConstExpr:
-            const_tid = encode(expression.term)
-
-            def columnar(cb):
-                col = [const_tid] * len(cb)
-                if target is None:
-                    return cb.append_column(col, None)
-                return patch_column(cb, col, None)
-
-        to_rows = self._rows
-
         def batches():
             for batch in inner.batches:
-                if type(batch) is ColumnBatch:
-                    if columnar is not None:
-                        out = columnar(batch)
-                        if out is not None:
-                            yield out
-                            continue
-                    batch = to_rows(batch)
                 yield [extend_row(row) for row in batch]
 
         return TableStream(variables, self._meter(batches()))
@@ -1919,27 +1575,16 @@ class Evaluator:
         positions = [inner.index.get(v) for v in variables]
 
         def batches():
-            # Columnar projection is a column *selection* — no per-row
-            # work at all, storage shared with the child batch.
             if None in positions:
                 for batch in inner.batches:
-                    if type(batch) is ColumnBatch:
-                        yield batch.take(positions)
-                        continue
                     yield [tuple([None if p is None else row[p]
                                   for p in positions]) for row in batch]
             elif len(positions) == 1:
                 p0 = positions[0]
                 for batch in inner.batches:
-                    if type(batch) is ColumnBatch:
-                        yield batch.take(positions)
-                        continue
                     yield [(row[p0],) for row in batch]
             else:
                 for batch in inner.batches:
-                    if type(batch) is ColumnBatch:
-                        yield batch.take(positions)
-                        continue
                     yield [tuple([row[p] for p in positions])
                            for row in batch]
 
@@ -1953,21 +1598,11 @@ class Evaluator:
                                           if v not in left.index)
         pad = (None,) * (len(out_vars) - len(left.variables))
         rmap = [right.index.get(v) for v in out_vars]
-        lmap = [left.index.get(v) for v in out_vars]
 
         def batches():
-            # Columnar branch alignment reuses ``take``: identity plus
-            # all-null pad columns on the left, a position remap (with
-            # null columns for left-only variables) on the right.
             for batch in left.batches:
-                if type(batch) is ColumnBatch:
-                    yield batch.take(lmap) if pad else batch
-                    continue
                 yield [row + pad for row in batch] if pad else batch
             for batch in right.batches:
-                if type(batch) is ColumnBatch:
-                    yield batch.take(rmap)
-                    continue
                 yield [tuple(None if p is None else row[p] for p in rmap)
                        for row in batch]
 
@@ -2042,9 +1677,8 @@ class Evaluator:
         incrementally (the child BGP/join pipeline runs batch by batch and
         no input table is ever materialized); only the per-group states —
         one small accumulator per aggregate per group
-        (:func:`_compile_aggregate`) — are held.  A scalar-key COUNT folds
-        columnar batches a column at a time (:func:`_count_column_fold`).
-        The single-pattern COUNT shape short-circuits to the index-backed
+        (:func:`_compile_aggregate`) — are held.  The single-pattern
+        COUNT shape short-circuits to the index-backed
         :meth:`_fast_group_count` and touches no rows at all.  Both
         executors finish through :meth:`_emit_groups`.
 
@@ -2108,12 +1742,7 @@ class Evaluator:
             def finish(states):
                 return [finish_one(state)
                         for finish_one, state in zip(finishes, states)]
-        cfold = None
-        if self.column_batches and scalar is not None and len(specs) == 1:
-            cfold = _count_column_fold(node.aggregates[0], index, scalar,
-                                       new_state)
         stats = self.stats
-        to_rows = self._rows
 
         def groups():
             groups: Dict = {}  # key -> aggregate state(s)
@@ -2121,11 +1750,6 @@ class Evaluator:
             folded = 0
             for batch in inner.batches:
                 folded += len(batch)
-                if type(batch) is ColumnBatch:
-                    if cfold is not None and batch.mask(scalar) is None:
-                        cfold(groups, get, batch)
-                        continue
-                    batch = to_rows(batch)
                 if scalar is not None:
                     for row in batch:
                         key = row[scalar]
@@ -2217,7 +1841,7 @@ class Evaluator:
     # Every operator here drains one child into a table (``evaluate``),
     # indexes it once with the join kernel (:class:`JoinIndex`), and
     # probes it batch by batch; what is left to the operator is its SIP
-    # scope, the batch loop and the row view of columnar batches.
+    # scope and the batch loop.
     #
     # SIP: a build side exports its join-key id-sets sideways into the
     # BGP leaves of the side evaluated after it (semi-join filters).  The
@@ -2249,11 +1873,10 @@ class Evaluator:
             right = self.stream(node.right, graph, None)
         self.stats.joins += 1
         index = JoinIndex(left, right, build_is_left=True)
-        to_rows = self._rows
 
         def batches():
             for batch in right.batches:
-                out = index.join(to_rows(batch))
+                out = index.join(batch)
                 if out:
                     yield out
 
@@ -2295,11 +1918,9 @@ class Evaluator:
                 except ExpressionError:
                     return False
 
-        to_rows = self._rows
-
         def batches():
             for batch in left.batches:
-                yield index.left_join(to_rows(batch), accept)
+                yield index.left_join(batch, accept)
 
         return TableStream(index.variables, self._meter(batches()))
 
@@ -2350,11 +1971,10 @@ class Evaluator:
             outer = self.stream(node.pattern, graph, hint)
         index = JoinIndex(inner, outer)
         negated = node.negated
-        to_rows = self._rows
 
         def batches():
             for batch in outer.batches:
-                keep = index.semi_join(to_rows(batch), negated)
+                keep = index.semi_join(batch, negated)
                 if keep:
                     yield keep
 
@@ -2367,12 +1987,10 @@ class Evaluator:
         inner = self.stream(node.pattern, graph, None)
         key = self._order_key(inner.index, node.keys)
 
-        to_rows = self._rows
-
         def batches():
             rows: List[tuple] = []  # breaker
             for batch in inner.batches:
-                rows.extend(to_rows(batch))
+                rows.extend(batch)
             rows.sort(key=key)
             if rows:
                 yield rows
@@ -2796,62 +2414,6 @@ def _compile_aggregate(aggregate: alg.Aggregate, index: Dict[str, int],
             if value is not None:
                 step(state, to_term(value))
     return new_state, fold, finish
-
-
-def _count_column_fold(aggregate: alg.Aggregate, index: Dict[str, int],
-                       key_pos: int, new_state):
-    """The column-at-a-time face of a scalar-key COUNT, or ``None``.
-
-    Folds a whole :class:`ColumnBatch` (null-free key column) into the
-    same states :func:`_compile_aggregate` builds, so row and column
-    batches share one ``groups`` dict: ``COUNT(*)`` / ``COUNT(?x)`` tally
-    the key column with ``Counter`` in C and loop once per *distinct* key;
-    ``COUNT(DISTINCT ?x)`` adds ids to each group's seen-dict.
-    """
-    expr = aggregate.expression
-    if aggregate.function != "count" \
-            or (expr is not None and type(expr) is not VarExpr):
-        return None
-    vpos = None if expr is None else index.get(expr.name)
-    if aggregate.distinct:
-        if vpos is None:  # COUNT(DISTINCT *) needs whole solutions
-            return None
-
-        def cfold(groups, get, cb):
-            keys, tids = cb.columns[key_pos], cb.columns[vpos]
-            nulls = cb.mask(vpos)
-            if nulls is None:
-                for key, tid in zip(keys, tids):
-                    seen = get(key)
-                    if seen is None:
-                        groups[key] = seen = new_state()
-                    seen[tid] = None
-                return
-            for key, tid, null in zip(keys, tids, nulls):
-                seen = get(key)
-                if seen is None:
-                    groups[key] = seen = new_state()
-                if not null:
-                    seen[tid] = None
-
-        return cfold
-
-    def cfold(groups, get, cb):
-        keys = cb.columns[key_pos]
-        tally = Counter(keys)
-        if expr is not None:
-            # Rows whose counted cell is unbound still open their group.
-            if vpos is None:
-                tally.subtract(keys)
-            elif cb.mask(vpos) is not None:
-                tally.subtract(compress(keys, cb.mask(vpos)))
-        for key, k in tally.items():
-            state = get(key)
-            if state is None:
-                groups[key] = state = new_state()
-            state[0] += k
-
-    return cfold
 
 
 def _numeric_literal(number, saw_double: bool,

@@ -23,8 +23,7 @@ After the rewrite fixpoint, the ``CostBasedJoinStrategy`` pass annotates
 the tree in place: per-BGP estimated cardinalities and the chosen join
 strategy (nested-loop / ``intersect`` / ``wcoj``, the last with a variable
 elimination order for cyclic BGPs detected via the join hypergraph), and
-per-join SIP eligibility.  The evaluator obeys these annotations, plus
-the plan-level batch kind :class:`Plan` derives from the annotated tree;
+per-join SIP eligibility.  The evaluator obeys these annotations, and
 :meth:`Plan.explain` prints every one of them.
 
 Each pass is a pure ``node -> (node, changes)`` function (input trees are
@@ -95,10 +94,6 @@ class Plan:
         # Statistics synopses lazily built while planning this query
         # (set by the engine; folded into the first execution's stats).
         self.synopsis_builds = 0
-        # What the operators exchange: 'columns' (ColumnBatch objects)
-        # or 'rows' (lists of id tuples); see :func:`plan_batch_kind`.
-        # Row order is the same either way.
-        self.batch_kind = plan_batch_kind(query.pattern)
         # Nested SELECTs, each evaluated as its own scope; reported as
         # ``EvaluationStats.materialized_subqueries``.
         self.subqueries = count_subqueries(query.pattern)
@@ -110,11 +105,11 @@ class Plan:
     def explain(self) -> str:
         """Textual rendering of the optimized tree plus pass statistics.
 
-        The header line carries the plan-level batch kind.  Nodes
-        annotated by the ``CostBasedJoinStrategy`` pass render their
-        chosen join strategy, estimated cardinality, and (for ``wcoj``)
-        the variable elimination order in a trailing ``[...]`` block;
-        SIP-eligible joins render ``[sip]``.
+        The header line names the ``FROM`` graphs.  Nodes annotated by
+        the ``CostBasedJoinStrategy`` pass render their chosen join
+        strategy, estimated cardinality, and (for ``wcoj``) the variable
+        elimination order in a trailing ``[...]`` block; SIP-eligible
+        joins render ``[sip]``.
 
         A triangle over a collaboration edge with a few high-degree hubs:
         the nested-loop estimate blows up on the hubs' squared fan-out,
@@ -141,12 +136,11 @@ class Plan:
         >>> for line in plan.explain().splitlines():
         ...     if not line.startswith("--"):
         ...         print(line)
-        FROM [] [batch_kind=rows]
+        FROM []
         Project(['a'])
           BGP(3 triples) [strategy=wcoj, est_rows=2881, eliminate=?a->?b->?c]
         """
-        lines: List[str] = ["FROM %s [batch_kind=%s]"
-                            % (self.query.from_graphs, self.batch_kind)]
+        lines: List[str] = ["FROM %s" % (self.query.from_graphs,)]
 
         def walk(node, depth):
             lines.append("  " * depth + repr(node) + _explain_notes(node))
@@ -200,72 +194,6 @@ def count_subqueries(node: alg.AlgebraNode, top: bool = True) -> int:
     return ((isinstance(node, alg.Project) and not top)
             + sum(count_subqueries(child, False)
                   for child in node.children()))
-
-
-def plan_batch_kind(node: alg.AlgebraNode) -> str:
-    """The batch kind the operators of this tree exchange.
-
-    ``'columns'`` when the tree is eligible for columnar batches
-    (:func:`plan_vectorizable`) *and* carries a row bound or a ``Group``
-    (:func:`_cuts_or_folds`) — where batches are cut short or folded into
-    accumulators rather than decoded row by row, which is where columnar
-    batches pay; ``'rows'`` otherwise.
-    """
-    if plan_vectorizable(node) and _cuts_or_folds(node):
-        return "columns"
-    return "rows"
-
-
-def _cuts_or_folds(node: alg.AlgebraNode) -> bool:
-    """True when the tree contains a row bound that stops upstream row
-    production (a ``TopK``, or a ``Slice`` with a limit — offset-only
-    slices still require every trailing row) or a ``Group``."""
-    if isinstance(node, (alg.TopK, alg.Group)) \
-            or (isinstance(node, alg.Slice) and node.limit is not None):
-        return True
-    return any(_cuts_or_folds(child) for child in node.children())
-
-
-#: Operators with a column-at-a-time form or a bounded row detour on the
-#: vectorized plane.  OrderBy/TopK/Minus/FilterExists are absent: they are
-#: row-comparison heavy, so the columnar plane would transpose everything
-#: it produced and win nothing.
-_VECTOR_FRIENDLY = (alg.Join, alg.LeftJoin, alg.Filter, alg.Extend,
-                    alg.Project, alg.Distinct, alg.Slice, alg.Union,
-                    alg.Group, alg.GraphPattern, alg.InlineData)
-
-
-def plan_vectorizable(node: alg.AlgebraNode) -> bool:
-    """True when the plan is eligible for the columnar batch plane.
-
-    Eligibility is structural: every BGP must avoid the general
-    slot-interpreting matcher (no variable in predicate position) and the
-    multiway-intersection strategy (its steps have no columnar form), and
-    every operator above must be vector-friendly.  At least one non-empty
-    BGP must exist — otherwise there is no columnar producer and columnar
-    batches would gain nothing.
-    """
-    ok, has_bgp = _vector_walk(node)
-    return ok and has_bgp
-
-
-def _vector_walk(node: alg.AlgebraNode) -> Tuple[bool, bool]:
-    if isinstance(node, alg.BGP):
-        if not node.triples:
-            return True, False
-        if getattr(node, "strategy", None) in ("intersect", "wcoj"):
-            return False, True
-        ok = not any(isinstance(triple[1], Variable)
-                     for triple in node.triples)
-        return ok, True
-    if isinstance(node, _VECTOR_FRIENDLY):
-        ok, has_bgp = True, False
-        for child in node.children():
-            child_ok, child_bgp = _vector_walk(child)
-            ok = ok and child_ok
-            has_bgp = has_bgp or child_bgp
-        return ok, has_bgp
-    return False, False
 
 
 # ----------------------------------------------------------------------

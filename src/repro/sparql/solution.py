@@ -22,7 +22,6 @@ mappings.  This module implements those definitions twice:
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Node
@@ -298,170 +297,9 @@ class SolutionTable:
         return SolutionTable((), [()])
 
 
-class ColumnBatch:
-    """One batch of solution rows in columnar form.
-
-    ``columns`` holds one flat list of dense term ids per schema
-    variable; an unbound cell stores the sentinel ``-1`` and is flagged in
-    the column's null mask.  ``masks`` is ``None`` when no column has a
-    null, otherwise a list with one entry per column: ``None`` (no nulls
-    in that column) or a ``bytearray`` whose byte ``1`` marks a null row.
-    Term ids are dense non-negative integers, so ``-1`` can never collide
-    with a real binding.
-
-    Columns are deliberately plain lists rather than ``array('q')``:
-    the ids referenced by a column already exist as interned int objects
-    in the graph indexes, so a list column is just shared pointers —
-    selection (``itertools.compress``), slicing, flattening and
-    counting all run at C speed without re-boxing.  A typed-array layout
-    was measured here and lost 1.5-2.5x on exactly those kernels because
-    every element read materializes a fresh int object.
-
-    A ``ColumnBatch`` is interchangeable with a row-batch everywhere:
-    iterating it (or indexing a row) yields the exact ``None``-restored
-    id-tuples the row representation uses, so any operator that has no
-    columnar fast path transparently falls back to row view.  Vectorized
-    operators instead work on whole columns: selection vectors are
-    applied with :meth:`take_flags`, projections with :meth:`take` (which
-    shares column storage — columns are never mutated in place).
-    """
-
-    __slots__ = ("columns", "masks", "length")
-
-    def __init__(self, columns: List[list],
-                 masks: Optional[List[Optional[bytearray]]] = None,
-                 length: Optional[int] = None):
-        self.columns = columns
-        self.masks = masks
-        self.length = len(columns[0]) if length is None else length
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Row], width: int) -> "ColumnBatch":
-        """Transpose a row batch (id-tuples, ``None`` for unbound)."""
-        n = len(rows)
-        if width == 0:
-            return cls([], None, n)
-        if n == 0:
-            return cls([[] for _ in range(width)], None, 0)
-        columns: List[list] = []
-        masks: Optional[List[Optional[bytearray]]] = None
-        for j, col in enumerate(zip(*rows)):
-            col = list(col)
-            if None in col:
-                # The column has nulls: patch them to the sentinel and
-                # record their positions in the mask.
-                mask = bytearray(n)
-                for i, tid in enumerate(col):
-                    if tid is None:
-                        mask[i] = 1
-                        col[i] = -1
-                if masks is None:
-                    masks = [None] * width
-                masks[j] = mask
-            columns.append(col)
-        return cls(columns, masks, n)
-
-    def to_rows(self) -> List[Row]:
-        """Transpose back to the row-tuple representation."""
-        if not self.columns:
-            return [()] * self.length
-        masks = self.masks
-        if masks is None:
-            return list(zip(*self.columns))
-        cols: List[Sequence] = []
-        for col, mask in zip(self.columns, masks):
-            if mask is None:
-                cols.append(col)
-            else:
-                cols.append([None if null else tid
-                             for tid, null in zip(col, mask)])
-        return list(zip(*cols))
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __iter__(self):
-        return iter(self.to_rows())
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            masks = self.masks
-            if masks is not None:
-                masks = [None if m is None else m[item] for m in masks]
-                if not any(masks):
-                    masks = None
-            start, stop, _ = item.indices(self.length)
-            return ColumnBatch([col[item] for col in self.columns], masks,
-                               max(0, stop - start))
-        masks = self.masks
-        if masks is None:
-            return tuple(col[item] for col in self.columns)
-        return tuple(None if m is not None and m[item] else col[item]
-                     for col, m in zip(self.columns, masks))
-
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-    def column(self, pos: int) -> list:
-        return self.columns[pos]
-
-    def mask(self, pos: int) -> Optional[bytearray]:
-        return None if self.masks is None else self.masks[pos]
-
-    def take(self, positions: Sequence[Optional[int]]) -> "ColumnBatch":
-        """Project to the given column positions (``None`` produces an
-        all-null column).  Shares column storage — no data is copied."""
-        n = self.length
-        columns: List[list] = []
-        masks: Optional[List[Optional[bytearray]]] = None
-        for j, p in enumerate(positions):
-            if p is None:
-                columns.append([-1] * n)
-                if masks is None:
-                    masks = [None] * len(positions)
-                masks[j] = bytearray(b"\x01" * n)
-            else:
-                columns.append(self.columns[p])
-                m = self.mask(p)
-                if m is not None:
-                    if masks is None:
-                        masks = [None] * len(positions)
-                    masks[j] = m
-        return ColumnBatch(columns, masks, n)
-
-    def take_flags(self, flags: bytearray, kept: int) -> "ColumnBatch":
-        """Apply a selection vector: keep row ``i`` when ``flags[i]``."""
-        if kept == self.length:
-            return self
-        columns = [list(compress(col, flags)) for col in self.columns]
-        masks = self.masks
-        if masks is not None:
-            masks = [None if m is None else bytearray(compress(m, flags))
-                     for m in masks]
-            if not any(any(m) for m in masks if m is not None):
-                masks = None
-        return ColumnBatch(columns, masks, kept)
-
-    def append_column(self, col: list,
-                      mask: Optional[bytearray] = None) -> "ColumnBatch":
-        """A new batch with one extra column (storage shared)."""
-        columns = self.columns + [col]
-        masks = self.masks
-        if masks is not None or mask is not None:
-            masks = ([None] * len(self.columns) if masks is None
-                     else list(masks)) + [mask]
-        return ColumnBatch(columns, masks, self.length)
-
-    def __repr__(self):
-        return "ColumnBatch(%d rows x %d cols)" % (self.length,
-                                                   len(self.columns))
-
-
 class TableStream:
     """A lazily-produced :class:`SolutionTable`: a fixed schema header plus
-    an iterator of *batches* — row-tuple lists, or :class:`ColumnBatch`
-    objects on the vectorized plane (operators accept either kind).
+    an iterator of *batches*, each a list of row tuples.
 
     This is the unit of the pipelined executor: operators hand each other
     ``TableStream`` objects and pull batches on demand, so a bounded
@@ -507,10 +345,7 @@ class TableStream:
         """Drain the stream into a materialized table."""
         rows: List[Row] = []
         for batch in self.batches:
-            if type(batch) is ColumnBatch:
-                rows.extend(batch.to_rows())
-            else:
-                rows.extend(batch)
+            rows.extend(batch)
         return SolutionTable(self.variables, rows)
 
     def __repr__(self):
@@ -532,60 +367,19 @@ def batched(rows: Sequence[Row], cap: int):
 
 
 def stream_distinct(batches, seen: Optional[set] = None):
-    """Streaming dedup over an iterator of batches (row lists or
-    :class:`ColumnBatch`).
+    """Streaming dedup over an iterator of row batches.
 
     Yields each batch reduced to its first-seen rows, preserving order and
     pulling nothing beyond what the consumer asks for — the dedup behind
     both the executor's ``Distinct`` operator and
     :meth:`~repro.sparql.results.ResultSet.distinct`.  ``seen`` can be
     passed in to carry dedup state across several streams (e.g. paginated
-    fetches); the key representation per row is identical for columnar
-    and row batches — single-column rows dedup on the bare cell value,
-    wider rows on the id-tuple — so one ``seen`` set is shared across
-    batch kinds."""
+    fetches).  Single-column rows dedup on the bare cell value, wider rows
+    on the whole tuple."""
     if seen is None:
         seen = set()
     add = seen.add
     for batch in batches:
-        if type(batch) is ColumnBatch:
-            if batch.width == 1:
-                # Hot single-column shape: dedup on bare ids, no tuples,
-                # and (unmasked) no selection vector either — the single
-                # survivor column is built directly in one pass.
-                mask = batch.mask(0)
-                if mask is None:
-                    fresh = []
-                    append = fresh.append
-                    for value in batch.columns[0]:
-                        if value not in seen:
-                            add(value)
-                            append(value)
-                    if fresh:
-                        yield ColumnBatch([fresh], None, len(fresh))
-                    continue
-                cells = (None if null else tid
-                         for tid, null in zip(batch.columns[0], mask))
-                flags = bytearray(len(batch))
-                kept = 0
-                for i, value in enumerate(cells):
-                    if value not in seen:
-                        add(value)
-                        flags[i] = 1
-                        kept += 1
-                if kept:
-                    yield batch.take_flags(flags, kept)
-                continue
-            flags = bytearray(len(batch))
-            kept = 0
-            for i, row in enumerate(batch.to_rows()):
-                if row not in seen:
-                    add(row)
-                    flags[i] = 1
-                    kept += 1
-            if kept:
-                yield batch.take_flags(flags, kept)
-            continue
         fresh = []
         append = fresh.append
         if batch and len(batch[0]) == 1:

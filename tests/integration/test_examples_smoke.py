@@ -21,9 +21,10 @@ def run_example(name: str) -> str:
 
 def test_grouped_analytics_runs():
     out = run_example("grouped_analytics.py")
-    # The planner's batch kind is printed: a bounded sort over the groups
-    # (TopK) has no columnar form, so the plan runs on row batches ...
-    assert "plan batch kind (the planner's choice): rows" in out
+    # The plan is printed: ORDER BY + LIMIT over the groups fused into a
+    # bounded sort (TopK) directly over the Group ...
+    assert "  TopK([('movie_count', 'desc')], limit=10, offset=0)\n" \
+        "    Group(by=['actor']" in out
     # ... and the single-pattern COUNT took the index-backed path:
     # groups came straight off the graph indexes, nothing was folded.
     assert "accumulator rows folded: 0" in out

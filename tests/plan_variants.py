@@ -1,13 +1,13 @@
 """Run a query on a private copy of its plan with changed annotations.
 
-The engine has no physical switch: join order, join strategy, sideways
-filters and the batch kind are the planner's decisions, written on the
-plan it caches (``Plan.explain()`` prints them).  Tests that must run the
-same query under a *different* decision — the two batch kinds, a BGP
-without its strategy, joins without sideways filters, a plan without
-``LimitPushdown`` — plan it the normal way, copy the plan, change the
-copy and execute the copy through ``Engine.evaluate_plan``.  The plan in
-the engine's cache is never touched.
+The engine has no physical switch: join order, join strategy and
+sideways filters are the planner's decisions, written on the plan it
+caches (``Plan.explain()`` prints them).  Tests that must run the same
+query under a *different* decision — a BGP without its strategy, joins
+without sideways filters, a plan without ``LimitPushdown`` — plan it the
+normal way, copy the plan, change the copy and execute the copy through
+``Engine.evaluate_plan``.  The plan in the engine's cache is never
+touched.
 
 * :func:`plan_variant` — the changed private copy;
 * :func:`run_variant` — execute it: ``(ResultSet, EvaluationStats)``;
@@ -50,12 +50,10 @@ def _copy_tree(node):
     return clone
 
 
-def plan_variant(engine, query, default_graph_uri=None, *, batch_kind=None,
-                 sip=None, strategy=None, passes=None, ordered=True):
+def plan_variant(engine, query, default_graph_uri=None, *, sip=None,
+                 strategy=None, passes=None, ordered=True):
     """A private copy of ``engine``'s plan for ``query``, changed as asked.
 
-    ``batch_kind``
-        ``'rows'`` or ``'columns'`` replaces the plan-level batch kind.
     ``sip``
         ``False`` strips every ``sip_eligible`` mark; ``True`` marks every
         join node, where the planner would mark only those whose probe
@@ -90,9 +88,6 @@ def plan_variant(engine, query, default_graph_uri=None, *, batch_kind=None,
         if strategy is False and isinstance(node, alg.BGP):
             for name in STRATEGY_ATTRS:
                 vars(node).pop(name, None)
-    if batch_kind is not None:
-        assert batch_kind in ("rows", "columns"), batch_kind
-        plan.batch_kind = batch_kind
     return plan
 
 
@@ -105,8 +100,8 @@ def run_variant(engine, query, default_graph_uri=None, **changes):
 
 class Variant:
     """An engine look-alike answering ``query()`` on plan variants:
-    ``Variant(Engine(g), batch_kind="columns").query(text)`` runs every
-    query on columnar batches, and ``last_stats`` holds its counters."""
+    ``Variant(Engine(g), sip=False).query(text)`` runs every query
+    without sideways filters, and ``last_stats`` holds its counters."""
 
     def __init__(self, engine, **changes):
         self.engine = engine

@@ -2,9 +2,9 @@
 
 The differential fuzz suite (``test_fuzz_differential.py``) and the
 serving-cache correctness tests draw queries from here: valid
-BGP/filter/optional/group/order/limit shapes over the vocabulary that
-:mod:`repro.data.dbpedia` actually generates, so fuzzed queries select
-real rows instead of vacuously-empty results.
+BGP/filter/optional/bind/values/group/order/limit shapes over the
+vocabulary that :mod:`repro.data.dbpedia` actually generates, so fuzzed
+queries select real rows instead of vacuously-empty results.
 
 Design constraints:
 
@@ -24,9 +24,17 @@ Design constraints:
   non-COUNT aggregate.  Only integer-kind variables go under SUM / AVG
   (float addition order must not differ between planes); SAMPLE and
   GROUP_CONCAT depend on input order and stay out.
+* **BIND and VALUES.**  0-2 ``BIND`` clauses — a variable copy, a constant
+  IRI or literal, or ``?v + 1`` over an integer column — and at most one
+  ``VALUES`` block over one or two variables (bound pattern variables or
+  fresh ones), 1-3 rows, cells drawn from the value pools or ``UNDEF``.
+  They are drawn after every other choice, so a seed's core query does
+  not depend on them.  ``UNDEF`` is never combined with
+  ``LIMIT`` (unbound sort keys, as with ``OPTIONAL``).
 * **Shrinkable.**  A failing :class:`QuerySpec` shrinks structurally —
-  dropping optionals, filters, modifiers, aggregates, then patterns — to
-  a minimal spec that still fails, via :func:`shrink`.
+  dropping optionals, binds, VALUES blocks, filters, modifiers,
+  aggregates, then patterns, one clause at a time — to a minimal spec
+  that still fails, via :func:`shrink`.
 """
 
 from __future__ import annotations
@@ -99,6 +107,15 @@ SCHEMAS = [
 
 _SCHEMA_BY_NAME = {name: (cls, attrs) for name, cls, attrs in SCHEMAS}
 
+#: Constants a ``BIND`` may assign: IRIs and literals.
+BIND_CONSTANTS = ["dbpr:France", "dbpr:Drama", '"tag"', "7"]
+
+#: Cells of a ``VALUES`` column over a fresh variable: mixed term kinds.
+FRESH_VALUES = ["dbpr:India", "dbpr:Comedy", '"x"', "3"]
+
+#: Cells of a ``VALUES`` column over an integer pattern variable.
+INT_VALUES = ["90", "100", "110", "120"]
+
 
 class QuerySpec:
     """A structured query: triples + filters + modifiers, renderable to
@@ -113,6 +130,12 @@ class QuerySpec:
         self.filters: List[Tuple[Tuple[str, ...], str]] = []
         #: OPTIONAL blocks, one triple each.
         self.optionals: List[Tuple[str, str, str]] = []
+        #: BIND clauses: ``(target, variable read or None, expression)``.
+        self.binds: List[Tuple[str, Optional[str], str]] = []
+        #: VALUES blocks: ``(variables, rows of cell tokens)``; a
+        #: variable named ``?u...`` is fresh, any other is a pattern's.
+        self.values: List[Tuple[Tuple[str, ...],
+                                Tuple[Tuple[str, ...], ...]]] = []
         self.distinct = False
         #: ``(keys, aggregates, having)``: 0-2 grouping variables,
         #: ``(variable read or None, "AGG(...)")`` pairs rendered as
@@ -143,11 +166,19 @@ class QuerySpec:
                     seen.append(token)
         return seen
 
+    def extra_vars(self) -> List[str]:
+        """Variables only BIND targets and fresh VALUES columns bind."""
+        extra = [target for target, _var, _text in self.binds]
+        for variables, _rows in self.values:
+            extra.extend(v for v in variables
+                         if _is_fresh(v) and v not in extra)
+        return extra
+
     def projection(self) -> List[str]:
         if self.group is not None:
             keys, aggregates, _having = self.group
             return list(keys) + ["?a%d" % i for i in range(len(aggregates))]
-        return self.bound_vars() + self.optional_vars()
+        return self.bound_vars() + self.extra_vars() + self.optional_vars()
 
     def group_vars(self) -> List[str]:
         """Variables the group clause reads."""
@@ -170,6 +201,16 @@ class QuerySpec:
         lines.append("WHERE {")
         for s, p, o in self.patterns:
             lines.append("  %s %s %s ." % (s, p, o))
+        for target, _var, text in self.binds:
+            lines.append("  BIND(%s AS %s)" % (text, target))
+        for variables, rows in self.values:
+            if len(variables) == 1:
+                lines.append("  VALUES %s { %s }" % (
+                    variables[0], " ".join(row[0] for row in rows)))
+            else:
+                lines.append("  VALUES (%s) { %s }" % (
+                    " ".join(variables),
+                    " ".join("(%s)" % " ".join(row) for row in rows)))
         for vars_used, text in self.filters:
             lines.append("  FILTER(%s)" % text)
         for s, p, o in self.optionals:
@@ -189,9 +230,14 @@ class QuerySpec:
         return PREFIXES + "\n".join(lines)
 
     def __repr__(self):
-        return "QuerySpec(seed=%r, %d patterns, %d filters, %d optionals)" \
-            % (self.seed, len(self.patterns), len(self.filters),
-               len(self.optionals))
+        return ("QuerySpec(seed=%r, %d patterns, %d filters, %d optionals, "
+                "%d binds, %d values)" % (
+                    self.seed, len(self.patterns), len(self.filters),
+                    len(self.optionals), len(self.binds), len(self.values)))
+
+
+def _is_fresh(var: str) -> bool:
+    return var.startswith("?u")
 
 
 def _make_filter(rng: random.Random, var: str, kind: str) -> Optional[str]:
@@ -253,6 +299,43 @@ def _make_group(rng: random.Random, subject: str,
     having = _make_having(rng, value_vars, ints) \
         if rng.random() < (0.5 if ints else 0.3) else None
     return keys, aggregates, having
+
+
+def _make_bind(rng: random.Random, index: int, variables: List[str],
+               ints: List[str]) -> Tuple[str, Optional[str], str]:
+    """One BIND: a variable copy, a constant, or ``?v + 1``."""
+    target = "?b%d" % index
+    shape = rng.randrange(3)
+    if shape == 2 and ints:
+        var = ints[rng.randrange(len(ints))]
+        return target, var, "%s + 1" % var
+    if shape == 1:
+        return target, None, BIND_CONSTANTS[rng.randrange(
+            len(BIND_CONSTANTS))]
+    var = variables[rng.randrange(len(variables))]
+    return target, var, var
+
+
+def _make_values(rng: random.Random, vars_by_kind: List[Tuple[str, str]],
+                 allow_undef: bool):
+    """One VALUES block over 1-2 variables, 1-3 rows."""
+    candidates = [(v, k) for v, k in vars_by_kind
+                  if k in CONSTANTS or k == "int"]
+    columns: List[Tuple[str, List[str]]] = []
+    for i in range(rng.randint(1, 2)):
+        if candidates and rng.random() < 0.6:
+            var, kind = candidates.pop(rng.randrange(len(candidates)))
+            pool = INT_VALUES if kind == "int" else CONSTANTS[kind]
+        else:
+            var, pool = "?u%d" % i, FRESH_VALUES
+        columns.append((var, pool))
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        rows.append(tuple(
+            "UNDEF" if allow_undef and rng.random() < 0.25
+            else pool[rng.randrange(len(pool))]
+            for _var, pool in columns))
+    return tuple(var for var, _pool in columns), tuple(rows)
 
 
 def generate(seed: int) -> QuerySpec:
@@ -322,6 +405,16 @@ def generate(seed: int) -> QuerySpec:
     if (spec.group is None and not spec.optionals
             and rng.random() < 0.3):
         spec.limit = [5, 10, 20][rng.randrange(3)]
+
+    # BIND and VALUES come last, so the draws above do not depend on them.
+    ints = [v for v, k in vars_by_kind if k == "int"]
+    if rng.random() < 0.35:
+        variables = [subject] + [v for v, _k in vars_by_kind]
+        for index in range(rng.randint(1, 2)):
+            spec.binds.append(_make_bind(rng, index, variables, ints))
+    if rng.random() < 0.3:
+        spec.values.append(_make_values(rng, vars_by_kind,
+                                        allow_undef=spec.limit is None))
     return spec
 
 
@@ -335,6 +428,9 @@ def _prune(spec: QuerySpec) -> QuerySpec:
     spec.filters = [f for f in spec.filters
                     if all(v in bound for v in f[0])]
     spec.optionals = [o for o in spec.optionals if o[0] in bound]
+    spec.binds = [b for b in spec.binds if b[1] is None or b[1] in bound]
+    spec.values = [block for block in spec.values
+                   if all(_is_fresh(v) or v in bound for v in block[0])]
     if spec.group is not None \
             and not all(v in bound for v in spec.group_vars()):
         spec.group = None
@@ -348,6 +444,8 @@ def _copy(spec: QuerySpec) -> QuerySpec:
     dup.patterns = list(spec.patterns)
     dup.filters = list(spec.filters)
     dup.optionals = list(spec.optionals)
+    dup.binds = list(spec.binds)
+    dup.values = list(spec.values)
     dup.distinct = spec.distinct
     dup.group = spec.group
     dup.limit = spec.limit
@@ -388,6 +486,14 @@ def _shrink_candidates(spec: QuerySpec):
     for index in range(len(spec.optionals)):
         dup = _copy(spec)
         del dup.optionals[index]
+        yield dup
+    for index in range(len(spec.binds)):
+        dup = _copy(spec)
+        del dup.binds[index]
+        yield dup
+    for index in range(len(spec.values)):
+        dup = _copy(spec)
+        del dup.values[index]
         yield dup
     for index in range(len(spec.filters)):
         dup = _copy(spec)

@@ -9,8 +9,7 @@ empty input included:
   equals the reference plane's own batch aggregate
   (:func:`~repro.sparql.reference._apply_aggregate`) over the same rows;
 * COUNT, SUM, AVG, MIN and MAX do not depend on the input order;
-* SAMPLE returns a member of the input;
-* the column-at-a-time COUNT folds build the same groups as the row fold.
+* SAMPLE returns a member of the input.
 
 Decimals are multiples of 1/4 and integers are small, so every float sum
 is exact: SUM / AVG order-invariance is then a law of the accumulator,
@@ -24,9 +23,8 @@ from hypothesis import strategies as st
 from repro.rdf import Literal, TermDictionary, URIRef
 from repro.rdf.terms import XSD_DECIMAL
 from repro.sparql import parse
-from repro.sparql.evaluator import _compile_aggregate, _count_column_fold
+from repro.sparql.evaluator import _compile_aggregate
 from repro.sparql.reference import _apply_aggregate
-from repro.sparql.solution import ColumnBatch
 
 DICTIONARY = TermDictionary()
 
@@ -111,28 +109,3 @@ def test_sample_returns_a_member(distinct, cells):
         assert got in bound
     else:
         assert got is None
-
-
-@pytest.mark.parametrize("argument,distinct",
-                         [("*", False), ("?v", False), ("?v", True)])
-@settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 3), CELLS), max_size=16))
-def test_column_fold_matches_row_fold(argument, distinct, rows):
-    aggregate = aggregate_of("count", distinct, argument)
-    index = {"k": 0, "v": 1}
-    new_state, fold_row, finish = _compile_aggregate(
-        aggregate, index, DICTIONARY.decode)
-    id_rows = [(key, None if cell is None else DICTIONARY.encode(cell))
-               for key, cell in rows]
-    by_rows: dict = {}
-    for row in id_rows:
-        state = by_rows.get(row[0])
-        if state is None:
-            by_rows[row[0]] = state = new_state()
-        fold_row(state, row)
-    by_columns: dict = {}
-    cfold = _count_column_fold(aggregate, index, 0, new_state)
-    cfold(by_columns, by_columns.get, ColumnBatch.from_rows(id_rows, 2))
-    assert list(by_columns) == list(by_rows)  # first-seen group order
-    assert {k: finish(s) for k, s in by_columns.items()} \
-        == {k: finish(s) for k, s in by_rows.items()}

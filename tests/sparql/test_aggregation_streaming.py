@@ -1,12 +1,9 @@
 """Differential + behavioral suite for streaming hash aggregation.
 
-Three planes answer every grouped query here:
+Two planes answer every grouped query here:
 
-* ``rows``       — every plan forced to row-tuple batches (a private plan
-  copy, :mod:`plan_variants`): ``Group`` folds row-tuple batches (or
+* ``production`` — ``Engine(source)``: ``Group`` folds row batches (or
   takes the index-backed COUNT fast path),
-* ``vectorized`` — every plan forced to columnar batches: the same
-  operator fed columnar batches (the column-at-a-time COUNT folds),
 * ``reference``  — ``Engine(columnar=False)``: the seed dict-based
   evaluator, the oracle.
 
@@ -19,7 +16,7 @@ shape touches no rows at all.
 
 The regression classes pin the GROUP_CONCAT separator, AVG/SUM numeric
 promotion and MIN/MAX over any term (the winning input term, in ORDER BY
-order) on all planes.
+order) on both planes.
 """
 
 import pytest
@@ -32,8 +29,6 @@ from repro.rdf.namespaces import DC, DCTERMS, RDF, SWRC
 from repro.rdf.terms import XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 from repro.sparql import Engine
 from repro.workload import CASE_STUDIES, get_case_study
-
-from plan_variants import Variant
 
 PFX = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -59,11 +54,9 @@ def uri(name):
 
 
 def planes(source):
-    """The three planes over one graph or dataset."""
-    engine = Engine(source)
+    """The two planes over one graph or dataset."""
     return {
-        "rows": Variant(engine, batch_kind="rows"),
-        "vectorized": Variant(engine, batch_kind="columns"),
+        "production": Engine(source),
         "reference": Engine(source, columnar=False),
     }
 
@@ -191,9 +184,7 @@ def test_grouped_corpus_identical_across_planes(small_dataset, query):
     results = {plane: engine.query(PFX + query,
                                    default_graph_uri="http://g")
                for plane, engine in engines.items()}
-    want = row_bag(results["reference"])
-    assert row_bag(results["rows"]) == want
-    assert row_bag(results["vectorized"]) == want
+    assert row_bag(results["production"]) == row_bag(results["reference"])
 
 
 class TestCaseStudyPlanes:
@@ -214,16 +205,10 @@ class TestCaseStudyPlanes:
 
 
 class TestGroupAnnotation:
-    def test_aggregate_plan_runs_on_columns(self, dataset):
-        plan = Engine(dataset).plan(COUNT_FILMS,
-                                    default_graph_uri=DBPEDIA_URI)
-        assert plan.batch_kind == "columns"
-
     def test_default_engine_folds_groups_from_batches(self, dataset):
         engine = Engine(dataset)
         engine.query(COUNT_FILMS, default_graph_uri=DBPEDIA_URI)
         stats = engine.last_stats
-        assert engine.last_plan.batch_kind == "columns"
         assert stats.groups_built > 0
         assert stats.rows_pulled > 0
 
@@ -300,8 +285,7 @@ class TestIndexBackedCount:
             WHERE { ?x x:starring ?x } GROUP BY ?x"""
         bags = {plane: row_bag(e.query(query, default_graph_uri="http://g"))
                 for plane, e in engines.items()}
-        assert bags["rows"] == bags["reference"]
-        assert bags["vectorized"] == bags["reference"]
+        assert bags["production"] == bags["reference"]
 
 
 class TestBoundedBatches:
@@ -319,7 +303,7 @@ class TestBoundedBatches:
             g.add(s, uri("kind"), uri("Hub"))
             for j in range(1500):  # ... each fanning out 1500x
                 g.add(s, uri("link"), uri("t%d_%d" % (i, j)))
-        engine = Variant(Engine(g), batch_kind="rows")
+        engine = Engine(g)
         result = engine.query(PFX + """
             SELECT ?h (COUNT(?t) AS ?n) WHERE {
                 ?h x:kind x:Hub . ?h x:link ?t .
@@ -368,12 +352,10 @@ class TestTopKGroups:
     def test_bounded_grouped_query_identical(self, engines):
         # The order is total (count, then actor), so every plane returns
         # the same rows in the same order.
-        streamed = engines["rows"].query(
+        streamed = engines["production"].query(
             self.QUERY, default_graph_uri=DBPEDIA_URI)
-        for plane in ("vectorized", "reference"):
-            assert engines[plane].query(
-                self.QUERY, default_graph_uri=DBPEDIA_URI).rows \
-                == streamed.rows, plane
+        assert engines["reference"].query(
+            self.QUERY, default_graph_uri=DBPEDIA_URI).rows == streamed.rows
         assert len(streamed) == 10
         # The heap keeps the true top groups: counts are non-increasing.
         counts = [row[1].value for row in streamed.rows]
@@ -384,7 +366,6 @@ class TestTopKGroups:
 
         plan = Engine(dataset).plan(self.QUERY,
                                     default_graph_uri=DBPEDIA_URI)
-        assert plan.batch_kind == "rows"  # TopK has no columnar form
         node = plan.query.pattern
         while not isinstance(node, alg.TopK):
             node = node.pattern
@@ -429,8 +410,7 @@ class TestAggregatePushdownPass:
         } GROUP BY ?a"""
         bags = {plane: row_bag(e.query(query, default_graph_uri="http://g"))
                 for plane, e in engines.items()}
-        assert bags["rows"] == bags["reference"]
-        assert bags["vectorized"] == bags["reference"]
+        assert bags["production"] == bags["reference"]
 
 
 class TestGroupConcatSeparator:
@@ -452,8 +432,8 @@ class TestGroupConcatSeparator:
         for plane, engine in label_engines.items():
             result = engine.query(PFX + query)
             out[plane] = {str(row[0]): row[1] for row in result.rows}
-        assert out["rows"] == out["vectorized"] == out["reference"]
-        return out["rows"]
+        assert out["production"] == out["reference"]
+        return out["production"]
 
     def test_default_separator_is_single_space(self, label_engines):
         rows = self.planes(label_engines, """
@@ -551,8 +531,8 @@ class TestNumericAggregateTyping:
             result = engine.query(query)
             out[plane] = {str(row[0]).rsplit("/", 1)[1]: row[1]
                           for row in result.rows}
-        assert out["rows"] == out["vectorized"] == out["reference"]
-        return out["rows"]
+        assert out["production"] == out["reference"]
+        return out["production"]
 
     def test_avg_int_and_mixed_are_decimal(self, score_engines):
         means = self.agg(score_engines, "AVG(?n)")
@@ -585,9 +565,8 @@ class TestNumericAggregateTyping:
             row = engine.query(
                 PFX + "SELECT (AVG(?n) AS ?m) WHERE { ?s x:v ?n }").rows[0]
             results[plane] = row[0]
-        assert results["rows"] == results["vectorized"] \
-            == results["reference"]
-        mean = results["rows"]
+        assert results["production"] == results["reference"]
+        mean = results["production"]
         assert mean.datatype == XSD_DECIMAL
         assert mean.value == 2e-05
         assert "e" not in mean.lexical.lower()
@@ -596,10 +575,9 @@ class TestNumericAggregateTyping:
         results = {plane: engine.query(AVG_RUNTIME,
                                        default_graph_uri=DBPEDIA_URI)
                    for plane, engine in engines.items()}
-        want = row_bag(results["reference"])
-        assert row_bag(results["rows"]) == want
-        assert row_bag(results["vectorized"]) == want
-        for row in results["rows"].rows:
+        assert row_bag(results["production"]) \
+            == row_bag(results["reference"])
+        for row in results["production"].rows:
             assert row[1].datatype == XSD_DECIMAL  # ints averaged
 
 
@@ -632,8 +610,8 @@ class TestMinMaxReturnInputTerms:
         for plane, engine in value_engines.items():
             out[plane] = {str(row[0]).rsplit("/", 1)[1]: row[1]
                           for row in engine.query(query).rows}
-        assert out["rows"] == out["vectorized"] == out["reference"]
-        return out["rows"]
+        assert out["production"] == out["reference"]
+        return out["production"]
 
     def test_min(self, value_engines):
         low = self.extremes(value_engines, "MIN")
@@ -678,8 +656,6 @@ class TestMinMaxReturnInputTerms:
         for client in (EngineClient(engine),
                        EngineClient(Engine(dataset, columnar=False))):
             assert dict(frame.execute(client).to_records()) == latest
-        for kind in ("rows", "columns"):
-            result = Variant(engine, batch_kind=kind).query(
-                frame.to_sparql())
-            assert {str(author): date.lexical
-                    for author, date in result.rows} == latest, kind
+        result = engine.query(frame.to_sparql())
+        assert {str(author): date.lexical
+                for author, date in result.rows} == latest

@@ -307,21 +307,18 @@ class TestEngineBehaviour:
             }""")
         assert engine.last_stats.bgp_cache_hits >= 1
 
-    @pytest.mark.parametrize("batch_kind", [None, "columns", "rows"])
     @pytest.mark.parametrize("branch, hits", [
         ("{ ?m x:starring ?a }", 1),
         ("{ SELECT ?m WHERE { ?m x:starring ?a } }", 1),
         ("{ ?m x:starring ?a { SELECT ?a WHERE { ?a x:born ?c } } }", 2),
     ], ids=["bare", "subselect", "join"])
-    def test_bgp_cache_hit_across_union_branches(self, engine, branch, hits,
-                                                 batch_kind):
+    def test_bgp_cache_hit_across_union_branches(self, engine, branch, hits):
         # The first branch's stream runs to the end before the second is
         # pulled, so the second replays what the first produced — the
         # hit counts of the engine that materialized every operator.
-        planned = Variant(engine, batch_kind=batch_kind)
-        result = planned.query(PFX + "SELECT * WHERE { %s UNION %s }"
-                               % (branch, branch))
-        assert planned.last_stats.bgp_cache_hits == hits
+        result = engine.query(PFX + "SELECT * WHERE { %s UNION %s }"
+                              % (branch, branch))
+        assert engine.last_stats.bgp_cache_hits == hits
         reference = Engine(engine.dataset, columnar=False).query(
             PFX + "SELECT * WHERE { %s UNION %s }" % (branch, branch))
         def bag(r):
@@ -417,6 +414,22 @@ class TestOnePlane:
         from repro.sparql import Evaluator
         parameters = set(inspect.signature(Evaluator.__init__).parameters)
         assert not parameters & set(REMOVED_SWITCHES)
+
+    def test_one_batch_layout(self):
+        # Operators exchange row-tuple lists only: no columnar batch
+        # class, no vector kernels, no plan-wide batch routing.
+        import importlib
+        import repro.sparql as sparql
+        from repro.sparql import Evaluator, Plan, optimize_plan, parse
+        assert not hasattr(sparql, "ColumnBatch")
+        assert "ColumnBatch" not in sparql.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.sparql.vector")
+        plan = optimize_plan(parse("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1"))
+        assert isinstance(plan, Plan)
+        assert not hasattr(plan, "batch_kind")
+        assert "batch_kind" not in plan.explain()
+        assert not hasattr(Evaluator(Dataset()), "column_batches")
 
     def test_reference_engine_refuses_plans(self, engine):
         # A reference engine answers from the dict evaluator; executing a

@@ -1,23 +1,26 @@
-"""Differential fuzzing: every plane, plus the cache, returns one bag.
+"""Differential fuzzing: production, reference and the cache return one bag.
 
-≥200 seeded generated queries (see :mod:`queryfuzz`) run across the three
-planes — reference (seed dict evaluator), the production operators with
-every plan forced to row batches, and forced to columnar batches (private
-plan copies, :mod:`plan_variants`) — and must return bag-identical
-results.  The serving tier's result cache is then treated as a fourth plane:
-cache-cold and cache-warm submissions must agree with the engine truth,
-including across interleaved graph mutations (the stale-read hunt).
+≥200 seeded generated queries (see :mod:`queryfuzz`) run on the
+production operators (``Engine(dataset)``) and on the reference plane
+(the seed dict evaluator) and must return bag-identical results.  The
+grammar covers BGPs, FILTER, OPTIONAL, BIND (variable copy, constant IRI
+or literal, ``?v + 1``), VALUES over one or two variables with ``UNDEF``
+cells, grouped aggregates, DISTINCT and ORDER BY + LIMIT.  The serving
+tier's result cache is then treated as a third plane: cache-cold and
+cache-warm submissions must agree with the engine truth, including across
+interleaved graph mutations (the stale-read hunt).
 
 Grouped specs are the least-covered shape per seed, so a second range of
 seeds runs only its grouped specs (COUNT / SUM / AVG / MIN / MAX, DISTINCT,
 ``COUNT(*)``, expression arguments, 0-2 keys, HAVING).
 
-A failing seed shrinks structurally (dropping optionals, filters,
-modifiers, aggregates, patterns while the disagreement persists) and the
-test dumps the minimal reproducing SPARQL text, so CI failures replay
-locally from the message alone.  Generation is PYTHONHASHSEED-independent
-— asserted here by re-rendering under two different hash seeds in
-subprocesses.
+A failing seed shrinks structurally (dropping optionals, binds, VALUES
+blocks, filters, modifiers, aggregates, patterns while the disagreement
+persists) and the test dumps the minimal reproducing SPARQL text, so CI
+failures replay locally from the message alone.  Generation is
+PYTHONHASHSEED-independent — asserted here by re-rendering under two
+different hash seeds in subprocesses; the CI ``fuzz`` job runs the whole
+differential under two hash seeds to cover the evaluation side too.
 """
 
 import os
@@ -31,8 +34,6 @@ from queryfuzz import QuerySpec, generate, mutate, shrink
 from repro.data.loader import build_dataset
 from repro.sparql import Engine, ResultCache
 from repro.sparql.server import QueryServer
-
-from plan_variants import Variant
 
 SCALE = 0.03
 N_SEEDS = 220
@@ -51,11 +52,9 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def planes(dataset):
-    engine = Engine(dataset)
     return {
         "reference": Engine(dataset, columnar=False),
-        "rows": Variant(engine, batch_kind="rows"),
-        "vectorized": Variant(engine, batch_kind="columns"),
+        "production": Engine(dataset),
     }
 
 
@@ -147,6 +146,29 @@ def test_shrink_drops_aggregates_one_at_a_time():
     minimal = shrink(spec, still_fails)
     assert minimal.group == ((), (("?v0", "MAX(?v0)"),), None)
     assert "(MAX(?v0) AS ?a0)" in minimal.render()
+
+
+def test_shrink_drops_binds_and_values_one_at_a_time():
+    spec = QuerySpec(0)
+    spec.patterns = [("?film", "rdf:type", "dbpo:Film"),
+                     ("?film", "dbpo:runtime", "?v0")]
+    spec.binds = [("?b0", "?film", "?film"), ("?b1", "?v0", "?v0 + 1"),
+                  ("?b2", None, "dbpr:France")]
+    spec.values = [(("?v0",), (("90",), ("UNDEF",))),
+                   (("?u0", "?v0"), (('"x"', "100"),))]
+
+    def still_fails(candidate):
+        return ("?b1", "?v0", "?v0 + 1") in candidate.binds \
+            and any(variables == ("?u0", "?v0")
+                    for variables, _rows in candidate.values)
+
+    minimal = shrink(spec, still_fails)
+    assert minimal.binds == [("?b1", "?v0", "?v0 + 1")]
+    assert minimal.values == [(("?u0", "?v0"), (('"x"', "100"),))]
+    text = minimal.render()
+    assert "BIND(?v0 + 1 AS ?b1)" in text
+    assert 'VALUES (?u0 ?v0) { ("x" 100) }' in text
+    assert "SELECT ?film ?v0 ?b1 ?u0" in text
 
 
 def test_cache_cold_vs_warm_matches_engine_truth(dataset, planes):

@@ -11,7 +11,9 @@ evaluator and on the production operators under every combination of
   intersection and generic join vs. nested loops),
 
 each a private copy of the plan (:mod:`plan_variants`), and every
-combination must return the identical row bag.  The planned engine must
+combination must return the identical row bag.  A hand-written corpus
+(BIND in its three shapes, an IRI-equality FILTER, DISTINCT, a grouped
+COUNT) rides through the same differential.  The planned engine must
 additionally *prove* its mechanisms through the ``sip_filtered_rows`` /
 ``intersect_steps`` / ``sorted_runs_built`` counters, and the soundness
 edges — OPTIONAL padding, MINUS, NOT EXISTS, subquery LIMIT windows,
@@ -56,6 +58,37 @@ def engines(dataset):
     return out
 
 
+#: Shapes the join corpus lacks, keyed like the corpus entries.
+HAND_WRITTEN = {
+    "hand_costar": PFX + """
+SELECT ?a ?b WHERE { ?film dbpp:starring ?a . ?film dbpp:starring ?b }""",
+    "hand_bgp3": PFX + """
+SELECT ?film ?actor ?place WHERE {
+    ?film rdf:type dbpo:Film .
+    ?film dbpp:starring ?actor .
+    ?actor dbpp:birthPlace ?place .
+}""",
+    "hand_filter_eq": PFX + """
+SELECT ?film ?actor WHERE {
+    ?film dbpp:starring ?actor .
+    ?film dbpp:country ?country .
+    FILTER(?country = <http://dbpedia.org/resource/United_States>)
+}""",
+    "hand_distinct_actors": PFX + """
+SELECT DISTINCT ?actor WHERE { ?film dbpp:starring ?actor }""",
+    "hand_group_count": PFX + """
+SELECT ?actor (COUNT(?film) AS ?n) WHERE {
+    ?film dbpp:starring ?actor .
+} GROUP BY ?actor""",
+    # Extend's three shapes: a variable copy, a constant, a computed value.
+    "hand_bind_shapes": PFX + """
+SELECT ?film ?copy ?one ?label WHERE {
+    ?film dbpp:starring ?actor .
+    BIND(?actor AS ?copy) BIND(1 AS ?one) BIND(STR(?actor) AS ?label)
+}""",
+}
+
+
 def row_bag(result):
     order = sorted(range(len(result.variables)),
                    key=lambda i: result.variables[i])
@@ -67,30 +100,26 @@ def join_query(request):
     return get_join_query(request.param)
 
 
+@pytest.fixture(params=[q.key for q in JOIN_QUERIES] + list(HAND_WRITTEN))
+def differential_query(request):
+    """``(key, sparql)`` of a join-corpus or hand-written query."""
+    if request.param in HAND_WRITTEN:
+        return request.param, HAND_WRITTEN[request.param]
+    return request.param, get_join_query(request.param).sparql
+
+
 class TestJoinCorpusDifferential:
-    def test_all_planes_and_variants_agree(self, engines, join_query):
+    def test_all_planes_and_variants_agree(self, engines, differential_query):
+        name, sparql = differential_query
         want = row_bag(engines["reference"].query(
-            join_query.sparql, default_graph_uri=DBPEDIA_URI))
-        assert want, "corpus query %s returns no rows at test scale" \
-            % join_query.key
+            sparql, default_graph_uri=DBPEDIA_URI))
+        assert want, "corpus query %s returns no rows at test scale" % name
         for key, engine in engines.items():
             if key == "reference":
                 continue
-            got = row_bag(engine.query(join_query.sparql,
+            got = row_bag(engine.query(sparql,
                                        default_graph_uri=DBPEDIA_URI))
-            assert got == want, "%s disagrees on %s" % (key, join_query.key)
-
-    def test_same_flags_same_rows_across_batch_kinds(
-            self, engines, join_query):
-        """With identical annotations, row-tuple and columnar batches must
-        return literally identical rows (the compiled steps are shared
-        and a ColumnBatch keeps its rows' order)."""
-        for sip, strategy in itertools.product((None, False), repeat=2):
-            a, b = (run_variant(engines["planned"], join_query.sparql,
-                                DBPEDIA_URI, sip=sip, strategy=strategy,
-                                batch_kind=kind)[0]
-                    for kind in ("rows", "columns"))
-            assert a.rows == b.rows
+            assert got == want, "%s disagrees on %s" % (key, name)
 
 
 class TestCounterProofs:

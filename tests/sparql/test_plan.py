@@ -268,13 +268,10 @@ class TestOptimizePlan:
         text = plan.explain()
         assert "FilterPushdown" in text and "JoinOrdering" in text
 
-    def test_explain_header_carries_batch_kind(self, graph):
-        text = PFX + "SELECT ?m WHERE { ?m x:year ?y }"
-        for suffix, kind in (("", "rows"), (" LIMIT 3", "columns")):
-            plan = optimize_plan(parse(text + suffix), graph=graph)
-            assert plan.batch_kind == kind
-            assert plan.explain().splitlines()[0] \
-                == "FROM [] [batch_kind=%s]" % kind
+    def test_explain_header_names_the_from_graphs(self, graph):
+        text = PFX + "SELECT ?m FROM <http://g> WHERE { ?m x:year ?y }"
+        plan = optimize_plan(parse(text), graph=graph)
+        assert plan.explain().splitlines()[0] == "FROM ['http://g']"
 
     def test_unordered_plan_skips_join_ordering(self, graph):
         # Without graph statistics neither JoinOrdering nor the
@@ -526,12 +523,11 @@ class TestPlanVariants:
     def test_variants_leave_the_cached_plan_alone(self):
         engine = Engine(build_dataset(scale=0.05))
         variants = [dict(sip=False), dict(sip=True), dict(strategy=False),
-                    dict(batch_kind="rows"), dict(batch_kind="columns"),
                     dict(passes=UNPUSHED), dict(ordered=False)]
         for key in ("sip_egypt_costar", "triangle_collaborators"):
             text = get_join_query(key).sparql
             plan = engine.plan(text, DBPEDIA_URI)
-            before = explained_tree(plan)  # annotations + batch kind
+            before = explained_tree(plan)  # annotations
             notes = "\n".join(before[0])
             assert "[sip]" in notes or "strategy=wcoj" in notes
             want = named_bag(engine.execute_plan(plan, DBPEDIA_URI))

@@ -26,8 +26,6 @@ from repro.sparql.solution import (distinct, hash_join,
                                    table_join, table_left_join, table_minus,
                                    table_to_mappings)
 
-from plan_variants import Variant
-
 VARS = ["a", "b", "c"]
 _values = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
 
@@ -354,9 +352,7 @@ class TestSparseSharedColumnPathology:
         return g
 
     @pytest.mark.parametrize("keyword", ["", "OPTIONAL"])
-    @pytest.mark.parametrize("batch_kind", [None, "columns"])
-    def test_engine_planes_are_linear(self, graph, keyword, batch_kind,
-                                      count_compat):
+    def test_engine_planes_are_linear(self, graph, keyword, count_compat):
         query = """PREFIX x: <http://x/>
         SELECT ?a ?g ?x ?y WHERE {
             { SELECT ?a ?g ?x WHERE { ?a x:p ?x OPTIONAL { ?a x:g ?g } } }
@@ -365,6 +361,6 @@ class TestSparseSharedColumnPathology:
         }""" % keyword
         want = Engine(graph, columnar=False).query(query)
         count_compat[0] = 0
-        got = Variant(Engine(graph), batch_kind=batch_kind).query(query)
+        got = Engine(graph).query(query)
         assert sorted(map(repr, got.rows)) == sorted(map(repr, want.rows))
         assert count_compat[0] <= len(want) + 2 * self.N

@@ -10,17 +10,21 @@ They must agree on every workload case study and on the LIMIT/OFFSET
 edges (as bags; row for row only under a total ``ORDER BY``); the
 production operators must additionally *prove* their short-circuiting
 through the ``rows_pulled`` / ``early_exits`` / ``peak_batch_rows``
-counters.
+counters, keep ``TableStream.total_rows`` in lockstep with
+``rows_pulled``, and honor the safety valves mid-query.
 """
+
+import time
 
 import pytest
 
 from repro.client import EngineClient
 from repro.data import DBPEDIA_URI, build_dataset
 from repro.rdf import Graph, Literal, URIRef
-from repro.sparql import Engine, ResultSet
+from repro.sparql import Engine, Evaluator, ResultSet
 from repro.sparql import algebra as alg
-from repro.sparql.evaluator import STREAM_BATCH_ROWS
+from repro.sparql.evaluator import (STREAM_BATCH_ROWS, QueryTimeout,
+                                    RowBudgetExceeded)
 from repro.sparql.solution import batched, stream_distinct
 from repro.workload import CASE_STUDIES, get_case_study
 
@@ -198,22 +202,11 @@ class TestTopK:
         engine = engines["default"]
         plan = engine.plan(COSTAR + " ORDER BY ?a LIMIT 10",
                            default_graph_uri=DBPEDIA_URI)
-        assert plan.batch_kind == "rows"  # TopK has no columnar form
         assert isinstance(plan.query.pattern, alg.Project)
         topk = plan.query.pattern.pattern
         assert isinstance(topk, alg.TopK)
         assert isinstance(topk.pattern, alg.BGP)
         assert topk.limit == 10
-
-    def test_offset_only_plan_is_not_bounded(self, engines):
-        # Only a bound that cuts production short earns columnar batches.
-        engine = engines["default"]
-        assert engine.plan(COSTAR + " LIMIT 5",
-                           default_graph_uri=DBPEDIA_URI).batch_kind \
-            == "columns"
-        assert engine.plan(COSTAR + " OFFSET 5",
-                           default_graph_uri=DBPEDIA_URI).batch_kind \
-            == "rows"
 
     def test_limit_pushdown_disabled_keeps_slice(self, engines):
         plan = plan_variant(engines["default"],
@@ -314,6 +307,69 @@ class TestEarlyExit:
         # Dedup + slice stream: production stops once 3 distinct rows
         # exist, instead of deduplicating the whole input.
         assert stats.rows_pulled < dedup_input / 2
+
+
+def planned_stream(dataset, query, **valves):
+    """A fresh evaluator (``valves``: its ``max_rows`` / ``deadline``) and
+    the stream of the engine's plan for ``query``."""
+    plan = Engine(dataset).plan(query, DBPEDIA_URI)
+    evaluator = Evaluator(dataset, **valves)
+    return evaluator, evaluator.evaluate_plan_stream(plan, DBPEDIA_URI)
+
+
+class TestValves:
+    """The safety valves trip while a query runs, not after it.
+
+    COSTAR's first pattern yields 423 rows; its second expands them into
+    the 1879-row result in one breadth-first level, which then leaves the
+    BGP in batches of :data:`STREAM_BATCH_ROWS`.
+    """
+
+    def test_max_rows_trips_mid_pattern(self, dataset):
+        evaluator, stream = planned_stream(dataset, COSTAR, max_rows=600)
+        pulled = 0
+        # The row sink trips while the second pattern is expanding — the
+        # 1879-row level is never completed, let alone streamed.
+        with pytest.raises(RowBudgetExceeded, match="mid-pattern"):
+            for batch in stream.batches:
+                pulled += len(batch)
+        assert pulled == 0
+        assert evaluator.stats.pattern_matches == 423  # first level only
+
+    def test_rearmed_deadline_trips_at_next_batch(self, dataset):
+        evaluator, stream = planned_stream(dataset, COSTAR)
+        batches = stream.batches
+        assert len(next(batches)) == STREAM_BATCH_ROWS
+        # The rest of the level is already matched, so only the stream
+        # boundary can notice an expired deadline armed between pulls.
+        evaluator.deadline = time.perf_counter() - 1.0
+        with pytest.raises(QueryTimeout, match="streamed rows"):
+            next(batches)
+
+    def test_group_emit_trips_every_1024_groups(self):
+        # 1500 groups answered from the index: no pattern row is produced,
+        # so only the emit loop's own check can see the budget pass.
+        g = Graph("http://valve")
+        for i in range(1500):
+            g.add(URIRef("http://x/s%d" % i), URIRef("http://x/p"),
+                  URIRef("http://x/o%d" % i))
+        engine = Engine(g, max_intermediate_rows=1000)
+        with pytest.raises(RowBudgetExceeded, match="batch boundary"):
+            engine.query("SELECT ?s (COUNT(?o) AS ?n) "
+                         "WHERE { ?s <http://x/p> ?o } GROUP BY ?s")
+
+    def test_valves_off_by_default(self, dataset):
+        evaluator, stream = planned_stream(dataset, COSTAR)
+        assert (evaluator.max_rows, evaluator.deadline,
+                evaluator.cancel) == (None, None, None)
+        assert len(stream.to_table()) == 1879
+
+    def test_total_rows_matches_drained_stream(self, dataset):
+        evaluator, stream = planned_stream(dataset, COSTAR)
+        rows = [row for batch in stream.batches for row in batch]
+        assert stream.total_rows == len(rows) == 1879
+        # Every produced row crossed at least this stream's boundary.
+        assert evaluator.stats.rows_pulled >= stream.total_rows
 
 
 class TestBatchedHelper:

@@ -13,9 +13,8 @@ Two tiers, both deterministic and ``PYTHONHASHSEED``-independent:
   store-backed dataset.  The workload (attach, checkpoint, a mutation
   sequence that changes query answers) is crashed at every mutating op
   (sampled write partials), recovered with the production IO, and the
-  recovered graphs are queried across all three planes (reference, and
-  the production operators with every plan forced to row or to columnar
-  batches, see :mod:`plan_variants`).  All planes must be
+  recovered graphs are queried on both planes (reference and the
+  production operators).  Both planes must be
   bag-identical, and the common bag must equal one of the pre-/post-
   mutation states of the sequence — bag-identity to a state that
   *existed*, which is the ISSUE's recovery contract.
@@ -35,8 +34,6 @@ from repro.storage import GraphStore
 from repro.storage.fileio import CrashingIO, CrashPoint, SimulatedCrash, \
     StorageIO
 from repro.workload.case_studies import CASE_STUDIES
-
-from plan_variants import Variant
 
 URI = "http://example.org/g"
 
@@ -172,11 +169,9 @@ def revert_all(dataset, mutations):
 
 
 def case_study_bags(dataset):
-    engine = Engine(dataset)
     planes = {
         "reference": Engine(dataset, columnar=False),
-        "rows": Variant(engine, batch_kind="rows"),
-        "vectorized": Variant(engine, batch_kind="columns"),
+        "production": Engine(dataset),
     }
     bags = {}
     for cs in CASE_STUDIES:
