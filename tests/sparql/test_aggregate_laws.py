@@ -9,7 +9,9 @@ empty input included:
   equals the reference plane's own batch aggregate
   (:func:`~repro.sparql.reference._apply_aggregate`) over the same rows;
 * COUNT, SUM, AVG, MIN and MAX do not depend on the input order;
-* SAMPLE returns a member of the input.
+* SAMPLE returns a member of the input;
+* the index-backed single-pattern COUNT builds the same groups, in the
+  same order, as the row fold over the pattern's rows.
 
 Decimals are multiples of 1/4 and integers are small, so every float sum
 is exact: SUM / AVG order-invariance is then a law of the accumulator,
@@ -20,9 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.rdf import Literal, TermDictionary, URIRef
+from repro.rdf import Graph, Literal, TermDictionary, URIRef
 from repro.rdf.terms import XSD_DECIMAL
-from repro.sparql import parse
+from repro.sparql import Engine, Evaluator, parse
 from repro.sparql.evaluator import _compile_aggregate
 from repro.sparql.reference import _apply_aggregate
 
@@ -109,3 +111,36 @@ def test_sample_returns_a_member(distinct, cells):
         assert got in bound
     else:
         assert got is None
+
+
+TRIPLES = st.lists(st.tuples(
+    st.integers(0, 4).map(lambda i: URIRef("http://x/s%d" % i)),
+    st.sampled_from([URIRef("http://x/p"), URIRef("http://x/q")]),
+    st.one_of(st.integers(0, 3).map(lambda i: URIRef("http://x/o%d" % i)),
+              st.integers(0, 3).map(Literal))), max_size=16)
+
+
+@pytest.mark.parametrize("key", ["s", "o"])
+@pytest.mark.parametrize("argument,distinct",
+                         [("*", False), ("?v", False), ("?v", True)])
+@settings(max_examples=60, deadline=None)
+@given(triples=TRIPLES)
+def test_index_count_matches_row_fold(key, argument, distinct, triples):
+    graph = Graph("http://g")
+    for triple in triples:
+        graph.add(*triple)
+    other = "?o" if key == "s" else "?s"
+    query = ("SELECT ?%s (COUNT(%s%s) AS ?n) WHERE { ?s <http://x/p> ?o } "
+             "GROUP BY ?%s" % (key, "DISTINCT " if distinct else "",
+                               argument.replace("?v", other), key))
+    indexed = Engine(graph)
+    want = indexed.query(query).rows
+    assert indexed.last_stats.accumulator_rows == 0  # no row was folded
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Evaluator, "_fast_group_count",
+                      lambda self, node, graph: None)
+        folded = Engine(graph)
+        got = folded.query(query).rows
+    assert folded.last_stats.accumulator_rows \
+        == graph.count(predicate=URIRef("http://x/p"))
+    assert got == want  # first-seen group order, not just the same bag

@@ -125,6 +125,39 @@ class TestUnionFilter:
             }""")
         assert result == {("http://x/a3",)}
 
+    # ?c ranges over IRIs, a plain literal and unbound (a3 has no
+    # triple); m1 and m2 both star a1, so each a1 row appears twice.
+    FILTER_CASES = {
+        "?c = x:usa": ["a1 usa"] * 2,
+        "x:usa != ?c": ["a1 Actor One"] * 2 + ["a2 france"],
+        "?c IN (x:usa, x:france)": ["a1 usa"] * 2 + ["a2 france"],
+        "BOUND(?c)": ["a1 Actor One"] * 2 + ["a1 usa"] * 2 + ["a2 france"],
+        "!BOUND(?c)": ["a3 None"],
+        "?c = x:usa && BOUND(?c)": ["a1 usa"] * 2,
+        '?c = "Actor One"': ["a1 Actor One"] * 2,
+        "?c < x:usa": [],  # IRIs have no order: an error, no row
+        'STR(?c) = "http://x/usa"': ["a1 usa"] * 2,
+    }
+
+    @pytest.mark.parametrize("condition, want", list(FILTER_CASES.items()),
+                             ids=list(FILTER_CASES))
+    def test_filter_condition_matches_reference(self, engine, condition,
+                                                want):
+        query = PFX + """
+            SELECT ?a ?c WHERE {
+                ?m x:starring ?a OPTIONAL { ?a ?p ?c } FILTER ( %s )
+            }""" % condition
+
+        def bag(result):
+            return sorted(" ".join("None" if term is None
+                                   else str(term).replace("http://x/", "")
+                                   for term in row)
+                          for row in result.rows)
+
+        got = bag(engine.query(query))
+        assert got == sorted(want)
+        assert got == bag(Engine(engine.dataset, columnar=False).query(query))
+
 
 class TestAggregation:
     def test_group_count(self, engine):
@@ -307,18 +340,25 @@ class TestEngineBehaviour:
             }""")
         assert engine.last_stats.bgp_cache_hits >= 1
 
+    @pytest.mark.parametrize("changes", [{}, {"sip": True},
+                                         {"ordered": False}],
+                             ids=["planned", "sip", "unordered"])
     @pytest.mark.parametrize("branch, hits", [
         ("{ ?m x:starring ?a }", 1),
         ("{ SELECT ?m WHERE { ?m x:starring ?a } }", 1),
         ("{ ?m x:starring ?a { SELECT ?a WHERE { ?a x:born ?c } } }", 2),
     ], ids=["bare", "subselect", "join"])
-    def test_bgp_cache_hit_across_union_branches(self, engine, branch, hits):
+    def test_bgp_cache_hit_across_union_branches(self, engine, branch, hits,
+                                                 changes):
         # The first branch's stream runs to the end before the second is
         # pulled, so the second replays what the first produced — the
-        # hit counts of the engine that materialized every operator.
-        result = engine.query(PFX + "SELECT * WHERE { %s UNION %s }"
-                              % (branch, branch))
-        assert engine.last_stats.bgp_cache_hits == hits
+        # hit counts of the engine that materialized every operator.  The
+        # replay holds whether every join carries a sideways filter or the
+        # patterns run in textual order.
+        planned = Variant(engine, **changes)
+        result = planned.query(PFX + "SELECT * WHERE { %s UNION %s }"
+                               % (branch, branch))
+        assert planned.last_stats.bgp_cache_hits == hits
         reference = Engine(engine.dataset, columnar=False).query(
             PFX + "SELECT * WHERE { %s UNION %s }" % (branch, branch))
         def bag(r):

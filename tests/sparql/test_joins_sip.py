@@ -13,7 +13,10 @@ evaluator and on the production operators under every combination of
 each a private copy of the plan (:mod:`plan_variants`), and every
 combination must return the identical row bag.  A hand-written corpus
 (BIND in its three shapes, an IRI-equality FILTER, DISTINCT, a grouped
-COUNT) rides through the same differential.  The planned engine must
+COUNT) rides through the same differential.  Under any one set of
+annotations, a stream hint (which turns each BGP from breadth-first to
+depth-first expansion) must leave the rows and their order unchanged.
+The planned engine must
 additionally *prove* its mechanisms through the ``sip_filtered_rows`` /
 ``intersect_steps`` / ``sorted_runs_built`` counters, and the soundness
 edges — OPTIONAL padding, MINUS, NOT EXISTS, subquery LIMIT windows,
@@ -26,10 +29,10 @@ import pytest
 
 from repro.data import DBPEDIA_URI, build_dataset
 from repro.rdf import DBPP, DBPR, Graph
-from repro.sparql import Engine
+from repro.sparql import Engine, Evaluator
 from repro.workload import JOIN_QUERIES, get_join_query
 
-from plan_variants import UNPUSHED, Variant, nodes, run_variant
+from plan_variants import UNPUSHED, Variant, nodes, plan_variant, run_variant
 
 PFX = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -120,6 +123,24 @@ class TestJoinCorpusDifferential:
             got = row_bag(engine.query(sparql,
                                        default_graph_uri=DBPEDIA_URI))
             assert got == want, "%s disagrees on %s" % (key, name)
+
+    def test_same_flags_same_rows_across_bgp_paths(self, dataset, engines,
+                                                   differential_query):
+        """With identical annotations, a stream hint changes batch sizes,
+        never rows: an unhinted BGP expands breadth-first, a hinted one
+        depth-first, and both must return literally identical rows."""
+        name, sparql = differential_query
+        for sip, strategy in itertools.product((None, False), repeat=2):
+            plan = plan_variant(engines["planned"], sparql, DBPEDIA_URI,
+                                sip=sip, strategy=strategy)
+            runs = {hint: Evaluator(dataset).evaluate_plan_stream(
+                        plan, DBPEDIA_URI, hint).to_table().rows
+                    for hint in (None, 1, 7)}
+            assert runs[None], name
+            for hint in (1, 7):
+                assert runs[hint] == runs[None], \
+                    "%s, sip=%s strategy=%s hint=%s" % (name, sip, strategy,
+                                                        hint)
 
 
 class TestCounterProofs:

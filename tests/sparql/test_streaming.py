@@ -17,6 +17,7 @@ counters, keep ``TableStream.total_rows`` in lockstep with
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.client import EngineClient
 from repro.data import DBPEDIA_URI, build_dataset
@@ -280,6 +281,18 @@ class TestEarlyExit:
         assert stats.early_exits >= 1
         assert 0 < stats.peak_batch_rows <= STREAM_BATCH_ROWS
 
+    def test_offset_only_plan_is_not_bounded(self, dataset):
+        # Only a LIMIT cuts production short: an OFFSET alone drains the
+        # whole input, exits nothing early and keeps the base order.
+        engine = Engine(dataset)
+        full = engine.query(COSTAR, default_graph_uri=DBPEDIA_URI)
+        result = engine.query(COSTAR + " OFFSET 5",
+                              default_graph_uri=DBPEDIA_URI)
+        stats = engine.last_stats
+        assert result.rows == full.rows[5:]
+        assert stats.early_exits == 0
+        assert stats.rows_pulled >= len(full)
+
     def test_limit_zero_pulls_nothing(self, dataset):
         engine = Engine(dataset)
         result = engine.query(COSTAR + " LIMIT 0",
@@ -364,10 +377,26 @@ class TestValves:
                 evaluator.cancel) == (None, None, None)
         assert len(stream.to_table()) == 1879
 
-    def test_total_rows_matches_drained_stream(self, dataset):
-        evaluator, stream = planned_stream(dataset, COSTAR)
+    @pytest.mark.parametrize("query, size", [
+        (COSTAR, 1879),
+        (BGP3, 423),
+        (PFX + """SELECT ?film ?actor WHERE {
+            ?film dbpp:starring ?actor . ?film dbpp:country ?country .
+            FILTER(?country = <http://dbpedia.org/resource/United_States>)
+        }""", 145),
+        (PFX + "SELECT DISTINCT ?actor WHERE { ?film dbpp:starring ?actor }",
+         54),
+        (PFX + """SELECT ?actor (COUNT(?film) AS ?n) WHERE {
+            ?film dbpp:starring ?actor } GROUP BY ?actor""", 54),
+        (PFX + """SELECT ?film ?copy ?one ?label WHERE {
+            ?film dbpp:starring ?actor .
+            BIND(?actor AS ?copy) BIND(1 AS ?one) BIND(STR(?actor) AS ?label)
+        }""", 423),
+    ], ids=["costar", "bgp3", "filter", "distinct", "group", "bind"])
+    def test_total_rows_matches_drained_stream(self, dataset, query, size):
+        evaluator, stream = planned_stream(dataset, query)
         rows = [row for batch in stream.batches for row in batch]
-        assert stream.total_rows == len(rows) == 1879
+        assert stream.total_rows == len(rows) == size
         # Every produced row crossed at least this stream's boundary.
         assert evaluator.stats.rows_pulled >= stream.total_rows
 
@@ -404,6 +433,25 @@ class TestStreamDistinctHelper:
                   for r in b]
         assert first == [(1,), (2,)]
         assert second == [(3,)]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_batching_matches_one_pass_dedup(self, width, data):
+        # Width 1 dedups on the bare cell, wider rows on the tuple; both
+        # must equal one first-seen pass over the concatenated batches,
+        # however the rows are cut, and never yield an empty batch.
+        cell = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
+        batches = data.draw(st.lists(st.lists(
+            st.tuples(*[cell] * width), max_size=8), max_size=5))
+        out = list(stream_distinct(iter(batches)))
+        assert all(out)
+        expected, seen = [], set()
+        for row in (row for batch in batches for row in batch):
+            if row not in seen:
+                seen.add(row)
+                expected.append(row)
+        assert [row for batch in out for row in batch] == expected
 
     def test_resultset_distinct_uses_same_semantics(self):
         result = ResultSet(["v"], [(Literal(1),), (Literal(2),),
