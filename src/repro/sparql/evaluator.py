@@ -159,6 +159,11 @@ class EvaluationStats:
         # count zero, like the sorted runs.
         self.wcoj_steps = 0
         self.synopsis_builds = 0
+        # Expression evaluations actually run: FILTER / BIND / OPTIONAL
+        # conditions, HAVING and aggregate arguments are evaluated once
+        # per distinct binding of the variables they read
+        # (:func:`_expression_reader`), so this counts memo misses.
+        self.expression_evals = 0
         # Always 0: the operators exchange only row-tuple lists, so no
         # batch is ever transposed back to rows.  Kept because the frozen
         # ledger's ``STAT_FIELDS`` reads it; it goes in the ledger
@@ -170,7 +175,8 @@ class EvaluationStats:
                 "rows=%d, subqueries=%d, joins=%d, pulled=%d, "
                 "early_exits=%d, peak_batch=%d, groups=%d, acc_rows=%d, "
                 "sip_filtered=%d, intersects=%d, runs_built=%d, "
-                "wcoj=%d, synopses=%d, fallbacks=%d)" % (
+                "wcoj=%d, synopses=%d, expression_evals=%d, "
+                "fallbacks=%d)" % (
                     self.bgp_count, self.bgp_cache_hits,
                     self.pattern_matches, self.intermediate_rows,
                     self.materialized_subqueries, self.joins,
@@ -179,7 +185,7 @@ class EvaluationStats:
                     self.accumulator_rows, self.sip_filtered_rows,
                     self.intersect_steps, self.sorted_runs_built,
                     self.wcoj_steps, self.synopsis_builds,
-                    self.row_fallbacks))
+                    self.expression_evals, self.row_fallbacks))
 
     def as_dict(self) -> Dict[str, int]:
         return {"bgp_count": self.bgp_count,
@@ -198,6 +204,7 @@ class EvaluationStats:
                 "sorted_runs_built": self.sorted_runs_built,
                 "wcoj_steps": self.wcoj_steps,
                 "synopsis_builds": self.synopsis_builds,
+                "expression_evals": self.expression_evals,
                 "row_fallbacks": self.row_fallbacks}
 
 
@@ -1505,21 +1512,14 @@ class Evaluator:
         # The hint survives only as a batch-size bound: a filter may need
         # many input rows per surviving row, so it caps nothing.
         inner = self.stream(node.pattern, graph, hint)
-        condition = node.condition
-        index = inner.index
-        decode = self.dictionary.decode
+        # Errors eliminate the solution.
+        accept = _expression_reader(node.condition, inner.index,
+                                    self.dictionary.decode, self.stats,
+                                    ebv, False)
 
         def batches():
             for batch in inner.batches:
-                keep = []
-                append = keep.append
-                for row in batch:
-                    try:
-                        if ebv(condition.evaluate(RowView(index, row,
-                                                          decode))):
-                            append(row)
-                    except ExpressionError:
-                        continue  # errors eliminate the solution
+                keep = list(filter(accept, batch))
                 if keep:
                     yield keep
 
@@ -1536,21 +1536,21 @@ class Evaluator:
                 self._sip = scope
         inner = self.stream(node.pattern, graph, hint)
         index = inner.index
-        decode = self.dictionary.decode
-        encode = self.dictionary.encode
         target = index.get(node.var)
-        expression = node.expression
+        # The encoded id, so a repeated value skips the dictionary too; an
+        # error leaves the variable unbound.
+        value_of = _expression_reader(node.expression, index,
+                                      self.dictionary.decode, self.stats,
+                                      self.dictionary.encode, None)
         variables = inner.variables if target is not None \
             else inner.variables + (node.var,)
 
         def extend_row(row):
-            try:
-                value = expression.evaluate(RowView(index, row, decode))
-                tid = encode(value)
-            except ExpressionError:
-                return row + (None,) if target is None else row
+            tid = value_of(row)
             if target is None:
                 return row + (tid,)
+            if tid is None:
+                return row
             patched = list(row)
             patched[target] = tid
             return tuple(patched)
@@ -1709,7 +1709,8 @@ class Evaluator:
             return self._emit_groups(node, counts, True, None, finish_count)
         inner = self.stream(node.pattern, graph, None)
         index = inner.index
-        specs = [_compile_aggregate(a, index, self.dictionary.decode)
+        specs = [_compile_aggregate(a, index, self.dictionary.decode,
+                                    self.stats)
                  for a in node.aggregates]
         positions = [index.get(v) for v in node.group_vars]
         # Scalar keys (the common one-variable GROUP BY) skip per-row
@@ -1787,8 +1788,10 @@ class Evaluator:
         out_vars = tuple(node.group_vars) + tuple(a.alias
                                                   for a in node.aggregates)
         out_index = {v: i for i, v in enumerate(out_vars)}
-        having = node.having
-        decode = self.dictionary.decode
+        # An error eliminates the group, as in FILTER.
+        having = None if node.having is None else _expression_reader(
+            node.having, out_index, self.dictionary.decode, self.stats,
+            ebv, False)
         encode = self.dictionary.encode
 
         def implicit(groups):
@@ -1822,14 +1825,8 @@ class Evaluator:
                         tids[id(value)] = hit = (value, encode(value))
                     cells.append(hit[1])
                 row = tuple(cells)
-                if having is not None:
-                    try:
-                        if not ebv(having.evaluate(
-                                RowView(out_index, row, decode))):
-                            continue
-                    except ExpressionError:
-                        continue
-                out_rows.append(row)
+                if having is None or having(row):
+                    out_rows.append(row)
             self.stats.groups_built += built
             if out_rows:
                 yield out_rows
@@ -1905,18 +1902,13 @@ class Evaluator:
             self._sip = outer
         self.stats.joins += 1
         index = JoinIndex(right, left)
-        condition = node.condition
         accept = None
-        if condition is not None:
-            out_index = {v: i for i, v in enumerate(index.variables)}
-            decode = self.dictionary.decode
-
-            def accept(merged_row) -> bool:
-                try:
-                    return ebv(condition.evaluate(
-                        RowView(out_index, merged_row, decode)))
-                except ExpressionError:
-                    return False
+        if node.condition is not None:
+            # Tested on each merged row; an error rejects the match.
+            accept = _expression_reader(
+                node.condition,
+                {v: i for i, v in enumerate(index.variables)},
+                self.dictionary.decode, self.stats, ebv, False)
 
         def batches():
             for batch in left.batches:
@@ -2334,15 +2326,65 @@ def _accumulator(function: str, separator: Optional[str] = None):
     return new_state, fold, finish
 
 
+#: Most distinct bindings one operator remembers an expression's outcome
+#: for; past it, a new binding is evaluated on every row it occurs in.
+EXPRESSION_MEMO_ENTRIES = 1 << 14
+
+_MISS = object()  # no outcome remembered for the key
+
+
+def _expression_reader(expression, index: Dict[str, int], decode,
+                       stats: EvaluationStats, outcome=None, failed=None):
+    """Compile ``expression`` over rows of schema ``index`` into
+    ``read(row)``, which evaluates it once per distinct binding.
+
+    An expression is a pure function of the term ids bound to the
+    variables it reads: an id, or an unbound cell, gives the same term or
+    the same :class:`ExpressionError` on every row.  So ``read`` keys on
+    those cells (a variable absent from the schema is unbound everywhere
+    and drops out; a constant expression has the one key ``()``) and
+    remembers each key's outcome: ``outcome(term)`` (the term itself when
+    ``outcome`` is None), or ``failed`` when evaluation or ``outcome``
+    raises :class:`ExpressionError`.  Only misses evaluate, through a
+    lazy :class:`RowView`, and count in ``stats.expression_evals``.  The
+    memo (``read.memo``) lives as long as the reader — the operator's
+    stream — and stops growing at :data:`EXPRESSION_MEMO_ENTRIES` keys.
+    """
+    positions = sorted({index[name] for name in expression.variables()
+                        if name in index})
+    key_of = itemgetter(*positions) if positions else (lambda row: ())
+    memo: Dict = {}
+    get = memo.get
+
+    def read(row):
+        key = key_of(row)
+        value = get(key, _MISS)
+        if value is not _MISS:
+            return value
+        stats.expression_evals += 1
+        try:
+            value = expression.evaluate(RowView(index, row, decode))
+            if outcome is not None:
+                value = outcome(value)
+        except ExpressionError:
+            value = failed
+        if len(memo) < EXPRESSION_MEMO_ENTRIES:
+            memo[key] = value
+        return value
+
+    read.memo = memo
+    return read
+
+
 def _compile_aggregate(aggregate: alg.Aggregate, index: Dict[str, int],
-                       decode):
+                       decode, stats: EvaluationStats):
     """Compile one aggregate over rows of schema ``index`` into
     ``(new_state, fold(state, row), finish(state))``.
 
     Input adapter, then optional dedupe, then the function's one
     :func:`_accumulator`.  The adapter reads what a row contributes: the
     row itself for ``COUNT(*)``, the id in a bare variable's column, or
-    the term an expression evaluates to through a lazy :class:`RowView`;
+    the term an expression evaluates to (:func:`_expression_reader`);
     ``None`` (an unbound cell, an evaluation error) contributes nothing.
     DISTINCT (and MIN/MAX, which ignore duplicates) collects those values
     in first-seen order and folds them at finish.  Ids are compared
@@ -2376,11 +2418,7 @@ def _compile_aggregate(aggregate: alg.Aggregate, index: Dict[str, int],
             if function != "count":
                 to_term = decode
     else:
-        def read(row):
-            try:
-                return expr.evaluate(RowView(index, row, decode))
-            except ExpressionError:
-                return None
+        read = _expression_reader(expr, index, decode, stats)
 
     # MIN/MAX ignore duplicates, so they fold each distinct value once:
     # a dict store per row, an ORDER BY key per distinct value at finish.

@@ -18,10 +18,14 @@ from typing import Any, List, Optional, Sequence
 
 from ..rdf.terms import (Literal, Node, URIRef, BlankNode, Variable,
                          XSD_BOOLEAN, XSD_DATETIME, XSD_DOUBLE, XSD_INTEGER,
-                         XSD_STRING, literal_year)
+                         XSD_STRING)
 
 TRUE = Literal(True)
 FALSE = Literal(False)
+
+#: The year (negative before year 1, more than four digits after 9999),
+#: month and day that start an ``xsd:date`` / ``xsd:dateTime`` lexical.
+_DATE_PARTS = re.compile(r"^(-?\d{4,})-(\d{2})-(\d{2})")
 
 
 class ExpressionError(Exception):
@@ -342,6 +346,13 @@ def _compare(op: str, lhs, rhs) -> bool:
             return False
         raise ExpressionError("type error comparing %r and %r" % (lhs, rhs))
     if not l_num:
+        if (op in ("=", "!=") and isinstance(lhs, Literal)
+                and isinstance(rhs, Literal)
+                and lhs.language != rhs.language):
+            # Literals with different language tags (or one tag and none)
+            # are different terms, whatever their lexical forms.  Numbers
+            # never carry a tag.
+            return op == "!="
         lv, rv = str(lv), str(rv)
     if op == "=":
         return lv == rv
@@ -421,16 +432,11 @@ def _apply_function(name: str, values: List[Any]):
         value = values[0]
         if not isinstance(value, Literal):
             raise ExpressionError("%s requires a literal" % name.upper())
-        parts = value.lexical.split("-")
-        index = ("year", "month", "day").index(name)
-        try:
-            component = parts[index]
-            if index == 2:
-                component = component[:2]
-            return Literal(int(component))
-        except (IndexError, ValueError):
+        match = _DATE_PARTS.match(value.lexical)
+        if match is None:
             raise ExpressionError("cannot extract %s from %r"
                                   % (name, value.lexical))
+        return Literal(int(match[("year", "month", "day").index(name) + 1]))
     if name == "abs":
         return Literal(abs(_numeric(values[0])))
     if name in ("ceil", "floor", "round"):

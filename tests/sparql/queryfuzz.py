@@ -31,6 +31,10 @@ Design constraints:
   They are drawn after every other choice, so a seed's core query does
   not depend on them.  ``UNDEF`` is never combined with
   ``LIMIT`` (unbound sort keys, as with ``OPTIONAL``).
+* **Function filters.**  0-2 FILTERs over ``isIRI`` / ``isLiteral``,
+  ``STR(?x) != "..."``, ``?v + 1 > N`` or two variables (``?a != ?b``),
+  reading attribute objects and the OPTIONAL's variable, so expressions
+  meet multi-variable and unbound bindings.  Drawn last of all.
 * **Shrinkable.**  A failing :class:`QuerySpec` shrinks structurally —
   dropping optionals, binds, VALUES blocks, filters, modifiers,
   aggregates, then patterns, one clause at a time — to a minimal spec
@@ -115,6 +119,11 @@ FRESH_VALUES = ["dbpr:India", "dbpr:Comedy", '"x"', "3"]
 
 #: Cells of a ``VALUES`` column over an integer pattern variable.
 INT_VALUES = ["90", "100", "110", "120"]
+
+#: Right-hand sides of ``STR(?x) != ...``: the string forms of pool IRIs
+#: (so the filter drops rows) and the empty string.
+STR_CONSTANTS = ['"http://dbpedia.org/resource/India"',
+                 '"http://dbpedia.org/resource/Drama"', '""']
 
 
 class QuerySpec:
@@ -254,6 +263,26 @@ def _make_filter(rng: random.Random, var: str, kind: str) -> Optional[str]:
         return "%s IN (%s)" % (var, rng.choice(pool))
     picks = rng.sample(pool, 2)
     return "%s IN (%s, %s)" % (var, picks[0], picks[1])
+
+
+def _make_function_filter(rng: random.Random, variables: List[str],
+                          ints: List[str]) -> Tuple[Tuple[str, ...], str]:
+    """One FILTER over a built-in function or two variables, any of which
+    may be an OPTIONAL's (so unbound): ``isIRI`` / ``isLiteral``,
+    ``STR(?x) != "..."``, ``?v + 1 > N`` over an integer column, or
+    ``?a != ?b``."""
+    var = variables[rng.randrange(len(variables))]
+    shape = rng.randrange(4)
+    if shape == 1:
+        return (var,), "STR(%s) != %s" % (
+            var, STR_CONSTANTS[rng.randrange(len(STR_CONSTANTS))])
+    if shape == 2 and ints:
+        var = ints[rng.randrange(len(ints))]
+        return (var,), "%s + 1 > %d" % (var, 70 + 10 * rng.randrange(10))
+    if shape == 3 and len(variables) > 1:
+        first, second = rng.sample(variables, 2)
+        return (first, second), "%s != %s" % (first, second)
+    return (var,), "%s(%s)" % (["isIRI", "isLiteral"][rng.randrange(2)], var)
 
 
 def _make_aggregate(rng: random.Random, variables: List[str],
@@ -415,6 +444,11 @@ def generate(seed: int) -> QuerySpec:
     if rng.random() < 0.3:
         spec.values.append(_make_values(rng, vars_by_kind,
                                         allow_undef=spec.limit is None))
+    # Function filters come last of all, for the same reason.
+    if rng.random() < 0.4:
+        variables = [v for v, _k in vars_by_kind] + spec.optional_vars()
+        for _ in range(rng.randint(1, 2)):
+            spec.filters.append(_make_function_filter(rng, variables, ints))
     return spec
 
 
@@ -425,9 +459,10 @@ def generate(seed: int) -> QuerySpec:
 def _prune(spec: QuerySpec) -> QuerySpec:
     """Drop filters/optionals that reference no-longer-bound variables."""
     bound = set(spec.bound_vars())
-    spec.filters = [f for f in spec.filters
-                    if all(v in bound for v in f[0])]
     spec.optionals = [o for o in spec.optionals if o[0] in bound]
+    in_scope = bound | set(spec.optional_vars())
+    spec.filters = [f for f in spec.filters
+                    if all(v in in_scope for v in f[0])]
     spec.binds = [b for b in spec.binds if b[1] is None or b[1] in bound]
     spec.values = [block for block in spec.values
                    if all(_is_fresh(v) or v in bound for v in block[0])]

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.rdf import Graph, Literal, TermDictionary, URIRef
 from repro.rdf.terms import XSD_DECIMAL
-from repro.sparql import Engine, Evaluator, parse
+from repro.sparql import Engine, EvaluationStats, Evaluator, parse
 from repro.sparql.evaluator import _compile_aggregate
 from repro.sparql.reference import _apply_aggregate
 
@@ -66,7 +66,7 @@ IDS = ["%s%s(%s)" % (f, "-distinct" if d else "", a) for f, d, a in CASES]
 def fold(aggregate, cells):
     """Fold ``cells`` (terms or None) as one-column id rows, then finish."""
     new_state, fold_row, finish = _compile_aggregate(
-        aggregate, {"v": 0}, DICTIONARY.decode)
+        aggregate, {"v": 0}, DICTIONARY.decode, EvaluationStats())
     state = new_state()
     for cell in cells:
         fold_row(state, (None if cell is None

@@ -66,6 +66,24 @@ class TestComparisons:
     def test_mixed_string_number_neq_true(self):
         assert ebv(CompareExpr("!=", const("a"), const(1)).evaluate({}))
 
+    @pytest.mark.parametrize("left,right,equal", [
+        (lit("abc", language="en"), lit("abc", language="fr"), False),
+        (lit("abc", language="en"), lit("abc"), False),
+        (lit("abc"), lit("abc", language="en"), False),
+        (lit("abc", language="en"), lit("abc", language="en"), True),
+        (lit("abc", language="en"), lit("abd", language="en"), False),
+    ])
+    def test_language_tags_take_part_in_equality(self, left, right, equal):
+        left, right = ConstExpr(left), ConstExpr(right)
+        assert ebv(CompareExpr("=", left, right).evaluate({})) is equal
+        assert ebv(CompareExpr("!=", left, right).evaluate({})) is not equal
+
+    def test_in_respects_language_tags(self):
+        needle = ConstExpr(lit("abc", language="en"))
+        options = [ConstExpr(lit("abc")), ConstExpr(lit("abc", language="fr"))]
+        assert not ebv(InExpr(needle, options).evaluate({}))
+        assert ebv(InExpr(needle, options + [needle]).evaluate({}))
+
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError):
             CompareExpr("~", const(1), const(2))
@@ -203,6 +221,30 @@ class TestFunctions:
         assert FunctionExpr("year", [date]).evaluate({}).value == 2015
         assert FunctionExpr("month", [date]).evaluate({}).value == 3
         assert FunctionExpr("day", [date]).evaluate({}).value == 7
+
+    @pytest.mark.parametrize("lexical,parts", [
+        ("-0044-03-15T00:00:00", (-44, 3, 15)),
+        ("2015-03-07T10:20:30Z", (2015, 3, 7)),
+        ("12021-11-30", (12021, 11, 30)),
+        ("0001-01-01T00:00:00", (1, 1, 1)),
+    ])
+    def test_date_parts_of_signed_and_long_years(self, lexical, parts):
+        date = const(lexical, datatype=XSD_DATETIME)
+        got = tuple(FunctionExpr(name, [date]).evaluate({}).value
+                    for name in ("year", "month", "day"))
+        assert got == parts
+
+    def test_year_through_a_cast(self):
+        cast = FunctionExpr("xsd:datetime", [const("-0044-03-15T00:00:00")])
+        assert FunctionExpr("year", [cast]).evaluate({}) == lit(-44)
+
+    @pytest.mark.parametrize("lexical", [
+        "garbage", "2015", "2015-03", "15-03-07", "2015-3-07", "x2015-03-07",
+        "--2015-03-07"])
+    def test_date_parts_of_malformed_dates_error(self, lexical):
+        for name in ("year", "month", "day"):
+            with pytest.raises(ExpressionError):
+                FunctionExpr(name, [const(lexical)]).evaluate({})
 
     def test_year_of_garbage_errors(self):
         with pytest.raises(ExpressionError):

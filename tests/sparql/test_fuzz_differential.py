@@ -3,7 +3,9 @@
 ≥200 seeded generated queries (see :mod:`queryfuzz`) run on the
 production operators (``Engine(dataset)``) and on the reference plane
 (the seed dict evaluator) and must return bag-identical results.  The
-grammar covers BGPs, FILTER, OPTIONAL, BIND (variable copy, constant IRI
+grammar covers BGPs, FILTER (comparisons, ``IN``, ``isIRI`` /
+``isLiteral``, ``STR``, arithmetic, two-variable ``!=``, over bound and
+OPTIONAL-unbound variables), OPTIONAL, BIND (variable copy, constant IRI
 or literal, ``?v + 1``), VALUES over one or two variables with ``UNDEF``
 cells, grouped aggregates, DISTINCT and ORDER BY + LIMIT.  The serving
 tier's result cache is then treated as a third plane: cache-cold and
@@ -169,6 +171,41 @@ def test_shrink_drops_binds_and_values_one_at_a_time():
     assert "BIND(?v0 + 1 AS ?b1)" in text
     assert 'VALUES (?u0 ?v0) { ("x" 100) }' in text
     assert "SELECT ?film ?v0 ?b1 ?u0" in text
+
+
+def test_shrink_drops_function_filters_one_at_a_time():
+    """Function filters shrink like any filter, and one over an
+    OPTIONAL's variable survives dropping the patterns it does not read."""
+    spec = QuerySpec(0)
+    spec.patterns = [("?film", "rdf:type", "dbpo:Film"),
+                     ("?film", "dbpp:country", "?v0"),
+                     ("?film", "dbpo:runtime", "?v1")]
+    spec.optionals = [("?film", "dbpo:genre", "?opt0")]
+    spec.filters = [(("?v1",), "isLiteral(?v1)"),
+                    (("?v0", "?opt0"), "?v0 != ?opt0"),
+                    (("?v1",), "?v1 + 1 > 90"),
+                    (("?v0",), 'STR(?v0) != ""')]
+
+    def still_fails(candidate):
+        return bool(candidate.optionals) and any(
+            text == "?v0 != ?opt0" for _vars, text in candidate.filters)
+
+    minimal = shrink(spec, still_fails)
+    assert minimal.patterns == spec.patterns[:2]
+    assert minimal.optionals == spec.optionals
+    assert minimal.filters == [(("?v0", "?opt0"), "?v0 != ?opt0")]
+    assert "FILTER(?v0 != ?opt0)" in minimal.render()
+
+
+def test_function_filters_reach_two_variable_and_unbound_bindings():
+    """Over the differential's seeds the grammar emits two-variable
+    function filters and filters over the OPTIONAL's variable."""
+    specs = [generate(seed) for seed in range(N_SEEDS)]
+    filters = [f for spec in specs for f in spec.filters]
+    assert any(len(variables) == 2 for variables, _text in filters)
+    assert any("?opt0" in variables for variables, _text in filters)
+    for shape in ("isIRI(", "isLiteral(", "STR(", " + 1 > "):
+        assert any(shape in text for _variables, text in filters), shape
 
 
 def test_cache_cold_vs_warm_matches_engine_truth(dataset, planes):
