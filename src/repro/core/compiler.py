@@ -10,8 +10,9 @@ same order the translator renders and the parser folds them:
 
     triples -> BGP, GRAPH-scoped triples -> GraphPattern, subqueries ->
     nested Project (joined in), OPTIONAL blocks / optional subqueries ->
-    LeftJoin, UNION branches -> Union (joined in), filters wrap the group;
-    then Group (+HAVING) -> Project -> Distinct -> OrderBy -> Slice.
+    LeftJoin (an OPTIONAL block's filters are its condition), UNION
+    branches -> Union (joined in), filters wrap the group; then Group
+    (+HAVING) -> Project -> Distinct -> OrderBy -> Slice.
 
 Terms and filter expressions inside a model are stored as rendered SPARQL
 fragments (``'?movie'``, ``'dbpp:starring'``, ``'?year >= 2000'``), so the
@@ -25,7 +26,8 @@ the in-process engine (:meth:`Engine.plan` accepts a model directly).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from functools import reduce
+from typing import Dict, List, Optional, Tuple
 
 from ..rdf.namespaces import DEFAULT_PREFIXES
 from ..sparql import algebra as alg
@@ -145,7 +147,7 @@ class ModelCompiler:
             node = self._join(node, self._compile_select(subquery))
         for block in model.optionals:
             node = alg.LeftJoin(node or alg.BGP([]),
-                                self._compile_optional(block))
+                                *self._compile_optional(block))
         for subquery in model.optional_subqueries:
             node = alg.LeftJoin(node or alg.BGP([]),
                                 self._compile_select(subquery))
@@ -160,7 +162,14 @@ class ModelCompiler:
                               node or alg.BGP([]))
         return node if node is not None else alg.BGP([])
 
-    def _compile_optional(self, block: OptionalBlock) -> alg.AlgebraNode:
+    def _compile_optional(self, block: OptionalBlock
+                          ) -> Tuple[alg.AlgebraNode, Optional[Expression]]:
+        """An OPTIONAL block as its LeftJoin's ``(pattern, condition)``.
+
+        The block's filters sit at the top of the OPTIONAL group, so they
+        are the condition (SPARQL 1.1 §18.2.2) and see both sides' bindings
+        — except in a GRAPH-scoped block, whose filters are rendered
+        inside the GRAPH group and filter it."""
         node: Optional[alg.AlgebraNode] = None
         if block.triples:
             node = alg.BGP([self._triple(t) for t in block.triples])
@@ -168,14 +177,14 @@ class ModelCompiler:
             node = self._join(node, self._compile_select(subquery))
         for nested in block.optionals:
             node = alg.LeftJoin(node or alg.BGP([]),
-                                self._compile_optional(nested))
-        for expression in block.filters:
-            node = alg.Filter(self._expression(expression),
-                              node or alg.BGP([]))
+                                *self._compile_optional(nested))
         node = node if node is not None else alg.BGP([])
-        if block.graph_uri is not None:
-            node = alg.GraphPattern(block.graph_uri, node)
-        return node
+        filters = [self._expression(text) for text in block.filters]
+        if block.graph_uri is None:
+            return node, reduce(AndExpr, filters) if filters else None
+        for condition in filters:
+            node = alg.Filter(condition, node)
+        return alg.GraphPattern(block.graph_uri, node), None
 
     @staticmethod
     def _join(left: Optional[alg.AlgebraNode],

@@ -77,7 +77,10 @@ class LeftJoin(AlgebraNode):
         return [self.left, self.right]
 
     def __repr__(self):
-        return "LeftJoin(%r, %r)" % (self.left, self.right)
+        if self.condition is None:
+            return "LeftJoin(%r, %r)" % (self.left, self.right)
+        return "LeftJoin(%r, %r, %s)" % (self.left, self.right,
+                                         self.condition.sparql())
 
 
 class Union(AlgebraNode):

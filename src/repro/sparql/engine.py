@@ -72,7 +72,9 @@ class Engine:
 
     There is no physical knob: join order, join strategy (nested-loop,
     multiway intersection, generic join) and sideways filters are the
-    planner's decisions, and ``Plan.explain()`` prints them.
+    planner's decisions.  The planner writes each BGP's steps as one
+    program (:func:`~.optimizer.bgp_program`) that the evaluator runs as
+    written, and ``Plan.explain()`` prints all of it.
     """
 
     def __init__(self, source: Union[Dataset, Graph, List[Graph]],

@@ -58,8 +58,8 @@ from ..rdf.terms import (XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Literal,
                          Variable)
 from . import algebra as alg
 from .expressions import ExpressionError, VarExpr, ebv
-from .optimizer import (GraphStatistics, intersection_worthwhile,
-                        order_patterns, run_signature, run_width)
+from .optimizer import (GraphStatistics, Match, bgp_program,
+                        order_patterns, statistics_memo)
 from .solution import (JoinIndex, RowView, SolutionTable, TableStream,
                        batched, stream_distinct, table_minus)
 
@@ -228,7 +228,7 @@ class Evaluator:
         self._sip: Dict[str, set] = {}
         self.stats = EvaluationStats()
         self.dictionary = None  # set when the query's graphs are resolved
-        self._stats_cache: Dict[int, GraphStatistics] = {}
+        self._graph_stats = statistics_memo()
         # Common-subexpression cache: identical BGPs (e.g. the repeated
         # pattern inside a full-outer-join's UNION branches) are evaluated
         # once per query.  ``_repeated`` holds the ids of the BGP nodes
@@ -271,7 +271,7 @@ class Evaluator:
 
         The evaluator makes no physical decision of its own: each
         operator follows the annotations the planner left on its node
-        (``strategy`` / ``eliminate`` on BGPs, ``sip_eligible`` on joins).
+        (the step ``program`` on BGPs, ``sip_eligible`` on joins).
         """
         self.stats.materialized_subqueries = plan.subqueries
         return self.evaluate_query_stream(plan.query, default_graph_uri,
@@ -334,30 +334,25 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Pattern evaluation
     # ------------------------------------------------------------------
-    def _graph_stats(self, graph) -> GraphStatistics:
-        key = id(graph)
-        stats = self._stats_cache.get(key)
-        if stats is None or not stats.fresh():
-            stats = GraphStatistics(graph)
-            self._stats_cache[key] = stats
-        return stats
+    def _bgp_program(self, node: alg.BGP, graph) -> Tuple:
+        """The step program to run for ``node``: the planner's
+        ``node.program``, or in-order matches for a BGP it gave none.
 
-    # -- plan annotations ----------------------------------------------
-
-    @staticmethod
-    def _bgp_intersect(node: alg.BGP) -> bool:
-        """Did the planner route this BGP to multiway intersection steps?"""
-        return getattr(node, "strategy", None) == "intersect"
-
-    @staticmethod
-    def _wcoj_order(node: alg.BGP, graph):
-        """The planner's generic-join elimination order for this BGP, or
-        ``None`` when it runs on another strategy (or the graph keeps no
-        sorted runs to intersect)."""
-        if getattr(node, "strategy", None) == "wcoj" \
-                and hasattr(graph, "objects_run"):
-            return node.eliminate
-        return None
+        An active sideways filter that touches a non-``wcoj`` BGP first
+        re-orders its patterns (:meth:`_order_for_sip`); an ``intersect``
+        BGP then gets :func:`~.optimizer.bgp_program` over the new order,
+        any other matches it in order.
+        """
+        patterns = node.triples
+        strategy = getattr(node, "strategy", None)
+        if strategy != "wcoj" and len(patterns) > 1 \
+                and self._sip_touches(patterns):
+            patterns = self._order_for_sip(patterns, graph)
+            if strategy == "intersect":
+                return bgp_program(patterns, self._graph_stats(graph))
+        elif getattr(node, "program", None) is not None:
+            return node.program
+        return tuple(Match(q) for q in patterns)
 
     def _sip_touches(self, patterns) -> bool:
         """True when an active sideways filter names a pattern variable
@@ -437,9 +432,8 @@ class Evaluator:
         once per pattern, so the specialized index probe it returns is
         reusable for any number of row batches — this is what lets a
         bounded consumer drive the matcher one input row at a time.
-        ``step`` is ``None`` when a constant term is unknown to the
-        dictionary (no triple can match); the returned schema still
-        includes the pattern's fresh variables.
+        Every constant term must be known to the dictionary
+        (:meth:`_bgp_steps` checks before compiling).
 
         When a sideways-information-passing scope is active
         (``self._sip``), the step additionally drops candidate bindings
@@ -455,7 +449,6 @@ class Evaluator:
         # ('n', k) k-th newly-introduced var (repeats share one k).
         slots = []
         new_pos: Dict[str, int] = {}
-        missing_constant = False
         for term in pattern:
             if isinstance(term, Variable):
                 name = term.name
@@ -470,14 +463,7 @@ class Evaluator:
                     schema.append(name)
                     slots.append(("n", k))
             else:
-                tid = lookup(term)
-                if tid is None:
-                    missing_constant = True
-                    slots.append(("c", None))
-                else:
-                    slots.append(("c", tid))
-        if missing_constant:
-            return schema, None
+                slots.append(("c", lookup(term)))
 
         (s_kind, s_val), (p_kind, p_val), (o_kind, o_val) = slots
         n_new = len(new_pos)
@@ -575,9 +561,7 @@ class Evaluator:
             # Predicate scan with a constant predicate: materialize the
             # (s, o) pairs once and reuse them for every input row (the
             # graph memoizes the materialization across queries).
-            so_list = getattr(graph, "so_pairs_list", None)
-            pairs = (so_list(p_val) if so_list is not None
-                     else list(graph.so_pairs(p_val)))
+            pairs = graph.so_pairs_list(p_val)
             if slots[0][1] == slots[2][1]:  # ?x p ?x — one new column
                 hits = [(s,) for s, o in pairs if s == o]
             else:
@@ -761,9 +745,6 @@ class Evaluator:
             if aggregate.distinct and expr.name == gvar:
                 # COUNT(DISTINCT ?g) GROUP BY ?g is 1, not the row count.
                 return None
-        if not hasattr(graph, "count_objects_for") \
-                or not hasattr(graph, "count_subjects_for"):
-            return None
 
         self.stats.bgp_count += 1
         pid = self.dictionary.lookup(p_term)
@@ -880,235 +861,63 @@ class Evaluator:
 
     # -- producers -----------------------------------------------------
 
-    def _bgp_steps(self, patterns, graph, intersect: bool = False,
-                   eliminate=None):
-        """Compile an ordered pattern list into per-level match steps.
+    def _bgp_steps(self, node: alg.BGP, program, graph):
+        """Instantiate a BGP step program (:func:`~.optimizer.bgp_program`)
+        against ``graph``; the evaluator decides nothing about the BGP.
 
-        Returns ``(final_schema, per_level_schemas, steps)``; ``steps`` is
-        ``None`` when some constant term is unknown (the BGP is empty, but
-        the schema still names every variable).
-
-        With ``intersect=True`` (the planner's ``'intersect'`` strategy),
-        the compiler binds a variable that occurs in two or more
-        remaining patterns through a k-way galloping intersection of the
-        graph's sorted runs instead of expand-then-filter: patterns whose
-        only free position is that variable are satisfied by the
-        intersection itself and drop out of the plan.
-
-        With ``eliminate`` (the cost-based planner's variable elimination
-        order), the generic-join compiler takes over entirely — one
-        intersection level per variable (:meth:`_wcoj_steps`); if it
-        cannot cover the BGP (an unknown constant) the normal compilers
-        below apply.
-        """
-        if eliminate:
-            planned = self._wcoj_steps(patterns, graph, eliminate)
-            if planned is not None:
-                return planned
-        schema: List[str] = []
-        schemas: List[List[str]] = []
-        steps = []
-        alive = True
-        remaining = list(patterns)
-        runs_ok = intersect and hasattr(graph, "objects_run")
-        while remaining:
-            if alive and runs_ok and len(remaining) > 1:
-                planned = self._intersection_plan(remaining, schema, graph)
-                if planned is not None:
-                    var, step, remaining = planned
-                    schema = schema + [var]
-                    steps.append(step)
-                    schemas.append(list(schema))
-                    continue
-            pattern = remaining.pop(0)
-            schema, step = self._pattern_plan(pattern, schema, graph)
-            if step is None:
-                alive = False
-            elif alive:
-                steps.append(step)
-            schemas.append(list(schema))
-        return schema, schemas, steps if alive else None
-
-    def _intersection_plan(self, remaining, schema: List[str], graph):
-        """Try to bind the head pattern's next variable by intersection.
-
-        Examines each new variable of ``remaining[0]`` (subject position
-        first) and collects, per remaining pattern, the sorted run that
-        constrains it (:func:`~.optimizer.run_signature`): ``(s, p)``
-        object runs, ``(p, o)`` subject runs, and ``p`` subject-presence
-        runs.  With two or more *distinct* runs the variable's candidates
-        are their galloping intersection — the leapfrog step of
-        worst-case-optimal join evaluation — and every pattern the
-        intersection fully satisfies is dropped from the plan.  Returns
-        ``(var, step, remaining_patterns)`` or ``None`` when no variable
-        qualifies (the caller falls back to a nested-loop step).
-        """
-        pattern = remaining[0]
-        bound = set(schema)
-        candidates: List[str] = []
-        for term in (pattern[0], pattern[2]):
-            if isinstance(term, Variable) and term.name not in bound \
-                    and term.name not in candidates:
-                candidates.append(term.name)
-        if not candidates:
-            return None
-        index = {v: i for i, v in enumerate(schema)}
-        # Each step must also pass the planner's statistics gate — a BGP
-        # annotated for one worthwhile step should not pay for covering
-        # intersections elsewhere.
-        gate_stats = self._graph_stats(graph)
-        for var in candidates:
-            signatures = []
-            seen = set()
-            consumed = set()
-            any_consumed = False
-            for pos, q in enumerate(remaining):
-                sig, consumes = run_signature(q, var, bound)
-                if sig is None:
-                    continue
-                if sig not in seen:
-                    seen.add(sig)
-                    signatures.append(sig)
-                if consumes:
-                    consumed.add(pos)
-                    any_consumed = True
-            if len(signatures) < 2:
-                continue
-            if not intersection_worthwhile(
-                    {sig: run_width(sig, gate_stats) for sig in signatures},
-                    any_consumed):
-                continue
-            # Resolve signatures into run sources; an unknown constant
-            # means the whole BGP is empty — let the nested-loop path
-            # discover that (schema completion included).
-            resolved = self._resolve_run_signatures(signatures, index)
-            if resolved is None:
-                return None
-            static_specs, row_specs = resolved
-            step = self._intersection_step(var, static_specs, row_specs,
-                                           graph)
-            keep = [q for pos, q in enumerate(remaining)
-                    if pos not in consumed]
-            return var, step, keep
-        return None
-
-    def _resolve_run_signatures(self, signatures, index):
-        """Resolve :func:`~.optimizer.run_signature` tuples into operand
-        specs for :meth:`_intersection_step`: ``static_specs`` are
-        ``(kind, pid, oid|None)`` constant-keyed runs, ``row_specs`` are
-        ``(kind, pid, column)`` runs re-seeded from a bound row column.
-        Returns ``None`` when a constant term is unknown to the
-        dictionary — the caller falls back to the nested-loop compiler,
-        which discovers the empty result with schema completion.
+        A :class:`~.optimizer.Match` compiles to an index probe
+        (:meth:`_pattern_plan`), an :class:`~.optimizer.Intersect` to a
+        sorted-run intersection (:meth:`_intersection_step`), and a
+        generic-join level also counts its input rows in ``wcoj_steps``.
+        Returns ``(final_schema, per_step_schemas, steps)``.  A constant
+        of the BGP unknown to the dictionary leaves one step that matches
+        nothing, under a schema that names every BGP variable.
         """
         lookup = self.dictionary.lookup
-        static_specs = []
-        row_specs = []
-        for sig in signatures:
-            kind, predicate = sig[0], sig[1]
-            pid = lookup(predicate)
-            if pid is None:
-                return None
-            if kind == "psubjects":
-                static_specs.append((kind, pid, None))
-                continue
-            other = sig[2]
-            if isinstance(other, tuple):  # ("?", name): bound column
-                row_specs.append((kind, pid, index[other[1]]))
-            else:
-                oid = lookup(other)
-                if oid is None:
-                    return None
-                static_specs.append((kind, pid, oid))
-        return static_specs, row_specs
-
-    def _wcoj_steps(self, patterns, graph, eliminate):
-        """Compile a generic-join (worst-case-optimal) plan.
-
-        One step per variable of the elimination order: the step binds
-        that variable for every input row through a k-way intersection of
-        all the sorted runs that constrain it across the *whole*
-        remaining BGP (:meth:`_intersection_step` — the leapfrog level),
-        instead of the pattern-at-a-time expand-then-filter of the
-        nested-loop plan.  On cyclic BGPs this caps each level's fan-out
-        at the narrowest constraining run, which is what yields the
-        AGM-style worst-case bound.  Patterns no level consumed become
-        fully-bound containment filters at the end.  Returns the usual
-        ``(schema, schemas, steps)`` triple, or ``None`` when the order
-        does not cover the BGP (a variable outside it, an unconstrained
-        level, an unknown constant) — the caller falls back to the
-        nested-loop compiler.
-
-        Candidates emerge from each level in ascending id order (see
-        :meth:`_intersection_step`), so row order is deterministic.
-        """
+        if any(lookup(term) is None for triple in node.triples
+               for term in triple if not isinstance(term, Variable)):
+            schema = node.in_scope()
+            return schema, [schema], [lambda rows, append: None]
         stats = self.stats
         schema: List[str] = []
         schemas: List[List[str]] = []
         steps = []
-        remaining = list(patterns)
-        bound: set = set()
-        for var in eliminate:
-            index = {v: i for i, v in enumerate(schema)}
-            signatures = []
-            seen = set()
-            consumed = set()
-            sig_source: Dict[tuple, int] = {}
-            for pos, q in enumerate(remaining):
-                sig, consumes = run_signature(q, var, bound)
-                if sig is None:
-                    continue
-                if sig not in seen:
-                    seen.add(sig)
-                    signatures.append(sig)
-                if consumes:
-                    consumed.add(pos)
-                    sig_source.setdefault(sig, pos)
-            if not signatures:
-                return None
-            if len(signatures) == 1 and signatures[0] in sig_source:
-                # Degenerate level: a single constraining run from a
-                # pattern whose only free position is the variable.
-                # An index probe on that pattern is the same candidate
-                # set without building (and memoizing) a sorted run per
-                # input row.
-                source = remaining[sig_source[signatures[0]]]
-                new_schema, inner = self._pattern_plan(source, schema,
-                                                       graph)
-                if inner is None:
-                    return None  # unknown constant: nested-loop reports
+        for op in program:
+            if isinstance(op, Match):
+                schema, step = self._pattern_plan(op.pattern, schema, graph)
             else:
-                resolved = self._resolve_run_signatures(signatures, index)
-                if resolved is None:
-                    return None
-                static_specs, row_specs = resolved
-                inner = self._intersection_step(var, static_specs,
-                                                row_specs, graph)
-                new_schema = schema + [var]
-
-            def step(rows, append, _inner=inner):
-                # One wcoj step per input row per level; the inner
-                # intersection probes keep bumping intersect_steps.
-                stats.wcoj_steps += len(rows)
-                _inner(rows, append)
-
+                step = self._intersection_step(
+                    op.var, *self._resolve_run_signatures(op.signatures,
+                                                          schema), graph)
+                schema = schema + [op.var]
+            if op.level:
+                def step(rows, append, _inner=step):
+                    # One wcoj step per input row per level; an
+                    # intersection's probes keep bumping intersect_steps.
+                    stats.wcoj_steps += len(rows)
+                    _inner(rows, append)
             steps.append(step)
-            schema = new_schema
-            schemas.append(list(schema))
-            bound.add(var)
-            remaining = [q for pos, q in enumerate(remaining)
-                         if pos not in consumed]
-        for q in remaining:
-            for term in q:
-                if isinstance(term, Variable) and term.name not in bound:
-                    return None  # partial order: fall back
-        for q in remaining:
-            schema, check = self._pattern_plan(q, schema, graph)
-            if check is None:
-                return None  # unknown constant: nested-loop path reports
-            steps.append(check)
-            schemas.append(list(schema))
+            schemas.append(schema)
         return schema, schemas, steps
+
+    def _resolve_run_signatures(self, signatures, schema: List[str]):
+        """Resolve :func:`~.optimizer.run_signature` tuples into operand
+        specs for :meth:`_intersection_step`: ``static_specs`` are
+        ``(kind, pid, oid|None)`` constant-keyed runs, ``row_specs`` are
+        ``(kind, pid, column)`` runs re-seeded from a bound row column.
+        """
+        lookup = self.dictionary.lookup
+        static_specs = []
+        row_specs = []
+        for kind, predicate, *other in signatures:
+            pid = lookup(predicate)
+            if kind == "psubjects":
+                static_specs.append((kind, pid, None))
+            elif isinstance(other[0], tuple):  # ("?", name): bound column
+                row_specs.append((kind, pid, schema.index(other[0][1])))
+            else:
+                static_specs.append((kind, pid, lookup(other[0])))
+        return static_specs, row_specs
 
     def _intersection_step(self, var: str, static_specs, row_specs, graph):
         """Build the executable step for one intersection binding.
@@ -1360,7 +1169,8 @@ class Evaluator:
         if not patterns:
             return TableStream((), self._meter(iter(([()],))))
         if id(node) not in self._repeated:
-            return self._match_bgp(node, graph, hint)
+            return self._match_bgp(node, self._bgp_program(node, graph),
+                                   graph, hint)
         # A repeated BGP is matched once for the whole query and
         # replayed, so it is matched without the sideways filters of
         # whichever occurrence happens to come first (sound: they only
@@ -1368,19 +1178,16 @@ class Evaluator:
         # occurrence has finished is only known when this one is pulled
         # (both branches of a UNION exist before either produces a row),
         # so the choice between replaying and matching waits until then.
-        key = (id(graph), self._bgp_intersect(node),
-               self._wcoj_order(node, graph),
-               tuple(sorted(patterns, key=repr)))
-        cached = self._bgp_cache.get(key)
-        if cached is None:
-            scope, self._sip = self._sip, {}
-            try:
-                matched = self._match_bgp(node, graph, hint)
-            finally:
-                self._sip = scope
-            schema = matched.variables
-        else:
-            matched, schema = None, cached[0]
+        scope, self._sip = self._sip, {}
+        try:
+            program = self._bgp_program(node, graph)
+            key = (id(graph), program)
+            cached = self._bgp_cache.get(key)
+            matched = None if cached is not None \
+                else self._match_bgp(node, program, graph, hint)
+        finally:
+            self._sip = scope
+        schema = matched.variables if cached is None else cached[0]
         return TableStream(schema, self._shared_batches(
             key, schema, matched, self._cap(hint)))
 
@@ -1401,19 +1208,10 @@ class Evaluator:
             yield batch
         self._bgp_cache.setdefault(key, (schema, kept))
 
-    def _match_bgp(self, node: alg.BGP, graph,
+    def _match_bgp(self, node: alg.BGP, program, graph,
                    hint: Optional[int]) -> TableStream:
-        patterns = node.triples
         cap = self._cap(hint)
-        intersect = self._bgp_intersect(node)
-        eliminate = self._wcoj_order(node, graph)
-        sip_active = self._sip_touches(patterns)
-        if len(patterns) > 1 and not eliminate and sip_active:
-            patterns = self._order_for_sip(patterns, graph)
-        schema, _schemas, steps = self._bgp_steps(patterns, graph, intersect,
-                                                  eliminate)
-        if steps is None:
-            return TableStream(schema, self._meter(iter(())))
+        schema, _schemas, steps = self._bgp_steps(node, program, graph)
         if hint is None:
             # No bound above: the consumer (a streaming Group, a join
             # build, a full drain) will pull everything, so per-row
@@ -2052,16 +1850,11 @@ class Evaluator:
             return TableStream(inner.variables, self._meter(head_batches()))
 
         self.stats.bgp_count += 1
-        patterns = node.pattern.triples
-        eliminate = self._wcoj_order(node.pattern, graph)
-        # Compile with the same strategy :meth:`_stream_bgp` would use:
-        # on a tie-heavy ORDER BY the window's k-subset depends on BGP
-        # production order, so the fused and unfused plans must drive
-        # identical steps.
+        # Run the program :meth:`_stream_bgp` would run: on a tie-heavy
+        # ORDER BY the window's k-subset depends on BGP production order,
+        # so the fused and unfused plans must drive identical steps.
         schema, schemas, steps = self._bgp_steps(
-            patterns, graph, self._bgp_intersect(node.pattern), eliminate)
-        if steps is None:
-            return TableStream(schema, self._meter(iter(())))
+            node.pattern, self._bgp_program(node.pattern, graph), graph)
         # First pattern depth at which every sort variable is bound.
         prune_level = 0
         for var in wanted:
@@ -2176,8 +1969,7 @@ class _SipAwareStats:
                 count = len(values)
             else:
                 graph = self._graph
-                pid = graph.dictionary.lookup(p) \
-                    if hasattr(graph, "dictionary") else None
+                pid = graph.dictionary.lookup(p)
                 if pid is None:
                     count = len(values)
                 elif subject_side:

@@ -18,11 +18,14 @@ The worst-case-optimal join machinery lives here too:
 hypergraph, :func:`generic_join_order` picks a variable elimination order
 by estimated run widths, and :func:`estimate_join` /
 :func:`estimate_wcoj` are the cost models the planner compares.
+:func:`bgp_program` turns a BGP and a chosen strategy into the step
+program the evaluator runs: the one place a BGP's physical plan is
+decided.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import TriplePattern, Variable, is_concrete
 
@@ -225,6 +228,21 @@ class GraphStatistics:
         return max(estimate, 0.01)
 
 
+def statistics_memo():
+    """A ``graph -> GraphStatistics`` lookup for one planning call or one
+    evaluator: one statistics object per graph, rebuilt when
+    :meth:`GraphStatistics.fresh` reports that the graph mutated."""
+    memo: Dict[int, GraphStatistics] = {}
+
+    def stats_for(graph) -> GraphStatistics:
+        stats = memo.get(id(graph))
+        if stats is None or not stats.fresh():
+            stats = memo[id(graph)] = GraphStatistics(graph)
+        return stats
+
+    return stats_for
+
+
 def order_patterns(patterns: Sequence[TriplePattern],
                    stats: GraphStatistics) -> List[TriplePattern]:
     """Greedy selectivity ordering of a BGP's triple patterns.
@@ -292,8 +310,8 @@ def _shares_variable(pattern: TriplePattern, bound: Set[str]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Sorted-run signatures (shared by the JoinStrategy pass and the
-# evaluator's multiway BGP compiler)
+# Sorted-run signatures (what a BGP program's intersection steps are
+# made of)
 # ----------------------------------------------------------------------
 
 def run_signature(pattern: TriplePattern, candidate: str,
@@ -339,13 +357,31 @@ def run_signature(pattern: TriplePattern, candidate: str,
     return None, False
 
 
+def level_runs(patterns: Sequence[TriplePattern], candidate: str,
+               bound: Set[str]) -> Tuple[List, List[TriplePattern]]:
+    """The distinct :func:`run_signature` runs constraining ``candidate``
+    across ``patterns`` (first-seen order, so the result is a pure
+    function of the pattern order) and the patterns those runs consume."""
+    signatures: List = []
+    consumed: List[TriplePattern] = []
+    for pattern in patterns:
+        sig, consumes = run_signature(pattern, candidate, bound)
+        if sig is None:
+            continue
+        if sig not in signatures:
+            signatures.append(sig)
+        if consumes:
+            consumed.append(pattern)
+    return signatures, consumed
+
+
 def run_width(signature, stats: GraphStatistics) -> float:
     """Expected length of the sorted run a signature denotes.
 
     ``psubjects`` runs span every subject of the predicate; the keyed runs
     are estimated by the predicate's average fan-out toward the candidate
-    position.  The ``JoinStrategy`` pass compares these widths to decide
-    whether intersection beats expand-then-filter for a step.
+    position.  :func:`intersection_worthwhile` compares these widths to
+    decide whether intersection beats expand-then-filter for a step.
     """
     kind, predicate = signature[0], signature[1]
     if kind == "psubjects":
@@ -380,8 +416,8 @@ def intersection_worthwhile(widths: Dict, any_consumed: bool) -> bool:
     when its width stays within :data:`PSUBJ_COVER_RATIO` of the seed's
     (wider means it merely covers the seed's population).  The widest
     operand must also clear :data:`INTERSECT_MIN_WIDE_RUN` (something to
-    prune).  Shared by the planner's ``JoinStrategy`` pass (to annotate)
-    and the evaluator's multiway compiler (to skip non-worthwhile steps).
+    prune).  :func:`bgp_program`'s head-pattern walk takes an
+    intersection step only where this holds.
     """
     if len(widths) < 2 or not any_consumed:
         return False
@@ -399,10 +435,6 @@ def intersection_worthwhile(widths: Dict, any_consumed: bool) -> bool:
 # variable elimination orders, and the cost models the
 # ``CostBasedJoinStrategy`` pass compares.
 # ----------------------------------------------------------------------
-
-#: Total triples across a BGP's predicates below which generic join is
-#: not attempted (micro graphs and unit fixtures keep nested-loop).
-WCOJ_MIN_TRIPLES = 16
 
 #: Constant-factor handicap on the generic-join estimate when the planner
 #: compares it against the nested-loop/intersection plan
@@ -515,11 +547,7 @@ def generic_join_order(patterns: Sequence[TriplePattern],
         for name in names:
             if name in bound:
                 continue
-            signatures = set()
-            for q in patterns:
-                sig, _ = run_signature(q, name, bound)
-                if sig is not None:
-                    signatures.add(sig)
+            signatures = level_runs(patterns, name, bound)[0]
             if not signatures:
                 continue
             width = min(run_width(sig, stats) for sig in signatures)
@@ -615,33 +643,101 @@ def estimate_wcoj(patterns: Sequence[TriplePattern],
     closely enough for the planner to compare the two, and — unlike the
     earlier no-shrink upper bound — credits exactly the multiply-
     constrained levels where generic join beats expand-then-filter.
-    The arithmetic is order-independent over the signature set, so the
-    estimate is a pure function of the pattern set and statistics.
+    Each level's runs are taken narrowest first, so the arithmetic is a
+    pure function of the pattern set and statistics.
     """
     bound: Set[str] = set()
     rows = 1.0
     cost = 0.0
     for name in order:
-        signatures = set()
-        for q in patterns:
-            sig, _ = run_signature(q, name, bound)
-            if sig is not None:
-                signatures.add(sig)
-        pairs = [(run_width(sig, stats), _run_universe(sig, stats))
-                 for sig in signatures]
+        pairs = sorted((run_width(sig, stats), _run_universe(sig, stats))
+                       for sig in level_runs(patterns, name, bound)[0])
+        bound.add(name)
         if not pairs:
-            bound.add(name)
             continue
-        seed = min(pairs)
-        cost += rows * max(seed[0], 0.001)
-        survivors = max(seed[0], 0.001)
-        seed_taken = False
-        for pair in pairs:
-            if not seed_taken and pair == seed:
-                seed_taken = True
-                continue
-            width, universe = pair
+        survivors = max(pairs[0][0], 0.001)
+        cost += rows * survivors
+        for width, universe in pairs[1:]:
             survivors *= min(1.0, width / max(universe, 1.0))
         rows *= max(survivors, 0.001)
-        bound.add(name)
     return cost
+
+
+# ----------------------------------------------------------------------
+# BGP step programs: the planner writes one per BGP, the evaluator
+# instantiates it against a graph
+# ----------------------------------------------------------------------
+
+class Match(NamedTuple):
+    """Match one triple pattern against every row so far: an index probe
+    that binds the pattern's fresh variables, or a containment check when
+    none is left.  ``level`` marks a generic-join level whose only run
+    is this pattern's own match set."""
+    pattern: TriplePattern
+    level: bool = False
+
+
+class Intersect(NamedTuple):
+    """Bind ``var`` to the k-way intersection of the sorted runs
+    ``signatures`` (:func:`run_signature` shapes).  The ``consumed``
+    patterns are fully satisfied by it and get no step of their own.
+    ``level`` marks a generic-join level."""
+    var: str
+    signatures: Tuple
+    consumed: Tuple[TriplePattern, ...]
+    level: bool = False
+
+
+def bgp_program(patterns: Sequence[TriplePattern], stats: GraphStatistics,
+                eliminate: Optional[Sequence[str]] = None) -> Tuple:
+    """The BGP's physical plan: an immutable tuple of :class:`Match` and
+    :class:`Intersect` steps, run in order.
+
+    Without ``eliminate``, walk ``patterns`` in order.  The head pattern's
+    unbound subject (then object) is bound by an :class:`Intersect` when
+    its runs across the remaining patterns pass
+    :func:`intersection_worthwhile`, and the patterns it consumes drop
+    out; otherwise the head is a :class:`Match`.
+
+    With ``eliminate`` (a :func:`generic_join_order`), each variable is
+    one generic-join level intersecting every run that constrains it.  A
+    level whose single run comes from a pattern it consumes is a
+    :class:`Match` on that pattern: the same candidates, with no sorted
+    run built per input row.  Unconsumed patterns follow as checks.
+    """
+    remaining = list(patterns)
+    bound: Set[str] = set()
+    steps: List = []
+    if eliminate:
+        for var in eliminate:
+            signatures, consumed = level_runs(remaining, var, bound)
+            if not signatures:
+                continue
+            if len(signatures) == 1 and consumed:
+                steps.append(Match(consumed[0], level=True))
+            else:
+                steps.append(Intersect(var, tuple(signatures),
+                                       tuple(consumed), level=True))
+            bound.add(var)
+            remaining = [q for q in remaining if q not in consumed]
+        return tuple(steps) + tuple(Match(q) for q in remaining)
+    while remaining:
+        head = remaining[0]
+        step = Match(head)
+        for term in (head[0], head[2]):
+            if isinstance(term, Variable) and term.name not in bound:
+                signatures, consumed = level_runs(remaining, term.name, bound)
+                if intersection_worthwhile(
+                        {sig: run_width(sig, stats) for sig in signatures},
+                        bool(consumed)):
+                    step = Intersect(term.name, tuple(signatures),
+                                     tuple(consumed))
+                    break
+        steps.append(step)
+        if isinstance(step, Match):
+            remaining.pop(0)
+            bound.update(t.name for t in head if isinstance(t, Variable))
+        else:
+            bound.add(step.var)
+            remaining = [q for q in remaining if q not in step.consumed]
+    return tuple(steps)

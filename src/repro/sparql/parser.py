@@ -14,13 +14,16 @@ Supports the SELECT fragment used throughout the paper:
 
 The group graph pattern is translated following the SPARQL algebra rules:
 adjacent triple blocks accumulate into a BGP, ``OPTIONAL`` becomes
-``LeftJoin(pattern-so-far, optional-pattern)``, other elements are joined,
-and the group's filters wrap the result.
+``LeftJoin(pattern-so-far, optional-pattern, condition)``, other elements
+are joined, and the group's filters wrap the result.  The filters at the
+top of an ``OPTIONAL { }`` group are the LeftJoin's condition instead
+(SPARQL 1.1 §18.2.2), so they see the bindings of both sides.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 from typing import List, Optional, Tuple
 
 from ..rdf.namespaces import DEFAULT_PREFIXES, RDF
@@ -258,12 +261,18 @@ class Parser:
     # ------------------------------------------------------------------
     # Group graph pattern
     # ------------------------------------------------------------------
-    def _parse_group_graph_pattern(self) -> alg.AlgebraNode:
+    def _parse_group_graph_pattern(self, optional: bool = False):
+        """A group graph pattern.  With ``optional`` (the group of an
+        ``OPTIONAL``), returns ``(pattern, condition)``: the group's
+        top-level FILTERs are conjoined into the LeftJoin condition
+        (``None`` when there are none) instead of wrapping the pattern.
+        FILTER (NOT) EXISTS still wraps it, and a nested SELECT keeps its
+        filters inside."""
         self.expect("PUNCT", "{")
         if self.at_keyword("SELECT"):
             node = self._parse_select_query()
             self.expect("PUNCT", "}")
-            return node
+            return (node, None) if optional else node
 
         current: Optional[alg.AlgebraNode] = None
         triples: List = []
@@ -302,9 +311,11 @@ class Parser:
                 self.accept("PUNCT", ".")
             elif self.at_keyword("OPTIONAL"):
                 self.next()
-                optional = self._parse_group_or_union()
+                right, condition = self._parse_group_graph_pattern(
+                    optional=True)
                 flush_triples()
-                current = alg.LeftJoin(current or alg.BGP([]), optional)
+                current = alg.LeftJoin(current or alg.BGP([]), right,
+                                       condition)
                 self.accept("PUNCT", ".")
             elif self.at_keyword("GRAPH"):
                 self.next()
@@ -345,10 +356,13 @@ class Parser:
 
         flush_triples()
         node = current if current is not None else alg.BGP([])
-        for condition in filters:
-            node = alg.Filter(condition, node)
+        if not optional:
+            for condition in filters:
+                node = alg.Filter(condition, node)
         for group, negated in exists_filters:
             node = alg.FilterExists(node, group, negated)
+        if optional:
+            return node, reduce(AndExpr, filters) if filters else None
         return node
 
     def _parse_inline_data(self) -> alg.InlineData:

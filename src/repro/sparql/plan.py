@@ -20,10 +20,11 @@ explicit pipeline of rewrite passes:
   every evaluation.
 
 After the rewrite fixpoint, the ``CostBasedJoinStrategy`` pass annotates
-the tree in place: per-BGP estimated cardinalities and the chosen join
+the tree in place: per-BGP estimated cardinalities, the chosen join
 strategy (nested-loop / ``intersect`` / ``wcoj``, the last with a variable
-elimination order for cyclic BGPs detected via the join hypergraph), and
-per-join SIP eligibility.  The evaluator obeys these annotations, and
+elimination order for cyclic BGPs detected via the join hypergraph) and
+the BGP's step program (:func:`~.optimizer.bgp_program`), and per-join
+SIP eligibility.  The evaluator obeys these annotations, and
 :meth:`Plan.explain` prints every one of them.
 
 Each pass is a pure ``node -> (node, changes)`` function (input trees are
@@ -37,16 +38,16 @@ same query share one cached plan.
 from __future__ import annotations
 
 import time
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import Variable, is_concrete
 from . import algebra as alg
 from .expressions import AndExpr, Expression
-from .optimizer import (GraphStatistics, WCOJ_COST_FACTOR, WCOJ_MIN_TRIPLES,
-                        bgp_is_cyclic,
-                        estimate_join, estimate_wcoj, generic_join_eligible,
-                        generic_join_order, intersection_worthwhile,
-                        order_patterns, run_signature, run_width)
+from .optimizer import (GraphStatistics, Intersect, WCOJ_COST_FACTOR,
+                        bgp_is_cyclic, bgp_program, estimate_join,
+                        estimate_wcoj, generic_join_order, order_patterns,
+                        statistics_memo)
 
 PassResult = Tuple[alg.AlgebraNode, int]
 PassFn = Callable[[alg.AlgebraNode], PassResult]
@@ -109,12 +110,12 @@ class Plan:
         the ``CostBasedJoinStrategy`` pass render their chosen join
         strategy, estimated cardinality, and (for ``wcoj``) the variable
         elimination order in a trailing ``[...]`` block; SIP-eligible
-        joins render ``[sip]``.
+        joins render ``[sip]``.  A BGP with a step program lists its
+        steps below it, one per line (see :func:`_program_lines`).
 
-        A triangle over a collaboration edge with a few high-degree hubs:
-        the nested-loop estimate blows up on the hubs' squared fan-out,
-        so the cost gate routes the BGP to generic join and annotates
-        the variable elimination order.
+        A graph of collaborations: a sparse ring plus eight hubs who
+        collaborate with everyone.  Two people's common collaborators
+        are one intersection of two sorted runs:
 
         >>> from repro.rdf.graph import Graph
         >>> from repro.rdf.terms import URIRef
@@ -130,20 +131,33 @@ class Plan:
         ...             _ = g.add(p[h], w, p[i])
         ...             _ = g.add(p[i], w, p[h])
         >>> from repro.sparql.parser import parse
-        >>> plan = optimize_plan(parse(
-        ...     "SELECT ?a WHERE { ?a <urn:with> ?b . "
-        ...     "?b <urn:with> ?c . ?a <urn:with> ?c }"), graph=g)
-        >>> for line in plan.explain().splitlines():
-        ...     if not line.startswith("--"):
-        ...         print(line)
-        FROM []
-        Project(['a'])
+        >>> def show(text):
+        ...     plan = optimize_plan(parse(text), graph=g)
+        ...     for line in plan.explain().splitlines()[2:]:
+        ...         if not line.startswith("--"):
+        ...             print(line)
+        >>> show("SELECT ?x WHERE { ?x <urn:with> <urn:p10> . "
+        ...      "?x <urn:with> <urn:p12> }")
+          BGP(2 triples) [strategy=intersect, est_rows=8]
+            intersect ?x <- (?x <urn:with> <urn:p10>) & (?x <urn:with> <urn:p12>)
+
+        In a triangle the nested-loop estimate blows up on the hubs'
+        squared fan-out, so the cost gate routes the BGP to generic join:
+        one level per variable of the elimination order.
+
+        >>> show("SELECT ?a WHERE { ?a <urn:with> ?b . "
+        ...      "?b <urn:with> ?c . ?a <urn:with> ?c }")
           BGP(3 triples) [strategy=wcoj, est_rows=2881, eliminate=?a->?b->?c]
+            level intersect ?a <- (?a <urn:with> _)
+            level intersect ?b <- (?a <urn:with> ?b) & (?b <urn:with> _)
+            level intersect ?c <- (?a <urn:with> ?c) & (?b <urn:with> ?c)
         """
         lines: List[str] = ["FROM %s" % (self.query.from_graphs,)]
 
         def walk(node, depth):
             lines.append("  " * depth + repr(node) + _explain_notes(node))
+            for step in _program_lines(getattr(node, "program", ())):
+                lines.append("  " * (depth + 1) + step)
             for child in node.children():
                 walk(child, depth + 1)
 
@@ -176,6 +190,48 @@ def _explain_notes(node: alg.AlgebraNode) -> str:
     if not notes:
         return ""
     return " [%s]" % ", ".join(notes)
+
+
+def _program_lines(program) -> List[str]:
+    """One line per step of a BGP program (``level`` marks a generic-join
+    level):
+
+    * ``match ?v <- (s p o)`` — an index probe binding ``?v``;
+    * ``check (s p o)`` — a probe that binds nothing new;
+    * ``intersect ?v <- run & run ...`` — ``?v`` bound by intersecting
+      sorted runs, each written as the pattern it comes from with ``_``
+      for a position the run leaves free.
+    """
+    lines = []
+    bound: Set[str] = set()
+    for step in program:
+        level = "level " if step.level else ""
+        if isinstance(step, Intersect):
+            bound.add(step.var)
+            lines.append("%sintersect ?%s <- %s" % (
+                level, step.var, " & ".join(_run_text(sig, step.var)
+                                            for sig in step.signatures)))
+            continue
+        names = [t.name for t in step.pattern if isinstance(t, Variable)]
+        fresh = " ".join("?" + v for v in dict.fromkeys(names)
+                         if v not in bound)
+        bound.update(names)
+        text = "(%s)" % " ".join(t.n3() for t in step.pattern)
+        lines.append("%smatch %s <- %s" % (level, fresh, text) if fresh
+                     else "check " + text)
+    return lines
+
+
+def _run_text(signature, var: str) -> str:
+    """A :func:`~.optimizer.run_signature` as the pattern it reads."""
+    kind, predicate = signature[0], signature[1].n3()
+    if kind == "psubjects":
+        return "(?%s %s _)" % (var, predicate)
+    other = signature[2]
+    other = "?" + other[1] if isinstance(other, tuple) else other.n3()
+    if kind == "subjects":
+        return "(?%s %s %s)" % (var, predicate, other)
+    return "(%s %s ?%s)" % (other, predicate, var)
 
 
 def output_variables(query: alg.Query) -> Optional[List[str]]:
@@ -277,7 +333,10 @@ def filter_pushdown(node: alg.AlgebraNode) -> PassResult:
     scope on the other side — the moved filter then sees exactly the same
     bindings it would have seen above the join, including unbound ones.
     Filters distribute into both branches of a Union unconditionally
-    (union rows come from exactly one branch).
+    (union rows come from exactly one branch).  A conjunct of a LeftJoin
+    condition that names no variable in scope on the preserved side
+    becomes a filter on the optional side: no preserved row binds its
+    variables, so it tests the optional row alone.
     """
     changes = 0
 
@@ -290,6 +349,18 @@ def filter_pushdown(node: alg.AlgebraNode) -> PassResult:
                 changes += 1
                 return visit(pushed)
             return alg.Filter(n.condition, visit(inner))
+        if isinstance(n, alg.LeftJoin) and n.condition is not None:
+            left_scope = set(n.left.in_scope())
+            keep: List[Expression] = []
+            push: List[Expression] = []
+            for conjunct in _split_conjuncts(n.condition):
+                (keep if expression_variables(conjunct) & left_scope
+                 else push).append(conjunct)
+            if push:
+                changes += 1
+                return visit(alg.LeftJoin(
+                    n.left, alg.Filter(reduce(AndExpr, push), n.right),
+                    reduce(AndExpr, keep) if keep else None))
         children = [visit(child) for child in n.children()]
         return _rebuild(n, children) if children else n
 
@@ -571,15 +642,7 @@ def make_join_ordering(graph, dataset=None) -> PassFn:
     is the same decision the evaluator used to make per execution — made
     once here, it is amortized over every plan-cache hit.
     """
-    stats_cache: Dict[int, GraphStatistics] = {}
-
-    def stats_for(g) -> GraphStatistics:
-        key = id(g)
-        stats = stats_cache.get(key)
-        if stats is None:
-            stats = GraphStatistics(g)
-            stats_cache[key] = stats
-        return stats
+    stats_for = statistics_memo()
 
     def join_ordering(node: alg.AlgebraNode) -> PassResult:
         changes = 0
@@ -595,11 +658,8 @@ def make_join_ordering(graph, dataset=None) -> PassFn:
                     return alg.BGP(ordered)
                 return n
             if isinstance(n, alg.GraphPattern):
-                target = g
-                if dataset is not None and n.graph_uri in dataset:
-                    target = dataset.graph(n.graph_uri)
-                return alg.GraphPattern(n.graph_uri,
-                                        visit(n.pattern, target))
+                return alg.GraphPattern(n.graph_uri, visit(
+                    n.pattern, _scoped_graph(n, g, dataset)))
             children = [visit(child, g) for child in n.children()]
             return _rebuild(n, children) if children else n
 
@@ -616,42 +676,6 @@ def make_join_ordering(graph, dataset=None) -> PassFn:
 #: SIP-eligible: filtering a handful of candidates costs more bookkeeping
 #: than it saves.
 SIP_MIN_PREDICATE_TRIPLES = 32
-
-def _bgp_wants_intersection(triples, stats: GraphStatistics) -> bool:
-    """Simulate the evaluator's binding order and report whether some step
-    has a *worthwhile* multiway intersection.
-
-    Mirrors :meth:`Evaluator._intersection_plan` structurally (via the
-    shared :func:`~.optimizer.run_signature`) and applies the shared
-    statistics gate (:func:`~.optimizer.intersection_worthwhile`).  One
-    winning step is enough: the annotation is per-BGP, and the evaluator
-    re-applies the same gate per step, so a BGP with one good and one
-    useless opportunity intersects only where it pays.
-    """
-    bound: Set[str] = set()
-    remaining = list(triples)
-    while remaining:
-        head = remaining[0]
-        for term in (head[0], head[2]):
-            if not isinstance(term, Variable) or term.name in bound:
-                continue
-            var = term.name
-            widths: Dict = {}
-            any_consumed = False
-            for q in remaining:
-                sig, consumes = run_signature(q, var, bound)
-                if sig is None:
-                    continue
-                if sig not in widths:
-                    widths[sig] = run_width(sig, stats)
-                any_consumed = any_consumed or consumes
-            if intersection_worthwhile(widths, any_consumed):
-                return True
-        remaining.pop(0)
-        for term in head:
-            if isinstance(term, Variable):
-                bound.add(term.name)
-    return False
 
 
 def _probe_prunable(probe: alg.AlgebraNode, shared: Set[str],
@@ -671,13 +695,35 @@ def _probe_prunable(probe: alg.AlgebraNode, shared: Set[str],
     return False
 
 
-def _wcoj_sized(triples, stats: GraphStatistics) -> bool:
-    """The generic-join size gate: total triples across the BGP's
-    distinct predicates must clear :data:`~.optimizer.WCOJ_MIN_TRIPLES`
-    (micro graphs and unit fixtures keep nested-loop)."""
-    predicates = {q[1] for q in triples if is_concrete(q[1])}
-    return sum(stats.predicate_cardinality(p)
-               for p in predicates) >= WCOJ_MIN_TRIPLES
+def _annotate_bgp(bgp: alg.BGP, stats: GraphStatistics) -> int:
+    """Annotate one BGP for :func:`make_cost_based_join_strategy`; 1 when
+    it chose a strategy, else 0."""
+    triples = bgp.triples
+    cost_nl, bgp.est_rows = estimate_join(triples, stats)
+    if len(triples) < 2:
+        return 0
+    if len(triples) >= 3 and bgp_is_cyclic(triples):
+        order = generic_join_order(triples, stats)
+        if order is not None:
+            cost_wcoj = estimate_wcoj(triples, order, stats)
+            if cost_wcoj * WCOJ_COST_FACTOR <= cost_nl:
+                bgp.strategy, bgp.est_cost = "wcoj", cost_wcoj
+                bgp.eliminate = tuple(order)
+                bgp.program = bgp_program(triples, stats, order)
+                return 1
+    program = bgp_program(triples, stats)
+    if not any(isinstance(step, Intersect) for step in program):
+        return 0
+    bgp.strategy, bgp.est_cost, bgp.program = "intersect", cost_nl, program
+    return 1
+
+
+def _scoped_graph(node: alg.GraphPattern, graph, dataset):
+    """The graph a ``GRAPH <uri>`` scope plans against: the named graph
+    when the dataset holds it, else the enclosing one."""
+    if dataset is not None and node.graph_uri in dataset:
+        return dataset.graph(node.graph_uri)
+    return graph
 
 
 def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
@@ -695,25 +741,19 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
 
     * ``wcoj`` — the BGP's join hypergraph is cyclic
       (:func:`~.optimizer.bgp_is_cyclic`), structurally eligible for
-      generic join, and large enough; a variable elimination order is
-      annotated as ``eliminate`` along with the estimated generic-join
-      cost (``est_cost``).
-    * ``intersect`` — some step passes the shared multiway gate
-      (:func:`~.optimizer.intersection_worthwhile`).
+      generic join, and its estimated generic-join cost (``est_cost``)
+      beats nested-loop by :data:`~.optimizer.WCOJ_COST_FACTOR`; the
+      variable elimination order is annotated as ``eliminate``.
+    * ``intersect`` — the head-pattern walk of
+      :func:`~.optimizer.bgp_program` takes some intersection step.
     * nested-loop otherwise (no ``strategy`` annotation).
 
-    Joins additionally get ``sip_eligible`` marks.  The evaluator follows
-    the annotations as they stand; there is no execution-time override.
+    A BGP with a strategy also gets the step ``program`` that strategy
+    runs; one without matches its patterns in order.  Joins additionally
+    get ``sip_eligible`` marks.  The evaluator follows the annotations as
+    they stand; there is no execution-time override.
     """
-    stats_cache: Dict[int, GraphStatistics] = {}
-
-    def stats_for(g) -> GraphStatistics:
-        key = id(g)
-        stats = stats_cache.get(key)
-        if stats is None or not stats.fresh():
-            stats = GraphStatistics(g)
-            stats_cache[key] = stats
-        return stats
+    stats_for = statistics_memo()
 
     def join_strategy(node: alg.AlgebraNode) -> PassResult:
         changes = 0
@@ -730,37 +770,11 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
         def visit(n: alg.AlgebraNode, g) -> None:
             nonlocal changes
             if isinstance(n, alg.BGP):
-                if g is None or not n.triples:
-                    return
-                stats = stats_for(g)
-                cost_nl, est_rows = estimate_join(n.triples, stats)
-                n.est_rows = est_rows
-                if len(n.triples) < 2:
-                    return
-                wants_intersect = _bgp_wants_intersection(n.triples, stats)
-                if len(n.triples) >= 3 \
-                        and generic_join_eligible(n.triples) \
-                        and bgp_is_cyclic(n.triples) \
-                        and _wcoj_sized(n.triples, stats):
-                    order = generic_join_order(n.triples, stats)
-                    if order is not None:
-                        cost_wcoj = estimate_wcoj(n.triples, order, stats)
-                        if cost_wcoj * WCOJ_COST_FACTOR <= cost_nl:
-                            n.strategy = "wcoj"
-                            n.eliminate = tuple(order)
-                            n.est_cost = cost_wcoj
-                            changes += 1
-                            return
-                if wants_intersect:
-                    n.strategy = "intersect"
-                    n.est_cost = cost_nl
-                    changes += 1
+                if g is not None and n.triples:
+                    changes += _annotate_bgp(n, stats_for(g))
                 return
             if isinstance(n, alg.GraphPattern):
-                target = g
-                if dataset is not None and n.graph_uri in dataset:
-                    target = dataset.graph(n.graph_uri)
-                visit(n.pattern, target)
+                visit(n.pattern, _scoped_graph(n, g, dataset))
                 return
             # Exports flow from the side an operator holds first into
             # the side it evaluates next (LeftJoin holds its preserved

@@ -28,8 +28,9 @@ UNPUSHED = [entry for entry in DEFAULT_PASSES if entry[0] != "LimitPushdown"]
 JOIN_NODES = (alg.Join, alg.LeftJoin, alg.Minus, alg.FilterExists)
 
 #: What ``strategy=False`` removes from a BGP: the CostBasedJoinStrategy
-#: routing, leaving the plain nested-loop plan (estimates stay).
-STRATEGY_ATTRS = ("strategy", "eliminate", "est_cost")
+#: routing and the step program it chose, leaving the plain nested-loop
+#: plan (estimates stay).
+STRATEGY_ATTRS = ("strategy", "eliminate", "est_cost", "program")
 
 
 def nodes(node):

@@ -471,6 +471,19 @@ class TestOnePlane:
         assert "batch_kind" not in plan.explain()
         assert not hasattr(Evaluator(Dataset()), "column_batches")
 
+    def test_one_bgp_program_builder(self):
+        # The planner writes each BGP's steps (optimizer.bgp_program);
+        # the evaluator instantiates them and decides nothing itself.
+        from repro.sparql import Evaluator, evaluator, optimizer, plan
+        for name in ("_intersection_plan", "_wcoj_steps", "_bgp_intersect",
+                     "_wcoj_order"):
+            assert not hasattr(Evaluator, name), name
+        for name in ("intersection_worthwhile", "run_width"):
+            assert not hasattr(evaluator, name), name
+        for name in ("_bgp_wants_intersection", "_wcoj_sized"):
+            assert not hasattr(plan, name), name
+        assert not hasattr(optimizer, "WCOJ_MIN_TRIPLES")
+
     def test_reference_engine_refuses_plans(self, engine):
         # A reference engine answers from the dict evaluator; executing a
         # plan would silently run the production operators instead.
@@ -483,3 +496,44 @@ class TestOnePlane:
             reference.execute_plan(plan)
         with pytest.raises(ValueError, match="reference engine"):
             reference.evaluate_plan(plan)
+
+
+#: Every graph accessor the evaluator calls without a capability probe.
+#: (``subject_group_counts`` / ``object_group_counts`` are probed: a
+#: ``GraphUnion`` has neither and ``Group`` sweeps its pairs instead.)
+GRAPH_ACCESSORS = ("dictionary", "contains_ids", "triples_ids",
+                   "objects_for", "subjects_for", "count_objects_for",
+                   "count_subjects_for", "so_pairs", "so_pairs_list",
+                   "objects_run", "subjects_run", "predicate_subjects_run",
+                   "predicate_subjects_set", "sorted_runs_built",
+                   "synopses_built")
+
+
+@pytest.fixture
+def graph_kinds(tmp_path):
+    """One graph of each kind the evaluator runs over."""
+    from repro.rdf import GraphUnion
+    from repro.storage import GraphStore
+    first, second = Graph("http://g1"), Graph("http://g2")
+    first.add(uri("m1"), uri("starring"), uri("a1"))
+    second.add(uri("m2"), uri("starring"), uri("a1"))
+    store = GraphStore(str(tmp_path / "store"))
+    store.open()
+    store.attach([first])
+    store.checkpoint()
+    store.close()
+    reopened = GraphStore(str(tmp_path / "store"))
+    reopened.open()
+    snapshot = reopened.graphs()["http://g1"]
+    yield {"Graph": first, type(snapshot).__name__: snapshot,
+           "GraphUnion": GraphUnion([first, second]),
+           "GraphUnion(1)": GraphUnion([first])}
+    reopened.close()
+
+
+def test_every_graph_kind_has_every_accessor(graph_kinds):
+    assert "SnapshotGraph" in graph_kinds
+    for kind, graph in graph_kinds.items():
+        missing = [name for name in GRAPH_ACCESSORS
+                   if not hasattr(graph, name)]
+        assert not missing, (kind, missing)

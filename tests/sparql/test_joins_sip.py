@@ -30,7 +30,9 @@ import pytest
 from repro.data import DBPEDIA_URI, build_dataset
 from repro.rdf import DBPP, DBPR, Graph
 from repro.sparql import Engine, Evaluator
-from repro.workload import JOIN_QUERIES, get_join_query
+from repro.sparql.optimizer import Intersect
+from repro.workload import (CASE_STUDIES, JOIN_QUERIES, get_case_study,
+                            get_join_query)
 
 from plan_variants import UNPUSHED, Variant, nodes, plan_variant, run_variant
 
@@ -188,6 +190,41 @@ class TestCounterProofs:
                      if isinstance(node, alg.BGP))
         engine.execute_plan(plan, DBPEDIA_URI)
         assert (engine.last_stats.wcoj_steps > 0) == routed
+
+    @pytest.mark.parametrize("source, key", [
+        ("join", q.key) for q in JOIN_QUERIES] + [
+        ("case", case.key) for case in CASE_STUDIES])
+    def test_program_steps_are_what_ran(self, dataset, source, key):
+        """The BGP programs in the plan are the execution: a plan has an
+        intersection step iff ``intersect_steps > 0``, and a generic-join
+        level step iff ``wcoj_steps > 0``."""
+        engine = Engine(dataset)
+        if source == "join":
+            query, graph_uri = get_join_query(key).sparql, DBPEDIA_URI
+        else:
+            query, graph_uri = get_case_study(key).frame().query_model(), None
+        plan = engine.plan(query, graph_uri)
+        steps = [step for node in nodes(plan.query.pattern)
+                 for step in getattr(node, "program", ())]
+        engine.execute_plan(plan, graph_uri)
+        stats = engine.last_stats
+        assert any(isinstance(step, Intersect) for step in steps) \
+            == (stats.intersect_steps > 0)
+        assert any(step.level for step in steps) == (stats.wcoj_steps > 0)
+
+    def test_unknown_constant_empties_a_planned_program(self, dataset):
+        """A program may name a term the dictionary has never seen: the
+        BGP is empty, and its schema still names every variable."""
+        engine = Engine(dataset)
+        plan = engine.plan(PFX + """
+            SELECT * WHERE { ?a dbpp:collaborator ?b .
+                ?b dbpp:collaborator ?c . ?a dbpp:collaborator ?c .
+                ?c dbpp:noSuchPredicate ?d }""", DBPEDIA_URI)
+        assert any(getattr(node, "program", None)
+                   for node in nodes(plan.query.pattern))
+        result = engine.execute_plan(plan, DBPEDIA_URI)
+        assert len(result) == 0
+        assert sorted(result.variables) == ["a", "b", "c", "d"]
 
     def test_sip_reduces_rows_pulled(self, dataset):
         """The semi-join filter prunes rows before they exist: the

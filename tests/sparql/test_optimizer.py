@@ -4,7 +4,8 @@ import pytest
 
 from repro.rdf import Graph, Literal, URIRef, Variable
 from repro.sparql import Engine
-from repro.sparql.optimizer import GraphStatistics, order_patterns
+from repro.sparql.optimizer import (GraphStatistics, Intersect, Match,
+                                    bgp_program, order_patterns)
 
 from plan_variants import run_variant
 
@@ -224,3 +225,38 @@ class TestRunSignatures:
         assert run_signature((s, Variable("p"), o), "s", set()) \
             == (None, False)
         assert run_signature((s, p, s), "s", set()) == (None, False)
+
+
+class TestBgpProgram:
+    """``bgp_program`` is the one place a BGP's steps are decided."""
+
+    def test_worthwhile_head_variable_is_intersected(self, skewed_graph):
+        s = Variable("s")
+        first = (s, uri("common"), uri("o0"))
+        second = (s, uri("common"), uri("o1"))
+        program = bgp_program([first, second], GraphStatistics(skewed_graph))
+        assert program == (Intersect("s", (
+            ("subjects", uri("common"), uri("o0")),
+            ("subjects", uri("common"), uri("o1"))), (first, second)),)
+
+    def test_presence_runs_alone_keep_nested_loop(self, skewed_graph):
+        # Neither run would consume a pattern: match in order.
+        rare = (Variable("s"), uri("rare"), Variable("r"))
+        common = (Variable("s"), uri("common"), Variable("o"))
+        program = bgp_program([rare, common], GraphStatistics(skewed_graph))
+        assert program == (Match(rare), Match(common))
+
+    def test_elimination_levels(self, skewed_graph):
+        a, b = Variable("a"), Variable("b")
+        star = (a, uri("p"), uri("k"))
+        edge = (a, uri("q"), b)
+        stats = GraphStatistics(skewed_graph)
+        level_a = Intersect("a", (("subjects", uri("p"), uri("k")),
+                                  ("psubjects", uri("q"))), (star,),
+                            level=True)
+        # ?b's only run is the pattern's own match set: a plain probe.
+        assert bgp_program([star, edge], stats, ("a", "b")) \
+            == (level_a, Match(edge, level=True))
+        # A variable outside the order is bound by a trailing match.
+        assert bgp_program([star, edge], stats, ("a",)) \
+            == (level_a, Match(edge))

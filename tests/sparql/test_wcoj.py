@@ -31,7 +31,7 @@ import textwrap
 import pytest
 
 from repro.data import DBPEDIA_URI, build_dataset
-from repro.rdf import Graph, GraphUnion, URIRef
+from repro.rdf import Graph, GraphUnion, TermDictionary, URIRef
 from repro.sparql import (CancelToken, Engine, QueryCancelled, QueryTimeout,
                           RowBudgetExceeded, parse)
 from repro.sparql.optimizer import (GraphStatistics, estimate_join,
@@ -75,8 +75,10 @@ def collaborator_graph(n=120, hubs=16):
     enough that the cost gate routes cyclic self-joins to generic join:
     a sparse ring of local collaborations plus ``hubs`` members connected
     to everyone.  Built with explicit insertion order (no hashing
-    involved), so its synopses are PYTHONHASHSEED-independent."""
-    g = Graph("urn:collab")
+    involved), so its synopses are PYTHONHASHSEED-independent, and over a
+    private dictionary: the synopsis samples follow term ids, which must
+    not depend on which tests interned terms first."""
+    g = Graph("urn:collab", TermDictionary())
     collab = URIRef("urn:collab#with")
     people = [URIRef("urn:p%03d" % i) for i in range(n)]
     for i in range(n):
