@@ -29,13 +29,15 @@ is nothing but "drain ``stream(node)`` into a
 breakers*: a join's build side (``Join`` builds its left child,
 ``LeftJoin`` / ``FilterExists`` their auxiliary side, ``Minus`` both),
 a full ``OrderBy``, and ``Group``'s final batch.  Every breaker that joins
-probes the one join kernel, :class:`~.solution.JoinIndex`.  A bounded
-consumer — ``Slice`` with a limit, or the fused bounded-sort ``TopK`` —
-stops upstream row production by not pulling, so ``LIMIT``-topped queries
-exit early.  ``Group`` is a hash aggregation that folds its child stream
-batch by batch into per-group accumulator states (no input table exists),
-and the single-pattern COUNT shape is answered straight from the graph
-indexes without producing rows at all
+probes the one join kernel, :class:`~.solution.JoinIndex`.  Every BGP
+runs through one chunked expander (:meth:`Evaluator._match_bgp`); a
+bounded consumer's ``hint`` only sizes its chunks.  ``Slice`` with a
+limit stops upstream row production by not pulling, so ``LIMIT``-topped
+queries exit early; ``TopK`` keeps ``offset + k`` rows of its child
+stream in a bounded heap.  ``Group`` is a hash aggregation that folds
+its child stream batch by batch into per-group accumulator states (no
+input table exists), and the single-pattern COUNT shape is answered
+straight from the graph indexes without producing rows at all
 (:meth:`Evaluator._fast_group_count`).  The ``rows_pulled`` /
 ``early_exits`` / ``peak_batch_rows`` / ``groups_built`` counters on
 :class:`EvaluationStats` make the short-circuiting observable.
@@ -44,8 +46,8 @@ indexes without producing rows at all
 from __future__ import annotations
 
 import heapq
-import itertools
 import operator
+import sys
 import time
 from collections import Counter
 from itertools import chain
@@ -430,8 +432,7 @@ class Evaluator:
         with the *old* schema) with the pattern's id-level matches, calling
         ``append`` per output row.  The bound/free shape is analyzed here,
         once per pattern, so the specialized index probe it returns is
-        reusable for any number of row batches — this is what lets a
-        bounded consumer drive the matcher one input row at a time.
+        reusable for any number of row chunks.
         Every constant term must be known to the dictionary
         (:meth:`_bgp_steps` checks before compiling).
 
@@ -642,62 +643,51 @@ class Evaluator:
     def _guarded_append(self, out: List[tuple]):
         """The row sink for pattern matching.
 
-        The plain ``list.append`` on the hot path; when a row budget or a
-        deadline is armed, a wrapper that trips the safety valve *while*
-        rows are being produced — an exploding cross product is abandoned
+        The plain ``list.append`` on the hot path; when a row budget, a
+        deadline or a cancel token is armed, a wrapper that runs
+        :meth:`_check_valves` on the row that passes the budget and on
+        every 1024th row — an exploding cross product is abandoned
         mid-pattern instead of materialized and then rejected.
         """
-        limit = self.max_rows
-        deadline = self.deadline
-        cancel = self.cancel
-        if limit is None and deadline is None and cancel is None:
+        if self.max_rows is None and self.deadline is None \
+                and self.cancel is None:
             return out.append
         raw_append = out.append
+        limit = sys.maxsize if self.max_rows is None else self.max_rows
+        check = self._check_valves
 
         def append(row):
             raw_append(row)
             n = len(out)
-            if limit is not None and n > limit:
-                raise RowBudgetExceeded(
-                    "intermediate result exceeds max_rows=%d "
-                    "(tripped mid-pattern)" % limit)
-            if not (n & 1023):
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                if deadline is not None \
-                        and time.perf_counter() > deadline:
-                    raise QueryTimeout(
-                        "query exceeded its time budget after %d rows "
-                        "of a pattern match" % n)
+            if n > limit or not (n & 1023):
+                check(n, "mid-pattern")
 
         return append
 
-    def _check_valves(self, produced: int):
-        """Batch-granular safety valves for work no ``append`` guards.
+    def _check_valves(self, produced: int, where: str):
+        """The safety valves, in one place: the ``max_rows`` budget,
+        cancellation and the deadline.
 
-        ``Group``'s emit finishes groups in a loop that produces no
-        pattern rows, so it checks the valves here every 1024 groups
-        (``produced`` is the rows emitted so far) — an enormous sweep is
-        abandoned mid-way instead of finished and then rejected.
-        ``self.deadline`` is read here (not captured at compile time) so
-        an armed/re-armed deadline takes effect at the next check.
+        Every loop that produces rows calls it with the rows produced so
+        far: the pattern row sink (:meth:`_guarded_append`), each
+        operator's output stream (:meth:`_meter`) and ``Group``'s emit
+        every 1024 groups — runaway work is abandoned mid-way instead of
+        finished and then rejected.  ``where`` names the checkpoint in
+        the error.  ``self.deadline`` is read here, not captured at
+        compile time, so an armed or re-armed deadline takes effect at
+        the next check.
         """
         if self.max_rows is not None and produced > self.max_rows:
             raise RowBudgetExceeded(
-                "intermediate result exceeds max_rows=%d "
-                "(tripped at a batch boundary)" % self.max_rows)
+                "intermediate result exceeds max_rows=%d (tripped %s)"
+                % (self.max_rows, where))
         if self.cancel is not None:
             self.cancel.raise_if_cancelled()
         if self.deadline is not None \
                 and time.perf_counter() > self.deadline:
             raise QueryTimeout(
-                "query exceeded its time budget after %d rows"
-                % produced)
-
-    def _sip_without(self, var: str) -> Dict:
-        """The active scope minus one variable (Extend overwrites it, so a
-        leaf filter below would act on the wrong value)."""
-        return {v: s for v, s in self._sip.items() if v != var}
+                "query exceeded its time budget after %d rows (tripped %s)"
+                % (produced, where))
 
     def _fast_group_count(self, node: alg.Group, graph):
         """Index-backed ``GROUP BY`` counting — no rows are produced.
@@ -830,13 +820,12 @@ class Evaluator:
         """Instrument one operator's output stream.
 
         Counts rows crossing the boundary (``rows_pulled``), tracks the
-        largest batch (``peak_batch_rows``), and arms the safety valves:
-        the per-operator row budget and the wall-clock deadline are
-        checked on every batch, so runaway production is abandoned while
-        streaming, not after.
+        largest batch (``peak_batch_rows``), and runs the safety valves
+        (:meth:`_check_valves`) on every batch, so runaway production is
+        abandoned while streaming, not after.
         """
         stats = self.stats
-        max_rows = self.max_rows
+        check = self._check_valves
         produced = 0
         for batch in batches:
             n = len(batch)
@@ -846,17 +835,7 @@ class Evaluator:
             stats.rows_pulled += n
             if n > stats.peak_batch_rows:
                 stats.peak_batch_rows = n
-            if max_rows is not None and produced > max_rows:
-                raise RowBudgetExceeded(
-                    "intermediate result exceeds max_rows=%d "
-                    "(tripped while streaming)" % max_rows)
-            if self.cancel is not None:
-                self.cancel.raise_if_cancelled()
-            if self.deadline is not None \
-                    and time.perf_counter() > self.deadline:
-                raise QueryTimeout(
-                    "query exceeded its time budget after %d streamed rows"
-                    % produced)
+            check(produced, "on streamed rows")
             yield batch
 
     # -- producers -----------------------------------------------------
@@ -869,18 +848,16 @@ class Evaluator:
         (:meth:`_pattern_plan`), an :class:`~.optimizer.Intersect` to a
         sorted-run intersection (:meth:`_intersection_step`), and a
         generic-join level also counts its input rows in ``wcoj_steps``.
-        Returns ``(final_schema, per_step_schemas, steps)``.  A constant
-        of the BGP unknown to the dictionary leaves one step that matches
-        nothing, under a schema that names every BGP variable.
+        Returns ``(schema, steps)``.  A constant of the BGP unknown to the
+        dictionary leaves one step that matches nothing, under a schema
+        that names every BGP variable.
         """
         lookup = self.dictionary.lookup
         if any(lookup(term) is None for triple in node.triples
                for term in triple if not isinstance(term, Variable)):
-            schema = node.in_scope()
-            return schema, [schema], [lambda rows, append: None]
+            return node.in_scope(), [lambda rows, append: None]
         stats = self.stats
         schema: List[str] = []
-        schemas: List[List[str]] = []
         steps = []
         for op in program:
             if isinstance(op, Match):
@@ -897,8 +874,7 @@ class Evaluator:
                     stats.wcoj_steps += len(rows)
                     _inner(rows, append)
             steps.append(step)
-            schemas.append(schema)
-        return schema, schemas, steps
+        return schema, steps
 
     def _resolve_run_signatures(self, signatures, schema: List[str]):
         """Resolve :func:`~.optimizer.run_signature` tuples into operand
@@ -1210,87 +1186,41 @@ class Evaluator:
 
     def _match_bgp(self, node: alg.BGP, program, graph,
                    hint: Optional[int]) -> TableStream:
+        """The one BGP driver: breadth-first expansion in chunks.
+
+        The first step materializes once; then each chunk of at most
+        ``self._cap(hint)`` rows runs through the remaining steps in
+        tight per-level loops.  A bounded consumer's ``hint`` only sizes
+        the chunks: a ``LIMIT`` that stops pulling leaves the remaining
+        chunks unexpanded, and the row order (lexicographic probe order)
+        is the same for every chunk size.
+        """
         cap = self._cap(hint)
-        schema, _schemas, steps = self._bgp_steps(node, program, graph)
-        if hint is None:
-            # No bound above: the consumer (a streaming Group, a join
-            # build, a full drain) will pull everything, so per-row
-            # depth-first granularity buys nothing and costs a generator
-            # resume per row.  Expand breadth-first instead — the first
-            # pattern materializes once, then each chunk of its rows runs
-            # through the remaining patterns in tight per-level loops.
-            # The output row order is identical either way (both
-            # enumerate leaves in lexicographic probe order).
-            cap = STREAM_BATCH_ROWS
-            first, rest = steps[0], steps[1:]
-            n_rest = len(rest)
+        schema, steps = self._bgp_steps(node, program, graph)
+        first, rest = steps[0], steps[1:]
+        n_rest = len(rest)
 
-            def expand(rows, level):
-                # Chunk at *every* level, not just the seed: a <= cap
-                # chunk with high fan-out would otherwise expand through
-                # all remaining patterns into one table-sized batch.
-                # Working set stays at one chunk's single-level fan-out;
-                # depth-first recursion over chunks preserves the
-                # lexicographic row order.
-                if level == n_rest:
-                    if len(rows) <= cap:
-                        yield rows
-                    else:
-                        for start in range(0, len(rows), cap):
-                            yield rows[start:start + cap]
-                    return
-                step = rest[level]
-                for start in range(0, len(rows), cap):
-                    out: List[tuple] = []
-                    step(rows[start:start + cap],
-                         self._guarded_append(out))
-                    if out:
-                        yield from expand(out, level + 1)
-
-            def batches():
-                seed: List[tuple] = []
-                first(((),), self._guarded_append(seed))
-                if seed:
-                    yield from expand(seed, 0)
-
-            return TableStream(schema, self._meter(batches()))
-        last = len(steps) - 1
-
-        def leaves(level, rows):
-            # Depth-first index-nested-loop with per-row granularity: a
-            # complete output row surfaces after touching only its own
-            # chain of index probes, which is what lets LIMIT-bounded
-            # consumers leave the remaining fan-out unexpanded.
-            step = steps[level]
-            if level == last:
-                for row in rows:
-                    out: List[tuple] = []
-                    step((row,), out.append)
-                    if out:
-                        yield out
+        def expand(rows, level):
+            # Chunk at *every* level, not just the seed: a <= cap chunk
+            # with high fan-out would otherwise expand through all
+            # remaining patterns into one table-sized batch.  Working set
+            # stays at one chunk's single-level fan-out; depth-first
+            # recursion over chunks preserves the lexicographic row order.
+            if level == n_rest:
+                yield from batched(rows, cap)
                 return
-            for row in rows:
-                out = []
-                step((row,), out.append)
+            step = rest[level]
+            for start in range(0, len(rows), cap):
+                out: List[tuple] = []
+                step(rows[start:start + cap], self._guarded_append(out))
                 if out:
-                    yield from leaves(level + 1, out)
+                    yield from expand(out, level + 1)
 
         def batches():
-            # Re-chunk leaf bursts to ``cap`` with a start pointer +
-            # one compaction per burst (amortized O(1) per row — slicing
-            # the buffer head off per yield would go quadratic).
-            buf: List[tuple] = []
-            start = 0
-            for leaf in leaves(0, [()]):
-                buf.extend(leaf)
-                if len(buf) - start >= cap:
-                    while len(buf) - start >= cap:
-                        yield buf[start:start + cap]
-                        start += cap
-                    buf = buf[start:]
-                    start = 0
-            if buf:
-                yield buf
+            seed: List[tuple] = []
+            first(((),), self._guarded_append(seed))
+            if seed:
+                yield from expand(seed, 0)
 
         return TableStream(schema, self._meter(batches()))
 
@@ -1325,43 +1255,36 @@ class Evaluator:
 
     def _stream_extend(self, node: alg.Extend, graph,
                        hint: Optional[int]) -> TableStream:
-        if self._sip and node.var in self._sip:
-            scope = self._sip
-            self._sip = self._sip_without(node.var)
-            try:
-                return self._stream_extend(node, graph, hint)
-            finally:
-                self._sip = scope
+        # The parser rejects a target already in scope (SPARQL 1.1
+        # §18.2.1), so the variable is always one new column.
         inner = self.stream(node.pattern, graph, hint)
-        index = inner.index
-        target = index.get(node.var)
         # The encoded id, so a repeated value skips the dictionary too; an
         # error leaves the variable unbound.
-        value_of = _expression_reader(node.expression, index,
+        value_of = _expression_reader(node.expression, inner.index,
                                       self.dictionary.decode, self.stats,
                                       self.dictionary.encode, None)
-        variables = inner.variables if target is not None \
-            else inner.variables + (node.var,)
-
-        def extend_row(row):
-            tid = value_of(row)
-            if target is None:
-                return row + (tid,)
-            if tid is None:
-                return row
-            patched = list(row)
-            patched[target] = tid
-            return tuple(patched)
 
         def batches():
             for batch in inner.batches:
-                yield [extend_row(row) for row in batch]
+                yield [row + (value_of(row),) for row in batch]
 
-        return TableStream(variables, self._meter(batches()))
+        return TableStream(inner.variables + (node.var,),
+                           self._meter(batches()))
 
     def _stream_project(self, node: alg.Project, graph,
                         hint: Optional[int]) -> TableStream:
-        inner = self.stream(node.pattern, graph, hint)
+        if node.variables is None or not self._sip:
+            inner = self.stream(node.pattern, graph, hint)
+        else:
+            # A subquery's unprojected variables are its own: a filter on
+            # an outer variable of the same name must not reach them.
+            scope = self._sip
+            self._sip = {v: s for v, s in scope.items()
+                         if v in node.variables}
+            try:
+                inner = self.stream(node.pattern, graph, hint)
+            finally:
+                self._sip = scope
         if node.variables is None:
             # SELECT *: drop synthetic aggregate helper variables.
             keep = [v for v in inner.variables if not v.startswith("__agg_")]
@@ -1612,7 +1535,7 @@ class Evaluator:
                                else implicit(groups)):
                 built += 1
                 if not (built & 1023):
-                    self._check_valves(len(out_rows))
+                    self._check_valves(len(out_rows), "at a batch boundary")
                 cells = [key] if scalar else list(key)
                 for value in finish(state):
                     if value is None:
@@ -1789,16 +1712,14 @@ class Evaluator:
 
     def _stream_topk(self, node: alg.TopK, graph,
                      hint: Optional[int]) -> TableStream:
-        keep = node.offset + node.limit
         scope = self._sip
         self._sip = {}  # bounded sort: same suspension as _stream_slice
         try:
-            if isinstance(node.pattern, alg.BGP) and node.pattern.triples:
-                return self._stream_topk_bgp(node, graph, keep)
             inner = self.stream(node.pattern, graph, None)
         finally:
             self._sip = scope
         key = self._order_key(inner.index, node.keys)
+        keep = node.offset + node.limit
         offset = node.offset
 
         def batches():
@@ -1807,118 +1728,6 @@ class Evaluator:
                 yield rows
 
         return TableStream(inner.variables, self._meter(batches()))
-
-    def _stream_topk_bgp(self, node: alg.TopK, graph,
-                         keep: int) -> TableStream:
-        """Bounded sort fused into BGP matching — threshold pruning.
-
-        In the spirit of the threshold family of top-k algorithms (Fagin
-        et al.), the sort bound flows *into* the join: patterns are
-        matched breadth-first only until every ORDER BY variable is
-        bound, then each partial row's sort key is compared against the
-        current k-th-best complete row.  A partial that cannot beat it is
-        dropped *before* its remaining patterns are expanded, so for
-        ``ORDER BY ... LIMIT k`` over a high-fan-out BGP almost all of the
-        join fan-out is never produced.  Ties are resolved exactly like a
-        stable full sort: a later row never displaces an equal earlier
-        one (the heap orders on ``(key, arrival)``).
-        """
-        stats = self.stats
-        offset = node.offset
-        pattern_vars = {term.name for triple in node.pattern.triples
-                        for term in triple if isinstance(term, Variable)}
-        wanted = [var for var, _ in node.keys if var in pattern_vars]
-        if not wanted:
-            # Every row ties on the (absent) keys: the stable top-k is
-            # simply the first ``keep`` rows the BGP produces.
-            inner = self._stream_bgp(node.pattern, graph, keep)
-
-            def head_batches():
-                taken: List[tuple] = []
-                for batch in inner.batches:
-                    taken.extend(batch)
-                    if len(taken) >= keep:
-                        stats.early_exits += 1
-                        close = getattr(inner.batches, "close", None)
-                        if close is not None:
-                            close()
-                        break
-                rows = taken[offset:keep]
-                if rows:
-                    yield rows
-
-            return TableStream(inner.variables, self._meter(head_batches()))
-
-        self.stats.bgp_count += 1
-        # Run the program :meth:`_stream_bgp` would run: on a tie-heavy
-        # ORDER BY the window's k-subset depends on BGP production order,
-        # so the fused and unfused plans must drive identical steps.
-        schema, schemas, steps = self._bgp_steps(
-            node.pattern, self._bgp_program(node.pattern, graph), graph)
-        # First pattern depth at which every sort variable is bound.
-        prune_level = 0
-        for var in wanted:
-            for level, level_schema in enumerate(schemas):
-                if var in level_schema:
-                    prune_level = max(prune_level, level + 1)
-                    break
-        prune_level = min(prune_level, len(steps))
-
-        partial_index = {v: i
-                         for i, v in enumerate(schemas[prune_level - 1])}
-        key_fn = self._order_key(partial_index, node.keys)
-        head, tail = steps[:prune_level], steps[prune_level:]
-        n_tail = len(tail)
-
-        def finals(level, rows_in):
-            if level == n_tail:
-                for row in rows_in:
-                    yield row
-                return
-            out: List[tuple] = []
-            tail[level](rows_in, self._guarded_append(out))
-            if out:
-                yield from finals(level + 1, out)
-
-        def batches():
-            # The breadth-first head scan materializes the prune-level
-            # partials, so it runs under the same mid-pattern safety
-            # valves (max_rows, deadline) as :meth:`_stream_bgp`.
-            partials = [()]
-            for step in head:
-                out: List[tuple] = []
-                step(partials, self._guarded_append(out))
-                partials = out
-                if not partials:
-                    break
-            heap: List[tuple] = []
-            push, pushpop = heapq.heappush, heapq.heappushpop
-            arrival = itertools.count()
-            threshold = None
-            pruned = False
-            for partial in partials:
-                kkey = key_fn(partial)
-                if threshold is not None and not (kkey < threshold):
-                    pruned = True
-                    continue
-                for frow in finals(0, (partial,)):
-                    entry = (_Desc((kkey, next(arrival))), frow)
-                    if len(heap) < keep:
-                        push(heap, entry)
-                        if len(heap) == keep:
-                            threshold = heap[0][0].key[0]
-                    else:
-                        pushpop(heap, entry)
-                        threshold = heap[0][0].key[0]
-            if pruned:
-                stats.early_exits += 1
-            rows = [entry[1] for entry in sorted(heap)]
-            rows.reverse()  # the max-heap sorts descending
-            rows = rows[offset:]
-            if rows:
-                yield rows
-
-        return TableStream(schema, self._meter(batches()))
 
 
 # ----------------------------------------------------------------------
@@ -2286,9 +2095,8 @@ class _Desc:
     """Inverts the comparison order of a wrapped sort key.
 
     Used for the DESC components of a composite ORDER BY key (strings have
-    no arithmetic negation) and to turn ``heapq``'s min-heap into the
-    max-heap the bounded top-k scan needs.  Equal keys stay equal, so
-    sort stability is untouched.
+    no arithmetic negation).  Equal keys stay equal, so sort stability is
+    untouched.
     """
 
     __slots__ = ("key",)

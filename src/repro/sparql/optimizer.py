@@ -119,31 +119,6 @@ class GraphStatistics:
         self._by_predicate[predicate] = stats
         return stats
 
-    def star_count(self, predicates) -> float:
-        """Estimated number of subjects carrying *all* of ``predicates``.
-
-        Exact when the graph exposes characteristic sets (sum of class
-        counts over superset classes — the Neumann/Moerkotte star-shape
-        estimate); otherwise falls back to the rarest predicate's
-        distinct-subject count (an upper bound)."""
-        predicates = list(predicates)
-        if not predicates:
-            return 0.0
-        graph = self._graph
-        if hasattr(graph, "characteristic_sets"):
-            lookup = graph.dictionary.lookup
-            pids = []
-            for p in predicates:
-                pid = lookup(p)
-                if pid is None:
-                    return 0.0
-                pids.append(pid)
-            want = frozenset(pids)
-            return float(sum(
-                count for cls, (count, _) in graph.characteristic_sets().items()
-                if want <= cls))
-        return float(min(self._predicate_stats(p)[1] for p in predicates))
-
     def subject_fanout(self, predicate) -> float:
         """Average objects per subject for a predicate: triples over
         distinct subjects.  This is the multiplicity a forward expansion

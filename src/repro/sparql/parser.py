@@ -56,6 +56,15 @@ class ParseError(ValueError):
         self.token = token
 
 
+def _check_fresh(var: str, in_scope, token: Token):
+    """SPARQL 1.1 §18.2.1: the variable of ``BIND(e AS ?v)`` or
+    ``SELECT (e AS ?v)`` must not be in scope already — rebinding it is an
+    error, not an overwrite."""
+    name = var.lstrip("?$")
+    if name in in_scope:
+        raise ParseError("?%s is already in scope" % name, token)
+
+
 class _SelectItem:
     """One item of the SELECT clause before aggregate extraction."""
 
@@ -173,6 +182,8 @@ class Parser:
         select_aggs = [item.aggregate for item in items if item.aggregate]
         all_aggs = select_aggs + having_aggs
         if group_vars is not None or all_aggs:
+            for aggregate in select_aggs:
+                _check_fresh(aggregate.alias, group_vars or (), self.peek())
             pattern = alg.Group(pattern, group_vars or [], all_aggs, having_expr)
         elif having_expr is not None:
             raise ParseError("HAVING without GROUP BY or aggregates", self.peek())
@@ -180,6 +191,7 @@ class Parser:
         # Non-aggregate computed select items become Extend nodes.
         for item in items:
             if item.expression is not None and item.aggregate is None:
+                _check_fresh(item.alias, pattern.in_scope(), self.peek())
                 pattern = alg.Extend(pattern, item.alias, item.expression)
 
         if star:
@@ -329,10 +341,13 @@ class Parser:
                 self.expect("PUNCT", "(")
                 expression = self._parse_expression()
                 self.expect("KEYWORD", "AS")
-                var = self.expect("VAR").value
+                var = self.expect("VAR")
                 self.expect("PUNCT", ")")
                 flush_triples()
-                current = alg.Extend(current or alg.BGP([]), var, expression)
+                _check_fresh(var.value, current.in_scope() if current else (),
+                             var)
+                current = alg.Extend(current or alg.BGP([]), var.value,
+                                     expression)
                 self.accept("PUNCT", ".")
             elif self.at_keyword("MINUS"):
                 self.next()

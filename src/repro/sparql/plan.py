@@ -571,9 +571,8 @@ def limit_pushdown(node: alg.AlgebraNode) -> PassResult:
       a single bounded-sort operator that keeps only ``offset + k`` rows.
     * ``TopK(Project(p))`` — swap to ``Project(TopK(p))`` when every sort
       variable bound below survives the projection (ordering before or
-      after the column cut then ranks identically).  This lands the
-      bounded sort directly on a BGP, where the ``TopK`` operator can
-      threshold-prune join fan-out.
+      after the column cut then ranks identically), so the projection
+      copies only the ``offset + k`` rows the bounded heap keeps.
 
     ``Distinct`` is *not* reordered with a slice (``LIMIT k`` over
     ``DISTINCT`` must dedupe first); the ``Slice`` operator instead stops

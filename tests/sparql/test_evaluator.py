@@ -484,6 +484,13 @@ class TestOnePlane:
             assert not hasattr(plan, name), name
         assert not hasattr(optimizer, "WCOJ_MIN_TRIPLES")
 
+    def test_one_bgp_driver_one_topk_one_extend(self):
+        # Every BGP runs through _match_bgp's chunked expander, TopK is a
+        # heap over its child's stream, and Extend never overwrites.
+        from repro.sparql import Evaluator
+        for name in ("_stream_topk_bgp", "_sip_without"):
+            assert not hasattr(Evaluator, name), name
+
     def test_reference_engine_refuses_plans(self, engine):
         # A reference engine answers from the dict evaluator; executing a
         # plan would silently run the production operators instead.

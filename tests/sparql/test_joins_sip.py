@@ -14,13 +14,13 @@ each a private copy of the plan (:mod:`plan_variants`), and every
 combination must return the identical row bag.  A hand-written corpus
 (BIND in its three shapes, an IRI-equality FILTER, DISTINCT, a grouped
 COUNT) rides through the same differential.  Under any one set of
-annotations, a stream hint (which turns each BGP from breadth-first to
-depth-first expansion) must leave the rows and their order unchanged.
+annotations, a stream hint (which only sizes the chunks each BGP expands
+breadth-first) must leave the rows and their order unchanged.
 The planned engine must
 additionally *prove* its mechanisms through the ``sip_filtered_rows`` /
 ``intersect_steps`` / ``sorted_runs_built`` counters, and the soundness
 edges — OPTIONAL padding, MINUS, NOT EXISTS, subquery LIMIT windows,
-Extend overwrites, aggregate probes — are pinned with targeted queries.
+aggregate probes — are pinned with targeted queries.
 """
 
 import itertools
@@ -129,8 +129,9 @@ class TestJoinCorpusDifferential:
     def test_same_flags_same_rows_across_bgp_paths(self, dataset, engines,
                                                    differential_query):
         """With identical annotations, a stream hint changes batch sizes,
-        never rows: an unhinted BGP expands breadth-first, a hinted one
-        depth-first, and both must return literally identical rows."""
+        never rows: an unhinted BGP expands in chunks of
+        ``STREAM_BATCH_ROWS``, a hinted one in chunks of the hint, and
+        both must return literally identical rows."""
         name, sparql = differential_query
         for sip, strategy in itertools.product((None, False), repeat=2):
             plan = plan_variant(engines["planned"], sparql, DBPEDIA_URI,
@@ -357,6 +358,32 @@ class TestSipSoundnessEdges:
                       ?film dbpp:starring ?a .
                   } GROUP BY ?a }
             }""",
+        # A subquery's unprojected ?v is not the outer ?v, so the BIND
+        # above it may take the name; the outer ?v's keys must not prune
+        # the subquery's own ?v.  Both join orders.
+        "subquery_hidden_var_bind": """
+            SELECT ?x ?v ?s WHERE {
+                ?x dbpp:starring ?v .
+                { { SELECT ?s WHERE { ?s dbpp:birthPlace ?v } }
+                  BIND(?s AS ?v) }
+            }""",
+        "subquery_hidden_var_bind_built_first": """
+            SELECT ?x ?v ?s WHERE {
+                { { SELECT ?s WHERE { ?s dbpp:birthPlace ?v } }
+                  BIND(?s AS ?v) }
+                ?x dbpp:starring ?v .
+            }""",
+        # The same hidden ?v in one UNION branch: the other branch binds
+        # ?v, so the union has it in scope and receives the filter.  The
+        # branches differ, so neither BGP is a shared subexpression.
+        "subquery_hidden_var_union": """
+            SELECT ?x ?v ?s WHERE {
+                ?x dbpp:starring ?v .
+                ?v dbpp:birthPlace dbpr:Egypt .
+                { { SELECT ?s WHERE { ?s dbpp:birthPlace ?v .
+                                      FILTER(?v = dbpr:Egypt) } } }
+                UNION { ?v dbpp:birthPlace ?s }
+            }""",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -410,11 +437,10 @@ class TestSortedRunLifecycle:
         assert len(second) == 13
 
     def test_topk_window_agrees_with_unfused_plan_on_intersect_bgp(self):
-        """Regression: the TopK-over-BGP fusion must compile with the
-        BGP's planner-chosen strategy — a tie-heavy ORDER BY window
-        selects its k-subset from the BGP's production order, so a
-        strategy mismatch with the unfused Slice(OrderBy(BGP)) plan
-        surfaces as a different window."""
+        """A tie-heavy ORDER BY window selects its k-subset from the
+        BGP's production order, so ``TopK`` over an intersect-strategy
+        BGP must run the program the unfused Slice(OrderBy(BGP)) plan
+        runs, or it surfaces as a different window."""
         dataset = build_dataset(scale=0.05)
         query = PFX + """
             SELECT ?film ?actor ?country WHERE {

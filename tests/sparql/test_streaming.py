@@ -21,15 +21,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.client import EngineClient
 from repro.data import DBPEDIA_URI, build_dataset
-from repro.rdf import Graph, Literal, URIRef
-from repro.sparql import Engine, Evaluator, ResultSet
+from repro.rdf import Graph, Literal, URIRef, Variable
+from repro.sparql import Endpoint, Engine, Evaluator, ResultSet
 from repro.sparql import algebra as alg
 from repro.sparql.evaluator import (STREAM_BATCH_ROWS, QueryTimeout,
                                     RowBudgetExceeded)
+from repro.sparql.optimizer import Intersect
 from repro.sparql.solution import batched, stream_distinct
 from repro.workload import CASE_STUDIES, get_case_study
 
-from plan_variants import UNPUSHED, nodes, plan_variant, run_variant
+from plan_variants import UNPUSHED, nodes, plan_variant
 
 PFX = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -250,17 +251,43 @@ class TestTopK:
         assert len(engines["reference"].query(
             query, default_graph_uri=DBPEDIA_URI)) == len(got)
 
-    def test_threshold_pruning_skips_fanout(self, dataset):
-        query = COSTAR + " ORDER BY ?a LIMIT 10"
-        fused = Engine(dataset)
-        got = fused.query(query, default_graph_uri=DBPEDIA_URI)
-        want, baseline = run_variant(fused, query, DBPEDIA_URI,
-                                     passes=UNPUSHED)
-        assert got.rows == want.rows
-        # The bounded sort pruned join fan-out: far fewer index matches.
-        assert fused.last_stats.pattern_matches \
-            < baseline.pattern_matches / 2
-        assert fused.last_stats.early_exits >= 1
+    #: ``TopK`` over a BGP; each window must be the unfused plan's.
+    WINDOWS = {
+        "tie_heavy": (COSTAR + " ORDER BY ?a LIMIT 10", "a"),
+        "desc": (COSTAR + " ORDER BY DESC(?b) LIMIT 10", "b"),
+        "two_keys": (COSTAR + " ORDER BY ?a DESC(?b) LIMIT 10", "a"),
+        "second_pattern_key": (BGP3 + " ORDER BY ?place LIMIT 10",
+                               "place"),
+        "absent_key": (COSTAR + " ORDER BY ?nowhere LIMIT 10", None),
+        "offset": (COSTAR + " ORDER BY ?a LIMIT 10 OFFSET 25", "a"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WINDOWS))
+    def test_topk_over_bgp_equals_unpushed_plan(self, dataset, case):
+        """``TopK`` is a bounded heap over its child's stream: the window
+        over a BGP is row for row the ``Slice(OrderBy(...))`` plan's,
+        whatever the stream hint."""
+        query, key = self.WINDOWS[case]
+        engine = Engine(dataset)
+        fused = engine.plan(query, DBPEDIA_URI)
+        topk = [node for node in nodes(fused.query.pattern)
+                if isinstance(node, alg.TopK)]
+        assert len(topk) == 1 and isinstance(topk[0].pattern, alg.BGP)
+        if case == "second_pattern_key":
+            # The key is bound by a later step, not the program's first.
+            first = topk[0].pattern.program[0]
+            bound = {first.var} if isinstance(first, Intersect) else {
+                term.name for term in first.pattern
+                if isinstance(term, Variable)}
+            assert key not in bound
+        unfused = plan_variant(engine, query, DBPEDIA_URI, passes=UNPUSHED)
+        for hint in (None, 1, 7):
+            got = Evaluator(dataset).evaluate_plan_stream(
+                fused, DBPEDIA_URI, hint).to_table().rows
+            want = Evaluator(dataset).evaluate_plan_stream(
+                unfused, DBPEDIA_URI, hint).to_table().rows
+            assert len(got) == 10
+            assert got == want, hint
 
 
 class TestEarlyExit:
@@ -473,6 +500,22 @@ class TestCursorPagination:
         assert stats.rows_pulled < len(full)
         # Draining the cursor completes the exact same result.
         assert cursor.result().rows == full.rows
+
+    def test_page_of_five_pulls_at_most_two_chunks(self, dataset):
+        # Endpoint and EngineClient.execute_page ride a cursor whose BGPs
+        # expand in 64-row chunks: a page of 5 moves a chunk or two
+        # through the pipeline, not the 1879-row join.
+        engine = Engine(dataset)
+        full = engine.query(COSTAR, default_graph_uri=DBPEDIA_URI)
+        response = Endpoint(engine, max_rows=5).request(COSTAR.replace(
+            " WHERE", " FROM <%s> WHERE" % DBPEDIA_URI))
+        assert response.result.rows == full.rows[:5]
+        assert engine.last_stats.rows_pulled <= 2 * 64
+        client = EngineClient(engine, default_graph_uri=DBPEDIA_URI)
+        page = client.execute_page(COSTAR, offset=0, limit=5)
+        assert page.to_records() == \
+            full.slice(0, 5).to_dataframe().to_records()
+        assert client.last_stats.rows_pulled <= 2 * 64
 
     def test_engine_stream_reference_plane_falls_back(self, dataset):
         engine = Engine(dataset, columnar=False)
