@@ -12,12 +12,6 @@ For every (scale, query) cell it records best-of-N wall time plus the
 return the identical decoded result bag, and writes everything to
 ``BENCH_engine.json`` so future PRs have a comparable perf trajectory.
 
-A second section, ``plan_path``, times the paper's case-study pipelines on
-both front-end paths of the planner layer — the SPARQL-text round trip
-(generate -> translate -> parse -> plan -> execute) versus the direct
-model path (generate -> compile -> plan-cache hit -> execute) — verifying
-identical results and recording the repeated-execution speedup.
-
 The ``serving`` and ``serving_cache`` sections drive the concurrent
 serving tier and its result cache (see ``load_generator.py``).
 
@@ -37,7 +31,7 @@ Run it from the repo root::
 Scales default to (0.05, REPRO_BENCH_SCALE); rounds to 3.  ``--smoke``
 shrinks everything for CI (one tiny scale, one round); ``--section``
 (repeatable) restricts the run to named sections — e.g. ``--section
-engine --section plan_path`` — so CI jobs can stay inside their time
+engine --section durability`` — so CI jobs can stay inside their time
 budget.  No section flips an engine switch: there is none; every engine
 here runs the planner's plans as they are.
 """
@@ -51,10 +45,8 @@ import platform
 import sys
 import time
 
-from repro.client import EngineClient
 from repro.data import DBPEDIA_URI, build_dataset
 from repro.sparql import Engine
-from repro.workload import CASE_STUDIES
 
 _PREFIXES = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -139,67 +131,6 @@ def time_query(engine: Engine, query: str, rounds: int):
         if best is None or elapsed < best:
             best = elapsed
     return best, result, engine.last_stats
-
-
-def run_plan_path(scale: float, iterations: int) -> dict:
-    """Time the case studies on the text path vs the direct plan path.
-
-    Both paths regenerate the query model per iteration (that is what a
-    real RDFFrame re-execution pays); the text path additionally pays
-    translate + validate + parse, the direct path compiles the model and
-    then hits the plan cache.
-    """
-    dataset = build_dataset(scale=scale)
-    engine = Engine(dataset)
-    client = EngineClient(engine)
-    section = {"scale": scale, "iterations": iterations, "cases": []}
-    print("== plan path vs text path (scale %.3g, %d iterations) =="
-          % (scale, iterations))
-    for case in CASE_STUDIES:
-        frame = case.frame()
-        direct_df = frame.execute(client)           # warm + direct result
-        text_df = client.execute(frame.to_sparql())  # warm + text result
-        identical = direct_df.equals_bag(text_df)
-        hits_before = engine.plan_cache_hits
-
-        def best_of(thunk):
-            best = None
-            for _ in range(iterations):
-                start = time.perf_counter()
-                thunk()
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-            return best
-
-        text_seconds = best_of(lambda: client.execute(frame.to_sparql()))
-        plan_seconds = best_of(lambda: frame.execute(client))
-
-        plan = engine.last_plan
-        cell = {
-            "case": case.key,
-            "rows": len(direct_df),
-            "identical_results": identical,
-            "text_seconds": text_seconds,
-            "plan_seconds": plan_seconds,
-            "speedup": (text_seconds / plan_seconds
-                        if plan_seconds > 0 else float("inf")),
-            "plan_cache_hits": engine.plan_cache_hits - hits_before,
-            "passes": [s.as_dict() for s in plan.pass_stats] if plan else [],
-        }
-        if not identical:
-            raise AssertionError(
-                "direct plan path and text path disagree on case study %r"
-                % case.key)
-        section["cases"].append(cell)
-        print("  %-16s text %8.4fs  plan %8.4fs  speedup %5.2fx  (%d rows)"
-              % (case.key, text_seconds, plan_seconds, cell["speedup"],
-                 cell["rows"]))
-    geomean = _geomean([c["speedup"] for c in section["cases"]])
-    section["geomean_speedup"] = geomean
-    section["all_results_identical"] = True
-    print("plan-path geomean speedup %.2fx" % geomean)
-    return section
 
 
 def run_durability(triple_count: int) -> dict:
@@ -335,7 +266,7 @@ def run_durability(triple_count: int) -> dict:
 
 
 #: Every section the report can produce, in run order.
-SECTIONS = ("engine", "plan_path", "serving", "serving_cache", "durability")
+SECTIONS = ("engine", "serving", "serving_cache", "durability")
 
 
 def write_summary(report, out_path: str) -> str:
@@ -358,9 +289,6 @@ def write_summary(report, out_path: str) -> str:
     if report.get("summary"):
         sections["engine"] = {
             "geomean_speedup": report["summary"]["geomean_speedup"]}
-    if "plan_path" in report:
-        sections["plan_path"] = {
-            "geomean_speedup": report["plan_path"]["geomean_speedup"]}
     if "serving" in report:
         server = report["serving"]["server"]
         sections["serving"] = {
@@ -395,8 +323,7 @@ def write_summary(report, out_path: str) -> str:
     return summary_path
 
 
-def run(scales, rounds: int, out_path: str,
-        plan_iterations: int = 5, sections=None,
+def run(scales, rounds: int, out_path: str, sections=None,
         serving_requests: int = 120,
         durability_triples: int = 1_000_000) -> dict:
     chosen = list(SECTIONS) if not sections else [s for s in SECTIONS
@@ -457,8 +384,6 @@ def run(scales, rounds: int, out_path: str,
         }
         print("geomean speedup %.2fx (min %.2fx, max %.2fx)"
               % (geomean, min(speedups), max(speedups)))
-    if "plan_path" in chosen:
-        report["plan_path"] = run_plan_path(scales[-1], plan_iterations)
     if "serving" in chosen:
         # The load generator lives next to this script; make it importable
         # however the script was invoked.
@@ -493,7 +418,7 @@ def main(argv=None) -> int:
                         help="dataset scales to benchmark")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny CI configuration: one small scale, one "
-                             "round, fewer plan-path iterations")
+                             "round, fewer requests and triples")
     parser.add_argument("--section", action="append", choices=SECTIONS,
                         dest="sections", metavar="NAME",
                         help="run only the named section(s); repeatable "
@@ -502,9 +427,8 @@ def main(argv=None) -> int:
     if args.smoke:
         args.scales = [0.02]
         args.rounds = 1
-        run(args.scales, args.rounds, args.out, plan_iterations=2,
-            sections=args.sections, serving_requests=40,
-            durability_triples=100_000)
+        run(args.scales, args.rounds, args.out, sections=args.sections,
+            serving_requests=40, durability_triples=100_000)
     else:
         run(args.scales, args.rounds, args.out, sections=args.sections)
     return 0

@@ -18,6 +18,8 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from ..core.query_model import QueryModel
+from ..core.translator import translate
 from ..dataframe import DataFrame
 from ..sparql.endpoint import Endpoint, EndpointError
 from ..sparql.engine import Engine
@@ -36,11 +38,11 @@ class ClientError(RuntimeError):
 class EngineClient:
     """Executes queries directly against an in-process engine.
 
-    Supports both front-ends: SPARQL text via :meth:`execute` and
-    RDFFrames query models via :meth:`execute_model` — the latter takes
-    the engine's direct compile-to-algebra path, skipping SPARQL text
-    generation and parsing entirely (:meth:`RDFFrame.execute
-    <repro.core.rdfframe.RDFFrame.execute>` uses it automatically).
+    Speaks SPARQL text, like every client: :meth:`RDFFrame.execute
+    <repro.core.rdfframe.RDFFrame.execute>` sends the frame's generated
+    query to :meth:`execute`, and the engine parses it (a repeated text
+    is a memo hit, not a second parse).  :meth:`execute_model` renders a
+    query model to that text first.
 
     Example
     -------
@@ -67,10 +69,8 @@ class EngineClient:
         return result.to_dataframe()
 
     def execute_model(self, model) -> DataFrame:
-        """Run an RDFFrames query model on the direct plan path."""
-        result = self.engine.query_model(
-            model, default_graph_uri=self.default_graph_uri)
-        return result.to_dataframe()
+        """Run an RDFFrames query model: :meth:`execute` of its SPARQL."""
+        return self.execute(translate(model, validate=False))
 
     def execute_terms(self, query: str) -> DataFrame:
         """Like :meth:`execute` but cells hold raw RDF terms."""
@@ -82,7 +82,8 @@ class EngineClient:
                      limit: int = 1000) -> DataFrame:
         """Fetch one page of a query's results as a dataframe.
 
-        ``source`` is SPARQL text or an RDFFrames query model.  The page
+        ``source`` is SPARQL text or an RDFFrames query model (rendered
+        to SPARQL text first).  The page
         rides the engine's streaming cursor (:meth:`Engine.stream
         <repro.sparql.engine.Engine.stream>`): only about
         ``offset + limit`` rows are produced locally, however large the
@@ -102,6 +103,8 @@ class EngineClient:
         >>> len(page)
         5
         """
+        if isinstance(source, QueryModel):
+            source = translate(source, validate=False)
         cursor = self.engine.stream(source,
                                     default_graph_uri=self.default_graph_uri)
         return cursor.page(offset, limit).to_dataframe()

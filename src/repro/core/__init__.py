@@ -4,7 +4,7 @@ The user API (KnowledgeGraph + RDFFrame), the lazy operator Recorder, the
 query model, the optimized and naive query generators, and the translator.
 """
 
-from .compiler import CompilationError, ModelCompiler, compile_model
+from .compiler import compile_model
 from .conditions import ConditionError, condition_to_sparql
 from .generator import GenerationError, Generator
 from .knowledge_graph import KnowledgeGraph
@@ -21,7 +21,7 @@ __all__ = [
     "KnowledgeGraph", "RDFFrame", "GroupedRDFFrame", "RDFFrameError",
     "Generator", "GenerationError", "NaiveGenerator", "naive_transform",
     "QueryModel", "OptionalBlock", "Aggregation",
-    "compile_model", "ModelCompiler", "CompilationError",
+    "compile_model",
     "translate", "TranslationError",
     "condition_to_sparql", "ConditionError",
     "OPTIONAL", "INCOMING", "OUTGOING",

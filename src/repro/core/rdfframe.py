@@ -303,11 +303,11 @@ class RDFFrame:
                 offset: int = 0):
         """Generate, execute, and fetch results as a dataframe.
 
-        Clients exposing ``execute_model`` (the in-process
-        :class:`~repro.client.EngineClient`) receive the query model
-        directly — the engine compiles it straight to algebra, skipping
-        SPARQL text generation and parsing.  Other clients (HTTP
-        endpoints) get SPARQL text, the wire format.
+        Every client gets the frame's SPARQL text, as in the paper: the
+        in-process :class:`~repro.client.EngineClient` and an HTTP
+        endpoint alike parse it with the engine's parser.  The text is
+        not validated here (:meth:`to_sparql` does that); the parse that
+        follows rejects anything malformed.
 
         ``limit``/``offset`` request one page of the result: they append
         a :meth:`head` window, which the engine's ``LimitPushdown`` pass
@@ -331,11 +331,8 @@ class RDFFrame:
         frame = self
         if limit is not None or offset:
             frame = frame.head(limit, offset)
-        model = frame._generate_model(strategy)
-        if hasattr(client, "execute_model"):
-            result = client.execute_model(model)
-        else:
-            result = client.execute(translate(model))
+        result = client.execute(
+            translate(frame._generate_model(strategy), validate=False))
         if return_format in ("dataframe", "df", "pandas_df"):
             return result
         if return_format in ("records", "tuples"):

@@ -196,20 +196,6 @@ class GraphUnion:
             out.update(g.predicates_for(s, o))
         return out
 
-    def count_objects_for(self, s, p) -> int:
-        """Distinct object ids for (s, p) across the union (dedup exact)."""
-        graphs = self.graphs
-        if len(graphs) == 1:
-            return graphs[0].count_objects_for(s, p)
-        return len(self.objects_for(s, p))
-
-    def count_subjects_for(self, p, o) -> int:
-        """Distinct subject ids for (p, o) across the union (dedup exact)."""
-        graphs = self.graphs
-        if len(graphs) == 1:
-            return graphs[0].count_subjects_for(p, o)
-        return len(self.subjects_for(p, o))
-
     def contains_ids(self, s, p, o) -> bool:
         return any(g.contains_ids(s, p, o) for g in self.graphs)
 

@@ -373,30 +373,6 @@ class Graph:
             return ()
         return by_subj.get(s, ())
 
-    def count_objects_for(self, s: int, p: int) -> int:
-        """Number of distinct object ids for (subject id, predicate id).
-
-        An O(1) index lookup.  Because the graph stores triples with set
-        semantics, this is simultaneously the number of ``(s, p, ?o)``
-        matches and the number of *distinct* ``?o`` bindings — which is
-        what lets the evaluator answer ``GROUP BY ?s (COUNT(?o))`` over a
-        single triple pattern without producing any rows.
-        """
-        by_pred = self._spo.get(s)
-        if by_pred is None:
-            return 0
-        return len(by_pred.get(p, ()))
-
-    def count_subjects_for(self, p: int, o: int) -> int:
-        """Number of distinct subject ids for (predicate id, object id).
-
-        The mirror of :meth:`count_objects_for`, backed by the POS index.
-        """
-        by_obj = self._pos.get(p)
-        if by_obj is None:
-            return 0
-        return len(by_obj.get(o, ()))
-
     def object_group_counts(self, p: int) -> Iterator[Tuple[int, int]]:
         """``(object id, subject count)`` pairs for a predicate id.
 

@@ -1,16 +1,14 @@
 """The SPARQL engine façade — this repo's stand-in for Virtuoso.
 
 ``Engine`` owns a :class:`~repro.rdf.Dataset` of named graphs and answers
-queries from either front-end through one logical-plan layer:
-
-* SPARQL text: parse -> algebra -> optimizer passes -> evaluate,
-* RDFFrames query models: compile (:mod:`repro.core.compiler`) -> the same
-  algebra -> the same passes -> evaluate — no SPARQL text round trip.
+SPARQL SELECT queries: parse -> algebra -> optimizer passes -> evaluate.
+SPARQL text is its only front end; RDFFrames reaches it by generating
+that text, like any other client.
 
 Plans are cached by their normalized structural key
 (:func:`~repro.sparql.plan.plan_key`), so repeated executions of the same
-logical query — from either front-end, in any surface spelling — skip
-parsing/compilation *and* the optimizer pipeline entirely.
+logical query — in any surface spelling — skip parsing *and* the
+optimizer pipeline entirely.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ class Engine:
         :class:`~.reference.ReferenceEvaluator` — the oracle the
         differential suites and the ledger's output check compare the
         production operators against.  A reference engine answers
-        :meth:`query`, :meth:`query_model` and :meth:`stream`; it has no
+        :meth:`query` and :meth:`stream`; it has no
         plans to execute, so :meth:`evaluate_plan` refuses it.
     plan_cache_size:
         Maximum number of optimized plans kept (LRU).  0 disables caching.
@@ -109,14 +107,14 @@ class Engine:
     # Planning
     # ------------------------------------------------------------------
     def _resolve(self, source) -> Tuple[alg.Query, str, Tuple[str, str]]:
-        """``(parsed query, front-end kind, key skeleton)`` for anything
-        :meth:`plan` accepts; SPARQL text goes through the text memo."""
+        """``(parsed query, source kind, key skeleton)`` for SPARQL text
+        (through the text memo) or a parsed :class:`~.algebra.Query`."""
         if isinstance(source, alg.Query):
             return source, "algebra", plan_skeleton(source)
         if not isinstance(source, str):
-            from ..core.compiler import compile_model
-            query = compile_model(source)
-            return query, "model", plan_skeleton(query)
+            raise TypeError("expected SPARQL text or an algebra Query, got "
+                            "%s; render a query model with translate() first"
+                            % type(source).__name__)
         limit = 2 * self.plan_cache_size
         memo = self._text_memo
         if limit > 0:
@@ -139,10 +137,8 @@ class Engine:
     def plan(self, source, default_graph_uri: Optional[str] = None) -> Plan:
         """Build (or fetch from cache) the optimized plan for ``source``.
 
-        ``source`` is SPARQL text, an already-parsed algebra
-        :class:`~.algebra.Query`, or an RDFFrames
-        :class:`~repro.core.query_model.QueryModel` (compiled directly,
-        skipping the text round trip).
+        ``source`` is SPARQL text or an already-parsed algebra
+        :class:`~.algebra.Query`; anything else raises :class:`TypeError`.
 
         Text is parsed once: a bounded LRU memo keeps ``text -> (parsed
         query, key skeleton)``, so a repeated text costs one dictionary
@@ -310,7 +306,7 @@ class Engine:
         """
         if not self.columnar:
             raise ValueError("a reference engine (columnar=False) does not "
-                             "execute plans; use query() or query_model()")
+                             "execute plans; use query() or stream()")
         start = time.perf_counter()
         deadline = None if timeout is None else start + timeout
         evaluator = self._evaluator(deadline, cancel, max_rows)
@@ -405,15 +401,8 @@ class Engine:
         True
         """
         if not self.columnar:
-            if isinstance(source, str):
-                result = self.query(source, default_graph_uri, timeout)
-            elif isinstance(source, alg.Query):
-                result = self._query_reference(source, default_graph_uri,
-                                               timeout)
-            else:
-                from ..core.translator import translate
-                result = self.query(translate(source), default_graph_uri,
-                                    timeout)
+            result = self._query_reference(self._resolve(source)[0],
+                                           default_graph_uri, timeout)
             return ResultStream(result.variables, iter(result.rows))
         plan = self.plan(source, default_graph_uri)
         start = time.perf_counter()
@@ -443,19 +432,6 @@ class Engine:
                 else time.perf_counter() + seconds
 
         return ResultStream(variables, rows(), arm_deadline=arm)
-
-    def query_model(self, model, default_graph_uri: Optional[str] = None,
-                    timeout: Optional[float] = None) -> ResultSet:
-        """Execute an RDFFrames query model on the direct plan path.
-
-        On the reference plane (``columnar=False``) the model is rendered
-        to SPARQL text first, pinning the seed semantics end to end.
-        """
-        if self.columnar:
-            plan = self.plan(model, default_graph_uri)
-            return self.execute_plan(plan, default_graph_uri, timeout)
-        from ..core.translator import translate
-        return self.query(translate(model), default_graph_uri, timeout)
 
     def _query_reference(self, parsed: alg.Query,
                          default_graph_uri: Optional[str],

@@ -695,10 +695,11 @@ class Evaluator:
         Applies to ``Group(BGP)`` over a *single* triple pattern with a
         constant predicate and distinct subject/object variables, grouped
         by one of them, where every aggregate is a COUNT over the
-        pattern's variables (or ``COUNT(*)``).  On a set-semantics triple
-        store each such count equals the group's row count, which the
-        SPO/POS indexes answer directly (:meth:`Graph.count_objects_for` /
-        :meth:`Graph.count_subjects_for`): the whole aggregation runs in
+        pattern's variables (or ``COUNT(*)``), on one graph.  On a
+        set-semantics triple store each such count equals the group's row
+        count, which the SPO/POS indexes answer directly
+        (:meth:`Graph.subject_group_counts` /
+        :meth:`Graph.object_group_counts`): the whole aggregation runs in
         one index sweep with zero solution rows, zero hashing, and zero
         term decoding.  Group order matches the row-producing path (the
         first-seen order of the ``so_pairs`` scan), so the result is
@@ -736,36 +737,17 @@ class Evaluator:
                 # COUNT(DISTINCT ?g) GROUP BY ?g is 1, not the row count.
                 return None
 
+        # A union view has no group-count index: it takes the general
+        # Group path, which reads the same deduplicated (s, o) pairs.
+        group_counts = getattr(graph, "subject_group_counts" if gvar == s_name
+                               else "object_group_counts", None)
+        if group_counts is None:
+            return None
         self.stats.bgp_count += 1
         pid = self.dictionary.lookup(p_term)
         if pid is None:
             return iter(())
-        group_on_subject = gvar == s_name
-        if group_on_subject and hasattr(graph, "subject_group_counts"):
-            # Subject-keyed groups: one allocation-free index sweep (a
-            # set-membership test per triple, an O(1) SPO count per group).
-            return graph.subject_group_counts(pid)
-        if not group_on_subject and hasattr(graph, "object_group_counts"):
-            # Object-keyed groups read straight off the POS index:
-            # O(groups), no per-triple work at all.
-            return graph.object_group_counts(pid)
-        # Union views: one sweep over the deduplicated (s, o) pairs,
-        # counting per first-seen group — still no solution rows, hashing,
-        # or decoding.
-        count_objects = graph.count_objects_for
-        count_subjects = graph.count_subjects_for
-
-        def sweep():
-            seen = set()
-            for s, o in graph.so_pairs(pid):
-                gid = s if group_on_subject else o
-                if gid in seen:
-                    continue
-                seen.add(gid)
-                yield gid, (count_objects(gid, pid) if group_on_subject
-                            else count_subjects(pid, gid))
-
-        return sweep()
+        return group_counts(pid)
 
     def _sip_for_group(self, node: alg.Group) -> Dict:
         """Restrict the active scope to the Group's grouping variables.

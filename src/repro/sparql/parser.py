@@ -8,8 +8,8 @@ Supports the SELECT fragment used throughout the paper:
 * group graph patterns with triple blocks (``;`` and ``,`` shorthand and the
   ``a`` keyword), ``FILTER``, ``OPTIONAL``, ``UNION``, ``GRAPH``, ``BIND``,
   and nested ``SELECT`` subqueries,
-* ``GROUP BY`` / ``HAVING`` (aggregates inside HAVING are supported by
-  rewriting them to synthetic aggregate aliases),
+* ``GROUP BY`` / ``HAVING`` (an aggregate inside HAVING reads the alias of
+  an equal SELECT aggregate, or else a synthetic aggregate alias),
 * ``ORDER BY`` / ``LIMIT`` / ``OFFSET``.
 
 The group graph pattern is translated following the SPARQL algebra rules:
@@ -172,15 +172,17 @@ class Parser:
                 raise ParseError("GROUP BY requires at least one variable",
                                  self.peek())
 
-        having_aggs: List[alg.Aggregate] = []
+        # HAVING appends its aggregates after SELECT's; one that is
+        # structurally equal to an aggregate already listed reads that
+        # aggregate's alias instead of being folded a second time.
+        select_aggs = [item.aggregate for item in items if item.aggregate]
+        all_aggs = list(select_aggs)
         having_expr: Optional[Expression] = None
         if self.at_keyword("HAVING"):
             self.next()
-            having_expr = self._parse_constraint(collect_aggregates=having_aggs)
+            having_expr = self._parse_constraint(collect_aggregates=all_aggs)
 
         # Assemble aggregation.
-        select_aggs = [item.aggregate for item in items if item.aggregate]
-        all_aggs = select_aggs + having_aggs
         if group_vars is not None or all_aggs:
             for aggregate in select_aggs:
                 _check_fresh(aggregate.alias, group_vars or (), self.peek())
@@ -649,7 +651,10 @@ class Parser:
 
         The aggregate is appended to ``aggs`` (synthesizing an alias) and a
         variable reference to that alias is returned, so the surrounding
-        expression evaluates against pre-computed per-group values.
+        expression evaluates against pre-computed per-group values.  When
+        ``aggs`` already holds a structurally equal aggregate (same
+        function, argument, DISTINCT flag and separator), its alias is
+        returned and nothing is appended.
         ``GROUP_CONCAT`` additionally accepts the standard
         ``; SEPARATOR="..."`` modifier.
         """
@@ -677,6 +682,13 @@ class Parser:
                                  self.peek())
             separator = self._parse_string_literal().lexical
         self.expect("PUNCT", ")")
+        argument = None if expression is None else expression.sparql()
+        for twin in aggs:
+            if (twin.function == function and twin.distinct == distinct
+                    and twin.separator == separator
+                    and (None if twin.expression is None
+                         else twin.expression.sparql()) == argument):
+                return VarExpr(twin.alias)
         self._synthetic_counter += 1
         alias = "__agg_%d" % self._synthetic_counter
         aggregate = alg.Aggregate(function, expression, alias, distinct,

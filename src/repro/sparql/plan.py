@@ -1,9 +1,8 @@
 """The logical-plan layer: optimizer passes over the SPARQL algebra.
 
-Both front-ends produce the same algebra — SPARQL text through the parser
-and RDFFrames query models through :mod:`repro.core.compiler` — and this
-module turns that algebra into an executable :class:`Plan` by running an
-explicit pipeline of rewrite passes:
+The parser turns SPARQL text into algebra, and this module turns that
+algebra into an executable :class:`Plan` by running an explicit pipeline
+of rewrite passes:
 
 * ``FilterPushdown``   — move filters below joins/unions toward the data,
 * ``ProjectionPruning`` — collapse and remove redundant projections,
@@ -89,7 +88,7 @@ class Plan:
         self.query = query
         self.key = key
         self.pass_stats = list(pass_stats)
-        self.source = source  # 'text' | 'model' | 'algebra'
+        self.source = source  # 'text' | 'algebra'
         self.output_variables = output_variables(query)
         self.executions = 0
         # Statistics synopses lazily built while planning this query
@@ -884,7 +883,7 @@ def plan_key(query: alg.Query, default_graph_uri: Optional[str] = None,
     """A normalized structural serialization of a query, for plan caching.
 
     Two queries with the same algebra — regardless of surface text
-    (whitespace, prefixed vs. full IRIs, front-end) — map to the same key.
+    (whitespace, prefixed vs. full IRIs) — map to the same key.
     ``fingerprint`` ties the key to the dataset state so mutations re-plan
     (join ordering depends on graph statistics).
     """

@@ -15,7 +15,7 @@ columnar tables; this copy is retained for two jobs:
 
 ``Engine(..., columnar=False)`` selects this evaluator.  It always orders
 BGP patterns by selectivity and shares repeated BGPs; it runs no plan, so
-such an engine answers ``query``/``query_model``/``stream`` and refuses
+such an engine answers ``query`` and ``stream`` and refuses
 ``evaluate_plan``.
 
 Behavior must not drift: change the columnar evaluator, not this file,

@@ -42,23 +42,24 @@ class TestEngineClient:
         client = EngineClient(engine, default_graph_uri="http://g")
         assert len(client.execute(QUERY)) == 37
 
-    def test_execute_model_direct_path(self, engine):
+    def test_execute_model_runs_its_text(self, engine):
         from repro.core import KnowledgeGraph
         kg = KnowledgeGraph(graph_uri="http://g",
                             prefixes={"x": "http://x/"})
         frame = kg.seed("s", "x:p", "v")
         client = EngineClient(engine)
         df = client.execute_model(frame.query_model())
+        assert engine.last_plan.source == "text"
         assert df.equals_bag(client.execute(frame.to_sparql()))
-        assert engine.last_plan.source == "model"
+        assert engine.plan_cache_misses == 1  # one text, one plan
 
-    def test_frame_execute_prefers_model_path(self, engine):
+    def test_frame_execute_sends_text(self, engine):
         from repro.core import KnowledgeGraph
         kg = KnowledgeGraph(graph_uri="http://g",
                             prefixes={"x": "http://x/"})
         df = kg.seed("s", "x:p", "v").execute(EngineClient(engine))
         assert len(df) == 37
-        assert engine.last_plan.source == "model"
+        assert engine.last_plan.source == "text"
 
 
 class TestHttpClientPagination:

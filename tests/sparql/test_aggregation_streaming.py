@@ -27,7 +27,7 @@ from repro.data import DBLP_URI, DBPEDIA_URI, build_dataset
 from repro.rdf import (Dataset, Graph, Literal, TermDictionary, URIRef)
 from repro.rdf.namespaces import DC, DCTERMS, RDF, SWRC
 from repro.rdf.terms import XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
-from repro.sparql import Engine
+from repro.sparql import Engine, algebra as alg, parse
 from repro.workload import CASE_STUDIES, get_case_study
 
 PFX = """
@@ -199,7 +199,7 @@ class TestCaseStudyPlanes:
         auto = Engine(dataset)
         reference = Engine(dataset, columnar=False)
         frame = case_study.frame()
-        got = auto.query_model(frame.query_model())
+        got = auto.query(frame.to_sparql())
         want = reference.query(frame.to_sparql())
         assert row_bag(got) == row_bag(want)
 
@@ -214,7 +214,7 @@ class TestGroupAnnotation:
 
 
 class TestIndexBackedCount:
-    def test_count_hooks(self):
+    def test_group_count_hooks(self):
         d = TermDictionary()
         g = Graph("http://h", dictionary=d)
         p = uri("p")
@@ -222,28 +222,42 @@ class TestIndexBackedCount:
             g.add(uri("s"), p, uri("o%d" % i))
         g.add(uri("s2"), p, uri("o0"))
         pid = d.lookup(p)
-        assert g.count_objects_for(d.lookup(uri("s")), pid) == 3
-        assert g.count_objects_for(d.lookup(uri("s2")), pid) == 1
-        assert g.count_subjects_for(pid, d.lookup(uri("o0"))) == 2
-        assert g.count_objects_for(999999, pid) == 0
-        assert g.count_subjects_for(999999, 0) == 0
+        name = d.decode
+        assert [(str(name(s)), n) for s, n in g.subject_group_counts(pid)] \
+            == [("http://x/s", 3), ("http://x/s2", 1)]
+        assert {str(name(o)): n for o, n in g.object_group_counts(pid)} \
+            == {"http://x/o0": 2, "http://x/o1": 1, "http://x/o2": 1}
+        assert list(g.subject_group_counts(999999)) == []
+        assert list(g.object_group_counts(999999)) == []
 
-    def test_union_count_hooks_dedup(self):
+    @pytest.mark.parametrize("key", ["?s", "?o"])
+    def test_union_view_takes_the_general_path(self, key):
+        """Over ``FROM <g1> FROM <g2>`` (a union view, no group-count
+        index) the COUNT shape folds rows on the general Group path; a
+        triple in both graphs counts once, in the reference's order."""
         d = TermDictionary()
         ds = Dataset()
         g1 = Graph("http://u1", dictionary=d)
         g2 = Graph("http://u2", dictionary=d)
-        p = uri("p")
-        g1.add(uri("s"), p, uri("o1"))
-        g1.add(uri("s"), p, uri("o2"))
-        g2.add(uri("s"), p, uri("o2"))  # overlaps g1
-        g2.add(uri("s"), p, uri("o3"))
+        for s, o in [("s1", "o1"), ("s1", "o2"), ("s2", "o1")]:
+            g1.add(uri(s), uri("p"), uri(o))
+        for s, o in [("s1", "o2"), ("s2", "o3"), ("s3", "o1")]:
+            g2.add(uri(s), uri("p"), uri(o))  # (s1 p o2) is in both
         ds.add_graph(g1)
         ds.add_graph(g2)
-        union = ds.union_view()
-        sid, pid = d.lookup(uri("s")), d.lookup(p)
-        assert union.count_objects_for(sid, pid) == 3
-        assert union.count_subjects_for(pid, d.lookup(uri("o2"))) == 1
+        engines = planes(ds)
+        query = PFX + """SELECT %s (COUNT(*) AS ?n)
+            FROM <http://u1> FROM <http://u2>
+            WHERE { ?s x:p ?o } GROUP BY %s""" % (key, key)
+        rows = {plane: [(str(g), n.value) for g, n in e.query(query).rows]
+                for plane, e in engines.items()}
+        assert rows["production"] == rows["reference"]
+        expected = {"?s": {"http://x/s1": 2, "http://x/s2": 2,
+                           "http://x/s3": 1},
+                    "?o": {"http://x/o1": 3, "http://x/o2": 1,
+                           "http://x/o3": 1}}[key]
+        assert dict(rows["production"]) == expected
+        assert engines["production"].last_stats.accumulator_rows == 5
 
     def test_fast_path_touches_no_rows(self, dataset):
         engine = Engine(dataset)
@@ -286,6 +300,87 @@ class TestIndexBackedCount:
         bags = {plane: row_bag(e.query(query, default_graph_uri="http://g"))
                 for plane, e in engines.items()}
         assert bags["production"] == bags["reference"]
+
+
+class TestHavingReusesSelectAggregate:
+    """A HAVING aggregate structurally equal to a SELECT aggregate reads
+    the SELECT alias (one fold); any difference keeps its own alias."""
+
+    @pytest.fixture(scope="class")
+    def cast_engines(self):
+        g = Graph("http://hv")
+        cast = {"a1": ["m1", "m2"], "a2": ["m3"], "a3": ["m4", "m5", "m6"]}
+        tags = {"m1": ["t1", "t2"], "m2": ["t1"], "m3": ["t1", "t2", "t3"],
+                "m4": ["t1"], "m5": ["t1"], "m6": ["t1"]}
+        for actor, films in cast.items():
+            for film in films:
+                g.add(uri(film), uri("starring"), uri(actor))
+        for film, names in tags.items():
+            for name in names:
+                g.add(uri(film), uri("tag"), Literal(name))
+        return planes(g)
+
+    def run(self, engines, select, having):
+        """Rows per plane as ``{actor: first aggregate}`` plus the
+        production plan's Group node."""
+        query = PFX + """SELECT ?a %s WHERE { ?m x:starring ?a .
+            ?m x:tag ?t } GROUP BY ?a HAVING (%s)""" % (select, having)
+        rows = {}
+        for plane, engine in engines.items():
+            result = engine.query(query)
+            rows[plane] = {str(row[0]).rsplit("/", 1)[1]:
+                           row[1] if len(row) > 1 else None
+                           for row in result.rows}
+        group = parse(query).pattern
+        while not isinstance(group, alg.Group):
+            group = group.pattern
+        return rows, group
+
+    def test_equal_aggregate_is_reused(self, cast_engines):
+        rows, group = self.run(cast_engines, "(COUNT(DISTINCT ?m) AS ?n)",
+                               "COUNT(DISTINCT ?m) >= 2")
+        assert len(group.aggregates) == 1
+        assert group.having.variables() == ["n"]
+        for plane in rows.values():
+            assert {a: n.value for a, n in plane.items()} == \
+                {"a1": 2, "a3": 3}
+
+    def test_distinct_flag_differs(self, cast_engines):
+        rows, group = self.run(cast_engines, "(COUNT(DISTINCT ?m) AS ?n)",
+                               "COUNT(?m) > ?n")
+        assert len(group.aggregates) == 2
+        for plane in rows.values():
+            assert {a: n.value for a, n in plane.items()} == \
+                {"a1": 2, "a2": 1}
+
+    def test_argument_differs(self, cast_engines):
+        rows, group = self.run(cast_engines, "(COUNT(DISTINCT ?m) AS ?n)",
+                               "COUNT(DISTINCT ?t) >= 2")
+        assert len(group.aggregates) == 2
+        for plane in rows.values():
+            assert {a: n.value for a, n in plane.items()} == \
+                {"a1": 2, "a2": 1}
+
+    def test_separator_differs(self, cast_engines):
+        rows, group = self.run(
+            cast_engines,
+            '(GROUP_CONCAT(DISTINCT ?t ; SEPARATOR=",") AS ?c)',
+            'CONTAINS(GROUP_CONCAT(DISTINCT ?t ; SEPARATOR="|"), "|")')
+        assert len(group.aggregates) == 2
+        for plane in rows.values():
+            assert {a: sorted(c.lexical.split(","))
+                    for a, c in plane.items()} == \
+                {"a1": ["t1", "t2"], "a2": ["t1", "t2", "t3"]}
+
+    def test_having_only_aggregate_gets_its_own_alias(self, cast_engines):
+        rows, group = self.run(cast_engines, "",
+                               "COUNT(DISTINCT ?m) >= 2 && "
+                               "COUNT(DISTINCT ?m) < 3")
+        # Both HAVING calls are equal, so they share one synthetic alias.
+        assert len(group.aggregates) == 1
+        assert group.aggregates[0].alias.startswith("__agg_")
+        for plane in rows.values():
+            assert plane == {"a1": None}
 
 
 class TestBoundedBatches:

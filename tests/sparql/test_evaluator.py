@@ -491,6 +491,35 @@ class TestOnePlane:
         for name in ("_stream_topk_bgp", "_sip_without"):
             assert not hasattr(Evaluator, name), name
 
+    def test_sparql_package_does_not_import_core(self):
+        # SPARQL text is the only contract between RDFFrames and the
+        # engine: no module of the engine imports repro.core.
+        import ast
+        import pathlib
+        import repro.sparql as sparql
+        offenders = []
+        for path in pathlib.Path(sparql.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [("." * node.level) + (node.module or "")]
+                else:
+                    continue
+                offenders += [(path.name, name) for name in names
+                              if name.startswith(("repro.core", "..core"))]
+        assert not offenders
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("method", ["plan", "stream", "result_key"])
+    def test_query_model_is_not_a_query(self, engine, method, columnar):
+        from repro.core import QueryModel
+        model = QueryModel()
+        model.add_triple("?m", "<http://x/starring>", "?a")
+        target = Engine(engine.dataset, columnar=columnar)
+        with pytest.raises(TypeError, match="translate"):
+            getattr(target, method)(model)
+
     def test_reference_engine_refuses_plans(self, engine):
         # A reference engine answers from the dict evaluator; executing a
         # plan would silently run the production operators instead.
@@ -507,10 +536,9 @@ class TestOnePlane:
 
 #: Every graph accessor the evaluator calls without a capability probe.
 #: (``subject_group_counts`` / ``object_group_counts`` are probed: a
-#: ``GraphUnion`` has neither and ``Group`` sweeps its pairs instead.)
+#: ``GraphUnion`` has neither and takes the general ``Group`` path.)
 GRAPH_ACCESSORS = ("dictionary", "contains_ids", "triples_ids",
-                   "objects_for", "subjects_for", "count_objects_for",
-                   "count_subjects_for", "so_pairs", "so_pairs_list",
+                   "objects_for", "subjects_for", "so_pairs", "so_pairs_list",
                    "objects_run", "subjects_run", "predicate_subjects_run",
                    "predicate_subjects_set", "sorted_runs_built",
                    "synopses_built")

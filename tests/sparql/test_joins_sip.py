@@ -203,7 +203,7 @@ class TestCounterProofs:
         if source == "join":
             query, graph_uri = get_join_query(key).sparql, DBPEDIA_URI
         else:
-            query, graph_uri = get_case_study(key).frame().query_model(), None
+            query, graph_uri = get_case_study(key).frame().to_sparql(), None
         plan = engine.plan(query, graph_uri)
         steps = [step for node in nodes(plan.query.pattern)
                  for step in getattr(node, "program", ())]
@@ -453,3 +453,86 @@ class TestSortedRunLifecycle:
         unfused, _ = run_variant(engine, query, DBPEDIA_URI,
                                  passes=UNPUSHED)
         assert fused.rows == unfused.rows
+
+
+class TestSipOnIntersectionSteps:
+    """A sideways filter on the variable an intersection step binds, in
+    each operand shape of the step: all static, one static + one
+    row-keyed, two row-keyed, and the general shape (two row-keyed + one
+    static).  The probe BGP's program is written by hand on a private
+    plan copy, under a forced ``sip_eligible`` join; rows must equal the
+    reference's and the filter must drop candidates."""
+
+    BUILD = '{ SELECT DISTINCT ?x WHERE { ?x x:keep "yes" } }'
+    SEED = "?y x:r ?z . "
+    PROBES = {
+        "all_static": ("?x x:p x:C1 . ?x x:q x:C2",
+                       [("subjects", "p", "C1"), ("subjects", "q", "C2")]),
+        "static_and_row": (SEED + "?x x:p x:C1 . ?x x:q2 ?z",
+                           [("subjects", "p", "C1"),
+                            ("subjects", "q2", "?z")]),
+        "two_row": (SEED + "?x x:p2 ?y . ?x x:q2 ?z",
+                    [("subjects", "p2", "?y"), ("subjects", "q2", "?z")]),
+        "general": (SEED + "?x x:p2 ?y . ?x x:q2 ?z . ?x x:p x:C1",
+                    [("subjects", "p2", "?y"), ("subjects", "q2", "?z"),
+                     ("subjects", "p", "C1")]),
+    }
+
+    @staticmethod
+    def x(name):
+        from repro.rdf import URIRef
+        return URIRef("http://x/" + name)
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        from repro.rdf import Literal
+        x = self.x
+        g = Graph("http://g")
+        g.add(x("y0"), x("r"), x("z0"))
+        g.add(x("y1"), x("r"), x("z1"))
+        for i in range(10):
+            node = x("x%d" % i)
+            g.add(node, x("p"), x("C1"))
+            g.add(node, x("q"), x("C2"))
+            g.add(node, x("p2"), x("y0"))
+            g.add(node, x("q2"), x("z0"))
+            if i < 5:
+                g.add(node, x("p2"), x("y1"))
+            if i < 7:
+                g.add(node, x("q2"), x("z1"))
+            if i % 2 == 0:
+                g.add(node, x("keep"), Literal("yes"))
+        return g
+
+    def signature(self, kind, predicate, other):
+        key = ("?", other[1:]) if other.startswith("?") else self.x(other)
+        return (kind, self.x(predicate), key)
+
+    @pytest.mark.parametrize("shape", sorted(PROBES))
+    def test_filtered_intersection_matches_reference(self, graph, shape):
+        from repro.rdf import Variable
+        from repro.sparql import algebra as alg
+        from repro.sparql.optimizer import Match
+
+        probe, signatures = self.PROBES[shape]
+        query = "PREFIX x: <http://x/>\nSELECT * WHERE { %s { %s } }" % (
+            self.BUILD, probe)
+        engine = Engine(graph)
+        plan = plan_variant(engine, query, sip=True)
+        (bgp,) = [n for n in nodes(plan.query.pattern)
+                  if isinstance(n, alg.BGP) and len(n.triples) > 1]
+        join = [n for n in nodes(plan.query.pattern)
+                if isinstance(n, alg.Join)][0]
+        assert join.right is bgp and join.sip_eligible
+        seed = (Variable("y"), self.x("r"), Variable("z"))
+        consumed = tuple(t for t in bgp.triples if t != seed)
+        bgp.strategy = "wcoj"  # the evaluator then runs the program as is
+        bgp.program = ((Match(seed),) if probe.startswith(self.SEED)
+                       else ()) + (
+            Intersect("x", tuple(self.signature(*s) for s in signatures),
+                      consumed),)
+        result, stats = engine.evaluate_plan(plan)[:2]
+        reference = Engine(graph, columnar=False).query(query)
+        assert row_bag(result) == row_bag(reference)
+        assert len(result) > 0
+        assert stats.sip_filtered_rows > 0

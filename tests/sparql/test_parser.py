@@ -169,11 +169,18 @@ class TestAggregation:
         group = unwrap(q.pattern, alg.Project)
         assert any(agg.alias == "n" for agg in group.aggregates)
 
-    def test_having_synthesizes_aggregate(self):
+    def test_having_reuses_select_aggregate(self):
         q = parse(self.QUERY)
         group = unwrap(q.pattern, alg.Project)
+        assert group.having.variables() == ["n"]
+        assert len(group.aggregates) == 1  # folded once, read twice
+
+    def test_having_synthesizes_aggregate(self):
+        q = parse(self.QUERY.replace("COUNT(DISTINCT ?m) >=",
+                                     "COUNT(?m) >="))
+        group = unwrap(q.pattern, alg.Project)
         assert group.having is not None
-        assert len(group.aggregates) == 2  # ?n plus the HAVING copy
+        assert len(group.aggregates) == 2  # ?n plus the HAVING aggregate
 
     def test_count_star(self):
         q = parse("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }")

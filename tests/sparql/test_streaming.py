@@ -77,13 +77,8 @@ def row_bag(result):
 
 def run_frame(engines, frame):
     """Execute one RDFFrame on both planes -> {plane: ResultSet}."""
-    out = {}
-    for plane, engine in engines.items():
-        if engine.columnar:
-            out[plane] = engine.query_model(frame.query_model())
-        else:
-            out[plane] = engine.query(frame.to_sparql())
-    return out
+    text = frame.to_sparql()
+    return {plane: engine.query(text) for plane, engine in engines.items()}
 
 
 class TestCaseStudyPlanes:
