@@ -271,8 +271,11 @@ class HttpClient:
     @property
     def last_stats(self):
         """Server-side evaluation stats of the backing engine for the most
-        recent request (the endpoint caches results per query text, so for
-        paginated fetches these are the stats of the initial execution)."""
+        recent request.  The endpoint keeps one cursor per
+        :meth:`Engine.result_key <repro.sparql.engine.Engine.result_key>`
+        (query structure, default graph and dataset state), so for
+        paginated fetches these are the stats of the execution that
+        opened the cursor."""
         return self.endpoint.engine.last_stats
 
     def _backoff_delay(self, attempt: int) -> float:

@@ -9,6 +9,7 @@ Python values (URIs to strings, typed literals to int/float/bool/str).
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..dataframe import DataFrame
@@ -20,7 +21,7 @@ def term_to_python(term: Optional[Node]) -> Any:
     if term is None:
         return None
     if isinstance(term, URIRef):
-        return str(term)
+        return term.value
     if isinstance(term, Literal):
         return term.value
     if isinstance(term, BlankNode):
@@ -84,12 +85,20 @@ class ResultSet:
                     for row in table.rows]
         return cls(variables, rows)
 
+    def column_cells(self) -> List[List[Optional[Node]]]:
+        """Each variable's cells, in row order (one list per variable).
+
+        Taken with ``itemgetter`` rather than ``zip(*rows)``, which makes
+        one iterator object per row and so trips extra full collections
+        of the garbage collector on large results."""
+        return [list(map(itemgetter(i), self.rows))
+                for i in range(len(self.variables))]
+
     def to_dataframe(self) -> DataFrame:
-        """Convert to a DataFrame of Python values (the paper's final step)."""
-        columns = {var: [] for var in self.variables}
-        for row in self.rows:
-            for var, term in zip(self.variables, row):
-                columns[var].append(term_to_python(term))
+        """Convert to a DataFrame of Python values (the paper's final step),
+        a column at a time."""
+        columns = {var: [term_to_python(term) for term in cells]
+                   for var, cells in zip(self.variables, self.column_cells())}
         return DataFrame(columns, columns=self.variables)
 
     def to_term_dataframe(self) -> DataFrame:
@@ -98,11 +107,8 @@ class ResultSet:
         Used by baselines that must distinguish URIs from literals after
         extraction (e.g. the KG-embedding ``isURI`` filter done client-side).
         """
-        columns = {var: [] for var in self.variables}
-        for row in self.rows:
-            for var, term in zip(self.variables, row):
-                columns[var].append(term)
-        return DataFrame(columns, columns=self.variables)
+        return DataFrame(dict(zip(self.variables, self.column_cells())),
+                         columns=self.variables)
 
     def slice(self, offset: int, limit: int) -> "ResultSet":
         """A page of the result (used by the simulated endpoint)."""

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.rdf import BlankNode, Graph, Literal, URIRef
+from repro.rdf.terms import XSD_STRING
 from repro.sparql import Endpoint, Engine, QueryTimeout
 from repro.sparql.json_results import (decode_results, decode_term,
                                        encode_results, encode_term)
@@ -94,6 +95,7 @@ class TestJsonTermCodec:
         Literal(42),
         Literal(2.5),
         Literal(True),
+        Literal("a", datatype=XSD_STRING),
         BlankNode("b7"),
     ])
     def test_term_round_trip(self, term):
