@@ -272,37 +272,6 @@ class GraphUnion:
             distinct_o += o
         return (triples, distinct_s, distinct_o)
 
-    def characteristic_sets(self):
-        """Member-wise merge of the per-graph characteristic sets.
-
-        Classes with the same predicate set are summed across members; a
-        subject split across members (or carrying different predicates in
-        each) lands in one class per member, so counts are an upper bound
-        exactly like :meth:`predicate_profile`.  Single-member unions
-        delegate to the member's mutation-invalidated synopsis; real
-        unions memoize per view (views are created per query resolution).
-        """
-        graphs = self.graphs
-        if len(graphs) == 1:
-            return graphs[0].characteristic_sets()
-        key = ("cs",)
-        sets = self._runs.get(key)
-        if sets is None:
-            sets = {}
-            for g in graphs:
-                for cls, (count, counts) in g.characteristic_sets().items():
-                    entry = sets.get(cls)
-                    if entry is None:
-                        sets[cls] = (count, dict(counts))
-                    else:
-                        merged = entry[1]
-                        for p, n in counts.items():
-                            merged[p] = merged.get(p, 0) + n
-                        sets[cls] = (entry[0] + count, merged)
-            self._runs[key] = sets
-            self.synopses_built += 1
-        return sets
-
     def predicate_synopsis(self, pid):
         """Member-wise merge of per-graph predicate synopses: exact
         figures are summed (an upper bound when members overlap), the

@@ -22,7 +22,7 @@ interning key, so id equality is exactly term equality.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .terms import Node
 
@@ -56,10 +56,6 @@ class TermDictionary:
                     self._terms.append(term)
                     self._ids[term] = tid
         return tid
-
-    def encode_triple(self, subject: Node, predicate: Node,
-                      obj: Node) -> Tuple[int, int, int]:
-        return (self.encode(subject), self.encode(predicate), self.encode(obj))
 
     def encode_many(self, terms: Iterable[Node]) -> List[int]:
         """Intern a batch of terms under one lock acquisition.

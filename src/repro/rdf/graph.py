@@ -135,15 +135,13 @@ class Graph:
         self._predicate_subject_sets: Dict[int, frozenset] = {}
         self._so_pair_lists: Dict[int, list] = {}
         self.sorted_runs_built = 0
-        # Statistics synopses for the cost-based planner: the
-        # characteristic-sets partition (subjects classed by their exact
-        # predicate set) and small per-predicate synopses with sampled
-        # object fan-outs.  Lazily built and invalidated on mutation like
-        # the sorted runs; ``synopses_built`` counts lazy builds and
-        # ``version`` is a monotone mutation counter that statistics
-        # consumers snapshot to detect staleness (an equal-size replace
-        # changes ``version`` even though ``len`` is unchanged).
-        self._char_sets: Optional[Dict[frozenset, Tuple[int, Dict[int, int]]]] = None
+        # Statistics synopses for the cost-based planner: small
+        # per-predicate synopses with sampled object fan-outs.  Lazily
+        # built and invalidated on mutation like the sorted runs;
+        # ``synopses_built`` counts lazy builds and ``version`` is a
+        # monotone mutation counter that statistics consumers snapshot to
+        # detect staleness (an equal-size replace changes ``version``
+        # even though ``len`` is unchanged).
         self._pred_synopses: Dict[int, tuple] = {}
         self.synopses_built = 0
         self.version = 0
@@ -151,27 +149,6 @@ class Graph:
         # mutation is teed into its write-ahead log *before* the indexes
         # change, so a failed append leaves memory and disk agreeing.
         self._store = None
-
-    @classmethod
-    def from_indexes(cls, uri: str, dictionary: TermDictionary,
-                     spo: Dict[int, Dict[int, Set[int]]],
-                     pos: Dict[int, Dict[int, Set[int]]],
-                     osp: Dict[int, Dict[int, Set[int]]],
-                     size: int, version: int = 0) -> "Graph":
-        """Adopt pre-built nested indexes wholesale (trusted constructor).
-
-        This is the snapshot loader's bulk-restore path: the three
-        indexes are taken by reference, not copied, and must describe the
-        same triple set with ids valid in ``dictionary``.  ``version`` is
-        restored too, so cache fingerprints survive a reopen.
-        """
-        graph = cls(uri, dictionary=dictionary)
-        graph._spo = spo
-        graph._pos = pos
-        graph._osp = osp
-        graph._size = size
-        graph.version = version
-        return graph
 
     # ------------------------------------------------------------------
     # Mutation
@@ -267,9 +244,6 @@ class Graph:
             self._so_pair_lists.pop(p, None)
         if self._pred_synopses:
             self._pred_synopses.pop(p, None)
-        # The characteristic-set partition keys on whole predicate sets, so
-        # any mutation can move its subject between classes.
-        self._char_sets = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -607,35 +581,6 @@ class Graph:
             profile = (triples, len(subjects), len(by_obj))
             self._profiles[pid] = profile
         return profile
-
-    def characteristic_sets(self) -> Dict[frozenset, Tuple[int, Dict[int, int]]]:
-        """The characteristic-sets synopsis (read-only contract).
-
-        Partitions subjects by their exact predicate-id set and records,
-        per class, ``(subject_count, {pid: triples})`` — enough to answer
-        both star-shape counts (how many subjects carry *all* of a set of
-        predicates: sum counts over superset classes) and per-class mean
-        object fan-out (``triples[pid] / subject_count``).  The per-class
-        triple counts partition each predicate's totals exactly, so any
-        per-predicate figure derived from this synopsis equals the
-        corresponding :meth:`predicate_profile` figure.  Lazily built in
-        one SPO sweep, memoized, and invalidated by any mutation.
-        """
-        sets = self._char_sets
-        if sets is None:
-            sets = {}
-            for by_pred in self._spo.values():
-                key = frozenset(by_pred)
-                entry = sets.get(key)
-                if entry is None:
-                    entry = sets[key] = (0, {})
-                counts = entry[1]
-                for p, objs in by_pred.items():
-                    counts[p] = counts.get(p, 0) + len(objs)
-                sets[key] = (entry[0] + 1, counts)
-            self._char_sets = sets
-            self.synopses_built += 1
-        return sets
 
     def predicate_synopsis(
             self, pid: int) -> Tuple[int, int, int, float, int, float, float]:

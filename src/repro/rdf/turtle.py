@@ -38,6 +38,9 @@ class TurtleError(ValueError):
         self.line = line
 
 
+#: An IRI that starts with a scheme is absolute (RFC 3986 §3.1).
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
+
 _TOKEN_RE = re.compile(r"""
     (?P<COMMENT>\#[^\n]*)
   | (?P<IRI><[^<>"{}|^`\\\x00-\x20]*>)
@@ -126,7 +129,7 @@ class _TurtleParser:
         kind, iri, line = self.next()
         if kind != "IRI":
             raise TurtleError("expected IRI after prefix", line)
-        self.prefixes[prefix] = self.base + iri[1:-1]
+        self.prefixes[prefix] = self._resolve(iri[1:-1])
         if dotted:
             self.expect_punct(".")
 
@@ -138,6 +141,13 @@ class _TurtleParser:
         self.base = iri[1:-1]
         if dotted:
             self.expect_punct(".")
+
+    def _resolve(self, iri: str) -> str:
+        """``iri`` as written when it has a scheme (absolute), else
+        joined to the current base."""
+        if _SCHEME.match(iri):
+            return iri
+        return self.base + iri
 
     def _parse_statement(self):
         subject = self._parse_subject()
@@ -203,9 +213,7 @@ class _TurtleParser:
     def _parse_term(self, expect: str) -> Node:
         kind, value, line = self.next()
         if kind == "IRI":
-            return URIRef(self.base + value[1:-1]
-                          if not value[1:-1].startswith("http")
-                          and self.base else value[1:-1])
+            return URIRef(self._resolve(value[1:-1]))
         if kind == "PNAME":
             prefix, _, local = value.partition(":")
             if prefix not in self.prefixes:

@@ -137,8 +137,7 @@ class ResultCache:
         tenant reclaims from itself before touching anyone else.
     max_entry_bytes:
         Results estimated larger than this are not cached at all
-        (``rejected`` counter) unless the caller forces insertion
-        (``cache=True`` at the server surfaces as ``force=True`` here).
+        (``rejected`` counter).
     tenant_max_entries / tenant_max_bytes:
         Per-tenant quotas; a tenant over quota evicts only its *own*
         least-recently-used entries.
@@ -204,13 +203,13 @@ class ResultCache:
     # -- insertion / eviction ------------------------------------------
     def put(self, key: str, result: ResultSet,
             stats: Optional[EvaluationStats] = None,
-            tenant: str = "anonymous", force: bool = False) -> int:
+            tenant: str = "anonymous") -> int:
         """Insert a *complete* result; returns how many entries were
         evicted making room.  Oversized results (``max_entry_bytes``) are
-        rejected unless ``force``; quotas and global bounds then evict
-        LRU entries — the inserting tenant's own first."""
+        rejected; quotas and global bounds then evict LRU entries — the
+        inserting tenant's own first."""
         nbytes = approximate_result_bytes(result)
-        if (not force and self.max_entry_bytes is not None
+        if (self.max_entry_bytes is not None
                 and nbytes > self.max_entry_bytes):
             self.stats.bump("rejected")
             return 0
@@ -224,8 +223,7 @@ class ResultCache:
                 self._tenant_entries.get(tenant, 0) + 1
             self._tenant_bytes[tenant] = \
                 self._tenant_bytes.get(tenant, 0) + nbytes
-            evicted = self._shrink_tenant_locked(tenant, keep=key,
-                                                 force=force)
+            evicted = self._shrink_tenant_locked(tenant, keep=key)
             evicted += self._shrink_global_locked(tenant, keep=key)
             self.stats.bump("inserts")
             if evicted:
@@ -271,8 +269,7 @@ class ResultCache:
                 return key
         return None
 
-    def _shrink_tenant_locked(self, tenant: str, keep: str,
-                              force: bool) -> int:
+    def _shrink_tenant_locked(self, tenant: str, keep: str) -> int:
         evicted = 0
         while True:
             over_entries = (self.tenant_max_entries is not None
@@ -286,8 +283,8 @@ class ResultCache:
             victim = self._oldest_locked(tenant, keep)
             if victim is None:
                 # The fresh entry alone exceeds the tenant byte quota:
-                # it does not get to stick (unless forced).
-                if not force and keep in self._entries:
+                # it does not get to stick.
+                if keep in self._entries:
                     self._remove_locked(keep)
                     evicted += 1
                 return evicted

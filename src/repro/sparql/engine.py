@@ -21,8 +21,8 @@ from typing import List, Optional, Tuple, Union
 from ..rdf.dataset import Dataset
 from ..rdf.graph import Graph
 from . import algebra as alg
-from .evaluator import (EvaluationStats, Evaluator, QueryTimeout,
-                        _synopses_built)
+from .evaluator import (EvaluationError, EvaluationStats, Evaluator,
+                        QueryTimeout, _synopses_built, resolve_graph)
 from .parser import parse
 from .plan import (Plan, key_from_skeleton, optimize_plan, output_variables,
                    plan_skeleton)
@@ -171,10 +171,10 @@ class Engine:
             return cached
 
         graph = self._planning_graph(query.from_graphs, default_graph_uri)
-        # Synopses (characteristic sets, per-predicate samples) are built
-        # lazily by the cost-based passes while planning; record the
-        # builds this plan triggered so the first execution's stats can
-        # attribute them (cache hits attribute zero, correctly).
+        # Per-predicate synopses are built lazily by the cost-based passes
+        # while planning; record the builds this plan triggered so the
+        # first execution's stats can attribute them (cache hits
+        # attribute zero, correctly).
         before = _synopses_built(graph)
         plan = optimize_plan(query, key=key, graph=graph,
                              dataset=self.dataset, source=kind)
@@ -190,25 +190,12 @@ class Engine:
                         default_graph_uri: Optional[str]):
         """The graph whose statistics drive join ordering, or ``None`` when
         resolution fails (the error then surfaces at execution, exactly as
-        it did on the pre-planner path)."""
+        it did on the pre-planner path) or the dataset is empty."""
+        if not len(self.dataset):
+            return None
         try:
-            if from_graphs:
-                if any(uri not in self.dataset for uri in from_graphs):
-                    return None
-                if len(from_graphs) == 1:
-                    return self.dataset.graph(from_graphs[0])
-                return self.dataset.union_view(from_graphs)
-            if default_graph_uri is not None:
-                if default_graph_uri not in self.dataset:
-                    return None
-                return self.dataset.graph(default_graph_uri)
-            graphs = list(self.dataset)
-            if not graphs:
-                return None
-            if len(graphs) == 1:
-                return graphs[0]
-            return self.dataset.union_view()
-        except KeyError:
+            return resolve_graph(self.dataset, from_graphs, default_graph_uri)
+        except (EvaluationError, KeyError):
             return None
 
     def _fingerprint(self) -> Tuple:

@@ -9,18 +9,18 @@ variables already bound, in the spirit of classic selectivity-based
 optimizers (and of what Virtuoso does for the paper's flat queries).
 
 It also hosts the statistics the planner's ``CostBasedJoinStrategy`` pass
-consumes — :class:`GraphStatistics`, now sourced from the graph's
-characteristic-sets and per-predicate synopses when the graph provides
-them — and :func:`run_signature`, the shared definition of which triple
-patterns can feed a sorted-run intersection step for a candidate variable.
-The worst-case-optimal join machinery lives here too:
-:func:`bgp_is_cyclic` detects cyclic BGPs via GYO reduction of the join
-hypergraph, :func:`generic_join_order` picks a variable elimination order
-by estimated run widths, and :func:`estimate_join` /
-:func:`estimate_wcoj` are the cost models the planner compares.
-:func:`bgp_program` turns a BGP and a chosen strategy into the step
-program the evaluator runs: the one place a BGP's physical plan is
-decided.
+consumes — :class:`GraphStatistics`, sourced from the graph's per-predicate
+synopses when the graph provides them — and :func:`run_signature`, the
+shared definition of which triple patterns can feed a sorted-run
+intersection step for a candidate variable. The worst-case-optimal join
+machinery lives here too: :func:`bgp_is_cyclic` detects cyclic BGPs via GYO
+reduction of the join hypergraph, :func:`generic_join_order` picks a
+variable elimination order by estimated run widths, and
+:func:`estimate_join` / :func:`estimate_wcoj` are the cost models the
+planner compares. :func:`bgp_program` turns a BGP and a chosen strategy into
+the step program the evaluator runs: the one place a BGP's physical plan is
+decided.  (The evaluator calls it once more at run time, for an
+``intersect`` BGP a join's sideways filter re-ordered.)
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class GraphStatistics:
         """(triples, distinct subjects, distinct objects) for a predicate.
 
         Sourced from the graph's per-predicate synopsis when available
-        (exact for these three figures, and shared with the
-        characteristic-sets build), else from ``predicate_profile``, else
+        (exact for these three figures), else from ``predicate_profile``, else
         from one memoized full scan."""
         graph = self._graph
         if hasattr(graph, "predicate_synopsis"):

@@ -749,7 +749,11 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
     A BGP with a strategy also gets the step ``program`` that strategy
     runs; one without matches its patterns in order.  Joins additionally
     get ``sip_eligible`` marks.  The evaluator follows the annotations as
-    they stand; there is no execution-time override.
+    they stand, with one run-time decision: when a join's sideways filter
+    names a variable of a non-``wcoj`` BGP with several patterns, the
+    BGP's patterns are re-ordered by filter-discounted estimates, and an
+    ``intersect`` BGP's program is rebuilt over the new order
+    (:func:`~.operators.bgp.program_for`).
     """
     stats_for = statistics_memo()
 

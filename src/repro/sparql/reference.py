@@ -28,9 +28,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..rdf.terms import XSD_DOUBLE, XSD_INTEGER, Literal, Node, Variable
 from . import algebra as alg
-from .evaluator import (EvaluationError, EvaluationStats, _common_vars,
-                        _numeric_literal, _sort_key)
+from .evaluator import EvaluationError, EvaluationStats, resolve_graph
 from .expressions import ExpressionError, ebv
+from .operators.group import numeric_literal
+from .operators.order import sort_key
 from .optimizer import GraphStatistics, order_patterns
 from .solution import (Mapping, Multiset, distinct, hash_join, left_join,
                        minus, project)
@@ -53,24 +54,9 @@ class ReferenceEvaluator:
     # ------------------------------------------------------------------
     def evaluate_query(self, query: alg.Query,
                        default_graph_uri: Optional[str] = None) -> Multiset:
-        graph = self._resolve_graphs(query.from_graphs, default_graph_uri)
+        graph = resolve_graph(self.dataset, query.from_graphs,
+                              default_graph_uri)
         return self.evaluate(query.pattern, graph, top=True)
-
-    def _resolve_graphs(self, from_graphs: List[str],
-                        default_graph_uri: Optional[str]):
-        if from_graphs:
-            missing = [u for u in from_graphs if u not in self.dataset]
-            if missing:
-                raise EvaluationError("unknown graph(s): %s" % ", ".join(missing))
-            if len(from_graphs) == 1:
-                return self.dataset.graph(from_graphs[0])
-            return self.dataset.union_view(from_graphs)
-        if default_graph_uri is not None:
-            return self.dataset.graph(default_graph_uri)
-        graphs = list(self.dataset)
-        if len(graphs) == 1:
-            return graphs[0]
-        return self.dataset.union_view()
 
     # ------------------------------------------------------------------
     def evaluate(self, node: alg.AlgebraNode, graph, top: bool = False) -> Multiset:
@@ -264,7 +250,7 @@ class ReferenceEvaluator:
     def _eval_orderby(self, node: alg.OrderBy, graph) -> Multiset:
         solutions = self.evaluate(node.pattern, graph)
         for var, direction in reversed(node.keys):
-            solutions = sorted(solutions, key=lambda mu: _sort_key(mu.get(var)),
+            solutions = sorted(solutions, key=lambda mu: sort_key(mu.get(var)),
                                reverse=(direction == "desc"))
         return list(solutions)
 
@@ -353,7 +339,7 @@ def _finish_aggregate(function: str, values, separator: Optional[str] = None):
         if not values:
             return None
         pick = min if function == "min" else max
-        return pick(values, key=lambda v: (_sort_key(v), v.n3()))
+        return pick(values, key=lambda v: (sort_key(v), v.n3()))
     numbers = []
     saw_double = saw_non_integer = False
     for value in values:
@@ -368,11 +354,11 @@ def _finish_aggregate(function: str, values, separator: Optional[str] = None):
     if function == "sum":
         if not numbers:
             return Literal(0)
-        return _numeric_literal(sum(numbers), saw_double, saw_non_integer)
+        return numeric_literal(sum(numbers), saw_double, saw_non_integer)
     if not numbers:
         return None
     if function == "avg":
-        return _numeric_literal(sum(numbers) / len(numbers), saw_double,
+        return numeric_literal(sum(numbers) / len(numbers), saw_double,
                                 True)
     raise EvaluationError("unknown aggregate %r" % function)
 
@@ -394,3 +380,8 @@ def _compatible(mu1: Mapping, mu2: Mapping) -> bool:
         if other is not None and other != value:
             return False
     return True
+
+
+def _common_vars(left: alg.AlgebraNode, right: alg.AlgebraNode) -> List[str]:
+    left_vars = set(left.in_scope())
+    return [v for v in right.in_scope() if v in left_vars]

@@ -250,7 +250,7 @@ class QueryServer:
     def submit(self, query: str, tenant: str = "anonymous",
                timeout: Optional[float] = None,
                max_rows: Optional[int] = None,
-               cache: object = "auto") -> QueryTicket:
+               cache: bool = True) -> QueryTicket:
         """Admit a query, returning a :class:`QueryTicket` future.
 
         Raises :class:`ServerOverloaded` immediately — never blocks —
@@ -279,9 +279,8 @@ class QueryServer:
         (True, 'hit', 0.0, 0)
 
         ``cache`` controls the result cache for *this* request (a no-op
-        when the server has none): ``'auto'`` consults it and inserts
-        results subject to the cache's size policy; ``True`` additionally
-        forces insertion past the per-entry byte cap; ``False`` bypasses
+        when the server has none): ``True`` consults it and inserts
+        results subject to the cache's size policy; ``False`` bypasses
         the cache entirely — the request always executes and its result
         is never stored.  Cached and coalesced replies share the
         producing execution's result and stats; a request that needs
@@ -289,14 +288,13 @@ class QueryServer:
         only when the cached result fits its budget (otherwise it
         executes and trips the valve exactly as an uncached one would).
         """
-        if cache not in (True, False, "auto"):
-            raise ValueError("cache must be True, False or 'auto', got %r"
-                             % (cache,))
+        if not isinstance(cache, bool):
+            raise ValueError("cache must be True or False, got %r" % (cache,))
         if self._closed:
             raise ServerOverloaded("server is shut down")
         budget_timeout = self.default_timeout if timeout is None else timeout
         budget_rows = self.default_max_rows if max_rows is None else max_rows
-        front_door = self.result_cache is not None and cache is not False
+        front_door = self.result_cache is not None and cache
         # A front-door hit takes no in-flight slot, but a tenant at its
         # cap is shed before the probe all the same.
         self._admit(tenant, hold=not front_door)
@@ -350,7 +348,7 @@ class QueryServer:
     def execute(self, query: str, tenant: str = "anonymous",
                 timeout: Optional[float] = None,
                 max_rows: Optional[int] = None,
-                cache: object = "auto") -> ResultSet:
+                cache: bool = True) -> ResultSet:
         """Synchronous convenience: submit and wait for the result."""
         return self.submit(query, tenant=tenant, timeout=timeout,
                            max_rows=max_rows, cache=cache).result()
@@ -387,10 +385,10 @@ class QueryServer:
             if item is None:  # shutdown sentinel
                 self._queue.task_done()
                 return
-            ticket, budget_timeout, budget_rows, cache_mode = item
+            ticket, budget_timeout, budget_rows, use_cache = item
             try:
                 self._run_ticket(ticket, budget_timeout, budget_rows,
-                                 cache_mode)
+                                 use_cache)
             finally:
                 self._release_tenant(ticket.tenant)
                 self._queue.task_done()
@@ -398,7 +396,7 @@ class QueryServer:
     def _run_ticket(self, ticket: QueryTicket,
                     budget_timeout: Optional[float],
                     budget_rows: Optional[int],
-                    cache_mode: object = "auto") -> None:
+                    use_cache: bool = True) -> None:
         ticket.waited = time.perf_counter() - ticket._submitted
         if ticket.cancel_token.cancelled:
             # Cancelled while queued: zero evaluator time spent.
@@ -410,7 +408,7 @@ class QueryServer:
         ticket.state = RUNNING
         ticket._running.set()
         cache = self.result_cache
-        if cache is None or cache_mode is False:
+        if cache is None or not use_cache:
             ticket.cache_state = "bypass"
             self._execute_plain(ticket, budget_timeout, budget_rows)
             return
@@ -435,7 +433,7 @@ class QueryServer:
             is_leader, flight = cache.join_flight(key)
             if is_leader:
                 self._lead_flight(ticket, key, flight, budget_timeout,
-                                  budget_rows, cache_mode)
+                                  budget_rows)
                 return
             # Follower: park until the leader resolves or aborts.  The
             # flight only exists while a leader worker is executing, so
@@ -504,8 +502,7 @@ class QueryServer:
 
     def _lead_flight(self, ticket: QueryTicket, key: str, flight,
                      budget_timeout: Optional[float],
-                     budget_rows: Optional[int],
-                     cache_mode: object) -> None:
+                     budget_rows: Optional[int]) -> None:
         """Execute as the single-flight leader; share or abort."""
         cache = self.result_cache
         self.stats.bump("cache_misses")
@@ -519,8 +516,7 @@ class QueryServer:
                 self._fail(ticket, exc)
                 return
             ticket.cache_state = "miss"
-            evicted = cache.put(key, result, stats, tenant=ticket.tenant,
-                                force=(cache_mode is True))
+            evicted = cache.put(key, result, stats, tenant=ticket.tenant)
             if evicted:
                 self.stats.bump("cache_evictions", by=evicted)
             cache.resolve_flight(key, flight, result, stats)

@@ -23,6 +23,21 @@ class TestDirectives:
         with pytest.raises(TurtleError):
             list(turtle.parse("nope:a nope:p nope:b ."))
 
+    @pytest.mark.parametrize("base", ["@base <http://ex.org/base/> .",
+                                      "BASE <http://ex.org/base/>"])
+    def test_base_resolves_relative_iris_only(self, base):
+        doc = base + """
+            @prefix foo: <http://other.org/> .
+            @prefix rel: <sub/> .
+            foo:a <p> rel:b .
+            <urn:x> foo:p <http://abs.org/o> .
+        """
+        assert list(turtle.parse(doc)) == [
+            (URIRef("http://other.org/a"), URIRef("http://ex.org/base/p"),
+             URIRef("http://ex.org/base/sub/b")),
+            (URIRef("urn:x"), URIRef("http://other.org/p"),
+             URIRef("http://abs.org/o"))]
+
 
 class TestTriples:
     def test_a_keyword(self):

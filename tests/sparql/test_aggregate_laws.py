@@ -5,7 +5,7 @@ unbound values go through every aggregate function x DISTINCT, with
 empty input included:
 
 * folding the rows in any order into the production accumulator
-  (:func:`~repro.sparql.evaluator._compile_aggregate`) and finishing
+  (:func:`~repro.sparql.operators.group.compile_aggregate`) and finishing
   equals the reference plane's own batch aggregate
   (:func:`~repro.sparql.reference._apply_aggregate`) over the same rows;
 * COUNT, SUM, AVG, MIN and MAX do not depend on the input order;
@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.rdf import Graph, Literal, TermDictionary, URIRef
 from repro.rdf.terms import XSD_DECIMAL
-from repro.sparql import Engine, EvaluationStats, Evaluator, parse
-from repro.sparql.evaluator import _compile_aggregate
+from repro.sparql import Engine, EvaluationStats, parse
+from repro.sparql.operators import group
 from repro.sparql.reference import _apply_aggregate
 
 DICTIONARY = TermDictionary()
@@ -65,7 +65,7 @@ IDS = ["%s%s(%s)" % (f, "-distinct" if d else "", a) for f, d, a in CASES]
 
 def fold(aggregate, cells):
     """Fold ``cells`` (terms or None) as one-column id rows, then finish."""
-    new_state, fold_row, finish = _compile_aggregate(
+    new_state, fold_row, finish = group.compile_aggregate(
         aggregate, {"v": 0}, DICTIONARY.decode, EvaluationStats())
     state = new_state()
     for cell in cells:
@@ -137,8 +137,8 @@ def test_index_count_matches_row_fold(key, argument, distinct, triples):
     want = indexed.query(query).rows
     assert indexed.last_stats.accumulator_rows == 0  # no row was folded
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Evaluator, "_fast_group_count",
-                      lambda self, node, graph: None)
+        patch.setattr(group, "fast_group_count",
+                      lambda ev, node, graph: None)
         folded = Engine(graph)
         got = folded.query(query).rows
     assert folded.last_stats.accumulator_rows \

@@ -2,10 +2,10 @@
 
 FILTER, BIND, an OPTIONAL's condition, HAVING and an aggregate's
 expression argument all read rows through one memoized reader
-(:func:`~repro.sparql.evaluator._expression_reader`): it keys on the ids
-of the variables the expression reads and remembers each key's outcome,
-errors included.  The reference plane evaluates every row afresh, so it
-is the oracle here:
+(:func:`~repro.sparql.operators.expressions.expression_reader`): it keys
+on the ids of the variables the expression reads and remembers each
+key's outcome, errors included.  The reference plane evaluates every row
+afresh, so it is the oracle here:
 
 * every shape, over integers, decimals, plain and language-tagged
   strings, date lexicals, IRIs, a blank node and cells OPTIONAL leaves
@@ -31,7 +31,7 @@ from repro.rdf import (BlankNode, Dataset, Graph, Literal, URIRef,
 from repro.rdf.terms import XSD_DECIMAL
 from repro.sparql import Engine, Evaluator, ReferenceEvaluator, parse
 from repro.sparql import algebra as alg
-from repro.sparql import evaluator as evaluator_module
+from repro.sparql.operators import expressions, group, joins
 from repro.sparql.plan import optimize_plan
 from repro.sparql.solution import table_to_mappings
 from repro.workload import get_case_study
@@ -170,7 +170,7 @@ def readers(monkeypatch):
     ``cells`` being the bindings of the expression's variables on each
     row the reader was asked about."""
     built = []
-    real = evaluator_module._expression_reader
+    real = expressions.expression_reader
 
     def recording(expression, index, *args):
         read = real(expression, index, *args)
@@ -184,7 +184,9 @@ def readers(monkeypatch):
             return read(row)
         return traced
 
-    monkeypatch.setattr(evaluator_module, "_expression_reader", recording)
+    # Every operator module that builds a reader reads the name itself.
+    for module in (expressions, joins, group):
+        monkeypatch.setattr(module, "expression_reader", recording)
     return built
 
 
@@ -261,7 +263,7 @@ def test_capped_memo_keeps_rows(small, reference_bags, readers, monkeypatch,
                                 name):
     """Past the cap a new binding is evaluated on every row it occurs in:
     more evaluations, the same rows, and no memo above the cap."""
-    monkeypatch.setattr(evaluator_module, "EXPRESSION_MEMO_ENTRIES", 2)
+    monkeypatch.setattr(expressions, "EXPRESSION_MEMO_ENTRIES", 2)
     got, stats = run(small, name)
     assert as_bag(got) == reference_bags[name]
     assert all(len(read.memo) <= 2 for _expression, read, _cells in readers)
@@ -270,7 +272,7 @@ def test_capped_memo_keeps_rows(small, reference_bags, readers, monkeypatch,
 
 
 def test_cap_bites(small, readers, monkeypatch):
-    monkeypatch.setattr(evaluator_module, "EXPRESSION_MEMO_ENTRIES", 2)
+    monkeypatch.setattr(expressions, "EXPRESSION_MEMO_ENTRIES", 2)
     _rows, stats = run(small, "filter_order_mixed")
     (_expression, _read, cells), = readers
     assert len(set(cells)) < stats.expression_evals < len(cells)

@@ -75,14 +75,14 @@ class TestAccounting:
         assert len(cache) == 2 and "a" not in cache
         assert cache.total_bytes <= int(entry * 2.5)
 
-    def test_oversized_entry_rejected_unless_forced(self):
+    def test_oversized_entry_rejected(self):
         entry = approximate_result_bytes(result_of(50))
         cache = ResultCache(max_entry_bytes=entry - 1)
         assert cache.put("big", result_of(50)) == 0
         assert "big" not in cache
         assert cache.stats.rejected == 1
-        cache.put("big", result_of(50), force=True)
-        assert "big" in cache
+        cache.put("fits", result_of(49))
+        assert "fits" in cache
 
     def test_reinsert_replaces_without_double_accounting(self):
         cache = ResultCache(max_entries=4)
@@ -137,8 +137,7 @@ class TestTenantQuotas:
         cache = ResultCache(tenant_max_bytes=entry - 1)
         cache.put("a", result_of(20), tenant="A")
         assert "a" not in cache
-        cache.put("a", result_of(20), tenant="A", force=True)
-        assert "a" in cache  # cache=True forces past the quota
+        assert cache.tenant_usage("A") == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +174,11 @@ class TestServerCache:
             assert t2.stats is t1.stats  # the hit reports the real work
             assert t2.elapsed == 0.0
 
-    def test_invalid_cache_knob_rejected(self):
+    @pytest.mark.parametrize("knob", ["always", "auto"])
+    def test_invalid_cache_knob_rejected(self, knob):
         with QueryServer(Engine(small_graph()), workers=1) as server:
-            with pytest.raises(ValueError):
-                server.submit(QUERY, cache="always")
+            with pytest.raises(ValueError, match="True or False"):
+                server.submit(QUERY, cache=knob)
 
     def test_mutation_then_resubmit_returns_fresh_rows(self):
         g = small_graph(4)
@@ -272,21 +272,15 @@ class TestServerCache:
             blocker.result(5.0)
             assert counts() == (4, 1, 3, 1, 7)
 
-    def test_cache_true_forces_insertion_then_hits_at_the_front_door(self):
+    def test_oversized_result_is_never_cached(self):
         cache = ResultCache(max_entry_bytes=1)  # rejects everything
         with QueryServer(Engine(small_graph()), workers=1,
                          result_cache=cache) as server:
-            assert server.submit(QUERY).result() is not None
-            assert len(cache) == 0 and cache.stats.rejected == 1
-            forced = server.submit(QUERY, cache=True)
-            forced.result()
-            assert forced.cache_state == "miss" and len(cache) == 1
-            for mode in ("auto", True):
-                ticket = server.submit(QUERY, cache=mode)
-                assert ticket.done() and ticket.cache_state == "hit"
-            bypass = server.submit(QUERY, cache=False)
-            bypass.result()
-            assert bypass.cache_state == "bypass" and bypass.elapsed > 0.0
+            for _ in range(2):
+                ticket = server.submit(QUERY)
+                assert ticket.result() is not None
+                assert ticket.cache_state == "miss"
+            assert len(cache) == 0 and cache.stats.rejected == 2
 
 
 class _ReadWriteGate:
