@@ -47,7 +47,7 @@ for line in engine.last_plan.explain().splitlines():
         print(line)
 print("groups built: %d, accumulator rows folded: %d, rows pulled: %d"
       % (stats.groups_built, stats.accumulator_rows, stats.rows_pulled))
-print("(accumulator_rows == 0 means the single-pattern COUNT was "
+print("(accumulator_rows == 0 means the COUNT was a star, "
       "answered straight from the graph indexes)")
 
 # ----------------------------------------------------------------------

@@ -347,43 +347,16 @@ class Graph:
             return ()
         return by_subj.get(s, ())
 
-    def object_group_counts(self, p: int) -> Iterator[Tuple[int, int]]:
-        """``(object id, subject count)`` pairs for a predicate id.
+    def predicate_objects(self, p: int):
+        """The POS row of a predicate id: ``object id -> subject ids``
+        (read-only contract), or an empty dict.
 
-        Iterates the POS index directly — O(distinct objects), never
-        touching individual triples.  The yield order equals the
-        first-seen object order of :meth:`so_pairs` (both walk the same
-        index), which is what lets the evaluator's index-backed GROUP BY
-        fast path emit groups in exactly the order the row-producing
-        path would.
+        Its keys are the predicate's distinct objects, in the order
+        :meth:`so_pairs` first meets them (both walk this row), so a
+        star ``COUNT`` reads its object-side sets here and a one-pattern
+        count keyed on the object emits groups in the row path's order.
         """
-        by_obj = self._pos.get(p)
-        if by_obj is None:
-            return
-        for o, subjects in by_obj.items():
-            yield o, len(subjects)
-
-    def subject_group_counts(self, p: int) -> Iterator[Tuple[int, int]]:
-        """``(subject id, object count)`` pairs for a predicate id.
-
-        The subject-keyed mirror of :meth:`object_group_counts`.  Yield
-        order is the first-seen *subject* order of the object-major
-        :meth:`so_pairs` scan (same index walk, same order guarantee for
-        the evaluator's GROUP BY fast path); each count is an O(1) SPO
-        lookup, so the sweep costs one set-membership test per triple and
-        allocates nothing per pair.
-        """
-        by_obj = self._pos.get(p)
-        if by_obj is None:
-            return
-        spo = self._spo
-        seen: Set[int] = set()
-        add = seen.add
-        for subjects in by_obj.values():
-            for s in subjects:
-                if s not in seen:
-                    add(s)
-                    yield s, len(spo[s][p])
+        return self._pos.get(p, {})
 
     def contains_ids(self, s: int, p: int, o: int) -> bool:
         return o in self._spo.get(s, {}).get(p, ())

@@ -150,7 +150,7 @@ class EvaluationStats:
       bound was satisfied; ``peak_batch_rows`` is the largest batch seen.
     * ``groups_built`` counts distinct groups a Group emitted;
       ``accumulator_rows`` counts input rows folded into per-group
-      accumulator states (the index-backed COUNT path folds zero).
+      accumulator states (a star ``COUNT`` folds zero).
     * ``sip_filtered_rows`` counts candidate bindings a sideways filter
       dropped at a BGP leaf; ``intersect_steps`` counts sorted-run
       intersections (one per input row per intersection step);

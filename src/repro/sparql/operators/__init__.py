@@ -10,8 +10,8 @@ them in :data:`~repro.sparql.evaluator.OPERATORS`.
   triggers.
 * :mod:`.joins` — Join, LeftJoin, Minus and FILTER (NOT) EXISTS, and the
   key sets a build side exports sideways.
-* :mod:`.group` — hash aggregation, the index-backed COUNT path and the
-  aggregate accumulators.
+* :mod:`.group` — hash aggregation, the star COUNT read off the indexes
+  and the aggregate accumulators.
 * :mod:`.order` — ORDER BY, top-k and LIMIT/OFFSET windows.
 * :mod:`.expressions` — the per-binding expression reader, FILTER and
   BIND.

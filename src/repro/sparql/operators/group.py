@@ -1,5 +1,5 @@
-"""Aggregation: streaming hash groups, the index-backed COUNT path, and
-the aggregate accumulators.
+"""Aggregation: streaming hash groups, the star COUNT read off the graph
+indexes, and the aggregate accumulators.
 
 A sideways filter reaches below a Group only on its grouping variables:
 pruning a grouping key removes whole groups that could not join anyway;
@@ -9,10 +9,14 @@ pruning anything else would corrupt surviving groups' aggregates.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from decimal import Decimal
+from itertools import chain, islice, product
+from math import prod
 from operator import itemgetter
 from typing import Dict, List, Optional
 
+from ...rdf.graph import Graph
 from ...rdf.terms import (XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Literal,
                           Variable)
 from .. import algebra as alg
@@ -30,27 +34,19 @@ def stream_group(ev, node: alg.Group, graph, hint: Optional[int],
     Its input is *consumed* incrementally (the child BGP/join pipeline
     runs batch by batch and no input table is ever materialized); only
     the per-group states — one small accumulator per aggregate per group
-    (:func:`compile_aggregate`) — are held.  The single-pattern COUNT
-    shape short-circuits to the index-backed :func:`fast_group_count`
-    and touches no rows at all.  Both executors finish through
+    (:func:`compile_aggregate`) — are held.  A ``Group`` the planner
+    marked as a star (:func:`~repro.sparql.plan.star_shape`) is counted
+    by :func:`star_count` instead, from the graph's indexes: no row is
+    built, folded or hashed.  Both executors finish through
     :func:`emit_groups`.
 
     Group keys hash dense int-id tuples (scalar ids for the common
     one-variable GROUP BY), so group order is the first-seen order of
     the input stream.
     """
-    counts = fast_group_count(ev, node, graph)
-    if counts is not None:
-        n_aggs = len(node.aggregates)
-        finished: Dict[int, tuple] = {}  # count -> its aggregate terms
-
-        def finish_count(count):
-            terms = finished.get(count)
-            if terms is None:
-                finished[count] = terms = (count_literal(count),) * n_aggs
-            return terms
-
-        return emit_groups(ev, node, counts, True, None, finish_count)
+    counted = star_count(ev, node, graph)
+    if counted is not None:
+        return emit_groups(ev, node, *counted)
     inner = ev.stream(node.pattern, graph, None,
                       {v: s for v, s in sip.items() if v in node.group_vars})
     index = inner.index
@@ -115,64 +111,134 @@ def stream_group(ev, node: alg.Group, graph, hint: Optional[int],
                        finish)
 
 
-def fast_group_count(ev, node: alg.Group, graph):
-    """Index-backed ``GROUP BY`` counting — no rows are produced.
+def star_count(ev, node: alg.Group, graph):
+    """Count a star ``Group`` from the graph's indexes, joining nothing.
 
-    Applies to ``Group(BGP)`` over a *single* triple pattern with a
-    constant predicate and distinct subject/object variables, grouped by
-    one of them, where every aggregate is a COUNT over the pattern's
-    variables (or ``COUNT(*)``), on one graph.  On a set-semantics
-    triple store each such count equals the group's row count, which the
-    SPO/POS indexes answer directly (:meth:`Graph.subject_group_counts` /
-    :meth:`Graph.object_group_counts`): the whole aggregation runs in one
-    index sweep with zero solution rows, zero hashing, and zero term
-    decoding.  Group order matches the row-producing path (the first-seen
-    order of the ``so_pairs`` scan), so the result is identical — not
-    merely bag-equal — to the general path's.
+    A row of a star's BGP (:class:`~repro.sparql.plan.Star`) is one
+    centre with one end per arm, so ``?centre`` is summed out per centre
+    (the variable elimination of FAQ / AJAR): for each centre in the
+    *drive set* — the smallest arm's candidate centres — that the other
+    arms admit, every combination of the key arms' end sets gains the
+    product of the non-key arms' sizes, or 1 for ``COUNT(DISTINCT
+    ?centre)``.  ``?p dc:creator ?a1 . ?p dc:creator ?a2`` grouped by
+    ``?a1 ?a2`` bumps k² pair counters per paper of k authors instead of
+    building k² rows.  A one-arm star keyed on its object reads each
+    count off the POS row (:meth:`~repro.rdf.graph.Graph.predicate_objects`);
+    a one-arm star keyed on its subject drives over that same row.  Both
+    meet groups in the row path's first-seen order.  Deadline and cancel
+    are checked every 1024 centres; the row budget applies to the groups
+    at emit, since a star produces no rows.
 
-    Returns the ``(group id, count)`` pairs for :func:`emit_groups`, or
-    ``None`` when the shape does not apply.
+    Returns the :func:`emit_groups` arguments after ``node``, or
+    ``None`` when the planner left no star or the graph is a union view.
     """
-    pattern = node.pattern
-    if not isinstance(pattern, alg.BGP) or len(pattern.triples) != 1:
-        return None
-    if len(node.group_vars) != 1:
-        return None
-    s_term, p_term, o_term = pattern.triples[0]
-    if isinstance(p_term, Variable) or not isinstance(s_term, Variable) \
-            or not isinstance(o_term, Variable):
-        return None
-    s_name, o_name = s_term.name, o_term.name
-    if s_name == o_name:
-        return None
-    gvar = node.group_vars[0]
-    if gvar not in (s_name, o_name):
-        return None
-    for aggregate in node.aggregates:
-        if aggregate.function != "count":
-            return None
-        expr = aggregate.expression
-        if expr is None:  # COUNT(*): counts the group's rows
-            if aggregate.distinct:
-                return None
-            continue
-        if type(expr) is not VarExpr or expr.name not in (s_name, o_name):
-            return None
-        if aggregate.distinct and expr.name == gvar:
-            # COUNT(DISTINCT ?g) GROUP BY ?g is 1, not the row count.
-            return None
-
-    # A union view has no group-count index: it takes the general Group
-    # path, which reads the same deduplicated (s, o) pairs.
-    group_counts = getattr(graph, "subject_group_counts" if gvar == s_name
-                           else "object_group_counts", None)
-    if group_counts is None:
+    star = getattr(node, "star", None)
+    if star is None or not isinstance(graph, Graph):
         return None
     ev.stats.bgp_count += 1
-    pid = ev.dictionary.lookup(p_term)
-    if pid is None:
-        return iter(())
-    return group_counts(pid)
+    before = graph.sorted_runs_built
+    rows, centres = _star_counts(ev, star, graph)
+    ev.stats.sorted_runs_built += graph.sorted_runs_built - before
+    scalar = len(star.keys) == 1
+    if centres is None:  # one count serves every aggregate
+        n_aggs = len(star.distinct)
+        finished: Dict[int, tuple] = {}  # count -> its aggregate terms
+
+        def finish(count):
+            terms = finished.get(count)
+            if terms is None:
+                finished[count] = terms = (count_literal(count),) * n_aggs
+            return terms
+
+        return rows.items(), scalar, int, finish
+
+    def finish(state):  # state = (rows, centres); index it by DISTINCT
+        return [count_literal(state[distinct]) for distinct in star.distinct]
+
+    return (((key, (n, centres[key])) for key, n in rows.items()), scalar,
+            lambda: (0, 0), finish)
+
+
+def _star_counts(ev, star, graph):
+    """``(rows, centres)``: per group key, its row count and its distinct
+    centre count, the latter ``None`` when ``rows`` serves both (no
+    non-key leaf arm multiplies rows, or no aggregate counts rows).
+
+    The drive set is filtered by every other arm's candidate set up
+    front, so each centre has every arm; a chunk of 1024 centres is then
+    counted by one C-level ``Counter.update`` over the chained key
+    combinations (or one ``sum`` of weights for the implicit group), and
+    only a weighted star with keys loops per centre."""
+    lookup = ev.dictionary.lookup
+    rows: Counter = Counter()
+    if len(star.arms) == 1 and star.keys == (0,) and star.arms[0].out:
+        # Keyed on the object: each count is a POS set's size.
+        pid = lookup(star.arms[0].predicate)
+        pos_row = {} if pid is None else graph.predicate_objects(pid)
+        return Counter({o: len(subjects)
+                        for o, subjects in pos_row.items()}), None
+    admits = []  # per arm, the centres it admits
+    leaves = []  # per leaf arm, (predicate id, POS row for an in arm)
+    for arm in star.arms:
+        pid = lookup(arm.predicate)
+        if isinstance(arm.end, Variable):
+            if pid is None:
+                return rows, None
+            row = None if arm.out else graph.predicate_objects(pid)
+            leaves.append((pid, row))
+            admits.append(graph.predicate_subjects_set(pid) if arm.out
+                          else row)
+            continue
+        end = lookup(arm.end)
+        if pid is None or end is None:
+            return rows, None  # a constant no graph holds: no rows
+        admits.append(graph.subjects_for(pid, end) if arm.out
+                      else graph.objects_for(end, pid))
+    smallest = min(admits, key=len)
+    drive = smallest
+    for members in {id(m): m for m in admits if m is not smallest}.values():
+        drive = list(filter(members.__contains__, drive))
+    leaf_arms = [i for i, arm in enumerate(star.arms)
+                 if isinstance(arm.end, Variable)]
+    key_at = [leaf_arms.index(i) for i in star.keys]
+    weight_at = [] if all(star.distinct) else \
+        [n for n, i in enumerate(leaf_arms) if i not in star.keys]
+    if not key_at and not weight_at:
+        if drive:  # the implicit group: one row per centre
+            rows[()] = len(drive)
+        return rows, None
+    centres: Optional[Counter] = Counter() \
+        if weight_at and any(star.distinct) else None
+    spo = graph.spo_index()
+    centre_iter = iter(drive)
+    while True:
+        chunk = list(islice(centre_iter, 1024))
+        if not chunk:
+            break
+        ev._check_valves(0, "mid-star")  # a star produces no rows
+        # Per leaf arm, each centre's end set: an out arm's from the
+        # centre's SPO row, an in arm's from the predicate's POS row.
+        ends = [map(itemgetter(pid), map(spo.__getitem__, chunk))
+                if row is None else map(row.__getitem__, chunk)
+                for pid, row in leaves]
+        weights = map(prod, zip(*[map(len, ends[n]) for n in weight_at]))
+        if not key_at:  # the implicit group, weighted
+            rows[()] += sum(weights)
+            if centres is not None:
+                centres[()] += len(chunk)
+            continue
+        keyed = ends[key_at[0]] if len(key_at) == 1 \
+            else map(product, *[ends[n] for n in key_at])
+        if not weight_at:
+            rows.update(chain.from_iterable(keyed))
+            continue
+        for groups, weight in zip(keyed, weights):
+            if centres is not None:
+                groups = tuple(groups)
+                centres.update(groups)
+            for key in groups:
+                rows[key] += weight
+    return rows, centres
 
 
 def emit_groups(ev, node: alg.Group, groups, scalar: bool, new_state,

@@ -22,8 +22,9 @@ After the rewrite fixpoint, the ``CostBasedJoinStrategy`` pass annotates
 the tree in place: per-BGP estimated cardinalities, the chosen join
 strategy (nested-loop / ``intersect`` / ``wcoj``, the last with a variable
 elimination order for cyclic BGPs detected via the join hypergraph) and
-the BGP's step program (:func:`~.optimizer.bgp_program`), and per-join
-SIP eligibility.  The evaluator obeys these annotations, and
+the BGP's step program (:func:`~.optimizer.bgp_program`), per-join
+SIP eligibility, and the :class:`Star` of a ``Group`` counted straight
+from the indexes.  The evaluator obeys these annotations, and
 :meth:`Plan.explain` prints every one of them.
 
 Each pass is a pure ``node -> (node, changes)`` function (input trees are
@@ -38,11 +39,13 @@ from __future__ import annotations
 
 import time
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
-from ..rdf.terms import Variable, is_concrete
+from ..rdf.graph import Graph
+from ..rdf.terms import PatternTerm, Variable, is_concrete
 from . import algebra as alg
-from .expressions import AndExpr, Expression
+from .expressions import AndExpr, Expression, VarExpr
 from .optimizer import (GraphStatistics, Intersect, WCOJ_COST_FACTOR,
                         bgp_is_cyclic, bgp_program, estimate_join,
                         estimate_wcoj, generic_join_order, order_patterns,
@@ -109,8 +112,9 @@ class Plan:
         the ``CostBasedJoinStrategy`` pass render their chosen join
         strategy, estimated cardinality, and (for ``wcoj``) the variable
         elimination order in a trailing ``[...]`` block; SIP-eligible
-        joins render ``[sip]``.  A BGP with a step program lists its
-        steps below it, one per line (see :func:`_program_lines`).
+        joins render ``[sip]`` and a star ``Group`` ``[count=star ?c]``
+        (:func:`star_shape`).  A BGP with a step program lists its steps
+        below it, one per line (see :func:`_program_lines`).
 
         A graph of collaborations: a sparse ring plus eight hubs who
         collaborate with everyone.  Two people's common collaborators
@@ -186,6 +190,9 @@ def _explain_notes(node: alg.AlgebraNode) -> str:
         notes.append("eliminate=%s" % "->".join("?" + v for v in eliminate))
     if getattr(node, "sip_eligible", False):
         notes.append("sip")
+    star = getattr(node, "star", None)
+    if star is not None:
+        notes.append("count=star ?%s" % star.centre)
     if not notes:
         return ""
     return " [%s]" % ", ".join(notes)
@@ -517,8 +524,7 @@ def aggregate_pushdown(node: alg.AlgebraNode) -> PassResult:
     row (grouping variables + aggregate aliases), never over the input.
 
     This narrowing is what lets the hash ``Group`` key on thin
-    id tuples, and it frequently exposes the single-pattern COUNT shape
-    that the evaluator answers straight from the graph indexes.
+    id tuples.
     """
     changes = 0
 
@@ -716,6 +722,88 @@ def _annotate_bgp(bgp: alg.BGP, stats: GraphStatistics) -> int:
     return 1
 
 
+class StarArm(NamedTuple):
+    """One triple of a star: ``(centre predicate end)`` when ``out``,
+    else ``(end predicate centre)``.  ``end`` is a constant or a leaf
+    :class:`~repro.rdf.terms.Variable`."""
+    predicate: PatternTerm
+    end: PatternTerm
+    out: bool
+
+
+class Star(NamedTuple):
+    """A ``Group`` the executor counts from the indexes without joining
+    its BGP (:func:`star_shape`).  ``keys`` names, per grouping
+    variable, the arm it is the leaf of; ``distinct`` tells, per
+    aggregate, ``COUNT(DISTINCT ?centre)`` from a row count."""
+    centre: str
+    arms: Tuple[StarArm, ...]
+    keys: Tuple[int, ...]
+    distinct: Tuple[bool, ...]
+
+
+def star_shape(group: alg.Group) -> Optional[Star]:
+    """The :class:`Star` a ``Group`` over a BGP is, or ``None``.
+
+    A star's triples all have constant predicates and each contains one
+    shared variable, the *centre*, exactly once; the centre is no
+    grouping variable.  The other end of each triple (an *arm*) is a
+    constant or a *leaf*: a variable in no other triple.  Every grouping
+    variable is a leaf, and every aggregate is ``COUNT(*)``,
+    ``COUNT(?v)`` over a BGP variable (always bound, so a row count) or
+    ``COUNT(DISTINCT ?centre)``.  Each row of such a BGP is one centre
+    with one end per arm, so a group's row count is a sum over centres
+    of products of index-set sizes (:func:`~.operators.group.star_count`).
+    """
+    bgp = group.pattern
+    if not isinstance(bgp, alg.BGP) or not bgp.triples \
+            or len(set(group.group_vars)) != len(group.group_vars):
+        return None
+    head = bgp.triples[0]
+    # The object first: a one-pattern star centred on its object reads
+    # only the POS row, as the row path does, so a store-backed graph
+    # need not build its SPO index for it.
+    for term in (head[2], head[0]):
+        if isinstance(term, Variable) and term.name not in group.group_vars:
+            star = _star_around(term.name, group)
+            if star is not None:
+                return star
+    return None
+
+
+def _star_around(centre: str, group: alg.Group) -> Optional[Star]:
+    arms: List[StarArm] = []
+    for s, p, o in group.pattern.triples:
+        at_s = isinstance(s, Variable) and s.name == centre
+        at_o = isinstance(o, Variable) and o.name == centre
+        if isinstance(p, Variable) or at_s == at_o:
+            return None
+        arms.append(StarArm(p, o if at_s else s, at_s))
+    leaves = [arm.end.name for arm in arms if isinstance(arm.end, Variable)]
+    if len(set(leaves)) != len(leaves):
+        return None  # a leaf shared by two triples is a join variable
+    leaf_arm = {arm.end.name: i for i, arm in enumerate(arms)
+                if isinstance(arm.end, Variable)}
+    if any(v not in leaf_arm for v in group.group_vars):
+        return None
+    distinct: List[bool] = []
+    for aggregate in group.aggregates:
+        expr = aggregate.expression
+        if aggregate.function != "count" \
+                or (expr is not None and type(expr) is not VarExpr):
+            return None
+        if aggregate.distinct:
+            if expr is None or expr.name != centre:
+                return None
+        elif expr is not None and expr.name != centre \
+                and expr.name not in leaf_arm:
+            return None
+        distinct.append(aggregate.distinct)
+    return Star(centre, tuple(arms),
+                tuple(leaf_arm[v] for v in group.group_vars),
+                tuple(distinct))
+
+
 def _scoped_graph(node: alg.GraphPattern, graph, dataset):
     """The graph a ``GRAPH <uri>`` scope plans against: the named graph
     when the dataset holds it, else the enclosing one."""
@@ -748,12 +836,15 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
 
     A BGP with a strategy also gets the step ``program`` that strategy
     runs; one without matches its patterns in order.  Joins additionally
-    get ``sip_eligible`` marks.  The evaluator follows the annotations as
-    they stand, with one run-time decision: when a join's sideways filter
-    names a variable of a non-``wcoj`` BGP with several patterns, the
-    BGP's patterns are re-ordered by filter-discounted estimates, and an
-    ``intersect`` BGP's program is rebuilt over the new order
-    (:func:`~.operators.bgp.program_for`).
+    get ``sip_eligible`` marks, and a ``Group`` over a BGP that
+    :func:`star_shape` accepts gets its ``star`` (on a single
+    :class:`~repro.rdf.graph.Graph`; a union view's accessors merge
+    member sets per probe, so it keeps the row path).  The evaluator
+    follows the annotations as they stand, with one run-time decision:
+    when a join's sideways filter names a variable of a non-``wcoj`` BGP
+    with several patterns, the BGP's patterns are re-ordered by
+    filter-discounted estimates, and an ``intersect`` BGP's program is
+    rebuilt over the new order (:func:`~.operators.bgp.program_for`).
     """
     stats_for = statistics_memo()
 
@@ -775,6 +866,12 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
                 if g is not None and n.triples:
                     changes += _annotate_bgp(n, stats_for(g))
                 return
+            if isinstance(n, alg.Group) and isinstance(g, Graph):
+                star = star_shape(n)
+                if star is not None:
+                    n.star = star
+                    changes += 1
+                    return  # a star reads indexes: its BGP never runs
             if isinstance(n, alg.GraphPattern):
                 visit(n.pattern, _scoped_graph(n, g, dataset))
                 return

@@ -65,7 +65,7 @@ from .format import (FormatError, decode_varint, decode_varstr,
 
 __all__ = ["write_snapshot", "load_snapshot", "list_snapshots",
            "snapshot_path", "SNAPSHOT_MAGIC", "SNAPSHOT_VERSION",
-           "LoadedSnapshot", "SnapshotGraph"]
+           "DictionaryPayload", "LoadedSnapshot", "SnapshotGraph"]
 
 SNAPSHOT_MAGIC = b"RPRSNAP1"
 SNAPSHOT_VERSION = 1
@@ -97,18 +97,52 @@ def list_snapshots(directory: str) -> List[Tuple[int, str]]:
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
+class DictionaryPayload:
+    """The ``'D'`` section payload for a dictionary's first ``terms`` ids.
+
+    A :class:`~repro.rdf.dictionary.TermDictionary` is append-only, so
+    the encoding of ids ``0..n-1`` never changes: a store keeps one
+    payload across checkpoints and each checkpoint encodes only the
+    terms interned since the last (:meth:`through`).  A snapshot load
+    that kept every id seeds it with the section it read.
+    """
+
+    __slots__ = ("dictionary", "table", "terms")
+
+    def __init__(self, dictionary: TermDictionary, table: bytes = b"",
+                 terms: int = 0):
+        self.dictionary = dictionary
+        self.table = bytearray(table)
+        self.terms = terms
+
+    def through(self, term_count: int) -> bytes:
+        """The payload for ids ``0..term_count-1``, extended in place."""
+        if term_count < self.terms:
+            raise ValueError("a dictionary payload cannot shrink")
+        decode = self.dictionary.decode
+        for tid in range(self.terms, term_count):
+            encode_term(self.table, decode(tid))
+        self.terms = term_count
+        return bytes(self.table)
+
+
 def write_snapshot(io: StorageIO, directory: str, generation: int,
                    graphs: Sequence[Graph], dictionary: TermDictionary,
-                   last_seqno: int) -> str:
+                   last_seqno: int,
+                   payload: Optional[DictionaryPayload] = None) -> str:
     """Write one complete snapshot and atomically publish it.
 
     The dictionary is captured first (``len(dictionary)`` terms); graph
     index sweeps afterwards can only see ids below that bound because
     ids are assigned at interning time, so the capture is internally
     consistent even if the caller races a concurrent reader (writers
-    must be quiesced — the store holds its mutation lock).
+    must be quiesced — the store holds its mutation lock).  ``payload``
+    is the caller's :class:`DictionaryPayload` for ``dictionary``, which
+    this extends; without one every term is encoded.
     """
     term_count = len(dictionary)
+    if payload is None or payload.dictionary is not dictionary:
+        payload = DictionaryPayload(dictionary)
     final_path = snapshot_path(directory, generation)
     tmp_path = final_path + ".tmp"
 
@@ -123,13 +157,7 @@ def write_snapshot(io: StorageIO, directory: str, generation: int,
     try:
         handle.write(SNAPSHOT_MAGIC)
         handle.write(frame_section(b"H", bytes(header)))
-
-        table = bytearray()
-        decode = dictionary.decode
-        for tid in range(term_count):
-            encode_term(table, decode(tid))
-        handle.write(frame_section(b"D", bytes(table)))
-
+        handle.write(frame_section(b"D", payload.through(term_count)))
         for graph in sorted(graphs, key=lambda g: g.uri):
             handle.write(frame_section(b"G", _encode_graph(graph)))
         handle.write(frame_section(b"E", b""))
@@ -253,13 +281,17 @@ class SnapshotGraph(Graph):
 
 
 class LoadedSnapshot:
-    """What :func:`load_snapshot` recovered."""
+    """What :func:`load_snapshot` recovered.  ``payload`` is the
+    dictionary section as a :class:`DictionaryPayload` when every
+    snapshot id landed on itself, else ``None``."""
 
     def __init__(self, generation: int, last_seqno: int,
-                 graphs: List[Graph]):
+                 graphs: List[Graph],
+                 payload: Optional[DictionaryPayload] = None):
         self.generation = generation
         self.last_seqno = last_seqno
         self.graphs = graphs
+        self.payload = payload
 
 
 def load_snapshot(path: str, dictionary: TermDictionary
@@ -311,6 +343,8 @@ def _parse_snapshot(data: bytes, dictionary: TermDictionary,
     if tag != b"D":
         raise FormatError("expected dictionary section, found %r" % tag)
     remap = _load_dictionary(payload, term_count, dictionary)
+    table = DictionaryPayload(dictionary, payload, term_count) \
+        if remap is None else None
 
     graphs: List[Graph] = []
     saw_end = False
@@ -329,7 +363,7 @@ def _parse_snapshot(data: bytes, dictionary: TermDictionary,
     if len(graphs) != graph_count:
         raise FormatError("header promises %d graphs, found %d"
                           % (graph_count, len(graphs)))
-    return LoadedSnapshot(generation, last_seqno, graphs)
+    return LoadedSnapshot(generation, last_seqno, graphs, table)
 
 
 def _load_dictionary(payload: bytes, term_count: int,

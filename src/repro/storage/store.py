@@ -38,7 +38,8 @@ from ..rdf.graph import Graph
 from ..rdf.ntriples import parse_line, serialize_triple
 from ..sparql.errors import StorageError
 from .fileio import StorageIO
-from .snapshot import list_snapshots, load_snapshot, write_snapshot
+from .snapshot import (DictionaryPayload, list_snapshots, load_snapshot,
+                       write_snapshot)
 from .wal import OP_ADD, OP_REMOVE, WriteAheadLog, list_wal_segments, \
     replay_wal
 
@@ -105,6 +106,8 @@ class GraphStore:
         self._graphs: Dict[str, Graph] = {}
         self._wal: Optional[WriteAheadLog] = None
         self._gen_seqnos: Dict[int, int] = {}   # generation -> last seqno
+        # The dictionary section as encoded so far (see checkpoint).
+        self._payload: Optional[DictionaryPayload] = None
         self._lock = threading.Lock()
         self.counters = {
             "wal_records": 0, "wal_fsyncs": 0, "wal_bytes": 0,
@@ -152,6 +155,7 @@ class GraphStore:
             report.snapshot_generation = loaded.generation
             report.snapshot_seqno = loaded.last_seqno
             self._gen_seqnos[loaded.generation] = loaded.last_seqno
+            self._payload = loaded.payload
             for graph in loaded.graphs:
                 self._graphs[graph.uri] = graph
         elif not list_wal_segments(self.directory):
@@ -317,10 +321,12 @@ class GraphStore:
     def checkpoint(self) -> int:
         """Fold the WAL into a fresh snapshot generation; returns it.
 
+        Only the terms interned since the previous checkpoint (or since
+        the loaded snapshot) are encoded into the dictionary section.
         Write order is crash-safe end to end: the snapshot publishes via
-        atomic rename *before* the WAL rolls, and old segments are
-        pruned only after no retained snapshot could need them — a crash
-        between any two steps recovers from whichever side completed.
+        atomic rename *before* the WAL rolls, and old segments are pruned
+        only after no retained snapshot could need them — a crash between
+        any two steps recovers from whichever side completed.
         """
         wal = self._wal
         if wal is None:
@@ -331,9 +337,12 @@ class GraphStore:
                 last = wal.last_seqno
                 existing = list_snapshots(self.directory)
                 generation = existing[-1][0] + 1 if existing else 1
+                if self._payload is None \
+                        or self._payload.dictionary is not self.dictionary:
+                    self._payload = DictionaryPayload(self.dictionary)
                 write_snapshot(self._io, self.directory, generation,
                                list(self._graphs.values()),
-                               self.dictionary, last)
+                               self.dictionary, last, self._payload)
             except OSError as exc:
                 raise StorageError("checkpoint failed: %s" % exc) from exc
             self._gen_seqnos[generation] = last

@@ -137,10 +137,75 @@ def test_index_count_matches_row_fold(key, argument, distinct, triples):
     want = indexed.query(query).rows
     assert indexed.last_stats.accumulator_rows == 0  # no row was folded
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(group, "fast_group_count",
+        patch.setattr(group, "star_count",
                       lambda ev, node, graph: None)
         folded = Engine(graph)
         got = folded.query(query).rows
     assert folded.last_stats.accumulator_rows \
         == graph.count(predicate=URIRef("http://x/p"))
     assert got == want  # first-seen group order, not just the same bag
+
+
+#: Star data: a few IRIs that are both subjects and objects, so subject-
+#: and object-centred stars both meet shared centres; literals only as
+#: objects.
+NODES = [URIRef("http://x/n%d" % i) for i in range(5)]
+STAR_PREDICATES = [URIRef("http://x/p"), URIRef("http://x/q")]
+STAR_TRIPLES = st.lists(st.tuples(
+    st.sampled_from(NODES), st.sampled_from(STAR_PREDICATES),
+    st.one_of(st.sampled_from(NODES),
+              st.integers(0, 1).map(Literal))), max_size=24)
+
+
+@st.composite
+def stars(draw):
+    """A random star ``Group`` query: 1-4 arms around ``?c`` (constant or
+    leaf ends, subject- or object-centred, predicates drawn with
+    repeats), a random ordered subset of the leaves as keys (none is the
+    implicit group), and 1-3 aggregates from ``COUNT(*)``,
+    ``COUNT(?leaf)``, ``COUNT(?c)`` and ``COUNT(DISTINCT ?c)``."""
+    triples, leaves = [], []
+    for i in range(draw(st.integers(1, 4))):
+        predicate = draw(st.sampled_from(STAR_PREDICATES)).n3()
+        if draw(st.booleans()):
+            end = "?l%d" % i
+            leaves.append(end)
+        else:
+            end = draw(st.sampled_from(NODES)).n3()
+        out = draw(st.booleans())
+        triples.append("?c %s %s ." % (predicate, end) if out
+                       else "%s %s ?c ." % (end, predicate))
+    keys = draw(st.permutations(leaves))[:draw(st.integers(0, len(leaves)))]
+    counted = ["*", "?c", "DISTINCT ?c"] + leaves
+    aggregates = " ".join(
+        "(COUNT(%s) AS ?n%d)" % (draw(st.sampled_from(counted)), i)
+        for i in range(draw(st.integers(1, 3))))
+    return "SELECT %s %s WHERE { %s }%s" % (
+        " ".join(keys), aggregates, " ".join(triples),
+        " GROUP BY " + " ".join(keys) if keys else "")
+
+
+def bag(result):
+    return sorted(map(repr, result.rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(triples=STAR_TRIPLES, query=stars())
+@example(triples=[(NODES[0], STAR_PREDICATES[0], NODES[1]),
+                  (NODES[0], STAR_PREDICATES[0], NODES[2]),
+                  (NODES[3], STAR_PREDICATES[0], NODES[1])],
+         query="SELECT ?a1 ?a2 (COUNT(?c) AS ?n) WHERE { ?c <http://x/p> "
+               "?a1 . ?c <http://x/p> ?a2 . } GROUP BY ?a1 ?a2")
+def test_star_count_matches_row_fold_and_reference(triples, query):
+    graph = Graph("http://g")
+    for triple in triples:
+        graph.add(*triple)
+    starred = Engine(graph)
+    assert "[count=star ?" in starred.plan(query).explain()
+    want = starred.query(query)
+    assert starred.last_stats.accumulator_rows == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(group, "star_count", lambda ev, node, graph: None)
+        folded = Engine(graph)
+        assert bag(folded.query(query)) == bag(want)
+    assert bag(Engine(graph, columnar=False).query(query)) == bag(want)

@@ -3,7 +3,7 @@
 Two planes answer every grouped query here:
 
 * ``production`` — ``Engine(source)``: ``Group`` folds row batches (or
-  takes the index-backed COUNT fast path),
+  counts a star ``Group`` from the indexes),
 * ``reference``  — ``Engine(columnar=False)``: the seed dict-based
   evaluator, the oracle.
 
@@ -11,8 +11,8 @@ They must agree on the case studies and on a synthetic grouped workload
 covering every aggregate function, DISTINCT variants, HAVING, implicit
 groups, and unbound inputs.  The production operators must additionally
 *prove* their behavior through the ``groups_built`` / ``accumulator_rows``
-/ ``rows_pulled`` counters — in particular that the single-pattern COUNT
-shape touches no rows at all.
+/ ``rows_pulled`` counters — in particular that a star COUNT touches no
+rows at all, and that every other shape still folds them.
 
 The regression classes pin the GROUP_CONCAT separator, AVG/SUM numeric
 promotion and MIN/MAX over any term (the winning input term, in ORDER BY
@@ -214,7 +214,7 @@ class TestGroupAnnotation:
 
 
 class TestIndexBackedCount:
-    def test_group_count_hooks(self):
+    def test_predicate_objects_hook(self):
         d = TermDictionary()
         g = Graph("http://h", dictionary=d)
         p = uri("p")
@@ -223,12 +223,14 @@ class TestIndexBackedCount:
         g.add(uri("s2"), p, uri("o0"))
         pid = d.lookup(p)
         name = d.decode
-        assert [(str(name(s)), n) for s, n in g.subject_group_counts(pid)] \
-            == [("http://x/s", 3), ("http://x/s2", 1)]
-        assert {str(name(o)): n for o, n in g.object_group_counts(pid)} \
-            == {"http://x/o0": 2, "http://x/o1": 1, "http://x/o2": 1}
-        assert list(g.subject_group_counts(999999)) == []
-        assert list(g.object_group_counts(999999)) == []
+        row = g.predicate_objects(pid)
+        assert {str(name(o)): sorted(str(name(s)) for s in subjects)
+                for o, subjects in row.items()} \
+            == {"http://x/o0": ["http://x/s", "http://x/s2"],
+                "http://x/o1": ["http://x/s"], "http://x/o2": ["http://x/s"]}
+        # Keys in the first-seen object order of the so_pairs scan.
+        assert list(row) == list(dict.fromkeys(o for _, o in g.so_pairs(pid)))
+        assert g.predicate_objects(999999) == {}
 
     @pytest.mark.parametrize("key", ["?s", "?o"])
     def test_union_view_takes_the_general_path(self, key):
@@ -275,14 +277,15 @@ class TestIndexBackedCount:
     def test_fast_path_and_general_path_agree_exactly(self, dataset):
         # The same query routed through the fast path (single pattern) and
         # the general hash path (forced by an extra pattern that matches
-        # everything the first one does) must name identical counts.
+        # everything the first one does; its variable predicate is no
+        # star arm) must name identical counts.
         fast_engine = Engine(dataset)
         fast = fast_engine.query(COUNT_FILMS, default_graph_uri=DBPEDIA_URI)
         assert fast_engine.last_stats.accumulator_rows == 0
         general_q = PFX + """
         SELECT ?actor (COUNT(DISTINCT ?film) AS ?n) WHERE {
             ?film dbpp:starring ?actor .
-            ?film rdf:type ?t .
+            ?film ?p ?o .
         } GROUP BY ?actor"""
         general_engine = Engine(dataset)
         general = general_engine.query(general_q,
@@ -300,6 +303,67 @@ class TestIndexBackedCount:
         bags = {plane: row_bag(e.query(query, default_graph_uri="http://g"))
                 for plane, e in engines.items()}
         assert bags["production"] == bags["reference"]
+
+
+class TestStarFallback:
+    """Every ``Group`` that is not a star keeps the row fold: the shape
+    test rejects it at plan time, rows are folded, and the answer is
+    the reference's."""
+
+    @pytest.fixture(scope="class")
+    def papers(self):
+        g = Graph("http://papers", dictionary=TermDictionary())
+        for i in range(12):
+            paper = uri("paper%d" % i)
+            g.add(paper, uri("series"), uri("venue%d" % (i % 3)))
+            g.add(paper, uri("year"), Literal(2000 + i % 4))
+            for j in range(1 + i % 3):
+                g.add(paper, uri("creator"), uri("author%d" % ((i + j) % 5)))
+            g.add(paper, uri("editor"), uri("author%d" % (i % 4)))
+            g.add(uri("author%d" % (i % 5)), uri("advisor"),
+                  uri("author%d" % ((i + 1) % 5)))
+        return g
+
+    @pytest.mark.parametrize("query", [
+        # FILTER, OPTIONAL and UNION inside
+        "SELECT ?a (COUNT(?p) AS ?n) WHERE { ?p x:creator ?a . "
+        "?p x:series ?v FILTER(?v != x:venue0) } GROUP BY ?a",
+        "SELECT ?a (COUNT(?v) AS ?n) WHERE { ?p x:creator ?a "
+        "OPTIONAL { ?p x:series ?v } } GROUP BY ?a",
+        "SELECT ?a (COUNT(?p) AS ?n) WHERE { { ?p x:creator ?a } UNION "
+        "{ ?p x:editor ?a } } GROUP BY ?a",
+        # a variable predicate; a leaf shared by two triples; no centre
+        "SELECT ?a (COUNT(?p) AS ?n) WHERE { ?p ?rel ?a } GROUP BY ?a",
+        "SELECT ?a (COUNT(?p) AS ?n) WHERE { ?p x:creator ?a . "
+        "?p x:editor ?a } GROUP BY ?a",
+        "SELECT ?a (COUNT(?d) AS ?n) WHERE { ?a x:advisor ?b . "
+        "?b x:advisor ?c . ?c x:advisor ?d } GROUP BY ?a",
+        # the centre grouped; both ends of a one-pattern BGP grouped
+        "SELECT ?p (COUNT(?a) AS ?n) WHERE { ?p x:creator ?a . "
+        "?p x:series ?v } GROUP BY ?p",
+        "SELECT ?p ?a (COUNT(*) AS ?n) WHERE { ?p x:creator ?a } "
+        "GROUP BY ?p ?a",
+        # other aggregates
+        "SELECT ?v (SUM(?y) AS ?n) WHERE { ?p x:series ?v . "
+        "?p x:year ?y } GROUP BY ?v",
+        "SELECT ?v (COUNT(DISTINCT ?a) AS ?n) WHERE { ?p x:series ?v . "
+        "?p x:creator ?a } GROUP BY ?v",
+        "SELECT ?v (COUNT(STR(?p)) AS ?n) WHERE { ?p x:series ?v } "
+        "GROUP BY ?v",
+        "SELECT ?v (COUNT(DISTINCT *) AS ?n) WHERE { ?p x:series ?v } "
+        "GROUP BY ?v",
+    ], ids=["filter", "optional", "union", "variable-predicate",
+            "shared-leaf", "chain", "centre-key", "both-keys", "sum",
+            "count-distinct-leaf", "count-expression",
+            "count-distinct-star"])
+    def test_ineligible_shape_folds_rows(self, papers, query):
+        engines = planes(papers)
+        production = engines["production"]
+        assert "count=star" not in production.plan(PFX + query).explain()
+        got = production.query(PFX + query)
+        assert production.last_stats.accumulator_rows > 0
+        assert row_bag(got) == row_bag(engines["reference"].query(
+            PFX + query))
 
 
 class TestHavingReusesSelectAggregate:
@@ -439,6 +503,48 @@ class TestFastPathSafetyValves:
         with pytest.raises(EvaluationError, match="max_rows"):
             engine.query(PFX + """SELECT ?s (COUNT(?o) AS ?n)
                 WHERE { ?s x:p ?o } GROUP BY ?s""")
+
+    @pytest.mark.parametrize("valve", ["deadline", "cancel"])
+    def test_deadline_or_cancel_mid_star_abandons_it(self, valve):
+        """3000 papers of two authors: the star checks the valves after
+        every 1024 centres, so a valve that fires at the second check
+        stops it there, a third of the way through."""
+        import time
+        from repro.sparql import Evaluator
+        from repro.sparql.errors import CancelToken, QueryCancelled
+        from repro.sparql.evaluator import QueryTimeout
+
+        g = Graph("http://valve", dictionary=TermDictionary())
+        for i in range(3000):
+            g.add(uri("paper%d" % i), uri("creator"), uri("a%d" % (i % 7)))
+            g.add(uri("paper%d" % i), uri("creator"), uri("b%d" % (i % 5)))
+        plan = Engine(g).plan(PFX + """SELECT ?a1 ?a2 (COUNT(?p) AS ?n)
+            WHERE { ?p x:creator ?a1 . ?p x:creator ?a2 }
+            GROUP BY ?a1 ?a2""")
+        assert "[count=star ?p]" in plan.explain()
+        token = CancelToken()
+        evaluator = Evaluator(Dataset(), cancel=token)
+        evaluator.dataset.add_graph(g)
+        checks = []
+        check = evaluator._check_valves
+
+        def counting_check(produced, where):
+            if where == "mid-star":
+                checks.append(where)
+                if len(checks) == 2 and valve == "cancel":
+                    token.cancel()
+                elif len(checks) == 2:
+                    evaluator.deadline = time.perf_counter() - 1.0
+            check(produced, where)
+
+        evaluator._check_valves = counting_check
+        if valve == "cancel":
+            trips = pytest.raises(QueryCancelled)
+        else:
+            trips = pytest.raises(QueryTimeout, match="mid-star")
+        with trips:
+            evaluator.evaluate_plan_stream(plan)
+        assert len(checks) == 2
 
 
 class TestTopKGroups:

@@ -596,9 +596,10 @@ class TestOnePlane:
             reference.evaluate_plan(plan)
 
 
-#: Every graph accessor the evaluator calls without a capability probe.
-#: (``subject_group_counts`` / ``object_group_counts`` are probed: a
-#: ``GraphUnion`` has neither and takes the general ``Group`` path.)
+#: Every graph accessor the evaluator calls on any graph kind.  (The star
+#: ``COUNT`` also reads ``spo_index`` and ``predicate_objects``; the planner
+#: gives it only a single ``Graph``, so a ``GraphUnion`` keeps the row
+#: ``Group``.)
 GRAPH_ACCESSORS = ("dictionary", "contains_ids", "triples_ids",
                    "objects_for", "subjects_for", "so_pairs", "so_pairs_list",
                    "objects_run", "subjects_run", "predicate_subjects_run",
@@ -634,3 +635,38 @@ def test_every_graph_kind_has_every_accessor(graph_kinds):
         missing = [name for name in GRAPH_ACCESSORS
                    if not hasattr(graph, name)]
         assert not missing, (kind, missing)
+
+
+STAR_QUERIES = [
+    "SELECT ?a (COUNT(*) AS ?n) WHERE { ?m x:starring ?a } GROUP BY ?a",
+    "SELECT ?m (COUNT(?a) AS ?n) WHERE { ?m x:starring ?a } GROUP BY ?m",
+    "SELECT ?a ?b (COUNT(?m) AS ?n) WHERE { ?m x:starring ?a . "
+    "?m x:starring ?b } GROUP BY ?a ?b",
+    "SELECT (COUNT(DISTINCT ?m) AS ?n) WHERE { ?m x:starring x:a1 }",
+]
+
+
+@pytest.mark.parametrize("query", STAR_QUERIES)
+def test_star_count_on_every_graph_kind(graph_kinds, query):
+    """A single ``Graph`` (store-backed or not) is counted as a star, a
+    union view folds rows; both agree with the reference evaluator over
+    the same triples."""
+    from repro.rdf import GraphUnion
+    from repro.sparql import Evaluator, parse
+    from repro.sparql.plan import optimize_plan
+
+    for kind, graph in graph_kinds.items():
+        plan = optimize_plan(parse(PFX + query), graph=graph)
+        assert ("count=star" in plan.explain()) \
+            == (not isinstance(graph, GraphUnion)), kind
+        evaluator = Evaluator(Dataset())
+        evaluator.dictionary = graph.dictionary
+        table = evaluator.stream(plan.query.pattern, graph).to_table()
+        got = sorted(tuple(repr(graph.dictionary.decode(i)) for i in row)
+                     for row in table.rows)
+        copy = Graph("http://copy")
+        for triple in graph.triples():
+            copy.add(*triple)
+        reference = Engine(copy, columnar=False).query(PFX + query)
+        assert got == sorted(tuple(map(repr, row))
+                             for row in reference.rows), kind

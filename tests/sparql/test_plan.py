@@ -273,6 +273,34 @@ class TestOptimizePlan:
         plan = optimize_plan(parse(text), graph=graph)
         assert plan.explain().splitlines()[0] == "FROM ['http://g']"
 
+    def test_explain_marks_a_star_group(self):
+        """``coauthor_pairs``: the Group is counted as a star around
+        ``?paper``, so its BGP gets no step program; a FILTER inside
+        makes the same shape ineligible, and the BGP keeps its program."""
+        from repro.core import InnerJoin, KnowledgeGraph
+        from repro.data import DBLP_URI
+
+        engine = Engine(build_dataset(scale=0.02))
+        graph = KnowledgeGraph(graph_uri=DBLP_URI)
+        left = graph.feature_domain_range("dc:creator", "paper", "author1")
+        right = graph.feature_domain_range("dc:creator", "paper", "author2")
+        pairs = left.join(right, "paper", InnerJoin) \
+            .group_by(["author1", "author2"]).count("paper", "n_joint")
+        lines = explained_tree(engine.plan(pairs.to_sparql()))[0]
+        assert lines[2:] == [
+            "  Group(by=['author1', 'author2'], aggs=[Aggregate((COUNT(?paper)"
+            " AS ?n_joint))]) [count=star ?paper]",
+            "    BGP(2 triples)"]
+        authored = graph.entities("swrc:InProceedings", "paper") \
+            .expand("paper", [("dc:creator", "author"),
+                              ("swrc:series", "venue")]) \
+            .filter({"venue": ["In(dblprc:vldb, dblprc:sigmod)"]}) \
+            .group_by(["author"]).count("paper", "n_papers")
+        lines = explained_tree(engine.plan(authored.to_sparql()))[0]
+        assert lines[2] == ("  Group(by=['author'], aggs=[Aggregate("
+                            "(COUNT(?paper) AS ?n_papers))])")
+        assert any(line.strip().startswith("match ") for line in lines)
+
     def test_unordered_plan_skips_join_ordering(self, graph):
         # Without graph statistics neither JoinOrdering nor the
         # CostBasedJoinStrategy annotation pass runs.

@@ -13,8 +13,11 @@ from repro.sparql.errors import (CorruptSnapshotError, EndpointError,
                                  StorageError, WalTruncatedError,
                                  classify_error, is_retryable)
 from repro.storage import GraphStore
-from repro.storage.fileio import corrupt_bytes, flip_bit, truncate_file
-from repro.storage.snapshot import list_snapshots
+from repro.storage import snapshot as snapshot_module
+from repro.storage.fileio import (StorageIO, corrupt_bytes, flip_bit,
+                                  truncate_file)
+from repro.storage.snapshot import (list_snapshots, load_snapshot,
+                                    snapshot_path, write_snapshot)
 from repro.storage.wal import list_wal_segments
 
 URI = "http://example.org/g"
@@ -146,6 +149,81 @@ class TestLifecycle:
         stranger = Graph("urn:other", dictionary=TermDictionary())
         with pytest.raises(StorageError):
             store.attach(stranger)
+        store.close()
+
+
+class TestIncrementalCheckpoint:
+    """A checkpoint encodes only the dictionary terms interned since the
+    previous one (or since a load that kept every id), and still writes
+    exactly the bytes a from-scratch encode gives."""
+
+    def checkpoint(self, store, home, scratch, monkeypatch):
+        """Checkpoint; returns how many terms it encoded, after checking
+        the snapshot against a from-scratch write of the same state."""
+        calls = []
+        encode = snapshot_module.encode_term
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot_module, "encode_term",
+                          lambda out, term: calls.append(term)
+                          or encode(out, term))
+            generation = store.checkpoint()
+        path = snapshot_path(home, generation)
+        seqno = load_snapshot(path, TermDictionary()).last_seqno
+        fresh_dir = str(scratch / ("fresh%d" % generation))
+        os.makedirs(fresh_dir)
+        fresh = write_snapshot(StorageIO(), fresh_dir, generation,
+                               list(store.graphs().values()),
+                               store.dictionary, seqno)
+        with open(path, "rb") as got, open(fresh, "rb") as want:
+            assert got.read() == want.read()
+        return len(calls)
+
+    def test_interleaved_adds_checkpoints_and_reopens(self, tmp_path,
+                                                      monkeypatch):
+        home = str(tmp_path / "store")
+        run = [0]
+
+        def step(store, count):
+            before = len(store.dictionary)
+            populate(store, count, start=run[0])
+            run[0] += count
+            new_terms = len(store.dictionary) - before
+            return new_terms, self.checkpoint(store, home, tmp_path,
+                                              monkeypatch)
+
+        store = GraphStore(home)
+        store.open()
+        new_terms, encoded = step(store, 30)
+        assert encoded == len(store.dictionary)  # the first encodes all
+        for count in (5, 0, 12):
+            new_terms, encoded = step(store, count)
+            assert encoded == new_terms == count
+        store.close()
+
+        # A fresh dictionary takes the identity mapping: seeded.
+        store = GraphStore(home)
+        store.open()
+        new_terms, encoded = step(store, 9)
+        assert encoded == new_terms == 9
+        store.close()
+
+        # A shared dictionary holding other terms remaps: re-encoded once.
+        shared = TermDictionary()
+        shared.encode(URIRef("http://elsewhere/a"))
+        shared.encode(Literal("elsewhere"))
+        store = GraphStore(home, dictionary=shared)
+        store.open()
+        new_terms, encoded = step(store, 4)
+        assert encoded == len(shared)
+        new_terms, encoded = step(store, 3)
+        assert encoded == new_terms == 3
+        store.close()
+
+        # Reopened into that same dictionary every id lands on itself.
+        store = GraphStore(home, dictionary=shared)
+        store.open()
+        new_terms, encoded = step(store, 6)
+        assert encoded == new_terms == 6
         store.close()
 
 
