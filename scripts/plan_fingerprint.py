@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Print one deterministic line per query: its result digest and every
-``EvaluationStats`` counter.
+"""Print one deterministic line per query: its result digest, every
+``EvaluationStats`` counter and a short hash of its plan's text.
 
 The queries are the paper's case studies and synthetic pipelines, the
 join corpus, and the ledger's bibliometrics pipelines and serving
 population (read from ``benchmarks/ledger/workloads.py``), all run in
 that order on one engine over one seeded dataset.  The counters say how
 each query was executed (pattern matches, intersection and generic-join
-steps, rows held at breakers, ...), so two source trees that plan and
-execute every query alike print identical output.  A ``diff`` of two
-runs is therefore a plan-flip check for a change that should move no
-plan::
+steps, rows held at breakers, ...) and the plan hash covers what the
+planner wrote (estimates, strategies, sideways-filter marks, without the
+pass-timing lines), so two source trees that plan and execute every
+query alike print identical output, and a moved estimate shows even when
+no counter moves.  A ``diff`` of two runs is therefore a plan-flip check
+for a change that should move no plan::
 
     PYTHONPATH=src python scripts/plan_fingerprint.py --scale 0.05 > new.txt
     PYTHONPATH=/path/to/other/src python scripts/plan_fingerprint.py \\
@@ -18,13 +20,14 @@ plan::
     diff old.txt new.txt
 
 The script reads only public engine APIs (``Engine.query``,
-``Engine.last_stats``, ``EvaluationStats.as_dict``), so it runs against
-older trees too.
+``Engine.last_stats``, ``EvaluationStats.as_dict``, ``Engine.last_plan``
+and ``Plan.explain``), so it runs against older trees too.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import inspect
 import os
 import random
@@ -58,7 +61,14 @@ def fingerprint_lines(scale: float, seed: int):
     def line(label, digest):
         counters = " ".join("%s=%d" % item
                             for item in engine.last_stats.as_dict().items())
-        return "%s %s %s" % (label, digest, counters)
+        return "%s %s %s plan=%s" % (label, digest, counters, plan_hash())
+
+    def plan_hash():
+        # The plan text without its "--" pass-timing lines.
+        text = "\n".join(line for line in
+                         engine.last_plan.explain().splitlines()
+                         if not line.startswith("--"))
+        return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
 
     frames = ([("case", case.key, case.frame()) for case in CASE_STUDIES]
               + [("synthetic", query.qid, query.frame())

@@ -256,22 +256,6 @@ class GraphUnion:
                 ids.append(tid)
         return sum(1 for _ in self.triples_ids(*ids))
 
-    def predicate_profile(self, predicate) -> Tuple[int, int, int]:
-        """Member-wise sum of per-graph profiles.
-
-        An upper bound when graphs overlap (duplicated triples or shared
-        entities are counted once per member graph); the optimizer only
-        needs relative magnitudes, so the approximation is fine and avoids
-        a dedup scan.
-        """
-        triples = distinct_s = distinct_o = 0
-        for g in self.graphs:
-            t, s, o = g.predicate_profile(predicate)
-            triples += t
-            distinct_s += s
-            distinct_o += o
-        return (triples, distinct_s, distinct_o)
-
     def predicate_synopsis(self, pid):
         """Member-wise merge of per-graph predicate synopses: exact
         figures are summed (an upper bound when members overlap), the

@@ -11,8 +11,9 @@ etc.) decodes at the boundary and is what loaders, serializers, and
 exploration operators use.
 
 The graph also exposes per-predicate statistics
-(:meth:`Graph.predicate_profile`) used by the join-order optimizer, and
-lazily-built *sorted runs* — sorted arrays of ids per ``(s, p)``, ``(p, o)``
+(:meth:`Graph.predicate_synopsis`, which the join-order optimizer reads,
+and its term-level :meth:`Graph.predicate_profile`), and lazily-built
+*sorted runs* — sorted arrays of ids per ``(s, p)``, ``(p, o)``
 and ``p`` — that the evaluator's multiway-intersection join steps iterate
 as sorted seeds, probing the companion index sets for elimination
 (:meth:`Graph.objects_run` and friends).  Runs are memoized like the
@@ -531,8 +532,9 @@ class Graph:
     def predicate_profile(self, predicate: Node) -> Tuple[int, int, int]:
         """``(triples, distinct_subjects, distinct_objects)`` for a predicate.
 
-        This is the public statistics interface the join-order optimizer
-        consumes (via :class:`~repro.sparql.optimizer.GraphStatistics`).
+        The term-level view of the first three figures of
+        :meth:`predicate_synopsis`, which the join-order optimizer reads
+        (via :class:`~repro.sparql.optimizer.GraphStatistics`).
         Profiles are memoized per predicate and invalidated when a triple
         with that predicate is added or removed, so repeated estimation
         during a query is O(1) after the first touch.

@@ -9,10 +9,10 @@ variables already bound, in the spirit of classic selectivity-based
 optimizers (and of what Virtuoso does for the paper's flat queries).
 
 It also hosts the statistics the planner's ``CostBasedJoinStrategy`` pass
-consumes — :class:`GraphStatistics`, sourced from the graph's per-predicate
-synopses when the graph provides them — and :func:`run_signature`, the
-shared definition of which triple patterns can feed a sorted-run
-intersection step for a candidate variable. The worst-case-optimal join
+consumes — :class:`GraphStatistics`, read from the graph's per-predicate
+synopses — and :func:`run_signature`, the shared definition of which
+triple patterns can feed a sorted-run intersection step for a candidate
+variable. The worst-case-optimal join
 machinery lives here too: :func:`bgp_is_cyclic` detects cyclic BGPs via GYO
 reduction of the join hypergraph, :func:`generic_join_order` picks a
 variable elimination order by estimated run widths, and
@@ -33,90 +33,49 @@ from ..rdf.terms import TriplePattern, Variable, is_concrete
 class GraphStatistics:
     """Per-predicate statistics for cardinality estimation.
 
-    Profiles come from the graph's public, memoized
-    ``predicate_profile(p) -> (triples, distinct_s, distinct_o)`` interface
-    (:class:`~repro.rdf.graph.Graph` and its :class:`~repro.rdf.dataset.GraphUnion`
-    aggregation both provide it), so the optimizer never reaches into
-    private index structures and never re-scans a predicate it has already
-    profiled.
+    Every figure comes from the graph's per-predicate synopsis
+    (``predicate_synopsis(pid)``: triples, distinct subjects and objects,
+    then sampled fan-out moments), which :class:`~repro.rdf.graph.Graph`
+    memoizes per predicate and :class:`~repro.rdf.dataset.GraphUnion`
+    merges from its members.  The graph's size is ``len(graph)``: O(1)
+    for a graph, the sum of member sizes for a union (an upper bound
+    when members overlap, the rule the merged synopses follow too).
+    Planning therefore reads statistics and never iterates triples.
 
     Statistics objects are scoped to a *single planning call* (one
-    ``optimize_plan`` pipeline, one evaluator instance): their memos are
-    cheap to rebuild and must not outlive the graph state they describe.
-    As a second line of defence, the fallback memo for graph-likes without
-    ``predicate_profile`` re-validates against the graph's size and drops
-    itself when the graph mutated underneath — earlier revisions served
-    stale triple counts forever.
+    ``optimize_plan`` pipeline, one evaluator instance) and hold no
+    per-predicate state of their own; :meth:`fresh` tells a memo when
+    the graph mutated underneath them.
     """
 
     def __init__(self, graph):
         self._graph = graph
-        self._total = max(1, graph.count() if hasattr(graph, "count") else len(graph))
+        self._total = max(1, len(graph))
         # Mutation-counter snapshot: graphs (and unions, which sum member
         # versions) bump ``version`` on every mutation, so ``fresh()``
         # detects even an equal-size replace — including one inside a
         # union member, which a size check cannot see.
-        self._version = getattr(graph, "version", None)
-        # Local memo for graph-likes without predicate_profile (which is
-        # itself memoized); order_patterns calls estimate O(n) per BGP.
-        self._by_predicate: Dict = {}
-        # Snapshot guarding the fallback memo: (version, size) of the
-        # graph when the memo was filled.  Graph-likes without a version
-        # counter degrade to the old size-only guard (an equal-size
-        # replace slips through there — acceptable for estimates, and
-        # planning-call scoping bounds the exposure to one plan).
-        self._fallback_token: Optional[Tuple] = None
-
-    def _graph_size(self) -> int:
-        graph = self._graph
-        if hasattr(graph, "count"):
-            return graph.count()
-        return len(graph)
+        self._version = graph.version
 
     def fresh(self) -> bool:
         """Whether the graph state these statistics were built against is
-        still current.  Graphs expose a monotone ``version`` mutation
-        counter (a :class:`~repro.rdf.dataset.GraphUnion` sums its
-        members', so member mutation is visible); graph-likes without one
-        are always reported fresh and rely on the fallback size guard."""
-        if self._version is None:
-            return not hasattr(self._graph, "version")
-        return getattr(self._graph, "version", None) == self._version
+        still current: the graph's monotone ``version`` mutation counter
+        is unchanged (a :class:`~repro.rdf.dataset.GraphUnion` sums its
+        members', so member mutation is visible)."""
+        return self._graph.version == self._version
+
+    def _synopsis(self, predicate) -> Tuple:
+        """The graph's synopsis of a predicate; all zeros when the
+        predicate was never interned."""
+        pid = self._graph.dictionary.lookup(predicate)
+        if pid is None:
+            return (0, 0, 0, 0.0, 0, 0.0, 0.0)
+        return self._graph.predicate_synopsis(pid)
 
     def _predicate_stats(self, predicate) -> Tuple[int, int, int]:
-        """(triples, distinct subjects, distinct objects) for a predicate.
-
-        Sourced from the graph's per-predicate synopsis when available
-        (exact for these three figures), else from ``predicate_profile``, else
-        from one memoized full scan."""
-        graph = self._graph
-        if hasattr(graph, "predicate_synopsis"):
-            pid = graph.dictionary.lookup(predicate)
-            if pid is None:
-                return (0, 0, 0)
-            return graph.predicate_synopsis(pid)[:3]
-        if hasattr(graph, "predicate_profile"):
-            return graph.predicate_profile(predicate)
-        # Graph-like object without the profile interface: one full scan,
-        # memoized until the graph's version (or, lacking one, size)
-        # changes.
-        token = (getattr(graph, "version", None), self._graph_size())
-        if token != self._fallback_token:
-            self._by_predicate.clear()
-            self._fallback_token = token
-        cached = self._by_predicate.get(predicate)
-        if cached is not None:
-            return cached
-        triples = 0
-        seen_s: Set = set()
-        seen_o: Set = set()
-        for s, _, o in graph.triples(None, predicate, None):
-            triples += 1
-            seen_s.add(s)
-            seen_o.add(o)
-        stats = (triples, len(seen_s), len(seen_o))
-        self._by_predicate[predicate] = stats
-        return stats
+        """(triples, distinct subjects, distinct objects) for a predicate:
+        the synopsis's exact figures."""
+        return self._synopsis(predicate)[:3]
 
     def subject_fanout(self, predicate) -> float:
         """Average objects per subject for a predicate: triples over
@@ -136,23 +95,16 @@ class GraphStatistics:
     def _biased_fanout(self, predicate, slot: int, plain: float) -> float:
         """Edge-biased fan-out from the graph's synopsis (``slot`` 5 is
         subjects-per-object, 6 objects-per-subject), or ``plain`` when the
-        graph keeps no synopsis or the sample is empty."""
-        graph = self._graph
-        if hasattr(graph, "predicate_synopsis"):
-            pid = graph.dictionary.lookup(predicate)
-            if pid is None:
-                return 0.0
-            syn = graph.predicate_synopsis(pid)
-            if len(syn) > slot and syn[slot] > 0:
-                return syn[slot]
-        return plain
+        sample is empty."""
+        biased = self._synopsis(predicate)[slot]
+        return biased if biased > 0 else plain
 
     def biased_subject_fanout(self, predicate) -> float:
         """Objects per subject when the subject is reached along a random
         triple (``E[deg^2]/E[deg]``) — the correct expansion multiplier
         for a forward hop *out of a join*, where heavy-tailed hubs are
         reached proportionally to their degree.  Falls back to the plain
-        mean for graph-likes without a synopsis."""
+        mean when the synopsis's edge sample is empty."""
         return self._biased_fanout(predicate, 6,
                                    self.subject_fanout(predicate))
 

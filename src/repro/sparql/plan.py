@@ -637,16 +637,18 @@ def limit_pushdown(node: alg.AlgebraNode) -> PassResult:
 # Pass 6: JoinOrdering (plan-time selectivity ordering)
 # ----------------------------------------------------------------------
 
-def make_join_ordering(graph, dataset=None) -> PassFn:
+def make_join_ordering(graph, dataset=None, stats_for=None) -> PassFn:
     """Build the join-ordering pass for a query's resolved default graph.
 
     Reorders every BGP's triple patterns with the greedy selectivity
     ordering of :func:`~.optimizer.order_patterns`; BGPs under a
     ``GRAPH <uri>`` scope are ordered with that graph's statistics.  This
     is the same decision the evaluator used to make per execution — made
-    once here, it is amortized over every plan-cache hit.
+    once here, it is amortized over every plan-cache hit.  ``stats_for``
+    is the plan's :func:`~.optimizer.statistics_memo` (a fresh one when
+    the pass is built on its own).
     """
-    stats_for = statistics_memo()
+    stats_for = stats_for or statistics_memo()
 
     def join_ordering(node: alg.AlgebraNode) -> PassResult:
         changes = 0
@@ -812,7 +814,7 @@ def _scoped_graph(node: alg.GraphPattern, graph, dataset):
     return graph
 
 
-def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
+def make_cost_based_join_strategy(graph, dataset, stats_for) -> PassFn:
     """Build the CostBasedJoinStrategy annotation pass for a resolved
     default graph.
 
@@ -845,8 +847,9 @@ def make_cost_based_join_strategy(graph, dataset=None) -> PassFn:
     with several patterns, the BGP's patterns are re-ordered by
     filter-discounted estimates, and an ``intersect`` BGP's program is
     rebuilt over the new order (:func:`~.operators.bgp.program_for`).
+    ``stats_for`` is the plan's :func:`~.optimizer.statistics_memo`,
+    shared with its :func:`make_join_ordering` pass.
     """
-    stats_for = statistics_memo()
 
     def join_strategy(node: alg.AlgebraNode) -> PassResult:
         changes = 0
@@ -924,13 +927,18 @@ def optimize_plan(query: alg.Query, key: str = "", graph=None, dataset=None,
     pipeline = list(DEFAULT_PASSES if passes is None else passes)
     post: List[Tuple[str, PassFn]] = []
     if graph is not None:
-        pipeline.append(("JoinOrdering", make_join_ordering(graph, dataset)))
+        # One statistics object per graph for the whole plan: both passes
+        # read the same figures.
+        stats_for = statistics_memo()
+        pipeline.append(("JoinOrdering",
+                         make_join_ordering(graph, dataset, stats_for)))
         # CostBasedJoinStrategy only *annotates* (BGP strategy + estimates
         # + elimination orders, per-join SIP eligibility); it runs once
         # after the rewrite fixpoint so the rebuilding passes cannot drop
         # its attributes.
         post.append(("CostBasedJoinStrategy",
-                     make_cost_based_join_strategy(graph, dataset)))
+                     make_cost_based_join_strategy(graph, dataset,
+                                                   stats_for)))
 
     node = query.pattern
     totals: Dict[str, PassStats] = {

@@ -34,24 +34,30 @@ KEYWORDS = frozenset("""
 """.split())
 
 _TOKEN_RES = [
-    ("COMMENT", re.compile(r"#[^\n]*")),
-    ("IRI", re.compile(r"<[^<>\"{}|^`\\\x00-\x20]*>")),
-    ("VAR", re.compile(r"[?$][A-Za-z_][A-Za-z0-9_]*")),
-    ("STRING", re.compile(r'"""(?:[^"\\]|\\.|"(?!""))*"""|"(?:[^"\\\n]|\\.)*"'
-                          r"|'(?:[^'\\\n]|\\.)*'")),
-    ("NUMBER", re.compile(r"[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?"
-                          r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-                          r"|[0-9]+(?:[eE][+-]?[0-9]+)?")),
+    ("COMMENT", r"#[^\n]*"),
+    ("IRI", r"<[^<>\"{}|^`\\\x00-\x20]*>"),
+    ("VAR", r"[?$][A-Za-z_][A-Za-z0-9_]*"),
+    ("STRING", r'"""(?:[^"\\]|\\.|"(?!""))*"""|"(?:[^"\\\n]|\\.)*"'
+               r"|'(?:[^'\\\n]|\\.)*'"),
+    ("NUMBER", r"[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?"
+               r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+               r"|[0-9]+(?:[eE][+-]?[0-9]+)?"),
     # Prefixed name: prefix may be empty; local part allows digits, _, -, .
     # (trailing dot excluded below).
-    ("PNAME", re.compile(r"[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z0-9_]"
-                         r"[A-Za-z0-9_.-]*|[A-Za-z_][A-Za-z0-9_-]*:")),
-    ("DTYPE", re.compile(r"\^\^")),
-    ("LANGTAG", re.compile(r"@[A-Za-z][A-Za-z0-9-]*")),
-    ("OP", re.compile(r"&&|\|\||!=|<=|>=|[=<>!+\-*/]")),
-    ("PUNCT", re.compile(r"[{}().,;]")),
-    ("NAME", re.compile(r"[A-Za-z_][A-Za-z0-9_]*")),
+    ("PNAME", r"[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z0-9_]"
+              r"[A-Za-z0-9_.-]*|[A-Za-z_][A-Za-z0-9_-]*:"),
+    ("DTYPE", r"\^\^"),
+    ("LANGTAG", r"@[A-Za-z][A-Za-z0-9-]*"),
+    ("OP", r"&&|\|\||!=|<=|>=|[=<>!+\-*/]"),
+    ("PUNCT", r"[{}().,;]"),
+    ("NAME", r"[A-Za-z_][A-Za-z0-9_]*"),
 ]
+
+#: One alternation of the token patterns above, in their order: at a given
+#: position the first alternative that matches wins, exactly as trying the
+#: patterns one by one would, and ``lastgroup`` names the kind.
+_TOKEN_RE = re.compile("|".join("(?P<%s>%s)" % (kind, pattern)
+                                for kind, pattern in _TOKEN_RES))
 
 _WS = re.compile(r"\s+")
 
@@ -62,6 +68,7 @@ def tokenize(text: str) -> List[Token]:
     pos = 0
     line = 1
     length = len(text)
+    match = _TOKEN_RE.match
     while pos < length:
         ws = _WS.match(text, pos)
         if ws:
@@ -69,32 +76,23 @@ def tokenize(text: str) -> List[Token]:
             pos = ws.end()
             if pos >= length:
                 break
-        matched = False
-        for kind, regex in _TOKEN_RES:
-            m = regex.match(text, pos)
-            if not m:
-                continue
-            value = m.group(0)
-            matched = True
-            if kind == "COMMENT":
-                pos = m.end()
-                break
-            if kind == "PNAME" and value.endswith("."):
-                # A trailing dot is the triple terminator, not the name.
-                value = value.rstrip(".")
-                m_end = pos + len(value)
-            else:
-                m_end = m.end()
-            if kind == "NAME":
-                if value.upper() in KEYWORDS:
-                    tokens.append(Token("KEYWORD", value.upper(), pos, line))
-                else:
-                    tokens.append(Token("NAME", value, pos, line))
-            else:
-                tokens.append(Token(kind, value, pos, line))
-            pos = m_end
-            break
-        if not matched:
+        m = match(text, pos)
+        if m is None:
             raise TokenizeError("unexpected character", line, text[pos:pos + 20])
+        kind = m.lastgroup
+        value = m.group(0)
+        end = m.end()
+        if kind == "COMMENT":
+            pos = end
+            continue
+        if kind == "PNAME" and value.endswith("."):
+            # A trailing dot is the triple terminator, not the name.
+            value = value.rstrip(".")
+            end = pos + len(value)
+        if kind == "NAME" and value.upper() in KEYWORDS:
+            tokens.append(Token("KEYWORD", value.upper(), pos, line))
+        else:
+            tokens.append(Token(kind, value, pos, line))
+        pos = end
     tokens.append(Token("EOF", "", pos, line))
     return tokens

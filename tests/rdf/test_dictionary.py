@@ -127,7 +127,49 @@ class TestPredicateProfile:
         ds = Dataset()
         ds.add_graph(graph)
         ds.add_graph(g2)
-        assert ds.union_view().predicate_profile(uri("p")) == (4, 3, 3)
+        pid = graph.dictionary.lookup(uri("p"))
+        assert ds.union_view().predicate_synopsis(pid)[:3] == (4, 3, 3)
+
+
+class TestPredicateSynopsis:
+    """The synopsis is all the optimizer reads: its exact figures, its
+    memo and its invalidation."""
+
+    @pytest.fixture
+    def graph(self):
+        g = Graph("http://g", dictionary=TermDictionary())
+        g.add(uri("s1"), uri("p"), uri("o1"))
+        g.add(uri("s1"), uri("p"), uri("o2"))
+        g.add(uri("s2"), uri("p"), uri("o1"))
+        g.add(uri("s1"), uri("q"), uri("o3"))
+        return g
+
+    def pid(self, graph, name):
+        return graph.dictionary.lookup(uri(name))
+
+    def test_exact_figures_match_profile(self, graph):
+        for name in ("p", "q"):
+            assert graph.predicate_synopsis(self.pid(graph, name))[:3] \
+                == graph.predicate_profile(uri(name))
+
+    def test_memoized_until_its_predicate_mutates(self, graph):
+        p, q = self.pid(graph, "p"), self.pid(graph, "q")
+        first, q_first = graph.predicate_synopsis(p), \
+            graph.predicate_synopsis(q)
+        built = graph.synopses_built
+        assert graph.predicate_synopsis(p) is first
+        assert graph.synopses_built == built
+        graph.add(uri("s3"), uri("p"), uri("o9"))
+        assert graph.predicate_synopsis(p)[:3] == (4, 3, 3)
+        assert graph.predicate_synopsis(q) is q_first
+        graph.remove(uri("s3"), uri("p"), uri("o9"))
+        graph.remove(uri("s2"), uri("p"), uri("o1"))
+        assert graph.predicate_synopsis(p)[:3] == (2, 1, 2)
+
+    def test_absent_predicate_is_all_zeros(self, graph):
+        graph.dictionary.encode(uri("never-used"))
+        assert graph.predicate_synopsis(self.pid(graph, "never-used")) \
+            == (0, 0, 0, 0.0, 0, 0.0, 0.0)
 
 
 class TestLiteralCount:

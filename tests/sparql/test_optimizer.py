@@ -107,11 +107,13 @@ class TestEndToEndEffect:
 
 # ----------------------------------------------------------------------
 # Satellite regressions: estimate memoization, deterministic ties,
-# fallback-memo invalidation, run signatures
+# planning without scans, run signatures
 # ----------------------------------------------------------------------
 
-from repro.rdf import Graph as _Graph  # noqa: E402
+from repro.data import DBPEDIA_URI, YAGO_URI, build_dataset  # noqa: E402
+from repro.rdf import Dataset, GraphUnion  # noqa: E402
 from repro.sparql.optimizer import run_signature  # noqa: E402
+from repro.workload import get_query  # noqa: E402
 
 
 class _CountingStats(GraphStatistics):
@@ -159,48 +161,64 @@ class TestOrderingSatellites:
             == [rare, bound_obj, common]
 
 
-class _ProfileLessGraph:
-    """A graph-like without predicate_profile: the statistics fallback."""
+class TestPlanningReadsNoTriples:
+    """Statistics come from synopses and sizes: planning a query over a
+    multi-graph union must not iterate a single triple."""
 
-    def __init__(self):
-        self._graph = _Graph("urn:fallback-target")
+    @pytest.fixture
+    def two_graphs(self):
+        full = build_dataset(scale=0.02, seed=42)
+        dataset = Dataset()
+        for graph_uri in (DBPEDIA_URI, YAGO_URI):
+            dataset.add_graph(full.graph(graph_uri))
+        return dataset
 
-    def add(self, s, p, o):
-        self._graph.add(s, p, o)
+    @pytest.fixture
+    def statistics_built(self, monkeypatch):
+        """Refuse every triple scan; return the graphs statistics objects
+        are built on."""
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("planning iterated triples")
+        monkeypatch.setattr(Graph, "triples_ids", refuse)
+        monkeypatch.setattr(GraphUnion, "triples_ids", refuse)
+        built = []
+        real_init = GraphStatistics.__init__
 
-    def __len__(self):
-        return len(self._graph)
+        def spy(self, graph):
+            built.append(graph)
+            real_init(self, graph)
+        monkeypatch.setattr(GraphStatistics, "__init__", spy)
+        return built
 
-    def count(self, *args):
-        return self._graph.count(*args)
+    @pytest.mark.parametrize("qid", ["Q4", "Q11"])
+    def test_union_plans_without_scanning(self, two_graphs,
+                                          statistics_built, qid):
+        text = get_query(qid).frame().to_sparql()
+        without_from = "\n".join(line for line in text.splitlines()
+                                  if not line.startswith("FROM "))
+        assert without_from != text
+        engine = Engine(two_graphs)
+        for source in (text, without_from):
+            statistics_built.clear()
+            assert "est_rows=" in engine.plan(source).explain()
+            assert any(isinstance(g, GraphUnion) and len(g.graphs) == 2
+                       for g in statistics_built)
+            # One statistics object per graph for the whole plan.
+            assert len({id(g) for g in statistics_built}) \
+                == len(statistics_built)
 
-    def triples(self, s=None, p=None, o=None):
-        return self._graph.triples(s, p, o)
-
-
-class TestFallbackMemoInvalidation:
-    def test_mutation_refreshes_fallback_stats(self):
-        target = _ProfileLessGraph()
+    def test_union_size_is_member_sum(self):
+        a, b = Graph("urn:a"), Graph("urn:b")
         p = uri("p")
-        target.add(uri("s0"), p, uri("o0"))
-        stats = GraphStatistics(target)
-        pattern = (Variable("s"), p, Variable("o"))
-        assert stats.estimate(pattern, set()) == 1
-        for i in range(1, 5):
-            target.add(uri("s%d" % i), p, uri("o%d" % i))
-        # The memo must notice the graph changed underneath it.
-        assert stats.estimate(pattern, set()) == 5
-
-    def test_unchanged_graph_reuses_memo(self):
-        target = _ProfileLessGraph()
-        p = uri("p")
-        target.add(uri("s0"), p, uri("o0"))
-        stats = GraphStatistics(target)
-        pattern = (Variable("s"), p, Variable("o"))
-        stats.estimate(pattern, set())
-        scans = dict(stats._by_predicate)
-        stats.estimate(pattern, set())
-        assert stats._by_predicate == scans  # same memo, no rescan
+        for graph in (a, b):
+            graph.add(uri("s0"), p, uri("o0"))  # in both members
+        b.add(uri("s1"), p, uri("o1"))
+        union = GraphUnion([a, b])
+        assert len(union) == 3 and union.count() == 2
+        stats = GraphStatistics(union)
+        anything = (Variable("s"), Variable("p"), Variable("o"))
+        assert stats.estimate(anything, set()) == len(union)
+        assert stats.predicate_cardinality(p) == 3
 
 
 class TestRunSignatures:
