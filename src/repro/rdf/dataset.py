@@ -51,6 +51,16 @@ class Dataset:
             raise KeyError("no graph named %r in dataset (have: %s)" % (
                 uri, ", ".join(sorted(self._graphs)) or "<none>"))
 
+    def graph_or_empty(self, uri: str) -> Graph:
+        """The graph named ``uri``, or a new empty one (sharing the
+        dataset's dictionary) when there is none: a ``GRAPH <uri>``
+        scope over a graph the dataset does not hold matches nothing."""
+        graph = self._graphs.get(uri)
+        if graph is None:
+            graph = Graph(uri, dictionary=next(
+                (g.dictionary for g in self._graphs.values()), None))
+        return graph
+
     def __contains__(self, uri: str) -> bool:
         return uri in self._graphs
 

@@ -227,7 +227,7 @@ class Distinct(AlgebraNode):
         return [self.pattern]
 
     def __repr__(self):
-        return "Distinct(%r)" % self.pattern
+        return "Distinct(%r)" % (self.pattern,)
 
 
 class OrderBy(AlgebraNode):

@@ -24,6 +24,7 @@ from . import algebra as alg
 from .evaluator import (EvaluationError, EvaluationStats, Evaluator,
                         QueryTimeout, _synopses_built, resolve_graph)
 from .parser import parse
+from .physical import explain_lines
 from .plan import (Plan, key_from_skeleton, optimize_plan, output_variables,
                    plan_skeleton)
 from .results import ResultSet, ResultStream
@@ -441,18 +442,11 @@ class Engine:
     def explain(self, text: str, optimized: bool = False) -> str:
         """A textual rendering of the algebra tree (for debugging/tests).
 
-        With ``optimized=True`` the optimizer pipeline runs first and the
-        rendering includes per-pass statistics.
+        With ``optimized=True`` the query is planned first and the
+        rendering is the plan's (:meth:`~.plan.Plan.explain`): the
+        physical tree with its decisions, then per-pass statistics.
         """
         if optimized:
             return self.plan(text).explain()
         parsed = parse(text)
-        lines: List[str] = ["FROM %s" % parsed.from_graphs]
-
-        def walk(node, depth):
-            lines.append("  " * depth + repr(node))
-            for child in node.children():
-                walk(child, depth + 1)
-
-        walk(parsed.pattern, 0)
-        return "\n".join(lines)
+        return "\n".join(explain_lines(parsed.from_graphs, parsed.pattern))

@@ -23,8 +23,9 @@ perf-report baseline.
 
 This module is the driver: the entry points, the safety valves, the
 per-operator meter (:meth:`Evaluator._meter`), :class:`EvaluationStats`
-and :data:`OPERATORS`, which maps each algebra node type to its operator
-in :mod:`~repro.sparql.operators`.  An operator is a function
+and :data:`OPERATORS`, which maps each node type of the physical tree
+(:mod:`~repro.sparql.physical`, built by :func:`~.plan.lower`) to its
+operator in :mod:`~repro.sparql.operators`.  An operator is a function
 ``op(evaluator, node, graph, hint, sip) -> TableStream``; it streams its
 children through :meth:`Evaluator.stream` and states, in the call, the
 sideways-filter scope each child gets.  ``evaluate`` is nothing but
@@ -41,13 +42,14 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import Counter
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..rdf.dataset import Dataset
 from . import algebra as alg
+from . import physical
 from .operators import bgp, expressions, group, joins, order, pipeline
 from .optimizer import statistics_memo
+from .plan import lower
 from .solution import SolutionTable, TableStream
 
 #: Target rows per streamed batch.  Bounded consumers shrink it (a
@@ -77,9 +79,9 @@ class QueryTimeout(RuntimeError):
     """
 
 
-#: The operator that runs each algebra node type.
+#: The operator that runs each node type :func:`~.plan.lower` emits.
 OPERATORS = {
-    alg.BGP: bgp.stream_bgp,
+    physical.Scan: bgp.stream_bgp,
     alg.InlineData: pipeline.stream_inlinedata,
     alg.Project: pipeline.stream_project,
     alg.Union: pipeline.stream_union,
@@ -87,11 +89,12 @@ OPERATORS = {
     alg.GraphPattern: pipeline.stream_graphpattern,
     alg.Filter: expressions.stream_filter,
     alg.Extend: expressions.stream_extend,
-    alg.Join: joins.stream_join,
-    alg.LeftJoin: joins.stream_leftjoin,
-    alg.Minus: joins.stream_minus,
-    alg.FilterExists: joins.stream_filterexists,
+    physical.HashJoin: joins.stream_join,
+    physical.LeftHashJoin: joins.stream_leftjoin,
+    physical.AntiJoin: joins.stream_minus,
+    physical.SemiJoin: joins.stream_filterexists,
     alg.Group: group.stream_group,
+    physical.StarCount: group.stream_star,
     alg.OrderBy: order.stream_orderby,
     alg.TopK: order.stream_topk,
     alg.Slice: order.stream_slice,
@@ -127,17 +130,6 @@ def _synopses_built(graph) -> int:
     for member in getattr(graph, "graphs", ()):
         total += member.synopses_built
     return total
-
-
-def _repeated_bgps(root: alg.AlgebraNode) -> FrozenSet[int]:
-    """The ``id`` of every BGP node whose pattern set occurs more than
-    once under ``root`` — the common subexpressions worth caching."""
-    bgps = [node for node in alg.collect_bgps(root) if node.triples]
-    if len(bgps) < 2:
-        return frozenset()
-    seen = Counter(frozenset(node.triples) for node in bgps)
-    return frozenset(id(node) for node in bgps
-                     if seen[frozenset(node.triples)] > 1)
 
 
 class EvaluationStats:
@@ -205,13 +197,11 @@ class Evaluator:
         self._graph_stats = statistics_memo()
         # Common-subexpression cache: identical BGPs (e.g. the repeated
         # pattern inside a full-outer-join's UNION branches) are evaluated
-        # once per query.  ``_repeated`` holds the ids of the BGP nodes
-        # whose pattern set occurs more than once in the query — only
-        # those are worth holding on to; the cache maps their key to the
-        # schema and batches the first occurrence produced, published
-        # once its stream ran to the end.  Consumers never mutate
-        # batches, so sharing is safe.
-        self._repeated: FrozenSet[int] = frozenset()
+        # once per query.  Only scans the lowering marked ``shared`` are
+        # worth holding on to; the cache maps their key to the schema and
+        # batches the first occurrence produced, published once its
+        # stream ran to the end.  Consumers never mutate batches, so
+        # sharing is safe.
         self._bgp_cache: Dict[Tuple, List] = {}
 
     # ------------------------------------------------------------------
@@ -225,37 +215,44 @@ class Evaluator:
                              hint: Optional[int] = None) -> TableStream:
         """Evaluate an optimized :class:`~.plan.Plan` to a stream.
 
-        Each operator follows the annotations the planner left on its
-        node (the step ``program`` on BGPs, ``sip_eligible`` on joins).
-        The one run-time decision is a sideways-filtered BGP's pattern
-        order (:func:`~.operators.bgp.program_for`).
+        Runs the plan's physical tree (``plan.root``): each operator
+        follows the decisions its node declares (a scan's step
+        ``program``, a join's ``sip``, a star's index count).  The one
+        run-time decision is a sideways-filtered scan's pattern order
+        (:meth:`~.physical.Scan.program_for`).
         """
         self.stats.materialized_subqueries = plan.subqueries
-        return self.evaluate_query_stream(plan.query, default_graph_uri,
-                                          hint)
+        return self._run(plan.query.from_graphs, plan.root,
+                         default_graph_uri, hint)
 
     def evaluate_query_stream(self, query: alg.Query,
                               default_graph_uri: Optional[str] = None,
                               hint: Optional[int] = None) -> TableStream:
-        """Evaluate a query to a stream of row batches.
+        """Evaluate unplanned algebra to a stream of row batches: the
+        query is lowered without statistics (:func:`~.plan.lower`), so
+        every BGP matches its patterns in textual order.
 
         ``hint`` caps the root batch size — cursors pulling small pages
         pass a small one so each pull stays proportional to the page.
         """
-        graph = resolve_graph(self.dataset, query.from_graphs,
-                              default_graph_uri)
+        return self._run(query.from_graphs, lower(query.pattern)[0],
+                         default_graph_uri, hint)
+
+    def _run(self, from_graphs: List[str], root,
+             default_graph_uri: Optional[str],
+             hint: Optional[int]) -> TableStream:
+        graph = resolve_graph(self.dataset, from_graphs, default_graph_uri)
         self.dictionary = graph.dictionary
-        self._repeated = _repeated_bgps(query.pattern)
         # Stream operators compile eagerly (only row production defers),
         # so synopsis builds they trigger are visible once the stream is
         # constructed.
         before = _synopses_built(graph)
         try:
-            return self.stream(query.pattern, graph, hint)
+            return self.stream(root, graph, hint)
         finally:
             self.stats.synopsis_builds += _synopses_built(graph) - before
 
-    def stream(self, node: alg.AlgebraNode, graph,
+    def stream(self, node, graph,
                hint: Optional[int] = None,
                sip: Optional[Dict[str, set]] = None) -> TableStream:
         """Evaluate ``node`` to a stream of row batches.
@@ -273,13 +270,14 @@ class Evaluator:
             self.cancel.raise_if_cancelled()
         if self.deadline is not None \
                 and time.perf_counter() > self.deadline:
-            raise QueryTimeout("query exceeded its time budget at %r" % node)
+            raise QueryTimeout("query exceeded its time budget at %r"
+                               % (node,))
         operator = OPERATORS.get(type(node))
         if operator is None:
-            raise EvaluationError("cannot evaluate %r" % node)
+            raise EvaluationError("cannot evaluate %r" % (node,))
         return operator(self, node, graph, hint, sip or {})
 
-    def evaluate(self, node: alg.AlgebraNode, graph,
+    def evaluate(self, node, graph,
                  sip: Optional[Dict[str, set]] = None) -> SolutionTable:
         """Drain ``stream(node)`` into a table — what a pipeline breaker
         calls for the side it must hold whole.  This is the checkpoint

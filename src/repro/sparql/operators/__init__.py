@@ -2,12 +2,12 @@
 
 Every operator is a function ``op(evaluator, node, graph, hint, sip)``
 returning a :class:`~repro.sparql.solution.TableStream`; the driver
-(:mod:`repro.sparql.evaluator`) maps each algebra node type to one of
-them in :data:`~repro.sparql.evaluator.OPERATORS`.
+(:mod:`repro.sparql.evaluator`) maps each node type of the physical
+tree (:mod:`repro.sparql.physical`) to one of them in
+:data:`~repro.sparql.evaluator.OPERATORS`.
 
 * :mod:`.bgp` — BGP step programs: index probes and sorted-run
-  intersections, and the one run-time re-ordering a sideways filter
-  triggers.
+  intersections.
 * :mod:`.joins` — Join, LeftJoin, Minus and FILTER (NOT) EXISTS, and the
   key sets a build side exports sideways.
 * :mod:`.group` — hash aggregation, the star COUNT read off the indexes

@@ -2,16 +2,16 @@
 intersections, run by one chunked expander.
 
 The planner writes each BGP's step program
-(:func:`~repro.sparql.optimizer.bgp_program`); :func:`bgp_steps`
-instantiates it against a graph — a :class:`~repro.sparql.optimizer.Match`
-becomes an index probe (:func:`pattern_step`), an
+(:func:`~repro.sparql.optimizer.bgp_program`) on its
+:class:`~repro.sparql.physical.Scan`; :func:`bgp_steps` instantiates it
+against a graph — a :class:`~repro.sparql.optimizer.Match` becomes an
+index probe (:func:`pattern_step`), an
 :class:`~repro.sparql.optimizer.Intersect` a sorted-run intersection
 (:func:`intersection_step`) — and :func:`match_bgp` runs the steps.
 
-The one decision taken at run time is :func:`program_for`'s: a sideways
-filter that names a variable of a non-``wcoj`` BGP re-orders its
-patterns by filter-discounted estimates (:class:`SipAwareStats`), and an
-``intersect`` BGP then gets a program rebuilt over the new order.
+The one decision taken at run time is the scan's
+(:meth:`~repro.sparql.physical.Scan.program_for`): a sideways filter
+that names a variable of a non-``wcoj`` BGP re-orders its patterns.
 """
 
 from __future__ import annotations
@@ -20,30 +20,19 @@ from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from ...rdf.terms import Variable
-from .. import algebra as alg
-from ..optimizer import GraphStatistics, Match, bgp_program, order_patterns
+from ..optimizer import Match
+from ..physical import Scan
 from ..solution import TableStream, batched
 
-#: A sideways filter re-orders a probe BGP only when it keeps at most
-#: this fraction of the variable's values under the pattern's predicate.
-#: Weaker filters still prune at the leaves, but in the plan-time order —
-#: dragging a big scan to the front for a filter that keeps most of it
-#: costs more than it saves.
-SIP_REORDER_SELECTIVITY = 0.15
 
-#: Above this filter size the per-member occurrence refinement is skipped
-#: (the raw size ratio is used instead): probing huge sets would cost more
-#: than the ordering decision is worth.
-SIP_EFFECTIVE_PROBE_CAP = 512
-
-
-def stream_bgp(ev, node: alg.BGP, graph, hint: Optional[int],
+def stream_bgp(ev, node: Scan, graph, hint: Optional[int],
                sip) -> TableStream:
     ev.stats.bgp_count += 1
-    if not node.triples:
+    if not node.logical.triples:
         return TableStream((), ev._meter(iter(([()],))))
-    if id(node) not in ev._repeated:
-        return match_bgp(ev, node, program_for(ev, node, graph, sip),
+    if not node.shared:
+        return match_bgp(ev, node,
+                         node.program_for(sip, graph, ev._graph_stats),
                          graph, hint, sip)
     # A repeated BGP is matched once for the whole query and replayed,
     # so it is matched without the sideways filters of whichever
@@ -52,11 +41,10 @@ def stream_bgp(ev, node: alg.BGP, graph, hint: Optional[int],
     # finished is only known when this one is pulled (both branches of a
     # UNION exist before either produces a row), so the choice between
     # replaying and matching waits until then.
-    program = program_for(ev, node, graph, {})
-    key = (id(graph), program)
+    key = (id(graph), node.program)
     cached = ev._bgp_cache.get(key)
     matched = None if cached is not None \
-        else match_bgp(ev, node, program, graph, hint, {})
+        else match_bgp(ev, node, node.program, graph, hint, {})
     schema = matched.variables if cached is None else cached[0]
     return TableStream(schema, _shared_batches(ev, key, schema, matched,
                                                ev._cap(hint)))
@@ -80,7 +68,7 @@ def _shared_batches(ev, key: Tuple, schema, matched, cap: int):
     ev._bgp_cache.setdefault(key, (schema, kept))
 
 
-def match_bgp(ev, node: alg.BGP, program, graph, hint: Optional[int],
+def match_bgp(ev, node: Scan, program, graph, hint: Optional[int],
               sip) -> TableStream:
     """The one BGP driver: breadth-first expansion in chunks.
 
@@ -125,46 +113,7 @@ def match_bgp(ev, node: alg.BGP, program, graph, hint: Optional[int],
 # The program and its steps
 # ----------------------------------------------------------------------
 
-def program_for(ev, node: alg.BGP, graph, sip) -> Tuple:
-    """The step program to run for ``node``: the planner's
-    ``node.program``, or in-order matches for a BGP it gave none.
-
-    The one run-time decision: a sideways filter in ``sip`` that names a
-    variable of a non-``wcoj`` BGP with several patterns first re-orders
-    them (:class:`SipAwareStats`); an ``intersect`` BGP then gets
-    :func:`~repro.sparql.optimizer.bgp_program` over the new order, any
-    other matches it in order.
-    """
-    patterns = node.triples
-    strategy = getattr(node, "strategy", None)
-    if strategy != "wcoj" and len(patterns) > 1 \
-            and _sip_touches(patterns, sip):
-        # The plan-time order was chosen without the build side's key
-        # sets; with them in hand, start the probe at the semi-join
-        # filter instead of dragging the full scan first — the classic
-        # magic-sets effect, per execution and only for BGPs a filter
-        # actually touches.
-        stats = ev._graph_stats(graph)
-        patterns = order_patterns(patterns, SipAwareStats(stats, sip, graph))
-        if strategy == "intersect":
-            return bgp_program(patterns, stats)
-    elif getattr(node, "program", None) is not None:
-        return node.program
-    return tuple(Match(q) for q in patterns)
-
-
-def _sip_touches(patterns, sip) -> bool:
-    """True when an active sideways filter names a pattern variable."""
-    if not sip:
-        return False
-    for triple in patterns:
-        for term in triple:
-            if isinstance(term, Variable) and term.name in sip:
-                return True
-    return False
-
-
-def bgp_steps(ev, node: alg.BGP, program, graph, sip):
+def bgp_steps(ev, node: Scan, program, graph, sip):
     """Instantiate a BGP step program against ``graph``.
 
     A :class:`~repro.sparql.optimizer.Match` compiles to an index probe
@@ -176,7 +125,7 @@ def bgp_steps(ev, node: alg.BGP, program, graph, sip):
     names every BGP variable.
     """
     lookup = ev.dictionary.lookup
-    if any(lookup(term) is None for triple in node.triples
+    if any(lookup(term) is None for triple in node.logical.triples
            for term in triple if not isinstance(term, Variable)):
         return node.in_scope(), [lambda rows, append: None]
     stats = ev.stats
@@ -645,66 +594,3 @@ def intersection_step(ev, var: str, static_specs, row_specs, graph, sip):
         stats.intersect_steps += steps
 
     return step
-
-
-class SipAwareStats:
-    """A :class:`GraphStatistics` view that discounts estimates for
-    patterns binding sideways-filtered variables.
-
-    A filter keeps at most its *effective* members of a variable's
-    distinct values under a predicate — members that never occur in the
-    pattern's position (e.g. Egyptian-born athletes against a
-    ``starring`` scan) cannot match, so small filters are probed against
-    the index to measure real selectivity.  A pattern whose filter keeps
-    at most :data:`SIP_REORDER_SELECTIVITY` of the predicate's values has
-    its estimate discounted accordingly; feeding these estimates to
-    :func:`~repro.sparql.optimizer.order_patterns` moves the filtered
-    leaf to the front of the probe's join order.
-    """
-
-    def __init__(self, base: GraphStatistics, sip: Dict[str, set], graph):
-        self._base = base
-        self._sip = sip
-        self._graph = graph
-        self._effective: Dict[Tuple, int] = {}
-
-    def _effective_count(self, values: set, p, subject_side: bool) -> int:
-        """How many filter members actually occur under predicate ``p``
-        in the filtered position."""
-        key = (id(values), p, subject_side)
-        count = self._effective.get(key)
-        if count is None:
-            if len(values) > SIP_EFFECTIVE_PROBE_CAP:
-                count = len(values)
-            else:
-                graph = self._graph
-                pid = graph.dictionary.lookup(p)
-                if pid is None:
-                    count = len(values)
-                elif subject_side:
-                    count = sum(1 for v in values
-                                if graph.objects_for(v, pid))
-                else:
-                    count = sum(1 for v in values
-                                if graph.subjects_for(pid, v))
-            self._effective[key] = count
-        return count
-
-    def estimate(self, pattern, bound) -> float:
-        estimate = self._base.estimate(pattern, bound)
-        s, p, o = pattern
-        if isinstance(p, Variable):
-            return estimate
-        if isinstance(s, Variable) and s.name in self._sip \
-                and s.name not in bound:
-            universe = max(1, self._base.distinct_subjects(p))
-            kept = self._effective_count(self._sip[s.name], p, True)
-            if kept / universe <= SIP_REORDER_SELECTIVITY:
-                estimate *= kept / universe
-        if isinstance(o, Variable) and o.name in self._sip \
-                and o.name not in bound:
-            universe = max(1, self._base.distinct_objects(p))
-            kept = self._effective_count(self._sip[o.name], p, False)
-            if kept / universe <= SIP_REORDER_SELECTIVITY:
-                estimate *= kept / universe
-        return max(estimate, 0.001)

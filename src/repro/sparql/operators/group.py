@@ -16,11 +16,11 @@ from math import prod
 from operator import itemgetter
 from typing import Dict, List, Optional
 
-from ...rdf.graph import Graph
 from ...rdf.terms import (XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Literal,
                           Variable)
 from .. import algebra as alg
 from ..expressions import VarExpr, ebv
+from ..physical import StarCount
 from ..solution import TableStream
 from .expressions import expression_reader
 from .order import sort_key
@@ -34,19 +34,13 @@ def stream_group(ev, node: alg.Group, graph, hint: Optional[int],
     Its input is *consumed* incrementally (the child BGP/join pipeline
     runs batch by batch and no input table is ever materialized); only
     the per-group states — one small accumulator per aggregate per group
-    (:func:`compile_aggregate`) — are held.  A ``Group`` the planner
-    marked as a star (:func:`~repro.sparql.plan.star_shape`) is counted
-    by :func:`star_count` instead, from the graph's indexes: no row is
-    built, folded or hashed.  Both executors finish through
-    :func:`emit_groups`.
+    (:func:`compile_aggregate`) — are held.  It finishes through
+    :func:`emit_groups`, as :func:`stream_star` does.
 
     Group keys hash dense int-id tuples (scalar ids for the common
     one-variable GROUP BY), so group order is the first-seen order of
     the input stream.
     """
-    counted = star_count(ev, node, graph)
-    if counted is not None:
-        return emit_groups(ev, node, *counted)
     inner = ev.stream(node.pattern, graph, None,
                       {v: s for v, s in sip.items() if v in node.group_vars})
     index = inner.index
@@ -111,7 +105,16 @@ def stream_group(ev, node: alg.Group, graph, hint: Optional[int],
                        finish)
 
 
-def star_count(ev, node: alg.Group, graph):
+def stream_star(ev, node: StarCount, graph, hint: Optional[int],
+                sip) -> TableStream:
+    """A :class:`~repro.sparql.physical.StarCount`: counted by
+    :func:`star_count` from the graph's indexes, so no row is built,
+    folded or hashed.  The planner emits one only for a single
+    :class:`~repro.rdf.graph.Graph`."""
+    return emit_groups(ev, node.logical, *star_count(ev, node.star, graph))
+
+
+def star_count(ev, star, graph):
     """Count a star ``Group`` from the graph's indexes, joining nothing.
 
     A row of a star's BGP (:class:`~repro.sparql.plan.Star`) is one
@@ -129,12 +132,8 @@ def star_count(ev, node: alg.Group, graph):
     are checked every 1024 centres; the row budget applies to the groups
     at emit, since a star produces no rows.
 
-    Returns the :func:`emit_groups` arguments after ``node``, or
-    ``None`` when the planner left no star or the graph is a union view.
+    Returns the :func:`emit_groups` arguments after the node.
     """
-    star = getattr(node, "star", None)
-    if star is None or not isinstance(graph, Graph):
-        return None
     ev.stats.bgp_count += 1
     before = graph.sorted_runs_built
     rows, centres = _star_counts(ev, star, graph)
@@ -241,7 +240,7 @@ def _star_counts(ev, star, graph):
     return rows, centres
 
 
-def emit_groups(ev, node: alg.Group, groups, scalar: bool, new_state,
+def emit_groups(ev, node, groups, scalar: bool, new_state,
                 finish) -> TableStream:
     """Finish a ``Group``: the one emit both executors share.
 

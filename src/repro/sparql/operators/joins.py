@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .. import algebra as alg
 from ..expressions import ebv
+from ..physical import AntiJoin, HashJoin, LeftHashJoin, SemiJoin
 from ..solution import JoinIndex, SolutionTable, TableStream, batched, \
     table_minus
 from .expressions import expression_reader
@@ -72,13 +72,12 @@ def sip_merge(scope: Dict, exports: Optional[Dict]) -> Dict:
     return merged
 
 
-def stream_join(ev, node: alg.Join, graph, hint: Optional[int],
+def stream_join(ev, node: HashJoin, graph, hint: Optional[int],
                 sip) -> TableStream:
     left = ev.evaluate(node.left, graph, sip)  # build side: breaker
     if not left.rows:
         return TableStream(left.variables, ev._meter(iter(())))
-    exports = sip_exports(left, node.right) \
-        if getattr(node, "sip_eligible", False) else None
+    exports = sip_exports(left, node.right) if node.sip else None
     right = ev.stream(node.right, graph, None, sip_merge(sip, exports))
     ev.stats.joins += 1
     index = JoinIndex(left, right, build_is_left=True)
@@ -92,10 +91,10 @@ def stream_join(ev, node: alg.Join, graph, hint: Optional[int],
     return TableStream(index.variables, ev._meter(batches()))
 
 
-def stream_leftjoin(ev, node: alg.LeftJoin, graph, hint: Optional[int],
+def stream_leftjoin(ev, node: LeftHashJoin, graph, hint: Optional[int],
                     sip) -> TableStream:
     exports = None
-    if hint is None and getattr(node, "sip_eligible", False):
+    if hint is None and node.sip:
         # No bounded consumer above, so every preserved row will be
         # pulled anyway: hold them, and prune the optional side to the
         # keys they carry.
@@ -111,10 +110,11 @@ def stream_leftjoin(ev, node: alg.LeftJoin, graph, hint: Optional[int],
     ev.stats.joins += 1
     index = JoinIndex(right, left)
     accept = None
-    if node.condition is not None:
+    condition = node.logical.condition
+    if condition is not None:
         # Tested on each merged row; an error rejects the match.
         accept = expression_reader(
-            node.condition, {v: i for i, v in enumerate(index.variables)},
+            condition, {v: i for i, v in enumerate(index.variables)},
             ev.dictionary.decode, ev.stats, ebv, False)
 
     def batches():
@@ -124,7 +124,7 @@ def stream_leftjoin(ev, node: alg.LeftJoin, graph, hint: Optional[int],
     return TableStream(index.variables, ev._meter(batches()))
 
 
-def stream_minus(ev, node: alg.Minus, graph, hint: Optional[int],
+def stream_minus(ev, node: AntiJoin, graph, hint: Optional[int],
                  sip) -> TableStream:
     left = ev.evaluate(node.left, graph, sip)  # breaker: exports need it
     if not left.rows:
@@ -132,15 +132,14 @@ def stream_minus(ev, node: alg.Minus, graph, hint: Optional[int],
     # SIP into the right side: a right row whose key misses every left
     # row's value for an everywhere-bound shared variable is incompatible
     # with all of them, so it can exclude nothing.
-    exports = sip_exports(left, node.right) \
-        if getattr(node, "sip_eligible", False) else None
+    exports = sip_exports(left, node.right) if node.sip else None
     right = ev.evaluate(node.right, graph, exports)
     rows = table_minus(left, right).rows
     return TableStream(left.variables,
                        ev._meter(iter((rows,)) if rows else iter(())))
 
 
-def stream_filterexists(ev, node: alg.FilterExists, graph,
+def stream_filterexists(ev, node: SemiJoin, graph,
                         hint: Optional[int], sip) -> TableStream:
     # The existence group is built first, under no enclosing filter, so
     # EXISTS can export its key sets into the streamed pattern side: a
@@ -149,11 +148,11 @@ def stream_filterexists(ev, node: alg.FilterExists, graph,
     # exactly those rows, so it exports nothing.
     inner = ev.evaluate(node.group, graph)  # breaker
     exports = None
-    if not node.negated and getattr(node, "sip_eligible", False):
+    negated = node.logical.negated
+    if node.sip and not negated:
         exports = sip_exports(inner, node.pattern)
     outer = ev.stream(node.pattern, graph, hint, sip_merge(sip, exports))
     index = JoinIndex(inner, outer)
-    negated = node.negated
 
     def batches():
         for batch in outer.batches:

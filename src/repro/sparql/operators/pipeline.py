@@ -85,5 +85,5 @@ def stream_distinct(ev, node: alg.Distinct, graph, hint: Optional[int],
 
 def stream_graphpattern(ev, node: alg.GraphPattern, graph,
                         hint: Optional[int], sip) -> TableStream:
-    return ev.stream(node.pattern, ev.dataset.graph(node.graph_uri), hint,
-                     sip)
+    return ev.stream(node.pattern, ev.dataset.graph_or_empty(node.graph_uri),
+                     hint, sip)

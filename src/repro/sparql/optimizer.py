@@ -20,7 +20,8 @@ variable elimination order by estimated run widths, and
 planner compares. :func:`bgp_program` turns a BGP and a chosen strategy into
 the step program the evaluator runs: the one place a BGP's physical plan is
 decided.  (The evaluator calls it once more at run time, for an
-``intersect`` BGP a join's sideways filter re-ordered.)
+``intersect`` BGP a join's sideways filter re-ordered by the
+filter-discounted estimates of :class:`SipAwareStats`.)
 """
 
 from __future__ import annotations
@@ -667,3 +668,83 @@ def bgp_program(patterns: Sequence[TriplePattern], stats: GraphStatistics,
             bound.add(step.var)
             remaining = [q for q in remaining if q not in step.consumed]
     return tuple(steps)
+
+
+# ----------------------------------------------------------------------
+# Run-time estimates under a sideways filter
+# ----------------------------------------------------------------------
+
+#: A sideways filter re-orders a probe BGP only when it keeps at most
+#: this fraction of the variable's values under the pattern's predicate.
+#: Weaker filters still prune at the leaves, but in the plan-time order —
+#: dragging a big scan to the front for a filter that keeps most of it
+#: costs more than it saves.
+SIP_REORDER_SELECTIVITY = 0.15
+
+#: Above this filter size the per-member occurrence refinement is skipped
+#: (the raw size ratio is used instead): probing huge sets would cost more
+#: than the ordering decision is worth.
+SIP_EFFECTIVE_PROBE_CAP = 512
+
+
+class SipAwareStats:
+    """A :class:`GraphStatistics` view that discounts estimates for
+    patterns binding sideways-filtered variables.
+
+    A filter keeps at most its *effective* members of a variable's
+    distinct values under a predicate — members that never occur in the
+    pattern's position (e.g. Egyptian-born athletes against a
+    ``starring`` scan) cannot match, so small filters are probed against
+    the index to measure real selectivity.  A pattern whose filter keeps
+    at most :data:`SIP_REORDER_SELECTIVITY` of the predicate's values has
+    its estimate discounted accordingly; feeding these estimates to
+    :func:`~repro.sparql.optimizer.order_patterns` moves the filtered
+    leaf to the front of the probe's join order.
+    """
+
+    def __init__(self, base: GraphStatistics, sip: Dict[str, set], graph):
+        self._base = base
+        self._sip = sip
+        self._graph = graph
+        self._effective: Dict[Tuple, int] = {}
+
+    def _effective_count(self, values: set, p, subject_side: bool) -> int:
+        """How many filter members actually occur under predicate ``p``
+        in the filtered position."""
+        key = (id(values), p, subject_side)
+        count = self._effective.get(key)
+        if count is None:
+            if len(values) > SIP_EFFECTIVE_PROBE_CAP:
+                count = len(values)
+            else:
+                graph = self._graph
+                pid = graph.dictionary.lookup(p)
+                if pid is None:
+                    count = len(values)
+                elif subject_side:
+                    count = sum(1 for v in values
+                                if graph.objects_for(v, pid))
+                else:
+                    count = sum(1 for v in values
+                                if graph.subjects_for(pid, v))
+            self._effective[key] = count
+        return count
+
+    def estimate(self, pattern, bound) -> float:
+        estimate = self._base.estimate(pattern, bound)
+        s, p, o = pattern
+        if isinstance(p, Variable):
+            return estimate
+        if isinstance(s, Variable) and s.name in self._sip \
+                and s.name not in bound:
+            universe = max(1, self._base.distinct_subjects(p))
+            kept = self._effective_count(self._sip[s.name], p, True)
+            if kept / universe <= SIP_REORDER_SELECTIVITY:
+                estimate *= kept / universe
+        if isinstance(o, Variable) and o.name in self._sip \
+                and o.name not in bound:
+            universe = max(1, self._base.distinct_objects(p))
+            kept = self._effective_count(self._sip[o.name], p, False)
+            if kept / universe <= SIP_REORDER_SELECTIVITY:
+                estimate *= kept / universe
+        return max(estimate, 0.001)

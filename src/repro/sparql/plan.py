@@ -18,14 +18,17 @@ of rewrite passes:
   :mod:`~repro.sparql.optimizer`, applied once at plan time instead of on
   every evaluation.
 
-After the rewrite fixpoint, the ``CostBasedJoinStrategy`` pass annotates
-the tree in place: per-BGP estimated cardinalities, the chosen join
-strategy (nested-loop / ``intersect`` / ``wcoj``, the last with a variable
+After the rewrite fixpoint, :func:`lower` builds the *physical* tree the
+evaluator runs (:mod:`~repro.sparql.physical`), recorded as the
+``CostBasedJoinStrategy`` pass.  Each BGP becomes a
+:class:`~.physical.Scan` holding its estimated rows, its join strategy
+(nested-loop / ``intersect`` / ``wcoj``, the last with a variable
 elimination order for cyclic BGPs detected via the join hypergraph) and
-the BGP's step program (:func:`~.optimizer.bgp_program`), per-join
-SIP eligibility, and the :class:`Star` of a ``Group`` counted straight
-from the indexes.  The evaluator obeys these annotations, and
-:meth:`Plan.explain` prints every one of them.
+its step program (:func:`~.optimizer.bgp_program`); each join becomes a
+physical join whose ``sip`` field says whether it filters sideways; a
+``Group`` counted straight from the indexes becomes a
+:class:`~.physical.StarCount`.  The logical tree is left as the passes
+returned it, and :meth:`Plan.explain` prints the physical one.
 
 Each pass is a pure ``node -> (node, changes)`` function (input trees are
 never mutated) and records per-pass statistics on the plan, so ablations
@@ -38,6 +41,7 @@ same query share one cached plan.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from functools import reduce
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
@@ -46,10 +50,12 @@ from ..rdf.graph import Graph
 from ..rdf.terms import PatternTerm, Variable, is_concrete
 from . import algebra as alg
 from .expressions import AndExpr, Expression, VarExpr
-from .optimizer import (GraphStatistics, Intersect, WCOJ_COST_FACTOR,
+from .optimizer import (GraphStatistics, Intersect, Match, WCOJ_COST_FACTOR,
                         bgp_is_cyclic, bgp_program, estimate_join,
                         estimate_wcoj, generic_join_order, order_patterns,
                         statistics_memo)
+from .physical import (AntiJoin, HashJoin, LeftHashJoin, Scan, SemiJoin,
+                       StarCount, explain_lines)
 
 PassResult = Tuple[alg.AlgebraNode, int]
 PassFn = Callable[[alg.AlgebraNode], PassResult]
@@ -78,17 +84,19 @@ class PassStats:
 
 
 class Plan:
-    """An optimized, executable logical plan.
+    """An optimized, executable plan.
 
-    Holds the rewritten algebra :class:`~.algebra.Query`, the structural
-    cache key it was planned under, per-pass statistics, and the output
-    column order (``None`` for ``SELECT *``).  Plans are immutable once
-    built and safe to execute any number of times.
+    Holds the rewritten logical :class:`~.algebra.Query` (``query``), the
+    physical tree built from it (``root``, see :func:`lower`), the
+    structural cache key it was planned under, per-pass statistics, and
+    the output column order (``None`` for ``SELECT *``).  Plans are
+    immutable once built and safe to execute any number of times.
     """
 
-    def __init__(self, query: alg.Query, key: str,
+    def __init__(self, query: alg.Query, root, key: str,
                  pass_stats: Sequence[PassStats], source: str = "text"):
         self.query = query
+        self.root = root
         self.key = key
         self.pass_stats = list(pass_stats)
         self.source = source  # 'text' | 'algebra'
@@ -99,22 +107,23 @@ class Plan:
         self.synopsis_builds = 0
         # Nested SELECTs, each evaluated as its own scope; reported as
         # ``EvaluationStats.materialized_subqueries``.
-        self.subqueries = count_subqueries(query.pattern)
+        self.subqueries = alg.count_nested_selects(query.pattern)
 
     @property
     def total_changes(self) -> int:
         return sum(s.changes for s in self.pass_stats)
 
     def explain(self) -> str:
-        """Textual rendering of the optimized tree plus pass statistics.
+        """Textual rendering of the physical tree plus pass statistics.
 
-        The header line names the ``FROM`` graphs.  Nodes annotated by
-        the ``CostBasedJoinStrategy`` pass render their chosen join
-        strategy, estimated cardinality, and (for ``wcoj``) the variable
-        elimination order in a trailing ``[...]`` block; SIP-eligible
-        joins render ``[sip]`` and a star ``Group`` ``[count=star ?c]``
-        (:func:`star_shape`).  A BGP with a step program lists its steps
-        below it, one per line (see :func:`_program_lines`).
+        The header line names the ``FROM`` graphs.  Each node renders
+        like its logical node; a physical node adds its decisions in a
+        trailing ``[...]`` block — a scan's join strategy, estimated
+        cardinality and (for ``wcoj``) variable elimination order,
+        ``[sip]`` on a join that filters sideways, ``[count=star ?c]``
+        on a star ``Group`` (:func:`star_shape`) — and a scan with a
+        strategy lists its program steps below it, one per line
+        (:func:`~.physical.explain_lines`).
 
         A graph of collaborations: a sparse ring plus eight hubs who
         collaborate with everyone.  Two people's common collaborators
@@ -155,16 +164,7 @@ class Plan:
             level intersect ?b <- (?a <urn:with> ?b) & (?b <urn:with> _)
             level intersect ?c <- (?a <urn:with> ?c) & (?b <urn:with> ?c)
         """
-        lines: List[str] = ["FROM %s" % (self.query.from_graphs,)]
-
-        def walk(node, depth):
-            lines.append("  " * depth + repr(node) + _explain_notes(node))
-            for step in _program_lines(getattr(node, "program", ())):
-                lines.append("  " * (depth + 1) + step)
-            for child in node.children():
-                walk(child, depth + 1)
-
-        walk(self.query.pattern, 0)
+        lines = explain_lines(self.query.from_graphs, self.root)
         for stats in self.pass_stats:
             lines.append("-- %s: %d change(s) in %.6fs"
                          % (stats.name, stats.changes, stats.seconds))
@@ -173,71 +173,6 @@ class Plan:
     def __repr__(self):
         return "Plan(source=%s, passes=%s)" % (
             self.source, [s.name for s in self.pass_stats])
-
-
-def _explain_notes(node: alg.AlgebraNode) -> str:
-    """The ``[...]`` annotation block :meth:`Plan.explain` appends to a
-    node line, or '' when the planner annotated nothing."""
-    notes: List[str] = []
-    strategy = getattr(node, "strategy", None)
-    if strategy is not None:
-        notes.append("strategy=%s" % strategy)
-    est_rows = getattr(node, "est_rows", None)
-    if est_rows is not None:
-        notes.append("est_rows=%d" % round(est_rows))
-    eliminate = getattr(node, "eliminate", None)
-    if eliminate:
-        notes.append("eliminate=%s" % "->".join("?" + v for v in eliminate))
-    if getattr(node, "sip_eligible", False):
-        notes.append("sip")
-    star = getattr(node, "star", None)
-    if star is not None:
-        notes.append("count=star ?%s" % star.centre)
-    if not notes:
-        return ""
-    return " [%s]" % ", ".join(notes)
-
-
-def _program_lines(program) -> List[str]:
-    """One line per step of a BGP program (``level`` marks a generic-join
-    level):
-
-    * ``match ?v <- (s p o)`` — an index probe binding ``?v``;
-    * ``check (s p o)`` — a probe that binds nothing new;
-    * ``intersect ?v <- run & run ...`` — ``?v`` bound by intersecting
-      sorted runs, each written as the pattern it comes from with ``_``
-      for a position the run leaves free.
-    """
-    lines = []
-    bound: Set[str] = set()
-    for step in program:
-        level = "level " if step.level else ""
-        if isinstance(step, Intersect):
-            bound.add(step.var)
-            lines.append("%sintersect ?%s <- %s" % (
-                level, step.var, " & ".join(_run_text(sig, step.var)
-                                            for sig in step.signatures)))
-            continue
-        names = [t.name for t in step.pattern if isinstance(t, Variable)]
-        fresh = " ".join("?" + v for v in dict.fromkeys(names)
-                         if v not in bound)
-        bound.update(names)
-        text = "(%s)" % " ".join(t.n3() for t in step.pattern)
-        lines.append("%smatch %s <- %s" % (level, fresh, text) if fresh
-                     else "check " + text)
-    return lines
-
-
-def _run_text(signature, var: str) -> str:
-    """A :func:`~.optimizer.run_signature` as the pattern it reads."""
-    kind, predicate = signature[0], signature[1].n3()
-    if kind == "psubjects":
-        return "(?%s %s _)" % (var, predicate)
-    other = signature[2]
-    other = "?" + other[1] if isinstance(other, tuple) else other.n3()
-    if kind == "subjects":
-        return "(?%s %s %s)" % (var, predicate, other)
-    return "(%s %s ?%s)" % (other, predicate, var)
 
 
 def output_variables(query: alg.Query) -> Optional[List[str]]:
@@ -249,13 +184,6 @@ def output_variables(query: alg.Query) -> Optional[List[str]]:
     if isinstance(node, alg.Project) and node.variables is not None:
         return list(node.variables)
     return None
-
-
-def count_subqueries(node: alg.AlgebraNode, top: bool = True) -> int:
-    """Nested SELECTs in the tree: every ``Project`` below the root."""
-    return ((isinstance(node, alg.Project) and not top)
-            + sum(count_subqueries(child, False)
-                  for child in node.children()))
 
 
 # ----------------------------------------------------------------------
@@ -300,12 +228,6 @@ def _rebuild(node: alg.AlgebraNode,
     if isinstance(node, alg.FilterExists):
         return alg.FilterExists(children[0], children[1], node.negated)
     raise TypeError("cannot rebuild algebra node %r" % node)
-
-
-def _copy_tree(node: alg.AlgebraNode) -> alg.AlgebraNode:
-    """Fresh node objects all the way down (terms and expressions are
-    immutable and stay shared)."""
-    return _rebuild(node, [_copy_tree(child) for child in node.children()])
 
 
 def expression_variables(expression: Expression) -> Set[str]:
@@ -675,12 +597,12 @@ def make_join_ordering(graph, dataset=None, stats_for=None) -> PassFn:
 
 
 # ----------------------------------------------------------------------
-# Pass 7: CostBasedJoinStrategy (post-fixpoint annotation pass)
+# Lowering: the physical plan (the CostBasedJoinStrategy pass)
 # ----------------------------------------------------------------------
 
-#: Minimum triple count of a probe-side predicate before a join is marked
-#: SIP-eligible: filtering a handful of candidates costs more bookkeeping
-#: than it saves.
+#: Minimum triple count of a probe-side predicate before a join gets
+#: ``sip``: filtering a handful of candidates costs more bookkeeping than
+#: it saves.
 SIP_MIN_PREDICATE_TRIPLES = 32
 
 
@@ -699,29 +621,6 @@ def _probe_prunable(probe: alg.AlgebraNode, shared: Set[str],
             if stats.predicate_cardinality(p) >= SIP_MIN_PREDICATE_TRIPLES:
                 return True
     return False
-
-
-def _annotate_bgp(bgp: alg.BGP, stats: GraphStatistics) -> int:
-    """Annotate one BGP for :func:`make_cost_based_join_strategy`; 1 when
-    it chose a strategy, else 0."""
-    triples = bgp.triples
-    cost_nl, bgp.est_rows = estimate_join(triples, stats)
-    if len(triples) < 2:
-        return 0
-    if len(triples) >= 3 and bgp_is_cyclic(triples):
-        order = generic_join_order(triples, stats)
-        if order is not None:
-            cost_wcoj = estimate_wcoj(triples, order, stats)
-            if cost_wcoj * WCOJ_COST_FACTOR <= cost_nl:
-                bgp.strategy, bgp.est_cost = "wcoj", cost_wcoj
-                bgp.eliminate = tuple(order)
-                bgp.program = bgp_program(triples, stats, order)
-                return 1
-    program = bgp_program(triples, stats)
-    if not any(isinstance(step, Intersect) for step in program):
-        return 0
-    bgp.strategy, bgp.est_cost, bgp.program = "intersect", cost_nl, program
-    return 1
 
 
 class StarArm(NamedTuple):
@@ -814,85 +713,113 @@ def _scoped_graph(node: alg.GraphPattern, graph, dataset):
     return graph
 
 
-def make_cost_based_join_strategy(graph, dataset, stats_for) -> PassFn:
-    """Build the CostBasedJoinStrategy annotation pass for a resolved
-    default graph.
+#: The physical join each binary logical join is lowered to.
+JOINS = {alg.Join: HashJoin, alg.LeftJoin: LeftHashJoin, alg.Minus: AntiJoin}
 
-    Unlike the rewrite passes, this one *annotates* nodes and must
-    therefore run after the rewrite pipeline reaches fixpoint (rebuilding
-    passes would drop the attributes).  It annotates a copy of its input:
-    the rewrite passes share every subtree they leave alone with the
-    parsed query, which the engine memoises and plans from again after a
-    graph mutation.  Per BGP it estimates
-    the output cardinality (``est_rows``, from the synopsis-backed
-    :class:`~.optimizer.GraphStatistics`) and chooses a join strategy:
+
+def lower(node: alg.AlgebraNode, graph=None, dataset=None,
+          stats_for=None) -> Tuple[object, int]:
+    """Build the physical tree (:mod:`~repro.sparql.physical`) for the
+    optimized logical tree ``node``; returns ``(root, changes)``, where
+    ``changes`` counts the decisions made.  ``node`` is not changed.
+
+    With ``graph``, the query's resolved default graph, and
+    ``stats_for``, the plan's :func:`~.optimizer.statistics_memo`
+    (shared with its :func:`make_join_ordering` pass), each BGP becomes
+    a :class:`~.physical.Scan` with its output cardinality estimate
+    (``est_rows``, from the synopsis-backed
+    :class:`~.optimizer.GraphStatistics`) and a join strategy:
 
     * ``wcoj`` — the BGP's join hypergraph is cyclic
       (:func:`~.optimizer.bgp_is_cyclic`), structurally eligible for
-      generic join, and its estimated generic-join cost (``est_cost``)
-      beats nested-loop by :data:`~.optimizer.WCOJ_COST_FACTOR`; the
-      variable elimination order is annotated as ``eliminate``.
+      generic join, and its estimated generic-join cost beats
+      nested-loop by :data:`~.optimizer.WCOJ_COST_FACTOR`; the variable
+      elimination order is the scan's ``eliminate``.
     * ``intersect`` — the head-pattern walk of
       :func:`~.optimizer.bgp_program` takes some intersection step.
-    * nested-loop otherwise (no ``strategy`` annotation).
+    * nested-loop otherwise (``strategy`` is ``None``).
 
-    A BGP with a strategy also gets the step ``program`` that strategy
-    runs; one without matches its patterns in order.  Joins additionally
-    get ``sip_eligible`` marks, and a ``Group`` over a BGP that
-    :func:`star_shape` accepts gets its ``star`` (on a single
-    :class:`~repro.rdf.graph.Graph`; a union view's accessors merge
-    member sets per probe, so it keeps the row path).  The evaluator
-    follows the annotations as they stand, with one run-time decision:
-    when a join's sideways filter names a variable of a non-``wcoj`` BGP
-    with several patterns, the BGP's patterns are re-ordered by
-    filter-discounted estimates, and an ``intersect`` BGP's program is
-    rebuilt over the new order (:func:`~.operators.bgp.program_for`).
-    ``stats_for`` is the plan's :func:`~.optimizer.statistics_memo`,
-    shared with its :func:`make_join_ordering` pass.
+    The scan's ``program`` is what that strategy runs; a nested-loop
+    scan matches its patterns in order.  Each join's ``sip`` says
+    whether its build side's key sets can prune a probe-side leaf
+    (:func:`_probe_prunable`), and a ``Group`` over a BGP that
+    :func:`star_shape` accepts becomes a :class:`~.physical.StarCount`
+    (on a single :class:`~repro.rdf.graph.Graph`; a union view's
+    accessors merge member sets per probe, so it keeps the row path).
+    ``GRAPH <uri>`` scopes are planned with that graph's statistics.
+
+    Without ``graph`` (unplanned algebra) nothing is estimated: every
+    BGP scans in order, no join filters sideways, no ``Group`` is a
+    star.  Either way a BGP whose pattern set occurs more than once in
+    the tree is ``shared``: matched once per execution and replayed.
     """
+    bgps = [bgp.triples for bgp in alg.collect_bgps(node) if bgp.triples]
+    repeated = {key for key, n in Counter(map(frozenset, bgps)).items()
+                if n > 1} if len(bgps) > 1 else ()
+    changes = 0
 
-    def join_strategy(node: alg.AlgebraNode) -> PassResult:
-        changes = 0
-
-        def mark_sip(n, build, probe, g) -> None:
-            nonlocal changes
-            if g is None:
-                return
-            shared = set(build.in_scope()) & set(probe.in_scope())
-            if shared and _probe_prunable(probe, shared, stats_for(g)):
-                n.sip_eligible = True
+    def scan(bgp: alg.BGP, g) -> Scan:
+        nonlocal changes
+        triples = bgp.triples
+        shared = bool(repeated) and frozenset(triples) in repeated
+        if g is None or not triples:
+            return Scan(bgp, tuple(map(Match, triples)), shared=shared)
+        stats = stats_for(g)
+        cost_nl, est_rows = estimate_join(triples, stats)
+        if len(triples) >= 3 and bgp_is_cyclic(triples):
+            order = generic_join_order(triples, stats)
+            if order is not None and estimate_wcoj(
+                    triples, order, stats) * WCOJ_COST_FACTOR <= cost_nl:
                 changes += 1
+                return Scan(bgp, bgp_program(triples, stats, order), "wcoj",
+                            est_rows, tuple(order), shared)
+        if len(triples) >= 2:
+            program = bgp_program(triples, stats)
+            if any(isinstance(step, Intersect) for step in program):
+                changes += 1
+                return Scan(bgp, program, "intersect", est_rows,
+                            shared=shared)
+        return Scan(bgp, tuple(map(Match, triples)), est_rows=est_rows,
+                    shared=shared)
 
-        def visit(n: alg.AlgebraNode, g) -> None:
-            nonlocal changes
-            if isinstance(n, alg.BGP):
-                if g is not None and n.triples:
-                    changes += _annotate_bgp(n, stats_for(g))
-                return
-            if isinstance(n, alg.Group) and isinstance(g, Graph):
-                star = star_shape(n)
-                if star is not None:
-                    n.star = star
-                    changes += 1
-                    return  # a star reads indexes: its BGP never runs
-            if isinstance(n, alg.GraphPattern):
-                visit(n.pattern, _scoped_graph(n, g, dataset))
-                return
-            # Exports flow from the side an operator holds first into
-            # the side it evaluates next (LeftJoin holds its preserved
-            # side only when no bounded consumer sits above it).
-            if isinstance(n, (alg.Join, alg.LeftJoin, alg.Minus)):
-                mark_sip(n, n.left, n.right, g)
-            elif isinstance(n, alg.FilterExists) and not n.negated:
-                mark_sip(n, n.group, n.pattern, g)
-            for child in n.children():
-                visit(child, g)
+    def sip(build: alg.AlgebraNode, probe: alg.AlgebraNode, g) -> bool:
+        # Exports flow from the side an operator holds first into the
+        # side it evaluates next (LeftJoin holds its preserved side only
+        # when no bounded consumer sits above it).
+        nonlocal changes
+        if g is None:
+            return False
+        shared = set(build.in_scope()) & set(probe.in_scope())
+        if shared and _probe_prunable(probe, shared, stats_for(g)):
+            changes += 1
+            return True
+        return False
 
-        node = _copy_tree(node)
-        visit(node, graph)
-        return node, changes
+    def visit(n: alg.AlgebraNode, g):
+        nonlocal changes
+        kind = type(n)
+        if kind is alg.BGP:
+            return scan(n, g)
+        join = JOINS.get(kind)
+        if join is not None:
+            return join(n, visit(n.left, g), visit(n.right, g),
+                        sip(n.left, n.right, g))
+        if kind is alg.FilterExists:
+            return SemiJoin(n, visit(n.pattern, g), visit(n.group, g),
+                            not n.negated and sip(n.group, n.pattern, g))
+        if kind is alg.Group and isinstance(g, Graph):
+            star = star_shape(n)
+            if star is not None:
+                changes += 1  # a star reads indexes: its BGP never runs
+                return StarCount(n, scan(n.pattern, None), star)
+        if kind is alg.GraphPattern:
+            return alg.GraphPattern(n.graph_uri, visit(
+                n.pattern,
+                None if g is None else _scoped_graph(n, g, dataset)))
+        children = [visit(child, g) for child in n.children()]
+        return _rebuild(n, children) if children else n
 
-    return join_strategy
+    return visit(node, graph), changes
 
 
 # ----------------------------------------------------------------------
@@ -914,56 +841,45 @@ def optimize_plan(query: alg.Query, key: str = "", graph=None, dataset=None,
                   source: str = "text",
                   passes: Optional[Sequence[Tuple[str, PassFn]]] = None
                   ) -> Plan:
-    """Run the pass pipeline over a parsed/compiled query and return a
-    :class:`Plan`.
+    """Run the pass pipeline over a parsed/compiled query, lower the result
+    (:func:`lower`) and return a :class:`Plan`.
 
     ``graph`` is the query's resolved default graph (its statistics drive
-    ``JoinOrdering`` and ``CostBasedJoinStrategy``; with ``None`` neither
-    runs), ``dataset`` resolves ``GRAPH <uri>`` scopes, and ``passes``
-    replaces :data:`DEFAULT_PASSES`.  Passes rerun until a full sweep
-    changes nothing (earlier passes expose opportunities to later ones),
-    capped at :data:`MAX_PIPELINE_ROUNDS` sweeps.
+    ``JoinOrdering`` and the lowering's ``CostBasedJoinStrategy``; with
+    ``None`` neither runs and the plan is lowered without statistics),
+    ``dataset`` resolves ``GRAPH <uri>`` scopes, and ``passes`` replaces
+    :data:`DEFAULT_PASSES`.  Passes rerun until a full sweep changes
+    nothing (earlier passes expose opportunities to later ones), capped
+    at :data:`MAX_PIPELINE_ROUNDS` sweeps.
     """
     pipeline = list(DEFAULT_PASSES if passes is None else passes)
-    post: List[Tuple[str, PassFn]] = []
+    # One statistics object per graph for the whole plan: the ordering
+    # pass and the lowering read the same figures.
+    stats_for = statistics_memo()
     if graph is not None:
-        # One statistics object per graph for the whole plan: both passes
-        # read the same figures.
-        stats_for = statistics_memo()
         pipeline.append(("JoinOrdering",
                          make_join_ordering(graph, dataset, stats_for)))
-        # CostBasedJoinStrategy only *annotates* (BGP strategy + estimates
-        # + elimination orders, per-join SIP eligibility); it runs once
-        # after the rewrite fixpoint so the rebuilding passes cannot drop
-        # its attributes.
-        post.append(("CostBasedJoinStrategy",
-                     make_cost_based_join_strategy(graph, dataset,
-                                                   stats_for)))
 
     node = query.pattern
-    totals: Dict[str, PassStats] = {
-        name: PassStats(name, 0, 0.0)
-        for name, _ in list(pipeline) + post}
+    totals = [PassStats(name, 0, 0.0) for name, _ in pipeline]
     for _ in range(MAX_PIPELINE_ROUNDS):
         round_changes = 0
-        for name, pass_fn in pipeline:
+        for (_, pass_fn), stats in zip(pipeline, totals):
             start = time.perf_counter()
             node, changes = pass_fn(node)
-            totals[name].seconds += time.perf_counter() - start
-            totals[name].changes += changes
+            stats.seconds += time.perf_counter() - start
+            stats.changes += changes
             round_changes += changes
         if not round_changes:
             break
-    for name, pass_fn in post:
-        start = time.perf_counter()
-        node, changes = pass_fn(node)
-        totals[name].seconds += time.perf_counter() - start
-        totals[name].changes += changes
+    start = time.perf_counter()
+    root, changes = lower(node, graph, dataset, stats_for)
+    if graph is not None:
+        totals.append(PassStats("CostBasedJoinStrategy", changes,
+                                time.perf_counter() - start))
     optimized = alg.Query(node, from_graphs=list(query.from_graphs),
                           prefixes=dict(query.prefixes))
-    return Plan(optimized, key,
-                [totals[name] for name, _ in list(pipeline) + post],
-                source=source)
+    return Plan(optimized, root, key, totals, source=source)
 
 
 # ----------------------------------------------------------------------

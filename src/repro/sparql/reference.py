@@ -261,7 +261,7 @@ class ReferenceEvaluator:
         return solutions[start:end]
 
     def _eval_graphpattern(self, node: alg.GraphPattern, graph) -> Multiset:
-        target = self.dataset.graph(node.graph_uri)
+        target = self.dataset.graph_or_empty(node.graph_uri)
         return self.evaluate(node.pattern, target)
 
     def _eval_inlinedata(self, node: alg.InlineData, graph) -> Multiset:

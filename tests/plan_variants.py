@@ -1,68 +1,85 @@
-"""Run a query on a private copy of its plan with changed annotations.
+"""Run a query under a physical plan the planner did not choose.
 
 The engine has no physical switch: join order, join strategy and
-sideways filters are the planner's decisions, written on the plan it
-caches (``Plan.explain()`` prints them).  Tests that must run the same
-query under a *different* decision — a BGP without its strategy, joins
-without sideways filters, a plan without ``LimitPushdown`` — plan it the
-normal way, copy the plan, change the copy and execute the copy through
-``Engine.evaluate_plan``.  The plan in the engine's cache is never
-touched.
+sideways filters are the planner's decisions, declared as fields of the
+physical tree it builds from the logical one (``Plan.root``, see
+:mod:`repro.sparql.physical`; ``Plan.explain()`` prints them).  Tests
+that must run the same query under a *different* decision — scans
+without their strategy, joins without sideways filters, stars folded
+row by row, a plan without ``LimitPushdown`` — plan it the normal way,
+build an alternative physical tree for the same logical tree and
+execute that through ``Engine.evaluate_plan``.  Physical nodes are
+immutable, so the plan in the engine's cache is never touched.
 
-* :func:`plan_variant` — the changed private copy;
+* :func:`plan_variant` — the plan with the alternative tree;
 * :func:`run_variant` — execute it: ``(ResultSet, EvaluationStats)``;
 * :class:`Variant` — an engine look-alike whose ``query()`` does both, so
-  a variant can sit in a dict of planes next to real engines.
+  a variant can sit in a dict of planes next to real engines;
+* :func:`remap` — a physical tree with some nodes replaced.
 """
 
 import copy
 
-from repro.sparql import algebra as alg
-from repro.sparql.plan import DEFAULT_PASSES, optimize_plan
+from repro.sparql.optimizer import Match
+from repro.sparql.physical import (DECIDED, AntiJoin, HashJoin, LeftHashJoin,
+                                   Scan, SemiJoin, StarCount)
+from repro.sparql.plan import DEFAULT_PASSES, _rebuild, optimize_plan
 
 #: The rewrite pipeline without ``LimitPushdown`` (no slice motion, no
 #: ``TopK`` fusion), for ``passes=``.
 UNPUSHED = [entry for entry in DEFAULT_PASSES if entry[0] != "LimitPushdown"]
 
-#: Nodes the planner may mark ``sip_eligible``.
-JOIN_NODES = (alg.Join, alg.LeftJoin, alg.Minus, alg.FilterExists)
+#: The physical joins, each with a ``sip`` field.
+JOINS = (HashJoin, LeftHashJoin, AntiJoin, SemiJoin)
 
-#: What ``strategy=False`` removes from a BGP: the CostBasedJoinStrategy
-#: routing and the step program it chose, leaving the plain nested-loop
-#: plan (estimates stay).
-STRATEGY_ATTRS = ("strategy", "eliminate", "est_cost", "program")
+#: The fields of a physical node that hold a child node.
+CHILD_FIELDS = ("pattern", "left", "right", "group")
 
 
 def nodes(node):
-    """Every node of an algebra tree, pre-order."""
+    """Every node of a logical or physical tree, pre-order."""
     yield node
     for child in node.children():
         yield from nodes(child)
 
 
-def _copy_tree(node):
-    """Fresh node objects all the way down, annotations included (terms,
-    triple lists and expressions stay shared; nothing mutates them)."""
-    clone = copy.copy(node)
-    for name in ("pattern", "left", "right", "group"):
-        child = getattr(node, name, None)
-        if isinstance(child, alg.AlgebraNode):
-            setattr(clone, name, _copy_tree(child))
-    return clone
+def remap(node, change):
+    """``node``'s physical tree rebuilt bottom-up, each node replaced by
+    ``change(node)``; a node without children is passed as it is."""
+    if isinstance(node, DECIDED):
+        children = {name: remap(child, change)
+                    for name, child in node._asdict().items()
+                    if name in CHILD_FIELDS}
+        node = node._replace(**children) if children else node
+    elif node.children():
+        node = _rebuild(node, [remap(child, change)
+                               for child in node.children()])
+    return change(node)
+
+
+def nested_loop(scan):
+    """``scan`` with its strategy stripped: its patterns matched in plan
+    order (the estimate stays)."""
+    return scan._replace(strategy=None, eliminate=(),
+                         program=tuple(Match(q) for q in scan.logical.triples))
 
 
 def plan_variant(engine, query, default_graph_uri=None, *, sip=None,
-                 strategy=None, passes=None, ordered=True):
-    """A private copy of ``engine``'s plan for ``query``, changed as asked.
+                 strategy=None, star=None, passes=None, ordered=True):
+    """``engine``'s plan for ``query`` over an alternative physical tree.
 
     ``sip``
-        ``False`` strips every ``sip_eligible`` mark; ``True`` marks every
-        join node, where the planner would mark only those whose probe
-        side a filter can prune.
+        Every join's ``sip``: ``False`` for no sideways filter, ``True``
+        for one on every join (``NOT EXISTS`` still exports nothing),
+        where the planner gives one only to joins whose probe side a
+        filter can prune.
     ``strategy``
-        ``False`` strips every BGP's strategy annotation: nested-loop.
+        ``False`` makes every scan :func:`nested_loop`.
+    ``star``
+        ``False`` turns every :class:`StarCount` into the ``Group`` it
+        counts, whose BGP's rows are then folded.
     ``passes``
-        Re-plan with this rewrite pipeline instead of copying the cached
+        Re-plan with this rewrite pipeline instead of reusing the cached
         plan (e.g. the default passes minus ``LimitPushdown``).
     ``ordered``
         ``False`` re-plans without graph statistics: no ``JoinOrdering``,
@@ -75,20 +92,18 @@ def plan_variant(engine, query, default_graph_uri=None, *, sip=None,
         plan = optimize_plan(parsed, graph=graph, dataset=engine.dataset,
                              passes=passes)
     else:
-        cached = engine.plan(query, default_graph_uri)
-        plan = copy.copy(cached)
-        plan.query = alg.Query(_copy_tree(cached.query.pattern),
-                               from_graphs=list(cached.query.from_graphs),
-                               prefixes=dict(cached.query.prefixes))
-    for node in nodes(plan.query.pattern):
-        if sip is not None and isinstance(node, JOIN_NODES):
-            if sip:
-                node.sip_eligible = True
-            else:
-                vars(node).pop("sip_eligible", None)
-        if strategy is False and isinstance(node, alg.BGP):
-            for name in STRATEGY_ATTRS:
-                vars(node).pop(name, None)
+        plan = copy.copy(engine.plan(query, default_graph_uri))
+
+    def change(node):
+        if sip is not None and isinstance(node, JOINS):
+            node = node._replace(sip=sip)
+        if strategy is False and isinstance(node, Scan):
+            node = nested_loop(node)
+        if star is False and isinstance(node, StarCount):
+            node = _rebuild(node.logical, [node.pattern])
+        return node
+
+    plan.root = remap(plan.root, change)
     return plan
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.rdf import Dataset, Graph, Literal, URIRef
 from repro.sparql import Engine
 
-from plan_variants import Variant
+from plan_variants import Variant, nodes
 
 
 def uri(name):
@@ -480,24 +480,59 @@ REMOVED_SWITCHES = ("streaming", "optimize", "cache_bgps", "limit_pushdown",
                     "sip", "multiway", "wcoj", "vectorize")
 
 
+#: Queries whose lowered plans hold every node type, together.
+LOWERING_CORPUS = [
+    # HashJoin, Scan, Project, Filter, Extend, TopK
+    "SELECT ?m ?n WHERE { ?m x:starring ?a FILTER(?a != x:a3) "
+    "{ SELECT ?a WHERE { ?a x:born ?c } } BIND(1 AS ?n) } "
+    "ORDER BY ?m LIMIT 2",
+    # LeftHashJoin, AntiJoin, SemiJoin, Union, Distinct, OrderBy, Slice
+    "SELECT DISTINCT ?m WHERE { { ?m x:starring ?a OPTIONAL { ?a x:born ?c }"
+    " MINUS { ?m x:year 2010 } FILTER EXISTS { ?m x:year ?y } } UNION "
+    "{ ?m x:year ?y } } ORDER BY ?m",
+    "SELECT ?m WHERE { ?m x:year ?y } LIMIT 1",
+    # StarCount, Group, GraphPattern, InlineData
+    "SELECT ?a (COUNT(*) AS ?n) WHERE { ?m x:starring ?a } GROUP BY ?a",
+    "SELECT (SUM(?y) AS ?s) WHERE { GRAPH <http://g> { ?m x:year ?y } "
+    "VALUES ?m { x:m1 } }",
+]
+
+
 class TestOnePlane:
     """Ratchet: one production operator set, no physical switch."""
 
-    def test_one_operator_per_node_type(self):
-        # The driver dispatches through one table: every algebra node
-        # type has exactly one operator, and no operator serves two.
-        from repro.sparql import Evaluator, algebra as alg
+    def test_one_operator_per_node_type(self, engine):
+        # The evaluator dispatches through one table: every node type the
+        # lowering emits has exactly one operator, no operator serves
+        # two, and none waits for a type the lowering never emits.
+        from repro.sparql import Evaluator
         from repro.sparql.evaluator import OPERATORS
-        node_types = {cls for cls in vars(alg).values()
-                      if isinstance(cls, type)
-                      and issubclass(cls, alg.AlgebraNode)
-                      and cls is not alg.AlgebraNode}
-        assert set(OPERATORS) == node_types
+        emitted = set()
+        for text in LOWERING_CORPUS:
+            plan = engine.plan(PFX + text)
+            emitted |= {type(node) for node in nodes(plan.root)}
+        assert set(OPERATORS) == emitted
         assert len(set(OPERATORS.values())) == len(OPERATORS)
         assert not [name for name in dir(Evaluator)
                     if name.startswith(("_eval_", "_stream_"))]
         # The sideways-filter scope is an argument, not evaluator state.
         assert not hasattr(Evaluator(Dataset()), "_sip")
+
+    def test_no_reflection_on_plan_nodes(self):
+        # Operators and the planner read the fields a node type declares:
+        # no getattr / setattr / vars on a plan node in the engine.
+        import pathlib
+        import re
+        import repro.sparql
+        reflection = re.compile(r"\b(?:getattr|setattr|vars)\(\s*(?:node|n|"
+                                r"child|bgp|scan|join|group|plan|root)\b")
+        root = pathlib.Path(repro.sparql.__file__).parent
+        offenders = ["%s:%d" % (path.relative_to(root), number)
+                     for path in sorted(root.rglob("*.py"))
+                     for number, line in enumerate(
+                         path.read_text().splitlines(), 1)
+                     if reflection.search(line)]
+        assert not offenders
 
     def test_engine_signature(self):
         import inspect
@@ -661,7 +696,7 @@ def test_star_count_on_every_graph_kind(graph_kinds, query):
             == (not isinstance(graph, GraphUnion)), kind
         evaluator = Evaluator(Dataset())
         evaluator.dictionary = graph.dictionary
-        table = evaluator.stream(plan.query.pattern, graph).to_table()
+        table = evaluator.stream(plan.root, graph).to_table()
         got = sorted(tuple(repr(graph.dictionary.decode(i)) for i in row)
                      for row in table.rows)
         copy = Graph("http://copy")
@@ -670,3 +705,33 @@ def test_star_count_on_every_graph_kind(graph_kinds, query):
         reference = Engine(copy, columnar=False).query(PFX + query)
         assert got == sorted(tuple(map(repr, row))
                              for row in reference.rows), kind
+
+
+class TestMissingNamedGraph:
+    """``GRAPH <iri>`` over a graph the dataset does not hold matches
+    nothing, under the pattern's usual schema, on both planes and
+    through an endpoint; ``FROM`` a missing graph stays an error."""
+
+    QUERY = "SELECT ?s WHERE { GRAPH <http://missing> { ?s ?p ?o } }"
+
+    @pytest.mark.parametrize("columnar", [True, False],
+                             ids=["production", "reference"])
+    def test_missing_graph_matches_nothing(self, engine, columnar):
+        plane = Engine(engine.dataset, columnar=columnar)
+        result = plane.query(self.QUERY)
+        assert len(result) == 0 and list(result.variables) == ["s"]
+        padded = plane.query(PFX + """
+            SELECT ?m ?o WHERE { ?m x:year ?y
+                OPTIONAL { GRAPH <http://missing> { ?m ?p ?o } } }""")
+        assert len(padded) == 3
+        assert all(o is None for _, o in padded.rows)
+
+    def test_endpoint_serves_an_empty_page(self, engine):
+        from repro.sparql import Endpoint
+        response = Endpoint(engine, max_rows=10).request(self.QUERY)
+        assert len(response.result) == 0 and not response.has_more
+
+    def test_from_a_missing_graph_is_still_an_error(self, engine):
+        from repro.sparql.evaluator import EvaluationError
+        with pytest.raises(EvaluationError):
+            engine.query("SELECT ?s FROM <http://missing> WHERE { ?s ?p ?o }")

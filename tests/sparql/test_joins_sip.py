@@ -4,17 +4,18 @@ The join corpus (:mod:`repro.workload.joins` — star, cyclic, chain,
 self-join, and semi-join shapes) runs on the dict-based ``reference``
 evaluator and on the production operators under every combination of
 
-* the planner's ``sip_eligible`` marks as planned, forced onto every
-  join, or stripped (sideways information passing: join build sides
-  export key id-sets into probe-side BGP leaves),
-* the planner's BGP ``strategy`` as planned or stripped (sorted-run
+* each physical join's ``sip`` as planned, forced on every join, or
+  off (sideways information passing: join build sides export key
+  id-sets into probe-side BGP leaves),
+* each scan's ``strategy`` as planned or nested loops (sorted-run
   intersection and generic join vs. nested loops),
 
-each a private copy of the plan (:mod:`plan_variants`), and every
+each an alternative physical tree for the plan (:mod:`plan_variants`),
+and every
 combination must return the identical row bag.  A hand-written corpus
 (BIND in its three shapes, an IRI-equality FILTER, DISTINCT, a grouped
-COUNT) rides through the same differential.  Under any one set of
-annotations, a stream hint (which only sizes the chunks each BGP expands
+COUNT) rides through the same differential.  Under any one physical
+tree, a stream hint (which only sizes the chunks each BGP expands
 breadth-first) must leave the rows and their order unchanged.
 The planned engine must
 additionally *prove* its mechanisms through the ``sip_filtered_rows`` /
@@ -31,10 +32,12 @@ from repro.data import DBPEDIA_URI, build_dataset
 from repro.rdf import DBPP, DBPR, Graph
 from repro.sparql import Engine, Evaluator
 from repro.sparql.optimizer import Intersect
+from repro.sparql.physical import Scan
 from repro.workload import (CASE_STUDIES, JOIN_QUERIES, get_case_study,
                             get_join_query)
 
-from plan_variants import UNPUSHED, Variant, nodes, plan_variant, run_variant
+from plan_variants import (JOINS, UNPUSHED, Variant, nodes, plan_variant,
+                           remap, run_variant)
 
 PFX = """
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -51,7 +54,7 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def engines(dataset):
-    """The reference, the planned engine, and every annotation variant of
+    """The reference, the planned engine, and every physical variant of
     its plans (``None`` = as planned)."""
     planned = Engine(dataset)
     out = {"reference": Engine(dataset, columnar=False), "planned": planned}
@@ -128,7 +131,7 @@ class TestJoinCorpusDifferential:
 
     def test_same_flags_same_rows_across_bgp_paths(self, dataset, engines,
                                                    differential_query):
-        """With identical annotations, a stream hint changes batch sizes,
+        """With identical physical trees, a stream hint changes batch sizes,
         never rows: an unhinted BGP expands in chunks of
         ``STREAM_BATCH_ROWS``, a hinted one in chunks of the hint, and
         both must return literally identical rows."""
@@ -183,12 +186,10 @@ class TestCounterProofs:
     def test_wcoj_steps_follow_the_plan(self, engines, join_query):
         """Generic-join levels run exactly where the planner routed a BGP
         to ``strategy='wcoj'``."""
-        from repro.sparql import algebra as alg
         engine = engines["planned"]
         plan = engine.plan(join_query.sparql, DBPEDIA_URI)
-        routed = any(getattr(node, "strategy", None) == "wcoj"
-                     for node in nodes(plan.query.pattern)
-                     if isinstance(node, alg.BGP))
+        routed = any(node.strategy == "wcoj" for node in nodes(plan.root)
+                     if isinstance(node, Scan))
         engine.execute_plan(plan, DBPEDIA_URI)
         assert (engine.last_stats.wcoj_steps > 0) == routed
 
@@ -205,8 +206,8 @@ class TestCounterProofs:
         else:
             query, graph_uri = get_case_study(key).frame().to_sparql(), None
         plan = engine.plan(query, graph_uri)
-        steps = [step for node in nodes(plan.query.pattern)
-                 for step in getattr(node, "program", ())]
+        steps = [step for node in nodes(plan.root)
+                 if isinstance(node, Scan) for step in node.program]
         engine.execute_plan(plan, graph_uri)
         stats = engine.last_stats
         assert any(isinstance(step, Intersect) for step in steps) \
@@ -221,8 +222,8 @@ class TestCounterProofs:
             SELECT * WHERE { ?a dbpp:collaborator ?b .
                 ?b dbpp:collaborator ?c . ?a dbpp:collaborator ?c .
                 ?c dbpp:noSuchPredicate ?d }""", DBPEDIA_URI)
-        assert any(getattr(node, "program", None)
-                   for node in nodes(plan.query.pattern))
+        assert any(isinstance(node, Scan) and node.strategy
+                   for node in nodes(plan.root))
         result = engine.execute_plan(plan, DBPEDIA_URI)
         assert len(result) == 0
         assert sorted(result.variables) == ["a", "b", "c", "d"]
@@ -230,7 +231,7 @@ class TestCounterProofs:
     def test_sip_reduces_rows_pulled(self, dataset):
         """The semi-join filter prunes rows before they exist: the
         planned engine streams strictly fewer rows through the probe
-        pipeline than its plan without ``sip_eligible`` marks on the
+        pipeline than its plan without ``sip`` on any join on the
         selective-probe corpus queries."""
         on = Engine(dataset)
         query = get_join_query("sip_egypt_costar")
@@ -263,35 +264,27 @@ class TestCounterProofs:
         assert engine.last_stats.early_exits == 1
 
     def test_planner_annotates_the_corpus(self, dataset):
-        """CostBasedJoinStrategy marks what the corpus expects: sip queries
-        get an eligible join, multiway queries an intersect-strategy BGP,
-        cyclic queries a wcoj-strategy BGP with an elimination order."""
-        from repro.sparql import algebra as alg
+        """The lowering decides what the corpus expects: sip queries get
+        a join with ``sip``, multiway queries an intersect-strategy scan,
+        cyclic queries a wcoj-strategy scan with an elimination order."""
         engine = Engine(dataset)
-
-        def walk(node):
-            yield node
-            for child in node.children():
-                yield from walk(child)
-
         for query in JOIN_QUERIES:
             plan = engine.plan(query.sparql, DBPEDIA_URI)
-            nodes = list(walk(plan.query.pattern))
+            tree = list(nodes(plan.root))
+            scans = [n for n in tree if isinstance(n, Scan)]
             if query.expect == "sip":
-                assert any(getattr(n, "sip_eligible", False)
-                           for n in nodes), query.key
+                assert any(n.sip for n in tree
+                           if isinstance(n, JOINS)), query.key
             if query.expect == "multiway":
-                assert any(getattr(n, "strategy", None) == "intersect"
-                           for n in nodes
-                           if isinstance(n, alg.BGP)), query.key
+                assert any(n.strategy == "intersect"
+                           for n in scans), query.key
             if query.expect == "wcoj":
-                tagged = [n for n in nodes if isinstance(n, alg.BGP)
-                          and getattr(n, "strategy", None) == "wcoj"]
+                tagged = [n for n in scans if n.strategy == "wcoj"]
                 assert tagged, query.key
                 for n in tagged:
                     order = n.eliminate
                     assert len(order) == len(
-                        {v.name for t in n.triples for v in t
+                        {v.name for t in n.logical.triples for v in t
                          if hasattr(v, "name")}), query.key
 
 
@@ -460,7 +453,7 @@ class TestSipOnIntersectionSteps:
     each operand shape of the step: all static, one static + one
     row-keyed, two row-keyed, and the general shape (two row-keyed + one
     static).  The probe BGP's program is written by hand on a private
-    plan copy, under a forced ``sip_eligible`` join; rows must equal the
+    plan copy, under a join forced to ``sip``; rows must equal the
     reference's and the filter must drop candidates."""
 
     BUILD = '{ SELECT DISTINCT ?x WHERE { ?x x:keep "yes" } }'
@@ -511,26 +504,27 @@ class TestSipOnIntersectionSteps:
     @pytest.mark.parametrize("shape", sorted(PROBES))
     def test_filtered_intersection_matches_reference(self, graph, shape):
         from repro.rdf import Variable
-        from repro.sparql import algebra as alg
         from repro.sparql.optimizer import Match
+        from repro.sparql.physical import HashJoin
 
         probe, signatures = self.PROBES[shape]
         query = "PREFIX x: <http://x/>\nSELECT * WHERE { %s { %s } }" % (
             self.BUILD, probe)
         engine = Engine(graph)
         plan = plan_variant(engine, query, sip=True)
-        (bgp,) = [n for n in nodes(plan.query.pattern)
-                  if isinstance(n, alg.BGP) and len(n.triples) > 1]
-        join = [n for n in nodes(plan.query.pattern)
-                if isinstance(n, alg.Join)][0]
-        assert join.right is bgp and join.sip_eligible
+        (scan,) = [n for n in nodes(plan.root)
+                   if isinstance(n, Scan) and len(n.logical.triples) > 1]
+        join = [n for n in nodes(plan.root) if isinstance(n, HashJoin)][0]
+        assert join.right is scan and join.sip
         seed = (Variable("y"), self.x("r"), Variable("z"))
-        consumed = tuple(t for t in bgp.triples if t != seed)
-        bgp.strategy = "wcoj"  # the evaluator then runs the program as is
-        bgp.program = ((Match(seed),) if probe.startswith(self.SEED)
-                       else ()) + (
+        consumed = tuple(t for t in scan.logical.triples if t != seed)
+        # A wcoj scan runs its program as is, whatever the filter.
+        forced = scan._replace(strategy="wcoj", program=(
+            (Match(seed),) if probe.startswith(self.SEED) else ()) + (
             Intersect("x", tuple(self.signature(*s) for s in signatures),
-                      consumed),)
+                      consumed),))
+        plan.root = remap(plan.root,
+                          lambda n: forced if n is scan else n)
         result, stats = engine.evaluate_plan(plan)[:2]
         reference = Engine(graph, columnar=False).query(query)
         assert row_bag(result) == row_bag(reference)

@@ -178,7 +178,7 @@ class TestPlanPasses:
                              [name for name, _ in DEFAULT_PASSES] + [None])
     def test_every_pass_keeps_the_condition_in_scope(self, graph, name,
                                                      text):
-        if name is None:  # every pass, JoinOrdering and the annotations
+        if name is None:  # every pass, JoinOrdering and the lowering
             plan = optimize_plan(parse(PFX + text), graph=graph)
         else:
             plan = optimize_plan(parse(PFX + text), passes=[

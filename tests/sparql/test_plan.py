@@ -14,14 +14,15 @@ from repro.sparql import Endpoint, Engine, ResultCache, parse, plan_key
 from repro.sparql import algebra as alg
 from repro.sparql.expressions import AndExpr, CompareExpr, ConstExpr, VarExpr
 from repro.sparql.parser import ParseError
-from repro.sparql.plan import (DEFAULT_PASSES, _node_key, bgp_merge,
+from repro.sparql.physical import DECIDED
+from repro.sparql.plan import (DEFAULT_PASSES, _node_key, _rebuild, bgp_merge,
                                filter_pushdown, key_from_skeleton,
                                make_join_ordering, optimize_plan,
                                plan_skeleton, projection_pruning)
 from repro.sparql.server import QueryServer
 from repro.workload import get_join_query
 
-from plan_variants import UNPUSHED, plan_variant, run_variant
+from plan_variants import UNPUSHED, nodes, plan_variant, run_variant
 
 PFX = "PREFIX x: <http://x/>\n"
 
@@ -302,8 +303,8 @@ class TestOptimizePlan:
         assert any(line.strip().startswith("match ") for line in lines)
 
     def test_unordered_plan_skips_join_ordering(self, graph):
-        # Without graph statistics neither JoinOrdering nor the
-        # CostBasedJoinStrategy annotation pass runs.
+        # Without graph statistics JoinOrdering does not run and the
+        # lowering decides nothing: no CostBasedJoinStrategy entry.
         plan = optimize_plan(parse(
             PFX + "SELECT ?m WHERE { ?m x:starring ?a . ?m x:rare ?t }"))
         assert [s.name for s in plan.pass_stats] == [
@@ -544,9 +545,51 @@ class TestTextMemo:
         assert list(engine._text_memo) == [q]  # survived every write
 
 
+class TestPhysicalPlan:
+    """Planning builds a physical tree of its own and leaves the logical
+    tree as the rewrite passes returned it."""
+
+    def test_planning_annotates_no_logical_node(self):
+        """Every node of the memoised parse and of the optimized query
+        holds exactly the attributes a fresh rebuild of it holds, and the
+        memoised parse keeps its plan key."""
+        from repro.workload import CASE_STUDIES, JOIN_QUERIES
+
+        dataset = build_dataset(scale=0.05)
+        engine = Engine(dataset)
+        texts = [(q.sparql, DBPEDIA_URI) for q in JOIN_QUERIES] + [
+            (case.frame().to_sparql(), None) for case in CASE_STUDIES]
+        decided = set()
+        for text, graph_uri in texts:
+            plan = engine.plan(text, graph_uri)
+            decided.update(note for line in plan.explain().splitlines()
+                           for note in ("strategy=", "[sip", "count=star")
+                           if note in line)
+            ast, _, skeleton = engine._text_memo[text]
+            for tree in (ast.pattern, plan.query.pattern):
+                for node in nodes(tree):
+                    fresh = _rebuild(node, node.children())
+                    assert vars(node) == vars(fresh), (text, node)
+            assert plan_skeleton(ast) == skeleton
+            assert key_from_skeleton(skeleton, graph_uri,
+                                     engine._fingerprint()) == plan.key
+        assert decided == {"strategy=", "[sip", "count=star"}
+
+    @pytest.mark.parametrize("kind", DECIDED, ids=lambda k: k.__name__)
+    def test_physical_node_rejects_unknown_field(self, kind):
+        node = kind(*[None] * len(kind._fields))
+        with pytest.raises(AttributeError):
+            node.sip_eligible = True
+        with pytest.raises(AttributeError):  # declared fields are fixed
+            setattr(node, kind._fields[0], None)
+        with pytest.raises(TypeError):
+            kind(*[None] * len(kind._fields), est_cost=1.0)
+
+
 class TestPlanVariants:
-    """The test-side helper (:mod:`plan_variants`) runs a private copy of
-    a cached plan; the cached plan itself must come out untouched."""
+    """The test-side helper (:mod:`plan_variants`) runs alternative
+    physical trees for a cached plan; the cached plan itself must come
+    out untouched."""
 
     def test_variants_leave_the_cached_plan_alone(self):
         engine = Engine(build_dataset(scale=0.05))
@@ -555,14 +598,14 @@ class TestPlanVariants:
         for key in ("sip_egypt_costar", "triangle_collaborators"):
             text = get_join_query(key).sparql
             plan = engine.plan(text, DBPEDIA_URI)
-            before = explained_tree(plan)  # annotations
+            before = explained_tree(plan)  # the physical decisions
             notes = "\n".join(before[0])
             assert "[sip]" in notes or "strategy=wcoj" in notes
             want = named_bag(engine.execute_plan(plan, DBPEDIA_URI))
             for changes in variants:
                 copy = plan_variant(engine, text, DBPEDIA_URI, **changes)
                 assert copy is not plan
-                assert copy.query.pattern is not plan.query.pattern
+                assert copy.root is not plan.root
                 got, _ = run_variant(engine, text, DBPEDIA_URI, **changes)
                 assert named_bag(got) == want, changes
                 assert engine.plan(text, DBPEDIA_URI) is plan

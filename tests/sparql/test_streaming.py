@@ -27,6 +27,7 @@ from repro.sparql import algebra as alg
 from repro.sparql.evaluator import (STREAM_BATCH_ROWS, QueryTimeout,
                                     RowBudgetExceeded)
 from repro.sparql.optimizer import Intersect
+from repro.sparql.physical import Scan
 from repro.sparql.solution import batched, stream_distinct
 from repro.workload import CASE_STUDIES, get_case_study
 
@@ -265,9 +266,9 @@ class TestTopK:
         query, key = self.WINDOWS[case]
         engine = Engine(dataset)
         fused = engine.plan(query, DBPEDIA_URI)
-        topk = [node for node in nodes(fused.query.pattern)
+        topk = [node for node in nodes(fused.root)
                 if isinstance(node, alg.TopK)]
-        assert len(topk) == 1 and isinstance(topk[0].pattern, alg.BGP)
+        assert len(topk) == 1 and isinstance(topk[0].pattern, Scan)
         if case == "second_pattern_key":
             # The key is bound by a later step, not the program's first.
             first = topk[0].pattern.program[0]
