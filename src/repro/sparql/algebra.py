@@ -6,13 +6,28 @@ Section 5.1 of the paper: triple patterns (grouped into BGPs), Join,
 LeftJoin (OPTIONAL), Union, Filter, Extend (BIND / AS), Project, Distinct,
 Group/aggregation with HAVING, OrderBy, Slice (LIMIT/OFFSET), GraphPattern
 (GRAPH <uri> { ... }) and nested SELECT (any Project node below the root).
+
+Each node type declares its fields once: ``__slots__`` lists them (a node
+takes no other attribute) and ``CHILDREN`` names those that hold
+subtrees.  :class:`AlgebraNode` derives the rest from the two:
+:meth:`~AlgebraNode.children`, :meth:`~AlgebraNode.replace` (the one way
+a planner pass rebuilds a node) and :meth:`~AlgebraNode.key` (the plan
+cache's serialization).  A constructor parameter has the name of the
+field it sets.  To add a node type, declare its ``__slots__`` and
+``CHILDREN``; write its ``__repr__`` (``explain()`` prints it) and, when
+it binds other variables than its children do together, its
+``in_scope``; give it an entry in ``evaluator.OPERATORS`` (or a physical
+node that :func:`~.plan.lower` builds for it) and an ``_eval_<name>``
+method on the reference evaluator (:mod:`~repro.sparql.reference`).
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import is_
 from typing import List, Optional, Sequence, Tuple
 
-from ..rdf.terms import TriplePattern, Variable, is_concrete
+from ..rdf.terms import Term, TriplePattern, Variable
 from .expressions import Expression
 
 AGGREGATE_FUNCTIONS = ("count", "sum", "min", "max", "avg", "sample",
@@ -20,18 +35,58 @@ AGGREGATE_FUNCTIONS = ("count", "sum", "min", "max", "avg", "sample",
 
 
 class AlgebraNode:
-    """Base class for algebra nodes."""
+    """Base class for algebra nodes: everything that follows from a node
+    type's ``__slots__`` and ``CHILDREN``."""
+
+    __slots__ = ()
+    #: The fields that hold child nodes, in child order.
+    CHILDREN: Tuple[str, ...] = ()
 
     def in_scope(self) -> List[str]:
-        """Variable names potentially bound by this pattern."""
-        raise NotImplementedError
+        """Variable names potentially bound by this pattern: by default,
+        those of its children, in order."""
+        return reduce(_union, [child.in_scope() for child in self.children()])
 
     def children(self) -> List["AlgebraNode"]:
-        return []
+        return [getattr(self, name) for name in self.CHILDREN]
+
+    def replace(self, children: Sequence["AlgebraNode"]) -> "AlgebraNode":
+        """This node over ``children`` (in :meth:`children` order), every
+        other field kept; ``self`` when each child is the same object."""
+        if all(map(is_, children, self.children())):
+            return self
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(zip(self.CHILDREN, children))
+        return type(self)(**fields)
+
+    def key(self) -> str:
+        """A structural serialization of the tree: the type name and
+        every declared field (see :func:`_key`)."""
+        return "%s(%s)" % (type(self).__name__, ",".join([
+            _key(getattr(self, name)) for name in self.__slots__]))
+
+
+def _key(value) -> str:
+    """A field's part of :meth:`AlgebraNode.key`: ``?name`` for a
+    variable, the items of a list or tuple, the SPARQL text of an
+    expression or aggregate, ``repr`` for any other value."""
+    if isinstance(value, Variable):
+        return "?" + value.name
+    if isinstance(value, Term):  # the bulk of a key: BGP triples
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ",".join(map(_key, value))
+    if isinstance(value, AlgebraNode):
+        return value.key()
+    if isinstance(value, (Expression, Aggregate)):
+        return value.sparql()
+    return repr(value)
 
 
 class BGP(AlgebraNode):
     """A basic graph pattern: a conjunction of triple patterns."""
+
+    __slots__ = ("triples",)
 
     def __init__(self, triples: Sequence[TriplePattern]):
         self.triples = list(triples)
@@ -50,14 +105,11 @@ class BGP(AlgebraNode):
 
 
 class Join(AlgebraNode):
+    __slots__ = ("left", "right")
+    CHILDREN = ("left", "right")
+
     def __init__(self, left: AlgebraNode, right: AlgebraNode):
         self.left, self.right = left, right
-
-    def in_scope(self):
-        return _union(self.left.in_scope(), self.right.in_scope())
-
-    def children(self):
-        return [self.left, self.right]
 
     def __repr__(self):
         return "Join(%r, %r)" % (self.left, self.right)
@@ -66,15 +118,12 @@ class Join(AlgebraNode):
 class LeftJoin(AlgebraNode):
     """OPTIONAL: keep every left solution, extend when compatible."""
 
+    __slots__ = ("left", "right", "condition")
+    CHILDREN = ("left", "right")
+
     def __init__(self, left: AlgebraNode, right: AlgebraNode,
                  condition: Optional[Expression] = None):
         self.left, self.right, self.condition = left, right, condition
-
-    def in_scope(self):
-        return _union(self.left.in_scope(), self.right.in_scope())
-
-    def children(self):
-        return [self.left, self.right]
 
     def __repr__(self):
         if self.condition is None:
@@ -84,28 +133,22 @@ class LeftJoin(AlgebraNode):
 
 
 class Union(AlgebraNode):
+    __slots__ = ("left", "right")
+    CHILDREN = ("left", "right")
+
     def __init__(self, left: AlgebraNode, right: AlgebraNode):
         self.left, self.right = left, right
-
-    def in_scope(self):
-        return _union(self.left.in_scope(), self.right.in_scope())
-
-    def children(self):
-        return [self.left, self.right]
 
     def __repr__(self):
         return "Union(%r, %r)" % (self.left, self.right)
 
 
 class Filter(AlgebraNode):
+    __slots__ = ("condition", "pattern")
+    CHILDREN = ("pattern",)
+
     def __init__(self, condition: Expression, pattern: AlgebraNode):
         self.condition, self.pattern = condition, pattern
-
-    def in_scope(self):
-        return self.pattern.in_scope()
-
-    def children(self):
-        return [self.pattern]
 
     def __repr__(self):
         return "Filter(%s, %r)" % (self.condition.sparql(), self.pattern)
@@ -114,6 +157,9 @@ class Filter(AlgebraNode):
 class Extend(AlgebraNode):
     """BIND(expr AS ?var) / SELECT (expr AS ?var)."""
 
+    __slots__ = ("pattern", "var", "expression")
+    CHILDREN = ("pattern",)
+
     def __init__(self, pattern: AlgebraNode, var: str, expression: Expression):
         self.pattern = pattern
         self.var = var.lstrip("?$")
@@ -121,9 +167,6 @@ class Extend(AlgebraNode):
 
     def in_scope(self):
         return _union(self.pattern.in_scope(), [self.var])
-
-    def children(self):
-        return [self.pattern]
 
     def __repr__(self):
         return "Extend(?%s := %s)" % (self.var, self.expression.sparql())
@@ -172,6 +215,9 @@ class Aggregate:
 class Group(AlgebraNode):
     """GROUP BY + aggregates + HAVING."""
 
+    __slots__ = ("pattern", "group_vars", "aggregates", "having")
+    CHILDREN = ("pattern",)
+
     def __init__(self, pattern: AlgebraNode, group_vars: Sequence[str],
                  aggregates: Sequence[Aggregate],
                  having: Optional[Expression] = None):
@@ -182,9 +228,6 @@ class Group(AlgebraNode):
 
     def in_scope(self):
         return self.group_vars + [agg.alias for agg in self.aggregates]
-
-    def children(self):
-        return [self.pattern]
 
     def __repr__(self):
         return "Group(by=%s, aggs=%r)" % (self.group_vars, self.aggregates)
@@ -198,6 +241,9 @@ class Project(AlgebraNode):
     the paper's naive-vs-optimized experiments measure).
     """
 
+    __slots__ = ("pattern", "variables")
+    CHILDREN = ("pattern",)
+
     def __init__(self, pattern: AlgebraNode,
                  variables: Optional[Sequence[str]] = None):
         self.pattern = pattern
@@ -209,22 +255,16 @@ class Project(AlgebraNode):
             return self.pattern.in_scope()
         return list(self.variables)
 
-    def children(self):
-        return [self.pattern]
-
     def __repr__(self):
         return "Project(%s)" % ("*" if self.variables is None else self.variables)
 
 
 class Distinct(AlgebraNode):
+    __slots__ = ("pattern",)
+    CHILDREN = ("pattern",)
+
     def __init__(self, pattern: AlgebraNode):
         self.pattern = pattern
-
-    def in_scope(self):
-        return self.pattern.in_scope()
-
-    def children(self):
-        return [self.pattern]
 
     def __repr__(self):
         return "Distinct(%r)" % (self.pattern,)
@@ -233,15 +273,12 @@ class Distinct(AlgebraNode):
 class OrderBy(AlgebraNode):
     """ORDER BY; keys are ``(variable_name, 'asc'|'desc')`` pairs."""
 
+    __slots__ = ("pattern", "keys")
+    CHILDREN = ("pattern",)
+
     def __init__(self, pattern: AlgebraNode, keys: Sequence[Tuple[str, str]]):
         self.pattern = pattern
         self.keys = [(v.lstrip("?$"), order.lower()) for v, order in keys]
-
-    def in_scope(self):
-        return self.pattern.in_scope()
-
-    def children(self):
-        return [self.pattern]
 
     def __repr__(self):
         return "OrderBy(%s)" % self.keys
@@ -250,17 +287,14 @@ class OrderBy(AlgebraNode):
 class Slice(AlgebraNode):
     """LIMIT / OFFSET."""
 
+    __slots__ = ("pattern", "limit", "offset")
+    CHILDREN = ("pattern",)
+
     def __init__(self, pattern: AlgebraNode, limit: Optional[int] = None,
                  offset: int = 0):
         self.pattern = pattern
         self.limit = limit
         self.offset = offset
-
-    def in_scope(self):
-        return self.pattern.in_scope()
-
-    def children(self):
-        return [self.pattern]
 
     def __repr__(self):
         return "Slice(limit=%s, offset=%s)" % (self.limit, self.offset)
@@ -277,18 +311,15 @@ class TopK(AlgebraNode):
     rows in memory while consuming its child.
     """
 
+    __slots__ = ("pattern", "keys", "limit", "offset")
+    CHILDREN = ("pattern",)
+
     def __init__(self, pattern: AlgebraNode, keys: Sequence[Tuple[str, str]],
                  limit: int, offset: int = 0):
         self.pattern = pattern
         self.keys = [(v.lstrip("?$"), order.lower()) for v, order in keys]
         self.limit = limit
         self.offset = offset
-
-    def in_scope(self):
-        return self.pattern.in_scope()
-
-    def children(self):
-        return [self.pattern]
 
     def __repr__(self):
         return "TopK(%s, limit=%s, offset=%s)" % (self.keys, self.limit,
@@ -300,6 +331,8 @@ class InlineData(AlgebraNode):
 
     ``rows`` contain RDF terms or ``None`` for UNDEF.
     """
+
+    __slots__ = ("variables", "rows")
 
     def __init__(self, variables: Sequence[str], rows):
         self.variables = [v.lstrip("?$") for v in variables]
@@ -316,14 +349,14 @@ class Minus(AlgebraNode):
     """MINUS: remove left solutions with a compatible, domain-overlapping
     solution on the right."""
 
+    __slots__ = ("left", "right")
+    CHILDREN = ("left", "right")
+
     def __init__(self, left: AlgebraNode, right: AlgebraNode):
         self.left, self.right = left, right
 
     def in_scope(self):
         return self.left.in_scope()
-
-    def children(self):
-        return [self.left, self.right]
 
     def __repr__(self):
         return "Minus(%r, %r)" % (self.left, self.right)
@@ -331,6 +364,9 @@ class Minus(AlgebraNode):
 
 class FilterExists(AlgebraNode):
     """FILTER EXISTS { ... } / FILTER NOT EXISTS { ... }."""
+
+    __slots__ = ("pattern", "group", "negated")
+    CHILDREN = ("pattern", "group")
 
     def __init__(self, pattern: AlgebraNode, group: AlgebraNode,
                  negated: bool = False):
@@ -341,9 +377,6 @@ class FilterExists(AlgebraNode):
     def in_scope(self):
         return self.pattern.in_scope()
 
-    def children(self):
-        return [self.pattern, self.group]
-
     def __repr__(self):
         return "FilterExists(negated=%s)" % self.negated
 
@@ -351,15 +384,12 @@ class FilterExists(AlgebraNode):
 class GraphPattern(AlgebraNode):
     """GRAPH <uri> { pattern } — scope matching to a named graph."""
 
+    __slots__ = ("graph_uri", "pattern")
+    CHILDREN = ("pattern",)
+
     def __init__(self, graph_uri: str, pattern: AlgebraNode):
         self.graph_uri = graph_uri
         self.pattern = pattern
-
-    def in_scope(self):
-        return self.pattern.in_scope()
-
-    def children(self):
-        return [self.pattern]
 
     def __repr__(self):
         return "GraphPattern(%r, %r)" % (self.graph_uri, self.pattern)

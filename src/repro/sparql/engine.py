@@ -437,7 +437,11 @@ class Engine:
         self.last_stats = evaluator.stats
         self.last_elapsed = elapsed
         self.queries_executed += 1
-        return ResultSet.from_mappings(solutions, output_variables(parsed))
+        variables = output_variables(parsed)
+        if variables is None:  # SELECT *: in scope, bound by a row or not
+            variables = [v for v in parsed.pattern.in_scope()
+                         if not v.startswith("__agg_")]
+        return ResultSet.from_mappings(solutions, variables)
 
     def explain(self, text: str, optimized: bool = False) -> str:
         """A textual rendering of the algebra tree (for debugging/tests).

@@ -18,11 +18,14 @@ The logical tree itself is never annotated or changed.
 Each holds the logical node it implements (``logical``), which answers
 for its variables in scope and its rendering, so :func:`explain_lines`
 prints a physical tree as the logical one plus a ``[...]`` block of
-decisions per node.
+decisions per node.  As on a logical node, ``CHILDREN`` names the fields
+that hold its children, read by ``children()`` and rebuilt by
+``replace(children)``, so one walk serves both trees.
 """
 
 from __future__ import annotations
 
+from operator import is_
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from ..rdf.terms import Variable
@@ -31,8 +34,28 @@ from .optimizer import (Intersect, Match, SipAwareStats, bgp_program,
                         order_patterns)
 
 
-def _left_right(join):
-    return (join.left, join.right)
+def _children(self) -> Tuple:
+    return tuple(getattr(self, name) for name in self.CHILDREN)
+
+
+def _replace(self, children):
+    """This node over ``children`` (in ``children()`` order); ``self``
+    when each child is the same object."""
+    if all(map(is_, children, _children(self))):
+        return self
+    return self._replace(**dict(zip(self.CHILDREN, children)))
+
+
+def _physical(kind):
+    """Declare a physical node type: the fields its ``CHILDREN`` names
+    hold its children (``children()`` and ``replace(children)``, as on a
+    logical node), and its logical node answers for its variables in
+    scope and its rendering."""
+    kind.children = _children
+    kind.replace = _replace
+    kind.in_scope = _logical_scope
+    kind.__repr__ = _logical_repr
+    return kind
 
 
 def _logical_scope(node) -> List[str]:
@@ -43,6 +66,7 @@ def _logical_repr(node) -> str:
     return repr(node.logical)
 
 
+@_physical
 class Scan(NamedTuple):
     """A BGP, matched by its step program (:func:`~.optimizer.bgp_program`).
 
@@ -59,11 +83,7 @@ class Scan(NamedTuple):
     eliminate: Tuple[str, ...] = ()
     shared: bool = False
 
-    def children(self):
-        return ()
-
-    in_scope = _logical_scope
-    __repr__ = _logical_repr
+    CHILDREN = ()
 
     def program_for(self, sip, graph, stats_for) -> Tuple:
         """The step program to run under the sideways filter ``sip``.
@@ -92,6 +112,7 @@ class Scan(NamedTuple):
         return tuple(Match(q) for q in patterns)
 
 
+@_physical
 class StarCount(NamedTuple):
     """A ``Group`` over a BGP that is a :class:`~.plan.Star`, counted
     from a graph's indexes without joining the BGP
@@ -101,13 +122,10 @@ class StarCount(NamedTuple):
     pattern: Scan
     star: Tuple
 
-    def children(self):
-        return (self.pattern,)
-
-    in_scope = _logical_scope
-    __repr__ = _logical_repr
+    CHILDREN = ("pattern",)
 
 
+@_physical
 class HashJoin(NamedTuple):
     """``Join``: ``left`` is built into a hash index, ``right`` probes
     it."""
@@ -116,11 +134,10 @@ class HashJoin(NamedTuple):
     right: object
     sip: bool = False
 
-    children = _left_right
-    in_scope = _logical_scope
-    __repr__ = _logical_repr
+    CHILDREN = ("left", "right")
 
 
+@_physical
 class LeftHashJoin(NamedTuple):
     """``LeftJoin`` (OPTIONAL): the optional ``right`` side is built and
     every ``left`` row is kept.  With ``sip`` and no bounded consumer
@@ -130,11 +147,10 @@ class LeftHashJoin(NamedTuple):
     right: object
     sip: bool = False
 
-    children = _left_right
-    in_scope = _logical_scope
-    __repr__ = _logical_repr
+    CHILDREN = ("left", "right")
 
 
+@_physical
 class AntiJoin(NamedTuple):
     """``Minus``: ``left`` rows without a compatible, domain-overlapping
     ``right`` row."""
@@ -143,11 +159,10 @@ class AntiJoin(NamedTuple):
     right: object
     sip: bool = False
 
-    children = _left_right
-    in_scope = _logical_scope
-    __repr__ = _logical_repr
+    CHILDREN = ("left", "right")
 
 
+@_physical
 class SemiJoin(NamedTuple):
     """``FILTER [NOT] EXISTS``: ``group`` is built first, and a
     ``pattern`` row is kept when a compatible ``group`` row exists (when
@@ -157,11 +172,7 @@ class SemiJoin(NamedTuple):
     group: object
     sip: bool = False
 
-    def children(self):
-        return (self.pattern, self.group)
-
-    in_scope = _logical_scope
-    __repr__ = _logical_repr
+    CHILDREN = ("pattern", "group")
 
 
 #: The node types that carry a planner decision.

@@ -32,10 +32,15 @@ returned it, and :meth:`Plan.explain` prints the physical one.
 
 Each pass is a pure ``node -> (node, changes)`` function (input trees are
 never mutated) and records per-pass statistics on the plan, so ablations
-and tests can see exactly what fired.  :class:`~repro.sparql.engine.Engine`
-keys its plan cache on :func:`plan_key`, a normalized structural
-serialization of the algebra — two textually different renderings of the
-same query share one cached plan.
+and tests can see exactly what fired.  ``ProjectionPruning`` (below
+the root's modifier spine), ``BGPMerge``, ``AggregatePushdown`` and
+``LimitPushdown`` are rules ``node -> replacement | None`` run by the
+one walker :func:`bottom_up`; the others recurse on their own and
+rebuild through :meth:`~.algebra.AlgebraNode.replace`.
+:class:`~repro.sparql.engine.Engine` keys its plan cache on
+:func:`plan_key`, a normalized structural serialization of the algebra
+(:meth:`~.algebra.AlgebraNode.key`) — two textually different renderings
+of the same query share one cached plan.
 """
 
 from __future__ import annotations
@@ -187,47 +192,33 @@ def output_variables(query: alg.Query) -> Optional[List[str]]:
 
 
 # ----------------------------------------------------------------------
-# Generic structural helpers (all passes rebuild, never mutate)
+# Generic structural helpers: the walker the rule passes share (every
+# pass rebuilds through ``replace``, never mutates)
 # ----------------------------------------------------------------------
 
-def _rebuild(node: alg.AlgebraNode,
-             children: List[alg.AlgebraNode]) -> alg.AlgebraNode:
-    """A copy of ``node`` with its children replaced (same arity/order as
-    ``node.children()``)."""
-    if isinstance(node, alg.BGP):
-        return alg.BGP(node.triples)
-    if isinstance(node, alg.InlineData):
-        return alg.InlineData(node.variables, node.rows)
-    if isinstance(node, alg.Join):
-        return alg.Join(children[0], children[1])
-    if isinstance(node, alg.LeftJoin):
-        return alg.LeftJoin(children[0], children[1], node.condition)
-    if isinstance(node, alg.Union):
-        return alg.Union(children[0], children[1])
-    if isinstance(node, alg.Minus):
-        return alg.Minus(children[0], children[1])
-    if isinstance(node, alg.Filter):
-        return alg.Filter(node.condition, children[0])
-    if isinstance(node, alg.Extend):
-        return alg.Extend(children[0], node.var, node.expression)
-    if isinstance(node, alg.Group):
-        return alg.Group(children[0], node.group_vars, node.aggregates,
-                         node.having)
-    if isinstance(node, alg.Project):
-        return alg.Project(children[0], node.variables)
-    if isinstance(node, alg.Distinct):
-        return alg.Distinct(children[0])
-    if isinstance(node, alg.OrderBy):
-        return alg.OrderBy(children[0], node.keys)
-    if isinstance(node, alg.Slice):
-        return alg.Slice(children[0], node.limit, node.offset)
-    if isinstance(node, alg.TopK):
-        return alg.TopK(children[0], node.keys, node.limit, node.offset)
-    if isinstance(node, alg.GraphPattern):
-        return alg.GraphPattern(node.graph_uri, children[0])
-    if isinstance(node, alg.FilterExists):
-        return alg.FilterExists(children[0], children[1], node.negated)
-    raise TypeError("cannot rebuild algebra node %r" % node)
+#: A rewrite rule: the replacement for a node, or ``None`` to keep it.
+Rule = Callable[[alg.AlgebraNode], Optional[alg.AlgebraNode]]
+
+
+def bottom_up(node: alg.AlgebraNode, rule: Rule) -> PassResult:
+    """Apply ``rule`` once to every node of ``node``'s tree, children
+    first: each node is rebuilt over its rewritten children
+    (:meth:`~.algebra.AlgebraNode.replace`) before the rule sees it.
+    ``changes`` counts the nodes the rule replaced."""
+    changes = 0
+
+    def walk(n: alg.AlgebraNode) -> alg.AlgebraNode:
+        nonlocal changes
+        children = n.children()
+        if children:
+            n = n.replace([walk(child) for child in children])
+        replacement = rule(n)
+        if replacement is None:
+            return n
+        changes += 1
+        return replacement
+
+    return walk(node), changes
 
 
 def expression_variables(expression: Expression) -> Set[str]:
@@ -276,7 +267,7 @@ def filter_pushdown(node: alg.AlgebraNode) -> PassResult:
             if pushed is not None:
                 changes += 1
                 return visit(pushed)
-            return alg.Filter(n.condition, visit(inner))
+            return n.replace([visit(inner)])
         if isinstance(n, alg.LeftJoin) and n.condition is not None:
             left_scope = set(n.left.in_scope())
             keep: List[Expression] = []
@@ -289,8 +280,7 @@ def filter_pushdown(node: alg.AlgebraNode) -> PassResult:
                 return visit(alg.LeftJoin(
                     n.left, alg.Filter(reduce(AndExpr, push), n.right),
                     reduce(AndExpr, keep) if keep else None))
-        children = [visit(child) for child in n.children()]
-        return _rebuild(n, children) if children else n
+        return n.replace([visit(child) for child in n.children()])
 
     return visit(node), changes
 
@@ -330,10 +320,7 @@ def _push_condition(condition: Expression,
         right = inner.right
         for conjunct in to_right:
             right = alg.Filter(conjunct, right)
-        if isinstance(inner, alg.LeftJoin):
-            node: alg.AlgebraNode = alg.LeftJoin(left, right, inner.condition)
-        else:
-            node = alg.Join(left, right)
+        node = inner.replace([left, right])
         for conjunct in stay:
             node = alg.Filter(conjunct, node)
         return node
@@ -362,42 +349,41 @@ def projection_pruning(node: alg.AlgebraNode) -> PassResult:
     """
     changes = 0
 
-    def visit(n: alg.AlgebraNode) -> alg.AlgebraNode:
-        nonlocal changes
-        children = [visit(child) for child in n.children()]
-        n = _rebuild(n, children) if children else n
-        if isinstance(n, alg.Distinct) and isinstance(n.pattern, alg.Distinct):
-            changes += 1
-            return n.pattern
-        if isinstance(n, alg.Project) and n.variables is not None:
-            child = n.pattern
-            if (isinstance(child, alg.Project) and child.variables is not None
-                    and set(n.variables) <= set(child.variables)):
-                changes += 1
-                return alg.Project(child.pattern, n.variables)
-            if list(n.variables) == child.in_scope():
-                changes += 1
-                return child
-        return n
-
     def spine(n: alg.AlgebraNode) -> alg.AlgebraNode:
         # The root modifier spine (Slice/OrderBy/Distinct over the root
         # Project) is walked structurally so the root projection itself is
         # never removed — it defines the result column order — while
-        # everything below it is pruned by ``visit``.
+        # everything below it is pruned by ``_prune_projection``.
         nonlocal changes
         if isinstance(n, (alg.Slice, alg.OrderBy, alg.Distinct, alg.TopK)):
-            n = _rebuild(n, [spine(n.pattern)])
-            if isinstance(n, alg.Distinct) \
-                    and isinstance(n.pattern, alg.Distinct):
-                changes += 1
-                return n.pattern
-            return n
+            n = n.replace([spine(n.pattern)])
+            replacement = _prune_projection(n)  # Distinct(Distinct(x))
+            if replacement is None:
+                return n
+            changes += 1
+            return replacement
         if isinstance(n, alg.Project):
-            return alg.Project(visit(n.pattern), n.variables)
-        return visit(n)
+            pattern, pruned = bottom_up(n.pattern, _prune_projection)
+            changes += pruned
+            return n.replace([pattern])
+        n, pruned = bottom_up(n, _prune_projection)
+        changes += pruned
+        return n
 
     return spine(node), changes
+
+
+def _prune_projection(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
+    if isinstance(n, alg.Distinct) and isinstance(n.pattern, alg.Distinct):
+        return n.pattern
+    if isinstance(n, alg.Project) and n.variables is not None:
+        child = n.pattern
+        if (isinstance(child, alg.Project) and child.variables is not None
+                and set(n.variables) <= set(child.variables)):
+            return alg.Project(child.pattern, n.variables)
+        if list(n.variables) == child.in_scope():
+            return child
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -411,19 +397,14 @@ def bgp_merge(node: alg.AlgebraNode) -> PassResult:
     the SPARQL algebra, the BGP of their combined triples — and one flat
     BGP is what the selectivity optimizer orders best.
     """
-    changes = 0
+    return bottom_up(node, _merge_bgps)
 
-    def visit(n: alg.AlgebraNode) -> alg.AlgebraNode:
-        nonlocal changes
-        children = [visit(child) for child in n.children()]
-        n = _rebuild(n, children) if children else n
-        if (isinstance(n, alg.Join) and isinstance(n.left, alg.BGP)
-                and isinstance(n.right, alg.BGP)):
-            changes += 1
-            return alg.BGP(n.left.triples + n.right.triples)
-        return n
 
-    return visit(node), changes
+def _merge_bgps(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
+    if (isinstance(n, alg.Join) and isinstance(n.left, alg.BGP)
+            and isinstance(n.right, alg.BGP)):
+        return alg.BGP(n.left.triples + n.right.triples)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -448,33 +429,27 @@ def aggregate_pushdown(node: alg.AlgebraNode) -> PassResult:
     This narrowing is what lets the hash ``Group`` key on thin
     id tuples.
     """
-    changes = 0
+    return bottom_up(node, _narrow_group_input)
 
-    def visit(n: alg.AlgebraNode) -> alg.AlgebraNode:
-        nonlocal changes
-        children = [visit(child) for child in n.children()]
-        n = _rebuild(n, children) if children else n
-        if not isinstance(n, alg.Group):
-            return n
-        child = n.pattern
-        if not isinstance(child, alg.Project) or child.variables is None:
-            return n
-        if any(a.expression is None and a.distinct for a in n.aggregates):
-            # COUNT(DISTINCT *) counts distinct whole solutions — every
-            # column is semantically significant, nothing can be pruned.
-            return n
-        needed = set(n.group_vars)
-        for aggregate in n.aggregates:
-            if aggregate.expression is not None:
-                needed |= expression_variables(aggregate.expression)
-        keep = [v for v in child.variables if v in needed]
-        if len(keep) == len(child.variables):
-            return n
-        changes += 1
-        return alg.Group(alg.Project(child.pattern, keep),
-                         n.group_vars, n.aggregates, n.having)
 
-    return visit(node), changes
+def _narrow_group_input(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
+    if not isinstance(n, alg.Group):
+        return None
+    child = n.pattern
+    if not isinstance(child, alg.Project) or child.variables is None:
+        return None
+    if any(a.expression is None and a.distinct for a in n.aggregates):
+        # COUNT(DISTINCT *) counts distinct whole solutions — every
+        # column is semantically significant, nothing can be pruned.
+        return None
+    needed = set(n.group_vars)
+    for aggregate in n.aggregates:
+        if aggregate.expression is not None:
+            needed |= expression_variables(aggregate.expression)
+    keep = [v for v in child.variables if v in needed]
+    if len(keep) == len(child.variables):
+        return None
+    return n.replace([alg.Project(child.pattern, keep)])
 
 
 # ----------------------------------------------------------------------
@@ -507,12 +482,16 @@ def limit_pushdown(node: alg.AlgebraNode) -> PassResult:
     ``LIMIT 0`` slice is left alone — the ``Slice`` operator answers it
     without pulling a single row, so there is nothing to fuse.
     """
-    changes = 0
+    revisits = 0
 
-    def visit(n: alg.AlgebraNode) -> alg.AlgebraNode:
-        nonlocal changes
-        children = [visit(child) for child in n.children()]
-        n = _rebuild(n, children) if children else n
+    def revisit(n: alg.AlgebraNode) -> alg.AlgebraNode:
+        # A slice that moved down is rewritten again, with its subtree.
+        nonlocal revisits
+        n, changes = bottom_up(n, push)
+        revisits += changes
+        return n
+
+    def push(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
         if isinstance(n, alg.TopK):
             inner = n.pattern
             if isinstance(inner, alg.Project):
@@ -524,13 +503,10 @@ def limit_pushdown(node: alg.AlgebraNode) -> PassResult:
                     projected = set(inner.variables)
                 if all(var in projected for var, _ in n.keys
                        if var in scope):
-                    changes += 1
-                    return alg.Project(
-                        alg.TopK(inner.pattern, n.keys, n.limit, n.offset),
-                        inner.variables)
-            return n
+                    return inner.replace([n.replace([inner.pattern])])
+            return None
         if not isinstance(n, alg.Slice):
-            return n
+            return None
         inner = n.pattern
         if isinstance(inner, alg.Slice):
             # rows[o2:o2+l2][o1:o1+l1] == rows[o2+o1 : o2+o1+min-window]
@@ -540,19 +516,15 @@ def limit_pushdown(node: alg.AlgebraNode) -> PassResult:
             else:
                 window = max(inner.limit - n.offset, 0)
                 limit = window if n.limit is None else min(n.limit, window)
-            changes += 1
-            return visit(alg.Slice(inner.pattern, limit, offset))
+            return revisit(alg.Slice(inner.pattern, limit, offset))
         if isinstance(inner, alg.Project):
-            changes += 1
-            return alg.Project(visit(alg.Slice(inner.pattern,
-                                               n.limit, n.offset)),
-                               inner.variables)
+            return inner.replace([revisit(n.replace([inner.pattern]))])
         if isinstance(inner, alg.OrderBy) and n.limit:
-            changes += 1
             return alg.TopK(inner.pattern, inner.keys, n.limit, n.offset)
-        return n
+        return None
 
-    return visit(node), changes
+    node, changes = bottom_up(node, push)
+    return node, changes + revisits
 
 
 # ----------------------------------------------------------------------
@@ -586,10 +558,8 @@ def make_join_ordering(graph, dataset=None, stats_for=None) -> PassFn:
                     return alg.BGP(ordered)
                 return n
             if isinstance(n, alg.GraphPattern):
-                return alg.GraphPattern(n.graph_uri, visit(
-                    n.pattern, _scoped_graph(n, g, dataset)))
-            children = [visit(child, g) for child in n.children()]
-            return _rebuild(n, children) if children else n
+                g = _scoped_graph(n, g, dataset)
+            return n.replace([visit(child, g) for child in n.children()])
 
         return visit(node, graph), changes
 
@@ -812,12 +782,9 @@ def lower(node: alg.AlgebraNode, graph=None, dataset=None,
             if star is not None:
                 changes += 1  # a star reads indexes: its BGP never runs
                 return StarCount(n, scan(n.pattern, None), star)
-        if kind is alg.GraphPattern:
-            return alg.GraphPattern(n.graph_uri, visit(
-                n.pattern,
-                None if g is None else _scoped_graph(n, g, dataset)))
-        children = [visit(child, g) for child in n.children()]
-        return _rebuild(n, children) if children else n
+        if kind is alg.GraphPattern and g is not None:
+            g = _scoped_graph(n, g, dataset)
+        return n.replace([visit(child, g) for child in n.children()])
 
     return visit(node, graph), changes
 
@@ -890,7 +857,7 @@ def plan_skeleton(query: alg.Query) -> Tuple[str, str]:
     """The state-free part of :func:`plan_key`: the ``FROM`` list and the
     normalized algebra tree.  A pure function of the query, so it can be
     memoised next to the parsed query and survives graph mutations."""
-    return repr(tuple(query.from_graphs)), _node_key(query.pattern)
+    return repr(tuple(query.from_graphs)), query.pattern.key()
 
 
 def key_from_skeleton(skeleton: Tuple[str, str],
@@ -914,59 +881,3 @@ def plan_key(query: alg.Query, default_graph_uri: Optional[str] = None,
     """
     return key_from_skeleton(plan_skeleton(query), default_graph_uri,
                              fingerprint)
-
-
-def _term_key(term) -> str:
-    if isinstance(term, Variable):
-        return "?" + term.name
-    return repr(term)
-
-
-def _node_key(node: alg.AlgebraNode) -> str:
-    if isinstance(node, alg.BGP):
-        return "BGP[%s]" % ";".join(
-            ",".join(_term_key(t) for t in triple) for triple in node.triples)
-    if isinstance(node, alg.InlineData):
-        return "Values[%s|%s]" % (",".join(node.variables),
-                                  ";".join(repr(row) for row in node.rows))
-    if isinstance(node, alg.Join):
-        return "Join(%s,%s)" % (_node_key(node.left), _node_key(node.right))
-    if isinstance(node, alg.LeftJoin):
-        condition = node.condition.sparql() if node.condition else ""
-        return "LeftJoin(%s,%s,%s)" % (_node_key(node.left),
-                                       _node_key(node.right), condition)
-    if isinstance(node, alg.Union):
-        return "Union(%s,%s)" % (_node_key(node.left), _node_key(node.right))
-    if isinstance(node, alg.Minus):
-        return "Minus(%s,%s)" % (_node_key(node.left), _node_key(node.right))
-    if isinstance(node, alg.Filter):
-        return "Filter(%s,%s)" % (node.condition.sparql(),
-                                  _node_key(node.pattern))
-    if isinstance(node, alg.Extend):
-        return "Extend(%s,%s,%s)" % (node.var, node.expression.sparql(),
-                                     _node_key(node.pattern))
-    if isinstance(node, alg.Group):
-        having = node.having.sparql() if node.having is not None else ""
-        return "Group(%s|%s|%s|%s)" % (
-            ",".join(node.group_vars),
-            ",".join(a.sparql() for a in node.aggregates),
-            having, _node_key(node.pattern))
-    if isinstance(node, alg.Project):
-        variables = "*" if node.variables is None else ",".join(node.variables)
-        return "Project(%s|%s)" % (variables, _node_key(node.pattern))
-    if isinstance(node, alg.Distinct):
-        return "Distinct(%s)" % _node_key(node.pattern)
-    if isinstance(node, alg.OrderBy):
-        return "OrderBy(%s|%s)" % (node.keys, _node_key(node.pattern))
-    if isinstance(node, alg.Slice):
-        return "Slice(%s,%s|%s)" % (node.limit, node.offset,
-                                    _node_key(node.pattern))
-    if isinstance(node, alg.TopK):
-        return "TopK(%s,%s,%s|%s)" % (node.keys, node.limit, node.offset,
-                                      _node_key(node.pattern))
-    if isinstance(node, alg.GraphPattern):
-        return "Graph(%s|%s)" % (node.graph_uri, _node_key(node.pattern))
-    if isinstance(node, alg.FilterExists):
-        return "Exists(%s,%s,%s)" % (node.negated, _node_key(node.pattern),
-                                     _node_key(node.group))
-    raise TypeError("cannot serialize algebra node %r" % node)

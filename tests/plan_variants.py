@@ -8,8 +8,11 @@ that must run the same query under a *different* decision — scans
 without their strategy, joins without sideways filters, stars folded
 row by row, a plan without ``LimitPushdown`` — plan it the normal way,
 build an alternative physical tree for the same logical tree and
-execute that through ``Engine.evaluate_plan``.  Physical nodes are
-immutable, so the plan in the engine's cache is never touched.
+execute that through ``Engine.evaluate_plan``.  Logical and physical
+nodes share one child protocol (``children()`` and ``replace(children)``,
+which returns the node itself when no child changed), and both are
+immutable, so the plan in the engine's cache is never touched: a variant
+shares every subtree it does not change.
 
 * :func:`plan_variant` — the plan with the alternative tree;
 * :func:`run_variant` — execute it: ``(ResultSet, EvaluationStats)``;
@@ -21,9 +24,9 @@ immutable, so the plan in the engine's cache is never touched.
 import copy
 
 from repro.sparql.optimizer import Match
-from repro.sparql.physical import (DECIDED, AntiJoin, HashJoin, LeftHashJoin,
-                                   Scan, SemiJoin, StarCount)
-from repro.sparql.plan import DEFAULT_PASSES, _rebuild, optimize_plan
+from repro.sparql.physical import (AntiJoin, HashJoin, LeftHashJoin, Scan,
+                                   SemiJoin, StarCount)
+from repro.sparql.plan import DEFAULT_PASSES, optimize_plan
 
 #: The rewrite pipeline without ``LimitPushdown`` (no slice motion, no
 #: ``TopK`` fusion), for ``passes=``.
@@ -31,9 +34,6 @@ UNPUSHED = [entry for entry in DEFAULT_PASSES if entry[0] != "LimitPushdown"]
 
 #: The physical joins, each with a ``sip`` field.
 JOINS = (HashJoin, LeftHashJoin, AntiJoin, SemiJoin)
-
-#: The fields of a physical node that hold a child node.
-CHILD_FIELDS = ("pattern", "left", "right", "group")
 
 
 def nodes(node):
@@ -45,16 +45,9 @@ def nodes(node):
 
 def remap(node, change):
     """``node``'s physical tree rebuilt bottom-up, each node replaced by
-    ``change(node)``; a node without children is passed as it is."""
-    if isinstance(node, DECIDED):
-        children = {name: remap(child, change)
-                    for name, child in node._asdict().items()
-                    if name in CHILD_FIELDS}
-        node = node._replace(**children) if children else node
-    elif node.children():
-        node = _rebuild(node, [remap(child, change)
-                               for child in node.children()])
-    return change(node)
+    ``change(node)``."""
+    return change(node.replace([remap(child, change)
+                                for child in node.children()]))
 
 
 def nested_loop(scan):
@@ -100,7 +93,7 @@ def plan_variant(engine, query, default_graph_uri=None, *, sip=None,
         if strategy is False and isinstance(node, Scan):
             node = nested_loop(node)
         if star is False and isinstance(node, StarCount):
-            node = _rebuild(node.logical, [node.pattern])
+            node = node.logical.replace([node.pattern])
         return node
 
     plan.root = remap(plan.root, change)

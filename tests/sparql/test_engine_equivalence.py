@@ -49,6 +49,8 @@ CORPUS = [
     "SELECT ?a ?c WHERE { ?m x:starring ?a OPTIONAL { ?a x:born ?c } }",
     """SELECT * WHERE { ?m x:starring ?a
         OPTIONAL { ?a x:born ?c OPTIONAL { ?a x:label ?l } } }""",
+    # SELECT * keeps a variable in scope that no solution binds
+    "SELECT * WHERE { ?m x:year ?y OPTIONAL { ?m x:nothing ?o } }",
     # OPTIONAL with FILTER inside
     """SELECT ?m ?y WHERE { ?m x:starring ?a
         OPTIONAL { ?m x:year ?y FILTER(?y > 1995) } }""",
