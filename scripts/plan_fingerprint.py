@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print one deterministic line per query: its result digest, every
-``EvaluationStats`` counter and a short hash of its plan's text.
+``EvaluationStats`` counter, a short hash of its plan's text and its
+planner passes' change counts.
 
 The queries are the paper's case studies and synthetic pipelines, the
 join corpus, and the ledger's bibliometrics pipelines and serving
@@ -11,7 +12,10 @@ steps, rows held at breakers, ...) and the plan hash covers what the
 planner wrote (estimates, strategies, sideways-filter marks, without the
 pass-timing lines), so two source trees that plan and execute every
 query alike print identical output, and a moved estimate shows even when
-no counter moves.  A ``diff`` of two runs is therefore a plan-flip check
+no counter moves.  The ``passes=`` field lists each pass of the plan
+with the number of rewrites it made (``FilterPushdown:2,...``, without
+its seconds), so a change that reaches the same plans by other rule
+firings shows too.  A ``diff`` of two runs is therefore a plan-flip check
 for a change that should move no plan::
 
     PYTHONPATH=src python scripts/plan_fingerprint.py --scale 0.05 > new.txt
@@ -20,8 +24,9 @@ for a change that should move no plan::
     diff old.txt new.txt
 
 The script reads only public engine APIs (``Engine.query``,
-``Engine.last_stats``, ``EvaluationStats.as_dict``, ``Engine.last_plan``
-and ``Plan.explain``), so it runs against older trees too.
+``Engine.last_stats``, ``EvaluationStats.as_dict``, ``Engine.last_plan``,
+``Plan.explain`` and ``Plan.pass_stats``), so it runs against older
+trees too.
 """
 
 from __future__ import annotations
@@ -61,7 +66,10 @@ def fingerprint_lines(scale: float, seed: int):
     def line(label, digest):
         counters = " ".join("%s=%d" % item
                             for item in engine.last_stats.as_dict().items())
-        return "%s %s %s plan=%s" % (label, digest, counters, plan_hash())
+        passes = ",".join("%s:%d" % (stats.name, stats.changes)
+                          for stats in engine.last_plan.pass_stats)
+        return "%s %s %s plan=%s passes=%s" % (label, digest, counters,
+                                               plan_hash(), passes)
 
     def plan_hash():
         # The plan text without its "--" pass-timing lines.

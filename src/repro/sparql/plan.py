@@ -1,24 +1,34 @@
-"""The logical-plan layer: optimizer passes over the SPARQL algebra.
+"""The logical-plan layer: rewrite rules over the SPARQL algebra.
 
 The parser turns SPARQL text into algebra, and this module turns that
-algebra into an executable :class:`Plan` by running an explicit pipeline
-of rewrite passes:
+algebra into an executable :class:`Plan`.  :data:`RULES` maps each node
+type to its rewrite rules, each a pure ``node -> replacement | None``
+reported under its pass name:
 
-* ``FilterPushdown``   — move filters below joins/unions toward the data,
-* ``ProjectionPruning`` — collapse and remove redundant projections,
-* ``BGPMerge``         — fuse adjacent basic graph patterns into one scope,
+* ``FilterPushdown``   — move filters below joins/unions toward the data
+  (``Filter``, ``LeftJoin``),
+* ``ProjectionPruning`` — collapse and remove redundant projections
+  (``Project``, ``Distinct``),
+* ``BGPMerge``         — fuse adjacent basic graph patterns into one scope
+  (``Join``),
 * ``AggregatePushdown`` — narrow pre-``Group`` projections to the grouping
   and aggregated variables only, so aggregations consume (and the
-  hash ``Group`` keys on) exactly the columns they read,
-* ``LimitPushdown``    — fuse nested slices, push ``Slice`` bounds through
-  cardinality-and-order-preserving spines (``Project``), and fuse
-  ``Slice`` over ``OrderBy`` into a single bounded-sort :class:`~.algebra.TopK`
-  node,
-* ``JoinOrdering``     — the selectivity-greedy triple ordering of
-  :mod:`~repro.sparql.optimizer`, applied once at plan time instead of on
-  every evaluation.
+  hash ``Group`` keys on) exactly the columns they read (``Group``),
+* ``LimitPushdown``    — fuse nested slices, push ``Slice`` bounds below
+  projections, fuse ``Slice`` over ``OrderBy`` into a single bounded-sort
+  :class:`~.algebra.TopK` node and move it below its projection
+  (``Slice``, ``TopK``).
 
-After the rewrite fixpoint, :func:`lower` builds the *physical* tree the
+:func:`rewrite` runs the table to its fixpoint in one bottom-up walk: a
+node is offered to its rules once its children are finished, and a
+replacement is walked again.  Input trees are never mutated, and each
+pass name's firings are recorded on the plan, so ablations and tests can
+see exactly what fired.  ``JoinOrdering`` (:func:`order_joins`, the
+selectivity-greedy triple ordering of :mod:`~repro.sparql.optimizer`)
+then runs once over the finished tree, at plan time instead of on every
+evaluation; no rule reads the order of a BGP's patterns.
+
+After that, :func:`lower` builds the *physical* tree the
 evaluator runs (:mod:`~repro.sparql.physical`), recorded as the
 ``CostBasedJoinStrategy`` pass.  Each BGP becomes a
 :class:`~.physical.Scan` holding its estimated rows, its join strategy
@@ -27,16 +37,9 @@ elimination order for cyclic BGPs detected via the join hypergraph) and
 its step program (:func:`~.optimizer.bgp_program`); each join becomes a
 physical join whose ``sip`` field says whether it filters sideways; a
 ``Group`` counted straight from the indexes becomes a
-:class:`~.physical.StarCount`.  The logical tree is left as the passes
+:class:`~.physical.StarCount`.  The logical tree is left as the rules
 returned it, and :meth:`Plan.explain` prints the physical one.
 
-Each pass is a pure ``node -> (node, changes)`` function (input trees are
-never mutated) and records per-pass statistics on the plan, so ablations
-and tests can see exactly what fired.  ``ProjectionPruning`` (below
-the root's modifier spine), ``BGPMerge``, ``AggregatePushdown`` and
-``LimitPushdown`` are rules ``node -> replacement | None`` run by the
-one walker :func:`bottom_up`; the others recurse on their own and
-rebuild through :meth:`~.algebra.AlgebraNode.replace`.
 :class:`~repro.sparql.engine.Engine` keys its plan cache on
 :func:`plan_key`, a normalized structural serialization of the algebra
 (:meth:`~.algebra.AlgebraNode.key`) — two textually different renderings
@@ -61,15 +64,6 @@ from .optimizer import (GraphStatistics, Intersect, Match, WCOJ_COST_FACTOR,
                         statistics_memo)
 from .physical import (AntiJoin, HashJoin, LeftHashJoin, Scan, SemiJoin,
                        StarCount, explain_lines)
-
-PassResult = Tuple[alg.AlgebraNode, int]
-PassFn = Callable[[alg.AlgebraNode], PassResult]
-
-#: Pipeline iteration cap: passes enable each other (pruning a no-op
-#: projection exposes two BGPs to merging), so the pipeline reruns until a
-#: full sweep changes nothing, bounded by this.
-MAX_PIPELINE_ROUNDS = 4
-
 
 class PassStats:
     """What one optimizer pass did during planning."""
@@ -180,11 +174,15 @@ class Plan:
             self.source, [s.name for s in self.pass_stats])
 
 
+#: The modifiers above the root projection.
+SPINE = (alg.Slice, alg.OrderBy, alg.Distinct, alg.TopK)
+
+
 def output_variables(query: alg.Query) -> Optional[List[str]]:
     """The projection's column order, or ``None`` for ``SELECT *`` (column
     order then derives from the solutions)."""
     node = query.pattern
-    while isinstance(node, (alg.Slice, alg.OrderBy, alg.Distinct, alg.TopK)):
+    while isinstance(node, SPINE):
         node = node.pattern
     if isinstance(node, alg.Project) and node.variables is not None:
         return list(node.variables)
@@ -192,33 +190,11 @@ def output_variables(query: alg.Query) -> Optional[List[str]]:
 
 
 # ----------------------------------------------------------------------
-# Generic structural helpers: the walker the rule passes share (every
-# pass rebuilds through ``replace``, never mutates)
+# The rewrite rules (each is a pure ``node -> replacement | None``)
 # ----------------------------------------------------------------------
 
 #: A rewrite rule: the replacement for a node, or ``None`` to keep it.
 Rule = Callable[[alg.AlgebraNode], Optional[alg.AlgebraNode]]
-
-
-def bottom_up(node: alg.AlgebraNode, rule: Rule) -> PassResult:
-    """Apply ``rule`` once to every node of ``node``'s tree, children
-    first: each node is rebuilt over its rewritten children
-    (:meth:`~.algebra.AlgebraNode.replace`) before the rule sees it.
-    ``changes`` counts the nodes the rule replaced."""
-    changes = 0
-
-    def walk(n: alg.AlgebraNode) -> alg.AlgebraNode:
-        nonlocal changes
-        children = n.children()
-        if children:
-            n = n.replace([walk(child) for child in children])
-        replacement = rule(n)
-        if replacement is None:
-            return n
-        changes += 1
-        return replacement
-
-    return walk(node), changes
 
 
 def expression_variables(expression: Expression) -> Set[str]:
@@ -240,179 +216,110 @@ def _split_conjuncts(expression: Expression) -> List[Expression]:
     return [expression]
 
 
-# ----------------------------------------------------------------------
-# Pass 1: FilterPushdown
-# ----------------------------------------------------------------------
-
-def filter_pushdown(node: alg.AlgebraNode) -> PassResult:
-    """Push filters toward the data.
+def push_filter(n: alg.Filter) -> Optional[alg.AlgebraNode]:
+    """FilterPushdown: move a filter toward the data.
 
     A conjunct moves below a Join (or to the preserved side of a LeftJoin)
     when all its variables are in scope on that side *and none* are in
     scope on the other side — the moved filter then sees exactly the same
     bindings it would have seen above the join, including unbound ones.
     Filters distribute into both branches of a Union unconditionally
-    (union rows come from exactly one branch).  A conjunct of a LeftJoin
-    condition that names no variable in scope on the preserved side
-    becomes a filter on the optional side: no preserved row binds its
-    variables, so it tests the optional row alone.
+    (union rows come from exactly one branch).
     """
-    changes = 0
-
-    def visit(n: alg.AlgebraNode) -> alg.AlgebraNode:
-        nonlocal changes
-        if isinstance(n, alg.Filter):
-            inner = n.pattern
-            pushed = _push_condition(n.condition, inner)
-            if pushed is not None:
-                changes += 1
-                return visit(pushed)
-            return n.replace([visit(inner)])
-        if isinstance(n, alg.LeftJoin) and n.condition is not None:
-            left_scope = set(n.left.in_scope())
-            keep: List[Expression] = []
-            push: List[Expression] = []
-            for conjunct in _split_conjuncts(n.condition):
-                (keep if expression_variables(conjunct) & left_scope
-                 else push).append(conjunct)
-            if push:
-                changes += 1
-                return visit(alg.LeftJoin(
-                    n.left, alg.Filter(reduce(AndExpr, push), n.right),
-                    reduce(AndExpr, keep) if keep else None))
-        return n.replace([visit(child) for child in n.children()])
-
-    return visit(node), changes
-
-
-def _push_condition(condition: Expression,
-                    inner: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
-    """One pushdown step for ``Filter(condition, inner)``; ``None`` when the
-    filter cannot move."""
-    conjuncts = _split_conjuncts(condition)
-
+    inner = n.pattern
     if isinstance(inner, alg.Union):
-        return alg.Union(alg.Filter(condition, inner.left),
-                         alg.Filter(condition, inner.right))
-
-    if isinstance(inner, (alg.Join, alg.LeftJoin)):
-        left_scope = set(inner.left.in_scope())
-        right_scope = set(inner.right.in_scope())
-        stay: List[Expression] = []
-        to_left: List[Expression] = []
-        to_right: List[Expression] = []
-        for conjunct in conjuncts:
-            variables = expression_variables(conjunct)
-            if variables <= left_scope and not (variables & right_scope):
-                to_left.append(conjunct)
-            elif (isinstance(inner, alg.Join) and variables <= right_scope
-                    and not (variables & left_scope)):
-                # Only an inner join admits a push to the right: LeftJoin
-                # must preserve every left row regardless of the right side.
-                to_right.append(conjunct)
-            else:
-                stay.append(conjunct)
-        if not to_left and not to_right:
-            return None
-        left = inner.left
-        for conjunct in to_left:
-            left = alg.Filter(conjunct, left)
-        right = inner.right
-        for conjunct in to_right:
-            right = alg.Filter(conjunct, right)
-        node = inner.replace([left, right])
-        for conjunct in stay:
-            node = alg.Filter(conjunct, node)
-        return node
-
-    return None
+        return alg.Union(alg.Filter(n.condition, inner.left),
+                         alg.Filter(n.condition, inner.right))
+    if not isinstance(inner, (alg.Join, alg.LeftJoin)):
+        return None
+    left_scope = set(inner.left.in_scope())
+    right_scope = set(inner.right.in_scope())
+    stay: List[Expression] = []
+    to_left: List[Expression] = []
+    to_right: List[Expression] = []
+    for conjunct in _split_conjuncts(n.condition):
+        variables = expression_variables(conjunct)
+        if variables <= left_scope and not (variables & right_scope):
+            to_left.append(conjunct)
+        elif (isinstance(inner, alg.Join) and variables <= right_scope
+                and not (variables & left_scope)):
+            # Only an inner join admits a push to the right: LeftJoin
+            # must preserve every left row regardless of the right side.
+            to_right.append(conjunct)
+        else:
+            stay.append(conjunct)
+    if not to_left and not to_right:
+        return None
+    left, right = inner.left, inner.right
+    for conjunct in to_left:
+        left = alg.Filter(conjunct, left)
+    for conjunct in to_right:
+        right = alg.Filter(conjunct, right)
+    node = inner.replace([left, right])
+    for conjunct in stay:
+        node = alg.Filter(conjunct, node)
+    return node
 
 
-# ----------------------------------------------------------------------
-# Pass 2: ProjectionPruning
-# ----------------------------------------------------------------------
+def push_optional_condition(n: alg.LeftJoin) -> Optional[alg.AlgebraNode]:
+    """FilterPushdown: a conjunct of a LeftJoin condition that names no
+    variable in scope on the preserved side becomes a filter on the
+    optional side — no preserved row binds its variables, so it tests
+    the optional row alone."""
+    if n.condition is None:
+        return None
+    left_scope = set(n.left.in_scope())
+    keep: List[Expression] = []
+    push: List[Expression] = []
+    for conjunct in _split_conjuncts(n.condition):
+        (keep if expression_variables(conjunct) & left_scope
+         else push).append(conjunct)
+    if not push:
+        return None
+    return alg.LeftJoin(n.left, alg.Filter(reduce(AndExpr, push), n.right),
+                        reduce(AndExpr, keep) if keep else None)
 
-def projection_pruning(node: alg.AlgebraNode) -> PassResult:
-    """Remove redundant projection work.
+
+def prune_projection(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
+    """ProjectionPruning: remove redundant projection work.
 
     * ``Project(vars)`` over ``Project(cvars)`` with ``vars ⊆ cvars``
       collapses to a single projection (one table copy instead of two).
-    * A non-root ``Project`` whose explicit variables equal its child's
-      in-scope columns (same order) is a no-op and is dropped — which also
+    * A ``Project`` whose explicit variables equal its child's in-scope
+      columns (same order) is a no-op and is dropped — which also
       exposes the pattern below it to ``BGPMerge``.
     * ``Distinct(Distinct(x))`` collapses.
 
     ``SELECT *`` projections (``variables=None``) are never touched: they
     carry the scope-isolation intent of deliberately nested queries (the
-    naive-strategy baseline measures exactly that cost).  The root
-    projection is protected because it defines the result column order.
+    naive-strategy baseline measures exactly that cost).  :func:`rewrite`
+    never offers it the root projection, which defines the result
+    column order.
     """
-    changes = 0
-
-    def spine(n: alg.AlgebraNode) -> alg.AlgebraNode:
-        # The root modifier spine (Slice/OrderBy/Distinct over the root
-        # Project) is walked structurally so the root projection itself is
-        # never removed — it defines the result column order — while
-        # everything below it is pruned by ``_prune_projection``.
-        nonlocal changes
-        if isinstance(n, (alg.Slice, alg.OrderBy, alg.Distinct, alg.TopK)):
-            n = n.replace([spine(n.pattern)])
-            replacement = _prune_projection(n)  # Distinct(Distinct(x))
-            if replacement is None:
-                return n
-            changes += 1
-            return replacement
-        if isinstance(n, alg.Project):
-            pattern, pruned = bottom_up(n.pattern, _prune_projection)
-            changes += pruned
-            return n.replace([pattern])
-        n, pruned = bottom_up(n, _prune_projection)
-        changes += pruned
-        return n
-
-    return spine(node), changes
-
-
-def _prune_projection(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
-    if isinstance(n, alg.Distinct) and isinstance(n.pattern, alg.Distinct):
-        return n.pattern
-    if isinstance(n, alg.Project) and n.variables is not None:
-        child = n.pattern
-        if (isinstance(child, alg.Project) and child.variables is not None
-                and set(n.variables) <= set(child.variables)):
-            return alg.Project(child.pattern, n.variables)
-        if list(n.variables) == child.in_scope():
-            return child
+    if isinstance(n, alg.Distinct):
+        return n.pattern if isinstance(n.pattern, alg.Distinct) else None
+    if n.variables is None:
+        return None
+    child = n.pattern
+    if (isinstance(child, alg.Project) and child.variables is not None
+            and set(n.variables) <= set(child.variables)):
+        return alg.Project(child.pattern, n.variables)
+    if list(n.variables) == child.in_scope():
+        return child
     return None
 
 
-# ----------------------------------------------------------------------
-# Pass 3: BGPMerge
-# ----------------------------------------------------------------------
-
-def bgp_merge(node: alg.AlgebraNode) -> PassResult:
-    """Fuse ``Join(BGP, BGP)`` into a single BGP.
-
-    A join of two basic graph patterns over the same active graph is, by
-    the SPARQL algebra, the BGP of their combined triples — and one flat
-    BGP is what the selectivity optimizer orders best.
-    """
-    return bottom_up(node, _merge_bgps)
-
-
-def _merge_bgps(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
-    if (isinstance(n, alg.Join) and isinstance(n.left, alg.BGP)
-            and isinstance(n.right, alg.BGP)):
+def merge_bgps(n: alg.Join) -> Optional[alg.AlgebraNode]:
+    """BGPMerge: a join of two basic graph patterns over the same active
+    graph is, by the SPARQL algebra, the BGP of their combined triples —
+    and one flat BGP is what the selectivity optimizer orders best."""
+    if isinstance(n.left, alg.BGP) and isinstance(n.right, alg.BGP):
         return alg.BGP(n.left.triples + n.right.triples)
     return None
 
 
-# ----------------------------------------------------------------------
-# Pass 4: AggregatePushdown
-# ----------------------------------------------------------------------
-
-def aggregate_pushdown(node: alg.AlgebraNode) -> PassResult:
-    """Shrink the data flowing into aggregations.
+def narrow_group_input(n: alg.Group) -> Optional[alg.AlgebraNode]:
+    """AggregatePushdown: shrink the data flowing into an aggregation.
 
     ``Group`` reads only its grouping variables and the variables its
     aggregate expressions mention; everything else its child carries is
@@ -422,19 +329,10 @@ def aggregate_pushdown(node: alg.AlgebraNode) -> PassResult:
     narrowed to exactly the needed variables, in their original order.
     Multiplicity is untouched (a projection is a per-row map), so every
     aggregate — including ``COUNT(*)`` — sees the same bag of groups.
-
     ``HAVING`` needs no extra columns: it is evaluated over the *output*
     row (grouping variables + aggregate aliases), never over the input.
-
-    This narrowing is what lets the hash ``Group`` key on thin
-    id tuples.
+    This narrowing is what lets the hash ``Group`` key on thin id tuples.
     """
-    return bottom_up(node, _narrow_group_input)
-
-
-def _narrow_group_input(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
-    if not isinstance(n, alg.Group):
-        return None
     child = n.pattern
     if not isinstance(child, alg.Project) or child.variables is None:
         return None
@@ -452,14 +350,8 @@ def _narrow_group_input(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
     return n.replace([alg.Project(child.pattern, keep)])
 
 
-# ----------------------------------------------------------------------
-# Pass 5: LimitPushdown
-# ----------------------------------------------------------------------
-
-def limit_pushdown(node: alg.AlgebraNode) -> PassResult:
-    """Move row bounds toward the data and fuse bounded sorts.
-
-    Three rewrites, applied bottom-up until the pipeline reaches fixpoint:
+def push_slice(n: alg.Slice) -> Optional[alg.AlgebraNode]:
+    """LimitPushdown: move a row bound toward the data.
 
     * ``Slice(Slice(p))`` — compose the two windows into one.
     * ``Slice(Project(p))`` — push the slice below the projection.  A
@@ -471,10 +363,6 @@ def limit_pushdown(node: alg.AlgebraNode) -> PassResult:
       multiplicity are exactly what the outer slice would have seen.
     * ``Slice(OrderBy(p), limit=k)`` — fuse into :class:`~.algebra.TopK`:
       a single bounded-sort operator that keeps only ``offset + k`` rows.
-    * ``TopK(Project(p))`` — swap to ``Project(TopK(p))`` when every sort
-      variable bound below survives the projection (ordering before or
-      after the column cut then ranks identically), so the projection
-      copies only the ``offset + k`` rows the bounded heap keeps.
 
     ``Distinct`` is *not* reordered with a slice (``LIMIT k`` over
     ``DISTINCT`` must dedupe first); the ``Slice`` operator instead stops
@@ -482,88 +370,132 @@ def limit_pushdown(node: alg.AlgebraNode) -> PassResult:
     ``LIMIT 0`` slice is left alone — the ``Slice`` operator answers it
     without pulling a single row, so there is nothing to fuse.
     """
-    revisits = 0
+    inner = n.pattern
+    if isinstance(inner, alg.Slice):
+        # rows[o2:o2+l2][o1:o1+l1] == rows[o2+o1 : o2+o1+min-window]
+        offset = inner.offset + n.offset
+        if inner.limit is None:
+            limit = n.limit
+        else:
+            window = max(inner.limit - n.offset, 0)
+            limit = window if n.limit is None else min(n.limit, window)
+        return alg.Slice(inner.pattern, limit, offset)
+    if isinstance(inner, alg.Project):
+        return inner.replace([n.replace([inner.pattern])])
+    if isinstance(inner, alg.OrderBy) and n.limit:
+        return alg.TopK(inner.pattern, inner.keys, n.limit, n.offset)
+    return None
 
-    def revisit(n: alg.AlgebraNode) -> alg.AlgebraNode:
-        # A slice that moved down is rewritten again, with its subtree.
-        nonlocal revisits
-        n, changes = bottom_up(n, push)
-        revisits += changes
-        return n
 
-    def push(n: alg.AlgebraNode) -> Optional[alg.AlgebraNode]:
-        if isinstance(n, alg.TopK):
-            inner = n.pattern
-            if isinstance(inner, alg.Project):
-                scope = set(inner.pattern.in_scope())
-                if inner.variables is None:
-                    projected = {v for v in scope
-                                 if not v.startswith("__agg_")}
-                else:
-                    projected = set(inner.variables)
-                if all(var in projected for var, _ in n.keys
-                       if var in scope):
-                    return inner.replace([n.replace([inner.pattern])])
-            return None
-        if not isinstance(n, alg.Slice):
-            return None
-        inner = n.pattern
-        if isinstance(inner, alg.Slice):
-            # rows[o2:o2+l2][o1:o1+l1] == rows[o2+o1 : o2+o1+min-window]
-            offset = inner.offset + n.offset
-            if inner.limit is None:
-                limit = n.limit
-            else:
-                window = max(inner.limit - n.offset, 0)
-                limit = window if n.limit is None else min(n.limit, window)
-            return revisit(alg.Slice(inner.pattern, limit, offset))
-        if isinstance(inner, alg.Project):
-            return inner.replace([revisit(n.replace([inner.pattern]))])
-        if isinstance(inner, alg.OrderBy) and n.limit:
-            return alg.TopK(inner.pattern, inner.keys, n.limit, n.offset)
+def swap_topk(n: alg.TopK) -> Optional[alg.AlgebraNode]:
+    """LimitPushdown: ``TopK(Project(p))`` becomes ``Project(TopK(p))``
+    when every sort variable bound below survives the projection
+    (ordering before or after the column cut then ranks identically), so
+    the projection copies only the ``offset + k`` rows the bounded heap
+    keeps."""
+    inner = n.pattern
+    if not isinstance(inner, alg.Project):
         return None
-
-    node, changes = bottom_up(node, push)
-    return node, changes + revisits
+    scope = set(inner.pattern.in_scope())
+    if inner.variables is None:
+        projected = {v for v in scope if not v.startswith("__agg_")}
+    else:
+        projected = set(inner.variables)
+    if all(var in projected for var, _ in n.keys if var in scope):
+        return inner.replace([n.replace([inner.pattern])])
+    return None
 
 
 # ----------------------------------------------------------------------
-# Pass 6: JoinOrdering (plan-time selectivity ordering)
+# The rule table and its walker
 # ----------------------------------------------------------------------
 
-def make_join_ordering(graph, dataset=None, stats_for=None) -> PassFn:
-    """Build the join-ordering pass for a query's resolved default graph.
+#: Each node type's rules, in the order they are tried, each with the
+#: pass name its firings are reported under.
+RULES: Dict[type, List[Tuple[str, Rule]]] = {
+    alg.Filter: [("FilterPushdown", push_filter)],
+    alg.LeftJoin: [("FilterPushdown", push_optional_condition)],
+    alg.Project: [("ProjectionPruning", prune_projection)],
+    alg.Distinct: [("ProjectionPruning", prune_projection)],
+    alg.Join: [("BGPMerge", merge_bgps)],
+    alg.Group: [("AggregatePushdown", narrow_group_input)],
+    alg.Slice: [("LimitPushdown", push_slice)],
+    alg.TopK: [("LimitPushdown", swap_topk)],
+}
 
-    Reorders every BGP's triple patterns with the greedy selectivity
-    ordering of :func:`~.optimizer.order_patterns`; BGPs under a
-    ``GRAPH <uri>`` scope are ordered with that graph's statistics.  This
-    is the same decision the evaluator used to make per execution — made
-    once here, it is amortized over every plan-cache hit.  ``stats_for``
-    is the plan's :func:`~.optimizer.statistics_memo` (a fresh one when
-    the pass is built on its own).
+
+def rewrite(node: alg.AlgebraNode, rules=RULES
+            ) -> Tuple[alg.AlgebraNode, Dict[str, PassStats]]:
+    """Rewrite ``node``'s tree to a fixpoint of ``rules`` in one walk.
+
+    Children first: each node is rebuilt over its finished children
+    (:meth:`~.algebra.AlgebraNode.replace`), then offered to its type's
+    rules in order; when one fires, the replacement is walked the same
+    way.  A memo maps every node walked to its finished node, so the
+    parts of a replacement that were already finished are not walked
+    again.  The root projection — the first ``Project`` below the root's
+    ``Slice``/``OrderBy``/``Distinct``/``TopK`` spine — is offered to no
+    rule: it defines the result column order.  ``node`` is not changed.
+    Returns the rewritten tree and, per pass name in ``rules``, its
+    :class:`PassStats`.
+    """
+    stats = {name: PassStats(name, 0, 0.0)
+             for entries in rules.values() for name, _ in entries}
+    # Keyed on the nodes themselves (they hash by identity): holding a
+    # node keeps it alive, so no new node can take its key.
+    done: Dict[alg.AlgebraNode, alg.AlgebraNode] = {}
+
+    def walk(n: alg.AlgebraNode, root: bool) -> alg.AlgebraNode:
+        out = done.get(n)
+        if out is not None:
+            return out
+        below = root and isinstance(n, SPINE)
+        out = n.replace([walk(child, below) for child in n.children()])
+        if not (root and type(out) is alg.Project):
+            for name, rule in rules.get(type(out), ()):
+                start = time.perf_counter()
+                replacement = rule(out)
+                stats[name].seconds += time.perf_counter() - start
+                if replacement is not None:
+                    stats[name].changes += 1
+                    out = walk(replacement, root)
+                    break
+        done[n] = done[out] = out
+        return out
+
+    return walk(node, True), stats
+
+
+def order_joins(node: alg.AlgebraNode, graph, dataset=None,
+                stats_for=None) -> Tuple[alg.AlgebraNode, int]:
+    """JoinOrdering: reorder every BGP's triple patterns with the greedy
+    selectivity ordering of :func:`~.optimizer.order_patterns`; returns
+    ``(node, changes)``.
+
+    BGPs under a ``GRAPH <uri>`` scope are ordered with that graph's
+    statistics.  This is the same decision the evaluator used to make
+    per execution — made once here, it is amortized over every
+    plan-cache hit.  ``stats_for`` is the plan's
+    :func:`~.optimizer.statistics_memo` (a fresh one when omitted).
     """
     stats_for = stats_for or statistics_memo()
+    changes = 0
 
-    def join_ordering(node: alg.AlgebraNode) -> PassResult:
-        changes = 0
-
-        def visit(n: alg.AlgebraNode, g) -> alg.AlgebraNode:
-            nonlocal changes
-            if isinstance(n, alg.BGP):
-                if g is None or len(n.triples) < 2:
-                    return n
-                ordered = order_patterns(n.triples, stats_for(g))
-                if ordered != n.triples:
-                    changes += 1
-                    return alg.BGP(ordered)
+    def visit(n: alg.AlgebraNode, g) -> alg.AlgebraNode:
+        nonlocal changes
+        if isinstance(n, alg.BGP):
+            if g is None or len(n.triples) < 2:
                 return n
-            if isinstance(n, alg.GraphPattern):
-                g = _scoped_graph(n, g, dataset)
-            return n.replace([visit(child, g) for child in n.children()])
+            ordered = order_patterns(n.triples, stats_for(g))
+            if ordered != n.triples:
+                changes += 1
+                return alg.BGP(ordered)
+            return n
+        if isinstance(n, alg.GraphPattern):
+            g = _scoped_graph(n, g, dataset)
+        return n.replace([visit(child, g) for child in n.children()])
 
-        return visit(node, graph), changes
-
-    return join_ordering
+    return visit(node, graph), changes
 
 
 # ----------------------------------------------------------------------
@@ -695,7 +627,7 @@ def lower(node: alg.AlgebraNode, graph=None, dataset=None,
 
     With ``graph``, the query's resolved default graph, and
     ``stats_for``, the plan's :func:`~.optimizer.statistics_memo`
-    (shared with its :func:`make_join_ordering` pass), each BGP becomes
+    (shared with :func:`order_joins`), each BGP becomes
     a :class:`~.physical.Scan` with its output cardinality estimate
     (``est_rows``, from the synopsis-backed
     :class:`~.optimizer.GraphStatistics`) and a join strategy:
@@ -793,53 +725,33 @@ def lower(node: alg.AlgebraNode, graph=None, dataset=None,
 # The pipeline
 # ----------------------------------------------------------------------
 
-#: The rewrite passes every plan goes through, in order (JoinOrdering is
-#: appended by :func:`optimize_plan` when a graph is resolved).
-DEFAULT_PASSES: Tuple[Tuple[str, PassFn], ...] = (
-    ("FilterPushdown", filter_pushdown),
-    ("ProjectionPruning", projection_pruning),
-    ("BGPMerge", bgp_merge),
-    ("AggregatePushdown", aggregate_pushdown),
-    ("LimitPushdown", limit_pushdown),
-)
-
-
 def optimize_plan(query: alg.Query, key: str = "", graph=None, dataset=None,
-                  source: str = "text",
-                  passes: Optional[Sequence[Tuple[str, PassFn]]] = None
+                  source: str = "text", passes: Optional[Sequence[str]] = None
                   ) -> Plan:
-    """Run the pass pipeline over a parsed/compiled query, lower the result
+    """Rewrite a parsed/compiled query to its fixpoint (:func:`rewrite`),
+    order its joins (:func:`order_joins`), lower the result
     (:func:`lower`) and return a :class:`Plan`.
 
     ``graph`` is the query's resolved default graph (its statistics drive
     ``JoinOrdering`` and the lowering's ``CostBasedJoinStrategy``; with
     ``None`` neither runs and the plan is lowered without statistics),
-    ``dataset`` resolves ``GRAPH <uri>`` scopes, and ``passes`` replaces
-    :data:`DEFAULT_PASSES`.  Passes rerun until a full sweep changes
-    nothing (earlier passes expose opportunities to later ones), capped
-    at :data:`MAX_PIPELINE_ROUNDS` sweeps.
+    ``dataset`` resolves ``GRAPH <uri>`` scopes, and ``passes`` keeps
+    only the :data:`RULES` reported under those pass names.
     """
-    pipeline = list(DEFAULT_PASSES if passes is None else passes)
+    rules = RULES if passes is None else {
+        kind: [rule for rule in entries if rule[0] in passes]
+        for kind, entries in RULES.items()}
+    node, stats = rewrite(query.pattern, rules)
+    totals = list(stats.values())
     # One statistics object per graph for the whole plan: the ordering
-    # pass and the lowering read the same figures.
+    # and the lowering read the same figures.
     stats_for = statistics_memo()
     if graph is not None:
-        pipeline.append(("JoinOrdering",
-                         make_join_ordering(graph, dataset, stats_for)))
-
-    node = query.pattern
-    totals = [PassStats(name, 0, 0.0) for name, _ in pipeline]
-    for _ in range(MAX_PIPELINE_ROUNDS):
-        round_changes = 0
-        for (_, pass_fn), stats in zip(pipeline, totals):
-            start = time.perf_counter()
-            node, changes = pass_fn(node)
-            stats.seconds += time.perf_counter() - start
-            stats.changes += changes
-            round_changes += changes
-        if not round_changes:
-            break
-    start = time.perf_counter()
+        start = time.perf_counter()
+        node, changes = order_joins(node, graph, dataset, stats_for)
+        totals.append(PassStats("JoinOrdering", changes,
+                                time.perf_counter() - start))
+        start = time.perf_counter()
     root, changes = lower(node, graph, dataset, stats_for)
     if graph is not None:
         totals.append(PassStats("CostBasedJoinStrategy", changes,

@@ -6,9 +6,13 @@ physical tree it builds from the logical one (``Plan.root``, see
 :mod:`repro.sparql.physical`; ``Plan.explain()`` prints them).  Tests
 that must run the same query under a *different* decision — scans
 without their strategy, joins without sideways filters, stars folded
-row by row, a plan without ``LimitPushdown`` — plan it the normal way,
-build an alternative physical tree for the same logical tree and
-execute that through ``Engine.evaluate_plan``.  Logical and physical
+row by row — plan it the normal way, build an alternative physical tree
+for the same logical tree and execute that through
+``Engine.evaluate_plan``.  A logical rewrite is left out the same way
+the planner exposes it: ``optimize_plan(passes=...)`` keeps only the
+rules of :data:`~repro.sparql.plan.RULES` reported under the named
+passes (e.g. :data:`UNPUSHED`, everything but ``LimitPushdown``), and
+the variant re-plans with that table.  Logical and physical
 nodes share one child protocol (``children()`` and ``replace(children)``,
 which returns the node itself when no child changed), and both are
 immutable, so the plan in the engine's cache is never touched: a variant
@@ -26,11 +30,12 @@ import copy
 from repro.sparql.optimizer import Match
 from repro.sparql.physical import (AntiJoin, HashJoin, LeftHashJoin, Scan,
                                    SemiJoin, StarCount)
-from repro.sparql.plan import DEFAULT_PASSES, optimize_plan
+from repro.sparql.plan import RULES, optimize_plan
 
-#: The rewrite pipeline without ``LimitPushdown`` (no slice motion, no
-#: ``TopK`` fusion), for ``passes=``.
-UNPUSHED = [entry for entry in DEFAULT_PASSES if entry[0] != "LimitPushdown"]
+#: Every pass of the rule table but ``LimitPushdown`` (no slice motion,
+#: no ``TopK`` fusion), for ``passes=``.
+UNPUSHED = sorted({name for entries in RULES.values() for name, _ in entries}
+                  - {"LimitPushdown"})
 
 #: The physical joins, each with a ``sip`` field.
 JOINS = (HashJoin, LeftHashJoin, AntiJoin, SemiJoin)
@@ -72,8 +77,8 @@ def plan_variant(engine, query, default_graph_uri=None, *, sip=None,
         ``False`` turns every :class:`StarCount` into the ``Group`` it
         counts, whose BGP's rows are then folded.
     ``passes``
-        Re-plan with this rewrite pipeline instead of reusing the cached
-        plan (e.g. the default passes minus ``LimitPushdown``).
+        Re-plan with only the rules of these passes instead of reusing
+        the cached plan (e.g. :data:`UNPUSHED`).
     ``ordered``
         ``False`` re-plans without graph statistics: no ``JoinOrdering``,
         no ``CostBasedJoinStrategy`` — patterns run in textual order.

@@ -578,15 +578,18 @@ class TestAggregatePushdownPass:
         from repro.rdf.terms import Variable
         from repro.sparql import algebra as alg
         from repro.sparql.expressions import VarExpr
-        from repro.sparql.plan import aggregate_pushdown
+        from repro.sparql.plan import optimize_plan
 
         bgp = alg.BGP([(Variable("m"), uri("starring"), Variable("a")),
                        (Variable("m"), uri("year"), Variable("y"))])
         wide = alg.Project(bgp, ["m", "a", "y"])
         group = alg.Group(wide, ["a"],
                           [alg.Aggregate("count", VarExpr("m"), "n")])
-        node, changes = aggregate_pushdown(alg.Project(group, ["a", "n"]))
-        assert changes == 1
+        plan = optimize_plan(alg.Query(alg.Project(group, ["a", "n"])),
+                             passes=["AggregatePushdown"])
+        node = plan.query.pattern
+        assert [(s.name, s.changes) for s in plan.pass_stats] == [
+            ("AggregatePushdown", 1)]
         narrowed = node.pattern.pattern
         assert isinstance(narrowed, alg.Project)
         assert narrowed.variables == ["m", "a"]  # ?y pruned, order kept
@@ -595,13 +598,13 @@ class TestAggregatePushdownPass:
         from repro.rdf.terms import Variable
         from repro.sparql import algebra as alg
         from repro.sparql.expressions import VarExpr
-        from repro.sparql.plan import aggregate_pushdown
+        from repro.sparql.plan import optimize_plan
 
         bgp = alg.BGP([(Variable("m"), uri("starring"), Variable("a"))])
         group = alg.Group(alg.Project(bgp, ["m", "a"]), ["a"],
                           [alg.Aggregate("count", VarExpr("m"), "n")])
-        _, changes = aggregate_pushdown(group)
-        assert changes == 0
+        plan = optimize_plan(alg.Query(group), passes=["AggregatePushdown"])
+        assert plan.total_changes == 0
 
     def test_narrowing_preserves_results(self, small_dataset):
         engines = small_engines(small_dataset)

@@ -12,6 +12,11 @@ Hypothesis draws small trees over every node type and checks that:
   every field (compared with a serialization written here, not the
   node's own);
 * two parses of the same text have the same ``key()``.
+
+The planner's rewrite walk (:func:`~repro.sparql.plan.rewrite`) runs
+over the same trees: its output is a fixpoint (a second walk fires no
+rule), and the input tree keeps its shape (the ``repr`` and ``key()`` of
+every node), since rules rebuild and never mutate.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,6 +26,7 @@ from repro.sparql import algebra as alg
 from repro.sparql.expressions import (CompareExpr, ConstExpr, Expression,
                                       VarExpr)
 from repro.sparql.parser import parse
+from repro.sparql.plan import rewrite
 from repro.workload import CASE_STUDIES, JOIN_QUERIES, SYNTHETIC_QUERIES
 
 from queryfuzz import generate
@@ -161,3 +167,24 @@ def test_key_is_a_function_of_the_text():
         first, second = parse(text).pattern, parse(text).pattern
         assert first is not second
         assert first.key() == second.key(), text
+
+
+def shape(tree):
+    return [(repr(node), node.key()) for node in nodes(tree)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_rewrite_output_is_a_fixpoint(tree):
+    rewritten, _ = rewrite(tree)
+    again, stats = rewrite(rewritten)
+    assert {name: s.changes for name, s in stats.items() if s.changes} == {}
+    assert again is rewritten
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_rewrite_leaves_its_input_alone(tree):
+    before = shape(tree)
+    rewrite(tree)
+    assert shape(tree) == before

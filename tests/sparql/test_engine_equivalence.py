@@ -62,6 +62,13 @@ CORPUS = [
     "SELECT ?m WHERE { ?m x:year ?y FILTER(?y >= 1995 && ?y < 2000) }",
     """SELECT ?a WHERE { ?m x:starring ?a OPTIONAL { ?a x:born ?c }
         FILTER(!bound(?c)) }""",
+    # Six stacked filters, each on a required-side variable, over an
+    # OPTIONAL: every one moves below the LeftJoin
+    """SELECT ?m ?a ?c WHERE { ?m x:type ?t . ?m x:starring ?a .
+        ?m x:year ?y . ?a x:label ?l . ?m2 x:starring ?a . ?m2 x:year ?y2
+        OPTIONAL { ?a x:born ?c }
+        FILTER(?y > 1992) FILTER(?y2 < 2000) FILTER(?t = x:Film)
+        FILTER(?l != "Actor 0") FILTER(isIRI(?m2)) FILTER(isIRI(?m)) }""",
     "SELECT ?a WHERE { ?a x:label ?l FILTER regex(?l, \"Actor [12]\") }",
     # BIND
     "SELECT ?m ?n WHERE { ?m x:year ?y BIND(?y + 10 AS ?n) }",

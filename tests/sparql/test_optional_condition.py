@@ -17,7 +17,7 @@ from repro.core.query_model import OptionalBlock
 from repro.rdf import Graph, Literal, URIRef
 from repro.sparql import Engine, algebra as alg, parse
 from repro.sparql.expressions import AndExpr
-from repro.sparql.plan import DEFAULT_PASSES, optimize_plan
+from repro.sparql.plan import RULES, optimize_plan
 
 from plan_variants import nodes
 
@@ -174,15 +174,14 @@ CONDITIONED = [
 
 class TestPlanPasses:
     @pytest.mark.parametrize("text", CONDITIONED)
-    @pytest.mark.parametrize("name",
-                             [name for name, _ in DEFAULT_PASSES] + [None])
+    @pytest.mark.parametrize("name", sorted({
+        name for entries in RULES.values() for name, _ in entries}) + [None])
     def test_every_pass_keeps_the_condition_in_scope(self, graph, name,
                                                      text):
-        if name is None:  # every pass, JoinOrdering and the lowering
+        if name is None:  # every rule, JoinOrdering and the lowering
             plan = optimize_plan(parse(PFX + text), graph=graph)
         else:
-            plan = optimize_plan(parse(PFX + text), passes=[
-                entry for entry in DEFAULT_PASSES if entry[0] == name])
+            plan = optimize_plan(parse(PFX + text), passes=[name])
         for node in nodes(plan.query.pattern):
             if isinstance(node, alg.LeftJoin) and node.condition is not None:
                 scope = set(node.left.in_scope()) | set(node.right.in_scope())

@@ -1,5 +1,6 @@
-"""Unit tests for the logical-plan layer: optimizer passes, pass stats,
-plan keys, the engine's plan cache, and the text memo in front of it."""
+"""Unit tests for the logical-plan layer: the rewrite rules and their
+walk, join ordering, pass stats, plan keys, the engine's plan cache, and
+the text memo in front of it."""
 
 import random
 
@@ -15,10 +16,8 @@ from repro.sparql import algebra as alg
 from repro.sparql.expressions import AndExpr, CompareExpr, ConstExpr, VarExpr
 from repro.sparql.parser import ParseError
 from repro.sparql.physical import DECIDED
-from repro.sparql.plan import (DEFAULT_PASSES, bgp_merge, filter_pushdown,
-                               key_from_skeleton, make_join_ordering,
-                               optimize_plan, plan_skeleton,
-                               projection_pruning)
+from repro.sparql.plan import (key_from_skeleton, optimize_plan, order_joins,
+                               plan_skeleton, rewrite)
 from repro.sparql.server import QueryServer
 from repro.workload import get_join_query
 
@@ -47,6 +46,13 @@ def gt(expression_var, value):
                        ConstExpr(Literal(value)))
 
 
+def rewrite_with(name, node):
+    """``node`` rewritten with only the rules of pass ``name``: the new
+    tree and how many rewrites that pass made."""
+    plan = optimize_plan(alg.Query(node), passes=[name])
+    return plan.query.pattern, plan.total_changes
+
+
 @pytest.fixture
 def graph():
     d = TermDictionary()
@@ -66,7 +72,7 @@ class TestFilterPushdown:
         left = bgp((var("m"), uri("year"), var("y")))
         right = bgp((var("m"), uri("starring"), var("a")))
         node = alg.Filter(gt("y", 2000), alg.Join(left, right))
-        rewritten, changes = filter_pushdown(node)
+        rewritten, changes = rewrite_with("FilterPushdown", node)
         assert changes == 1
         assert isinstance(rewritten, alg.Join)
         assert isinstance(rewritten.left, alg.Filter)
@@ -78,7 +84,7 @@ class TestFilterPushdown:
         right = bgp((var("a"), uri("born"), var("c")))
         both = AndExpr(gt("y", 2000), gt("c", 1))
         node = alg.Filter(both, alg.Join(left, right))
-        rewritten, changes = filter_pushdown(node)
+        rewritten, changes = rewrite_with("FilterPushdown", node)
         assert changes == 1
         assert isinstance(rewritten, alg.Join)
         assert isinstance(rewritten.left, alg.Filter)
@@ -89,7 +95,7 @@ class TestFilterPushdown:
         left = bgp((var("m"), uri("year"), var("y")))
         right = bgp((var("m"), uri("starring"), var("a")))
         node = alg.Filter(gt("m", 0), alg.Join(left, right))
-        rewritten, changes = filter_pushdown(node)
+        rewritten, changes = rewrite_with("FilterPushdown", node)
         assert changes == 0
         assert isinstance(rewritten, alg.Filter)
 
@@ -97,14 +103,14 @@ class TestFilterPushdown:
         left = bgp((var("m"), uri("year"), var("y")))
         right = bgp((var("m"), uri("starring"), var("a")))
         node = alg.Filter(gt("a", 0), alg.LeftJoin(left, right))
-        rewritten, changes = filter_pushdown(node)
+        rewritten, changes = rewrite_with("FilterPushdown", node)
         # ?a lives on the optional side: pushing would change which left
         # rows survive, so the filter stays put.
         assert changes == 0
         assert isinstance(rewritten, alg.Filter)
 
         node = alg.Filter(gt("y", 2000), alg.LeftJoin(left, right))
-        rewritten, changes = filter_pushdown(node)
+        rewritten, changes = rewrite_with("FilterPushdown", node)
         assert changes == 1
         assert isinstance(rewritten, alg.LeftJoin)
         assert isinstance(rewritten.left, alg.Filter)
@@ -113,7 +119,7 @@ class TestFilterPushdown:
         left = bgp((var("m"), uri("year"), var("y")))
         right = bgp((var("m"), uri("age"), var("y")))
         node = alg.Filter(gt("y", 2000), alg.Union(left, right))
-        rewritten, changes = filter_pushdown(node)
+        rewritten, changes = rewrite_with("FilterPushdown", node)
         assert changes == 1
         assert isinstance(rewritten, alg.Union)
         assert isinstance(rewritten.left, alg.Filter)
@@ -128,7 +134,7 @@ class TestProjectionPruning:
         inner = alg.Project(bgp((var("m"), uri("starring"), var("a"))),
                             ["m", "a"])
         node = alg.Project(inner, ["m"])
-        rewritten, changes = projection_pruning(node)
+        rewritten, changes = rewrite_with("ProjectionPruning", node)
         assert changes >= 1
         assert isinstance(rewritten, alg.Project)
         assert rewritten.variables == ["m"]
@@ -139,7 +145,7 @@ class TestProjectionPruning:
         noop = alg.Project(pattern, ["m", "a"])  # scope is exactly [m, a]
         root = alg.Project(alg.Join(noop, bgp((var("m"), uri("year"),
                                                var("y")))), ["m"])
-        rewritten, changes = projection_pruning(root)
+        rewritten, changes = rewrite_with("ProjectionPruning", root)
         assert changes == 1
         assert isinstance(rewritten.pattern, alg.Join)
         assert isinstance(rewritten.pattern.left, alg.BGP)
@@ -147,7 +153,7 @@ class TestProjectionPruning:
     def test_root_projection_protected(self):
         pattern = bgp((var("m"), uri("starring"), var("a")))
         root = alg.Project(pattern, ["m", "a"])  # a no-op, but the root
-        rewritten, changes = projection_pruning(root)
+        rewritten, changes = rewrite_with("ProjectionPruning", root)
         assert changes == 0
         assert isinstance(rewritten, alg.Project)
 
@@ -157,14 +163,14 @@ class TestProjectionPruning:
         inner = alg.Project(bgp((var("m"), uri("starring"), var("a"))), None)
         root = alg.Project(alg.Join(inner, bgp((var("m"), uri("year"),
                                                 var("y")))), None)
-        rewritten, changes = projection_pruning(root)
+        rewritten, changes = rewrite_with("ProjectionPruning", root)
         assert changes == 0
         assert isinstance(rewritten.pattern.left, alg.Project)
 
     def test_distinct_distinct_collapses(self):
         node = alg.Distinct(alg.Distinct(
             alg.Project(bgp((var("m"), uri("year"), var("y"))), ["m"])))
-        rewritten, changes = projection_pruning(node)
+        rewritten, changes = rewrite_with("ProjectionPruning", node)
         assert changes == 1
         assert isinstance(rewritten, alg.Distinct)
         assert isinstance(rewritten.pattern, alg.Project)
@@ -178,7 +184,7 @@ class TestBGPMerge:
         t1 = (var("m"), uri("starring"), var("a"))
         t2 = (var("m"), uri("year"), var("y"))
         node = alg.Join(bgp(t1), bgp(t2))
-        rewritten, changes = bgp_merge(node)
+        rewritten, changes = rewrite_with("BGPMerge", node)
         assert changes == 1
         assert isinstance(rewritten, alg.BGP)
         assert rewritten.triples == [t1, t2]
@@ -186,7 +192,7 @@ class TestBGPMerge:
     def test_merge_is_recursive(self):
         t = (var("m"), uri("year"), var("y"))
         node = alg.Join(alg.Join(bgp(t), bgp(t)), bgp(t))
-        rewritten, changes = bgp_merge(node)
+        rewritten, changes = rewrite_with("BGPMerge", node)
         assert changes == 2
         assert isinstance(rewritten, alg.BGP)
         assert len(rewritten.triples) == 3
@@ -194,7 +200,7 @@ class TestBGPMerge:
     def test_does_not_merge_across_graph_scope(self):
         t = (var("m"), uri("year"), var("y"))
         node = alg.Join(bgp(t), alg.GraphPattern("http://g2", bgp(t)))
-        rewritten, changes = bgp_merge(node)
+        rewritten, changes = rewrite_with("BGPMerge", node)
         assert changes == 0
         assert isinstance(rewritten, alg.Join)
 
@@ -209,8 +215,7 @@ class TestJoinOrdering:
         common = (var("m"), uri("starring"), var("a"))
         rare = (var("m"), uri("rare"), var("t"))
         node = bgp(common, rare)
-        ordering = make_join_ordering(graph)
-        rewritten, changes = ordering(node)
+        rewritten, changes = order_joins(node, graph)
         assert changes == 1
         assert rewritten.triples[0] == rare
 
@@ -220,8 +225,7 @@ class TestJoinOrdering:
         common = (var("m"), uri("starring"), var("a"))
         rare = (var("m"), uri("rare"), var("t"))
         node = alg.GraphPattern("http://g", bgp(common, rare))
-        ordering = make_join_ordering(None, dataset)
-        rewritten, changes = ordering(node)
+        rewritten, changes = order_joins(node, None, dataset)
         assert changes == 1
         assert rewritten.pattern.triples[0] == rare
 
@@ -229,8 +233,45 @@ class TestJoinOrdering:
         common = (var("m"), uri("starring"), var("a"))
         rare = (var("m"), uri("rare"), var("t"))
         node = bgp(common, rare)
-        make_join_ordering(graph)(node)
+        order_joins(node, graph)
         assert node.triples == [common, rare]
+
+
+# ----------------------------------------------------------------------
+# One walk to the fixpoint
+# ----------------------------------------------------------------------
+#: Six filters, each naming one variable of the required side, stacked
+#: over an OPTIONAL.
+STACKED_FILTERS = PFX + """SELECT ?a ?z WHERE {
+    ?a x:p1 ?b . ?b x:p2 ?c . ?c x:p3 ?d . ?d x:p4 ?e . ?e x:p5 ?f .
+    ?f x:p6 ?g OPTIONAL { ?a x:q ?z }
+    FILTER(?b > 1) FILTER(?c > 1) FILTER(?d > 1) FILTER(?e > 1)
+    FILTER(?f > 1) FILTER(?g > 1) }"""
+
+
+class TestRewriteFixpoint:
+    def test_every_stacked_filter_ends_below_the_optional(self):
+        plan = optimize_plan(parse(STACKED_FILTERS))
+        optional, = [n for n in nodes(plan.query.pattern)
+                     if isinstance(n, alg.LeftJoin)]
+        filters = [n for n in nodes(plan.query.pattern)
+                   if isinstance(n, alg.Filter)]
+        assert len(filters) == 6
+        assert all(any(f is n for n in nodes(optional.left))
+                   for f in filters)
+        assert (plan.pass_stats[0].name, plan.pass_stats[0].changes) == (
+            "FilterPushdown", 6)
+
+    def test_topk_moves_below_its_projection_in_one_walk(self):
+        query = parse(
+            "SELECT ?x WHERE { ?x <http://x/p> ?y } ORDER BY ?x LIMIT 5")
+        node, stats = rewrite(query.pattern)
+        assert isinstance(node, alg.Project)
+        assert isinstance(node.pattern, alg.TopK)
+        assert isinstance(node.pattern.pattern, alg.BGP)
+        assert stats["LimitPushdown"].changes == 2
+        _, again = rewrite(node)
+        assert sum(s.changes for s in again.values()) == 0
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +352,8 @@ class TestOptimizePlan:
         plan = optimize_plan(parse(
             PFX + "SELECT ?m WHERE { ?m x:starring ?a . ?m x:rare ?t }"))
         assert [s.name for s in plan.pass_stats] == [
-            name for name, _ in DEFAULT_PASSES]
+            "FilterPushdown", "ProjectionPruning", "BGPMerge",
+            "AggregatePushdown", "LimitPushdown"]
         # The un-reordered pattern keeps its textual order.
         node = plan.query.pattern.pattern
         assert node.triples[0][1] == uri("starring")

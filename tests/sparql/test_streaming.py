@@ -214,15 +214,15 @@ class TestTopK:
         assert isinstance(plan.query.pattern.pattern, alg.OrderBy)
 
     def test_slice_fusion_arithmetic(self):
-        from repro.sparql.plan import limit_pushdown
+        from repro.sparql.plan import rewrite
 
         inner = alg.Slice(alg.BGP([]), limit=10, offset=3)
-        node, changes = limit_pushdown(alg.Slice(inner, limit=5, offset=2))
-        assert changes == 1
+        node, stats = rewrite(alg.Slice(inner, limit=5, offset=2))
+        assert stats["LimitPushdown"].changes == 1
         assert isinstance(node, alg.Slice)
         assert (node.limit, node.offset) == (5, 5)
         # Outer window larger than what the inner slice leaves.
-        node, _ = limit_pushdown(
+        node, _ = rewrite(
             alg.Slice(alg.Slice(alg.BGP([]), limit=4, offset=0),
                       limit=10, offset=3))
         assert (node.limit, node.offset) == (1, 3)
