@@ -30,7 +30,7 @@ from .terms import Node
 class TermDictionary:
     """A bijective term <-> dense-int-id mapping (insert-only)."""
 
-    __slots__ = ("_ids", "_terms", "_lock")
+    __slots__ = ("_ids", "_terms", "_lock", "outcomes")
 
     def __init__(self):
         self._ids: Dict[Node, int] = {}
@@ -41,6 +41,11 @@ class TermDictionary:
         # one id.  Double-checked locking keeps the hot already-interned
         # path lock-free; only genuinely new terms take the lock.
         self._lock = threading.Lock()
+        # What the query layer computed from this dictionary's ids (see
+        # ``repro.sparql.operators.expressions.OutcomeStore``): ids are
+        # never reused, so it stays true for the dictionary's life.
+        # Made on first use.
+        self.outcomes = None
 
     # -- encode --------------------------------------------------------
     def encode(self, term: Node) -> int:

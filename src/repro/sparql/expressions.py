@@ -27,6 +27,15 @@ FALSE = Literal(False)
 #: month and day that start an ``xsd:date`` / ``xsd:dateTime`` lexical.
 _DATE_PARTS = re.compile(r"^(-?\d{4,})-(\d{2})-(\d{2})")
 
+#: datatype -> the lexicals the parser reads, bare, as a literal of it:
+#: a number token is a double when it has a point or an exponent.
+_SHORTHAND = {
+    XSD_INTEGER: re.compile(r"[0-9]+"),
+    XSD_DOUBLE: re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                           r"|[0-9]+[eE][+-]?[0-9]+"),
+    XSD_BOOLEAN: re.compile(r"true|false"),
+}
+
 
 class ExpressionError(Exception):
     """SPARQL expression evaluation error (type error / unbound variable)."""
@@ -81,11 +90,18 @@ class ConstExpr(Expression):
         return self.term
 
     def sparql(self):
-        if isinstance(self.term, Literal) and self.term.is_numeric:
-            return self.term.lexical
-        if isinstance(self.term, Literal) and self.term.datatype == XSD_BOOLEAN:
-            return self.term.lexical
-        return self.term.n3()
+        """The shorthand (``1``, ``2.5``, ``true``) when the parser reads
+        it back as this very term, else the literal with its datatype:
+        the text is part of plan and outcome keys, so two different
+        constants must never render alike."""
+        term = self.term
+        if isinstance(term, Literal):
+            shorthand = _SHORTHAND.get(term.datatype)
+            if shorthand is not None and shorthand.fullmatch(term.lexical):
+                return term.lexical
+            if term.datatype == XSD_STRING:  # ``n3`` drops it
+                return "%s^^<%s>" % (Literal(term.lexical).n3(), XSD_STRING)
+        return term.n3()
 
 
 class AndExpr(Expression):

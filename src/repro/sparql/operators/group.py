@@ -19,10 +19,10 @@ from typing import Dict, List, Optional
 from ...rdf.terms import (XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Literal,
                           Variable)
 from .. import algebra as alg
-from ..expressions import VarExpr, ebv
+from ..expressions import VarExpr
 from ..physical import StarCount
 from ..solution import TableStream
-from .expressions import expression_reader
+from .expressions import EBV, expression_reader
 from .order import sort_key
 
 
@@ -44,7 +44,7 @@ def stream_group(ev, node: alg.Group, graph, hint: Optional[int],
     inner = ev.stream(node.pattern, graph, None,
                       {v: s for v, s in sip.items() if v in node.group_vars})
     index = inner.index
-    specs = [compile_aggregate(a, index, ev.dictionary.decode, ev.stats)
+    specs = [compile_aggregate(a, index, ev.dictionary, ev.stats)
              for a in node.aggregates]
     positions = [index.get(v) for v in node.group_vars]
     # Scalar keys (the common one-variable GROUP BY) skip per-row tuple
@@ -258,7 +258,7 @@ def emit_groups(ev, node, groups, scalar: bool, new_state,
     out_index = {v: i for i, v in enumerate(out_vars)}
     # An error eliminates the group, as in FILTER.
     having = None if node.having is None else expression_reader(
-        node.having, out_index, ev.dictionary.decode, ev.stats, ebv, False)
+        node.having, out_index, ev.dictionary, ev.stats, EBV)
     encode = ev.dictionary.encode
 
     def implicit(groups):
@@ -417,7 +417,7 @@ def accumulator(function: str, separator: Optional[str] = None):
 
 
 def compile_aggregate(aggregate: alg.Aggregate, index: Dict[str, int],
-                      decode, stats):
+                      dictionary, stats):
     """Compile one aggregate over rows of schema ``index`` into
     ``(new_state, fold(state, row), finish(state))``.
 
@@ -458,9 +458,9 @@ def compile_aggregate(aggregate: alg.Aggregate, index: Dict[str, int],
         else:
             read = itemgetter(pos)
             if function != "count":
-                to_term = decode
+                to_term = dictionary.decode
     else:
-        read = expression_reader(expr, index, decode, stats)
+        read = expression_reader(expr, index, dictionary, stats)
 
     # MIN/MAX ignore duplicates, so they fold each distinct value once:
     # a dict store per row, an ORDER BY key per distinct value at finish.

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..expressions import ebv
 from ..physical import AntiJoin, HashJoin, LeftHashJoin, SemiJoin
 from ..solution import JoinIndex, SolutionTable, TableStream, batched, \
     table_minus
-from .expressions import expression_reader
+from .expressions import EBV, expression_reader
 
 
 def sip_exports(table: SolutionTable, probe) -> Optional[Dict]:
@@ -115,7 +114,7 @@ def stream_leftjoin(ev, node: LeftHashJoin, graph, hint: Optional[int],
         # Tested on each merged row; an error rejects the match.
         accept = expression_reader(
             condition, {v: i for i, v in enumerate(index.variables)},
-            ev.dictionary.decode, ev.stats, ebv, False)
+            ev.dictionary, ev.stats, EBV)
 
     def batches():
         for batch in left.batches:

@@ -5,6 +5,9 @@ serving-cache correctness tests draw queries from here: valid
 BGP/filter/optional/bind/values/group/order/limit shapes over the
 vocabulary that :mod:`repro.data.dbpedia` actually generates, so fuzzed
 queries select real rows instead of vacuously-empty results.
+:func:`mutate` and :func:`private_copy` (a dataset re-encoded into a new
+dictionary, whose expression-outcome store starts cold) serve the
+serving and store suites.
 
 Design constraints:
 
@@ -590,3 +593,19 @@ def mutate(graph, rng: random.Random, tag: int) -> str:
     s, p, o = edges[rng.randrange(len(edges))]
     graph.remove(s, p, o)
     return "remove:%r" % ((s, p, o),)
+
+
+def private_copy(dataset):
+    """The graphs of ``dataset`` re-encoded into one new dictionary: a
+    dataset whose expression-outcome store starts cold, whatever ran
+    before in the process."""
+    from repro.rdf import Dataset, Graph
+    from repro.rdf.dictionary import TermDictionary
+
+    dictionary = TermDictionary()
+    copy = Dataset()
+    for graph in dataset:
+        twin = Graph(graph.uri, dictionary=dictionary)
+        twin.update(graph)
+        copy.add_graph(twin)
+    return copy

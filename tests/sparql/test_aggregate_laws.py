@@ -68,7 +68,7 @@ IDS = ["%s%s(%s)" % (f, "-distinct" if d else "", a) for f, d, a in CASES]
 def fold(aggregate, cells):
     """Fold ``cells`` (terms or None) as one-column id rows, then finish."""
     new_state, fold_row, finish = group.compile_aggregate(
-        aggregate, {"v": 0}, DICTIONARY.decode, EvaluationStats())
+        aggregate, {"v": 0}, DICTIONARY, EvaluationStats())
     state = new_state()
     for cell in cells:
         fold_row(state, (None if cell is None

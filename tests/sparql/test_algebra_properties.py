@@ -17,11 +17,23 @@ The planner's rewrite walk (:func:`~repro.sparql.plan.rewrite`) runs
 over the same trees: its output is a fixpoint (a second walk fires no
 rule), and the input tree keeps its shape (the ``repr`` and ``key()`` of
 every node), since rules rebuild and never mutate.
+
+A constant's SPARQL text is part of every key that holds it (plan keys,
+result-cache keys, expression-outcome signatures), so the parser reads
+it back as the very same term: integers, decimals, doubles, booleans,
+``xsd:string``, plain and language-tagged strings, canonical or not.
+Two constants that render alike would then be one term, so the text
+tells any two constants apart; two pairs that used to collide get one
+engine each way.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import Literal, URIRef, Variable
+from repro.rdf import Graph, Literal, URIRef, Variable
+from repro.rdf.dictionary import TermDictionary
+from repro.rdf.terms import (XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE,
+                             XSD_INTEGER, XSD_STRING)
+from repro.sparql import Engine, ResultCache, QueryServer
 from repro.sparql import algebra as alg
 from repro.sparql.expressions import (CompareExpr, ConstExpr, Expression,
                                       VarExpr)
@@ -188,3 +200,102 @@ def test_rewrite_leaves_its_input_alone(tree):
     before = shape(tree)
     rewrite(tree)
     assert shape(tree) == before
+
+
+# ----------------------------------------------------------------------
+# Constants render to text the parser reads back as the same term
+# ----------------------------------------------------------------------
+
+lexicals = st.text(max_size=8)
+language_tags = st.from_regex(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})?",
+                              fullmatch=True)
+literals = st.one_of(
+    st.integers().map(Literal),
+    st.from_regex(r"[+-]?0*[0-9]{1,4}", fullmatch=True).map(
+        lambda text: Literal(text, datatype=XSD_INTEGER)),
+    st.decimals(allow_nan=False, allow_infinity=False).map(
+        lambda number: Literal(str(number), datatype=XSD_DECIMAL)),
+    st.floats().map(Literal),
+    st.from_regex(r"[0-9]*\.?[0-9]+([eE][+-]?[0-9]+)?", fullmatch=True).map(
+        lambda text: Literal(text, datatype=XSD_DOUBLE)),
+    st.booleans().map(Literal),
+    st.sampled_from(["1", "0", "TRUE", " true"]).map(
+        lambda text: Literal(text, datatype=XSD_BOOLEAN)),
+    st.tuples(lexicals, st.sampled_from([XSD_INTEGER, XSD_DOUBLE,
+                                         XSD_BOOLEAN])).map(
+        lambda pair: Literal(pair[0], datatype=pair[1])),
+    lexicals.map(lambda text: Literal(text, datatype=XSD_STRING)),
+    lexicals.map(Literal),
+    st.tuples(lexicals, language_tags).map(
+        lambda pair: Literal(pair[0], language=pair[1])))
+
+
+def read_back(text):
+    """The constant ``BIND(text AS ?x)`` parses to."""
+    node = parse("SELECT ?x WHERE { BIND(%s AS ?x) }" % text).pattern
+    while not isinstance(node, alg.Extend):
+        node = node.pattern
+    assert isinstance(node.expression, ConstExpr), text
+    return node.expression.term
+
+
+@settings(max_examples=600, deadline=None)
+@given(literals)
+def test_constant_text_parses_back_to_the_same_term(term):
+    text = ConstExpr(term).sparql()
+    assert read_back(text) == term, text
+
+
+def test_constant_text_keeps_every_pair_of_terms_apart():
+    pairs = [(Literal("1", datatype=XSD_DECIMAL), Literal(1)),
+             (Literal("abc", datatype=XSD_STRING), Literal("abc")),
+             (Literal("01", datatype=XSD_INTEGER), Literal(1)),
+             (Literal("1", datatype=XSD_BOOLEAN), Literal(True)),
+             (Literal("1.0", datatype=XSD_DECIMAL), Literal(1.0))]
+    for left, right in pairs:
+        assert ConstExpr(left).sparql() != ConstExpr(right).sparql()
+    assert ConstExpr(Literal(1)).sparql() == "1"
+    assert ConstExpr(Literal(2.5)).sparql() == "2.5"
+    assert ConstExpr(Literal(True)).sparql() == "true"
+    assert ConstExpr(Literal("abc")).sparql() == '"abc"'
+
+
+XSD = "http://www.w3.org/2001/XMLSchema#"
+BIND_QUERY = "SELECT ?y WHERE { ?s <http://x/p> ?v BIND(%s AS ?y) }"
+#: Pairs of BIND expressions whose constants used to render alike, so
+#: the second query of a pair was served the first one's plan.
+COLLIDING = [("(?v + \"1\"^^<%sdecimal>)" % XSD, "(?v + 1)"),
+             ("\"abc\"^^<%sstring>" % XSD, '"abc"')]
+
+
+def _bind_graph():
+    graph = Graph("http://x/g", dictionary=TermDictionary())
+    graph.add(URIRef("http://x/s"), URIRef("http://x/p"), Literal(2))
+    return graph
+
+
+def test_constants_that_used_to_collide_keep_their_plans():
+    """One engine runs both queries of a pair, in both orders, and
+    agrees with the reference plane on each."""
+    for pair in COLLIDING:
+        for first, second in (pair, pair[::-1]):
+            graph = _bind_graph()
+            engine = Engine(graph)
+            for expression in (first, second):
+                text = BIND_QUERY % expression
+                assert engine.query(text).rows == Engine(
+                    graph, columnar=False).query(text).rows, text
+
+
+def test_constants_that_used_to_collide_keep_their_cached_results():
+    """The result cache is keyed on the plan key, so the same text
+    decides which cached result a query is served (no plan cache here,
+    so only the result cache could mix the pair up)."""
+    for first, second in COLLIDING:
+        graph = _bind_graph()
+        with QueryServer(Engine(graph, plan_cache_size=0), workers=1,
+                         result_cache=ResultCache(max_entries=8)) as server:
+            for expression in (first, second, first, second):
+                text = BIND_QUERY % expression
+                assert server.submit(text).result().rows == Engine(
+                    graph, columnar=False).query(text).rows, text

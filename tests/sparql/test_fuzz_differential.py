@@ -12,6 +12,15 @@ tier's result cache is then treated as a third plane: cache-cold and
 cache-warm submissions must agree with the engine truth, including across
 interleaved graph mutations (the stale-read hunt).
 
+Expression outcomes outlive queries: each dictionary keeps one store of
+them (:class:`~repro.sparql.operators.expressions.OutcomeStore`).  So the
+corpus runs a second time, on a new engine over a private copy of the
+dataset whose store the first run filled, and that warm-store pass must
+evaluate no expression and still match the reference; queries sharing
+expressions must stay exact while triples are added and removed between
+them; and two server workers filling one cold store at once must return
+the reference bags.
+
 Grouped specs are the least-covered shape per seed, so a second range of
 seeds runs only its grouped specs (COUNT / SUM / AVG / MIN / MAX, DISTINCT,
 ``COUNT(*)``, expression arguments, 0-2 keys, HAVING).
@@ -32,8 +41,11 @@ import sys
 
 import pytest
 
-from queryfuzz import QuerySpec, generate, mutate, shrink
+from queryfuzz import PREFIXES, QuerySpec, generate, mutate, private_copy, \
+    shrink
 from repro.data.loader import build_dataset
+from repro.rdf import Literal, URIRef
+from repro.rdf.namespaces import DBPO
 from repro.sparql import Engine, ResultCache
 from repro.sparql.server import QueryServer
 
@@ -253,3 +265,100 @@ def test_cache_stays_fresh_across_interleaved_mutations():
     # ...and kept hitting after the first mutation epoch ended (fresh
     # entries under the new fingerprint, not a permanently-cold cache).
     assert server.stats.cache_hits > (hits_before_any_mutation or 0)
+
+
+# ----------------------------------------------------------------------
+# The expression-outcome store: warm passes, writes, concurrent workers
+# ----------------------------------------------------------------------
+
+def corpus():
+    """Every differential seed, then the grouped ones."""
+    texts = [generate(seed).render() for seed in range(N_SEEDS)]
+    texts += [spec.render() for spec in map(
+        generate, range(N_SEEDS, N_SEEDS + GROUPED_SPAN))
+        if spec.group is not None]
+    return texts
+
+
+def test_warm_store_pass_matches_reference(dataset, planes):
+    """The corpus twice over one private dictionary, each pass on a new
+    engine (so plans are made again): the second pass finds every
+    expression outcome in the store and returns the reference bags."""
+    private = private_copy(dataset)
+    texts = corpus()
+    cold = Engine(private)
+    cold_evals = 0
+    for text in texts:
+        cold.query(text)
+        cold_evals += cold.last_stats.expression_evals
+    warm = Engine(private)
+    for text in texts:
+        got = named_bag(warm.query(text))
+        assert warm.last_stats.expression_evals == 0, text
+        assert got == named_bag(planes["reference"].query(text)), text
+    assert cold_evals > 0
+
+
+#: Queries over the DBpedia vocabulary that share expressions: the
+#: ``?r + 1`` of a FILTER, a BIND and an aggregate argument, ``isIRI``
+#: over the starring edges the mutations remove, and a HAVING.
+SHARED = [PREFIXES + text for text in (
+    "SELECT ?film ?r WHERE { ?film dbpo:runtime ?r FILTER(?r + 1 > 100) }",
+    "SELECT ?film ?b WHERE { ?film dbpo:runtime ?r BIND(?r + 1 AS ?b) }",
+    "SELECT (SUM(?r + 1) AS ?t) WHERE { ?film dbpo:runtime ?r }",
+    "SELECT ?film ?a WHERE { ?film dbpp:starring ?a FILTER(isIRI(?a)) }",
+    "SELECT ?a (COUNT(?film) AS ?n) WHERE { ?film dbpp:starring ?a } "
+    "GROUP BY ?a HAVING (COUNT(?film) > 1)",
+    "SELECT ?film ?r WHERE { ?film dbpo:runtime ?r "
+    "FILTER(?r + 1 > 100 && isIRI(?film)) }",
+)]
+
+
+def test_store_stays_exact_across_interleaved_mutations(dataset):
+    """Triples added and removed between queries that share expressions:
+    a new runtime brings new ids, a removed runtime's id stays in the
+    store, and putting the triple back finds its old id again.  Every
+    answer matches the reference at that moment."""
+    private = private_copy(dataset)
+    graph = private.graph("http://dbpedia.org")
+    engine, reference = Engine(private), Engine(private, columnar=False)
+    runtimes = sorted(graph.triples(None, DBPO.runtime, None), key=repr)
+    rng = random.Random(5)
+    removed = []
+    readded = 0
+    for step in range(24):
+        for text in SHARED:
+            assert named_bag(engine.query(text)) \
+                == named_bag(reference.query(text)), (step, text)
+        if step % 3 == 0:
+            film = URIRef("http://dbpedia.org/resource/StoreFilm_%d" % step)
+            graph.add(film, DBPO.runtime, Literal(95 + step))
+        elif step % 3 == 1:
+            triple = runtimes[rng.randrange(len(runtimes))]
+            if graph.remove(*triple):
+                removed.append(triple)
+        elif removed:
+            readded += graph.add(*removed.pop(0))
+        mutate(graph, rng, tag=step)
+    assert readded > 0
+
+
+FILTER_TEMPLATE = PREFIXES + (
+    "SELECT ?film ?r WHERE { ?film dbpo:runtime ?r FILTER(?r + %d > 100) }")
+
+
+def test_two_workers_fill_one_store(dataset, planes):
+    """Concurrent submissions of one FILTER template, no result cache, on
+    a private dictionary: two workers race to store the same outcomes,
+    and every bag is the reference's."""
+    private = private_copy(dataset)
+    texts = [FILTER_TEMPLATE % offset for offset in range(4)] * 6
+    want = {text: named_bag(planes["reference"].query(text))
+            for text in set(texts)}
+    with QueryServer(Engine(private), workers=2, queue_size=64) as server:
+        tickets = [(text, server.submit(text)) for text in texts]
+        for text, ticket in tickets:
+            assert named_bag(ticket.result()) == want[text], text
+    store = next(iter(private)).dictionary.outcomes
+    assert len(store.memos) == 4
+    assert store.entries == sum(map(len, store.memos.values()))
