@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from typing import Tuple
 
+from ..rdf.terms import Literal
+
 _COMPARISON_RE = re.compile(r"^(>=|<=|!=|=|>|<)\s*(.+)$", re.DOTALL)
 _IN_RE = re.compile(r"^(?:In|IN|in)\s*\((.*)\)$", re.DOTALL)
 _FUNCTION_NAMES = {
@@ -47,8 +49,7 @@ def render_value(value: str) -> str:
         return value
     if value.startswith('"') and value.endswith('"'):
         return value
-    # Fall back to a quoted string literal.
-    return '"%s"' % value.replace('"', '\\"')
+    return Literal(value).n3()
 
 
 def condition_to_sparql(column: str, condition) -> str:

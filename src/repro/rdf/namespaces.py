@@ -7,9 +7,14 @@ vocabularies used by the paper's workloads (DBpedia, DBLP/SWRC, RDF(S)).
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterator, Tuple
 
 from .terms import URIRef
+
+#: A local name the Turtle and SPARQL readers take whole: ASCII, and no
+#: dot at either end (a trailing one would end the statement).
+_LOCAL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?")
 
 
 class Namespace:
@@ -130,7 +135,7 @@ class PrefixMap:
                 best_prefix, best_base = prefix, base
         if best_prefix is not None:
             local = text[len(best_base):]
-            if local and all(c.isalnum() or c in "_-." for c in local):
+            if _LOCAL.fullmatch(local):
                 return "%s:%s" % (best_prefix, local)
         return "<%s>" % text
 

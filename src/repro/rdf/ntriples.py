@@ -14,7 +14,7 @@ import re
 from typing import Iterable, Iterator, TextIO, Tuple, Union
 
 from .graph import Graph
-from .terms import BlankNode, Literal, Node, Triple, URIRef
+from .terms import BlankNode, Literal, Node, Triple, URIRef, unescape
 
 _IRI = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
 _BNODE = r"_:([A-Za-z0-9][A-Za-z0-9_.-]*)"
@@ -25,12 +25,6 @@ _PREDICATE = re.compile(r"\s*%s" % _IRI)
 _OBJECT = re.compile(r"\s*(?:%s|%s|%s)" % (_IRI, _BNODE, _LITERAL))
 _END = re.compile(r"\s*\.\s*(#.*)?$")
 
-_ESCAPES = {
-    "\\t": "\t", "\\n": "\n", "\\r": "\r",
-    '\\"': '"', "\\\\": "\\",
-}
-_ESCAPE_RE = re.compile(r'\\[tnr"\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}')
-
 
 class NTriplesError(ValueError):
     """Raised on malformed N-Triples input."""
@@ -39,15 +33,6 @@ class NTriplesError(ValueError):
         super().__init__("line %d: %s: %r" % (line_number, message, line[:120]))
         self.line_number = line_number
         self.line = line
-
-
-def _unescape(text: str) -> str:
-    def repl(match):
-        token = match.group(0)
-        if token in _ESCAPES:
-            return _ESCAPES[token]
-        return chr(int(token[2:], 16))
-    return _ESCAPE_RE.sub(repl, text)
 
 
 def parse_line(line: str, line_number: int = 0) -> Triple:
@@ -74,7 +59,7 @@ def parse_line(line: str, line_number: int = 0) -> Triple:
     elif bnode is not None:
         obj = BlankNode(bnode)
     else:
-        obj = Literal(_unescape(lit), datatype=datatype, language=language)
+        obj = Literal(unescape(lit), datatype=datatype, language=language)
     pos = match.end()
 
     if not _END.match(line, pos):

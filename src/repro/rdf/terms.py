@@ -8,10 +8,15 @@ variables allowed in any position.
 
 All terms are immutable, hashable value objects so they can be used as
 dictionary keys in the graph indexes and in solution mappings.
+
+A term as text is decided here alone: the N-Triples, Turtle and SPARQL
+readers call :func:`unescape` and :func:`number_datatype`, every writer
+calls :func:`escape`, :meth:`Literal.n3` or :meth:`Literal.shorthand`.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Tuple, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -25,6 +30,57 @@ XSD_DATE = XSD + "date"
 XSD_DATETIME = XSD + "dateTime"
 
 _NUMERIC_DATATYPES = frozenset({XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE})
+
+#: ECHAR, the one-letter escapes of N-Triples, Turtle and SPARQL strings,
+#: by the letter after the backslash.
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+          '"': '"', "'": "'", "\\": "\\"}
+#: What :func:`escape` writes: an ECHAR, else a UCHAR for the other C0
+#: controls and DEL (the canonical N-Triples form of RDF 1.2).
+_ESCAPE = {chr(code): "\\u%04X" % code for code in [*range(0x20), 0x7F]}
+_ESCAPE.update({char: "\\" + letter for letter, char in _ECHAR.items()
+                if letter != "'"})
+_ESCAPE_RE = re.compile(r'[\x00-\x1f"\\\x7f]')
+#: A UCHAR (``\uXXXX``, ``\UXXXXXXXX``), else a backslash and one character.
+_UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))",
+                          re.DOTALL)
+
+#: An unsigned number as SPARQL 1.1 (§19.8) and Turtle write it: DOUBLE,
+#: DECIMAL or INTEGER.  A point needs a digit after it unless an exponent
+#: follows, so ``1.`` is the integer ``1`` and a full stop.
+NUMBER = (r"(?:[0-9]+\.[0-9]*|\.?[0-9]+)[eE][+-]?[0-9]+"
+          r"|[0-9]*\.[0-9]+|[0-9]+")
+_NUMBER_RE = re.compile(NUMBER)
+
+
+def escape(text: str) -> str:
+    """``text`` as the body of a ``"..."`` string in N-Triples, Turtle
+    and SPARQL; :func:`unescape` reads it back."""
+    return _ESCAPE_RE.sub(lambda match: _ESCAPE[match.group()], text)
+
+
+def unescape(body: str) -> str:
+    """The text a string body stands for, its ECHAR and UCHAR escapes
+    decoded.  Lenient, as the readers always were: an unknown escape
+    (``\\q``) or a code point past U+10FFFF stays as written."""
+    return _UNESCAPE_RE.sub(_unescape_one, body)
+
+
+def _unescape_one(match) -> str:
+    short, wide, letter = match.groups()
+    if letter is not None:
+        return _ECHAR.get(letter, match.group())
+    code = int(short or wide, 16)
+    return chr(code) if code <= 0x10FFFF else match.group()
+
+
+def number_datatype(number: str) -> str:
+    """The datatype of a number token (:data:`NUMBER`, maybe signed): an
+    exponent makes ``xsd:double``, a point ``xsd:decimal``, anything else
+    ``xsd:integer``."""
+    if "e" in number or "E" in number:
+        return XSD_DOUBLE
+    return XSD_DECIMAL if "." in number else XSD_INTEGER
 
 
 class Term:
@@ -153,14 +209,25 @@ class Literal(Term):
         return self.datatype in _NUMERIC_DATATYPES
 
     def n3(self) -> str:
-        escaped = (self.lexical.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
-        base = '"%s"' % escaped
+        """The full form, the same in N-Triples, Turtle and SPARQL: a
+        datatype is always written, ``xsd:string`` too."""
+        text = '"%s"' % escape(self.lexical)
         if self.language:
-            return base + "@" + self.language
-        if self.datatype and self.datatype != XSD_STRING:
-            return base + "^^<" + self.datatype + ">"
-        return base
+            return text + "@" + self.language
+        if self.datatype:
+            return text + "^^<" + self.datatype + ">"
+        return text
+
+    def shorthand(self) -> Optional[str]:
+        """The bare form (``1``, ``2.5``, ``1e3``, ``true``) when SPARQL
+        and Turtle read it back as this very literal, else None."""
+        lexical, datatype = self.lexical, self.datatype
+        if datatype == XSD_BOOLEAN:
+            return lexical if lexical in ("true", "false") else None
+        if (_NUMBER_RE.fullmatch(lexical)
+                and number_datatype(lexical) == datatype):
+            return lexical
+        return None
 
 
 class Variable(Term):

@@ -25,8 +25,8 @@ from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .graph import Graph
 from .namespaces import PrefixMap
-from .terms import (BlankNode, Literal, Node, Triple, URIRef, XSD_BOOLEAN,
-                    XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER)
+from .terms import (NUMBER, BlankNode, Literal, Node, Triple, URIRef,
+                    XSD_BOOLEAN, number_datatype, unescape)
 from .namespaces import RDF
 
 
@@ -51,11 +51,11 @@ _TOKEN_RE = re.compile(r"""
   | (?P<LANGTAG>@[A-Za-z][A-Za-z0-9-]*)
   | (?P<DTYPE>\^\^)
   | (?P<BNODE>_:[A-Za-z0-9][A-Za-z0-9_.-]*)
-  | (?P<NUMBER>[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?))
+  | (?P<NUMBER>[+-]?(?:%s))
   | (?P<PNAME>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_.-]*|[A-Za-z_][A-Za-z0-9_-]*:|:[A-Za-z0-9_][A-Za-z0-9_.-]*|:)
   | (?P<PUNCT>[;,.\[\]()])
   | (?P<WS>\s+)
-""", re.VERBOSE)
+""" % NUMBER, re.VERBOSE)
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -223,7 +223,7 @@ class _TurtleParser:
             return BlankNode(value[2:])
         if kind in ("STRING", "STRING_LONG"):
             text = value[3:-3] if kind == "STRING_LONG" else value[1:-1]
-            text = _unescape(text)
+            text = unescape(text)
             next_kind, next_value, _ = self.peek()
             if next_kind == "LANGTAG":
                 self.next()
@@ -236,28 +236,10 @@ class _TurtleParser:
                 return Literal(text, datatype=str(datatype))
             return Literal(text)
         if kind == "NUMBER":
-            if "e" in value.lower():
-                return Literal(value, datatype=XSD_DOUBLE)
-            if "." in value:
-                return Literal(value, datatype=XSD_DECIMAL)
-            return Literal(value, datatype=XSD_INTEGER)
+            return Literal(value, datatype=number_datatype(value))
         if kind == "KEYWORD" and value in ("true", "false"):
             return Literal(value, datatype=XSD_BOOLEAN)
         raise TurtleError("expected %s, got %r" % (expect, value), line)
-
-
-_ESCAPES = {"\\t": "\t", "\\n": "\n", "\\r": "\r", '\\"': '"',
-            "\\'": "'", "\\\\": "\\"}
-_ESCAPE_RE = re.compile(r"\\[tnr\"'\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}")
-
-
-def _unescape(text: str) -> str:
-    def repl(match):
-        token = match.group(0)
-        if token in _ESCAPES:
-            return _ESCAPES[token]
-        return chr(int(token[2:], 16))
-    return _ESCAPE_RE.sub(repl, text)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from functools import reduce
 from operator import is_
 from typing import List, Optional, Sequence, Tuple
 
-from ..rdf.terms import Term, TriplePattern, Variable
+from ..rdf.terms import Term, TriplePattern, Variable, escape
 from .expressions import Expression
 
 AGGREGATE_FUNCTIONS = ("count", "sum", "min", "max", "avg", "sample",
@@ -198,14 +198,7 @@ class Aggregate:
         if self.distinct:
             inner = "DISTINCT " + inner
         if self.separator is not None:
-            # The escape set mirrors what the parser's string literal
-            # unescapes, so render -> parse round-trips exactly.  A raw
-            # newline would break the tokenizer's STRING rule.
-            escaped = (self.separator.replace("\\", "\\\\")
-                       .replace('"', '\\"').replace("\n", "\\n")
-                       .replace("\r", "\\r").replace("\t", "\\t")
-                       .replace("\b", "\\b").replace("\f", "\\f"))
-            inner += ' ; SEPARATOR="%s"' % escaped
+            inner += ' ; SEPARATOR="%s"' % escape(self.separator)
         return "(%s(%s) AS ?%s)" % (self.function.upper(), inner, self.alias)
 
     def __repr__(self):

@@ -17,8 +17,7 @@ import re
 from typing import Any, List, Optional, Sequence
 
 from ..rdf.terms import (Literal, Node, URIRef, BlankNode, Variable,
-                         XSD_BOOLEAN, XSD_DATETIME, XSD_DOUBLE, XSD_INTEGER,
-                         XSD_STRING)
+                         XSD_BOOLEAN, XSD_DATETIME, XSD_STRING)
 
 TRUE = Literal(True)
 FALSE = Literal(False)
@@ -26,15 +25,6 @@ FALSE = Literal(False)
 #: The year (negative before year 1, more than four digits after 9999),
 #: month and day that start an ``xsd:date`` / ``xsd:dateTime`` lexical.
 _DATE_PARTS = re.compile(r"^(-?\d{4,})-(\d{2})-(\d{2})")
-
-#: datatype -> the lexicals the parser reads, bare, as a literal of it:
-#: a number token is a double when it has a point or an exponent.
-_SHORTHAND = {
-    XSD_INTEGER: re.compile(r"[0-9]+"),
-    XSD_DOUBLE: re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-                           r"|[0-9]+[eE][+-]?[0-9]+"),
-    XSD_BOOLEAN: re.compile(r"true|false"),
-}
 
 
 class ExpressionError(Exception):
@@ -90,17 +80,12 @@ class ConstExpr(Expression):
         return self.term
 
     def sparql(self):
-        """The shorthand (``1``, ``2.5``, ``true``) when the parser reads
-        it back as this very term, else the literal with its datatype:
-        the text is part of plan and outcome keys, so two different
-        constants must never render alike."""
+        """A literal's shorthand (``1``, ``2.5``, ``true``) when it has
+        one, else the full form: the text is part of plan and outcome
+        keys, so two different constants must never render alike."""
         term = self.term
         if isinstance(term, Literal):
-            shorthand = _SHORTHAND.get(term.datatype)
-            if shorthand is not None and shorthand.fullmatch(term.lexical):
-                return term.lexical
-            if term.datatype == XSD_STRING:  # ``n3`` drops it
-                return "%s^^<%s>" % (Literal(term.lexical).n3(), XSD_STRING)
+            return term.shorthand() or term.n3()
         return term.n3()
 
 

@@ -22,12 +22,11 @@ top of an ``OPTIONAL { }`` group are the LeftJoin's condition instead
 
 from __future__ import annotations
 
-import re
 from functools import reduce
 from typing import List, Optional, Tuple
 
 from ..rdf.namespaces import DEFAULT_PREFIXES, RDF
-from ..rdf.terms import Literal, URIRef, Variable, XSD_INTEGER, XSD_DOUBLE
+from ..rdf.terms import Literal, URIRef, Variable, number_datatype, unescape
 from . import algebra as alg
 from .expressions import (AndExpr, ArithmeticExpr, CompareExpr, ConstExpr,
                           Expression, FunctionExpr, InExpr, NotExpr, OrExpr,
@@ -35,12 +34,6 @@ from .expressions import (AndExpr, ArithmeticExpr, CompareExpr, ConstExpr,
 from .tokenizer import Token, tokenize
 
 _AGG_KEYWORDS = ("COUNT", "SUM", "MIN", "MAX", "AVG", "SAMPLE", "GROUP_CONCAT")
-
-#: SPARQL string-literal escape sequences (ECHAR).  Unknown sequences
-#: keep their backslash verbatim, matching the previous lenient behavior.
-_STRING_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
-_STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
-                   '"': '"', "'": "'", "\\": "\\"}
 
 _BUILTIN_FUNCTIONS = frozenset("""
     regex str lang datatype bound isiri isuri isliteral isblank isnumeric
@@ -477,9 +470,7 @@ class Parser:
             return self._parse_string_literal()
         if token.kind == "NUMBER":
             text = self.next().value
-            if "." in text or "e" in text or "E" in text:
-                return Literal(text, datatype=XSD_DOUBLE)
-            return Literal(text, datatype=XSD_INTEGER)
+            return Literal(text, datatype=number_datatype(text))
         if token.kind == "KEYWORD" and token.value in ("TRUE", "FALSE"):
             self.next()
             return Literal(token.value == "TRUE")
@@ -487,15 +478,8 @@ class Parser:
 
     def _parse_string_literal(self) -> Literal:
         raw = self.expect("STRING").value
-        if raw.startswith('"""'):
-            text = raw[3:-3]
-        else:
-            text = raw[1:-1]
-        # Single-pass unescape: sequential str.replace corrupts adjacent
-        # sequences (r"\\n" — escaped backslash, then 'n' — would first
-        # match the inner r"\n" and turn into backslash+newline).
-        text = _STRING_ESCAPE.sub(
-            lambda m: _STRING_ESCAPES.get(m.group(1), m.group(0)), text)
+        quotes = 3 if raw.startswith('"""') else 1
+        text = unescape(raw[quotes:-quotes])
         datatype = None
         language = None
         if self.accept("DTYPE"):

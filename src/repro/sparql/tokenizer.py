@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from typing import Iterator, List, NamedTuple
 
+from ..rdf.terms import NUMBER
+
 
 class Token(NamedTuple):
     kind: str      # IRI, PNAME, VAR, STRING, NUMBER, KEYWORD, OP, PUNCT, EOF
@@ -39,9 +41,7 @@ _TOKEN_RES = [
     ("VAR", r"[?$][A-Za-z_][A-Za-z0-9_]*"),
     ("STRING", r'"""(?:[^"\\]|\\.|"(?!""))*"""|"(?:[^"\\\n]|\\.)*"'
                r"|'(?:[^'\\\n]|\\.)*'"),
-    ("NUMBER", r"[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?"
-               r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-               r"|[0-9]+(?:[eE][+-]?[0-9]+)?"),
+    ("NUMBER", NUMBER),
     # Prefixed name: prefix may be empty; local part allows digits, _, -, .
     # (trailing dot excluded below).
     ("PNAME", r"[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z0-9_]"

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.client import EngineClient
+from repro.core import KnowledgeGraph
 from repro.core.conditions import (ConditionError, condition_to_sparql,
                                    expression_variables, rename_variable,
                                    render_value)
+from repro.rdf import Graph, Literal, TermDictionary, URIRef
+from repro.sparql import Engine
 
 
 class TestComparisons:
@@ -100,3 +104,24 @@ class TestHelpers:
         assert render_value("hello world") == '"hello world"'
         assert render_value("42") == "42"
         assert render_value("true") == "true"
+
+
+class TestValuesReachTheEngineAsWritten:
+    """A filter value is written with the shared escaper, so the engine
+    reads back the very string the caller passed (before, ``\\t`` in a
+    Windows path read as a tab and a newline failed to tokenize)."""
+
+    @pytest.mark.parametrize("value", ["C:\\temp", "two\nlines",
+                                       'say "hi" \\ bye'])
+    def test_filter_matches_the_literal(self, value):
+        graph = Graph("http://x/g", dictionary=TermDictionary())
+        for name, text in (("a", value), ("b", "other")):
+            graph.add(URIRef("http://x/" + name), URIRef("http://x/p"),
+                      Literal(text))
+        frame = (KnowledgeGraph(graph_uri="http://x/g")
+                 .feature_domain_range("<http://x/p>", "s", "t")
+                 .filter({"t": ["=" + value]}))
+        for columnar in (True, False):
+            result = frame.execute(EngineClient(Engine(graph,
+                                                       columnar=columnar)))
+            assert result.to_records() == [("http://x/a", value)]

@@ -1,9 +1,12 @@
 """Unit tests for dictionary encoding and the id-keyed graph statistics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rdf import (Dataset, Graph, Literal, TermDictionary, URIRef,
                        shared_dictionary)
+
+import termzoo
 
 
 def uri(name):
@@ -23,10 +26,13 @@ class TestTermDictionary:
         assert ids == [0, 1, 2, 3, 4]
         assert len(d) == 5
 
-    def test_decode_roundtrip(self):
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(termzoo.terms, max_size=8))
+    def test_decode_roundtrip(self, terms):
         d = TermDictionary()
-        terms = [uri("a"), Literal(5), Literal("x", language="en")]
-        assert [d.decode(d.encode(t)) for t in terms] == terms
+        ids = [d.encode(t) for t in terms]
+        assert [d.decode(i) for i in ids] == terms
+        assert len(set(ids)) == len(set(terms))
 
     def test_lookup_does_not_intern(self):
         d = TermDictionary()

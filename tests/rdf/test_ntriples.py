@@ -4,10 +4,12 @@ import gzip
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.rdf import Graph, Literal, URIRef, BlankNode, ntriples
 from repro.rdf.ntriples import NTriplesError, parse_line
+
+import termzoo
 
 
 class TestParseLine:
@@ -107,64 +109,15 @@ class TestSerialization:
         assert buffer.getvalue().strip().endswith(".")
 
 
-# Property-based round-trip over generated literals.
-_safe_text = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF),
-    max_size=30)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_safe_text, st.sampled_from([None, "en", "fr-CA"]))
-def test_literal_round_trip(text, language):
-    lit = Literal(text, language=language)
-    triple = (URIRef("http://x/s"), URIRef("http://x/p"), lit)
-    parsed = parse_line(ntriples.serialize_triple(triple))
-    assert parsed == triple
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=-10**12, max_value=10**12))
-def test_integer_literal_round_trip(value):
-    triple = (URIRef("http://x/s"), URIRef("http://x/p"), Literal(value))
-    parsed = parse_line(ntriples.serialize_triple(triple))
-    assert parsed[2].value == value
-
-
-# Full-unicode round trips: anything a literal can hold must survive
-# serialize -> parse, including the characters the escape table handles
-# (quotes, backslashes, \n \r \t) and everything it passes through raw.
-_any_text = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",)),  # no surrogates
-    max_size=60)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_any_text)
-def test_full_unicode_literal_round_trip(text):
-    triple = (URIRef("http://x/s"), URIRef("http://x/p"), Literal(text))
-    parsed = parse_line(ntriples.serialize_triple(triple))
-    assert parsed[2].lexical == text
-
-
-@settings(max_examples=60, deadline=None)
-@given(_any_text)
-def test_typed_unicode_literal_round_trip(text):
-    lit = Literal(text, datatype="http://example.org/dt")
-    triple = (URIRef("http://x/s"), URIRef("http://x/p"), lit)
-    parsed = parse_line(ntriples.serialize_triple(triple))
-    assert parsed[2] == lit
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=12),
-       st.integers(min_value=0, max_value=6),
-       st.sampled_from(["", "x", "\n", '"']))
-def test_backslash_and_quote_runs_round_trip(slashes, quotes, filler):
-    # pathological escape pile-ups: \\\\\\"""\n... in every interleaving
-    text = "\\" * slashes + '"' * quotes + filler + "\\" * (slashes % 3)
-    triple = (URIRef("http://x/s"), URIRef("http://x/p"), Literal(text))
-    parsed = parse_line(ntriples.serialize_triple(triple))
-    assert parsed[2].lexical == text
+# Every term of the zoo survives serialize -> parse: quotes, backslash
+# runs, every control character, xsd:string next to plain, ill-typed
+# lexicals, non-ASCII IRIs.
+@settings(max_examples=300, deadline=None)
+@given(termzoo.terms)
+@termzoo.with_examples()
+def test_triple_round_trip(term):
+    triple = termzoo.triple_of(term)
+    assert parse_line(ntriples.serialize_triple(triple)) == triple
 
 
 def test_long_literal_round_trip():

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.rdf.terms import (BlankNode, Literal, URIRef, Variable,
-                             XSD_BOOLEAN, XSD_DATE, XSD_DOUBLE, XSD_INTEGER,
-                             is_concrete, literal_year)
+                             XSD_BOOLEAN, XSD_DATE, XSD_DECIMAL, XSD_DOUBLE,
+                             XSD_INTEGER, XSD_STRING, escape, is_concrete,
+                             literal_year, unescape)
 
 
 class TestURIRef:
@@ -94,6 +95,19 @@ class TestLiteral:
     def test_n3_typed(self):
         assert Literal(3).n3() == '"3"^^<%s>' % XSD_INTEGER
 
+    def test_n3_keeps_xsd_string(self):
+        assert Literal("abc", datatype=XSD_STRING).n3() == \
+            '"abc"^^<%s>' % XSD_STRING
+
+    @pytest.mark.parametrize("literal,shorthand", [
+        (Literal(1), "1"), (Literal("2.5", datatype=XSD_DECIMAL), "2.5"),
+        (Literal("1e3", datatype=XSD_DOUBLE), "1e3"), (Literal(True), "true"),
+        (Literal(2.5), None), (Literal("1", datatype=XSD_DECIMAL), None),
+        (Literal("-1", datatype=XSD_INTEGER), None),
+        (Literal("1", datatype=XSD_BOOLEAN), None), (Literal("1"), None)])
+    def test_shorthand(self, literal, shorthand):
+        assert literal.shorthand() == shorthand
+
     def test_is_numeric(self):
         assert Literal(3).is_numeric
         assert not Literal("3").is_numeric
@@ -130,6 +144,33 @@ class TestVariable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Variable("?")
+
+
+class TestEscapes:
+    def test_canonical_form(self):
+        # ECHAR where N-Triples has one, UCHAR for the other controls.
+        assert escape('a"b\\c\n\r\t\b\f\x01\x7f\'é') == \
+            'a\\"b\\\\c\\n\\r\\t\\b\\f\\u0001\\u007F\'é'
+
+    def test_unescape_is_lenient(self):
+        assert unescape(r"\q \u00 \UFFFFFFFF \u00e9 \'") == \
+            "\\q \\u00 \\UFFFFFFFF é '"
+
+    def test_text_is_written_in_terms_py_only(self):
+        # Ratchet: no other module writes a datatype suffix or an
+        # escaping .replace chain; each renders through this module.
+        import pathlib
+        import re
+        import repro
+        pattern = re.compile(r"""\^\^<|\.replace\(.*?,\s*r?["']\\\\""")
+        root = pathlib.Path(repro.__file__).parent
+        offenders = ["%s:%d" % (path.relative_to(root), number)
+                     for path in sorted(root.rglob("*.py"))
+                     if path.relative_to(root).as_posix() != "rdf/terms.py"
+                     for number, line in enumerate(
+                         path.read_text().splitlines(), 1)
+                     if pattern.search(line)]
+        assert not offenders
 
 
 class TestHelpers:

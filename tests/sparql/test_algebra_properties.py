@@ -20,8 +20,8 @@ every node), since rules rebuild and never mutate.
 
 A constant's SPARQL text is part of every key that holds it (plan keys,
 result-cache keys, expression-outcome signatures), so the parser reads
-it back as the very same term: integers, decimals, doubles, booleans,
-``xsd:string``, plain and language-tagged strings, canonical or not.
+it back as the very same term: every IRI and literal of the shared term
+zoo (``tests/termzoo.py``), canonical or not.
 Two constants that render alike would then be one term, so the text
 tells any two constants apart; two pairs that used to collide get one
 engine each way.
@@ -31,8 +31,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Graph, Literal, URIRef, Variable
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.terms import (XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE,
-                             XSD_INTEGER, XSD_STRING)
+from repro.rdf.terms import (XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER,
+                             XSD_STRING)
 from repro.sparql import Engine, ResultCache, QueryServer
 from repro.sparql import algebra as alg
 from repro.sparql.expressions import (CompareExpr, ConstExpr, Expression,
@@ -41,6 +41,7 @@ from repro.sparql.parser import parse
 from repro.sparql.plan import rewrite
 from repro.workload import CASE_STUDIES, JOIN_QUERIES, SYNTHETIC_QUERIES
 
+import termzoo
 from queryfuzz import generate
 from plan_variants import nodes
 
@@ -206,30 +207,6 @@ def test_rewrite_leaves_its_input_alone(tree):
 # Constants render to text the parser reads back as the same term
 # ----------------------------------------------------------------------
 
-lexicals = st.text(max_size=8)
-language_tags = st.from_regex(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})?",
-                              fullmatch=True)
-literals = st.one_of(
-    st.integers().map(Literal),
-    st.from_regex(r"[+-]?0*[0-9]{1,4}", fullmatch=True).map(
-        lambda text: Literal(text, datatype=XSD_INTEGER)),
-    st.decimals(allow_nan=False, allow_infinity=False).map(
-        lambda number: Literal(str(number), datatype=XSD_DECIMAL)),
-    st.floats().map(Literal),
-    st.from_regex(r"[0-9]*\.?[0-9]+([eE][+-]?[0-9]+)?", fullmatch=True).map(
-        lambda text: Literal(text, datatype=XSD_DOUBLE)),
-    st.booleans().map(Literal),
-    st.sampled_from(["1", "0", "TRUE", " true"]).map(
-        lambda text: Literal(text, datatype=XSD_BOOLEAN)),
-    st.tuples(lexicals, st.sampled_from([XSD_INTEGER, XSD_DOUBLE,
-                                         XSD_BOOLEAN])).map(
-        lambda pair: Literal(pair[0], datatype=pair[1])),
-    lexicals.map(lambda text: Literal(text, datatype=XSD_STRING)),
-    lexicals.map(Literal),
-    st.tuples(lexicals, language_tags).map(
-        lambda pair: Literal(pair[0], language=pair[1])))
-
-
 def read_back(text):
     """The constant ``BIND(text AS ?x)`` parses to."""
     node = parse("SELECT ?x WHERE { BIND(%s AS ?x) }" % text).pattern
@@ -240,7 +217,8 @@ def read_back(text):
 
 
 @settings(max_examples=600, deadline=None)
-@given(literals)
+@given(termzoo.constants)
+@termzoo.with_examples(URIRef, Literal)
 def test_constant_text_parses_back_to_the_same_term(term):
     text = ConstExpr(term).sparql()
     assert read_back(text) == term, text
@@ -251,11 +229,12 @@ def test_constant_text_keeps_every_pair_of_terms_apart():
              (Literal("abc", datatype=XSD_STRING), Literal("abc")),
              (Literal("01", datatype=XSD_INTEGER), Literal(1)),
              (Literal("1", datatype=XSD_BOOLEAN), Literal(True)),
-             (Literal("1.0", datatype=XSD_DECIMAL), Literal(1.0))]
+             (Literal("1.0", datatype=XSD_DECIMAL), Literal(1.0)),
+             (Literal("2.5", datatype=XSD_DECIMAL), Literal(2.5))]
     for left, right in pairs:
         assert ConstExpr(left).sparql() != ConstExpr(right).sparql()
     assert ConstExpr(Literal(1)).sparql() == "1"
-    assert ConstExpr(Literal(2.5)).sparql() == "2.5"
+    assert ConstExpr(Literal("2.5", datatype=XSD_DECIMAL)).sparql() == "2.5"
     assert ConstExpr(Literal(True)).sparql() == "true"
     assert ConstExpr(Literal("abc")).sparql() == '"abc"'
 

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.rdf import Graph, TermDictionary
 from repro.rdf.namespaces import RDF
-from repro.rdf.terms import Literal, URIRef, Variable
+from repro.rdf.terms import (XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Literal,
+                             URIRef, Variable)
+from repro.sparql import Engine
 from repro.sparql import algebra as alg
 from repro.sparql.parser import ParseError, parse
 
@@ -223,6 +226,40 @@ class TestModifiers:
         node = unwrap(q.pattern, alg.Project)
         assert isinstance(node, alg.Extend)
         assert node.var == "b"
+
+
+class TestTermText:
+    """String escapes and number typing are the ones ``rdf/terms.py``
+    gives N-Triples and Turtle too."""
+
+    @staticmethod
+    def bind(expression):
+        """``BIND(expression AS ?d)``'s value, the same on both planes."""
+        graph = Graph("http://x/g", dictionary=TermDictionary())
+        text = "SELECT ?d WHERE { BIND(%s AS ?d) }" % expression
+        production, reference = (
+            Engine(graph, columnar=columnar).query(text).rows
+            for columnar in (True, False))
+        assert production == reference
+        return production[0][0]
+
+    @pytest.mark.parametrize("number,datatype", [
+        ("1.5", XSD_DECIMAL), (".5", XSD_DECIMAL), ("1.5e0", XSD_DOUBLE),
+        ("1E3", XSD_DOUBLE), ("1", XSD_INTEGER)])
+    def test_a_point_makes_a_decimal_and_an_exponent_a_double(
+            self, number, datatype):
+        assert self.bind("DATATYPE(%s)" % number) == URIRef(datatype)
+
+    @pytest.mark.parametrize("body,text", [
+        (r"\u00e9", "é"), (r"\U0001F600", "\U0001F600"),
+        (r"C:\\temp", "C:\\temp"), (r"a\tb", "a\tb"), (r"\q", "\\q")])
+    def test_string_escapes(self, body, text):
+        assert self.bind('"%s"' % body) == Literal(text)
+
+    def test_point_without_digits_ends_the_triple(self):
+        q = parse("SELECT * WHERE { ?s ?p 1. ?s ?q ?o }")
+        triples = q.pattern.pattern.triples
+        assert [t[2] for t in triples] == [Literal(1), Variable("o")]
 
 
 class TestErrors:

@@ -26,9 +26,9 @@ _REFERENCE_RES = [
     ("VAR", re.compile(r"[?$][A-Za-z_][A-Za-z0-9_]*")),
     ("STRING", re.compile(r'"""(?:[^"\\]|\\.|"(?!""))*"""|"(?:[^"\\\n]|\\.)*"'
                           r"|'(?:[^'\\\n]|\\.)*'")),
-    ("NUMBER", re.compile(r"[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?"
-                          r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-                          r"|[0-9]+(?:[eE][+-]?[0-9]+)?")),
+    ("NUMBER", re.compile(r"[0-9]+\.[0-9]*[eE][+-]?[0-9]+"
+                          r"|\.?[0-9]+[eE][+-]?[0-9]+"
+                          r"|[0-9]*\.[0-9]+|[0-9]+")),
     ("PNAME", re.compile(r"[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z0-9_]"
                          r"[A-Za-z0-9_.-]*|[A-Za-z_][A-Za-z0-9_-]*:")),
     ("DTYPE", re.compile(r"\^\^")),

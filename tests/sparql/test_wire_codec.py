@@ -23,6 +23,8 @@ from repro.sparql.faults import FaultInjector, FaultyEndpoint
 from repro.sparql.json_results import decode_results, encode_results
 from repro.sparql.results import ResultSet
 
+import termzoo
+
 
 def reference_term(term):
     """A term as the W3C binding object, keys in the order the format lists."""
@@ -61,17 +63,9 @@ awkward_text = st.text(alphabet=st.one_of(
     st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
                      "\ud800", "\udfff", "é", "東", "\U0001F3AC"])),
     max_size=12).filter(lambda s: not SURROGATE_PAIR.search(s))
-language_tags = st.from_regex(r"[a-z]{1,8}(-[a-z0-9]{1,8})?", fullmatch=True)
-datatypes = st.sampled_from([XSD_STRING, XSD_INTEGER, "http://x/dt"])
-
-terms = st.one_of(
-    awkward_text.map(lambda s: URIRef("http://x/" + s)),
-    awkward_text.map(BlankNode),
-    awkward_text.map(Literal),
-    st.builds(lambda s, lang: Literal(s, language=lang),
-              awkward_text, language_tags),
-    st.builds(lambda s, dt: Literal(s, datatype=dt), awkward_text, datatypes),
-)
+# The shared term zoo, plus literals of that text: lone surrogates are
+# drawn here only, since the storage record (UTF-8) cannot hold them.
+terms = st.one_of(termzoo.terms, awkward_text.map(Literal))
 
 
 @st.composite

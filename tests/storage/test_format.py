@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf.terms import BlankNode, Literal, URIRef
 from repro.storage.format import (FormatError, decode_sorted_triples,
                                   decode_term, decode_varint,
                                   decode_varint_stream, decode_varstr,
@@ -11,6 +10,8 @@ from repro.storage.format import (FormatError, decode_sorted_triples,
                                   encode_varint, encode_varstr,
                                   frame_section, iter_sections,
                                   read_section)
+
+import termzoo
 
 
 class TestVarints:
@@ -94,19 +95,10 @@ class TestSections:
         assert exc_info.value.torn
 
 
-_term = st.one_of(
-    st.text(max_size=40).map(lambda t: URIRef("http://x/" + t)),
-    st.text(alphabet="ab0", min_size=1, max_size=10).map(BlankNode),
-    st.text(max_size=60).map(Literal),
-    st.text(max_size=30).map(lambda t: Literal(t, language="en")),
-    st.text(max_size=30).map(
-        lambda t: Literal(t, datatype="http://x/dt")),
-)
-
-
 class TestTermCodec:
     @settings(max_examples=120, deadline=None)
-    @given(_term)
+    @given(termzoo.terms)
+    @termzoo.with_examples()
     def test_round_trip(self, term):
         out = bytearray()
         encode_term(out, term)
